@@ -177,7 +177,7 @@ def run_crawl(
             raise ConfigError("timing= and on_fetch= are sequential-engine features")
         if session_config.concurrency is not None:
             raise ConfigError(
-                "concurrency= selects the sequential event-driven engine; it "
+                "concurrency= gives the sequential engine K fetch slots; it "
                 "does not combine with a partitioned (parallel=) run"
             )
         if session_config.resume_from is not None:

@@ -227,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="crawl with K concurrent fetch slots on the virtual-time "
-        "event engine (default: the paper's round-based engine)",
+        help="crawl with K concurrent fetch slots on the virtual clock "
+        "(default: the paper's round-based crawl, one fetch at a time)",
     )
     p_run.add_argument(
         "--latency",

@@ -37,8 +37,8 @@ from typing import Any
 from repro.errors import CheckpointError
 
 FORMAT_NAME = "repro-lswc-checkpoint"
-#: Version 2 added the optional ``sched`` section (the event-driven
-#: engine's in-flight fetch set); version 3 added the optional
+#: Version 2 added the optional ``sched`` section (the in-flight fetch
+#: set of a ``concurrency=K`` run); version 3 added the optional
 #: ``adversary`` (synthetic-web layer: redirect-target map, injection
 #: tallies) and ``defenses`` (engine countermeasure state: fingerprint
 #: set, per-host budgets) sections.  Older files are still readable —
@@ -83,8 +83,9 @@ class CheckpointState:
     timing: dict | None = None
     faults: dict | None = None
     breakers: dict | None = None
-    #: In-flight event set of a :class:`repro.core.sched.
-    #: VirtualTimeEngine` run (format v2); None for round-based runs.
+    #: In-flight fetches of a ``concurrency=K`` run (format v2, from
+    #: :meth:`repro.core.engine.CrawlEngine.snapshot_events`); None for
+    #: round-based (``concurrency=None``) runs.
     sched: dict | None = None
     #: Adversary-layer state (format v3): redirect-target map plus
     #: injection tallies; None when no adversary is attached.

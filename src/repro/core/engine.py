@@ -1,15 +1,51 @@
-"""The unified crawl engine: one loop, explicit stages, pluggable hooks.
+"""The crawl engine: one loop, explicit stages, pluggable hooks.
 
 The paper's simulator is one conceptual machine — fetch, classify by
-charset, extract URLs, prioritize (§4, Figure 2) — and this module is
-its single implementation.  One crawl step is an explicit stage
-pipeline::
+charset, extract URLs, prioritize (§4, Figure 2) — and
+:meth:`CrawlEngine.run` is its single implementation.  One crawl step is
+an explicit stage pipeline::
 
-    pop → gate (breaker) → fetch → classify → extract → prioritize → schedule
+    pop → gate (breaker, defenses) → fetch | classify → extract → prioritize → schedule
 
-followed by a step epilogue (metrics record, the per-fetch callback,
-hook ``on_step`` dispatch).  Every capability that used to be a forked
-copy of the loop attaches here instead:
+split at the bar into an **issue** phase (everything up to and including
+the fetch, retries and redirect chains with it) and a **completion**
+phase (everything that depends on the page's content, then the step
+epilogue: metrics record, the per-fetch callback, hook ``on_step``).
+The one decision that varies is the *issue policy*:
+
+- ``concurrency=None`` — every issued fetch is handed straight to
+  completion.  Crawl order cannot depend on time; ``timing`` is optional
+  and pure accounting (:meth:`TimingModel.observe_fetch`, which owns a
+  ``connections`` pool), and ``sim_time`` is None without it.  This is
+  the paper's setting.
+- ``concurrency=K`` — up to K fetches are in flight at once.  A fetch is
+  issued at pop time, booked on the clock with
+  :meth:`TimingModel.reserve_fetch` (per-site politeness only — the
+  engine owns the K slots) and completes at its simulated completion
+  time, so frontier ordering depends on latency, bandwidth, politeness
+  windows and the fault layer's slow-host scaling — the elapsed-time /
+  per-server-queue dimension the paper's simulator omitted (§6).
+  ``timing`` is mandatory: virtual time *is* the scheduler.
+
+Determinism contract of the slotted policy:
+
+- The event heap orders on ``(completion_time, issue_sequence)``.  The
+  issue sequence is unique, so ties at equal virtual time break on issue
+  order, identically on every platform — tuple comparison never reaches
+  the candidate.
+- Slot refill is greedy *before* every completion and never depends on
+  the ``budget`` a ``run`` call was given, so a crawl stepped
+  ``budget=1`` at a time is byte-identical to a one-shot run — the
+  cadence-independence the serve layer's eviction contract needs.
+- ``run(budget)`` counts **completions** (crawl steps), never issues; a
+  failed fetch round or a gate skip consumes no slot and no budget.
+
+With one slot the policy degenerates to strict issue → complete
+alternation: ``concurrency=1`` reproduces the ``concurrency=None`` crawl
+byte-for-byte, and on the same clock with ``connections=1`` the same
+``sim_time`` series (``tests/golden/test_golden_sched.py``).
+
+Everything else attaches to the loop instead of forking it:
 
 - **observability** subscribes to stage timings and step completions
   (:class:`repro.obs.hooks.StepSpanHook`);
@@ -17,7 +53,15 @@ copy of the loop attaches here instead:
   policy — it alters control flow, so it is configured, not hooked —
   while its *accounting* surfaces through hook events
   (:meth:`EngineHook.on_retry` etc.);
-- **checkpointing** is a step observer (:class:`CheckpointHook`).
+- **checkpointing** is a step observer (:class:`CheckpointHook`); the
+  in-flight fetches of a slotted run serialise through
+  :meth:`CrawlEngine.snapshot_events`.
+
+Hook stream: the issue-time events (``on_retry`` / ``on_gate_skip`` /
+``on_requeue`` / ``on_drop``) fire at issue; the seven stage events and
+``on_step`` replay in pipeline order per *completed* step, all carrying
+the URL that step crawled.  A failed round or a gate skip emits no stage
+event.
 
 Hook dispatch is pay-for-what-you-use: at construction the engine
 compiles, per event, a tuple of the hook methods actually *overridden*
@@ -35,14 +79,18 @@ per partition round-robin.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.adversary.defense import NAIVE_REDIRECT_CAP
+from repro.core.candidate import candidate_from_dict, candidate_to_dict
 from repro.core.events import CrawlEvent, FetchCallback
 from repro.core.frontier import Candidate, Frontier
+from repro.core.sched import response_from_dict, response_to_dict
+from repro.errors import CheckpointError, ConfigError
 from repro.faults.model import RETRYABLE_FAULTS
 from repro.urlkit.normalize import intern_url, url_site_key
 
@@ -102,7 +150,8 @@ class EngineStep:
     sim_time: Optional[float] = None
     queue_size: int = 0
     scheduled_count: int = 0
-    #: Wall-clock step start (only set when a hook needs wall time).
+    #: Wall-clock time the step's fetch was issued (its frontier pop
+    #: began); only set when a hook needs wall time.
     started_s: float = 0.0
 
 
@@ -216,6 +265,13 @@ class EngineLoopState:
 #: the strategy kept and decides which frontier (partition) it enters.
 CandidateRouter = Callable[[Candidate], None]
 
+#: One in-flight fetch: ``(completion, seq, start, pop_seconds,
+#: started_s, candidate, response)``.  ``seq`` is unique, so heap
+#: comparisons never reach the candidate; ``pop_seconds`` and
+#: ``started_s`` carry the issue-time wall-clock readings to the
+#: completion-time hook dispatch.
+_Event = tuple
+
 _HOOK_EVENTS = (
     "on_stage",
     "on_stage_timing",
@@ -232,16 +288,20 @@ class CrawlEngine:
 
     The engine owns control flow only.  Components (frontier, visitor,
     classifier, strategy, recorder) are constructed and wired by a
-    configurator — :class:`repro.core.simulator.Simulator` for
+    configurator — :class:`repro.core.session.CrawlSession` for
     sequential runs, :class:`repro.core.parallel.ParallelCrawlSimulator`
     per partition — which also decides which hooks attach.
 
-    The loop body preserves the exact operation order the golden traces
-    pin: pop → gate → fetch (retry) → judge → timing → extract → expand
-    → schedule → tick → record → callback → hooks.  Optional features
-    are hoisted to local ``None`` checks, so a clean run pays a handful
-    of predictable branches over the dedicated fast path it replaced
-    (gated ≤ 1.05× by ``benchmarks/bench_engine_unification.py``).
+    ``concurrency`` selects the issue policy (see the module docstring):
+    None completes every fetch the moment it is issued, an integer K
+    keeps up to K fetches in flight on the virtual clock and needs a
+    ``timing`` model.
+
+    The loop preserves the exact operation order the golden traces pin:
+    pop → gate → fetch (retry, redirects) → clock → judge → extract →
+    expand → schedule → tick → record → callback → hooks.  Optional
+    features are hoisted to local ``None`` checks, so a clean run pays a
+    handful of predictable branches.
     """
 
     def __init__(
@@ -264,7 +324,16 @@ class CrawlEngine:
         loop_state: Optional[EngineLoopState] = None,
         router: Optional[CandidateRouter] = None,
         call_tick: bool = True,
+        concurrency: Optional[int] = None,
     ) -> None:
+        if concurrency is not None:
+            if timing is None:
+                raise ConfigError(
+                    "concurrency= needs a timing= model — virtual time is the "
+                    "scheduler; use zero_latency_timing() for the degenerate clock"
+                )
+            if concurrency < 1:
+                raise ConfigError("concurrency must be >= 1")
         self.frontier = frontier
         self.visitor = visitor
         self.classifier = classifier
@@ -281,6 +350,14 @@ class CrawlEngine:
         self.state = loop_state if loop_state is not None else EngineLoopState()
         self.router = router
         self.call_tick = call_tick
+        self.concurrency = concurrency
+        #: In-flight fetches, a heap of :data:`_Event` tuples (always
+        #: empty under ``concurrency=None``).
+        self._events: list[_Event] = []
+        #: The event clock: virtual time of the last completion.
+        self._now = 0.0
+        #: Monotonic issue counter — the deterministic heap tiebreak.
+        self._issue_seq = 0
         self.hooks = tuple(hooks)
         # Compile per-event dispatch tuples of the *overridden* methods
         # only; None means "nobody listens" and costs one check per use.
@@ -313,14 +390,22 @@ class CrawlEngine:
 
     @property
     def has_pending_work(self) -> bool:
-        """True while the engine can still complete a crawl step.
+        """True while a step can still complete (queued *or* in flight).
 
-        The round-based engine's pending work is exactly its frontier;
-        the event-driven subclass also counts in-flight fetches.  The
-        session layer's ``done`` must go through this, never through the
-        frontier directly.
+        The session layer's ``done`` must go through this, never through
+        the frontier directly.
         """
-        return bool(self.frontier)
+        return bool(self.frontier) or bool(self._events)
+
+    @property
+    def in_flight(self) -> int:
+        """Issued fetches whose completion has not been processed yet."""
+        return len(self._events)
+
+    @property
+    def virtual_now(self) -> float:
+        """Virtual time of the most recent completion."""
+        return self._now
 
     def offer(self, candidate: Candidate) -> bool:
         """Schedule a candidate unless its URL was already seen here."""
@@ -401,16 +486,17 @@ class CrawlEngine:
         return response
 
     def run(self, budget: Optional[int] = None) -> int:
-        """Crawl until the frontier drains, the page cap, or ``budget`` steps.
+        """Crawl until nothing is pending, the page cap, or ``budget`` steps.
 
-        Returns the number of crawl steps completed by *this* call
-        (``budget=1`` is the single-step mode the parallel driver uses).
+        Returns the number of crawl steps (completions) executed by
+        *this* call (``budget=1`` is the single-step mode the parallel
+        driver uses).
 
         A failed fetch round (all attempts exhausted on a retryable
         fault) is *not* a crawl step: the page was never obtained, so it
-        must not dilute harvest rate or advance the page cap.  The
-        candidate is requeued at its original priority until its requeue
-        budget runs out.
+        must not dilute harvest rate, advance the page cap or take a
+        fetch slot.  The candidate is requeued at its original priority
+        until its requeue budget runs out.
         """
         # This loop runs once per simulated fetch — the per-page hot
         # path.  Bound methods and loop-invariant attributes are hoisted
@@ -429,6 +515,8 @@ class CrawlEngine:
         state = self.state
         max_pages = self.max_pages
         route = self.router
+        events = self._events
+        slots = self.concurrency
 
         pop = frontier.pop
         push = frontier.push
@@ -437,7 +525,7 @@ class CrawlEngine:
         judge = self.classifier.judge
         expand = strategy.expand
         # Link contexts are computed only for strategies that score on
-        # textual cues; for everything else this stays False and the
+        # textual cues; for everything else this stays None and the
         # extract→expand hand-off is exactly the pre-context code path.
         wants_contexts = getattr(strategy, "wants_link_contexts", False)
         extract_contexts = visitor.extract_contexts if wants_contexts else None
@@ -481,103 +569,154 @@ class CrawlEngine:
         stage_schedule = EngineStage.SCHEDULE
 
         host: Optional[str] = None
+        sim_time: Optional[float] = None
+        started = pop_s = 0.0
         executed = 0
         steps = state.steps
         try:
-            while frontier:
+            while True:
                 if max_pages is not None and steps >= max_pages:
                     break
                 if budget is not None and executed >= budget:
                     break
 
-                # -- pop ------------------------------------------------
-                if wall:
-                    started = perf()
-                    step.started_s = started
-                    candidate = pop()
-                    if timing_cbs is not None:
-                        now = perf()
-                        for callback in timing_cbs:
-                            callback(stage_pop, now - started, step)
-                else:
-                    candidate = pop()
-                if resilient:
-                    state.pops += 1
-                if stage_cbs is not None:
-                    step.candidate = candidate
-                    for callback in stage_cbs:
-                        callback(stage_pop, step)
+                # -- issue phase: pop → gate → fetch --------------------
+                # ``slots is None``: the first fetch that succeeds breaks
+                # out, straight into the completion phase.  Otherwise
+                # free slots are refilled greedily; the page-cap guard
+                # counts in-flight fetches, because every issued fetch
+                # will complete and issuing past the cap would overshoot.
+                while frontier and (
+                    slots is None
+                    or (
+                        len(events) < slots
+                        and (max_pages is None or steps + len(events) < max_pages)
+                    )
+                ):
+                    if wall:
+                        started = perf()
+                        candidate = pop()
+                        pop_s = perf() - started
+                    else:
+                        candidate = pop()
+                    if resilient:
+                        state.pops += 1
 
-                # -- gate (circuit breaker, defense policy) -------------
-                if need_host:
-                    host = site_of(candidate.url)
-                    if allow is not None and not allow(host, state.pops):
-                        state.breaker_skips += 1
-                        if gate_cbs is not None:
-                            for callback in gate_cbs:
-                                callback(candidate)
-                        self._requeue_or_drop(candidate)
-                        continue
-                    if defenses is not None:
-                        canonical = defenses.canonicalize(candidate.url)
-                        if canonical is not None:
-                            # A session alias: crawl the base URL once,
-                            # skip every further alias of it outright.
-                            if canonical in scheduled:
-                                defenses.stats["alias_skips"] += 1
+                    # Gate: circuit breaker, then defense policy.
+                    if need_host:
+                        host = site_of(candidate.url)
+                        if allow is not None and not allow(host, state.pops):
+                            state.breaker_skips += 1
+                            if gate_cbs is not None:
+                                for callback in gate_cbs:
+                                    callback(candidate)
+                            self._requeue_or_drop(candidate)
+                            continue
+                        if defenses is not None:
+                            canonical = defenses.canonicalize(candidate.url)
+                            if canonical is not None:
+                                # A session alias: crawl the base URL
+                                # once, skip every further alias outright.
+                                if canonical in scheduled:
+                                    defenses.stats["alias_skips"] += 1
+                                    if gate_cbs is not None:
+                                        for callback in gate_cbs:
+                                            callback(candidate)
+                                    continue
+                                canonical = intern_url(canonical)
+                                scheduled_add(canonical)
+                                candidate = replace(candidate, url=canonical)
+                            if not defenses.admit(candidate.url, host):
+                                # Policy refusal is permanent: the URL
+                                # stays in ``scheduled`` and is never
+                                # requeued — depth and budget verdicts
+                                # cannot change on a later pop.
                                 if gate_cbs is not None:
                                     for callback in gate_cbs:
                                         callback(candidate)
                                 continue
-                            canonical = intern_url(canonical)
-                            scheduled_add(canonical)
-                            candidate = replace(candidate, url=canonical)
-                        if not defenses.admit(candidate.url, host):
-                            # Policy refusal is permanent: the URL stays
-                            # in ``scheduled`` and is never requeued —
-                            # depth and budget verdicts cannot change on
-                            # a later pop.
-                            if gate_cbs is not None:
-                                for callback in gate_cbs:
-                                    callback(candidate)
+
+                    # Fetch, with retry/backoff on retryable faults.
+                    # Retries and redirect chains resolve here, so the
+                    # response (and the fault layer's state) materialises
+                    # at issue time.
+                    response = fetch(candidate.url)
+                    if response.fault is not None or response.redirect_to is not None:
+                        attempt = 1
+                        while response.fault in RETRYABLE_FAULTS and attempt < max_attempts:
+                            state.retries += 1
+                            if retry_cbs is not None:
+                                for callback in retry_cbs:
+                                    callback(candidate, attempt)
+                            if timing is not None and backoff_s is not None:
+                                timing.delay_site(candidate.url, backoff_s(attempt))
+                            response = fetch(candidate.url)
+                            attempt += 1
+                        if (
+                            response.redirect_to is not None
+                            and response.fault not in RETRYABLE_FAULTS
+                        ):
+                            response = self._follow_redirects(response, fetch)
+                        if response.fault in RETRYABLE_FAULTS:
+                            # The round failed for good (out of attempts,
+                            # or a hop faulted mid-chain and the requeued
+                            # candidate restarts the chain): no page, no
+                            # slot, no step.
+                            if breakers is not None:
+                                breakers.record_failure(host, state.pops)
+                            self._requeue_or_drop(candidate)
                             continue
+                    if on_success is not None:
+                        on_success(host)
+
+                    # Clock.  Without one the fetch completes untimed.
+                    if timing is None:
+                        break
+                    if has_faults:
+                        lscale, bscale = faults.fetch_scales(host, candidate.url)
+                    else:
+                        lscale = bscale = 1.0
+                    if slots is None:
+                        # Pure accounting; the recorded time is the
+                        # global clock, not this fetch's own completion:
+                        # with pooled connections a later-started fetch
+                        # can finish earlier, but elapsed time is monotone.
+                        timing.observe_fetch(candidate.url, response.size, lscale, bscale)
+                        sim_time = timing.now
+                        break
+                    start, completion = timing.reserve_fetch(
+                        candidate.url, response.size, self._now, lscale, bscale
+                    )
+                    heapq.heappush(
+                        events,
+                        (completion, self._issue_seq, start, pop_s, started, candidate, response),
+                    )
+                    self._issue_seq += 1
+                else:
+                    # No fetch was handed over directly: complete the
+                    # earliest one in flight.  Its own completion time is
+                    # recorded — completions are processed in time order,
+                    # so the series stays monotone.
+                    if not events:
+                        break
+                    sim_time, _, _, pop_s, started, candidate, response = heapq.heappop(events)
+                    self._now = sim_time
+
+                # -- completion phase -----------------------------------
+                # The issue-side stages replay here, so hooks see seven
+                # stage events per completed step and none for a
+                # candidate that was skipped or whose round failed.
+                if wall:
+                    step.started_s = started
+                    if timing_cbs is not None:
+                        for callback in timing_cbs:
+                            callback(stage_pop, pop_s, step)
                 if stage_cbs is not None:
+                    step.candidate = candidate
+                    for callback in stage_cbs:
+                        callback(stage_pop, step)
                     for callback in stage_cbs:
                         callback(stage_gate, step)
-
-                # -- fetch (with retry/backoff on retryable faults) -----
-                response = fetch(candidate.url)
-                if response.fault is not None:
-                    attempt = 1
-                    while response.fault in RETRYABLE_FAULTS and attempt < max_attempts:
-                        state.retries += 1
-                        if retry_cbs is not None:
-                            for callback in retry_cbs:
-                                callback(candidate, attempt)
-                        if timing is not None and backoff_s is not None:
-                            timing.delay_site(candidate.url, backoff_s(attempt))
-                        response = fetch(candidate.url)
-                        attempt += 1
-
-                    if response.fault in RETRYABLE_FAULTS:
-                        # Fetch round failed for good — breaker
-                        # accounting, requeue-or-drop, next candidate.
-                        if breakers is not None:
-                            breakers.record_failure(host, state.pops)
-                        self._requeue_or_drop(candidate)
-                        continue
-                if response.redirect_to is not None:
-                    response = self._follow_redirects(response, fetch)
-                    if response.fault in RETRYABLE_FAULTS:
-                        # A hop faulted mid-chain: the round failed, the
-                        # requeued candidate restarts the chain later.
-                        if breakers is not None:
-                            breakers.record_failure(host, state.pops)
-                        self._requeue_or_drop(candidate)
-                        continue
-                if on_success is not None:
-                    on_success(host)
-                if stage_cbs is not None:
                     step.response = response
                     for callback in stage_cbs:
                         callback(stage_fetch, step)
@@ -591,23 +730,12 @@ class CrawlEngine:
                     for callback in stage_cbs:
                         callback(stage_classify, step)
 
-                sim_time: Optional[float] = None
-                if timing is not None:
-                    if has_faults:
-                        lscale, bscale = faults.fetch_scales(host, candidate.url)
-                        timing.observe_fetch(candidate.url, response.size, lscale, bscale)
-                    else:
-                        timing.observe_fetch(candidate.url, response.size)
-                    # Record the global simulated clock, not this
-                    # fetch's own completion: with parallel connections
-                    # a later-started fetch can finish earlier, but
-                    # elapsed time is monotone.
-                    sim_time = timing.now
-
                 # -- extract --------------------------------------------
                 outlinks = extract(response)
                 if defenses is not None:
-                    dhost = host if host is not None else site_of(candidate.url)
+                    # Content policy needs the judgment; the site key is
+                    # memoised, so recomputing it is a dict probe.
+                    dhost = site_of(candidate.url)
                     if defenses.suppress_links(response, dhost, judgment.relevant):
                         outlinks = ()
                     defenses.note_page(dhost, judgment.relevant)
@@ -619,22 +747,16 @@ class CrawlEngine:
                 # -- prioritize (strategy link expansion) ---------------
                 if extract_contexts is not None:
                     link_contexts = extract_contexts(response, outlinks)
-                    if timing_cbs is not None:
-                        expand_started = perf()
-                        children = expand(candidate, response, judgment, outlinks, link_contexts)
-                        now = perf()
-                        for callback in timing_cbs:
-                            callback(stage_prioritize, now - expand_started, step)
-                    else:
-                        children = expand(candidate, response, judgment, outlinks, link_contexts)
-                elif timing_cbs is not None:
+                if timing_cbs is not None:
                     expand_started = perf()
+                if extract_contexts is not None:
+                    children = expand(candidate, response, judgment, outlinks, link_contexts)
+                else:
                     children = expand(candidate, response, judgment, outlinks)
+                if timing_cbs is not None:
                     now = perf()
                     for callback in timing_cbs:
                         callback(stage_prioritize, now - expand_started, step)
-                else:
-                    children = expand(candidate, response, judgment, outlinks)
                 if stage_cbs is not None:
                     step.children = children
                     for callback in stage_cbs:
@@ -701,3 +823,61 @@ class CrawlEngine:
         finally:
             state.steps = steps
         return executed
+
+    # -- checkpoint support --------------------------------------------------
+
+    def snapshot_events(self) -> dict:
+        """Serialisable in-flight state (the checkpoint ``sched`` section).
+
+        Issued-but-uncompleted fetches are stored response-and-all —
+        fault and visitor state advanced at issue time, so a resumed
+        crawl must *not* re-fetch them.  Events serialise in canonical
+        ``(completion, seq)`` order — the heap's internal list layout is
+        an implementation detail — and :meth:`restore_events`
+        re-heapifies.
+        """
+        return {
+            "concurrency": self.concurrency,
+            "now": self._now,
+            "issue_seq": self._issue_seq,
+            "events": [
+                {
+                    "completion": completion,
+                    "seq": seq,
+                    "start": start,
+                    "candidate": candidate_to_dict(candidate),
+                    "response": response_to_dict(response),
+                }
+                for completion, seq, start, _, _, candidate, response in sorted(
+                    self._events, key=lambda event: (event[0], event[1])
+                )
+            ],
+        }
+
+    def restore_events(self, state: dict) -> None:
+        """Load a :meth:`snapshot_events` into this (fresh) engine."""
+        if state["concurrency"] != self.concurrency:
+            raise CheckpointError(
+                f"checkpoint was taken at concurrency={state['concurrency']}; "
+                f"resume with the same concurrency, not {self.concurrency}"
+            )
+        crawl_log = self.visitor.web.crawl_log
+        # Wall-clock readings are telemetry, not checkpoint state: a
+        # restored fetch reports a zero pop and counts as issued now.
+        restored_s = time.perf_counter()
+        events: list[_Event] = [
+            (
+                entry["completion"],
+                entry["seq"],
+                entry["start"],
+                0.0,
+                restored_s,
+                candidate_from_dict(entry["candidate"]),
+                response_from_dict(entry["response"], crawl_log),
+            )
+            for entry in state["events"]
+        ]
+        heapq.heapify(events)
+        self._events = events
+        self._now = state["now"]
+        self._issue_seq = state["issue_seq"]

@@ -1,83 +1,28 @@
-"""Virtual-time discrete-event crawl scheduling: K concurrent fetch slots.
+"""Helpers of the slotted (``concurrency=K``) issue policy.
 
-The round-based :class:`~repro.core.engine.CrawlEngine` completes every
-fetch the instant it is popped, so concurrency can never affect crawl
-*order* — timing is pure accounting.  This module is the scheduling
-refactor ROADMAP item 2 calls for: a deterministic virtual-time event
-loop in which a fetch is **issued** at pop time, **completes** at its
-simulated completion time, and its classify/extract/prioritize/schedule
-stages run at completion.  With ``concurrency=K`` up to K fetches are in
-flight at once, so frontier ordering now depends on latency, bandwidth,
-per-host politeness windows and the fault layer's slow-host scaling —
-the elapsed-time / per-server-queue dimension the paper's simulator
-omitted (§6).
-
-Determinism contract:
-
-- The event heap orders on ``(completion_time, issue_sequence)``.  The
-  issue sequence is unique, so ties at equal virtual time break on issue
-  order, identically on every platform — tuple comparison never reaches
-  the candidate.
-- Slot refill is greedy *before* every completion: free slots are
-  always refilled from the frontier until K fetches are in flight (or
-  the frontier/page budget runs out).  Because refill never depends on
-  how many completions a ``run(budget)`` call was asked for, a crawl
-  stepped ``budget=1`` at a time is byte-identical to a one-shot run —
-  the same cadence-independence the serve layer's eviction contract
-  needs.
-- ``run(budget)`` counts **completions** (crawl steps), never issues; a
-  failed fetch round or a breaker gate skip consumes no slot and no
-  budget, exactly as in the round-based engine.
-
-K=1 equivalence contract: with one slot the loop degenerates to strict
-issue → complete alternation, reproducing the round-based engine's
-component-call sequence exactly — same pops, same fetches (retries
-included), same schedule order.  The golden differential suite
-(``tests/golden/test_golden_sched.py``) pins this byte-for-byte on all
-seven fixtures with :func:`zero_latency_timing`.
-
-Checkpointing: the in-flight event set serialises through
-:meth:`VirtualTimeEngine.snapshot_events` into the checkpoint's
-``sched`` section (format v2).  Issued-but-uncompleted fetches are
-stored response-and-all — fault and visitor state advanced at issue
-time, so a resumed crawl must *not* re-fetch them — with page records
-re-attached from the crawl log on restore (records are a pure function
-of the dataset).
+The scheduler itself is :meth:`repro.core.engine.CrawlEngine.run`; this
+module holds what sits beside it: the degenerate clock the K=1
+equivalence contract is stated under, and the (de)serialisers of an
+in-flight fetch's response for the checkpoint's ``sched`` section
+(format v2).  Page records are re-attached from the crawl log on restore
+— they are a pure function of the dataset.
 """
 
 from __future__ import annotations
 
 import base64
-import heapq
-import time
-from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any
 
-from repro.core.candidate import candidate_from_dict, candidate_to_dict
-from repro.core.engine import CrawlEngine, EngineStage
-from repro.core.events import CrawlEvent
 from repro.core.timing import TimingModel
-from repro.errors import CheckpointError, ConfigError
-from repro.faults.model import RETRYABLE_FAULTS
-from repro.urlkit.normalize import intern_url, url_site_key
+from repro.errors import CheckpointError
+from repro.urlkit.normalize import intern_url
 from repro.webspace.virtualweb import FetchResponse
 
-if TYPE_CHECKING:
-    from repro.core.frontier import Candidate
-
 __all__ = [
-    "VirtualTimeEngine",
     "zero_latency_timing",
     "response_to_dict",
     "response_from_dict",
 ]
-
-#: One in-flight fetch: ``(completion, seq, start, pop_seconds,
-#: candidate, response)``.  ``seq`` is unique, so heap comparisons never
-#: reach the candidate; ``pop_seconds`` carries the issue-time frontier
-#: pop duration to the completion-time hook dispatch (0.0 after resume —
-#: wall-clock timings are telemetry, not checkpoint state).
-_Event = tuple
 
 
 def zero_latency_timing() -> TimingModel:
@@ -150,422 +95,3 @@ def response_from_dict(entry: dict, crawl_log: Any) -> FetchResponse:
         redirect_to=entry.get("redirect_to"),
         adversary=entry.get("adversary"),
     )
-
-
-class VirtualTimeEngine(CrawlEngine):
-    """Event-driven crawl engine with K concurrent fetch slots.
-
-    A drop-in :class:`CrawlEngine` subclass: same components, same hook
-    protocol, same resilience policies.  The loop is restructured around
-    an event heap — each iteration greedily refills free slots (pop →
-    gate → fetch with retries → reserve a completion time), then pops
-    the earliest completion and runs its classify → extract → prioritize
-    → schedule stages plus the step epilogue.
-
-    Issue-time vs completion-time split: frontier pops, breaker gating,
-    the fetch itself (retries and backoff included) and failed-round
-    requeue/drop happen at issue; everything that depends on the page's
-    *content* happens at completion.  Hook dispatch follows the split —
-    ``on_retry``/``on_gate_skip``/``on_requeue``/``on_drop`` fire at
-    issue, stage and step events replay in pipeline order at completion,
-    so a :class:`~repro.obs.hooks.StepSpanHook` sees the same coherent
-    per-step view it sees on the round-based engine.
-
-    ``timing`` is mandatory here: virtual time *is* the scheduler.  The
-    engine owns the K slots itself (via the event heap), so the timing
-    model's ``connections`` pool is not consulted on this path —
-    :meth:`TimingModel.reserve_fetch` books only per-site politeness.
-    """
-
-    def __init__(self, *, concurrency: int = 1, **components: Any) -> None:
-        super().__init__(**components)
-        if self.timing is None:
-            raise ConfigError(
-                "VirtualTimeEngine needs a timing= model — virtual time is the "
-                "scheduler; use zero_latency_timing() for the degenerate clock"
-            )
-        if concurrency < 1:
-            raise ConfigError("concurrency must be >= 1")
-        self.concurrency = concurrency
-        #: In-flight fetches, a heap of :data:`_Event` tuples.
-        self._events: list[_Event] = []
-        #: The event clock: virtual time of the last completion.
-        self._now = 0.0
-        #: Monotonic issue counter — the deterministic heap tiebreak.
-        self._issue_seq = 0
-
-    @property
-    def has_pending_work(self) -> bool:
-        """True while a step can still complete (queued *or* in flight)."""
-        return bool(self.frontier) or bool(self._events)
-
-    @property
-    def in_flight(self) -> int:
-        """Issued fetches whose completion has not been processed yet."""
-        return len(self._events)
-
-    @property
-    def virtual_now(self) -> float:
-        """Virtual time of the most recent completion."""
-        return self._now
-
-    def run(self, budget: Optional[int] = None) -> int:
-        """Process up to ``budget`` completions (None = run to exhaustion).
-
-        Returns the number of crawl steps (completions) this call
-        executed.  Slot refill is greedy before every completion, so the
-        result sequence is independent of the budget cadence.
-        """
-        frontier = self.frontier
-        visitor = self.visitor
-        strategy = self.strategy
-        scheduled = self.scheduled
-        recorder = self.recorder
-        timing = self.timing
-        assert timing is not None
-        on_fetch = self.on_fetch
-        faults = self.faults
-        retry = self.retry
-        breakers = self.breakers
-        state = self.state
-        max_pages = self.max_pages
-        route = self.router
-        events = self._events
-        concurrency = self.concurrency
-
-        pop = frontier.pop
-        push = frontier.push
-        fetch = visitor.fetch
-        extract = visitor.extract
-        judge = self.classifier.judge
-        expand = strategy.expand
-        # Same conditional hand-off as the round-based loop: contexts
-        # are only computed for strategies that ask for them.
-        wants_contexts = getattr(strategy, "wants_link_contexts", False)
-        extract_contexts = visitor.extract_contexts if wants_contexts else None
-        tick = strategy.tick if self.call_tick else None
-        record = recorder.record if recorder is not None else None
-        scheduled_add = scheduled.add
-        reserve = timing.reserve_fetch
-        site_of = url_site_key
-
-        resilient = retry is not None
-        max_attempts = retry.max_attempts if retry is not None else 0
-        backoff_s = retry.backoff_s if retry is not None else None
-        has_faults = faults is not None
-        defenses = self.defenses
-        # Same dead-code disarm as the round-based loop: with no fault
-        # model and an empty breaker board, the gate can never trip.
-        track_hosts = has_faults or (breakers is not None and breakers.open_hosts() > 0)
-        need_host = track_hosts or defenses is not None
-        allow = breakers.allow if breakers is not None and track_hosts else None
-        on_success = breakers.record_success if breakers is not None and track_hosts else None
-
-        stage_cbs = self._stage_cbs
-        timing_cbs = self._timing_cbs
-        step_cbs = self._step_cbs
-        retry_cbs = self._retry_cbs
-        gate_cbs = self._gate_cbs
-        wall = self._wall
-        step = self.step
-        perf = time.perf_counter
-        stage_pop = EngineStage.POP
-        stage_gate = EngineStage.GATE
-        stage_fetch = EngineStage.FETCH
-        stage_classify = EngineStage.CLASSIFY
-        stage_extract = EngineStage.EXTRACT
-        stage_prioritize = EngineStage.PRIORITIZE
-        stage_schedule = EngineStage.SCHEDULE
-
-        executed = 0
-        steps = state.steps
-        try:
-            while True:
-                if max_pages is not None and steps >= max_pages:
-                    break
-                if budget is not None and executed >= budget:
-                    break
-
-                # -- issue phase: greedily refill free fetch slots ------
-                # The page-cap guard counts in-flight fetches: every
-                # issued fetch will complete, so issuance past the cap
-                # would overshoot it.
-                while (
-                    len(events) < concurrency
-                    and frontier
-                    and (max_pages is None or steps + len(events) < max_pages)
-                ):
-                    if wall:
-                        pop_started = perf()
-                        candidate = pop()
-                        pop_s = perf() - pop_started
-                    else:
-                        candidate = pop()
-                        pop_s = 0.0
-                    if resilient:
-                        state.pops += 1
-
-                    # Gate (circuit breaker, defense policy) — issue-time.
-                    host: Optional[str] = None
-                    if need_host:
-                        host = site_of(candidate.url)
-                        if allow is not None and not allow(host, state.pops):
-                            state.breaker_skips += 1
-                            if gate_cbs is not None:
-                                for callback in gate_cbs:
-                                    callback(candidate)
-                            self._requeue_or_drop(candidate)
-                            continue
-                        if defenses is not None:
-                            canonical = defenses.canonicalize(candidate.url)
-                            if canonical is not None:
-                                # Session alias: crawl the base once,
-                                # skip every further alias outright.
-                                if canonical in scheduled:
-                                    defenses.stats["alias_skips"] += 1
-                                    if gate_cbs is not None:
-                                        for callback in gate_cbs:
-                                            callback(candidate)
-                                    continue
-                                canonical = intern_url(canonical)
-                                scheduled_add(canonical)
-                                candidate = replace(candidate, url=canonical)
-                            if not defenses.admit(candidate.url, host):
-                                # Permanent policy refusal, same as the
-                                # round-based gate: no requeue, no slot.
-                                if gate_cbs is not None:
-                                    for callback in gate_cbs:
-                                        callback(candidate)
-                                continue
-
-                    # Fetch with retry/backoff — the response (and the
-                    # fault layer's state) materialises at issue time.
-                    response = fetch(candidate.url)
-                    if response.fault is not None:
-                        attempt = 1
-                        while response.fault in RETRYABLE_FAULTS and attempt < max_attempts:
-                            state.retries += 1
-                            if retry_cbs is not None:
-                                for callback in retry_cbs:
-                                    callback(candidate, attempt)
-                            if backoff_s is not None:
-                                timing.delay_site(candidate.url, backoff_s(attempt))
-                            response = fetch(candidate.url)
-                            attempt += 1
-                        if response.fault in RETRYABLE_FAULTS:
-                            # Failed round: no page, no slot, no step.
-                            if breakers is not None:
-                                breakers.record_failure(host, state.pops)
-                            self._requeue_or_drop(candidate)
-                            continue
-                    if response.redirect_to is not None:
-                        # Chains resolve at issue time, like retries: the
-                        # slot is reserved for the content that finally
-                        # arrives (or the abandoned 301).
-                        response = self._follow_redirects(response, fetch)
-                        if response.fault in RETRYABLE_FAULTS:
-                            if breakers is not None:
-                                breakers.record_failure(host, state.pops)
-                            self._requeue_or_drop(candidate)
-                            continue
-                    if on_success is not None:
-                        on_success(host)
-
-                    if has_faults and host is not None:
-                        lscale, bscale = faults.fetch_scales(host, candidate.url)
-                    else:
-                        lscale = bscale = 1.0
-                    start, completion = reserve(
-                        candidate.url, response.size, self._now, lscale, bscale
-                    )
-                    seq = self._issue_seq
-                    self._issue_seq = seq + 1
-                    heapq.heappush(
-                        events, (completion, seq, start, pop_s, candidate, response)
-                    )
-
-                if not events:
-                    break
-
-                # -- completion phase: earliest event's content stages --
-                completion, _seq, _start, pop_s, candidate, response = heapq.heappop(events)
-                self._now = completion
-                if wall:
-                    step.started_s = perf()
-                if timing_cbs is not None:
-                    for callback in timing_cbs:
-                        callback(stage_pop, pop_s, step)
-                if stage_cbs is not None:
-                    step.candidate = candidate
-                    for callback in stage_cbs:
-                        callback(stage_pop, step)
-                    for callback in stage_cbs:
-                        callback(stage_gate, step)
-                    step.response = response
-                    for callback in stage_cbs:
-                        callback(stage_fetch, step)
-
-                # -- classify -------------------------------------------
-                judgment = judge(response)
-                steps += 1
-                if stage_cbs is not None:
-                    step.steps = steps
-                    step.judgment = judgment
-                    for callback in stage_cbs:
-                        callback(stage_classify, step)
-                # This fetch's own completion time, not the global clock
-                # maximum: the event loop processes completions in time
-                # order, so the recorded series stays monotone.
-                sim_time = completion
-
-                # -- extract --------------------------------------------
-                outlinks = extract(response)
-                if defenses is not None:
-                    # Content policy runs at completion (it needs the
-                    # judgment); the host is recomputed — site keys are
-                    # memoised, so this is a dict probe.
-                    dhost = site_of(candidate.url)
-                    if defenses.suppress_links(response, dhost, judgment.relevant):
-                        outlinks = ()
-                    defenses.note_page(dhost, judgment.relevant)
-                if stage_cbs is not None:
-                    step.outlinks = outlinks
-                    for callback in stage_cbs:
-                        callback(stage_extract, step)
-
-                # -- prioritize (strategy link expansion) ---------------
-                if extract_contexts is not None:
-                    link_contexts = extract_contexts(response, outlinks)
-                    if timing_cbs is not None:
-                        expand_started = perf()
-                        children = expand(candidate, response, judgment, outlinks, link_contexts)
-                        now_s = perf()
-                        for callback in timing_cbs:
-                            callback(stage_prioritize, now_s - expand_started, step)
-                    else:
-                        children = expand(candidate, response, judgment, outlinks, link_contexts)
-                elif timing_cbs is not None:
-                    expand_started = perf()
-                    children = expand(candidate, response, judgment, outlinks)
-                    now_s = perf()
-                    for callback in timing_cbs:
-                        callback(stage_prioritize, now_s - expand_started, step)
-                else:
-                    children = expand(candidate, response, judgment, outlinks)
-                if stage_cbs is not None:
-                    step.children = children
-                    for callback in stage_cbs:
-                        callback(stage_prioritize, step)
-
-                # -- schedule -------------------------------------------
-                pushed = 0
-                if timing_cbs is not None:
-                    push_started = perf()
-                if route is None:
-                    for child in children:
-                        url = child.url
-                        if url not in scheduled:
-                            scheduled_add(url)
-                            push(child)
-                            pushed += 1
-                else:
-                    for child in children:
-                        route(child)
-                if timing_cbs is not None:
-                    now_s = perf()
-                    step.pushed = pushed
-                    for callback in timing_cbs:
-                        callback(stage_schedule, now_s - push_started, step)
-                if tick is not None:
-                    tick(steps, frontier)
-                if stage_cbs is not None:
-                    step.pushed = pushed
-                    for callback in stage_cbs:
-                        callback(stage_schedule, step)
-
-                # -- step epilogue: record, callback, hooks -------------
-                if record is not None:
-                    record(
-                        url=candidate.url,
-                        judged_relevant=judgment.relevant,
-                        queue_size=len(frontier),
-                        sim_time=sim_time,
-                    )
-                if on_fetch is not None:
-                    on_fetch(
-                        CrawlEvent(
-                            step=steps,
-                            candidate=candidate,
-                            response=response,
-                            judgment=judgment,
-                            queue_size=len(frontier),
-                            scheduled_count=len(scheduled),
-                            sim_time=sim_time,
-                        )
-                    )
-                if step_cbs is not None:
-                    step.steps = steps
-                    step.candidate = candidate
-                    step.response = response
-                    step.judgment = judgment
-                    step.sim_time = sim_time
-                    step.pushed = pushed
-                    step.queue_size = len(frontier)
-                    step.scheduled_count = len(scheduled)
-                    for callback in step_cbs:
-                        callback(step)
-                executed += 1
-        finally:
-            state.steps = steps
-        return executed
-
-    # -- checkpoint support --------------------------------------------------
-
-    def snapshot_events(self) -> dict:
-        """Serialisable in-flight state (the checkpoint ``sched`` section).
-
-        Events serialise in canonical ``(completion, seq)`` order — the
-        heap's internal list layout is an implementation detail — and
-        :meth:`restore_events` re-heapifies.
-        """
-        return {
-            "concurrency": self.concurrency,
-            "now": self._now,
-            "issue_seq": self._issue_seq,
-            "events": [
-                {
-                    "completion": completion,
-                    "seq": seq,
-                    "start": start,
-                    "candidate": candidate_to_dict(candidate),
-                    "response": response_to_dict(response),
-                }
-                for completion, seq, start, _pop_s, candidate, response in sorted(
-                    self._events, key=lambda event: (event[0], event[1])
-                )
-            ],
-        }
-
-    def restore_events(self, state: dict) -> None:
-        """Load a :meth:`snapshot_events` into this (fresh) engine."""
-        if state["concurrency"] != self.concurrency:
-            raise CheckpointError(
-                f"checkpoint was taken at concurrency={state['concurrency']}; "
-                f"resume with the same concurrency, not {self.concurrency}"
-            )
-        crawl_log = self.visitor.web.crawl_log
-        events: list[_Event] = [
-            (
-                entry["completion"],
-                entry["seq"],
-                entry["start"],
-                0.0,
-                candidate_from_dict(entry["candidate"]),
-                response_from_dict(entry["response"], crawl_log),
-            )
-            for entry in state["events"]
-        ]
-        heapq.heapify(events)
-        self._events = events
-        self._now = state["now"]
-        self._issue_seq = state["issue_seq"]

@@ -51,7 +51,6 @@ from repro.core.engine import (
 )
 from repro.core.events import FetchCallback
 from repro.core.metrics import CrawlSummary, MetricsRecorder, MetricSeries
-from repro.core.sched import VirtualTimeEngine
 from repro.core.spilling import SpillConfig, SpillingStrategy
 from repro.core.strategies.base import CrawlStrategy
 from repro.core.strategies.registry import get_strategy
@@ -279,10 +278,11 @@ class SessionConfig:
     checkpoint_every: int | None = None
     checkpoint_path: str | Path | None = None
     timing: TimingModel | None = None
-    #: Number of concurrent fetch slots.  None runs the round-based
-    #: engine (the paper's setting); an integer K >= 1 runs the
-    #: event-driven :class:`~repro.core.sched.VirtualTimeEngine`, with
-    #: ``timing`` defaulting to a fresh :class:`TimingModel` when unset.
+    #: Number of concurrent fetch slots — the engine's issue policy.
+    #: None completes every fetch as it is issued (the paper's
+    #: setting); an integer K >= 1 keeps up to K fetches in flight on
+    #: the virtual clock, with ``timing`` defaulting to a fresh
+    #: :class:`TimingModel` when unset.
     concurrency: int | None = None
     on_fetch: FetchCallback | None = None
     instrumentation: Instrumentation | None = None
@@ -408,7 +408,7 @@ class CrawlSession:
         self._resume_state = resume
         if config.concurrency is not None and config.concurrency < 1:
             raise ConfigError("concurrency must be >= 1")
-        # The event-driven engine *is* its timing model; default one so
+        # Fetch slots are scheduled on the timing model; default one so
         # concurrency=K alone is a complete configuration.
         self._timing = config.timing
         if config.concurrency is not None and self._timing is None:
@@ -555,7 +555,7 @@ class CrawlSession:
         self._scheduled = scheduled
         self._breakers = breakers
         self._instr = instr
-        components: dict[str, Any] = dict(
+        engine = CrawlEngine(
             frontier=frontier,
             visitor=visitor,
             classifier=classifier,
@@ -564,6 +564,7 @@ class CrawlSession:
             recorder=recorder,
             max_pages=config.max_pages,
             timing=self._timing,
+            concurrency=config.concurrency,
             on_fetch=config.on_fetch,
             faults=config.faults,
             retry=resilience.retry if resilience is not None else None,
@@ -572,25 +573,20 @@ class CrawlSession:
             hooks=self._build_hooks(instr, resilience, rstate),
             loop_state=rstate,
         )
-        engine: CrawlEngine
-        if config.concurrency is not None:
-            engine = VirtualTimeEngine(concurrency=config.concurrency, **components)
-        else:
-            engine = CrawlEngine(**components)
         self._engine = engine
         if resume is not None:
-            # The sched section and the engine kind must agree: a
-            # checkpoint with in-flight state needs the event-driven
-            # engine to replay it, and an event-driven resume without
-            # its section would silently drop issued fetches.
+            # The sched section and the issue policy must agree: a
+            # checkpoint with in-flight state needs fetch slots to
+            # replay it into, and a slotted resume without its section
+            # would silently drop issued fetches.
             if resume.sched is not None:
-                if not isinstance(engine, VirtualTimeEngine):
+                if engine.concurrency is None:
                     raise CheckpointError(
                         "checkpoint carries in-flight scheduler state; resume "
                         "with the same concurrency= configuration"
                     )
                 engine.restore_events(resume.sched)
-            elif isinstance(engine, VirtualTimeEngine):
+            elif engine.concurrency is not None:
                 raise CheckpointError(
                     "checkpoint was taken by the round-based engine; it cannot "
                     "resume under concurrency= — rerun it round-based"
@@ -769,6 +765,7 @@ class CrawlSession:
             and self._scheduled is not None
             and self._recorder is not None
             and self._visitor is not None
+            and self._engine is not None
         )
         engine = self._engine
         return CheckpointState(
@@ -782,7 +779,7 @@ class CrawlSession:
             timing=self._timing.snapshot() if self._timing is not None else None,
             faults=self.faulty_web.snapshot() if self.faulty_web is not None else None,
             breakers=self._breakers.snapshot() if self._breakers is not None else None,
-            sched=engine.snapshot_events() if isinstance(engine, VirtualTimeEngine) else None,
+            sched=engine.snapshot_events() if engine.concurrency is not None else None,
             adversary=self.adversarial_web.snapshot()
             if self.adversarial_web is not None
             else None,

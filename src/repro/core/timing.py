@@ -81,12 +81,12 @@ class TimingModel:
         latency_scale: float = 1.0,
         bandwidth_scale: float = 1.0,
     ) -> tuple[float, float]:
-        """Book one fetch for the event-driven scheduler; returns
+        """Book one fetch of a ``concurrency=K`` crawl; returns
         ``(start, completion)``.
 
         Unlike :meth:`observe_fetch`, this does **not** consume a
-        connection slot — the caller (:class:`repro.core.sched.
-        VirtualTimeEngine`) owns the slots via its event heap and passes
+        connection slot — the caller (:meth:`repro.core.engine.
+        CrawlEngine.run`) owns the K slots via its event heap and passes
         the issue-time clock as ``not_before``.  Per-site politeness is
         booked here: the fetch starts at the later of ``not_before`` and
         the site's availability, and the site's next request cannot

@@ -178,8 +178,8 @@ class RunSpec:
     fault_profile: FaultProfile | None = None
     fault_seed: int = 0
     #: A timing spec makes the worker build a fresh clock per run; with
-    #: ``concurrency`` set the run goes through the event-driven
-    #: :class:`~repro.core.sched.VirtualTimeEngine` (K fetch slots).
+    #: ``concurrency`` set the engine keeps K fetches in flight on it
+    #: (:class:`~repro.core.engine.CrawlEngine`'s slotted issue policy).
     timing: "TimingSpec | None" = None
     concurrency: int | None = None
     #: An adversary profile makes the worker build a fresh

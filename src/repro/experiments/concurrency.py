@@ -1,8 +1,8 @@
 """Figure-5 queue dynamics under K concurrent fetch slots.
 
 The paper's Figure 5 plots URL-queue size for the hard- and soft-focused
-strategies with an instantaneous fetch model.  Under the virtual-time
-scheduler (:class:`~repro.core.sched.VirtualTimeEngine`) the same sweep
+strategies with an instantaneous fetch model.  Under the engine's
+slotted issue policy (``CrawlEngine(concurrency=K)``) the same sweep
 gains a new axis: with K fetches in flight, frontier order — and
 therefore queue growth — depends on latency, bandwidth and per-site
 politeness.  This module produces that sweep as a machine-readable
@@ -48,7 +48,7 @@ def concurrency_sweep(
 ) -> dict:
     """Run the (strategy × K) grid; returns the Fig-5 payload.
 
-    Each cell runs the event-driven engine with ``concurrency=K`` under
+    Each cell runs the engine with ``concurrency=K`` fetch slots under
     a fresh clock built from ``timing_spec`` (default: the stock
     :class:`~repro.exec.TimingSpec`).  Cells are independent runs and go
     through :class:`~repro.exec.SweepExecutor`, so ``workers=N`` fans

@@ -129,11 +129,11 @@ def record_sched_trace(
     concurrency: int = 1,
     timing_spec=None,
 ) -> list[dict]:
-    """Fetch order + relevance of one *event-driven* crawl.
+    """Fetch order + relevance of one ``concurrency=K`` crawl.
 
-    Same row shape as :func:`record_golden_trace`, but the crawl runs on
-    the :class:`~repro.core.sched.VirtualTimeEngine` with ``concurrency``
-    fetch slots under ``timing_spec`` (default: the stock clock).  With
+    Same row shape as :func:`record_golden_trace`, but the engine keeps
+    ``concurrency`` fetches in flight on the virtual clock built from
+    ``timing_spec`` (default: the stock clock).  With
     ``concurrency=1`` the trace must equal the round-based one — the
     K=1 equivalence contract ``tests/golden/test_golden_sched.py`` pins.
     """

@@ -10,9 +10,8 @@ into two explicit protocols:
   what lets every consumer (virtual web, stats, LinkDB, checkpoint
   record re-attachment) run unchanged over either backend.
 
-- :class:`WebSpace` — the **access** contract: what the crawl engines
-  (:class:`~repro.core.engine.CrawlEngine`,
-  :class:`~repro.core.sched.VirtualTimeEngine`) and the wrapping layers
+- :class:`WebSpace` — the **access** contract: what the crawl engine
+  (:class:`~repro.core.engine.CrawlEngine`) and the wrapping layers
   (:class:`~repro.faults.FaultyWebSpace`,
   :class:`~repro.adversary.AdversarialWebSpace`) actually consume: a
   ``fetch`` responder plus the introspection surface the wrappers

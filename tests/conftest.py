@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.adversary import AdversaryModel, AdversaryProfile, DefenseConfig
 from repro.charset.languages import Language
 from repro.experiments.datasets import build_dataset
+from repro.faults import FaultModel, FaultProfile, ResilienceConfig
 from repro.graphgen.profiles import japanese_profile, thai_profile
 from repro.webspace.crawllog import CrawlLog
 from repro.webspace.page import PageRecord
@@ -41,6 +43,52 @@ def english_page(url: str, outlinks: tuple[str, ...] = ()) -> PageRecord:
         outlinks=outlinks,
         size=2048,
     )
+
+
+def faulted_inputs() -> dict:
+    """Session keywords of a faulted crawl: failed rounds and requeues,
+    slow hosts and per-fetch jitter on the clock."""
+    return {
+        "faults": FaultModel(
+            FaultProfile(
+                transient_error_rate=0.15,
+                timeout_rate=0.05,
+                slow_host_rate=0.2,
+                latency_jitter=0.3,
+                bandwidth_jitter=0.2,
+            ),
+            seed=7,
+        ),
+        "resilience": ResilienceConfig(),
+    }
+
+
+def hostile_defended_inputs() -> dict:
+    """Session keywords of a crawl under attack (traps, redirect chains,
+    session aliases) with the standard defenses armed."""
+    return {
+        "adversary": AdversaryModel(
+            AdversaryProfile(
+                trap_host_rate=0.2,
+                trap_fanout=3,
+                redirect_rate=0.2,
+                redirect_hops=3,
+                redirect_loop_rate=0.3,
+                alias_host_rate=0.2,
+            ),
+            seed=9,
+        ),
+        "defenses": DefenseConfig.standard(),
+    }
+
+
+#: The inputs the engine's cross-policy identities are checked over.
+#: Each value builds fresh (stateful) models for one run.
+ENGINE_SCENARIOS = {
+    "clean": dict,
+    "faulted": faulted_inputs,
+    "hostile-defended": hostile_defended_inputs,
+}
 
 
 # URL shorthands for the tiny web.

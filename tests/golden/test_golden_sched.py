@@ -1,14 +1,18 @@
-"""Differential gate for the virtual-time event-driven engine.
+"""Differential gate for the engine's slotted (``concurrency=K``) issue policy.
 
-Two contracts pin :class:`repro.core.sched.VirtualTimeEngine` to the
-round-based reference:
+Two contracts pin ``CrawlEngine(concurrency=K)`` to the round-based
+(``concurrency=None``) reference:
 
-1. **K=1 equivalence** — with one fetch slot the event loop degenerates
-   to strict issue→complete alternation, so it must replay every
+1. **K=1 equivalence** — with one fetch slot the loop degenerates to
+   strict issue→complete alternation, so it must replay every
    round-based golden fixture byte-for-byte.  Pinned both under the
    zero-latency clock (the stated contract: identical traces *and*
    identical virtual time) and under the default clock (frontier order
-   at K=1 cannot depend on timing values at all).
+   at K=1 cannot depend on timing values at all); against a round-based
+   crawl accounted on a one-connection clock, the report and the
+   ``sim_time`` series match too — the identity that lets one loop body
+   serve both policies.  Stepping ``budget=1`` at a time must equal a
+   one-shot run under either policy.
 2. **Concurrent-order stability** — at K=8 completions interleave and
    the trace legitimately differs from round-based, but it must still be
    a pure function of (dataset, strategy, K, clock).  The checked-in
@@ -27,6 +31,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.session import CrawlRequest, CrawlSession, SessionConfig, report_payload
+from repro.core.timing import TimingModel
 from repro.exec import TimingSpec
 from repro.experiments.golden import (
     GOLDEN_FIXTURE_DIR,
@@ -40,6 +46,9 @@ from repro.experiments.golden import (
     read_golden_trace,
     record_sched_trace,
 )
+from repro.experiments.runner import run_strategy
+
+from conftest import ENGINE_SCENARIOS, faulted_inputs
 
 DIFF_DIR = Path(__file__).parent / "diffs"
 
@@ -110,6 +119,57 @@ class TestK1Equivalence:
             timing_spec=TimingSpec(),
         )
         _assert_matches(f"sched-k1-default-clock-{name}", expected, actual)
+
+    @pytest.mark.parametrize("scenario", sorted(ENGINE_SCENARIOS))
+    def test_one_slot_matches_round_based_on_a_one_connection_clock(
+        self, golden_web_dataset, scenario
+    ):
+        """Same report *and* same ``sim_time`` series: one engine-owned
+        slot books the clock exactly as the model's own one-connection
+        pool accounts it."""
+
+        def crawl(concurrency):
+            sim_times: list[float] = []
+            result = run_strategy(
+                golden_web_dataset,
+                golden_strategies()[SCHED_GOLDEN_STRATEGY](),
+                max_pages=GOLDEN_MAX_PAGES,
+                timing=TimingModel(connections=1),
+                concurrency=concurrency,
+                on_fetch=lambda event: sim_times.append(event.sim_time),
+                **ENGINE_SCENARIOS[scenario](),
+            )
+            return report_payload(result), sim_times
+
+        round_based, slotted = crawl(None), crawl(1)
+        assert slotted[1] == round_based[1]
+        assert slotted[0] == round_based[0]
+
+    @pytest.mark.parametrize("concurrency", [None, 1, SCHED_GOLDEN_CONCURRENCY])
+    def test_single_stepping_matches_one_shot_under_faults(
+        self, golden_web_dataset, concurrency
+    ):
+        """Cadence independence — what the serve layer's eviction
+        contract relies on — holds for every issue policy."""
+
+        def session() -> CrawlSession:
+            return CrawlSession(
+                CrawlRequest(
+                    strategy=golden_strategies()[SCHED_GOLDEN_STRATEGY](),
+                    dataset=golden_web_dataset,
+                ),
+                SessionConfig(
+                    max_pages=GOLDEN_MAX_PAGES, concurrency=concurrency, **faulted_inputs()
+                ),
+            )
+
+        one_shot = session().run()
+        stepped = session().open()
+        while not stepped.done:
+            assert stepped.step(1) <= 1
+        report = stepped.report()
+        stepped.close()
+        assert report_payload(report) == report_payload(one_shot)
 
 
 class TestConcurrentGolden:

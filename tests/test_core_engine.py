@@ -10,6 +10,8 @@ the crawl itself.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core.classifier import Classifier
@@ -22,8 +24,12 @@ from repro.core.engine import (
     EngineStep,
 )
 from repro.core.strategies import get_strategy
+from repro.core.timing import TimingModel
 from repro.core.visitor import Visitor
+from repro.experiments.runner import run_strategy
 from repro.webspace.virtualweb import VirtualWebSpace
+
+from conftest import ENGINE_SCENARIOS
 
 
 def build_engine(web: VirtualWebSpace, seeds, *, hooks=(), strategy_name="breadth-first", **kwargs):
@@ -76,6 +82,18 @@ class NoOpHook(EngineHook):
     """Overrides nothing — must compile to zero dispatch."""
 
 
+class WallClockHook(EngineHook):
+    """Records each step's issue stamp next to its completion time."""
+
+    needs_wall_clock = True
+
+    def __init__(self) -> None:
+        self.rows: list[tuple[float, float]] = []
+
+    def on_step(self, step: EngineStep) -> None:
+        self.rows.append((step.started_s, time.perf_counter()))
+
+
 class CountingStepHook(EngineHook):
     def __init__(self) -> None:
         self.count = 0
@@ -107,6 +125,55 @@ class TestStageSequence:
         for index, url in enumerate(hook.step_urls):
             step_stage_urls = {u for _, _, u in hook.stages[index * 7 : (index + 1) * 7]}
             assert step_stage_urls == {url}
+
+    @pytest.mark.parametrize("concurrency", [None, 1, 3])
+    @pytest.mark.parametrize("scenario", sorted(ENGINE_SCENARIOS))
+    def test_seven_stage_events_per_completed_step_on_every_issue_policy(
+        self, thai_dataset, scenario, concurrency
+    ):
+        """Stage events replay per *completed* step and carry the URL
+        ``on_step`` reports, whatever happened at issue time: a faulted
+        crawl has failed rounds (popped and gated, never completed), a
+        defended one has gate skips and session aliases the gate
+        rewrites to their canonical URL — none may leak stage events."""
+        hook = RecordingHook()
+        result = run_strategy(
+            thai_dataset,
+            "soft-focused",
+            max_pages=400,
+            concurrency=concurrency,
+            hooks=(hook,),
+            **ENGINE_SCENARIOS[scenario](),
+        )
+        if scenario == "faulted":
+            assert result.resilience["requeued"] > 0
+        if scenario == "hostile-defended":
+            assert result.adversary["defense_stats"]["alias_skips"] > 0
+        assert len(hook.step_urls) == result.pages_crawled == 400
+        assert len(hook.stages) == 7 * len(hook.step_urls)
+        for index, url in enumerate(hook.step_urls):
+            group = hook.stages[index * 7 : (index + 1) * 7]
+            assert tuple(stage for _, stage, _ in group) == STAGE_ORDER
+            assert {stage_url for _, _, stage_url in group} == {url}
+
+    def test_started_s_is_stamped_at_issue(self, tiny_web):
+        """With three slots the seed's outlinks are all issued before
+        the first of them completes, so a later step's issue stamp
+        precedes the previous step's completion."""
+        hook = WallClockHook()
+        engine = build_engine(
+            tiny_web,
+            ["http://seed.co.th/"],
+            hooks=(hook,),
+            concurrency=3,
+            timing=TimingModel(),
+        )
+        engine.run()
+        assert all(0.0 < started <= ended for started, ended in hook.rows)
+        assert any(
+            started < previous_end
+            for (started, _), (_, previous_end) in zip(hook.rows[1:], hook.rows)
+        )
 
     def test_on_step_fires_once_per_crawled_page(self, tiny_web):
         hook = CountingStepHook()

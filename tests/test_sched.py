@@ -1,4 +1,4 @@
-"""Unit tests of the virtual-time event-driven engine's surface.
+"""Unit tests of the engine's slotted (``concurrency=K``) surface.
 
 The golden and checkpoint suites pin the scheduler's *behaviour*
 (ordering, kill/resume byte-identity); these tests pin its *edges* —
@@ -20,9 +20,9 @@ from repro.core.checkpoint import (
     write_checkpoint,
 )
 from repro.core.classifier import Classifier
+from repro.core.engine import CrawlEngine
 from repro.core.parallel import ParallelConfig
 from repro.core.sched import (
-    VirtualTimeEngine,
     response_from_dict,
     response_to_dict,
     zero_latency_timing,
@@ -43,7 +43,7 @@ THAI_SET = frozenset({SEED, A, C, F})
 
 def build_engine(web, *, concurrency=2, timing=None, **kwargs):
     strategy = get_strategy("breadth-first")
-    engine = VirtualTimeEngine(
+    engine = CrawlEngine(
         concurrency=concurrency,
         frontier=strategy.make_frontier(),
         visitor=Visitor(web),
@@ -74,7 +74,7 @@ class TestConstruction:
     def test_engine_requires_timing(self, tiny_web):
         strategy = get_strategy("breadth-first")
         with pytest.raises(ConfigError, match="timing"):
-            VirtualTimeEngine(
+            CrawlEngine(
                 concurrency=2,
                 frontier=strategy.make_frontier(),
                 visitor=Visitor(tiny_web),
