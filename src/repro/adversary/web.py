@@ -135,11 +135,14 @@ class AdversarialWebSpace:
 
     # -- fetch ---------------------------------------------------------------
 
-    def fetch(self, url: str) -> FetchResponse:
-        """Fetch through the adversary; never raises for adversarial URLs."""
+    def fetch(self, url: str, uid: int | None = None) -> FetchResponse:
+        """Fetch through the adversary; never raises for adversarial URLs.
+
+        ``uid`` (a url-id hint) follows ``url`` to the wrapped web only
+        where the adversary serves that same URL's organic page."""
         self.fetch_index += 1
         if self._empty:
-            return self._web.fetch(url)
+            return self._web.fetch(url, uid)
         split = parse_url(url)
         host = split.site_key
         path = split.path
@@ -151,7 +154,7 @@ class AdversarialWebSpace:
             return self._fetch_trap(url)
         if self.model.redirects(url) and url in self._web:
             return self._start_chain(url, host)
-        return self._serve(url, host)
+        return self._serve(url, host, uid)
 
     def _resolve(self, url: str, host: str) -> FetchResponse:
         """Serve ``url`` without re-entering chain/alias dispatch — used
@@ -221,7 +224,7 @@ class AdversarialWebSpace:
         # Same content, different URL — the defining property of a
         # session alias.  The record stays the canonical page's, which is
         # what content fingerprinting keys on.
-        return replace(response, url=url, adversary="alias")
+        return replace(response, url=url, adversary="alias", page_id=None)
 
     # -- spider traps --------------------------------------------------------
 
@@ -279,9 +282,9 @@ class AdversarialWebSpace:
 
     # -- organic pages -------------------------------------------------------
 
-    def _serve(self, url: str, host: str) -> FetchResponse:
+    def _serve(self, url: str, host: str, uid: int | None = None) -> FetchResponse:
         """The (possibly rewritten) organic response for ``url``."""
-        response = self._web.fetch(url)
+        response = self._web.fetch(url, uid)
         if not (response.ok and response.is_html):
             if response.record is None and self.model.soft404(url):
                 return self._soft404(url, host)
@@ -313,6 +316,8 @@ class AdversarialWebSpace:
                 changed["adversary"] = "mislabel"
         if not changed:
             return response
+        if "outlinks" in changed:
+            changed["outlink_ids"] = None  # no longer aligned with the links
         return replace(response, **changed)  # type: ignore[arg-type]
 
     def _alias_links(self, referrer: str, outlinks: tuple[str, ...]) -> tuple[str, ...] | None:

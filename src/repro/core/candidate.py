@@ -15,8 +15,12 @@ from dataclasses import dataclass
 from repro.urlkit.normalize import intern_url
 
 
+class _UidSlot:
+    __slots__ = ("_uid",)
+
+
 @dataclass(frozen=True, slots=True)
-class Candidate:
+class Candidate(_UidSlot):
     """A URL scheduled for crawling, with strategy bookkeeping.
 
     Attributes:
@@ -28,12 +32,29 @@ class Candidate:
             this URL was discovered through (limited-distance strategies).
         referrer: URL of the page this candidate was extracted from
             (None for seeds); kept for tracing and tests.
+        uid: the url-id an id-addressed page source gave this URL, as an
+            unverified fetch hint (the source checks it); None until
+            :func:`stamp_uid` sets it.  A slot beside the dataclass
+            fields, not one of them: it is no part of a candidate's
+            identity, is never serialised to checkpoints, and — a frozen
+            ``__init__`` pays per field — costs the eight candidates a
+            page creates nothing.
     """
 
     url: str
     priority: int = 0
     distance: int = 0
     referrer: str | None = None
+
+    @property
+    def uid(self) -> int | None:
+        return getattr(self, "_uid", None)
+
+
+def stamp_uid(candidate: Candidate, uid: int | None) -> Candidate:
+    """Set ``candidate``'s url-id hint in place and return the candidate."""
+    object.__setattr__(candidate, "_uid", uid)
+    return candidate
 
 
 def candidate_to_dict(candidate: Candidate) -> dict:

@@ -22,6 +22,7 @@ established four ways:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from time import perf_counter
@@ -88,7 +89,7 @@ class ClassifierCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._entries: dict[object, Judgment] = {}
+        self._entries: OrderedDict[object, Judgment] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -101,17 +102,17 @@ class ClassifierCache:
             self.misses += 1
             return None
         self.hits += 1
-        # Move to the MRU end; dicts preserve insertion order, so the
-        # first key is always the least recently used.
-        del entries[key]
-        entries[key] = judgment
+        # Move to the MRU end, so the first key is always the least
+        # recently used (an OrderedDict pops it in O(1); a plain dict
+        # would rescan the tombstones this churn leaves at its front).
+        entries.move_to_end(key)
         return judgment
 
     def store(self, key: object, judgment: Judgment) -> None:
         """Insert a judgment, evicting the least recently used on overflow."""
         entries = self._entries
         if key not in entries and len(entries) >= self.max_entries:
-            del entries[next(iter(entries))]
+            entries.popitem(last=False)
             self.evictions += 1
         entries[key] = judgment
 

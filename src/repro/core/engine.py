@@ -86,7 +86,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.adversary.defense import NAIVE_REDIRECT_CAP
-from repro.core.candidate import candidate_from_dict, candidate_to_dict
+from repro.core.candidate import candidate_from_dict, candidate_to_dict, stamp_uid
 from repro.core.events import CrawlEvent, FetchCallback
 from repro.core.frontier import Candidate, Frontier
 from repro.core.sched import response_from_dict, response_to_dict
@@ -533,6 +533,12 @@ class CrawlEngine:
         record = recorder.record if recorder is not None else None
         scheduled_add = scheduled.add
         site_of = url_site_key
+        # Over an id-addressed page source (a PageStore) responses carry
+        # the url-ids of their outlinks: each newly scheduled candidate
+        # is stamped with its id, and its fetch and its coverage lookup
+        # go by that id instead of re-hashing the URL.  The id is a hint
+        # the store verifies; every other web takes today's path.
+        hinted = hasattr(visitor.web.crawl_log, "fetch_record")
 
         resilient = retry is not None
         max_attempts = retry.max_attempts if retry is not None else 0
@@ -640,7 +646,10 @@ class CrawlEngine:
                     # Retries and redirect chains resolve here, so the
                     # response (and the fault layer's state) materialises
                     # at issue time.
-                    response = fetch(candidate.url)
+                    if hinted:
+                        response = fetch(candidate.url, candidate.uid)
+                    else:
+                        response = fetch(candidate.url)
                     if response.fault is not None or response.redirect_to is not None:
                         attempt = 1
                         while response.fault in RETRYABLE_FAULTS and attempt < max_attempts:
@@ -767,10 +776,15 @@ class CrawlEngine:
                 if timing_cbs is not None:
                     push_started = perf()
                 if route is None:
+                    uid_of = None
+                    if hinted and response.outlink_ids is not None:
+                        uid_of = dict(zip(response.outlinks, response.outlink_ids)).get
                     for child in children:
                         url = child.url
                         if url not in scheduled:
                             scheduled_add(url)
+                            if uid_of is not None:
+                                stamp_uid(child, uid_of(url))
                             push(child)
                             pushed += 1
                 else:
@@ -795,6 +809,7 @@ class CrawlEngine:
                         judged_relevant=judgment.relevant,
                         queue_size=len(frontier),
                         sim_time=sim_time,
+                        page_id=response.page_id,
                     )
                 if on_fetch is not None:
                     on_fetch(

@@ -33,7 +33,7 @@ import heapq
 from abc import ABC, abstractmethod
 from collections import deque
 
-from repro.core.candidate import Candidate, candidate_from_dict, candidate_to_dict
+from repro.core.candidate import Candidate, candidate_from_dict, candidate_to_dict, stamp_uid
 from repro.errors import CheckpointError, FrontierError
 
 __all__ = [
@@ -272,11 +272,11 @@ class ReprioritizableFrontier(Frontier):
         if -stale[0] == priority:
             return True  # no change needed
         old = stale[2]
-        candidate = Candidate(
-            url=old.url,
-            priority=priority,
-            distance=old.distance,
-            referrer=old.referrer,
+        candidate = stamp_uid(
+            Candidate(
+                url=old.url, priority=priority, distance=old.distance, referrer=old.referrer
+            ),
+            old.uid,
         )
         counter = self._counter
         self._counter = counter + 1

@@ -123,6 +123,9 @@ class MetricsRecorder:
             raise ValueError("sample_interval must be >= 1")
         self._series = MetricSeries(name=name)
         self._relevant_urls = relevant_urls
+        #: Membership by page id, when the relevant set offers it (a
+        #: ``StoreRelevantSet`` does; a frozenset of URLs does not).
+        self._contains_id = getattr(relevant_urls, "contains_id", None)
         self._interval = sample_interval
         self._steps = 0
         self._judged_relevant = 0
@@ -141,12 +144,17 @@ class MetricsRecorder:
         judged_relevant: bool,
         queue_size: int,
         sim_time: float | None = None,
+        page_id: int | None = None,
     ) -> None:
-        """Observe one crawled page."""
+        """Observe one crawled page (``page_id``: the id it was served by, if any)."""
         self._steps += 1
         if judged_relevant:
             self._judged_relevant += 1
-        if url in self._relevant_urls:
+        if page_id is None or self._contains_id is None:
+            covered = url in self._relevant_urls
+        else:
+            covered = self._contains_id(page_id)
+        if covered:
             self._covered += 1
         self._last_queue = queue_size
         self._last_time = sim_time

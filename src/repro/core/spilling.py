@@ -21,7 +21,7 @@ When the crawl runs over a columnar :class:`~repro.webspace.store.PageStore`
 (see :mod:`repro.webspace.store`), pass it as ``page_source``: candidates
 whose URL is in the store's URL table spill as ``{"i": url_id}`` —
 an integer reference into the store's arena instead of the URL string —
-and are re-decoded (and re-interned) from the memory map on refill.
+and are re-decoded (and re-interned) from the store on refill.
 URLs the store does not know (adversary-minted trap/alias URLs, for
 example) fall back to the string wire format, so the two entry kinds
 coexist in one spill file.
@@ -43,6 +43,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 
+from repro.core.candidate import stamp_uid
 from repro.core.frontier import (
     Candidate,
     Frontier,
@@ -95,12 +96,19 @@ def spill_entry(candidate: Candidate, page_source=None) -> dict:
     :class:`~repro.webspace.store.PageStore`), candidates whose URL is in
     the store's URL table serialise as ``{"i": url_id}`` — 8-ish bytes of
     JSON instead of the URL string, and no string resurrection cost until
-    refill.  Referrers compress the same way (``"ri"``).  Everything else
-    falls back to :func:`repro.core.candidate.candidate_to_dict`.
+    refill.  A candidate's carried ``uid`` saves the ``id_of`` lookup, and
+    refill puts the id back on the candidate.  Referrers compress the
+    same way (``"ri"``).  Everything else falls back to
+    :func:`repro.core.candidate.candidate_to_dict`.
     """
     if page_source is None:
         return candidate_to_dict(candidate)
-    uid = page_source.id_of(candidate.url)
+    uid = candidate.uid
+    # The carried id is a hint: trust it only if it decodes to this URL.
+    if uid is None or not 0 <= uid < page_source.url_count or (
+        page_source.url_of(uid) != candidate.url
+    ):
+        uid = page_source.id_of(candidate.url)
     if uid is None:
         return candidate_to_dict(candidate)
     entry: dict = {"i": int(uid)}
@@ -127,12 +135,13 @@ def candidate_from_spill(entry: dict, page_source=None) -> Candidate:
         referrer = intern_url(page_source.url_of(entry["ri"]))
     else:
         referrer = entry.get("r")
-    return Candidate(
+    candidate = Candidate(
         url=intern_url(page_source.url_of(entry["i"])),
         priority=entry.get("p", 0),
         distance=entry.get("d", 0),
         referrer=referrer,
     )
+    return stamp_uid(candidate, entry["i"])
 
 
 class SpillingFrontier(Frontier):

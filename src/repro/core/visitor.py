@@ -52,14 +52,19 @@ class Visitor:
     def web(self):
         return self._web
 
-    def fetch(self, url: str) -> FetchResponse:
-        """Simulate downloading ``url`` and update transfer accounting."""
+    def fetch(self, url: str, uid: int | None = None) -> FetchResponse:
+        """Simulate downloading ``url`` and update transfer accounting.
+
+        ``uid`` is the candidate's url-id hint, forwarded only when set
+        (so web spaces that predate hints keep their one-argument fetch).
+        """
+        fetch = self._web.fetch
         instr = self._instr
         if instr is None:
-            response = self._web.fetch(url)
+            response = fetch(url) if uid is None else fetch(url, uid)
         else:
             started = perf_counter()
-            response = self._web.fetch(url)
+            response = fetch(url) if uid is None else fetch(url, uid)
             instr.observe("visitor.fetch", perf_counter() - started)
         if response.record is None:
             self.fetches_failed += 1

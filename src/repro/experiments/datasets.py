@@ -54,7 +54,7 @@ class Dataset:
 
     ``crawl_log`` is any :class:`~repro.webspace.base.PageSource`: the
     in-memory :class:`~repro.webspace.crawllog.CrawlLog` or a
-    memory-mapped :class:`~repro.webspace.store.PageStore` opened by
+    on-disk :class:`~repro.webspace.store.PageStore` opened by
     :func:`open_dataset_store` — every consumer downstream (web space,
     stats, coverage denominator) is backend-agnostic.
     """
@@ -162,7 +162,7 @@ def build_dataset_store(
     materialised, so this path scales to million-page webs.  The capture
     kinds run the same capture crawl as :func:`build_dataset`, but over a
     store-backed universe: the universe is staged to ``path + ".universe.tmp"``,
-    crawled through a memory-mapped :class:`~repro.webspace.store.PageStore`,
+    crawled through an on-disk :class:`~repro.webspace.store.PageStore`,
     and only the *visited* records pass through a
     :class:`~repro.webspace.store.StoreBuilder` into the final file.
 
@@ -232,9 +232,9 @@ def build_dataset_store(
 def open_dataset_store(path: Path | str) -> Dataset:
     """Open a store file written by :func:`build_dataset_store` as a Dataset.
 
-    The returned dataset's ``crawl_log`` is the memory-mapped
+    The returned dataset's ``crawl_log`` is the on-disk
     :class:`~repro.webspace.store.PageStore`; close it (or use it as a
-    context manager) when done to release the maps.
+    context manager) when done to release the file.
     """
     store = PageStore.open(path)
     meta = store.meta

@@ -397,8 +397,10 @@ class FaultyWebSpace:
         """
         return self._attempts.get(url, 0)
 
-    def fetch(self, url: str) -> FetchResponse:
-        """Fetch with fault injection; never raises for injected faults."""
+    def fetch(self, url: str, uid: int | None = None) -> FetchResponse:
+        """Fetch with fault injection; never raises for injected faults.
+
+        ``uid`` (a url-id hint) is passed through to the wrapped web."""
         self.fetch_index += 1
         attempt = self._attempts.get(url, 0)
         self._attempts[url] = attempt + 1
@@ -420,11 +422,11 @@ class FaultyWebSpace:
             ):
                 del self._attempts[url]
         if kind is None:
-            return self._web.fetch(url)
+            return self._web.fetch(url, uid)
         if self.journal is not None:
             self.journal.append((self.fetch_index, url, kind))
         if kind == "truncate":
-            response = self._web.fetch(url)
+            response = self._web.fetch(url, uid)
             if response.body is None and not response.ok:
                 return response  # nothing to truncate on a failed page
             body = self.model.garble(response.body) if response.body is not None else None

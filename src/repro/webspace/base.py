@@ -39,6 +39,19 @@ class PageSource(Protocol):
     Iteration order is the source's insertion order (the generator's
     emission order for universes, the capture crawl's visit order for
     datasets); determinism checks rely on it.
+
+    **Optional capability: id-addressed sources.**  A source that
+    numbers its URLs (:class:`~repro.webspace.store.PageStore`) may also
+    offer ``fetch_record(url, hint=None)`` returning ``(record, page_id,
+    outlink_url_ids)``, all None for a URL with no page.  The virtual
+    web space detects it by name and then puts ``page_id`` and
+    ``outlink_ids`` on its responses; the engine stamps those ids on the
+    candidates it schedules and hands each back as the ``hint`` of that
+    candidate's fetch.  The source mints ids and is the only one to
+    trust them: it must verify a hint against the URL and fall back to
+    its URL lookup on any mismatch, so consumers may pass stale or
+    foreign ids freely.  A source without the method (the in-memory
+    crawl log) is simply never hinted.
     """
 
     def __len__(self) -> int: ...
@@ -58,15 +71,17 @@ class PageSource(Protocol):
 class WebSpace(Protocol):
     """The fetch interface the crawl engines consume.
 
-    ``fetch_count`` is mutable accounting (every layer increments its
-    own); ``crawl_log`` exposes the underlying :class:`PageSource` so
-    resume paths can re-attach records without holding live objects in
-    checkpoints.
+    ``fetch``'s ``uid`` is an unverified url-id hint, passed only when a
+    candidate carries one; wrappers forward it with the URL it belongs
+    to or drop it.  ``fetch_count`` is mutable accounting (every layer
+    increments its own); ``crawl_log`` exposes the underlying
+    :class:`PageSource` so resume paths can re-attach records without
+    holding live objects in checkpoints.
     """
 
     fetch_count: int
 
-    def fetch(self, url: str) -> "FetchResponse": ...
+    def fetch(self, url: str, uid: int | None = None) -> "FetchResponse": ...
 
     def __contains__(self, url: str) -> bool: ...
 

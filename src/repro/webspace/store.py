@@ -1,4 +1,4 @@
-"""Columnar, memory-mapped page store: the out-of-core storage backend.
+"""Columnar, ``pread``-served page store: the out-of-core storage backend.
 
 A :class:`PageStore` holds the same information as an in-memory
 :class:`~repro.webspace.crawllog.CrawlLog` — URL, status, content type,
@@ -91,6 +91,8 @@ _LINK_CUES_SECTION = ("link_cues", "|u1")
 
 #: Decoded-URL cache bound: popular link targets (hubs) decode once,
 #: cold pages cycle through — the cache must never grow with web size.
+#: Eviction is FIFO by first decode, kept as a key queue beside the dict
+#: (``next(iter(dict))`` would rescan every tombstone eviction leaves).
 _URL_CACHE_MAX = 1 << 16
 
 
@@ -288,6 +290,7 @@ class PageStore:
         self._charsets: list[str] = list(header["charsets"])
         self._languages: list[Language] = [Language(value) for value in header["languages"]]
         self._url_cache: dict[int, str] = {}
+        self._url_cache_order: deque[int] = deque()
         self._closed = False
 
     # -- classmethod conveniences -----------------------------------------
@@ -304,6 +307,7 @@ class PageStore:
         ):
             setattr(self, name, np.empty(0, dtype=np.int8))
         self._url_cache.clear()
+        self._url_cache_order.clear()
         if not self._closed:
             self._file.close()
         self._closed = True
@@ -356,8 +360,9 @@ class PageStore:
             return cached
         url = self._decode_url(uid)
         if len(self._url_cache) >= _URL_CACHE_MAX:
-            self._url_cache.pop(next(iter(self._url_cache)))
+            del self._url_cache[self._url_cache_order.popleft()]
         self._url_cache[uid] = url
+        self._url_cache_order.append(uid)
         return url
 
     def _check_open(self) -> None:
@@ -399,9 +404,14 @@ class PageStore:
             return None
         return uid
 
+    def _check_page(self, page_id: int) -> None:
+        self._check_open()
+        if not 0 <= page_id < self.page_count:
+            raise UnknownPageError(f"page id {page_id} out of range")
+
     def outlink_ids(self, page_id: int) -> np.ndarray:
         """The raw outlink url-id row of page ``page_id`` (one arena read)."""
-        self._check_open()
+        self._check_page(page_id)
         low = int(self._link_offsets[page_id])
         high = int(self._link_offsets[page_id + 1])
         if high == low:
@@ -412,7 +422,7 @@ class PageStore:
     def link_cue_row(self, page_id: int) -> tuple[int, ...] | None:
         """The cue bytes of page ``page_id``'s outlinks; None if the
         store carries no cue section."""
-        self._check_open()
+        self._check_page(page_id)
         if self._link_cues_start < 0:
             return None
         low = int(self._link_offsets[page_id])
@@ -425,9 +435,12 @@ class PageStore:
 
     def record_at(self, page_id: int) -> PageRecord:
         """Materialise the record of page ``page_id`` (lazy, transient)."""
-        self._check_open()
-        if not 0 <= page_id < self.page_count:
-            raise UnknownPageError(f"page id {page_id} out of range")
+        return self._materialise(page_id)[0]
+
+    def _materialise(self, page_id: int) -> tuple[PageRecord, int, tuple[int, ...]]:
+        """``(record, page_id, outlink url-ids)`` — the ids the record's
+        outlinks were decoded from, aligned 1:1 with ``record.outlinks``."""
+        self._check_page(page_id)
         charset_id = int(self._charset[page_id])
         status = int(self._status[page_id])
         content_type = self._content_types[int(self._ctype[page_id])]
@@ -436,16 +449,39 @@ class PageStore:
         cues: tuple[int, ...] | None = None
         if status == STATUS_OK and content_type == HTML_CONTENT_TYPE:
             cues = self.link_cue_row(page_id)
-        return PageRecord(
-            url=self.url_of(page_id),
+        url_of = self.url_of
+        link_ids = tuple(self.outlink_ids(page_id).tolist())
+        record = PageRecord(
+            url=url_of(page_id),
             status=status,
             content_type=content_type,
             charset=None if charset_id < 0 else self._charsets[charset_id],
             true_language=self._languages[int(self._lang[page_id])],
-            outlinks=tuple(self.url_of(int(uid)) for uid in self.outlink_ids(page_id)),
+            outlinks=tuple([url_of(uid) for uid in link_ids]),
             size=int(self._size[page_id]),
             link_cues=cues,
         )
+        return record, page_id, link_ids
+
+    def fetch_record(
+        self, url: str, hint: int | None = None
+    ) -> tuple[PageRecord, int, tuple[int, ...]] | tuple[None, None, None]:
+        """``(record, page_id, outlink url-ids)`` of ``url``, all None if it has no page.
+
+        ``hint`` is a url-id this store gave out for ``url`` earlier (an
+        outlink id riding on a candidate).  It is verified against the
+        record it leads to, and anything else — absent, out of range,
+        dangling, another page's — falls back to :meth:`id_of`: a wrong
+        hint costs time, never a wrong page.
+        """
+        if hint is not None and 0 <= hint < self.page_count:
+            found = self._materialise(hint)
+            if found[0].url == url:
+                return found
+        page_id = self.page_id_of(url)
+        if page_id is None:
+            return None, None, None
+        return self._materialise(page_id)
 
     # -- PageSource protocol -------------------------------------------------
 
@@ -489,6 +525,7 @@ class PageStore:
         """
         self._check_open()
         self._url_cache.clear()
+        self._url_cache_order.clear()
 
     def relevant_url_view(self, target_language: Language) -> "StoreRelevantSet":
         """Lazy coverage denominator (see :class:`StoreRelevantSet`)."""
@@ -535,7 +572,11 @@ class StoreRelevantSet(AbstractSet):
         if not isinstance(url, str):
             return False
         page_id = self._store.page_id_of(url)
-        return page_id is not None and bool(self._mask[page_id])
+        return page_id is not None and self.contains_id(page_id)
+
+    def contains_id(self, page_id: int) -> bool:
+        """Membership by an id of *this* store — what ``url in self`` hashes its way to."""
+        return bool(self._mask[page_id])
 
     def __len__(self) -> int:
         return self._count

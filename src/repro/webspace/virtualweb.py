@@ -17,11 +17,12 @@ charset detection instead of trusting the log.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from repro.webspace.base import PageSource
-from repro.webspace.page import HTML_CONTENT_TYPE, PageRecord
+from repro.webspace.page import HTML_CONTENT_TYPE, STATUS_OK, PageRecord
 
 #: Status reported for URLs absent from the crawl log.
 STATUS_UNKNOWN_URL = 404
@@ -62,6 +63,11 @@ class FetchResponse:
     #: unmodified response.  Observability only — never consulted by
     #: engine policy, which must work from content like a real crawler.
     adversary: str | None = None
+    #: Id hints from an id-addressed page source (a ``PageStore``): the
+    #: page's id and its outlinks' url-ids, aligned with ``outlinks``.
+    #: None from every other source, and never checkpointed.
+    page_id: int | None = None
+    outlink_ids: tuple[int, ...] | None = None
 
     @property
     def ok(self) -> bool:
@@ -83,7 +89,7 @@ class VirtualWebSpace:
 
     The access layer of the generation/storage/access split: it does not
     care whether the page source is the in-memory
-    :class:`~repro.webspace.crawllog.CrawlLog` or the memory-mapped
+    :class:`~repro.webspace.crawllog.CrawlLog` or the on-disk
     :class:`~repro.webspace.store.PageStore` — records are looked up per
     fetch and bodies synthesized lazily, so the resident footprint is
     the source's, not the web's.
@@ -95,6 +101,8 @@ class VirtualWebSpace:
         body_synthesizer: BodySynthesizer | None = None,
     ) -> None:
         self._log = crawl_log
+        #: The source's hint-accepting lookup, if it is id-addressed.
+        self._fetch_record = getattr(crawl_log, "fetch_record", None)
         self._synthesize = body_synthesizer
         self.fetch_count = 0
 
@@ -114,14 +122,19 @@ class VirtualWebSpace:
     def __contains__(self, url: str) -> bool:
         return url in self._log
 
-    def fetch(self, url: str) -> FetchResponse:
+    def fetch(self, url: str, uid: int | None = None) -> FetchResponse:
         """Simulate downloading ``url``.
 
         Never raises for unknown URLs — those come back as a 404 response
         with no links, mirroring what a live crawler would observe.
+        ``uid`` is an unverified url-id hint; only an id-addressed source
+        reads it (and checks it), every other source ignores it.
         """
         self.fetch_count += 1
-        record = self._log.get(url)
+        if self._fetch_record is None:
+            record, page_id, link_ids = self._log.get(url), None, None
+        else:
+            record, page_id, link_ids = self._fetch_record(url, uid)
         if record is None:
             return FetchResponse(
                 url=url,
@@ -131,18 +144,21 @@ class VirtualWebSpace:
                 outlinks=(),
                 size=0,
             )
+        emits = record.status == STATUS_OK and record.content_type == HTML_CONTENT_TYPE
         body: bytes | None = None
-        if self._synthesize is not None and record.ok and record.is_html:
+        if self._synthesize is not None and emits:
             body = self._synthesize(record)
         return FetchResponse(
             url=record.url,
             status=record.status,
             content_type=record.content_type,
             charset=record.charset,
-            outlinks=record.outlinks if record.ok and record.is_html else (),
+            outlinks=record.outlinks if emits else (),
             size=record.size,
             body=body,
             record=record,
+            page_id=page_id,
+            outlink_ids=link_ids if emits else None,
         )
 
 
@@ -156,14 +172,16 @@ def make_cached_synthesizer(
     fetches a URL twice, but examples and tests do).
     """
     cache: dict[str, bytes] = {}
+    order: deque[str] = deque()  # first-rendered first; O(1) to evict from
 
     def cached(record: PageRecord) -> bytes:
         body = cache.get(record.url)
         if body is None:
             body = synthesizer(record)
             if len(cache) >= max_entries:
-                cache.pop(next(iter(cache)))
+                del cache[order.popleft()]
             cache[record.url] = body
+            order.append(record.url)
         return body
 
     return cached

@@ -2,7 +2,7 @@
 
 The out-of-core refactor's acceptance bar: every checked-in golden
 fixture replays **byte-identically** when the golden dataset is served
-from a memory-mapped :class:`~repro.webspace.store.PageStore` instead of
+from an on-disk :class:`~repro.webspace.store.PageStore` instead of
 the in-memory :class:`~repro.webspace.crawllog.CrawlLog` — on the
 round-based engine (all 7 fixtures) and on the virtual-time engine at
 K=1 (the equivalence contract both backends must satisfy).
@@ -25,6 +25,7 @@ from repro.exec import TimingSpec
 from repro.experiments.datasets import build_dataset_store, open_dataset_store
 from repro.experiments.golden import (
     GOLDEN_FIXTURE_DIR,
+    GOLDEN_MAX_PAGES,
     GOLDEN_SCALE,
     first_divergence,
     golden_strategies,
@@ -32,6 +33,7 @@ from repro.experiments.golden import (
     record_golden_trace,
     record_sched_trace,
 )
+from repro.experiments.runner import run_strategy
 from repro.graphgen.profiles import thai_profile
 
 DIFF_DIR = Path(__file__).parent / "diffs"
@@ -92,3 +94,52 @@ class TestStoreBackedGolden:
             timing_spec=ZERO_LATENCY,
         )
         _assert_matches(f"store-sched-k1-{name}", expected, actual)
+
+
+class TestStoreKillResume:
+    """Checkpoints hold no ids, so a resumed store crawl starts unhinted
+    — and must still replay the fixture byte-identically."""
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_interrupted_plus_resumed_equals_fixture(self, store_dataset, name, tmp_path):
+        _, expected = read_golden_trace(GOLDEN_FIXTURE_DIR / f"{name}.jsonl")
+        factory = golden_strategies()[name]
+        path = tmp_path / f"{name}.ckpt"
+
+        def record(**kwargs) -> list[dict]:
+            rows: list[dict] = []
+            run_strategy(
+                store_dataset,
+                factory(),
+                on_fetch=lambda event: rows.append(
+                    {"step": event.step, "url": event.url, "relevant": event.judgment.relevant}
+                ),
+                **kwargs,
+            )
+            return rows
+
+        # Checkpoint every 250 pages, kill at 600: the file covers 500.
+        prefix = record(max_pages=600, checkpoint_every=250, checkpoint_path=path)[:500]
+        suffix = record(max_pages=GOLDEN_MAX_PAGES, resume_from=path)
+        _assert_matches(f"store-resume-{name}", expected, prefix + suffix)
+
+
+class TestStoreCoverageById:
+    """The recorder counts coverage by the page id a store response
+    carries; recounting by URL must give the same number."""
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_covered_relevant_equals_the_recount_by_url(self, store_dataset, name):
+        relevant = store_dataset.relevant_urls()
+        fetched: list[tuple[str, int | None]] = []
+        result = run_strategy(
+            store_dataset,
+            golden_strategies()[name](),
+            max_pages=GOLDEN_MAX_PAGES,
+            on_fetch=lambda event: fetched.append((event.url, event.response.page_id)),
+        )
+        assert any(page_id is not None for _, page_id in fetched)
+        for url, page_id in fetched:
+            if page_id is not None:
+                assert relevant.contains_id(page_id) == (url in relevant)
+        assert result.summary.covered_relevant == sum(url in relevant for url, _ in fetched)

@@ -174,6 +174,34 @@ class TestIdSpill:
         assert entry["i"] == 0 and entry["r"] == "http://elsewhere.example/"
         assert candidate_from_spill(entry, page_source) == mixed
 
+    def test_carried_id_saves_the_lookup_and_survives_the_round_trip(
+        self, page_source, monkeypatch
+    ):
+        from repro.core.candidate import stamp_uid
+        from repro.core.spilling import candidate_from_spill, spill_entry
+
+        lookups = []
+        real = page_source.id_of
+        monkeypatch.setattr(page_source, "id_of", lambda url: lookups.append(url) or real(url))
+        hinted = stamp_uid(Candidate(url="http://p3.example/", priority=2), 3)
+        entry = spill_entry(hinted, page_source)
+        assert entry == {"i": 3, "p": 2} and lookups == []
+        restored = candidate_from_spill(entry, page_source)
+        assert restored == hinted and restored.uid == 3
+
+    @pytest.mark.parametrize("wrong", [5, 8, -1, 10**9])
+    def test_wrong_carried_id_is_looked_up_not_trusted(self, page_source, wrong):
+        from repro.core.candidate import stamp_uid
+        from repro.core.spilling import candidate_from_spill, spill_entry
+
+        # Another page's id, one past the URL table, negative, huge.
+        hinted = stamp_uid(Candidate(url="http://p3.example/"), wrong)
+        entry = spill_entry(hinted, page_source)
+        assert entry == {"i": 3}
+        assert candidate_from_spill(entry, page_source).url == "http://p3.example/"
+        stranger = stamp_uid(Candidate(url="http://elsewhere.example/"), wrong)
+        assert spill_entry(stranger, page_source) == {"u": "http://elsewhere.example/"}
+
     def test_id_entry_needs_page_source(self):
         from repro.core.spilling import candidate_from_spill
 

@@ -131,3 +131,20 @@ class TestEvictionSoundness:
         assert len(cache) <= 2
         stats = cache.stats()
         assert stats["hits"] + stats["misses"] == len(order)
+
+    def test_eviction_order_is_least_recently_used_first(self):
+        """Order, not timing: lookups refresh, stores of a held key do
+        not evict, and the victim is always the least recently used."""
+        cache = ClassifierCache(max_entries=3)
+        verdict = Classifier(Language.THAI).judge(response_with_body(b""))
+        for key in "abc":
+            cache.store(key, verdict)
+        assert cache.lookup("a") is verdict  # a becomes most recent: b c a
+        cache.store("c", verdict)  # held key: no eviction, order kept
+        cache.store("d", verdict)  # evicts b: c a d
+        assert cache.lookup("b") is None
+        assert cache.lookup("c") is verdict  # a d c
+        cache.store("e", verdict)  # evicts a: d c e
+        cache.store("f", verdict)  # evicts d: c e f
+        assert [key for key in "abcdef" if cache.lookup(key) is not None] == ["c", "e", "f"]
+        assert cache.evictions == 3 and len(cache) == 3

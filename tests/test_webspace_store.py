@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.charset.languages import Language
 from repro.errors import CrawlLogError, UnknownPageError
 from repro.webspace.crawllog import CrawlLog
 from repro.webspace.linkdb import LinkDB
+from repro.webspace import store as store_module
 from repro.webspace.page import PageRecord
 from repro.webspace.store import PageStore, StoreBuilder, StoreLinkDB
 
@@ -111,6 +117,14 @@ class TestPageStore:
             ids = store.outlink_ids(page_id)
             assert tuple(store.url_of(int(uid)) for uid in ids) == record.outlinks
 
+    @pytest.mark.parametrize("page_id", [-1, -4, 4, 10**6])
+    def test_row_accessors_reject_out_of_range_ids(self, store, page_id):
+        # A negative id used to wrap the numpy index and silently return
+        # another page's row; ids now travel as hints, so it must raise.
+        for accessor in (store.outlink_ids, store.link_cue_row, store.record_at):
+            with pytest.raises(UnknownPageError, match="out of range"):
+                accessor(page_id)
+
     def test_section_sizes_cover_file(self, store, tmp_path):
         sizes = store.section_sizes()
         assert set(sizes) >= {"status", "link_offsets", "link_arena", "url_arena"}
@@ -126,6 +140,98 @@ class TestPageStore:
         with pytest.raises(CrawlLogError, match="closed"):
             opened.get("http://a.example/")
         opened.close()  # idempotent
+
+
+class TestFetchRecord:
+    """The hint-accepting lookup the virtual web space fetches through."""
+
+    def test_unhinted_matches_get_and_carries_ids(self, store):
+        for page_id, expected in enumerate(RECORDS):
+            record, found_id, link_ids = store.fetch_record(expected.url)
+            assert record == expected and found_id == page_id
+            assert link_ids == tuple(store.outlink_ids(page_id).tolist())
+            assert tuple(store.url_of(uid) for uid in link_ids) == record.outlinks
+        assert store.fetch_record("http://never.example/") == (None, None, None)
+        assert store.fetch_record("http://x.example/") == (None, None, None)  # dangling
+
+    @pytest.mark.parametrize("hint", [None, 0, 1, 3, 4, 5, 6, -1, 10**9])
+    def test_any_hint_gives_the_unhinted_answer(self, store, hint):
+        # Right, another page's, dangling (4, 5), out of range: all equal.
+        for url in [record.url for record in RECORDS] + ["http://x.example/", "http://no/"]:
+            assert store.fetch_record(url, hint) == store.fetch_record(url)
+
+    def test_right_hint_skips_the_hash_lookup(self, store, monkeypatch):
+        calls = []
+        real = store.id_of
+        monkeypatch.setattr(store, "id_of", lambda url: calls.append(url) or real(url))
+        assert store.fetch_record("http://b.example/", 1)[1] == 1
+        assert calls == []
+        assert store.fetch_record("http://b.example/", 0)[1] == 1  # wrong page's id
+        assert calls == ["http://b.example/"]
+
+
+class TestUrlCache:
+    """The bounded decoded-URL cache: size, exact FIFO order, reset."""
+
+    @pytest.fixture()
+    def decoded(self, store, monkeypatch):
+        """Bound the cache at 3 and list every uid that misses it."""
+        monkeypatch.setattr(store_module, "_URL_CACHE_MAX", 3)
+        misses: list[int] = []
+        real = store._decode_url
+        monkeypatch.setattr(store, "_decode_url", lambda uid: misses.append(uid) or real(uid))
+        return misses
+
+    def test_size_never_exceeds_bound(self, store, decoded):
+        for uid in (0, 1, 2, 3, 4, 5, 0, 1, 2, 5, 5, 3):
+            store.url_of(uid)
+            assert len(store._url_cache) <= 3
+
+    def test_eviction_is_first_decoded_first_out(self, store, decoded):
+        for uid in (0, 1, 2):
+            store.url_of(uid)
+        store.url_of(0)  # a hit does not refresh: FIFO, not LRU
+        store.url_of(3)  # so this evicts 0 ...
+        store.url_of(1)  # ... and 1 is still cached
+        assert decoded == [0, 1, 2, 3]
+        store.url_of(0)  # evicts 1
+        store.url_of(2)  # hit
+        store.url_of(1)  # evicts 2
+        store.url_of(2)  # evicts 3
+        assert decoded == [0, 1, 2, 3, 0, 1, 2]
+        assert list(store._url_cache) == [0, 1, 2]
+
+    def test_release_resets_cache_and_eviction_state(self, store, decoded):
+        for uid in (0, 1, 2):
+            store.url_of(uid)
+        store.release_page_cache()
+        assert len(store._url_cache) == 0
+        # A stale eviction queue would evict a key the cache no longer
+        # holds (KeyError) or evict early; after the reset the cache
+        # fills to the bound again before its first eviction.
+        for uid in (3, 4, 5):
+            store.url_of(uid)
+        assert len(store._url_cache) == 3
+        store.url_of(0)  # evicts 3, the first decoded since the reset
+        store.url_of(4)  # hit
+        assert decoded == [0, 1, 2, 3, 4, 5, 0]
+
+    @given(st.lists(st.integers(min_value=0, max_value=5), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_any_access_sequence_returns_the_uncached_strings(self, accesses):
+        with tempfile.TemporaryDirectory() as directory:
+            builder = StoreBuilder()
+            builder.add_all(RECORDS)
+            builder.finish(Path(directory) / "p.lswc")
+            with PageStore.open(Path(directory) / "p.lswc") as store, mock.patch.object(
+                store_module, "_URL_CACHE_MAX", 2
+            ):
+                fifo: list[int] = []  # reference model of the cache's keys
+                for uid in accesses:
+                    assert store.url_of(uid) == store._decode_url(uid)
+                    if uid not in fifo:
+                        fifo = (fifo + [uid])[-2:]
+                    assert sorted(store._url_cache) == sorted(fifo)
 
 
 class TestStoreLinkDB:

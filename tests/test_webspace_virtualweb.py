@@ -95,3 +95,18 @@ class TestCachedSynthesizer:
             cached(page)
         # Re-rendering the evicted first page still works and is equal.
         assert cached(html_pages[0]) == HtmlSynthesizer()(html_pages[0])
+
+    def test_eviction_order_is_first_rendered_first_out(self, tiny_pages):
+        rendered = []
+        inner = HtmlSynthesizer()
+
+        def counting(record):
+            rendered.append(record.url)
+            return inner(record)
+
+        cached = make_cached_synthesizer(counting, max_entries=2)
+        a, b, c = [page for page in tiny_pages if page.ok][:3]
+        for page in (a, b, a, c, b, a, b):
+            # a b | a hits (no refresh) | c evicts a | b hits | a evicts b | b evicts c
+            cached(page)
+        assert rendered == [a.url, b.url, c.url, a.url, b.url]
