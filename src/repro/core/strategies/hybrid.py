@@ -29,7 +29,7 @@ from repro.charset.languages import Language
 from repro.core.classifier import Judgment
 from repro.core.frontier import Candidate, Frontier, ReprioritizableFrontier
 from repro.core.strategies.base import CrawlStrategy
-from repro.core.strategies.textcues import language_char_fraction, resolve_language
+from repro.core.strategies.textcues import anchor_affinity, resolve_language
 from repro.errors import ConfigError
 from repro.urlkit.extract import LinkContext
 from repro.webspace.virtualweb import FetchResponse
@@ -93,11 +93,7 @@ class PDDHybridStrategy(CrawlStrategy):
         for index, url in enumerate(outlinks):
             anchor_term = 0.0
             if link_contexts is not None:
-                context = link_contexts[index]
-                anchor_term = max(
-                    language_char_fraction(context.anchor_text, self.language),
-                    0.5 * language_char_fraction(context.around_text, self.language),
-                )
+                anchor_term = anchor_affinity(link_contexts[index], self.language)
             content = 0.5 * parent_term + 0.5 * anchor_term
             self._content[url] = max(content, self._content.get(url, 0.0))
             self._backlinks[url] = self._backlinks.get(url, 0) + 1
@@ -161,11 +157,7 @@ class PalContentLinkStrategy(CrawlStrategy):
         for index, url in enumerate(outlinks):
             anchor_term = 0.0
             if link_contexts is not None:
-                context = link_contexts[index]
-                anchor_term = max(
-                    language_char_fraction(context.anchor_text, self.language),
-                    0.5 * language_char_fraction(context.around_text, self.language),
-                )
+                anchor_term = anchor_affinity(link_contexts[index], self.language)
             score = (
                 self.content_weight * parent_term
                 + self.anchor_weight * anchor_term

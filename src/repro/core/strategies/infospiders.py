@@ -24,7 +24,7 @@ from repro.core.classifier import Judgment
 from repro.core.frontier import Candidate, Frontier, ReprioritizableFrontier
 from repro.core.strategies.base import CrawlStrategy
 from repro.core.strategies.hybrid import SCORE_SCALE
-from repro.core.strategies.textcues import language_char_fraction, resolve_language
+from repro.core.strategies.textcues import context_fractions, resolve_language
 from repro.errors import ConfigError
 from repro.urlkit.extract import LinkContext
 from repro.webspace.virtualweb import FetchResponse
@@ -58,8 +58,7 @@ class InfoSpidersStrategy(CrawlStrategy):
         return SCORE_SCALE
 
     def _score(self, context: LinkContext) -> float:
-        anchor = language_char_fraction(context.anchor_text, self.language)
-        around = language_char_fraction(context.around_text, self.language)
+        anchor, around = context_fractions(context, self.language)
         return self.anchor_weight * anchor + self.around_weight * around
 
     def expand(

@@ -6,6 +6,13 @@ classifier in the loop (the paper's world is charset-based relevance),
 the detector is a Unicode-block character fraction — language-specific
 scripts (Thai, kana/kanji, hangul) are unambiguous, and for Latin-script
 targets plain ASCII letters are counted instead.
+
+Strategies do not call the detector on a context's text themselves: they
+ask :func:`context_fractions` / :func:`anchor_affinity`, which take the
+fractions a record-mode context already knows from its cue byte
+(:meth:`repro.graphgen.linkcontext.CuedLinkContext.cue_fractions`) and
+read text only for what is left — everything, for a context parsed out
+of a body.
 """
 
 from __future__ import annotations
@@ -58,3 +65,30 @@ def language_char_fraction(text: str, language: Language) -> float:
     if total == 0:
         return 0.0
     return hits / total
+
+
+def _known_fractions(context, language: Language) -> tuple[float, float | None]:
+    """``(anchor, around)`` without reading the around text: None where
+    only the text can tell."""
+    cue_fractions = getattr(context, "cue_fractions", None)
+    if cue_fractions is not None:
+        return cue_fractions(language)
+    return language_char_fraction(context.anchor_text, language), None
+
+
+def context_fractions(context, language: Language) -> tuple[float, float]:
+    """``(anchor, around)`` character fractions of one link context."""
+    anchor, around = _known_fractions(context, language)
+    if around is None:
+        around = language_char_fraction(context.around_text, language)
+    return anchor, around
+
+
+def anchor_affinity(context, language: Language) -> float:
+    """``max(anchor, 0.5 * around)``: a full anchor settles it unread."""
+    anchor, around = _known_fractions(context, language)
+    if anchor >= 1.0:
+        return anchor
+    if around is None:
+        around = language_char_fraction(context.around_text, language)
+    return max(anchor, 0.5 * around)

@@ -12,8 +12,9 @@ enabled.
 from __future__ import annotations
 
 from time import perf_counter
+from typing import Any
 
-from repro.graphgen.linkcontext import synthesize_link_contexts
+from repro.graphgen.linkcontext import record_link_contexts
 from repro.urlkit.extract import LinkContext, extract_link_contexts, extract_links
 from repro.webspace.virtualweb import FetchResponse
 
@@ -102,28 +103,37 @@ class Visitor:
 
     def extract_contexts(
         self, response: FetchResponse, outlinks: tuple[str, ...]
-    ) -> tuple[LinkContext, ...] | None:
+    ) -> tuple[Any, ...] | None:
         """Per-outlink textual contexts, aligned 1:1 with ``outlinks``.
 
         Only called when the active strategy sets
         ``wants_link_contexts`` — context-blind runs never pay for it.
         With ``extract_from_body`` (and a body present) the contexts are
-        parsed out of the HTML; otherwise they are synthesized
-        deterministically from the crawl-log record
-        (:func:`repro.graphgen.linkcontext.synthesize_link_contexts`),
-        so record-mode runs see the same anchor text a body parse of the
-        synthesized page would.  ``outlinks`` is the engine's
-        post-defense link list, which may be a filtered subset of the
-        raw extraction — contexts are re-aligned to it, with an empty
-        context for any URL the underlying parse did not cover.  Returns
-        None when no context source exists (failed fetch, no record).
+        :class:`~repro.urlkit.extract.LinkContext` rows parsed out of the
+        HTML; otherwise each is a
+        :class:`~repro.graphgen.linkcontext.CuedLinkContext` of the
+        crawl-log record, which reads the same (``url``,
+        ``anchor_text``, ``around_text``) but scores from the record's
+        cue byte and words its text only when asked.  The two modes
+        agree on the anchor *markup*, not on what a strategy reads: a
+        body is encoded to the page's native charset before
+        :func:`~repro.urlkit.extract.extract_link_contexts` decodes it as
+        Latin-1 (see that function), so only record mode sees Thai/CJK
+        anchors as such.  ``outlinks`` is the engine's post-defense link
+        list, which may be a filtered, reordered or rewritten version of
+        the raw extraction — contexts are re-aligned to it by URL, with
+        an empty context for any URL the source did not cover.  Returns
+        None when no context source exists (no body parse and no
+        record).
         """
         if not outlinks or not response.ok or not response.is_html:
             return ()
         if self._extract_from_body and response.body is not None:
             raw = extract_link_contexts(response.body, response.url)
         elif response.record is not None:
-            raw = synthesize_link_contexts(response.record)
+            raw = record_link_contexts(response.record)
+            if outlinks is response.record.outlinks:
+                return raw
         else:
             return None
         by_url = {context.url: context for context in raw}

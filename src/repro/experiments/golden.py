@@ -35,6 +35,7 @@ from repro.core.strategies import CrawlStrategy, get_strategy
 from repro.errors import ReproError
 from repro.experiments.datasets import Dataset, build_dataset
 from repro.experiments.runner import run_strategy
+from repro.experiments.tournament import cued_thai_profile
 from repro.graphgen.profiles import thai_profile
 
 _FORMAT_NAME = "repro-lswc-golden-trace"
@@ -61,6 +62,11 @@ GOLDEN_FIXTURE_DIR = Path(__file__).resolve().parents[3] / "tests" / "golden" / 
 #: round-based suite's orphan check globs ``fixtures/*.jsonl``
 #: non-recursively, so sched fixtures stay out of its matrix.
 SCHED_FIXTURE_DIR = GOLDEN_FIXTURE_DIR / "sched"
+
+#: The cue-reading orderings are pinned on the cued twin of the golden
+#: web (same graph, plus the ``link_cues`` column they score from), in a
+#: subdirectory for the same reason as the sched fixture.
+CUED_FIXTURE_DIR = GOLDEN_FIXTURE_DIR / "cued"
 
 #: The checked-in concurrent-order fixture: soft-focused at K=8 under
 #: the default clock.  Soft-focused because its two priority bands make
@@ -91,6 +97,14 @@ def golden_strategies() -> dict[str, Callable[[], CrawlStrategy]]:
     }
 
 
+def cued_golden_strategies() -> dict[str, Callable[[], CrawlStrategy]]:
+    """The context-aware family, by fixture name (registered defaults)."""
+    return {
+        name: (lambda name=name: get_strategy(name))
+        for name in ("pdd-hybrid", "pal-content-link", "infospiders")
+    }
+
+
 def golden_dataset() -> Dataset:
     """The deterministic web the traces are recorded on.
 
@@ -99,6 +113,11 @@ def golden_dataset() -> Dataset:
     machine and every run constructs byte-identical logs.
     """
     return build_dataset(thai_profile().scaled(GOLDEN_SCALE))
+
+
+def cued_golden_dataset() -> Dataset:
+    """The golden web with link cues switched on (the tournament's rates)."""
+    return build_dataset(cued_thai_profile(GOLDEN_SCALE))
 
 
 def record_golden_trace(
@@ -210,17 +229,25 @@ def write_golden_traces(
     dataset: Dataset | None = None,
     max_pages: int = GOLDEN_MAX_PAGES,
     progress: Callable[[str], None] | None = None,
+    strategies: dict[str, Callable[[], CrawlStrategy]] | None = None,
 ) -> list[Path]:
-    """Record and serialise the full golden matrix into ``directory``."""
+    """Record and serialise a golden matrix into ``directory``.
+
+    ``strategies`` defaults to :func:`golden_strategies` (and
+    ``dataset`` to :func:`golden_dataset`); the cued matrix passes its
+    own pair.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     say = progress or (lambda _message: None)
     if dataset is None:
         say(f"building golden dataset (thai × {GOLDEN_SCALE}) ...")
         dataset = golden_dataset()
+    if strategies is None:
+        strategies = golden_strategies()
 
     written: list[Path] = []
-    for name, factory in golden_strategies().items():
+    for name, factory in strategies.items():
         say(f"recording {name} ...")
         rows = record_golden_trace(dataset, factory(), max_pages=max_pages)
         path = directory / f"{name}.jsonl"
@@ -240,6 +267,21 @@ def write_golden_traces(
         written.append(path)
     say(f"wrote {len(written)} golden traces to {directory}")
     return written
+
+
+def write_cued_traces(
+    directory: str | Path = CUED_FIXTURE_DIR,
+    progress: Callable[[str], None] | None = None,
+) -> list[Path]:
+    """Record and serialise the cue-reading family on the cued golden web."""
+    if progress is not None:
+        progress(f"building cued golden dataset (thai-cued × {GOLDEN_SCALE}) ...")
+    return write_golden_traces(
+        directory,
+        dataset=cued_golden_dataset(),
+        progress=progress,
+        strategies=cued_golden_strategies(),
+    )
 
 
 def read_golden_trace(path: str | Path) -> tuple[dict, list[dict]]:

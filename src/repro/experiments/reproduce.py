@@ -172,6 +172,7 @@ def _main(argv: list[str] | None = None) -> int:
         from repro.experiments.golden import (
             GOLDEN_FIXTURE_DIR,
             golden_dataset,
+            write_cued_traces,
             write_golden_traces,
             write_sched_traces,
         )
@@ -182,6 +183,7 @@ def _main(argv: list[str] | None = None) -> int:
         dataset = golden_dataset()
         write_golden_traces(directory, dataset=dataset, progress=print)
         write_sched_traces(directory / "sched", dataset=dataset, progress=print)
+        write_cued_traces(directory / "cued", progress=print)
         return 0
 
     artifacts = reproduce_all(

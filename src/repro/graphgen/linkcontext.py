@@ -11,12 +11,20 @@ This module owns both halves of that feature:
   ``0x08`` flags an anchor-text cue and bit ``0x10`` an around-text cue;
 
 - the **deterministic text** for a link, a pure function of
-  ``(source_url, target_url)`` via a keyed blake2b seed.  Both the
-  record-mode context synthesis (:func:`synthesize_link_contexts`, used
-  by :meth:`repro.core.visitor.Visitor.extract_contexts`) and the HTML
-  body synthesizer's cue mode draw from this one function, so the anchor
-  text a strategy sees is the same whether the run reads records or
-  parses synthesized bodies.
+  ``(source_url, target_url)`` via a keyed blake2b seed.  The HTML body
+  synthesizer's cue mode and the record-mode contexts draw the anchor
+  from this one function, so it is the same text whether the run reads
+  records or renders bodies.
+
+Record-mode strategies do not read that text, though: they read the
+share of each text's characters in the target language's script, and
+every vocabulary word is wholly inside one script.  So a
+:class:`CuedLinkContext` (:func:`record_link_contexts`, what
+:meth:`repro.core.visitor.Visitor.extract_contexts` hands out) answers
+those fractions from the cue byte, and synthesizes its text only for a
+link whose around text mixes two scripts — there the fraction depends
+on word lengths.  :func:`synthesize_link_contexts` is the eager
+whole-record form, kept as the reference the tests compare against.
 
 The byte layout is part of the on-disk dataset format: the order of
 :data:`CUE_LANGUAGES` must never change.
@@ -25,13 +33,15 @@ The byte layout is part of the on-disk dataset format: the order of
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
 from repro.charset.languages import Language
+from repro.errors import CrawlLogError
 from repro.graphgen.textgen import TextGenerator, flavor_for
 from repro.urlkit.extract import LinkContext
-from repro.webspace.page import PageRecord
+from repro.webspace.page import VALID_LINK_CUES, PageRecord
 
 #: Cue-language table indexed by (cue_byte & _LANGUAGE_MASK) - 1.
 #: Order is frozen: it is baked into stored ``link_cues`` columns.
@@ -48,6 +58,20 @@ ANCHOR_CUE_BIT = 0x08
 AROUND_CUE_BIT = 0x10
 
 _LANGUAGE_CODES = {language: index + 1 for index, language in enumerate(CUE_LANGUAGES)}
+
+#: What each byte means: ``(cue language or None, anchor flag, around
+#: flag)``, or None for a byte no generator writes (language code 6-7, a
+#: bit above ``0x1F``).
+_CUE_TABLE: tuple[tuple[Language | None, bool, bool] | None, ...] = tuple(
+    (
+        CUE_LANGUAGES[(byte & _LANGUAGE_MASK) - 1] if byte & _LANGUAGE_MASK else None,
+        bool(byte & ANCHOR_CUE_BIT),
+        bool(byte & AROUND_CUE_BIT),
+    )
+    if byte in VALID_LINK_CUES
+    else None
+    for byte in range(256)
+)
 
 
 def cue_byte(language: Language, *, anchor: bool = False, around: bool = False) -> int:
@@ -67,20 +91,57 @@ def cue_language_code(language: Language) -> int:
     return _LANGUAGE_CODES[language]
 
 
+def _decode(cue: int) -> tuple[Language | None, bool, bool]:
+    entry = _CUE_TABLE[cue] if 0 <= cue < 256 else None
+    if entry is None:
+        raise CrawlLogError(f"invalid link cue byte {cue!r}")
+    return entry
+
+
 def cue_language(cue: int) -> Language | None:
-    """The cue language named by a cue byte, or None for cue 0."""
-    code = cue & _LANGUAGE_MASK
-    if code == 0:
-        return None
-    return CUE_LANGUAGES[code - 1]
+    """The cue language named by a cue byte, or None for language code 0."""
+    return _decode(cue)[0]
 
 
 def has_anchor_cue(cue: int) -> bool:
-    return bool(cue & ANCHOR_CUE_BIT)
+    return _decode(cue)[1]
 
 
 def has_around_cue(cue: int) -> bool:
-    return bool(cue & AROUND_CUE_BIT)
+    return _decode(cue)[2]
+
+
+@lru_cache(maxsize=None)
+def _closed_fractions(
+    source: Language, target: Language
+) -> tuple[tuple[float, float | None] | None, ...]:
+    """Per cue byte, the ``(anchor, around)`` fractions of a link on a
+    ``source``-language page scored for ``target``.
+
+    A text whose words all come from one script scores 1.0 when that is
+    ``target``'s script and 0.0 otherwise (``flavor_for`` is the script:
+    the three block languages have their own, everything else is ASCII
+    letters; ``tests/test_linkcontext.py`` pins that every vocabulary
+    word obeys it).  The anchor is one such text.  The around text is
+    source-language prose + the anchor + a cue-language run when the
+    around bit is set: 1.0 if every part matches, 0.0 if none does, and
+    None — read the text — when they disagree.
+    """
+    script = flavor_for(target)
+    rows: list[tuple[float, float | None] | None] = []
+    for entry in _CUE_TABLE:
+        if entry is None:
+            rows.append(None)
+            continue
+        language, anchor_cue, around_cue = entry
+        language = language or source
+        parts = [source, language if anchor_cue else source]
+        if around_cue:
+            parts.append(language)
+        hits = [flavor_for(part) == script for part in parts]
+        around = 1.0 if all(hits) else None if any(hits) else 0.0
+        rows.append((1.0 if hits[1] else 0.0, around))
+    return tuple(rows)
 
 
 def _link_seed(source_url: str, target_url: str) -> int:
@@ -103,37 +164,86 @@ def link_context_text(
     ``""``.  Pure function of the arguments — the body synthesizer and
     the record-mode context synthesis both call it, and therefore agree.
     """
+    language, anchor_cue, around_cue = _decode(cue)
+    language = language or source_language
     rng = np.random.default_rng(_link_seed(source_url, target_url))
-    anchor_lang = source_language
-    if has_anchor_cue(cue):
-        anchor_lang = cue_language(cue) or source_language
+    anchor_lang = language if anchor_cue else source_language
     anchor = TextGenerator(flavor_for(anchor_lang), rng).phrase(1, 3)
     around = ""
-    if has_around_cue(cue):
-        around_lang = cue_language(cue) or source_language
-        around = " ".join(TextGenerator(flavor_for(around_lang), rng).words(3))
+    if around_cue:
+        around = " ".join(TextGenerator(flavor_for(language), rng).words(3))
     return anchor, around
 
 
-def synthesize_link_contexts(record: PageRecord) -> tuple[LinkContext, ...]:
-    """Link contexts for a record, without rendering or parsing a body.
+class CuedLinkContext:
+    """One outlink of a record: fractions from the cue byte, text on demand.
 
-    One :class:`~repro.urlkit.extract.LinkContext` per
-    ``record.outlinks`` entry, in order.  Records without a ``link_cues``
-    column (legacy datasets, cue knobs at 0) still yield contexts — the
-    anchors are simply all in the source page's language, carrying no
-    cue signal.  ``around_text`` embeds the anchor plus a short run of
-    source-language words, mimicking what a body parse would capture
-    around the anchor.
+    Reads like a :class:`~repro.urlkit.extract.LinkContext` (``url``,
+    ``anchor_text``, ``around_text``), but each text access synthesizes
+    the link afresh — contexts live for one ``expand`` call, and scoring
+    goes through :meth:`cue_fractions` first.
     """
-    cues = record.link_cues
-    source_language = record.true_language
-    contexts: list[LinkContext] = []
-    for index, url in enumerate(record.outlinks):
-        cue = cues[index] if cues is not None else 0
-        anchor, around_words = link_context_text(record.url, url, source_language, cue)
-        rng = np.random.default_rng(_link_seed(record.url, url) ^ 0xA5A5A5A5)
+
+    __slots__ = ("url", "_source_url", "_source_language", "_cue")
+
+    def __init__(self, url: str, source_url: str, source_language: Language, cue: int) -> None:
+        self.url = url
+        self._source_url = source_url
+        self._source_language = source_language
+        self._cue = cue
+
+    def texts(self) -> tuple[str, str]:
+        """``(anchor_text, around_text)``: the around text embeds the
+        anchor after a short run of source-language words, mimicking what
+        a body parse would capture around the anchor."""
+        source_url, source_language = self._source_url, self._source_language
+        anchor, around_words = link_context_text(source_url, self.url, source_language, self._cue)
+        rng = np.random.default_rng(_link_seed(source_url, self.url) ^ 0xA5A5A5A5)
         prose = " ".join(TextGenerator(flavor_for(source_language), rng).words(4))
-        around = " ".join(part for part in (prose, anchor, around_words) if part)
-        contexts.append(LinkContext(url=url, anchor_text=anchor, around_text=around))
-    return tuple(contexts)
+        return anchor, " ".join(part for part in (prose, anchor, around_words) if part)
+
+    @property
+    def anchor_text(self) -> str:
+        return self.texts()[0]
+
+    @property
+    def around_text(self) -> str:
+        return self.texts()[1]
+
+    def cue_fractions(self, language: Language) -> tuple[float, float | None]:
+        """``(anchor, around)`` character fractions in ``language``'s
+        script; ``around`` is None when only :attr:`around_text` can tell."""
+        fractions = _closed_fractions(self._source_language, language)[self._cue]
+        if fractions is None:
+            raise CrawlLogError(f"{self._source_url!r}: invalid link cue byte {self._cue!r}")
+        return fractions
+
+
+def record_link_contexts(record: PageRecord) -> tuple[CuedLinkContext, ...]:
+    """One :class:`CuedLinkContext` per ``record.outlinks`` entry, in order.
+
+    Records without a ``link_cues`` column (legacy datasets, cue knobs
+    at 0) still yield contexts — every link simply reads as written in
+    the source page's language, carrying no cue signal.
+    """
+    outlinks = record.outlinks
+    cues = record.link_cues if record.link_cues is not None else (0,) * len(outlinks)
+    url = record.url
+    language = record.true_language
+    return tuple(
+        [
+            CuedLinkContext(target, url, language, cue)
+            for target, cue in zip(outlinks, cues, strict=True)
+        ]
+    )
+
+
+def synthesize_link_contexts(record: PageRecord) -> tuple[LinkContext, ...]:
+    """Every link of ``record`` with its text spelled out, eagerly.
+
+    The reference the closed-form fractions are tested against; nothing
+    on the fetch path calls it.
+    """
+    return tuple(
+        LinkContext(context.url, *context.texts()) for context in record_link_contexts(record)
+    )

@@ -107,7 +107,7 @@ class CrawlLog:
                     continue
                 try:
                     log.add(PageRecord.from_json_dict(json.loads(line)))
-                except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                except (json.JSONDecodeError, KeyError, ValueError, CrawlLogError) as exc:
                     raise CrawlLogError(f"{path}:{line_number}: malformed record: {exc}") from exc
         return log
 

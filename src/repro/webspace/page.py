@@ -9,9 +9,11 @@ behaviour.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.charset.languages import Language, language_of_charset
+from repro.errors import CrawlLogError
 from repro.urlkit.normalize import intern_url
 
 #: HTTP status of a successfully fetched page ("OK status (200)" in Table 3).
@@ -31,6 +33,26 @@ RETRYABLE_STATUSES = frozenset({STATUS_SERVER_ERROR, STATUS_TIMEOUT, STATUS_HOST
 
 #: Content type of pages that participate in link expansion.
 HTML_CONTENT_TYPE = "text/html"
+
+#: The link-cue bytes a generator can write: language code 0-5 in the low
+#: three bits, anchor flag ``0x08``, around flag ``0x10`` (decoded by
+#: :mod:`repro.graphgen.linkcontext`).  Anything else in a file is damage.
+VALID_LINK_CUES = frozenset(cue for cue in range(0x20) if cue & 0x07 <= 5)
+
+
+def check_link_cues(url: str, cues: Sequence[int], n_outlinks: int) -> None:
+    """Raise :class:`CrawlLogError` unless ``cues`` is one valid byte per outlink.
+
+    Called where a record crosses into the program (JSONL line, store
+    row, store build), so a crawl never meets a cue it cannot decode.
+    """
+    if len(cues) != n_outlinks:
+        raise CrawlLogError(
+            f"{url!r}: link_cues length {len(cues)} != outlink count {n_outlinks}"
+        )
+    if not VALID_LINK_CUES.issuperset(cues):
+        bad = next(cue for cue in cues if cue not in VALID_LINK_CUES)
+        raise CrawlLogError(f"{url!r}: invalid link cue byte {bad!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,14 +137,24 @@ class PageRecord:
 
     @classmethod
     def from_json_dict(cls, record: dict) -> "PageRecord":
-        """Inverse of :meth:`to_json_dict`."""
+        """Inverse of :meth:`to_json_dict`.
+
+        Raises:
+            CrawlLogError: when the ``lc`` row is not one valid cue byte
+                per outlink.
+        """
+        outlinks = tuple(record.get("o", ()))
+        link_cues = None
+        if "lc" in record:
+            link_cues = tuple(record["lc"])
+            check_link_cues(record["u"], link_cues, len(outlinks))
         return cls(
             url=record["u"],
             status=record.get("s", STATUS_OK),
             content_type=record.get("t", HTML_CONTENT_TYPE),
             charset=record.get("c"),
             true_language=Language(record.get("l", Language.OTHER.value)),
-            outlinks=tuple(record.get("o", ())),
+            outlinks=outlinks,
             size=record.get("z", 0),
-            link_cues=tuple(record["lc"]) if "lc" in record else None,
+            link_cues=link_cues,
         )

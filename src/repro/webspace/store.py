@@ -61,7 +61,7 @@ import numpy as np
 
 from repro.charset.languages import Language, language_of_charset
 from repro.errors import CrawlLogError, UnknownPageError
-from repro.webspace.page import HTML_CONTENT_TYPE, STATUS_OK, PageRecord
+from repro.webspace.page import HTML_CONTENT_TYPE, STATUS_OK, PageRecord, check_link_cues
 
 _MAGIC = b"LSWCPGS1"
 _FORMAT_NAME = "repro-lswc-pagestore"
@@ -451,8 +451,11 @@ class PageStore:
             cues = self.link_cue_row(page_id)
         url_of = self.url_of
         link_ids = tuple(self.outlink_ids(page_id).tolist())
+        url = url_of(page_id)
+        if cues is not None:
+            check_link_cues(url, cues, len(link_ids))
         record = PageRecord(
-            url=url_of(page_id),
+            url=url,
             status=status,
             content_type=content_type,
             charset=None if charset_id < 0 else self._charsets[charset_id],
@@ -672,11 +675,8 @@ class StoreBuilder:
                 # Keep the cue arena aligned with link_targets; records
                 # without cues (mixed inputs) contribute zero bytes.
                 cues = record.link_cues
-                if cues is not None and len(cues) != len(record.outlinks):
-                    raise CrawlLogError(
-                        f"{record.url!r}: link_cues length {len(cues)} != "
-                        f"outlink count {len(record.outlinks)}"
-                    )
+                if cues is not None:
+                    check_link_cues(record.url, cues, len(record.outlinks))
                 link_cues.extend(cues if cues is not None else (0,) * len(record.outlinks))
             link_offsets[page_id + 1] = len(link_targets)
 

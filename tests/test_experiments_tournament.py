@@ -8,6 +8,7 @@ serial/parallel digest equality, and the module CLI.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,8 @@ from repro.experiments.tournament import (
 )
 from repro.core.strategies import available_strategies
 from repro.graphgen.profiles import thai_profile
+
+PUBLISHED = Path(__file__).resolve().parents[1] / "benchmarks/results/BENCH_strategy_tournament.json"
 
 MAX_PAGES = 120
 SMALL = dict(
@@ -81,6 +84,17 @@ class TestSweepPayload:
     def test_workers_match_serial_digest(self, sweep):
         parallel = tournament_sweep(workers=2, **SMALL)
         assert parallel["digest_sha256"] == sweep["digest_sha256"]
+
+
+class TestPublishedRanking:
+    def test_default_sweep_reproduces_the_published_digest(self):
+        """Serial == workers only says the sweep is self-consistent; this
+        says the full zoo still ranks as published — a context strategy
+        that scores one link differently moves it."""
+        published = json.loads(PUBLISHED.read_text())["data"]["tournament"]
+        sweep = tournament_sweep()
+        assert sweep["summary"] == published["summary"]
+        assert sweep["digest_sha256"] == published["digest_sha256"]
 
 
 class TestRankingSummary:

@@ -108,6 +108,27 @@ class TestPersistence:
         with pytest.raises(CrawlLogError, match=":3:"):
             CrawlLog.load(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ('"lc": [9]', "link_cues length 1 != outlink count 2"),
+            ('"lc": [9, 14]', "invalid link cue byte 14"),
+            ('"lc": [9, 32]', "invalid link cue byte 32"),
+        ],
+    )
+    def test_load_rejects_ragged_or_undecodable_cue_rows(self, tmp_path, row, message):
+        """Used to load fine and raise a bare IndexError from inside a
+        context strategy's expand, mid-crawl."""
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"format": "repro-lswc-crawllog", "version": 1}\n'
+            '{"u": "http://ok.example/", "o": ["http://a.example/", "http://b.example/"], '
+            + row
+            + "}\n"
+        )
+        with pytest.raises(CrawlLogError, match=f":2:.*ok.example.*{message}"):
+            CrawlLog.load(path)
+
     def test_load_malformed_header_raises(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("garbage\n")

@@ -142,6 +142,63 @@ class TestPageStore:
         opened.close()  # idempotent
 
 
+class TestCueColumn:
+    """The optional ``link_cues`` section: what the writer accepts and
+    what the reader does with a damaged byte."""
+
+    CUED = [
+        PageRecord(
+            url="http://a.example/",
+            true_language=Language.THAI,
+            outlinks=("http://b.example/", "http://x.example/"),
+            link_cues=(0x0A, 0),
+        ),
+        PageRecord(url="http://b.example/", outlinks=("http://a.example/",), link_cues=(0x1A,)),
+    ]
+
+    @pytest.fixture()
+    def cued_path(self, tmp_path):
+        builder = StoreBuilder()
+        builder.add_all(self.CUED)
+        builder.finish(tmp_path / "cued.lswc")
+        return tmp_path / "cued.lswc"
+
+    def test_cue_rows_round_trip(self, cued_path):
+        with PageStore.open(cued_path) as store:
+            assert [store.record_at(page_id) for page_id in range(2)] == self.CUED
+
+    @pytest.mark.parametrize("damage", [0x0E, 0x0F, 0x1F, 0x2A, 0xFF])
+    def test_one_damaged_byte_is_a_named_error_at_the_page(self, cued_path, tmp_path, damage):
+        """Used to materialise fine and raise a bare IndexError from
+        inside a context strategy's expand, mid-crawl."""
+        with PageStore.open(cued_path) as store:
+            offset = store._link_cues_start + 2  # b.example's only cue
+        copy = tmp_path / "damaged.lswc"
+        data = bytearray(cued_path.read_bytes())
+        assert data[offset] == 0x1A
+        data[offset] = damage
+        copy.write_bytes(bytes(data))
+        with PageStore.open(copy) as store:
+            assert store.get("http://a.example/") == self.CUED[0]
+            with pytest.raises(CrawlLogError, match=f"b.example.*invalid link cue byte {damage}"):
+                store.get("http://b.example/")
+            with pytest.raises(CrawlLogError, match="invalid link cue byte"):
+                store.fetch_record("http://b.example/", hint=1)
+
+    @pytest.mark.parametrize("cues", [(0,), (0, 0, 0), (0x0E, 0)])
+    def test_writer_rejects_ragged_and_undecodable_rows(self, tmp_path, cues):
+        builder = StoreBuilder()
+        builder.add(
+            PageRecord(
+                url="http://a.example/",
+                outlinks=("http://b.example/", "http://x.example/"),
+                link_cues=cues,
+            )
+        )
+        with pytest.raises(CrawlLogError, match="a.example.*link.cue"):
+            builder.finish(tmp_path / "bad.lswc")
+
+
 class TestFetchRecord:
     """The hint-accepting lookup the virtual web space fetches through."""
 
