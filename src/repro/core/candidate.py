@@ -1,26 +1,42 @@
-"""The crawl candidate and its one canonical serialised form.
+"""The crawl candidate and its two serialised forms.
 
-Every component that persists candidates — checkpoint snapshots of the
-frontiers, the spilling frontier's overflow file — round-trips through
-:func:`candidate_to_dict` / :func:`candidate_from_dict` defined here, so
-there is exactly one wire format and one re-interning path.  A property
-test (``tests/test_core_frontier.py``) pins the round-trip as the
-identity.
+A candidate is a plain tuple with field names — cheap to build in the
+strategies' per-link comprehensions, immutable, and transposable:
+``zip(*candidates)`` yields columns and ``tuple.__new__`` rebuilds
+candidates from columns without a Python-level call per field.
+
+Two serialised forms, one per shape of traffic:
+
+- **one dict per candidate** (:func:`candidate_to_dict` /
+  :func:`candidate_from_dict`) for a *stream of single candidates*: the
+  spilling frontier's overflow file (one JSONL line per candidate) and
+  the at most K in-flight events of a checkpoint's ``sched`` section.
+  Sparse — default-valued fields are omitted.
+- **columns over a URL table** (:func:`candidates_to_columns` /
+  :func:`candidates_from_columns`) for a *batch*: the checkpoint
+  snapshot of a whole frontier.  Four parallel lists ``u, p, d, r``,
+  where ``u`` and ``r`` are positions in a table of URL strings shared
+  by the whole checkpoint (``-1`` = no referrer), so every URL is
+  written, parsed and re-interned once however many candidates name it.
+
+Neither form carries the ``uid`` hint: it is not part of a candidate's
+identity, and leaving it out is what keeps the checkpoints of a memory
+crawl and a store crawl byte-equal.  Property tests
+(``tests/test_prop_frontier.py``) pin both round trips as the identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Collection, Mapping, Sequence
+from functools import partial
+from itertools import repeat
+from typing import NamedTuple, cast
 
+from repro.errors import CheckpointError
 from repro.urlkit.normalize import intern_url
 
 
-class _UidSlot:
-    __slots__ = ("_uid",)
-
-
-@dataclass(frozen=True, slots=True)
-class Candidate(_UidSlot):
+class Candidate(NamedTuple):
     """A URL scheduled for crawling, with strategy bookkeeping.
 
     Attributes:
@@ -34,31 +50,45 @@ class Candidate(_UidSlot):
             (None for seeds); kept for tracing and tests.
         uid: the url-id an id-addressed page source gave this URL, as an
             unverified fetch hint (the source checks it); None until
-            :func:`stamp_uid` sets it.  A slot beside the dataclass
-            fields, not one of them: it is no part of a candidate's
-            identity, is never serialised to checkpoints, and — a frozen
-            ``__init__`` pays per field — costs the eight candidates a
-            page creates nothing.
+            :func:`stamp_uid` sets it.  No part of a candidate's
+            identity — ``==`` and ``hash`` read the first four fields
+            only — and never serialised.
     """
 
     url: str
     priority: int = 0
     distance: int = 0
     referrer: str | None = None
+    uid: int | None = None
 
-    @property
-    def uid(self) -> int | None:
-        return getattr(self, "_uid", None)
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Candidate):
+            return self[:4] == other[:4]
+        return NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        if isinstance(other, Candidate):
+            return self[:4] != other[:4]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[:4])
+
+
+#: A candidate from a tuple of its five fields, without a Python frame:
+#: what ``Candidate._make`` does, minus its call and its length check.
+_new_candidate = cast(
+    "Callable[[tuple], Candidate]", partial(tuple.__new__, Candidate)
+)
 
 
 def stamp_uid(candidate: Candidate, uid: int | None) -> Candidate:
-    """Set ``candidate``'s url-id hint in place and return the candidate."""
-    object.__setattr__(candidate, "_uid", uid)
-    return candidate
+    """A copy of ``candidate`` carrying the url-id hint ``uid``."""
+    return _new_candidate(candidate[:4] + (uid,))
 
 
 def candidate_to_dict(candidate: Candidate) -> dict:
-    """Compact JSON form of a candidate (checkpoint/spill serialisation).
+    """Compact JSON form of one candidate (spill lines, in-flight events).
 
     Sparse by design: default-valued fields are omitted, so the common
     case (a seed-priority candidate with no referrer) is one key.
@@ -85,3 +115,72 @@ def candidate_from_dict(entry: dict) -> Candidate:
         distance=entry.get("d", 0),
         referrer=entry.get("r"),
     )
+
+
+def candidates_to_columns(candidates: Collection[Candidate], index: dict[str, int]) -> dict:
+    """A batch of candidates as columns ``u, p, d, r`` over a URL table.
+
+    ``index`` maps URL to table position; a URL it does not hold yet
+    takes the next position, so ``list(index)`` afterwards *is* the
+    table the columns refer to (dicts keep insertion order).
+    """
+    if not candidates:
+        return {"u": [], "p": [], "d": [], "r": []}
+    urls, priorities, distances, referrers, _ = zip(*candidates)
+    position = index.setdefault
+    return {
+        "u": [position(url, len(index)) for url in urls],
+        "p": list(priorities),
+        "d": list(distances),
+        "r": [-1 if url is None else position(url, len(index)) for url in referrers],
+    }
+
+
+def is_list_of(value: object, kind: type) -> bool:
+    """Is ``value`` a list whose every entry is exactly a ``kind``?
+
+    The check restored JSON gets before it is trusted as a column or a
+    URL table; exact types, so ``True`` is not an integer.  C speed.
+    """
+    return isinstance(value, list) and set(map(type, value)) <= {kind}
+
+
+def int_column(section: Mapping, name: str, length: int | None = None) -> list[int]:
+    """``section[name]`` checked to be a list of ints (of ``length``).
+
+    Raises:
+        CheckpointError: anything else — a column that would only fail
+            (or silently misorder a heap) many steps after the resume.
+    """
+    column = section.get(name)
+    if not is_list_of(column, int):
+        raise CheckpointError(f"column {name!r} is not a list of integers")
+    if length is not None and len(column) != length:
+        raise CheckpointError(
+            f"column {name!r} has {len(column)} entries where {length} were expected"
+        )
+    return column
+
+
+def candidates_from_columns(columns: Mapping, table: Sequence[str]) -> list[Candidate]:
+    """Inverse of :func:`candidates_to_columns` over the (interned) table.
+
+    Raises:
+        CheckpointError: ragged or non-integer columns, or a position
+            outside the table — ``-1`` is "no referrer" in ``r`` only,
+            and no negative position ever wraps around.
+    """
+    u = int_column(columns, "u")
+    size = len(u)
+    p = int_column(columns, "p", size)
+    d = int_column(columns, "d", size)
+    r = int_column(columns, "r", size)
+    if not size:
+        return []
+    if min(u) < 0 or min(r) < -1 or max(max(u), max(r)) >= len(table):
+        raise CheckpointError(
+            f"candidate columns point outside the {len(table)}-entry URL table"
+        )
+    url_at = table.__getitem__
+    referrers = [None if position < 0 else url_at(position) for position in r]
+    return list(map(_new_candidate, zip(map(url_at, u), p, d, referrers, repeat(None))))

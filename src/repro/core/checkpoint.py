@@ -9,8 +9,9 @@ same fetch order, same metrics series, same fault/retry sequence.
 To make that true, a checkpoint captures *every* piece of engine state
 that feeds ordering or metrics:
 
-- the frontier, entry by entry, tiebreak counters included;
-- the ``scheduled`` set (everything ever enqueued);
+- the URL table: every URL in the ``scheduled`` set (everything ever
+  enqueued) first, then any other URL the frontier refers to;
+- the frontier, as columns over that table, tiebreak counters included;
 - the :class:`~repro.core.metrics.MetricsRecorder` (accumulated counts
   and the sampled series so far);
 - the visitor's transfer accounting;
@@ -24,6 +25,33 @@ strategy, step count); each further line is one ``{"section": name,
 "data": ...}`` record.  Writes go through a temp file and an atomic
 ``os.replace``, so a crash mid-checkpoint leaves the previous
 checkpoint intact, never a torn file.
+
+Version history (the writer writes the newest only; every version still
+reads):
+
+- **1** — ``frontier`` as one JSON dict per candidate, ``scheduled`` as
+  a list of URL strings, ``recorder`` / ``visitor`` / ``loop``, optional
+  ``timing`` / ``faults`` / ``breakers``.
+- **2** — adds the optional ``sched`` section (the in-flight fetch set
+  of a ``concurrency=K`` run).
+- **3** — adds the optional ``adversary`` (synthetic-web layer:
+  redirect-target map, injection tallies) and ``defenses`` (fingerprint
+  set, per-host budgets) sections, and two redirect tallies in ``loop``.
+- **4** — columnar over one URL table.  A ``urls`` section lists the
+  ``scheduled`` set first and then whatever else the frontier names;
+  ``scheduled`` shrinks to the *count* of leading table entries; the
+  frontier is ``neg_priority`` / ``tiebreak`` columns plus the
+  candidate columns ``u, p, d, r`` of
+  :func:`repro.core.candidate.candidates_to_columns` (table positions,
+  ``-1`` = no referrer).  Every URL is written, parsed and interned
+  once.  Still no store ids anywhere, so a memory crawl and a store
+  crawl of the same web write byte-equal files.
+
+A version 1–3 file is upgraded to the version-4 in-memory shape where it
+is read (:func:`read_checkpoint`), so nothing downstream — not
+:meth:`Frontier.restore <repro.core.frontier.Frontier.restore>`, not the
+session — knows the older layouts.  The ≤ K in-flight events of
+``sched`` keep the per-candidate dict form in every version.
 """
 
 from __future__ import annotations
@@ -34,22 +62,21 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.core.candidate import candidate_from_dict, candidates_to_columns, is_list_of
 from repro.errors import CheckpointError
 
 FORMAT_NAME = "repro-lswc-checkpoint"
-#: Version 2 added the optional ``sched`` section (the in-flight fetch
-#: set of a ``concurrency=K`` run); version 3 added the optional
-#: ``adversary`` (synthetic-web layer: redirect-target map, injection
-#: tallies) and ``defenses`` (engine countermeasure state: fingerprint
-#: set, per-host budgets) sections.  Older files are still readable —
-#: they are exactly version-3 files without the newer sections.
-FORMAT_VERSION = 3
-_READABLE_VERSIONS = (1, 2, 3)
+#: The version :func:`write_checkpoint` writes (see the module docstring
+#: for what each version added).
+FORMAT_VERSION = 4
+_READABLE_VERSIONS = (1, 2, 3, 4)
 
-#: Sections a checkpoint may carry.  ``frontier``/``scheduled``/
-#: ``recorder``/``visitor``/``loop`` are always present; the rest are
-#: optional, matching the run's attached extras.
+#: Sections a checkpoint may carry.  ``urls`` (version 4 on) and
+#: ``frontier``/``scheduled``/``recorder``/``visitor``/``loop`` are
+#: always present; the rest are optional, matching the run's attached
+#: extras.
 _KNOWN_SECTIONS = (
+    "urls",
     "frontier",
     "scheduled",
     "recorder",
@@ -75,8 +102,14 @@ class CheckpointState:
 
     strategy: str
     steps: int
+    #: The URL table: the ``scheduled`` set first, then any other URL
+    #: the frontier's columns point at.
+    urls: list[str]
+    #: How many leading ``urls`` entries make up the ``scheduled`` set.
+    scheduled: int
+    #: :meth:`Frontier.snapshot <repro.core.frontier.Frontier.snapshot>`:
+    #: columns of positions in ``urls``.
     frontier: dict
-    scheduled: list[str]
     recorder: dict
     visitor: dict
     loop: dict
@@ -97,8 +130,9 @@ class CheckpointState:
 
     def sections(self) -> list[tuple[str, Any]]:
         rows: list[tuple[str, Any]] = [
-            ("frontier", self.frontier),
+            ("urls", self.urls),
             ("scheduled", self.scheduled),
+            ("frontier", self.frontier),
             ("recorder", self.recorder),
             ("visitor", self.visitor),
             ("loop", self.loop),
@@ -145,13 +179,67 @@ def write_checkpoint(path: str | Path, state: CheckpointState) -> None:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
+#: What can go wrong reading a field out of a JSON value of the wrong
+#: shape — the faults a malformed section turns into, wherever a section
+#: is taken apart (:func:`_upgrade_legacy` here, the restores in
+#: :mod:`repro.core.session`).
+STRUCTURAL_FAULTS = (KeyError, IndexError, TypeError, ValueError, AttributeError)
+
+
+def _upgrade_legacy(path: Path, sections: dict[str, Any]) -> None:
+    """Rewrite a version 1–3 file's sections into the version-4 shape.
+
+    Those files hold ``scheduled`` as the URL list itself and every
+    frontier candidate as its own dict, in one of four layouts (one per
+    frontier class that ever shipped).  Folding them into the URL table
+    and columns here, once, is what lets ``Frontier.restore`` know a
+    single input shape.  A frontier ``kind`` this module never wrote is
+    passed through for its own class to judge.
+    """
+    scheduled = sections["scheduled"]
+    if not is_list_of(scheduled, str):
+        raise CheckpointError(f"{path}: 'scheduled' section: not a list of URL strings")
+    index = {url: position for position, url in enumerate(scheduled)}
+    sections["scheduled"] = len(index)
+    frontier = sections["frontier"]
+    try:
+        kind = frontier.get("kind")
+        entries = None
+        if kind == "fifo":
+            entries = frontier.pop("queue")
+        elif kind in ("priority", "reprioritizable"):
+            rows = frontier.pop("heap" if kind == "priority" else "entries")
+            neg_priorities, tiebreaks, entries = zip(*rows, strict=True) if rows else ((), (), ())
+            frontier["neg_priority"] = list(neg_priorities)
+            frontier["tiebreak"] = list(tiebreaks)
+        elif kind == "host-queue":
+            queues = frontier.pop("queues")
+            frontier["sites"] = [site for site, _ in queues]
+            frontier["sizes"] = [len(queue) for _, queue in queues]
+            entries = [entry for _, queue in queues for entry in queue]
+        if entries is not None:
+            frontier.update(
+                candidates_to_columns([candidate_from_dict(entry) for entry in entries], index)
+            )
+    except STRUCTURAL_FAULTS as exc:
+        raise CheckpointError(f"{path}: malformed 'frontier' section: {exc!r}") from exc
+    sections["urls"] = list(index)
+
+
 def read_checkpoint(path: str | Path) -> CheckpointState:
-    """Load a checkpoint written by :func:`write_checkpoint`.
+    """Load a checkpoint of any version, in the current in-memory shape.
+
+    This checks what makes a file a checkpoint — header, version, one
+    known section per line, none of the required ones missing — and
+    upgrades the ``frontier`` / ``scheduled`` sections of a version 1–3
+    file.  What is *inside* a section is checked where it is restored
+    (:class:`~repro.core.session.CrawlSession`), which raises the same
+    error type.
 
     Raises:
         CheckpointError: missing file, foreign format, unsupported
-            version, malformed section line, or missing required
-            sections.
+            version, malformed section line, missing required sections,
+            or a legacy frontier that cannot be upgraded.
     """
     path = Path(path)
     try:
@@ -163,6 +251,8 @@ def read_checkpoint(path: str | Path) -> CheckpointState:
                 header = json.loads(header_line)
             except json.JSONDecodeError as exc:
                 raise CheckpointError(f"{path}: malformed checkpoint header: {exc}") from exc
+            if not isinstance(header, dict):
+                raise CheckpointError(f"{path}: malformed checkpoint header: not an object")
             if header.get("format") != FORMAT_NAME:
                 raise CheckpointError(
                     f"{path}: not a crawl checkpoint (format={header.get('format')!r})"
@@ -189,18 +279,21 @@ def read_checkpoint(path: str | Path) -> CheckpointState:
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
 
-    missing = [
-        name
-        for name in ("frontier", "scheduled", "recorder", "visitor", "loop")
-        if name not in sections
-    ]
+    legacy = header["version"] < FORMAT_VERSION
+    required = ["frontier", "scheduled", "recorder", "visitor", "loop"]
+    if not legacy:
+        required.insert(0, "urls")
+    missing = [name for name in required if name not in sections]
     if missing:
         raise CheckpointError(f"{path}: checkpoint is missing sections {missing}")
+    if legacy:
+        _upgrade_legacy(path, sections)
     return CheckpointState(
         strategy=header.get("strategy", ""),
         steps=header.get("steps", 0),
-        frontier=sections["frontier"],
+        urls=sections["urls"],
         scheduled=sections["scheduled"],
+        frontier=sections["frontier"],
         recorder=sections["recorder"],
         visitor=sections["visitor"],
         loop=sections["loop"],

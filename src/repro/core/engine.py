@@ -81,7 +81,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -631,7 +631,7 @@ class CrawlEngine:
                                     continue
                                 canonical = intern_url(canonical)
                                 scheduled_add(canonical)
-                                candidate = replace(candidate, url=canonical)
+                                candidate = candidate._replace(url=canonical, uid=None)
                             if not defenses.admit(candidate.url, host):
                                 # Policy refusal is permanent: the URL
                                 # stays in ``scheduled`` and is never
@@ -784,7 +784,7 @@ class CrawlEngine:
                         if url not in scheduled:
                             scheduled_add(url)
                             if uid_of is not None:
-                                stamp_uid(child, uid_of(url))
+                                child = stamp_uid(child, uid_of(url))
                             push(child)
                             pushed += 1
                 else:

@@ -32,8 +32,16 @@ from __future__ import annotations
 import heapq
 from abc import ABC, abstractmethod
 from collections import deque
+from collections.abc import Collection, Sequence
 
-from repro.core.candidate import Candidate, candidate_from_dict, candidate_to_dict, stamp_uid
+from repro.core.candidate import (
+    Candidate,
+    candidate_from_dict,
+    candidate_to_dict,
+    candidates_from_columns,
+    candidates_to_columns,
+    int_column,
+)
 from repro.errors import CheckpointError, FrontierError
 
 __all__ = [
@@ -50,6 +58,28 @@ __all__ = [
 #: candidate)``.  The tiebreak counter is unique per frontier, so tuple
 #: comparison never reaches the candidate.
 _HeapEntry = tuple
+
+
+def _heap_columns(entries: Collection[_HeapEntry], index: dict[str, int]) -> dict:
+    """Heap entries as ``neg_priority`` / ``tiebreak`` + candidate columns."""
+    neg_priorities, tiebreaks, candidates = zip(*entries) if entries else ((), (), ())
+    return {
+        "neg_priority": list(neg_priorities),
+        "tiebreak": list(tiebreaks),
+        **candidates_to_columns(candidates, index),
+    }
+
+
+def _heap_entries(state: dict, table: Sequence[str]) -> list[_HeapEntry]:
+    """Inverse of :func:`_heap_columns`, in the order written."""
+    candidates = candidates_from_columns(state, table)
+    return list(
+        zip(
+            int_column(state, "neg_priority", len(candidates)),
+            int_column(state, "tiebreak", len(candidates)),
+            candidates,
+        )
+    )
 
 
 class Frontier(ABC):
@@ -96,19 +126,29 @@ class Frontier(ABC):
         crawl finishes.
         """
 
-    def snapshot(self) -> dict:
-        """Serialisable state for checkpointing.
+    def snapshot(self, index: dict[str, int]) -> dict:
+        """Serialisable state for checkpointing, as columns.
 
-        The contract is exact: ``restore(snapshot())`` on a fresh
-        frontier of the same class must reproduce the identical pop
-        sequence, operation counters and peak occupancy.  In-memory
-        frontiers implement this; wrappers holding external resources
-        (spilling) raise :class:`~repro.errors.CheckpointError`.
+        Candidates are written through
+        :func:`~repro.core.candidate.candidates_to_columns`: ``index``
+        maps URL to position in the checkpoint's URL table and grows by
+        any URL this frontier holds that it lacks, so ``list(index)``
+        afterwards is the table :meth:`restore` needs.
+
+        The contract is exact: ``restore(snapshot(index), list(index))``
+        on a fresh frontier of the same class must reproduce the
+        identical pop sequence, operation counters and peak occupancy.
+        In-memory frontiers implement this; wrappers holding external
+        resources (spilling) raise
+        :class:`~repro.errors.CheckpointError`.
         """
         raise CheckpointError(f"{type(self).__name__} does not support checkpointing")
 
-    def restore(self, state: dict) -> None:
-        """Load a :meth:`snapshot` into this (fresh, empty) frontier."""
+    def restore(self, state: dict, table: Sequence[str]) -> None:
+        """Load a :meth:`snapshot` into this (fresh, empty) frontier.
+
+        ``table`` is the checkpoint's URL table, already interned.
+        """
         raise CheckpointError(f"{type(self).__name__} does not support checkpointing")
 
     def _restore_counters(self, state: dict) -> None:
@@ -159,16 +199,16 @@ class FIFOFrontier(Frontier):
     def __len__(self) -> int:
         return len(self._queue)
 
-    def snapshot(self) -> dict:
+    def snapshot(self, index: dict[str, int]) -> dict:
         return {
             "kind": "fifo",
             **self._counters_dict(),
-            "queue": [candidate_to_dict(candidate) for candidate in self._queue],
+            **candidates_to_columns(self._queue, index),
         }
 
-    def restore(self, state: dict) -> None:
+    def restore(self, state: dict, table: Sequence[str]) -> None:
         self._check_kind(state, "fifo")
-        self._queue = deque(candidate_from_dict(entry) for entry in state["queue"])
+        self._queue = deque(candidates_from_columns(state, table))
         self._restore_counters(state)
 
 
@@ -201,7 +241,7 @@ class PriorityFrontier(Frontier):
     def __len__(self) -> int:
         return len(self._heap)
 
-    def snapshot(self) -> dict:
+    def snapshot(self, index: dict[str, int]) -> dict:
         # Heap entries are serialised in their internal (heap-ordered)
         # list layout, tiebreaks included, so a restore re-creates the
         # exact pop sequence without re-heapifying.
@@ -209,17 +249,12 @@ class PriorityFrontier(Frontier):
             "kind": "priority",
             **self._counters_dict(),
             "counter": self._counter,
-            "heap": [
-                [entry[0], entry[1], candidate_to_dict(entry[2])] for entry in self._heap
-            ],
+            **_heap_columns(self._heap, index),
         }
 
-    def restore(self, state: dict) -> None:
+    def restore(self, state: dict, table: Sequence[str]) -> None:
         self._check_kind(state, "priority")
-        self._heap = [
-            (neg_priority, tiebreak, candidate_from_dict(entry))
-            for neg_priority, tiebreak, entry in state["heap"]
-        ]
+        self._heap = _heap_entries(state, table)
         self._counter = state["counter"]
         self._restore_counters(state)
 
@@ -271,13 +306,7 @@ class ReprioritizableFrontier(Frontier):
             return False
         if -stale[0] == priority:
             return True  # no change needed
-        old = stale[2]
-        candidate = stamp_uid(
-            Candidate(
-                url=old.url, priority=priority, distance=old.distance, referrer=old.referrer
-            ),
-            old.uid,
-        )
+        candidate = stale[2]._replace(priority=priority)
         counter = self._counter
         self._counter = counter + 1
         entry = (-priority, counter, candidate)
@@ -330,7 +359,7 @@ class ReprioritizableFrontier(Frontier):
     def __len__(self) -> int:
         return len(self._current)
 
-    def snapshot(self) -> dict:
+    def snapshot(self, index: dict[str, int]) -> dict:
         # Only live entries are serialised — tombstones are dead weight
         # whose omission cannot change pop order, because the live
         # ``(-priority, tiebreak)`` pairs are unique and total-ordered.
@@ -338,20 +367,13 @@ class ReprioritizableFrontier(Frontier):
             "kind": "reprioritizable",
             **self._counters_dict(),
             "counter": self._counter,
-            "entries": [
-                [entry[0], entry[1], candidate_to_dict(entry[2])]
-                for entry in self._current.values()
-            ],
+            **_heap_columns(self._current.values(), index),
         }
 
-    def restore(self, state: dict) -> None:
+    def restore(self, state: dict, table: Sequence[str]) -> None:
         self._check_kind(state, "reprioritizable")
-        self._current = {}
-        heap: list[_HeapEntry] = []
-        for neg_priority, tiebreak, candidate_entry in state["entries"]:
-            entry = (neg_priority, tiebreak, candidate_from_dict(candidate_entry))
-            self._current[entry[2].url] = entry
-            heap.append(entry)
+        heap = _heap_entries(state, table)
+        self._current = {entry[2].url: entry for entry in heap}
         heapq.heapify(heap)
         self._heap = heap
         self._counter = state["counter"]

@@ -21,17 +21,14 @@ and coverage barely move.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from itertools import chain
 
+from repro.core.candidate import candidates_from_columns, candidates_to_columns, int_column
 from repro.core.classifier import Judgment
-from repro.core.frontier import (
-    Candidate,
-    Frontier,
-    candidate_from_dict,
-    candidate_to_dict,
-)
+from repro.core.frontier import Candidate, Frontier
 from repro.core.strategies.base import CrawlStrategy
-from repro.errors import FrontierError, UrlError
+from repro.errors import CheckpointError, FrontierError, UrlError
 from repro.urlkit.normalize import url_site_key
 from repro.webspace.virtualweb import FetchResponse
 
@@ -93,29 +90,42 @@ class HostQueueFrontier(Frontier):
         """Number of sites currently holding queued URLs."""
         return sum(1 for queue in self._queues.values() if queue)
 
-    def snapshot(self) -> dict:
-        # Queues are serialised in discovery (insertion) order and the
-        # rotation verbatim — stale entries for drained sites included —
-        # so a restore reproduces the exact round-robin pop sequence,
-        # not merely the same membership.
+    def snapshot(self, index: dict[str, int]) -> dict:
+        # Queues are serialised in discovery (insertion) order — one
+        # run of candidate columns, cut by ``sizes`` — and the rotation
+        # verbatim, stale entries for drained sites included, so a
+        # restore reproduces the exact round-robin pop sequence, not
+        # merely the same membership.
+        queues = self._queues.values()
         return {
             "kind": "host-queue",
             **self._counters_dict(),
-            "queues": [
-                [site, [candidate_to_dict(candidate) for candidate in queue]]
-                for site, queue in self._queues.items()
-            ],
+            "sites": list(self._queues),
+            "sizes": [len(queue) for queue in queues],
+            **candidates_to_columns(list(chain.from_iterable(queues)), index),
             "rotation": list(self._rotation),
         }
 
-    def restore(self, state: dict) -> None:
+    def restore(self, state: dict, table: Sequence[str]) -> None:
         self._check_kind(state, "host-queue")
-        self._queues = OrderedDict(
-            (site, deque(candidate_from_dict(entry) for entry in entries))
-            for site, entries in state["queues"]
-        )
+        candidates = candidates_from_columns(state, table)
+        sites = state["sites"]
+        sizes = int_column(state, "sizes", len(sites))
+        if (sizes and min(sizes) < 0) or sum(sizes) != len(candidates):
+            raise CheckpointError(
+                f"host-queue sizes do not add up to its {len(candidates)} candidates"
+            )
+        self._queues = OrderedDict()
+        start = 0
+        for site, size in zip(sites, sizes):
+            self._queues[site] = deque(candidates[start : start + size])
+            start += size
+        if len(self._queues) != len(sites):
+            raise CheckpointError("host-queue lists a site twice")
         self._rotation = deque(state["rotation"])
-        self._size = sum(len(queue) for queue in self._queues.values())
+        if not self._queues.keys() >= set(self._rotation):
+            raise CheckpointError("host-queue rotation names a site that has no queue")
+        self._size = len(candidates)
         self._restore_counters(state)
 
 

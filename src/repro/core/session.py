@@ -29,8 +29,11 @@ historical home.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from collections.abc import Set as AbstractSet
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
@@ -40,7 +43,13 @@ from repro.adversary import (
     DefenseConfig,
     DefensePolicy,
 )
-from repro.core.checkpoint import CheckpointState, read_checkpoint, write_checkpoint
+from repro.core.candidate import is_list_of
+from repro.core.checkpoint import (
+    STRUCTURAL_FAULTS,
+    CheckpointState,
+    read_checkpoint,
+    write_checkpoint,
+)
 from repro.core.classifier import Classifier, ClassifierMode
 from repro.core.engine import (
     CheckpointHook,
@@ -56,7 +65,13 @@ from repro.core.strategies.base import CrawlStrategy
 from repro.core.strategies.registry import get_strategy
 from repro.core.timing import TimingModel
 from repro.core.visitor import Visitor
-from repro.errors import CheckpointError, ConfigError, SessionError, SimulationError
+from repro.errors import (
+    CheckpointError,
+    ConfigError,
+    ReproError,
+    SessionError,
+    SimulationError,
+)
 from repro.faults.model import FaultModel, FaultyWebSpace
 from repro.faults.resilience import HostBreakers, ResilienceConfig, ResilienceStats
 from repro.obs import Instrumentation
@@ -401,7 +416,11 @@ class CrawlSession:
                 "frontier's disk tail is not captured by CheckpointState"
             )
         resume = config.resume_from
+        #: What a malformed section is reported against: the file, when
+        #: the state came from one.
+        self._resume_source = "checkpoint state"
         if isinstance(resume, (str, Path)):
+            self._resume_source = str(resume)
             resume = read_checkpoint(resume)
         self._request = request
         self._config = config
@@ -545,7 +564,8 @@ class CrawlSession:
                 adversarial,
                 defenses,
             )
-            rstate = EngineLoopState.from_dict(resume.loop)
+            with self._restoring("loop"):
+                rstate = EngineLoopState.from_dict(resume.loop)
 
         self._strategy = strategy
         self._classifier = classifier
@@ -585,7 +605,8 @@ class CrawlSession:
                         "checkpoint carries in-flight scheduler state; resume "
                         "with the same concurrency= configuration"
                     )
-                engine.restore_events(resume.sched)
+                with self._restoring("sched"):
+                    engine.restore_events(resume.sched)
             elif engine.concurrency is not None:
                 raise CheckpointError(
                     "checkpoint was taken by the round-based engine; it cannot "
@@ -768,11 +789,17 @@ class CrawlSession:
             and self._engine is not None
         )
         engine = self._engine
+        # The URL table: the scheduled set, then whatever else the
+        # frontier names (the snapshot extends ``index`` as it goes).
+        scheduled = len(self._scheduled)
+        index = dict(zip(self._scheduled, range(scheduled)))
+        frontier = self._frontier.snapshot(index)
         return CheckpointState(
             strategy=self._strategy.name,
             steps=rstate.steps,
-            frontier=self._frontier.snapshot(),
-            scheduled=list(self._scheduled),
+            urls=list(index),
+            scheduled=scheduled,
+            frontier=frontier,
             recorder=self._recorder.snapshot(),
             visitor=self._visitor.snapshot(),
             loop=rstate.to_dict(),
@@ -846,36 +873,78 @@ class CrawlSession:
                 f"checkpoint was taken by strategy {resume.strategy!r}; "
                 f"cannot resume it with {strategy.name!r}"
             )
-        frontier.restore(resume.frontier)
-        scheduled.update(intern_url(url) for url in resume.scheduled)
-        recorder.restore(resume.recorder)
-        visitor.restore(resume.visitor)
+        with self._restoring("urls"):
+            if not is_list_of(resume.urls, str):
+                raise CheckpointError("the URL table is not a list of strings")
+            table = list(map(intern_url, resume.urls))
+        with self._restoring("scheduled"):
+            if type(resume.scheduled) is not int:
+                raise CheckpointError("the count of scheduled URLs is not an integer")
+            if not 0 <= resume.scheduled <= len(table):
+                raise CheckpointError(
+                    f"a count of {resume.scheduled} scheduled URLs does not fit "
+                    f"the {len(table)}-entry URL table"
+                )
+            scheduled.update(islice(table, resume.scheduled))
+        with self._restoring("frontier"):
+            frontier.restore(resume.frontier, table)
+        with self._restoring("recorder"):
+            recorder.restore(resume.recorder)
+        with self._restoring("visitor"):
+            visitor.restore(resume.visitor)
         if resume.timing is not None:
             if self._timing is None:
                 raise CheckpointError(
                     "checkpoint carries timing state but no timing model is configured"
                 )
-            self._timing.restore(resume.timing)
+            with self._restoring("timing"):
+                self._timing.restore(resume.timing)
         if resume.faults is not None:
             if faulty is None:
                 raise CheckpointError(
                     "checkpoint carries fault-injection state but no fault model "
                     "is configured; resume with the same fault profile"
                 )
-            faulty.restore(resume.faults)
+            with self._restoring("faults"):
+                faulty.restore(resume.faults)
         if resume.breakers is not None and breakers is not None:
-            breakers.restore(resume.breakers)
+            with self._restoring("breakers"):
+                breakers.restore(resume.breakers)
         if resume.adversary is not None:
             if adversarial is None:
                 raise CheckpointError(
                     "checkpoint carries adversary state but no adversary is "
                     "configured; resume with the same adversary profile and seed"
                 )
-            adversarial.restore(resume.adversary)
+            with self._restoring("adversary"):
+                adversarial.restore(resume.adversary)
         if resume.defenses is not None:
             if defenses is None:
                 raise CheckpointError(
                     "checkpoint carries defense state but no defenses are armed; "
                     "resume with the same DefenseConfig"
                 )
-            defenses.restore(resume.defenses)
+            with self._restoring("defenses"):
+                defenses.restore(resume.defenses)
+
+    @contextmanager
+    def _restoring(self, section: str) -> Iterator[None]:
+        """Report a malformed checkpoint section as a :class:`CheckpointError`.
+
+        A section of the wrong shape surfaces as whatever the restore
+        code tripped over — a missing key, a string where a dict was
+        expected.  Those become one named error carrying the file and
+        the section; a :class:`CheckpointError` the restore raised
+        itself gains the same prefix, and any other library error (a
+        fault seed that does not match, say) passes through.
+        """
+        try:
+            yield
+        except CheckpointError as exc:
+            raise CheckpointError(f"{self._resume_source}: {section!r} section: {exc}") from exc
+        except ReproError:
+            raise
+        except STRUCTURAL_FAULTS as exc:
+            raise CheckpointError(
+                f"{self._resume_source}: malformed {section!r} section: {exc!r}"
+            ) from exc

@@ -43,7 +43,6 @@ import tempfile
 import time
 from dataclasses import dataclass
 
-from repro.core.candidate import stamp_uid
 from repro.core.frontier import (
     Candidate,
     Frontier,
@@ -135,13 +134,13 @@ def candidate_from_spill(entry: dict, page_source=None) -> Candidate:
         referrer = intern_url(page_source.url_of(entry["ri"]))
     else:
         referrer = entry.get("r")
-    candidate = Candidate(
+    return Candidate(
         url=intern_url(page_source.url_of(entry["i"])),
         priority=entry.get("p", 0),
         distance=entry.get("d", 0),
         referrer=referrer,
+        uid=entry["i"],
     )
-    return stamp_uid(candidate, entry["i"])
 
 
 class SpillingFrontier(Frontier):

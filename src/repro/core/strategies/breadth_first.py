@@ -34,4 +34,5 @@ class BreadthFirstStrategy(CrawlStrategy):
         outlinks: Iterable[str],
         link_contexts: Sequence[LinkContext] | None = None,
     ) -> list[Candidate]:
-        return [Candidate(url=url, referrer=parent.url) for url in outlinks]
+        # Positional (url, priority, distance, referrer): once per link.
+        return [Candidate(url, 0, 0, parent.url) for url in outlinks]

@@ -58,7 +58,9 @@ class SimpleStrategy(CrawlStrategy):
         if self.mode == "hard":
             if not judgment.relevant:
                 return []  # Table 2: discard extracted links
-            return [Candidate(url=url, referrer=parent.url) for url in outlinks]
+            return [Candidate(url, 0, 0, parent.url) for url in outlinks]
 
+        # Positional (url, priority, distance, referrer): this line runs
+        # once per extracted link, and keywords cost a third more.
         priority = HIGH_PRIORITY if judgment.relevant else LOW_PRIORITY
-        return [Candidate(url=url, priority=priority, referrer=parent.url) for url in outlinks]
+        return [Candidate(url, priority, 0, parent.url) for url in outlinks]

@@ -11,7 +11,11 @@ the terabyte-corpus analysis in PAPERS.md): a session that falls out of
 the resident budget — or is idle, or is evicted explicitly — has its
 :meth:`~repro.core.session.CrawlSession.snapshot` spooled to a JSONL
 checkpoint and its live object dropped.  The next ``step`` transparently
-rebuilds the session with ``resume_from=`` the spool.  Because the
+rebuilds the session with ``resume_from=`` the spool and, once it is
+live again, deletes the spool: an eviction spool exists only while its
+session is evicted, so every eviction's atomic rename lands on an absent
+name (renaming over an existing file makes ext4 flush, ~1 ms a time)
+and a resident session leaves nothing on disk.  Because the
 kill/resume differential suite pins byte-identical resumption, eviction
 is invisible in every report: *which* sessions get evicted (a racy,
 scheduling-dependent choice under concurrent load) cannot change *what*
@@ -59,7 +63,6 @@ class ManagedSession:
     name: str
     request: CrawlRequest
     config: SessionConfig
-    spool_path: Path
     session: CrawlSession | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
     #: Logical last-use time (manager tick), drives LRU/idle eviction.
@@ -69,6 +72,9 @@ class ManagedSession:
     dirty: bool = False
     #: Path to resume from when non-resident (None = start fresh).
     resume_path: Path | None = None
+    #: The eviction spool the manager wrote for this session, while it
+    #: exists: set by an eviction, deleted and cleared by the resume.
+    spool_path: Path | None = None
     #: True when the manager defaulted ``config.checkpoint_path`` into
     #: its spool dir; only then may ``close`` delete the file.  A
     #: caller-supplied path is the caller's property.
@@ -161,13 +167,7 @@ class SessionManager:
             )
             owns_checkpoint = True
         record = ManagedSession(
-            name=name,
-            request=request,
-            config=config,
-            spool_path=self._spool_dir / f"{name}.evict.ckpt"
-            if self._spool_dir is not None
-            else Path(f"{name}.evict.ckpt"),
-            owns_checkpoint=owns_checkpoint,
+            name=name, request=request, config=config, owns_checkpoint=owns_checkpoint
         )
         with self._table_lock:
             if name in self._records:
@@ -247,9 +247,11 @@ class SessionManager:
         released, so a concurrent ``step``/``report`` that fetched the
         record from the table before it was removed fails with a
         :class:`SessionError` instead of resurrecting a zombie session
-        from the about-to-be-deleted spools.  Only spool files the
-        manager itself created are deleted; a caller-supplied
-        ``checkpoint_path`` is left in place.
+        from the about-to-be-deleted spools.  Only files the manager
+        itself wrote are deleted — the eviction spool went when the
+        session was made resident for the report, which leaves the
+        periodic checkpoint it defaulted into the spool dir; a
+        caller-supplied ``checkpoint_path`` is left in place.
         """
         record = self._get(name)
         with record.lock:
@@ -260,11 +262,8 @@ class SessionManager:
             record.closed = True
         with self._table_lock:
             self._records.pop(name, None)
-        doomed = [record.spool_path]
         if record.owns_checkpoint and record.config.checkpoint_path is not None:
-            doomed.append(Path(record.config.checkpoint_path))
-        for path in doomed:
-            path.unlink(missing_ok=True)
+            Path(record.config.checkpoint_path).unlink(missing_ok=True)
         return result
 
     def close_all(self) -> None:
@@ -306,7 +305,7 @@ class SessionManager:
         else:
             spool = self._spool_for(record.name)
             session.save_checkpoint(spool)
-            record.resume_path = spool
+            record.resume_path = record.spool_path = spool
         session.close()
         record.session = None
         record.evictions += 1
@@ -374,6 +373,12 @@ class SessionManager:
         if record.resume_path is not None:
             config = replace(config, resume_from=record.resume_path)
         record.session = CrawlSession(record.request, config).open()
+        if record.spool_path is not None:
+            # Only the manager's own eviction spool: ``resume_path`` may
+            # instead name a periodic checkpoint, which is not ours to
+            # delete and must outlive the resume.
+            record.spool_path.unlink(missing_ok=True)
+            record.spool_path = None
         record.tick = self._tock()
         record.resumes += 1
         with self._table_lock:

@@ -9,6 +9,9 @@ suite.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.adversary import AdversaryModel, AdversaryProfile, DefenseConfig
@@ -23,6 +26,49 @@ from repro.webspace.virtualweb import VirtualWebSpace
 #: Scale used for the session's generated datasets — big enough for the
 #: statistical shape assertions, small enough to keep the suite fast.
 TEST_SCALE = 0.08
+
+
+#: Checkpoints written by the last commit whose writer produced format
+#: version 3 (see the MANIFEST there): real legacy files, not current
+#: files with an edited header.
+LEGACY_CHECKPOINT_DIR = Path(__file__).parent / "golden" / "fixtures" / "checkpoints"
+
+
+def legacy_checkpoint(name: str, version: int, tmp_path: Path) -> Path:
+    """The recorded v3 checkpoint ``name``, or its v1 / v2 form.
+
+    Versions 1 and 2 are version 3 minus the sections (and the two
+    ``loop`` tallies) added since, so for a fixture that has none of
+    those sections the older file is the same bytes under an older
+    header — which of them that holds for is the manifest's
+    ``also_versions``.
+    """
+    recorded = LEGACY_CHECKPOINT_DIR / f"{name}.v3.ckpt"
+    if version == 3:
+        return recorded
+    header, *sections = recorded.read_text(encoding="utf-8").splitlines()
+    lines = [json.dumps({**json.loads(header), "version": version}, sort_keys=True)]
+    for line in sections:
+        record = json.loads(line)
+        assert record["section"] not in ("adversary", "defenses")
+        assert record["section"] != "sched" or version >= 2
+        if record["section"] == "loop":
+            del record["data"]["redirect_hops"], record["data"]["redirect_aborts"]
+            line = json.dumps(record, sort_keys=True)
+        lines.append(line)
+    path = tmp_path / f"{name}.v{version}.ckpt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def frontier_roundtrip(frontier, into=None):
+    """``restore(snapshot())`` into a fresh frontier of the same class
+    (or ``into``), over a URL table holding just what the snapshot names."""
+    index: dict[str, int] = {}
+    state = frontier.snapshot(index)
+    restored = (into or type(frontier))()
+    restored.restore(state, list(index))
+    return restored
 
 
 def thai_page(url: str, outlinks: tuple[str, ...] = (), charset: str = "TIS-620") -> PageRecord:

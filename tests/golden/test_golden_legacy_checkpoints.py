@@ -1,0 +1,169 @@
+"""Real legacy checkpoints: files an older writer produced still resume.
+
+``fixtures/checkpoints/*.v3.ckpt`` were written by the last commit whose
+writer produced format version 3 (``MANIFEST.json`` there names it),
+each at step 300 of a crawl of the golden web: one per frontier class
+and per optional section — ``sched`` (K=3), ``timing``, ``faults`` /
+``breakers``, ``adversary`` / ``defenses``.  The current reader must
+upgrade each to the in-memory shape the current ``Frontier.restore``
+knows, and a resume from it must replay steps 301–1100 of the crawl it
+was cut from, byte for byte:
+
+- against the checked-in golden trace where the crawl has one;
+- against the digest of the uninterrupted trace the *recording* commit
+  produced (in the manifest), for the crawls that have none — with the
+  current code's own uninterrupted run computed next to it, so that a
+  failure names the first divergent step instead of two hashes.
+
+Versions 1 and 2 are read from header-rewritten forms of the same files
+wherever the file has no section those versions lacked.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from repro.adversary import AdversaryModel, AdversaryProfile, DefenseConfig
+from repro.core.checkpoint import read_checkpoint
+from repro.core.classifier import Classifier
+from repro.core.frontier import ReprioritizableFrontier
+from repro.core.politeness import PoliteOrderingStrategy
+from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
+from repro.core.strategies import get_strategy
+from repro.experiments.golden import (
+    GOLDEN_FIXTURE_DIR,
+    cued_golden_dataset,
+    first_divergence,
+    golden_dataset,
+    read_golden_trace,
+)
+from repro.faults import FaultModel, FaultProfile
+
+from conftest import LEGACY_CHECKPOINT_DIR, legacy_checkpoint
+
+MANIFEST = json.loads((LEGACY_CHECKPOINT_DIR / "MANIFEST.json").read_text(encoding="utf-8"))
+CUT = MANIFEST["cut"]
+
+#: (fixture entry, format version) for every file the suite reads.
+CASES = [
+    pytest.param(entry, version, id=f"{entry['file'].removesuffix('.v3.ckpt')}-v{version}")
+    for entry in MANIFEST["fixtures"]
+    for version in (*entry["also_versions"], 3)
+]
+
+
+@pytest.fixture(scope="module")
+def datasets():
+    return {False: golden_dataset(), True: cued_golden_dataset()}
+
+
+def _digest(rows: list[dict]) -> str:
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _trace(dataset, entry: dict, resume_from=None) -> list[dict]:
+    """The crawl ``entry`` was cut from (or its tail, resumed), as trace rows."""
+    strategy = get_strategy(entry["strategy"])
+    if entry.get("polite"):
+        strategy = PoliteOrderingStrategy(strategy)
+    extras: dict = {}
+    if entry.get("concurrency") is not None:
+        extras["concurrency"] = entry["concurrency"]
+    if entry.get("faults"):
+        extras["faults"] = FaultModel(
+            profile=FaultProfile(**MANIFEST["fault_profile"]), seed=MANIFEST["fault_seed"]
+        )
+    if entry.get("adversary"):
+        extras["adversary"] = AdversaryModel(
+            profile=AdversaryProfile(**MANIFEST["adversary_profile"]),
+            seed=MANIFEST["adversary_seed"],
+        )
+        extras["defenses"] = DefenseConfig.standard()
+    rows: list[dict] = []
+    CrawlSession(
+        CrawlRequest(
+            strategy=strategy,
+            web=dataset.web(),
+            classifier=Classifier(dataset.target_language),
+            seeds=tuple(dataset.seed_urls),
+            relevant_urls=dataset.relevant_urls(),
+        ),
+        SessionConfig(
+            max_pages=MANIFEST["max_pages"],
+            sample_interval=max(1, len(dataset.crawl_log) // 200),
+            on_fetch=lambda event: rows.append(
+                {"step": event.step, "url": event.url, "relevant": event.judgment.relevant}
+            ),
+            resume_from=resume_from,
+            **extras,
+        ),
+    ).run()
+    return rows
+
+
+class TestFixtureIntegrity:
+    def test_manifest_lists_exactly_the_files(self):
+        on_disk = sorted(path.name for path in LEGACY_CHECKPOINT_DIR.glob("*.ckpt"))
+        assert on_disk == sorted(entry["file"] for entry in MANIFEST["fixtures"])
+
+    def test_files_are_version_3_in_the_per_candidate_layout(self):
+        """Guards against "refreshing" a fixture with the current writer."""
+        for entry in MANIFEST["fixtures"]:
+            lines = (LEGACY_CHECKPOINT_DIR / entry["file"]).read_text(encoding="utf-8").splitlines()
+            assert json.loads(lines[0])["version"] == 3, entry["file"]
+            sections = {record["section"]: record["data"] for record in map(json.loads, lines[1:])}
+            assert sorted(sections) == entry["sections"]
+            assert "urls" not in sections and isinstance(sections["scheduled"], list)
+            assert sections["frontier"]["kind"] == entry["frontier_kind"]
+            assert "u" not in sections["frontier"]
+
+    def test_every_frontier_class_and_optional_section_is_covered(self):
+        assert {entry["frontier_kind"] for entry in MANIFEST["fixtures"]} == {
+            "fifo", "priority", "reprioritizable", "host-queue",
+        }
+        covered = set().union(*(entry["sections"] for entry in MANIFEST["fixtures"]))
+        assert covered >= {"sched", "timing", "faults", "breakers", "adversary", "defenses"}
+        assert {version for entry in MANIFEST["fixtures"] for version in entry["also_versions"]} == {1, 2}
+
+
+class TestLegacyResumeReplaysItsTrace:
+    @pytest.mark.parametrize("entry, version", CASES)
+    def test_resume_replays_the_rest_of_the_crawl(self, datasets, entry, version, tmp_path):
+        dataset = datasets[bool(entry.get("cued"))]
+        label = f"{entry['file']} read as v{version}"
+        resumed = _trace(
+            dataset, entry, legacy_checkpoint(entry["file"].removesuffix(".v3.ckpt"), version, tmp_path)
+        )
+        if entry.get("golden"):
+            expected = read_golden_trace(GOLDEN_FIXTURE_DIR / entry["golden"])[1]
+        else:
+            expected = _trace(dataset, entry)
+        divergence = first_divergence(expected[CUT:], resumed)
+        assert divergence is None, f"{label}: {divergence}"
+        assert len(resumed) == entry["suffix_pages"]
+        assert _digest(resumed) == entry["suffix_sha256"], (
+            f"{label}: the resumed tail equals today's uninterrupted run but not "
+            "the run of the commit that wrote the file"
+        )
+
+    @pytest.mark.parametrize(
+        "entry", [e for e in MANIFEST["fixtures"] if e["frontier_kind"] == "reprioritizable"]
+    )
+    def test_reprioritizable_frontier_drains_in_the_recorded_order(self, entry):
+        """Frontier level: the upgraded section, restored and drained,
+        pops every candidate — all four fields — in the order the
+        recording commit's own restore popped them."""
+        state = read_checkpoint(LEGACY_CHECKPOINT_DIR / entry["file"])
+        frontier = ReprioritizableFrontier()
+        frontier.restore(state.frontier, state.urls)
+        pops = []
+        while frontier:
+            candidate = frontier.pop()
+            pops.append(
+                [candidate.url, candidate.priority, candidate.distance, candidate.referrer]
+            )
+        assert len(pops) == entry["drain_length"]
+        assert _digest(pops) == entry["drain_sha256"]

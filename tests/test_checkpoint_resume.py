@@ -34,9 +34,10 @@ from repro.core.simulator import SimulationConfig, Simulator
 from repro.core.strategies import BreadthFirstStrategy, SimpleStrategy
 from repro.core.timing import TimingModel
 from repro.errors import CheckpointError, ConfigError
+from repro.experiments.golden import golden_dataset
 from repro.faults import FaultModel, FaultProfile
 
-from conftest import SEED, A, C, F
+from conftest import SEED, A, C, F, frontier_roundtrip, legacy_checkpoint
 
 THAI_SET = frozenset({SEED, A, C, F})
 
@@ -49,8 +50,12 @@ def _state(**overrides) -> CheckpointState:
     defaults = dict(
         strategy="breadth-first",
         steps=3,
-        frontier={"kind": "fifo", "queue": [], "pushes": 0, "pops": 0, "peak": 0},
-        scheduled=[SEED],
+        urls=[SEED],
+        scheduled=1,
+        frontier={
+            "kind": "fifo", "pushes": 1, "pops": 1, "peak_size": 1,
+            "u": [], "p": [], "d": [], "r": [],
+        },
         recorder={},
         visitor={"pages_fetched": 3, "bytes_fetched": 6144, "fetches_failed": 0},
         loop={},
@@ -77,8 +82,12 @@ class TestCheckpointFile:
         state = _state(timing={"now": 4.5}, breakers={"hosts": {}})
         write_checkpoint(path, state)
         loaded = read_checkpoint(path)
+        assert json.loads(path.read_text().splitlines()[0])["version"] == FORMAT_VERSION == 4
         assert loaded.strategy == "breadth-first"
         assert loaded.steps == 3
+        assert (loaded.urls, loaded.scheduled, loaded.frontier) == (
+            state.urls, state.scheduled, state.frontier,
+        )
         assert loaded.visitor == state.visitor
         assert loaded.timing == {"now": 4.5}
         assert loaded.faults is None
@@ -146,6 +155,123 @@ class TestCheckpointFile:
             read_checkpoint(path)
 
 
+def _drop(*path):
+    """A mutation deleting ``sections[path[0]][path[1]]...``."""
+
+    def mutate(sections):
+        *parents, last = path
+        target = sections
+        for key in parents:
+            target = target[key]
+        del target[last]
+
+    return mutate
+
+
+def _put(value, *path):
+    """A mutation setting ``sections[path[0]][path[1]]... = value``
+    (``value`` may be a function of the sections)."""
+
+    def mutate(sections):
+        *parents, last = path
+        target = sections
+        for key in parents:
+            target = target[key]
+        target[last] = value(sections) if callable(value) else value
+
+    return mutate
+
+
+#: (label, format version of the file, section the error must name, mutation).
+#: The first six are the faults that escaped as bare exceptions — or
+#: loaded without complaint — from version-3 files; the rest are what
+#: the version-4 layout makes possible, plus the same six again where a
+#: version-4 file can have them.
+MALFORMATIONS = [
+    ("v3 candidate without its url", 3, "frontier", _drop("frontier", "heap", 0, 2, "u")),
+    ("v3 short heap row", 3, "frontier", _put(lambda s: s["frontier"]["heap"][0][:2], "frontier", "heap", 0)),
+    ("v3 frontier without counter", 3, "frontier", _drop("frontier", "counter")),
+    ("v3 recorder without covered", 3, "recorder", _drop("recorder", "covered")),
+    ("v3 loop is a string", 3, "loop", _put("x", "loop")),
+    ("v3 scheduled of integers", 3, "scheduled", _put([1, 2, 3], "scheduled")),
+    ("v3 scheduled is a number", 3, "scheduled", _put(7, "scheduled")),
+    ("v3 frontier is a list", 3, "frontier", _put([], "frontier")),
+    ("ragged candidate columns", 4, "frontier", _put(lambda s: s["frontier"]["p"][:-1], "frontier", "p")),
+    ("ragged heap columns", 4, "frontier", _put(lambda s: s["frontier"]["tiebreak"][:-1], "frontier", "tiebreak")),
+    ("candidate column missing", 4, "frontier", _drop("frontier", "u")),
+    ("position past the table", 4, "frontier", _put(lambda s: len(s["urls"]), "frontier", "u", 0)),
+    ("referrer past the table", 4, "frontier", _put(lambda s: len(s["urls"]), "frontier", "r", 0)),
+    ("position -1 would wrap around", 4, "frontier", _put(-1, "frontier", "u", 0)),
+    ("referrer below -1", 4, "frontier", _put(-2, "frontier", "r", 0)),
+    ("position is a string", 4, "frontier", _put("0", "frontier", "u", 0)),
+    ("tiebreak is a float", 4, "frontier", _put(0.5, "frontier", "tiebreak", 0)),
+    ("non-string table entry", 4, "urls", _put(5, "urls", 0)),
+    ("table is an object", 4, "urls", _put({}, "urls")),
+    ("scheduled count past the table", 4, "scheduled", _put(lambda s: len(s["urls"]) + 1, "scheduled")),
+    ("scheduled count negative", 4, "scheduled", _put(-1, "scheduled")),
+    ("scheduled is a list again", 4, "scheduled", _put(lambda s: s["urls"], "scheduled")),
+    ("frontier without counter", 4, "frontier", _drop("frontier", "counter")),
+    ("recorder without covered", 4, "recorder", _drop("recorder", "covered")),
+    ("loop is a string", 4, "loop", _put("x", "loop")),
+    ("visitor is a list", 4, "visitor", _put([], "visitor")),
+]
+
+
+class TestMalformedContents:
+    """A structural fault inside any section, of a legacy file or a
+    current one, is a :class:`CheckpointError` naming the file and the
+    section — never a bare ``KeyError`` / ``TypeError`` out of restore
+    code (the wire handler only turns library errors into replies), and
+    never a silent load."""
+
+    @pytest.fixture(scope="class")
+    def request_(self):
+        """The crawl the recorded ``soft-focused`` checkpoint was cut from."""
+        return CrawlRequest(strategy="soft-focused", dataset=golden_dataset()).resolve()
+
+    def _resume(self, request_, path):
+        sample_interval = max(1, len(request_.web.crawl_log) // 200)  # as recorded
+        config = SessionConfig(sample_interval=sample_interval, resume_from=path)
+        return CrawlSession(request_, config).open()
+
+    @pytest.mark.parametrize(
+        "version, section, mutate",
+        [pytest.param(*row[1:], id=row[0]) for row in MALFORMATIONS],
+    )
+    def test_is_a_checkpoint_error_naming_file_and_section(
+        self, request_, tmp_path, version, section, mutate
+    ):
+        path = legacy_checkpoint("soft-focused", 3, tmp_path)
+        if version == 4:
+            path = tmp_path / "current.ckpt"
+            self._resume(request_, legacy_checkpoint("soft-focused", 3, tmp_path)).save_checkpoint(path)
+        header, *lines = path.read_text(encoding="utf-8").splitlines()
+        assert json.loads(header)["version"] == version
+        sections = {record["section"]: record["data"] for record in map(json.loads, lines)}
+        mutate(sections)
+        broken = tmp_path / "broken.ckpt"
+        broken.write_text(
+            "\n".join(
+                [header]
+                + [json.dumps({"section": name, "data": data}) for name, data in sections.items()]
+            )
+            + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(CheckpointError) as caught:
+            self._resume(request_, broken)
+        assert str(broken) in str(caught.value)
+        assert repr(section) in str(caught.value)
+
+    def test_the_unbroken_files_resume(self, request_, tmp_path):
+        """The other half of the parametrised test: what it mutates loads."""
+        legacy = self._resume(request_, legacy_checkpoint("soft-focused", 3, tmp_path))
+        current = tmp_path / "current.ckpt"
+        legacy.save_checkpoint(current)
+        assert self._resume(request_, current).status() == legacy.status()
+        assert legacy.status().steps == 300
+
+
 class TestFrontierSnapshots:
     def _drain(self, frontier):
         urls = []
@@ -162,30 +288,28 @@ class TestFrontierSnapshots:
             frontier.push(Candidate(url=url, priority=index % 2, distance=index))
         frontier.pop()
 
-        restored = make()
-        restored.restore(frontier.snapshot())
+        restored = frontier_roundtrip(frontier)
         assert self._drain(restored) == self._drain(frontier)
 
     def test_fifo_rejects_foreign_kind(self):
         frontier = PriorityFrontier()
         frontier.push(Candidate(url=SEED))
         with pytest.raises(CheckpointError, match="kind"):
-            FIFOFrontier().restore(frontier.snapshot())
+            frontier_roundtrip(frontier, into=FIFOFrontier)
 
     def test_reprioritizable_drops_tombstones(self):
         frontier = ReprioritizableFrontier()
         frontier.push(Candidate(url=SEED, priority=1))
         frontier.push(Candidate(url=A, priority=2))
         frontier.update_priority(SEED, 9)  # leaves a tombstone in the heap
-        restored = ReprioritizableFrontier()
-        restored.restore(frontier.snapshot())
+        restored = frontier_roundtrip(frontier)
+        assert restored.stale_entries == 0
         assert self._drain(restored) == [SEED, A]
 
     def test_candidate_fields_survive(self):
         frontier = PriorityFrontier()
         frontier.push(Candidate(url=A, priority=3, distance=2, referrer=SEED))
-        restored = PriorityFrontier()
-        restored.restore(frontier.snapshot())
+        restored = frontier_roundtrip(frontier)
         candidate = restored.pop()
         assert (candidate.url, candidate.priority, candidate.distance, candidate.referrer) == (
             A, 3, 2, SEED,

@@ -14,7 +14,7 @@ from repro.core.simulator import SimulationConfig, Simulator
 from repro.core.strategies import BreadthFirstStrategy, SimpleStrategy
 from repro.errors import CheckpointError, FrontierError
 
-from conftest import SEED
+from conftest import SEED, frontier_roundtrip
 
 
 def candidate(url: str) -> Candidate:
@@ -96,8 +96,7 @@ class TestHostQueueSnapshot:
             frontier.push(candidate(url))
         frontier.pop()  # mid-rotation: a served, b at the head
 
-        restored = HostQueueFrontier()
-        restored.restore(frontier.snapshot())
+        restored = frontier_roundtrip(frontier)
         assert self._drain(restored) == self._drain(frontier)
 
     def test_roundtrip_with_drained_site_reentry(self):
@@ -109,8 +108,7 @@ class TestHostQueueSnapshot:
         frontier.pop()  # a drains and leaves the rotation
         frontier.push(candidate("http://a.example/p1"))  # re-enters after b
 
-        restored = HostQueueFrontier()
-        restored.restore(frontier.snapshot())
+        restored = frontier_roundtrip(frontier)
         assert self._drain(restored) == [
             "http://b.example/p0",
             "http://a.example/p1",
@@ -122,8 +120,7 @@ class TestHostQueueSnapshot:
             frontier.push(candidate(f"http://h{index}.example/p0"))
         frontier.pop()
 
-        restored = HostQueueFrontier()
-        restored.restore(frontier.snapshot())
+        restored = frontier_roundtrip(frontier)
         for target in (frontier, restored):
             target.push(candidate("http://h0.example/p1"))
             target.push(candidate("http://new.example/p0"))
@@ -136,8 +133,7 @@ class TestHostQueueSnapshot:
         frontier.pop()
         frontier.pop()
 
-        restored = HostQueueFrontier()
-        restored.restore(frontier.snapshot())
+        restored = frontier_roundtrip(frontier)
         assert len(restored) == 2
         assert restored.pops == 2
         assert restored.peak_size == 4
@@ -147,8 +143,7 @@ class TestHostQueueSnapshot:
         frontier.push(
             Candidate(url="http://a.example/p", priority=3, distance=2, referrer=SEED)
         )
-        restored = HostQueueFrontier()
-        restored.restore(frontier.snapshot())
+        restored = frontier_roundtrip(frontier)
         popped = restored.pop()
         assert (popped.url, popped.priority, popped.distance, popped.referrer) == (
             "http://a.example/p", 3, 2, SEED,
@@ -160,7 +155,7 @@ class TestHostQueueSnapshot:
         fifo = FIFOFrontier()
         fifo.push(candidate(SEED))
         with pytest.raises(CheckpointError, match="kind"):
-            HostQueueFrontier().restore(fifo.snapshot())
+            frontier_roundtrip(fifo, into=HostQueueFrontier)
 
 
 class TestPoliteKillResume:

@@ -18,7 +18,12 @@ import pytest
 
 from repro import CrawlRequest, CrawlSession, SessionConfig, report_payload
 from repro.adversary import AdversarialWebSpace
-from repro.core.candidate import Candidate, candidate_to_dict, stamp_uid
+from repro.core.candidate import (
+    Candidate,
+    candidate_to_dict,
+    candidates_to_columns,
+    stamp_uid,
+)
 from repro.core.classifier import Classifier
 from repro.core.engine import CrawlEngine
 from repro.core.metrics import MetricsRecorder
@@ -228,11 +233,20 @@ class TestIdOfCalls:
 class TestCheckpointsHoldNoIds:
     def test_candidate_wire_form_ignores_the_hint(self):
         plain = Candidate(url="http://a.example/", priority=1, referrer="http://b.example/")
-        hinted = stamp_uid(replace(plain), 7)
-        assert hinted.uid == 7 and plain.uid is None
+        hinted = stamp_uid(plain, 7)
+        assert hinted.uid == 7 and plain.uid is None  # a copy: candidates are immutable
         assert hinted == plain and hash(hinted) == hash(plain)
+        assert not hinted != plain
         assert candidate_to_dict(hinted) == candidate_to_dict(plain)
-        assert replace(hinted, url="http://c.example/").uid is None  # new URL, no hint
+        assert candidates_to_columns([hinted], {}) == candidates_to_columns([plain], {})
+        # The engine's alias path: a new URL, so no hint.
+        assert hinted._replace(url="http://c.example/", uid=None).uid is None
+
+    def test_a_candidate_cannot_be_assigned_to(self):
+        candidate = Candidate(url="http://a.example/")
+        for field in ("url", "priority", "uid", "anything"):
+            with pytest.raises(AttributeError):
+                setattr(candidate, field, 1)
 
     @pytest.mark.parametrize("concurrency", [None, 3])
     def test_store_checkpoint_bytes_equal_memory_checkpoint_bytes(
@@ -240,7 +254,7 @@ class TestCheckpointsHoldNoIds:
     ):
         """A store crawl's frontier is full of hinted candidates and its
         in-flight responses carry ids; the memory crawl has neither.  The
-        files must not differ by a byte (v1–v3 formats unchanged)."""
+        files must not differ by a byte: format v4 holds no ids either."""
         written = []
         for name, dataset in (("store", store_dataset), ("memory", memory_twin)):
             path = tmp_path / f"{name}.ckpt"

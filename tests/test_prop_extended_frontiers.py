@@ -11,6 +11,8 @@ from repro.core.frontier import Candidate, ReprioritizableFrontier
 from repro.core.politeness import HostQueueFrontier
 from repro.core.spilling import SpillingFrontier
 
+from conftest import frontier_roundtrip
+
 pushes = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=400),  # url id
@@ -100,8 +102,7 @@ class TestHostQueueProperties:
         for _ in range(min(prepops, len(items))):
             frontier.pop()
 
-        restored = HostQueueFrontier()
-        restored.restore(frontier.snapshot())
+        restored = frontier_roundtrip(frontier)
         for target in (frontier, restored):
             for item in extra:
                 target.push(candidate(*item))

@@ -3,10 +3,26 @@
 import json
 from collections import Counter
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.candidate import candidate_from_dict, candidate_to_dict
-from repro.core.frontier import Candidate, FIFOFrontier, PriorityFrontier
+from repro.core.candidate import (
+    candidate_from_dict,
+    candidate_to_dict,
+    candidates_from_columns,
+    candidates_to_columns,
+    stamp_uid,
+)
+from repro.core.frontier import (
+    Candidate,
+    FIFOFrontier,
+    PriorityFrontier,
+    ReprioritizableFrontier,
+)
+from repro.core.politeness import HostQueueFrontier
+from repro.errors import CheckpointError
+
+from conftest import frontier_roundtrip
 
 pushes = st.lists(
     st.tuples(st.integers(min_value=0, max_value=999), st.integers(min_value=-5, max_value=5)),
@@ -116,6 +132,128 @@ class TestCandidateSerialization:
         assert ("p" in entry) == bool(c.priority)
         assert ("d" in entry) == bool(c.distance)
         assert ("r" in entry) == (c.referrer is not None)
+
+
+#: A small pool, so that batches share URLs and referrers; one entry is
+#: not ASCII (checkpoints are UTF-8 JSON, not escaped ASCII by contract).
+_POOL = [f"http://h{n % 5}.example/p{n}" for n in range(24)] + ["http://ไทย.example/หน้า"]
+pool_urls = st.sampled_from(_POOL)
+
+batches = st.lists(
+    st.builds(
+        Candidate,
+        url=pool_urls,
+        priority=st.integers(min_value=-100, max_value=100),
+        distance=st.integers(min_value=0, max_value=50),
+        referrer=st.one_of(st.none(), pool_urls),
+        uid=st.one_of(st.none(), st.integers(min_value=0, max_value=10**6)),
+    ),
+    max_size=40,
+)
+
+#: The part of the URL table that exists before the batch is written —
+#: in a checkpoint, the ``scheduled`` set.  Drawn independently of the
+#: batch, so some batch URLs are in it and some are not.
+tables = st.lists(pool_urls, unique=True, max_size=len(_POOL))
+
+
+class TestCandidateColumns:
+    """The batch form: columns of positions in a URL table."""
+
+    @given(batches, tables)
+    def test_round_trip_is_identity(self, batch, scheduled):
+        index = {url: position for position, url in enumerate(scheduled)}
+        columns = candidates_to_columns(batch, index)
+        table = list(index)
+        assert table[: len(scheduled)] == scheduled  # the table only ever grows
+        restored = candidates_from_columns(json.loads(json.dumps(columns)), table)
+        assert restored == batch
+        assert [type(c) for c in restored] == [Candidate] * len(batch)
+        assert all(c.uid is None for c in restored)  # hints are not serialised
+
+    @given(batches)
+    def test_every_url_is_in_the_table_once(self, batch):
+        index: dict[str, int] = {}
+        columns = candidates_to_columns(batch, index)
+        named = {c.url for c in batch} | {c.referrer for c in batch if c.referrer is not None}
+        assert set(index) == named and sorted(index.values()) == list(range(len(named)))
+        assert [p == -1 for p in columns["r"]] == [c.referrer is None for c in batch]
+
+    def test_empty_batch(self):
+        assert candidates_to_columns([], {}) == {"u": [], "p": [], "d": [], "r": []}
+        assert candidates_from_columns({"u": [], "p": [], "d": [], "r": []}, []) == []
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {"u": [0, 1], "p": [0], "d": [0, 0], "r": [-1, -1]},  # ragged
+            {"u": [0], "p": [0], "d": [0]},  # a column missing
+            {"u": [2], "p": [0], "d": [0], "r": [-1]},  # past the table
+            {"u": [0], "p": [0], "d": [0], "r": [2]},
+            {"u": [-1], "p": [0], "d": [0], "r": [-1]},  # would wrap to the last entry
+            {"u": [0], "p": [0], "d": [0], "r": [-2]},
+            {"u": ["0"], "p": [0], "d": [0], "r": [-1]},  # not integers
+            {"u": [0], "p": [None], "d": [0], "r": [-1]},
+            {"u": [True], "p": [0], "d": [0], "r": [-1]},
+            {"u": 0, "p": 0, "d": 0, "r": 0},  # not columns at all
+        ],
+    )
+    def test_malformed_columns_are_checkpoint_errors(self, columns):
+        with pytest.raises(CheckpointError):
+            candidates_from_columns(columns, ["http://a.example/", "http://b.example/"])
+
+
+#: push (url, priority, referrer) / pop (None) / re-prioritise (url, int).
+snapshot_operations = st.lists(
+    st.one_of(
+        st.tuples(pool_urls, st.integers(min_value=-3, max_value=3), st.one_of(st.none(), pool_urls)),
+        st.none(),
+        st.tuples(pool_urls, st.integers(min_value=-3, max_value=3)),
+    ),
+    max_size=60,
+)
+
+
+class TestSnapshotRoundTrip:
+    """``restore(snapshot())`` is exact for every checkpointable frontier:
+    the same pops in the same order, the same counters — and the same
+    again after both sides take further pushes, which is what pins the
+    tiebreak counter and the host rotation."""
+
+    @pytest.mark.parametrize(
+        "make", [FIFOFrontier, PriorityFrontier, ReprioritizableFrontier, HostQueueFrontier]
+    )
+    @given(ops=snapshot_operations, later=batches)
+    @settings(max_examples=60, deadline=None)
+    def test_restored_frontier_is_indistinguishable(self, make, ops, later):
+        frontier = make()
+        queued: set[str] = set()
+        for op in ops:
+            if op is None:
+                if frontier:
+                    queued.discard(frontier.pop().url)
+            elif len(op) == 2:
+                if make is ReprioritizableFrontier:
+                    frontier.update_priority(*op)
+            elif op[0] not in queued:  # the reprioritizable frontier queues a URL once
+                queued.add(op[0])
+                frontier.push(stamp_uid(Candidate(op[0], op[1], 0, op[2]), 7))
+
+        restored = frontier_roundtrip(frontier)
+        for name in ("pushes", "pops", "peak_size"):
+            assert getattr(restored, name) == getattr(frontier, name), name
+        assert len(restored) == len(frontier)
+        assert getattr(restored, "_counter", None) == getattr(frontier, "_counter", None)
+
+        for candidate in later:
+            if candidate.url not in queued:
+                queued.add(candidate.url)
+                frontier.push(candidate)
+                restored.push(candidate)
+        assert [restored.pop() for _ in range(len(restored))] == [
+            frontier.pop() for _ in range(len(frontier))
+        ]
+        assert (restored.pushes, restored.pops) == (frontier.pushes, frontier.pops)
 
 
 class TestInterleaved:

@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.checkpoint import (
     FORMAT_VERSION,
-    CheckpointState,
     read_checkpoint,
     write_checkpoint,
 )
@@ -36,7 +35,7 @@ from repro.webspace.virtualweb import FetchResponse
 
 from repro.api import run_crawl
 
-from conftest import SEED, A, C, F
+from conftest import SEED, A, C, F, legacy_checkpoint
 
 THAI_SET = frozenset({SEED, A, C, F})
 
@@ -220,27 +219,14 @@ class TestCheckpointFormatV2:
 
     def test_v1_files_still_read(self, tmp_path):
         """Newer formats only *add* optional sections; a v1 file
-        (pre-scheduler) must load unchanged, with ``sched=None``."""
-        assert FORMAT_VERSION == 3
-        path = tmp_path / "v1.ckpt"
-        write_checkpoint(
-            path,
-            CheckpointState(
-                strategy="breadth-first",
-                steps=3,
-                frontier={"kind": "fifo", "queue": [], "pushes": 0, "pops": 0, "peak": 0},
-                scheduled=[SEED],
-                recorder={},
-                visitor={"pages_fetched": 3, "bytes_fetched": 6144, "fetches_failed": 0},
-                loop={},
-            ),
-        )
-        lines = path.read_text(encoding="utf-8").splitlines()
-        header = json.loads(lines[0])
-        header["version"] = 1
-        path.write_text(
-            "\n".join([json.dumps(header)] + lines[1:]) + "\n", encoding="utf-8"
-        )
-        loaded = read_checkpoint(path)
-        assert loaded.steps == 3
+        (pre-scheduler) loads with ``sched=None``, in the current
+        in-memory shape.  (That a resume from it replays its golden
+        trace is ``tests/golden/test_golden_legacy_checkpoints.py``.)"""
+        assert FORMAT_VERSION == 4
+        loaded = read_checkpoint(legacy_checkpoint("breadth-first", 1, tmp_path))
+        assert loaded.steps == 300
         assert loaded.sched is None
+        assert loaded.scheduled == 820 <= len(loaded.urls)
+        assert sorted(loaded.frontier) == [
+            "d", "kind", "p", "peak_size", "pops", "pushes", "r", "u",
+        ]

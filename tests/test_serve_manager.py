@@ -17,7 +17,15 @@ from repro.charset.languages import Language
 from repro.core.classifier import Classifier
 from repro.core.strategies import BreadthFirstStrategy, SimpleStrategy
 from repro.core.timing import TimingModel
-from repro.errors import ConfigError, SessionError
+from repro.errors import CheckpointError, ConfigError, SessionError
+from repro.experiments.golden import (
+    GOLDEN_FIXTURE_DIR,
+    GOLDEN_MAX_PAGES,
+    first_divergence,
+    golden_dataset,
+    golden_strategies,
+    read_golden_trace,
+)
 from repro.faults import FaultModel, FaultProfile
 from repro.serve import SessionManager
 
@@ -182,6 +190,55 @@ class TestEviction:
         manager.close("s")
         assert not list(tmp_path.glob("s.*.ckpt"))
 
+    def test_spool_exists_only_while_evicted(self, tiny_web, tmp_path):
+        """Absent while resident, present while evicted: every eviction's
+        rename lands on an absent name, and a live session leaves
+        nothing of its own on disk."""
+        spool = tmp_path / "s.evict.ckpt"
+        manager = SessionManager(spool_dir=tmp_path)
+        manager.open("s", _request(tiny_web))
+        assert not spool.exists()
+        for _ in range(3):
+            manager.step("s", 1)
+            assert not spool.exists()
+            manager.evict("s")
+            assert spool.exists() and not list(tmp_path.glob("*.tmp"))
+        manager.report("s")  # a report makes it resident again, too
+        assert not spool.exists()
+        manager.close("s")
+        assert not list(tmp_path.iterdir())
+
+    def test_a_spool_that_fails_to_resume_is_kept(self, tiny_web, tmp_path):
+        spool = tmp_path / "s.evict.ckpt"
+        manager = SessionManager(spool_dir=tmp_path)
+        manager.open("s", _request(tiny_web))
+        manager.step("s", 1)
+        manager.evict("s")
+        good = spool.read_text(encoding="utf-8")
+        spool.write_text(good.replace('"section": "loop"', '"section": "pool"'))
+        with pytest.raises(CheckpointError, match="unknown section"):
+            manager.step("s", 1)
+        assert spool.exists(), "the only copy of the session must survive a failed resume"
+        spool.write_text(good, encoding="utf-8")
+        assert manager.step("s", 1).steps == 2
+        assert not spool.exists()
+
+    def test_close_without_spool_dir_deletes_nothing_of_the_callers(
+        self, tiny_web, tmp_path, monkeypatch
+    ):
+        """A manager with no spool dir never wrote a spool, so it has
+        none to delete — in particular not a file of that name in the
+        working directory."""
+        monkeypatch.chdir(tmp_path)
+        bystander = tmp_path / "s1.evict.ckpt"
+        bystander.write_text("not the manager's")
+        manager = SessionManager()
+        manager.open("s1", _request(tiny_web))
+        manager.step("s1", 1)
+        manager.close("s1")
+        assert bystander.read_text() == "not the manager's"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["s1.evict.ckpt"]
+
     def test_close_removes_defaulted_periodic_checkpoint(self, tiny_web, tmp_path):
         manager = SessionManager(spool_dir=tmp_path)
         manager.open("s", _request(tiny_web), SessionConfig(checkpoint_every=1))
@@ -214,6 +271,51 @@ class TestEviction:
             manager.report("s")
             manager.evict("s")
         assert _canon(manager.close("s")) == _canon(full)
+
+
+class TestEvictEveryStepOnGoldens:
+    """Eviction identity at golden scale: a session evicted after *every*
+    step — so every step resumes from a spool the step before wrote —
+    fetches what the uninterrupted crawl fetches and reports what it
+    reports, for every golden strategy, round-based and at K=8."""
+
+    BUDGET = 90  # pages a step: 12 evict/resume cycles over a full 1100-page crawl
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return golden_dataset()
+
+    def _crawl(self, dataset, name, concurrency, rows):
+        request = CrawlRequest(strategy=golden_strategies()[name](), dataset=dataset)
+        config = SessionConfig(
+            max_pages=GOLDEN_MAX_PAGES,
+            sample_interval=50,
+            concurrency=concurrency,
+            on_fetch=lambda event: rows.append(
+                {"step": event.step, "url": event.url, "relevant": event.judgment.relevant}
+            ),
+        )
+        return request.resolve(), config
+
+    @pytest.mark.parametrize("concurrency", [None, 8])
+    @pytest.mark.parametrize("name", sorted(golden_strategies()))
+    def test_evicted_every_step_equals_uninterrupted(self, dataset, name, concurrency, tmp_path):
+        expected_rows: list[dict] = []
+        expected = CrawlSession(*self._crawl(dataset, name, concurrency, expected_rows)).run()
+        if concurrency is None:
+            golden = read_golden_trace(GOLDEN_FIXTURE_DIR / f"{name}.jsonl")[1]
+            assert first_divergence(golden, expected_rows) is None
+
+        rows: list[dict] = []
+        manager = SessionManager(spool_dir=tmp_path)
+        manager.open("s", *self._crawl(dataset, name, concurrency, rows))
+        while not manager.step("s", self.BUDGET).done:
+            manager.evict("s")
+        cycles = (len(expected_rows) - 1) // self.BUDGET
+        assert manager.stats()["evictions"] == manager.stats()["resumes"] == cycles >= 6
+        divergence = first_divergence(expected_rows, rows)
+        assert divergence is None, f"{name} K={concurrency}, evicted every step: {divergence}"
+        assert _canon(manager.close("s")) == _canon(expected)
 
 
 class TestMidBackoffEviction:
@@ -300,6 +402,32 @@ class TestMidBackoffEviction:
         status = manager.recover("s")
         assert status.state == "open"
         manager.close("s")
+
+    def test_dirty_session_falls_back_to_periodic_not_to_a_spool(self, tiny_web, tmp_path):
+        """The spool of an earlier eviction is gone by the time a later
+        step dies, so the fallback is the periodic checkpoint — which a
+        resume from it must leave in place."""
+        full, _ = self._run_reference(tiny_web, tmp_path)
+        spool_dir = tmp_path / "spool"
+        manager = SessionManager(spool_dir=spool_dir)
+        manager.open(
+            "s", _request(tiny_web), self._faulty_config(_BackoffKillTimingModel(2))
+        )
+        manager.step("s", 1)
+        manager.evict("s")  # a clean eviction first: writes the spool
+        with pytest.raises(_KillSignal):
+            manager.step("s")  # resumes (spool deleted), then dies mid-backoff
+        assert not (spool_dir / "s.evict.ckpt").exists()
+        manager.evict("s")  # dirty: falls back to the periodic checkpoint
+        assert not (spool_dir / "s.evict.ckpt").exists()
+        manager.step("s")
+        assert (spool_dir / "s.periodic.ckpt").exists()
+        resumed = manager.report("s")
+        assert resumed.series.to_dict() == full.series.to_dict()
+        for key in ("retries", "requeued", "dropped", "fetches_failed"):
+            assert resumed.resilience[key] == full.resilience[key], key
+        manager.close("s")
+        assert not list(spool_dir.iterdir())
 
     def test_dirty_evict_without_checkpoint_refuses(self, tiny_web, tmp_path):
         manager = SessionManager(spool_dir=tmp_path)

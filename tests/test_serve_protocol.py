@@ -193,6 +193,36 @@ class TestProtocolHandler:
         )
         assert handler.manager.stats()["evictions"] >= 1
 
+    def test_malformed_spool_is_an_error_reply_not_a_traceback(self, tmp_path, serve_cache):
+        """``handle`` turns library errors into replies and lets anything
+        else escape, so a structurally broken spool must surface as a
+        ``CheckpointError`` — here a frontier position past the URL
+        table, which the restore code would otherwise meet as an
+        ``IndexError`` — and the session must survive to be retried."""
+        handler = _handler(tmp_path, serve_cache)
+        handler.handle(_open_command("s", "soft-focused", 9002))
+        handler.handle({"cmd": "step", "session": "s", "budget": 10})
+        assert handler.handle({"cmd": "evict", "session": "s"})["ok"]
+        spool = tmp_path / "spool" / "s.evict.ckpt"
+        good = spool.read_text(encoding="utf-8")
+        lines = good.splitlines()
+        for number, line in enumerate(lines):
+            record = json.loads(line)
+            if record.get("section") == "frontier":
+                record["data"]["u"][0] = 10**6
+                lines[number] = json.dumps(record)
+        spool.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        reply = handler.handle({"cmd": "step", "session": "s", "budget": 10})
+        assert reply["ok"] is False
+        assert reply["error"]["type"] == "CheckpointError"
+        assert "s.evict.ckpt" in reply["error"]["message"]
+        assert "'frontier'" in reply["error"]["message"]
+
+        spool.write_text(good, encoding="utf-8")
+        reply = handler.handle({"cmd": "step", "session": "s", "budget": 10})
+        assert reply["ok"] and reply["status"]["steps"] == 20
+
     def test_concurrent_session_matches_one_shot(self, tmp_path, serve_cache):
         """A wire session at concurrency=2 reports exactly as a direct
         event-driven run of the same request."""
