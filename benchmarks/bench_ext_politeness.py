@@ -11,24 +11,29 @@ only modestly.
 
 from repro.charset.languages import Language
 from repro.core.classifier import Classifier
-from repro.core.politeness import PoliteOrderingStrategy, mean_same_site_run
-from repro.core.simulator import SimulationConfig, Simulator
+from repro.core.politeness import HostQueues, mean_same_site_run
+from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
 from repro.core.strategies import BreadthFirstStrategy, SimpleStrategy
 from repro.experiments.report import render_table
 
 from conftest import emit
 
 
-def _crawl(dataset, strategy, max_pages=None):
+def _crawl(dataset, strategy, frontier=None):
     urls = []
-    result = Simulator(
-        web=dataset.web(),
-        strategy=strategy,
-        classifier=Classifier(Language.THAI),
-        seed_urls=list(dataset.seed_urls),
-        relevant_urls=dataset.relevant_urls(),
-        config=SimulationConfig(sample_interval=1000, max_pages=max_pages),
-        on_fetch=lambda event: urls.append(event.url),
+    result = CrawlSession(
+        CrawlRequest(
+            strategy=strategy,
+            web=dataset.web(),
+            classifier=Classifier(Language.THAI),
+            seeds=tuple(dataset.seed_urls),
+            relevant_urls=dataset.relevant_urls(),
+        ),
+        SessionConfig(
+            sample_interval=1000,
+            frontier=frontier,
+            on_fetch=lambda event: urls.append(event.url),
+        ),
     ).run()
     return result, urls
 
@@ -38,9 +43,7 @@ def test_ext_per_server_queue(benchmark, thai_bench, results_dir):
         rows = []
         for factory in (BreadthFirstStrategy, lambda: SimpleStrategy(mode="hard")):
             plain_result, plain_urls = _crawl(thai_bench, factory())
-            polite_result, polite_urls = _crawl(
-                thai_bench, PoliteOrderingStrategy(factory())
-            )
+            polite_result, polite_urls = _crawl(thai_bench, factory(), HostQueues())
             rows.append(
                 {
                     "strategy": factory().name,

@@ -11,7 +11,8 @@ spilling the cold tail of the queue to disk — and compares both cures:
 - limited distance keeps everything in memory but gives up tail coverage.
 """
 
-from repro.core.spilling import SpillingStrategy
+from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
+from repro.core.spilling import SpillConfig
 from repro.core.strategies import LimitedDistanceStrategy, SimpleStrategy
 from repro.experiments.report import render_table
 from repro.experiments.runner import run_strategy
@@ -24,14 +25,17 @@ MEMORY_LIMIT = 500
 def test_ext_spilling_frontier(benchmark, thai_bench, results_dir):
     def compare():
         plain = run_strategy(thai_bench, SimpleStrategy(mode="soft"))
-        spiller = SpillingStrategy(SimpleStrategy(mode="soft"), memory_limit=MEMORY_LIMIT)
-        spilled = run_strategy(thai_bench, spiller)
+        session = CrawlSession(
+            CrawlRequest(dataset=thai_bench, strategy=SimpleStrategy(mode="soft")),
+            SessionConfig(frontier=SpillConfig(memory_limit=MEMORY_LIMIT)),
+        )
+        session.step()
+        spilled, stats = session.report(), session.frontier.stats()
+        session.close()
         limited = run_strategy(thai_bench, LimitedDistanceStrategy(n=1, prioritized=True))
-        return plain, spiller, spilled, limited
+        return plain, stats, spilled, limited
 
-    plain, spiller, spilled, limited = benchmark.pedantic(compare, rounds=1, iterations=1)
-    stats = spiller.last_stats
-    assert stats is not None
+    plain, stats, spilled, limited = benchmark.pedantic(compare, rounds=1, iterations=1)
 
     rows = [
         {

@@ -13,7 +13,7 @@ from repro.charset.detector import detect_charset
 from repro.charset.languages import Language
 from repro.core.classifier import Classifier
 from repro.core.frontier import Candidate, FIFOFrontier, PriorityFrontier
-from repro.core.simulator import SimulationConfig, Simulator
+from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
 from repro.core.strategies import SimpleStrategy
 from repro.graphgen.htmlsynth import HtmlSynthesizer
 from repro.graphgen.textgen import TextGenerator
@@ -86,13 +86,15 @@ def test_micro_simulator_page_rate(benchmark, thai_bench):
     pages = 3_000
 
     def crawl():
-        return Simulator(
-            web=thai_bench.web(),
-            strategy=SimpleStrategy(mode="soft"),
-            classifier=Classifier(Language.THAI),
-            seed_urls=list(thai_bench.seed_urls),
-            relevant_urls=thai_bench.relevant_urls(),
-            config=SimulationConfig(sample_interval=1000, max_pages=pages),
+        return CrawlSession(
+            CrawlRequest(
+                strategy=SimpleStrategy(mode="soft"),
+                web=thai_bench.web(),
+                classifier=Classifier(Language.THAI),
+                seeds=tuple(thai_bench.seed_urls),
+                relevant_urls=thai_bench.relevant_urls(),
+            ),
+            SessionConfig(sample_interval=1000, max_pages=pages),
         ).run()
 
     result = benchmark.pedantic(crawl, rounds=3, iterations=1)

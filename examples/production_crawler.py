@@ -8,9 +8,9 @@ and per-server queue typically found in a real-world web crawler" (§4)
 physical memory at Web scale.  This example composes the three
 extensions that close those gaps around one soft-focused crawl:
 
-- :class:`SpillingStrategy` — bounded resident URL queue, cold tail on
-  disk;
-- :class:`PoliteOrderingStrategy` — per-server round-robin, no bursts;
+- ``frontier=SpillConfig(...)`` — bounded resident URL queue, cold tail
+  on disk;
+- ``frontier=HostQueues()`` — per-server round-robin, no bursts;
 - :class:`TimingModel` — transfer delays + per-site access intervals.
 
 The punchline: full archive coverage with a ~500-URL resident queue, a
@@ -20,29 +20,35 @@ mean same-site burst of ~1, and a realistic simulated wall-clock.
 from repro import (
     SimpleStrategy,
     CrawlRequest,
+    CrawlSession,
     SessionConfig,
     TimingModel,
     build_dataset,
-    run_crawl,
     thai_profile,
 )
-from repro.core.politeness import PoliteOrderingStrategy, mean_same_site_run
-from repro.core.spilling import SpillingStrategy
+from repro.core.politeness import HostQueues, mean_same_site_run
+from repro.core.spilling import SpillConfig
 
 MEMORY_LIMIT = 500
 
 
-def crawl(dataset, strategy, timing=None):
+def crawl(dataset, frontier=None, timing=None):
+    """One soft-focused crawl on the queue ``frontier`` names; returns the
+    report, the fetch order and the queue it ran on."""
     urls = []
-    result = run_crawl(
-        CrawlRequest(dataset=dataset, strategy=strategy),
-        config=SessionConfig(
+    session = CrawlSession(
+        CrawlRequest(dataset=dataset, strategy=SimpleStrategy(mode="soft")),
+        SessionConfig(
             sample_interval=500,
+            frontier=frontier,
             timing=timing,
             on_fetch=lambda event: urls.append(event.url),
         ),
     )
-    return result, urls
+    session.step()
+    result, queue = session.report(), session.frontier
+    session.close()
+    return result, urls, queue
 
 
 def main() -> None:
@@ -50,23 +56,22 @@ def main() -> None:
     dataset = build_dataset(thai_profile().scaled(0.125))
 
     print("1. Plain soft-focused crawl (the paper's §5.2.1 baseline):")
-    plain, plain_urls = crawl(dataset, SimpleStrategy(mode="soft"))
+    plain, plain_urls, _ = crawl(dataset)
     print(f"   coverage {plain.final_coverage:.0%}, peak queue "
           f"{plain.summary.max_queue_size} URLs all in memory, "
           f"mean same-site burst {mean_same_site_run(plain_urls):.2f}\n")
 
     print("2. Production configuration (spilling + politeness + timing):")
-    # The two wrappers each replace the queue discipline, so they are
+    # Each frontier= value replaces the queue discipline, so they are
     # shown separately — one cost at a time.  First spilling:
-    spiller = SpillingStrategy(SimpleStrategy(mode="soft"), memory_limit=MEMORY_LIMIT)
-    spilled, _ = crawl(dataset, spiller)
-    stats = spiller.last_stats
+    spilled, _, queue = crawl(dataset, SpillConfig(memory_limit=MEMORY_LIMIT))
+    stats = queue.stats()
     print(f"   [spilling]  coverage {spilled.final_coverage:.0%} with only "
           f"{stats.peak_resident} URLs resident ({stats.spilled} spilled to disk)")
 
-    polite, polite_urls = crawl(
+    polite, polite_urls, _ = crawl(
         dataset,
-        PoliteOrderingStrategy(SimpleStrategy(mode="soft")),
+        HostQueues(),
         timing=TimingModel(politeness_interval_s=1.0, connections=32),
     )
     print(f"   [politeness] coverage {polite.final_coverage:.0%}, mean same-site "

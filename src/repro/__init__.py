@@ -65,8 +65,6 @@ from repro.core import (
     SessionConfig,
     SessionStatus,
     SimpleStrategy,
-    SimulationConfig,
-    Simulator,
     TimingModel,
     report_payload,
     available_strategies,
@@ -139,8 +137,6 @@ __all__ = [
     "SessionStatus",
     "report_payload",
     # core
-    "Simulator",
-    "SimulationConfig",
     "CrawlResult",
     "CrawlReport",
     "ParallelCrawlSimulator",

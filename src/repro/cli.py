@@ -28,6 +28,13 @@ import sys
 
 from repro.charset.detector import detect_charset
 from repro.core.strategies import available_strategies, get_strategy
+from repro.core.timing import (
+    CLOCK_KNOBS,
+    DEFAULT_BANDWIDTH_BYTES_PER_S,
+    DEFAULT_LATENCY_S,
+    DEFAULT_POLITENESS_INTERVAL_S,
+    TimingModel,
+)
 from repro.errors import ReproError
 from repro.experiments import figures as figures_module
 from repro.experiments.datasets import load_or_build_dataset
@@ -235,21 +242,23 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-request latency of the simulated clock (default 0.05)",
+        help=f"per-request latency of the simulated clock (default {DEFAULT_LATENCY_S})",
     )
     p_run.add_argument(
         "--bandwidth",
         type=float,
         default=None,
         metavar="BYTES_PER_S",
-        help="download bandwidth of the simulated clock (default 2e6)",
+        help="download bandwidth of the simulated clock "
+        f"(default {DEFAULT_BANDWIDTH_BYTES_PER_S:g})",
     )
     p_run.add_argument(
         "--politeness",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-host politeness interval of the simulated clock (default 1.0)",
+        help="per-host politeness interval of the simulated clock "
+        f"(default {DEFAULT_POLITENESS_INTERVAL_S})",
     )
     _add_dataset_args(p_run)
 
@@ -435,21 +444,12 @@ def _dispatch(args: argparse.Namespace) -> int:
             defenses = _replace(
                 base, **{key: value for key, value in overrides.items() if value is not None}
             )
-        timing = None
-        if any(
-            value is not None for value in (args.latency, args.bandwidth, args.politeness)
-        ):
-            from repro.core.timing import TimingModel
-
-            timing = TimingModel(
-                bandwidth_bytes_per_s=args.bandwidth
-                if args.bandwidth is not None
-                else 2_000_000.0,
-                latency_s=args.latency if args.latency is not None else 0.05,
-                politeness_interval_s=args.politeness
-                if args.politeness is not None
-                else 1.0,
-            )
+        given = {
+            keyword: getattr(args, knob)
+            for knob, keyword in CLOCK_KNOBS.items()
+            if getattr(args, knob) is not None
+        }
+        timing = TimingModel(**given) if given else None
         try:
             result = run_strategy(
                 dataset,

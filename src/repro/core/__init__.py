@@ -6,7 +6,6 @@
 - :mod:`~repro.core.strategies` — priority-assignment strategies (§3.3).
 - :mod:`~repro.core.engine` — the unified stage-pipeline crawl loop (§4).
 - :mod:`~repro.core.session` — the crawl-session lifecycle over the engine.
-- :mod:`~repro.core.simulator` — the one-shot face of a session.
 - :mod:`~repro.core.metrics` — harvest rate / coverage / queue size (§3.4).
 - :mod:`~repro.core.timing` — optional transfer-delay model (§6 future work).
 """
@@ -35,18 +34,16 @@ from repro.core.parallel import (
     ParallelResult,
     PartitionMode,
 )
-from repro.core.politeness import HostQueueFrontier, PoliteOrderingStrategy
+from repro.core.politeness import HostQueueFrontier, HostQueues
 from repro.core.session import (
     CrawlRequest,
     CrawlResult,
     CrawlSession,
     SessionConfig,
     SessionStatus,
-    SimulationConfig,
     report_payload,
 )
-from repro.core.simulator import Simulator
-from repro.core.spilling import SpillConfig, SpillingFrontier, SpillingStrategy
+from repro.core.spilling import SpillConfig, SpillingFrontier
 from repro.core.summary import CrawlReport
 from repro.core.strategies import (
     BacklinkCountStrategy,
@@ -69,6 +66,7 @@ __all__ = [
     "PriorityFrontier",
     "ReprioritizableFrontier",
     "HostQueueFrontier",
+    "HostQueues",
     "SpillConfig",
     "SpillingFrontier",
     "Candidate",
@@ -81,8 +79,6 @@ __all__ = [
     "LimitedDistanceStrategy",
     "DistilledSoftStrategy",
     "BacklinkCountStrategy",
-    "PoliteOrderingStrategy",
-    "SpillingStrategy",
     "Distiller",
     "ParallelCrawlSimulator",
     "ParallelConfig",
@@ -98,8 +94,6 @@ __all__ = [
     "EngineStep",
     "CheckpointHook",
     "STAGE_ORDER",
-    "Simulator",
-    "SimulationConfig",
     "CrawlResult",
     "CrawlRequest",
     "CrawlSession",

@@ -27,17 +27,20 @@ machinery, and the driver reconciles its page tallies against the
 engine's completed-step count, so a step that ends in retry exhaustion
 or a breaker gate skip is never counted as a fetched page.
 
-Run-level knobs live in :class:`ParallelConfig` (mirroring
-:class:`~repro.core.simulator.SimulationConfig`); the loose
-``partitions=`` / ``mode=`` / ``max_pages=`` keywords and plain-string
-modes remain accepted for compatibility, strings with a
-``DeprecationWarning``.
+Run-level knobs live in :class:`ParallelConfig`.  Of a
+:class:`~repro.core.session.SessionConfig` a partitioned run honours
+``parallel``, ``instrumentation``, ``faults`` and ``resilience``;
+:func:`repro.api.run_crawl` rejects every other field off its default by
+name.  That rejection is final, not a gap: ``concurrency=`` (K fetch
+slots on one engine's virtual clock) has no meaning across engines the
+driver advances one fetch at a time, and each partition runs on the
+queue its own strategy's ``make_frontier`` builds — the simulator
+takes no ``frontier=``.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -69,37 +72,15 @@ class PartitionMode(str, Enum):
     def __str__(self) -> str:  # render as the wire value, not the member
         return self.value
 
-    @classmethod
-    def coerce(cls, value: "PartitionMode | str") -> "PartitionMode":
-        """Accept an enum member, or (deprecated) its string value."""
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, str):
-            try:
-                mode = cls(value)
-            except ValueError:
-                valid = " or ".join(repr(member.value) for member in cls)
-                raise ConfigError(f"mode must be {valid}, got {value!r}") from None
-            warnings.warn(
-                f"string mode={value!r} is deprecated; use PartitionMode.{mode.name}",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return mode
-        raise ConfigError(f"mode must be a PartitionMode, got {value!r}")
-
 
 @dataclass(frozen=True, slots=True)
 class ParallelConfig:
-    """Run-level knobs of a partitioned crawl.
-
-    Mirrors :class:`~repro.core.simulator.SimulationConfig`: everything
-    independent of the strategy under test.
+    """Run-level knobs of a partitioned crawl: everything independent
+    of the strategy under test.
 
     Attributes:
         partitions: number of cooperating crawlers (host-hash owners).
-        mode: coordination discipline (:class:`PartitionMode`); plain
-            strings are accepted with a ``DeprecationWarning``.
+        mode: coordination discipline, a :class:`PartitionMode` member.
         max_pages: stop after this many fetches across all crawlers
             (None = run every frontier dry).
     """
@@ -114,7 +95,7 @@ class ParallelConfig:
         if self.max_pages is not None and self.max_pages < 0:
             raise ConfigError("max_pages must be >= 0")
         if not isinstance(self.mode, PartitionMode):
-            object.__setattr__(self, "mode", PartitionMode.coerce(self.mode))
+            raise ConfigError(f"mode must be a PartitionMode, got {self.mode!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,7 +104,7 @@ class ParallelResult:
 
     Satisfies the :class:`repro.core.summary.CrawlReport` protocol
     (``pages_crawled`` / ``coverage`` / ``to_dict``) shared with
-    :class:`~repro.core.simulator.CrawlResult`.
+    :class:`~repro.core.session.CrawlResult`.
     """
 
     mode: PartitionMode
@@ -175,11 +156,6 @@ class ParallelCrawlSimulator:
     (FIREWALL), the global page cap and the message tallies.  Routing
     replaces the engine's inline schedule stage via its ``router`` hook
     point.
-
-    Prefer configuring through ``config=ParallelConfig(...)``; the
-    legacy loose keywords (``partitions=``, ``mode=``, ``max_pages=``)
-    are folded into one for you and cannot be combined with an explicit
-    ``config``.
     """
 
     def __init__(
@@ -190,26 +166,12 @@ class ParallelCrawlSimulator:
         seed_urls: Sequence[str],
         config: ParallelConfig | None = None,
         *,
-        partitions: int | None = None,
-        mode: PartitionMode | str | None = None,
         relevant_urls: frozenset[str] | None = None,
-        max_pages: int | None = None,
         instrumentation: Instrumentation | None = None,
         faults: FaultModel | None = None,
         resilience: ResilienceConfig | None = None,
     ) -> None:
-        if config is not None:
-            if partitions is not None or mode is not None or max_pages is not None:
-                raise ConfigError(
-                    "pass either config=ParallelConfig(...) or the loose "
-                    "partitions=/mode=/max_pages= keywords, not both"
-                )
-        else:
-            config = ParallelConfig(
-                partitions=4 if partitions is None else partitions,
-                mode=PartitionMode.EXCHANGE if mode is None else mode,
-                max_pages=max_pages,
-            )
+        config = config or ParallelConfig()
         if not seed_urls:
             raise ConfigError("at least one seed URL is required")
         self._web = web
@@ -220,7 +182,7 @@ class ParallelCrawlSimulator:
         self._relevant = relevant_urls
         self._instrumentation = instrumentation
         self._faults = faults
-        # Mirror Simulator: an explicit resilience config arms the
+        # Mirror CrawlSession: an explicit resilience config arms the
         # machinery on its own; a fault model without one gets defaults
         # (a faulty web with no retry policy would crash the engine's
         # requeue path).

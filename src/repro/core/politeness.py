@@ -7,9 +7,9 @@ restores elapsed time; this module restores the per-server queue.
 
 A real crawler keeps one FIFO per site and serves sites round-robin so
 no server sees request bursts.  :class:`HostQueueFrontier` implements
-exactly that discipline, and :class:`PoliteOrderingStrategy` lets any
-existing strategy's *link selection* run under it: the inner strategy
-still decides which URLs enter the queue (hard-focused discarding,
+exactly that discipline, and ``SessionConfig(frontier=HostQueues())``
+runs any strategy's *link selection* under it: the strategy still
+decides which URLs enter the queue (hard-focused discarding,
 limited-distance pruning, ...), while the per-server rotation replaces
 its priority ordering.
 
@@ -22,15 +22,13 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from itertools import chain
 
 from repro.core.candidate import candidates_from_columns, candidates_to_columns, int_column
-from repro.core.classifier import Judgment
 from repro.core.frontier import Candidate, Frontier
-from repro.core.strategies.base import CrawlStrategy
 from repro.errors import CheckpointError, FrontierError, UrlError
 from repro.urlkit.normalize import url_site_key
-from repro.webspace.virtualweb import FetchResponse
 
 
 def _site_of(url: str) -> str:
@@ -129,32 +127,10 @@ class HostQueueFrontier(Frontier):
         self._restore_counters(state)
 
 
-class PoliteOrderingStrategy(CrawlStrategy):
-    """Run any strategy's link selection under per-server rotation."""
-
-    def __init__(self, inner: CrawlStrategy) -> None:
-        self.inner = inner
-        self.name = f"polite({inner.name})"
-        self.wants_link_contexts = inner.wants_link_contexts
-
-    def make_frontier(self) -> Frontier:
-        return HostQueueFrontier()
-
-    def seed_candidates(self, seed_urls) -> list[Candidate]:
-        return self.inner.seed_candidates(seed_urls)
-
-    def max_priority(self) -> int:
-        return self.inner.max_priority()
-
-    def expand(
-        self,
-        parent: Candidate,
-        response: FetchResponse,
-        judgment: Judgment,
-        outlinks: Iterable[str],
-        link_contexts=None,
-    ) -> list[Candidate]:
-        return self.inner.expand(parent, response, judgment, outlinks, link_contexts)
+@dataclass(frozen=True, slots=True)
+class HostQueues:
+    """``SessionConfig(frontier=HostQueues())``: crawl on a
+    :class:`HostQueueFrontier`, whatever queue the strategy would make."""
 
 
 def max_same_site_run(urls: Iterable[str]) -> int:

@@ -12,18 +12,22 @@ module is the session layer both shapes share:
   status/report → close`` — layered directly on
   :meth:`repro.core.engine.CrawlEngine.run`'s budgeted stepping.
 
-One-shot callers (:func:`repro.api.run_crawl`, the
-:class:`~repro.core.simulator.Simulator` configurator) are thin
-wrappers: open, step to exhaustion, report, close.  The serving layer
+The one-shot caller (:func:`repro.api.run_crawl`) is a thin wrapper:
+open, step to exhaustion, report, close.  The serving layer
 (:mod:`repro.serve`) holds sessions open across requests and *evicts*
 idle ones through :meth:`CrawlSession.snapshot` — the same
 :class:`~repro.core.checkpoint.CheckpointState` machinery the kill/
 resume differential suite pins, so an evicted-and-resumed session
 replays byte-identical to one that never left memory.
 
-``SimulationConfig`` and ``CrawlResult`` live here (they are session
-vocabulary) and stay importable from :mod:`repro.core.simulator`, their
-historical home.
+Scheduling contract (this is where the paper's discard semantics live):
+
+- a URL enters the frontier at most once — the engine keeps a
+  ``scheduled`` set of everything ever enqueued;
+- a URL *discarded* by the strategy is **not** marked scheduled, so a
+  later discovery along a different path may still enqueue it.  That is
+  what makes the limited-distance rule a property of crawl *paths*
+  (Figure 1) rather than of pages.
 """
 
 from __future__ import annotations
@@ -60,7 +64,9 @@ from repro.core.engine import (
 )
 from repro.core.events import FetchCallback
 from repro.core.metrics import CrawlSummary, MetricsRecorder, MetricSeries
-from repro.core.spilling import SpillConfig, SpillingStrategy
+from repro.core.frontier import Frontier
+from repro.core.politeness import HostQueueFrontier, HostQueues
+from repro.core.spilling import SpillConfig, SpillingFrontier
 from repro.core.strategies.base import CrawlStrategy
 from repro.core.strategies.registry import get_strategy
 from repro.core.timing import TimingModel
@@ -83,29 +89,6 @@ from repro.webspace.virtualweb import VirtualWebSpace
 
 if TYPE_CHECKING:
     from repro.core.parallel import ParallelConfig
-
-
-@dataclass(frozen=True, slots=True)
-class SimulationConfig:
-    """Run-level knobs independent of the strategy under test.
-
-    Attributes:
-        max_pages: stop after this many fetches (None = run the frontier
-            dry, the paper's setting).
-        sample_interval: metric sampling period in pages.
-        extract_from_body: parse outlinks from synthesized HTML instead
-            of reading them from the crawl-log record.
-        checkpoint_every: write a resumable checkpoint every this many
-            crawled pages (None = never).  Requires ``checkpoint_path``.
-        checkpoint_path: destination file of the periodic checkpoint
-            (each write atomically replaces the previous one).
-    """
-
-    max_pages: int | None = None
-    sample_interval: int = 500
-    extract_from_body: bool = False
-    checkpoint_every: int | None = None
-    checkpoint_path: str | Path | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,18 +262,25 @@ class CrawlRequest:
 class SessionConfig:
     """How a session runs: every run-shaping knob in one typed object.
 
-    The first five fields are :class:`SimulationConfig` (the engine-level
-    subset); the rest used to be ``run_crawl``'s loose keyword surface.
     ``parallel`` switches the run to the partitioned engine — a
     :class:`~repro.core.parallel.ParallelConfig` session is driven by
     :func:`repro.api.run_crawl`, never by :class:`CrawlSession` (the
     sequential lifecycle object).
     """
 
+    #: Stop after this many fetches (None = run the frontier dry, the
+    #: paper's setting).
     max_pages: int | None = None
+    #: Metric sampling period in pages.
     sample_interval: int = 500
+    #: Parse outlinks from synthesized HTML instead of reading them from
+    #: the crawl-log record.
     extract_from_body: bool = False
+    #: Write a resumable checkpoint every this many crawled pages (None
+    #: = never).  Requires ``checkpoint_path``.
     checkpoint_every: int | None = None
+    #: Destination file of the periodic checkpoint (each write
+    #: atomically replaces the previous one).
     checkpoint_path: str | Path | None = None
     timing: TimingModel | None = None
     #: Number of concurrent fetch slots — the engine's issue policy.
@@ -310,14 +300,18 @@ class SessionConfig:
     #: Engine countermeasures (:class:`~repro.adversary.DefenseConfig`).
     #: An all-default config is inert — no policy is built.
     defenses: DefenseConfig | None = None
-    #: Disk-spilling frontier (:class:`~repro.core.spilling.SpillConfig`).
-    #: The session wraps the strategy in a
-    #: :class:`~repro.core.spilling.SpillingStrategy` at open time; over
-    #: a store-backed web space the cold tail spills as URL ids into the
-    #: store's arena instead of URL strings.  Mutually exclusive with
-    #: checkpointing (``checkpoint_every`` / ``snapshot()``): the
-    #: spilling frontier holds disk state a checkpoint cannot capture.
-    spill: SpillConfig | None = None
+    #: The URL queue the crawl runs on.  The strategy decides link
+    #: expansion, this field decides the queue: None keeps the
+    #: strategy's own discipline; a
+    #: :class:`~repro.core.spilling.SpillConfig` runs on a disk-spilling
+    #: queue (over a store-backed web space the cold tail spills as URL
+    #: ids into the store's arena instead of URL strings), and is
+    #: mutually exclusive with checkpointing (``checkpoint_every`` /
+    #: ``snapshot()``) — the spilling frontier holds disk state a
+    #: checkpoint cannot capture;
+    #: :class:`~repro.core.politeness.HostQueues` runs on per-server
+    #: round-robin queues.
+    frontier: SpillConfig | HostQueues | None = None
     resume_from: CheckpointState | str | Path | None = None
     hooks: tuple[EngineHook, ...] = ()
     record_fault_journal: bool = False
@@ -328,28 +322,6 @@ class SessionConfig:
         # Accept any sequence of hooks; store the canonical tuple.
         if not isinstance(self.hooks, tuple):
             object.__setattr__(self, "hooks", tuple(self.hooks))
-
-    def simulation(self) -> SimulationConfig:
-        """The engine-level subset, as a :class:`SimulationConfig`."""
-        return SimulationConfig(
-            max_pages=self.max_pages,
-            sample_interval=self.sample_interval,
-            extract_from_body=self.extract_from_body,
-            checkpoint_every=self.checkpoint_every,
-            checkpoint_path=self.checkpoint_path,
-        )
-
-    @classmethod
-    def from_simulation(cls, config: SimulationConfig, **extras: Any) -> "SessionConfig":
-        """Upgrade a :class:`SimulationConfig` (extras fill the rest)."""
-        return cls(
-            max_pages=config.max_pages,
-            sample_interval=config.sample_interval,
-            extract_from_body=config.extract_from_body,
-            checkpoint_every=config.checkpoint_every,
-            checkpoint_path=config.checkpoint_path,
-            **extras,
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -408,12 +380,17 @@ class CrawlSession:
                 raise ConfigError("checkpoint_every must be >= 1")
             if config.checkpoint_path is None:
                 raise ConfigError("checkpoint_every requires checkpoint_path")
-        if config.spill is not None and (
+        if not isinstance(config.frontier, (SpillConfig, HostQueues, type(None))):
+            raise ConfigError(
+                "frontier= must be a SpillConfig, HostQueues() or None, got "
+                f"{type(config.frontier).__name__}"
+            )
+        if isinstance(config.frontier, SpillConfig) and (
             config.checkpoint_every is not None or config.resume_from is not None
         ):
             raise ConfigError(
-                "spill= cannot combine with checkpointing/resume: the spilling "
-                "frontier's disk tail is not captured by CheckpointState"
+                "a spill frontier cannot combine with checkpointing/resume: the "
+                "spilling frontier's disk tail is not captured by CheckpointState"
             )
         resume = config.resume_from
         #: What a malformed section is reported against: the file, when
@@ -449,11 +426,13 @@ class CrawlSession:
         self.adversarial_web: AdversarialWebSpace | None = None
         self._defenses: DefensePolicy | None = None
         self._engine: CrawlEngine | None = None
-        self._strategy: CrawlStrategy | None = None
+        #: The run's reported name: the strategy's, decorated by the
+        #: ``frontier=`` choice (``spilling(…, mem=N)`` / ``polite(…)``).
+        self._label = ""
         self._classifier: Classifier | None = None
         self._visitor: Visitor | None = None
         self._recorder: MetricsRecorder | None = None
-        self._frontier = None
+        self._frontier: Frontier | None = None
         self._scheduled: set[str] | None = None
         self._breakers: HostBreakers | None = None
         self._instr: Instrumentation | None = None
@@ -483,16 +462,6 @@ class CrawlSession:
             raise SimulationError("at least one seed URL is required")
         config = self._config
         assert request.web is not None and request.classifier is not None
-        if config.spill is not None:
-            page_source = request.web.crawl_log
-            if not (config.spill.use_page_ids and hasattr(page_source, "id_of")):
-                page_source = None  # in-memory log: spill URL strings
-            strategy = SpillingStrategy(
-                strategy,
-                memory_limit=config.spill.memory_limit,
-                spill_dir=config.spill.spill_dir,
-                page_source=page_source,
-            )
         relevant_urls = request.relevant_urls
         if relevant_urls is None:
             relevant_urls = relevant_url_set(
@@ -536,9 +505,28 @@ class CrawlSession:
         if instr is not None:
             classifier.bind_instrumentation(instr)
             strategy.bind_instrumentation(instr)
+        # Always called, whichever queue the config names: it is the
+        # strategy's per-run reset point, and a re-ranking strategy keeps
+        # talking to the queue it made (which then simply stays empty).
         frontier = strategy.make_frontier()
+        label = strategy.name
+        choice = config.frontier
+        if isinstance(choice, SpillConfig):
+            page_source = request.web.crawl_log
+            if not hasattr(page_source, "id_of"):
+                page_source = None  # in-memory log: spill URL strings
+            frontier = SpillingFrontier(
+                memory_limit=choice.memory_limit,
+                spill_dir=choice.spill_dir,
+                instrumentation=instr,
+                page_source=page_source,
+            )
+            label = f"spilling({label}, mem={choice.memory_limit})"
+        elif isinstance(choice, HostQueues):
+            frontier = HostQueueFrontier()
+            label = f"polite({label})"
         recorder = MetricsRecorder(
-            name=strategy.name,
+            name=label,
             relevant_urls=relevant_urls,
             sample_interval=config.sample_interval,
         )
@@ -554,7 +542,7 @@ class CrawlSession:
         if resume is not None:
             self._apply_resume(
                 resume,
-                strategy,
+                label,
                 frontier,
                 recorder,
                 visitor,
@@ -567,7 +555,7 @@ class CrawlSession:
             with self._restoring("loop"):
                 rstate = EngineLoopState.from_dict(resume.loop)
 
-        self._strategy = strategy
+        self._label = label
         self._classifier = classifier
         self._visitor = visitor
         self._recorder = recorder
@@ -637,6 +625,11 @@ class CrawlSession:
         return self._engine.steps if self._engine is not None else 0
 
     @property
+    def frontier(self) -> Frontier | None:
+        """The live URL queue the crawl runs on (None before open)."""
+        return self._frontier
+
+    @property
     def done(self) -> bool:
         """True once the frontier drained or the page cap was reached."""
         if self._engine is None:
@@ -676,11 +669,11 @@ class CrawlSession:
         self.open()
         assert (
             self._recorder is not None
-            and self._strategy is not None
+            and self._frontier is not None
             and self._engine is not None
             and self._visitor is not None
         )
-        series, summary = self._recorder.finish(self._strategy.name)
+        series, summary = self._recorder.finish(self._label)
         resilience_dict: dict | None = None
         if self._resilience is not None:
             rstate = self._engine.state
@@ -710,7 +703,7 @@ class CrawlSession:
                 "redirect_aborts": rstate.redirect_aborts,
             }
         return CrawlResult(
-            strategy=self._strategy.name,
+            strategy=self._label,
             series=series,
             summary=summary,
             wall_seconds=self._wall,
@@ -781,8 +774,7 @@ class CrawlSession:
 
     def _checkpoint_state(self, rstate: EngineLoopState) -> CheckpointState:
         assert (
-            self._strategy is not None
-            and self._frontier is not None
+            self._frontier is not None
             and self._scheduled is not None
             and self._recorder is not None
             and self._visitor is not None
@@ -795,7 +787,7 @@ class CrawlSession:
         index = dict(zip(self._scheduled, range(scheduled)))
         frontier = self._frontier.snapshot(index)
         return CheckpointState(
-            strategy=self._strategy.name,
+            strategy=self._label,
             steps=rstate.steps,
             urls=list(index),
             scheduled=scheduled,
@@ -857,8 +849,8 @@ class CrawlSession:
     def _apply_resume(
         self,
         resume: CheckpointState,
-        strategy: CrawlStrategy,
-        frontier,
+        label: str,
+        frontier: Frontier,
         recorder: MetricsRecorder,
         visitor: Visitor,
         scheduled: set[str],
@@ -868,10 +860,10 @@ class CrawlSession:
         defenses: DefensePolicy | None = None,
     ) -> None:
         """Load a checkpoint into the freshly built run components."""
-        if resume.strategy and resume.strategy != strategy.name:
+        if resume.strategy and resume.strategy != label:
             raise CheckpointError(
                 f"checkpoint was taken by strategy {resume.strategy!r}; "
-                f"cannot resume it with {strategy.name!r}"
+                f"cannot resume it with {label!r}"
             )
         with self._restoring("urls"):
             if not is_list_of(resume.urls, str):

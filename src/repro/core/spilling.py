@@ -26,12 +26,12 @@ URLs the store does not know (adversary-minted trap/alias URLs, for
 example) fall back to the string wire format, so the two entry kinds
 coexist in one spill file.
 
-Sessions opt in through ``SessionConfig(spill=SpillConfig(...))``;
-:class:`repro.core.session.CrawlSession` wraps the strategy in a
-:class:`SpillingStrategy` at open time.  A spilling frontier does not
-implement checkpoint ``snapshot``/``restore`` (the spill file *is* disk
-state already), so combining ``spill=`` with ``checkpoint_every=`` /
-``snapshot()`` raises :class:`~repro.errors.CheckpointError`.
+Sessions opt in through ``SessionConfig(frontier=SpillConfig(...))``.
+A spilling frontier does not implement checkpoint ``snapshot``/``restore``
+(the spill file *is* disk state already), so combining it with
+``checkpoint_every=`` / ``resume_from=`` is a
+:class:`~repro.errors.ConfigError` and ``snapshot()`` on it a
+:class:`~repro.errors.CheckpointError`.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from repro.core.frontier import (
     candidate_from_dict,
     candidate_to_dict,
 )
-from repro.core.strategies.base import CrawlStrategy
 from repro.errors import FrontierError
 from repro.urlkit.normalize import intern_url
 
@@ -67,15 +66,14 @@ class SpillConfig:
             threshold); the coldest ~10% spill when it is exceeded.
         spill_dir: directory for the spill file (default: the system
             temporary directory).
-        use_page_ids: spill store-backed candidates as integer URL ids
-            when the session's web space is backed by a
-            :class:`~repro.webspace.store.PageStore` (ignored for
-            in-memory crawl logs, which have no URL table).
+
+    Over a web space backed by a :class:`~repro.webspace.store.PageStore`
+    candidates spill as integer URL ids; in-memory crawl logs have no
+    URL table and spill URL strings.
     """
 
     memory_limit: int = 10_000
     spill_dir: str | None = None
-    use_page_ids: bool = True
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,60 +280,3 @@ class SpillingFrontier(Frontier):
         if self._instr is not None:
             self._instr.observe("frontier.refill", time.perf_counter() - started)
             self._instr.count("frontier.reloaded", loaded)
-
-
-class SpillingStrategy(CrawlStrategy):
-    """Run any strategy's link selection over a :class:`SpillingFrontier`.
-
-    A thin wrapper (same pattern as
-    :class:`repro.core.politeness.PoliteOrderingStrategy`): the inner
-    strategy keeps deciding what enters the queue and at what priority;
-    only the queue's *storage* changes.  ``last_stats`` exposes the spill
-    accounting of the most recent crawl.
-    """
-
-    def __init__(
-        self,
-        inner,
-        memory_limit: int = 10_000,
-        spill_dir: str | None = None,
-        page_source=None,
-    ) -> None:
-        self.inner = inner
-        self.memory_limit = memory_limit
-        self._spill_dir = spill_dir
-        self._page_source = page_source
-        self.name = f"spilling({inner.name}, mem={memory_limit})"
-        self.wants_link_contexts = inner.wants_link_contexts
-        self._frontier: SpillingFrontier | None = None
-
-    def bind_instrumentation(self, instrumentation) -> None:
-        super().bind_instrumentation(instrumentation)
-        self.inner.bind_instrumentation(instrumentation)
-
-    def make_frontier(self) -> SpillingFrontier:
-        self._frontier = SpillingFrontier(
-            memory_limit=self.memory_limit,
-            spill_dir=self._spill_dir,
-            instrumentation=self.instrumentation,
-            page_source=self._page_source,
-        )
-        return self._frontier
-
-    def seed_candidates(self, seed_urls):
-        return self.inner.seed_candidates(seed_urls)
-
-    def max_priority(self) -> int:
-        return self.inner.max_priority()
-
-    def expand(self, parent, response, judgment, outlinks, link_contexts=None):
-        return self.inner.expand(parent, response, judgment, outlinks, link_contexts)
-
-    def tick(self, step, frontier) -> None:
-        self.inner.tick(step, frontier)
-
-    @property
-    def last_stats(self) -> SpillStats | None:
-        if self._frontier is None:
-            return None
-        return self._frontier.stats()

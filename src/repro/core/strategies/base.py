@@ -39,17 +39,15 @@ class CrawlStrategy(ABC):
     #: every context-blind strategy — and all golden traces — unchanged.
     wants_link_contexts: bool = False
 
-    #: Per-run telemetry hub, bound by the simulator before
+    #: Per-run telemetry hub, bound by the session before
     #: ``make_frontier`` (None on uninstrumented runs).
     instrumentation: Instrumentation | None = None
 
     def bind_instrumentation(self, instrumentation: Instrumentation | None) -> None:
         """Attach a :class:`repro.obs.Instrumentation` for the next run.
 
-        The simulator calls this before ``make_frontier`` on
-        instrumented runs, so wrapper strategies (spilling, politeness)
-        can hand the hub down to the frontiers they build.  The default
-        just stores it.
+        The session calls this before ``make_frontier`` on instrumented
+        runs.  The default just stores it.
         """
         self.instrumentation = instrumentation
 

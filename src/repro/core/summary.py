@@ -1,6 +1,6 @@
 """The summary protocol shared by sequential and parallel crawl results.
 
-:class:`~repro.core.simulator.CrawlResult` and
+:class:`~repro.core.session.CrawlResult` and
 :class:`~repro.core.parallel.ParallelResult` report different details
 (metric series vs partition accounting), but every consumer that just
 wants "how did the run go" needs the same three things.  This protocol

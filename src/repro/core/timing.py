@@ -21,15 +21,32 @@ from repro.errors import ConfigError
 from repro.urlkit.normalize import url_site_key
 
 
+#: The stock clock, spelled here only: ``TimingSpec`` defaults to these
+#: and the CLI and the wire pass :class:`TimingModel` just the knobs
+#: they were given.
+DEFAULT_BANDWIDTH_BYTES_PER_S = 2_000_000.0
+DEFAULT_LATENCY_S = 0.05
+DEFAULT_POLITENESS_INTERVAL_S = 1.0
+DEFAULT_CONNECTIONS = 64
+
+#: The short knob names the CLI flags and the wire ``timing`` object
+#: share, mapped to :class:`TimingModel` keywords.
+CLOCK_KNOBS = {
+    "bandwidth": "bandwidth_bytes_per_s",
+    "latency": "latency_s",
+    "politeness": "politeness_interval_s",
+}
+
+
 class TimingModel:
     """Simulated clock for fetch completion times."""
 
     def __init__(
         self,
-        bandwidth_bytes_per_s: float = 2_000_000.0,
-        latency_s: float = 0.05,
-        politeness_interval_s: float = 1.0,
-        connections: int = 64,
+        bandwidth_bytes_per_s: float = DEFAULT_BANDWIDTH_BYTES_PER_S,
+        latency_s: float = DEFAULT_LATENCY_S,
+        politeness_interval_s: float = DEFAULT_POLITENESS_INTERVAL_S,
+        connections: int = DEFAULT_CONNECTIONS,
     ) -> None:
         if bandwidth_bytes_per_s <= 0:
             raise ConfigError("bandwidth_bytes_per_s must be > 0")

@@ -72,7 +72,7 @@ class SweepExecutor:
         """Execute :class:`~repro.exec.spec.RunSpec` tasks, in order.
 
         Returns rehydrated results
-        (:class:`~repro.core.simulator.CrawlResult` /
+        (:class:`~repro.core.session.CrawlResult` /
         :class:`~repro.core.parallel.ParallelResult`), one per spec.
         """
         return [result_from_payload(payload) for payload in self.map(execute_run, specs)]

@@ -37,7 +37,14 @@ from typing import TYPE_CHECKING, Any
 
 from repro.adversary import AdversaryProfile, DefenseConfig
 from repro.core.metrics import CrawlSummary, MetricSeries
-from repro.core.simulator import CrawlResult
+from repro.core.session import CrawlResult
+from repro.core.timing import (
+    DEFAULT_BANDWIDTH_BYTES_PER_S,
+    DEFAULT_CONNECTIONS,
+    DEFAULT_LATENCY_S,
+    DEFAULT_POLITENESS_INTERVAL_S,
+    TimingModel,
+)
 from repro.errors import ConfigError
 from repro.faults.model import FaultProfile
 from repro.graphgen.config import DatasetProfile
@@ -45,7 +52,6 @@ from repro.webspace.query import host_bucket
 
 if TYPE_CHECKING:
     from repro.core.parallel import ParallelResult
-    from repro.core.timing import TimingModel
     from repro.experiments.datasets import Dataset
 
 __all__ = [
@@ -68,20 +74,13 @@ class TimingSpec:
     ``workers > 0`` byte-identical to serial under timing.
     """
 
-    bandwidth_bytes_per_s: float = 2_000_000.0
-    latency_s: float = 0.05
-    politeness_interval_s: float = 1.0
-    connections: int = 64
+    bandwidth_bytes_per_s: float = DEFAULT_BANDWIDTH_BYTES_PER_S
+    latency_s: float = DEFAULT_LATENCY_S
+    politeness_interval_s: float = DEFAULT_POLITENESS_INTERVAL_S
+    connections: int = DEFAULT_CONNECTIONS
 
-    def build(self) -> "TimingModel":
-        from repro.core.timing import TimingModel
-
-        return TimingModel(
-            bandwidth_bytes_per_s=self.bandwidth_bytes_per_s,
-            latency_s=self.latency_s,
-            politeness_interval_s=self.politeness_interval_s,
-            connections=self.connections,
-        )
+    def build(self) -> TimingModel:
+        return TimingModel(**asdict(self))
 
 
 @dataclass(frozen=True, slots=True)

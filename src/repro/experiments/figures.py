@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.metrics import MetricSeries
-from repro.core.simulator import CrawlResult
+from repro.core.session import CrawlResult
 from repro.experiments.datasets import Dataset
 from repro.experiments.runner import run_strategies
 

@@ -40,6 +40,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from repro.core.session import CrawlRequest, CrawlSession, SessionConfig, report_payload
@@ -105,7 +106,7 @@ def run_point(spec: dict) -> dict:
         SessionConfig(
             max_pages=spec["max_pages"],
             sample_interval=spec["sample_interval"],
-            spill=SpillConfig(memory_limit=spill_limit) if spill_limit else None,
+            frontier=SpillConfig(memory_limit=spill_limit) if spill_limit else None,
         ),
     )
     # Open first: dataset resolution (recall denominator, seeds) is
@@ -126,16 +127,8 @@ def run_point(spec: dict) -> dict:
                 clear_url_caches()
         wall_s = time.perf_counter() - started
         result = session.report()
-        strategy = session._strategy
-        if spill_limit and hasattr(strategy, "last_stats"):
-            stats = strategy.last_stats
-            if stats is not None:
-                spill_stats = {
-                    "spilled": stats.spilled,
-                    "reloaded": stats.reloaded,
-                    "peak_resident": stats.peak_resident,
-                    "peak_total": stats.peak_total,
-                }
+        if spill_limit:
+            spill_stats = asdict(session.frontier.stats())
     finally:
         session.close()
     closer = getattr(dataset.crawl_log, "close", None)

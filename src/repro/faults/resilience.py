@@ -1,8 +1,8 @@
 """The resilient fetch pipeline's policy objects and breaker state.
 
-Three layers of recovery, all driven by the simulator's resilient crawl
-loop (:meth:`repro.core.simulator.Simulator` with faults, checkpointing
-or an explicit :class:`ResilienceConfig` attached):
+Three layers of recovery, all driven by the session's resilient crawl
+loop (a :class:`repro.core.session.CrawlSession` with faults,
+checkpointing or an explicit :class:`ResilienceConfig` attached):
 
 1. **Retry with exponential backoff** — a retryable fault (transient
    5xx, timeout, outage) is refetched up to ``max_attempts`` times
@@ -210,7 +210,7 @@ class HostBreakers:
 class ResilienceStats:
     """End-of-run tallies of the resilient fetch pipeline.
 
-    Attached to :class:`~repro.core.simulator.CrawlResult` when the
+    Attached to :class:`~repro.core.session.CrawlResult` when the
     resilient loop ran; the same numbers flow through ``repro.obs`` as
     counters during the run.
     """

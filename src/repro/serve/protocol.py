@@ -43,7 +43,7 @@ from typing import Any, Callable, Mapping
 
 from repro.adversary import AdversaryModel, AdversaryProfile, DefenseConfig
 from repro.core.session import CrawlRequest, SessionConfig, report_payload
-from repro.core.timing import TimingModel
+from repro.core.timing import CLOCK_KNOBS, TimingModel
 from repro.errors import ReproError, SessionError
 from repro.experiments.datasets import load_or_build_dataset
 from repro.faults.model import FaultModel, FaultProfile
@@ -236,13 +236,12 @@ class ProtocolHandler:
             # "politeness": s} — the session-local clock of an
             # event-driven (concurrency=K) crawl.
             tspec = dict(spec["timing"])
+            unknown = set(tspec) - CLOCK_KNOBS.keys()
+            if unknown:
+                raise SessionError(f"unknown timing keys: {sorted(unknown)}")
             timing = TimingModel(
-                bandwidth_bytes_per_s=float(tspec.pop("bandwidth", 2_000_000.0)),
-                latency_s=float(tspec.pop("latency", 0.05)),
-                politeness_interval_s=float(tspec.pop("politeness", 1.0)),
+                **{CLOCK_KNOBS[key]: float(value) for key, value in tspec.items()}
             )
-            if tspec:
-                raise SessionError(f"unknown timing keys: {sorted(tspec)}")
         kwargs: dict[str, Any] = {
             k: spec[k]
             for k in (

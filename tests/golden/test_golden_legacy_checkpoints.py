@@ -30,7 +30,7 @@ from repro.adversary import AdversaryModel, AdversaryProfile, DefenseConfig
 from repro.core.checkpoint import read_checkpoint
 from repro.core.classifier import Classifier
 from repro.core.frontier import ReprioritizableFrontier
-from repro.core.politeness import PoliteOrderingStrategy
+from repro.core.politeness import HostQueues
 from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
 from repro.core.strategies import get_strategy
 from repro.experiments.golden import (
@@ -67,9 +67,9 @@ def _digest(rows: list[dict]) -> str:
 def _trace(dataset, entry: dict, resume_from=None) -> list[dict]:
     """The crawl ``entry`` was cut from (or its tail, resumed), as trace rows."""
     strategy = get_strategy(entry["strategy"])
-    if entry.get("polite"):
-        strategy = PoliteOrderingStrategy(strategy)
     extras: dict = {}
+    if entry.get("polite"):
+        extras["frontier"] = HostQueues()
     if entry.get("concurrency") is not None:
         extras["concurrency"] = entry["concurrency"]
     if entry.get("faults"):

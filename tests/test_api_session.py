@@ -1,10 +1,9 @@
 """Tests of the CrawlSession lifecycle and the typed request/config API.
 
-CrawlSession is the object every sequential run flows through now —
-run_crawl, the Simulator shim, and the serve layer are all wrappers over
-it — so these tests pin its lifecycle contract (open → step → report →
-close), its snapshot/resume byte-identity, and the equivalence of the
-deprecated loose-keyword run_crawl surface with the request/config one.
+CrawlSession is the object every sequential run flows through — run_crawl
+and the serve layer are wrappers over it — so these tests pin its
+lifecycle contract (open → step → report → close), its snapshot/resume
+byte-identity, and that the request/config pair is the only way in.
 """
 
 import json
@@ -16,15 +15,13 @@ from repro import (
     CrawlRequest,
     CrawlSession,
     SessionConfig,
-    SimulationConfig,
     report_payload,
     run_crawl,
 )
 from repro.charset.languages import Language
 from repro.core.classifier import Classifier
 from repro.core.parallel import ParallelConfig, ParallelResult, PartitionMode
-from repro.core.simulator import Simulator
-from repro.core.strategies import BreadthFirstStrategy, SimpleStrategy
+from repro.core.strategies import BreadthFirstStrategy
 from repro.errors import ConfigError, SessionError
 
 from conftest import SEED
@@ -133,18 +130,6 @@ class TestLifecycle:
         finally:
             stepped.close()
 
-    def test_run_matches_simulator(self, tiny_web):
-        session_result = CrawlSession(_request(tiny_web)).run()
-        simulator_result = Simulator(
-            web=tiny_web,
-            strategy=BreadthFirstStrategy(),
-            classifier=Classifier(Language.THAI),
-            seed_urls=[SEED],
-        ).run()
-        assert _canon(report_payload(session_result)) == _canon(
-            report_payload(simulator_result)
-        )
-
     def test_parallel_config_is_rejected(self, tiny_web):
         with pytest.raises(ConfigError, match="sequential"):
             CrawlSession(
@@ -234,23 +219,30 @@ class TestRequestValidation:
         assert resolved.seeds
         assert resolved.relevant_urls
 
-    def test_session_config_round_trips_simulation_config(self):
-        sim = SimulationConfig(max_pages=10, sample_interval=7)
-        config = SessionConfig.from_simulation(sim)
-        assert config.simulation() == sim
-
 
 class TestDeprecatedSurface:
-    """The loose-keyword run_crawl shim: warns, and reports identically."""
+    """The deprecated spellings are deleted, not shimmed: what they took
+    is an error now, and the spellings that remain agree with each other."""
 
-    def test_legacy_kwargs_warn(self, tiny_web):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            run_crawl(
-                web=tiny_web,
-                strategy=BreadthFirstStrategy(),
-                classifier=Classifier(Language.THAI),
-                seeds=[SEED],
-            )
+    def test_simulator_is_not_importable(self):
+        with pytest.raises(ImportError):
+            from repro import Simulator  # noqa: F401
+
+    def test_partition_mode_takes_no_strings(self):
+        with pytest.raises(ConfigError, match="PartitionMode"):
+            ParallelConfig(mode="firewall")
+
+    def test_unknown_kwarg_is_a_type_error(self, tiny_web):
+        with pytest.raises(TypeError, match="unexpected"):
+            run_crawl(web=tiny_web, strategy=BreadthFirstStrategy())
+
+    def test_request_plus_legacy_kwargs_conflict(self, tiny_web):
+        with pytest.raises(TypeError, match="unexpected"):
+            run_crawl(_request(tiny_web), strategy="breadth-first")
+
+    def test_session_config_plus_loose_kwargs_conflict(self, tiny_web):
+        with pytest.raises(TypeError, match="unexpected"):
+            run_crawl(_request(tiny_web), config=SessionConfig(), faults=None)
 
     def test_request_form_does_not_warn(self, tiny_web):
         with warnings.catch_warnings():
@@ -258,62 +250,20 @@ class TestDeprecatedSurface:
             run_crawl(_request(tiny_web))
 
     def test_both_paths_report_identically(self, tiny_web):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_crawl(
-                web=tiny_web,
-                strategy=SimpleStrategy(mode="soft"),
-                classifier=Classifier(Language.THAI),
-                seeds=[SEED],
-                config=SimulationConfig(sample_interval=2),
-            )
-        modern = run_crawl(
-            CrawlRequest(
-                strategy=SimpleStrategy(mode="soft"),
-                web=tiny_web,
-                classifier=Classifier(Language.THAI),
-                seeds=(SEED,),
-            ),
-            config=SessionConfig(sample_interval=2),
-        )
-        assert _canon(report_payload(legacy)) == _canon(report_payload(modern))
+        config = SessionConfig(sample_interval=2)
+        one_shot = run_crawl(_request(tiny_web), config=config)
+        session = CrawlSession(_request(tiny_web), config).run()
+        assert _canon(report_payload(one_shot)) == _canon(report_payload(session))
 
     def test_parallel_paths_report_identically(self, tiny_web):
         parallel = ParallelConfig(partitions=2, mode=PartitionMode.EXCHANGE)
-        with pytest.warns(DeprecationWarning):
-            legacy = run_crawl(
-                web=tiny_web,
-                strategy=BreadthFirstStrategy,
-                classifier=Classifier(Language.THAI),
-                seeds=[SEED],
-                config=parallel,
-            )
-        modern = run_crawl(
-            CrawlRequest(
-                strategy=BreadthFirstStrategy,
-                web=tiny_web,
-                classifier=Classifier(Language.THAI),
-                seeds=(SEED,),
-            ),
-            config=parallel,
+        request = CrawlRequest(
+            strategy=BreadthFirstStrategy,
+            web=tiny_web,
+            classifier=Classifier(Language.THAI),
+            seeds=(SEED,),
         )
-        assert isinstance(legacy, ParallelResult) and isinstance(modern, ParallelResult)
-        assert legacy.to_dict() == modern.to_dict()
-
-    def test_request_plus_legacy_kwargs_conflict(self, tiny_web):
-        with pytest.raises(ConfigError, match="not both"):
-            run_crawl(_request(tiny_web), strategy="breadth-first")
-
-    def test_unknown_kwarg_is_a_type_error(self, tiny_web):
-        with pytest.raises(TypeError, match="unexpected"):
-            run_crawl(strategy="breadth-first", webb=tiny_web)
-
-    def test_session_config_plus_loose_kwargs_conflict(self, tiny_web):
-        with pytest.raises(ConfigError, match="SessionConfig"):
-            run_crawl(
-                web=tiny_web,
-                strategy=BreadthFirstStrategy(),
-                classifier=Classifier(Language.THAI),
-                seeds=[SEED],
-                config=SessionConfig(),
-                faults=None,
-            )
+        bare = run_crawl(request, config=parallel)
+        carried = run_crawl(request, config=SessionConfig(parallel=parallel))
+        assert isinstance(bare, ParallelResult) and isinstance(carried, ParallelResult)
+        assert bare.to_dict() == carried.to_dict()

@@ -30,7 +30,7 @@ from repro.core.frontier import (
 )
 from repro.core.metrics import MetricsRecorder
 from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
-from repro.core.simulator import SimulationConfig, Simulator
+from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
 from repro.core.strategies import BreadthFirstStrategy, SimpleStrategy
 from repro.core.timing import TimingModel
 from repro.errors import CheckpointError, ConfigError
@@ -64,15 +64,17 @@ def _state(**overrides) -> CheckpointState:
     return CheckpointState(**defaults)
 
 
-def simulate(web, **kwargs):
-    kwargs.setdefault("config", SimulationConfig(sample_interval=1))
-    return Simulator(
-        web=web,
-        strategy=BreadthFirstStrategy(),
-        classifier=Classifier(Language.THAI),
-        seed_urls=[SEED],
-        relevant_urls=THAI_SET,
-        **kwargs,
+def simulate(web, strategy=None, **config):
+    config.setdefault("sample_interval", 1)
+    return CrawlSession(
+        CrawlRequest(
+            strategy=strategy or BreadthFirstStrategy(),
+            web=web,
+            classifier=Classifier(Language.THAI),
+            seeds=(SEED,),
+            relevant_urls=THAI_SET,
+        ),
+        SessionConfig(**config),
     )
 
 
@@ -352,9 +354,9 @@ class TestKillAndResume:
             tiny_web,
             timing=TimingModel(),
             faults=FaultModel(profile=FAULTY_PROFILE, seed=42),
-            config=SimulationConfig(
-                sample_interval=1, max_pages=4, checkpoint_every=2, checkpoint_path=path
-            ),
+            max_pages=4,
+            checkpoint_every=2,
+            checkpoint_path=path,
         ).run()
 
         resumed_sim = simulate(
@@ -379,9 +381,9 @@ class TestKillAndResume:
         path = tmp_path / "crawl.ckpt"
         simulate(
             tiny_web,
-            config=SimulationConfig(
-                sample_interval=1, max_pages=4, checkpoint_every=2, checkpoint_path=path
-            ),
+            max_pages=4,
+            checkpoint_every=2,
+            checkpoint_path=path,
         ).run()
         resumed = simulate(tiny_web, resume_from=read_checkpoint(path)).run()
         assert resumed.pages_crawled == simulate(tiny_web).run().pages_crawled
@@ -390,29 +392,21 @@ class TestKillAndResume:
         path = tmp_path / "crawl.ckpt"
         simulate(
             tiny_web,
-            config=SimulationConfig(
-                sample_interval=1, max_pages=4, checkpoint_every=2, checkpoint_path=path
-            ),
+            max_pages=4,
+            checkpoint_every=2,
+            checkpoint_path=path,
         ).run()
         with pytest.raises(CheckpointError, match="strategy"):
-            Simulator(
-                web=tiny_web,
-                strategy=SimpleStrategy(mode="hard"),
-                classifier=Classifier(Language.THAI),
-                seed_urls=[SEED],
-                relevant_urls=THAI_SET,
-                config=SimulationConfig(sample_interval=1),
-                resume_from=path,
-            ).run()
+            simulate(tiny_web, SimpleStrategy(mode="hard"), resume_from=path).run()
 
     def test_resume_with_faults_requires_fault_model(self, tiny_web, tmp_path):
         path = tmp_path / "crawl.ckpt"
         simulate(
             tiny_web,
             faults=FaultModel(profile=FAULTY_PROFILE, seed=42),
-            config=SimulationConfig(
-                sample_interval=1, max_pages=4, checkpoint_every=2, checkpoint_path=path
-            ),
+            max_pages=4,
+            checkpoint_every=2,
+            checkpoint_path=path,
         ).run()
         with pytest.raises(CheckpointError, match="fault"):
             simulate(tiny_web, resume_from=path).run()
@@ -422,9 +416,9 @@ class TestKillAndResume:
         simulate(
             tiny_web,
             faults=FaultModel(profile=FAULTY_PROFILE, seed=42),
-            config=SimulationConfig(
-                sample_interval=1, max_pages=4, checkpoint_every=2, checkpoint_path=path
-            ),
+            max_pages=4,
+            checkpoint_every=2,
+            checkpoint_path=path,
         ).run()
         with pytest.raises(ConfigError, match="seed"):
             simulate(
@@ -463,18 +457,16 @@ class TestBackoffBoundaryKill:
     whole fetch round, never double-count its attempts."""
 
     def _run(self, tiny_web, timing, path=None, resume_from=None):
-        config = SimulationConfig(sample_interval=1)
+        checkpointing = {}
         if path is not None:
-            config = SimulationConfig(
-                sample_interval=1, checkpoint_every=1, checkpoint_path=path
-            )
+            checkpointing = {"checkpoint_every": 1, "checkpoint_path": path}
         simulator = simulate(
             tiny_web,
             timing=timing,
             faults=FaultModel(profile=FAULTY_PROFILE, seed=42),
             record_fault_journal=True,
-            config=config,
             resume_from=resume_from,
+            **checkpointing,
         )
         return simulator.run(), simulator
 
@@ -848,9 +840,8 @@ class TestAttemptCounterPruning:
             tiny_web,
             timing=TimingModel(),
             faults=FaultModel(profile=FAULTY_PROFILE, seed=42),
-            config=SimulationConfig(
-                sample_interval=1, checkpoint_every=1, checkpoint_path=path
-            ),
+            checkpoint_every=1,
+            checkpoint_path=path,
         )
         result = simulator.run()
         assert result.pages_crawled > 0
@@ -877,9 +868,9 @@ class TestAttemptCounterPruning:
             tiny_web,
             timing=TimingModel(),
             faults=FaultModel(profile=FAULTY_PROFILE, seed=42),
-            config=SimulationConfig(
-                sample_interval=1, max_pages=4, checkpoint_every=2, checkpoint_path=path
-            ),
+            max_pages=4,
+            checkpoint_every=2,
+            checkpoint_path=path,
         ).run()
         resumed = simulate(
             tiny_web,
@@ -894,13 +885,12 @@ class TestAttemptCounterPruning:
 class TestCheckpointConfig:
     def test_checkpoint_every_requires_path(self, tiny_web):
         with pytest.raises(ConfigError, match="checkpoint_path"):
-            simulate(tiny_web, config=SimulationConfig(checkpoint_every=10))
+            simulate(tiny_web, checkpoint_every=10)
 
     def test_checkpoint_every_must_be_positive(self, tiny_web, tmp_path):
         with pytest.raises(ConfigError, match=">= 1"):
             simulate(
                 tiny_web,
-                config=SimulationConfig(
-                    checkpoint_every=0, checkpoint_path=tmp_path / "c.ckpt"
-                ),
+                checkpoint_every=0,
+                checkpoint_path=tmp_path / "c.ckpt",
             )

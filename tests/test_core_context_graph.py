@@ -5,7 +5,7 @@ import pytest
 from repro.charset.languages import Language
 from repro.core.classifier import Classifier
 from repro.core.frontier import PriorityFrontier
-from repro.core.simulator import SimulationConfig, Simulator
+from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
 from repro.core.strategies import ContextGraphStrategy
 from repro.core.strategies.context_graph import build_context_layers, host_layer_table
 from repro.errors import ConfigError
@@ -70,12 +70,14 @@ class TestContextGraphStrategy:
 
     def test_nothing_discarded_full_coverage(self, tiny_web, tiny_log):
         strategy = self.make(tiny_log)
-        result = Simulator(
-            web=tiny_web,
-            strategy=strategy,
-            classifier=Classifier(Language.THAI),
-            seed_urls=[SEED],
-            config=SimulationConfig(sample_interval=1),
+        result = CrawlSession(
+            CrawlRequest(
+                strategy=strategy,
+                web=tiny_web,
+                classifier=Classifier(Language.THAI),
+                seeds=(SEED,),
+            ),
+            SessionConfig(sample_interval=1),
         ).run()
         assert result.final_coverage == 1.0
         assert result.pages_crawled == 8
@@ -98,13 +100,14 @@ class TestContextGraphStrategy:
         # seed's host layer 1.
         strategy = ContextGraphStrategy(db, [target], layers=2)
         urls = []
-        Simulator(
-            web=VirtualWebSpace(log),
-            strategy=strategy,
-            classifier=Classifier(Language.THAI),
-            seed_urls=[seed],
-            config=SimulationConfig(sample_interval=1),
-            on_fetch=lambda event: urls.append(event.url),
+        CrawlSession(
+            CrawlRequest(
+                strategy=strategy,
+                web=VirtualWebSpace(log),
+                classifier=Classifier(Language.THAI),
+                seeds=(seed,),
+            ),
+            SessionConfig(sample_interval=1, on_fetch=lambda event: urls.append(event.url)),
         ).run()
         assert urls.index(near) < urls.index(far)
 

@@ -16,17 +16,21 @@ from conftest import SEED
 
 
 def run_parallel(
-    dataset_or_web, seeds, relevant, partitions=4, mode=PartitionMode.EXCHANGE, **kwargs
+    dataset_or_web,
+    seeds,
+    relevant,
+    partitions=4,
+    mode=PartitionMode.EXCHANGE,
+    max_pages=None,
+    strategy_factory=BreadthFirstStrategy,
 ):
     return ParallelCrawlSimulator(
         web=dataset_or_web,
-        strategy_factory=BreadthFirstStrategy,
+        strategy_factory=strategy_factory,
         classifier=Classifier(Language.THAI),
         seed_urls=list(seeds),
-        partitions=partitions,
-        mode=mode,
+        config=ParallelConfig(partitions=partitions, mode=mode, max_pages=max_pages),
         relevant_urls=relevant,
-        **kwargs,
     ).run()
 
 
@@ -46,14 +50,16 @@ class TestValidation:
 
 class TestSinglePartitionEquivalence:
     def test_matches_sequential_crawl(self, tiny_web):
-        from repro.core.simulator import Simulator
+        from repro.core.session import CrawlRequest, CrawlSession
 
         parallel = run_parallel(tiny_web, [SEED], frozenset(), partitions=1)
-        sequential = Simulator(
-            web=tiny_web,
-            strategy=BreadthFirstStrategy(),
-            classifier=Classifier(Language.THAI),
-            seed_urls=[SEED],
+        sequential = CrawlSession(
+            CrawlRequest(
+                strategy=BreadthFirstStrategy(),
+                web=tiny_web,
+                classifier=Classifier(Language.THAI),
+                seeds=(SEED,),
+            )
         ).run()
         assert parallel.pages_crawled == sequential.pages_crawled
 
@@ -145,28 +151,20 @@ class TestAccounting:
         assert 0.0 < result.balance <= 1.0
 
     def test_works_with_focused_strategy(self, thai_dataset):
-        result = ParallelCrawlSimulator(
-            web=thai_dataset.web(),
-            strategy_factory=lambda: SimpleStrategy(mode="hard"),
-            classifier=Classifier(Language.THAI),
-            seed_urls=list(thai_dataset.seed_urls),
+        result = run_parallel(
+            thai_dataset.web(),
+            thai_dataset.seed_urls,
+            thai_dataset.relevant_urls(),
             partitions=4,
             mode=PartitionMode.EXCHANGE,
-            relevant_urls=thai_dataset.relevant_urls(),
-        ).run()
+            strategy_factory=lambda: SimpleStrategy(mode="hard"),
+        )
         # Hard-focused drops irrelevant-referrer links regardless of
         # partitioning, so coverage stays below the exchange ceiling.
         assert 0.3 < result.coverage < 1.0
 
 
 class TestPartitionMode:
-    def test_string_mode_deprecated_but_equivalent(self, tiny_web):
-        with pytest.warns(DeprecationWarning, match="PartitionMode.EXCHANGE"):
-            legacy = run_parallel(tiny_web, [SEED], frozenset(), mode="exchange")
-        modern = run_parallel(tiny_web, [SEED], frozenset(), mode=PartitionMode.EXCHANGE)
-        assert legacy.pages_crawled == modern.pages_crawled
-        assert legacy.mode is PartitionMode.EXCHANGE
-
     def test_result_mode_compares_with_strings(self, tiny_web):
         # str-mixin enum: existing `result.mode == "exchange"` call sites
         # keep working, and it renders as the wire value.
@@ -176,21 +174,10 @@ class TestPartitionMode:
 
     def test_coerce_rejects_non_mode_values(self):
         with pytest.raises(ConfigError):
-            PartitionMode.coerce(42)
+            ParallelConfig(mode=42)
 
 
 class TestParallelConfig:
-    def test_defaults_mirror_loose_kwargs(self, tiny_web):
-        via_config = ParallelCrawlSimulator(
-            web=tiny_web,
-            strategy_factory=BreadthFirstStrategy,
-            classifier=Classifier(Language.THAI),
-            seed_urls=[SEED],
-            config=ParallelConfig(partitions=2, max_pages=3),
-        ).run()
-        via_kwargs = run_parallel(tiny_web, [SEED], frozenset(), partitions=2, max_pages=3)
-        assert via_config.pages_crawled == via_kwargs.pages_crawled == 3
-
     def test_validates_partitions(self):
         with pytest.raises(ConfigError):
             ParallelConfig(partitions=0)
@@ -199,13 +186,8 @@ class TestParallelConfig:
         with pytest.raises(ConfigError):
             ParallelConfig(max_pages=-1)
 
-    def test_coerces_string_mode_with_warning(self):
-        with pytest.warns(DeprecationWarning):
-            config = ParallelConfig(mode="firewall")
-        assert config.mode is PartitionMode.FIREWALL
-
     def test_config_and_loose_kwargs_conflict(self, tiny_web):
-        with pytest.raises(ConfigError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected"):
             ParallelCrawlSimulator(
                 web=tiny_web,
                 strategy_factory=BreadthFirstStrategy,

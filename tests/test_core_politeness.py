@@ -7,10 +7,10 @@ from repro.core.classifier import Classifier
 from repro.core.frontier import Candidate
 from repro.core.politeness import (
     HostQueueFrontier,
-    PoliteOrderingStrategy,
+    HostQueues,
     max_same_site_run,
 )
-from repro.core.simulator import SimulationConfig, Simulator
+from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
 from repro.core.strategies import BreadthFirstStrategy, SimpleStrategy
 from repro.errors import CheckpointError, FrontierError
 
@@ -163,17 +163,17 @@ class TestPoliteKillResume:
     fetches exactly what the uninterrupted crawl would have."""
 
     def test_kill_and_resume_matches_uninterrupted(self, thai_dataset, tmp_path):
-        from repro.experiments.runner import run_strategy
-
         def fetched(**kwargs):
             urls: list[str] = []
-            run_strategy(
-                thai_dataset,
-                PoliteOrderingStrategy(BreadthFirstStrategy()),
-                sample_interval=10_000,
-                on_fetch=lambda event: urls.append(event.url),
-                **kwargs,
-            )
+            CrawlSession(
+                CrawlRequest(dataset=thai_dataset, strategy=BreadthFirstStrategy()),
+                SessionConfig(
+                    frontier=HostQueues(),
+                    sample_interval=10_000,
+                    on_fetch=lambda event: urls.append(event.url),
+                    **kwargs,
+                ),
+            ).run()
             return urls
 
         full = fetched(max_pages=300)
@@ -198,49 +198,65 @@ class TestMaxSameSiteRun:
         assert max_same_site_run([]) == 0
 
 
+def crawl_order(web, seeds, strategy, frontier, **config) -> list[str]:
+    urls: list[str] = []
+    CrawlSession(
+        CrawlRequest(
+            strategy=strategy,
+            web=web,
+            classifier=Classifier(Language.THAI),
+            seeds=tuple(seeds),
+            relevant_urls=frozenset(),
+        ),
+        SessionConfig(
+            frontier=frontier, on_fetch=lambda event: urls.append(event.url), **config
+        ),
+    ).run()
+    return urls
+
+
 class TestPoliteOrderingStrategy:
-    def test_name_and_delegation(self):
-        strategy = PoliteOrderingStrategy(SimpleStrategy(mode="hard"))
-        assert strategy.name == "polite(hard-focused)"
-        assert isinstance(strategy.make_frontier(), HostQueueFrontier)
+    """Any strategy's link selection under ``frontier=HostQueues()``."""
+
+    def test_name_and_delegation(self, tiny_web):
+        session = CrawlSession(
+            CrawlRequest(
+                strategy=SimpleStrategy(mode="hard"),
+                web=tiny_web,
+                classifier=Classifier(Language.THAI),
+                seeds=(SEED,),
+            ),
+            SessionConfig(frontier=HostQueues()),
+        ).open()
+        assert isinstance(session.frontier, HostQueueFrontier)
+        assert session.run().strategy == "polite(hard-focused)"
 
     def test_same_reachability_as_inner(self, tiny_web):
-        def crawl(strategy):
-            urls = []
-            Simulator(
-                web=tiny_web,
-                strategy=strategy,
-                classifier=Classifier(Language.THAI),
-                seed_urls=[SEED],
-                relevant_urls=frozenset(),
-                config=SimulationConfig(sample_interval=1),
-                on_fetch=lambda event: urls.append(event.url),
-            ).run()
-            return set(urls)
+        def crawl(frontier):
+            return set(
+                crawl_order(
+                    tiny_web, [SEED], BreadthFirstStrategy(), frontier, sample_interval=1
+                )
+            )
 
         # Polite ordering changes the order, never the kept-URL set for
         # order-insensitive strategies like breadth-first.
-        assert crawl(PoliteOrderingStrategy(BreadthFirstStrategy())) == crawl(
-            BreadthFirstStrategy()
-        )
+        assert crawl(HostQueues()) == crawl(None)
 
     def test_reduces_burstiness_on_generated_data(self, thai_dataset):
-        from repro.experiments.runner import run_strategy
+        def burstiness(frontier):
+            return max_same_site_run(
+                crawl_order(
+                    thai_dataset.web(),
+                    thai_dataset.seed_urls,
+                    BreadthFirstStrategy(),
+                    frontier,
+                    sample_interval=10_000,
+                    max_pages=2000,
+                )
+            )
 
-        def burstiness(strategy):
-            urls = []
-            Simulator(
-                web=thai_dataset.web(),
-                strategy=strategy,
-                classifier=Classifier(Language.THAI),
-                seed_urls=list(thai_dataset.seed_urls),
-                relevant_urls=frozenset(),
-                config=SimulationConfig(sample_interval=10_000, max_pages=2000),
-                on_fetch=lambda event: urls.append(event.url),
-            ).run()
-            return max_same_site_run(urls)
-
-        plain = burstiness(BreadthFirstStrategy())
-        polite = burstiness(PoliteOrderingStrategy(BreadthFirstStrategy()))
+        plain = burstiness(None)
+        polite = burstiness(HostQueues())
         assert polite < plain
         assert polite <= 3

@@ -12,7 +12,7 @@ import pytest
 
 from repro.charset.languages import Language
 from repro.core.classifier import Classifier
-from repro.core.simulator import SimulationConfig, Simulator
+from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
 from repro.core.strategies import (
     BreadthFirstStrategy,
     LimitedDistanceStrategy,
@@ -25,28 +25,26 @@ from conftest import A, B, C, D, DEAD, E, F, SEED
 THAI_SET = frozenset({SEED, A, C, F})
 
 
+def session(web, strategy, seeds=(SEED,), relevant_urls=THAI_SET, **config_kwargs):
+    return CrawlSession(
+        CrawlRequest(
+            strategy=strategy,
+            web=web,
+            classifier=Classifier(Language.THAI),
+            seeds=tuple(seeds),
+            relevant_urls=relevant_urls,
+        ),
+        SessionConfig(**config_kwargs),
+    )
+
+
 def run(web, strategy, seeds=(SEED,), **config_kwargs):
-    return Simulator(
-        web=web,
-        strategy=strategy,
-        classifier=Classifier(Language.THAI),
-        seed_urls=list(seeds),
-        relevant_urls=THAI_SET,
-        config=SimulationConfig(sample_interval=1, **config_kwargs),
-    ).run()
+    return session(web, strategy, seeds, sample_interval=1, **config_kwargs).run()
 
 
 def crawled_urls(web, strategy, seeds=(SEED,)):
     urls = []
-    Simulator(
-        web=web,
-        strategy=strategy,
-        classifier=Classifier(Language.THAI),
-        seed_urls=list(seeds),
-        relevant_urls=THAI_SET,
-        config=SimulationConfig(sample_interval=1),
-        on_fetch=lambda event: urls.append(event.url),
-    ).run()
+    run(web, strategy, seeds, on_fetch=lambda event: urls.append(event.url))
     return urls
 
 
@@ -133,12 +131,7 @@ class TestSimulatorMechanics:
 
     def test_requires_seeds(self, tiny_web):
         with pytest.raises(SimulationError):
-            Simulator(
-                web=tiny_web,
-                strategy=BreadthFirstStrategy(),
-                classifier=Classifier(Language.THAI),
-                seed_urls=[],
-            )
+            session(tiny_web, BreadthFirstStrategy(), seeds=()).run()
 
     def test_duplicate_seeds_deduplicated(self, tiny_web):
         result = run(tiny_web, BreadthFirstStrategy(), seeds=(SEED, SEED, SEED))
@@ -150,24 +143,12 @@ class TestSimulatorMechanics:
         assert result.final_coverage == 0.0
 
     def test_relevant_set_computed_when_omitted(self, tiny_web):
-        simulator = Simulator(
-            web=tiny_web,
-            strategy=BreadthFirstStrategy(),
-            classifier=Classifier(Language.THAI),
-            seed_urls=[SEED],
-        )
-        assert simulator.run().final_coverage == 1.0
+        result = session(tiny_web, BreadthFirstStrategy(), relevant_urls=None).run()
+        assert result.final_coverage == 1.0
 
     def test_events_fire_per_fetch(self, tiny_web):
         events = []
-        Simulator(
-            web=tiny_web,
-            strategy=BreadthFirstStrategy(),
-            classifier=Classifier(Language.THAI),
-            seed_urls=[SEED],
-            relevant_urls=THAI_SET,
-            on_fetch=events.append,
-        ).run()
+        session(tiny_web, BreadthFirstStrategy(), on_fetch=events.append).run()
         assert len(events) == 8
         assert events[0].url == SEED
         assert events[0].step == 1
@@ -209,11 +190,10 @@ class TestRediscoverySemantics:
         )
         web = VirtualWebSpace(log)
         urls = []
-        Simulator(
-            web=web,
-            strategy=LimitedDistanceStrategy(n=2),
-            classifier=Classifier(Language.THAI),
-            seed_urls=[s],
+        session(
+            web,
+            LimitedDistanceStrategy(n=2),
+            seeds=(s,),
             relevant_urls=frozenset({s, t1, target}),
             on_fetch=lambda event: urls.append(event.url),
         ).run()

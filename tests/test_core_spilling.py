@@ -4,11 +4,15 @@ import os
 
 import pytest
 
+from repro.core.classifier import Classifier
 from repro.core.frontier import Candidate
-from repro.core.spilling import SpillingFrontier, SpillingStrategy
+from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
+from repro.core.spilling import SpillConfig, SpillingFrontier
 from repro.core.strategies import SimpleStrategy
 from repro.webspace.virtualweb import VirtualWebSpace
 from repro.errors import FrontierError
+
+from conftest import SEED
 
 
 def candidate(index: int, priority: int = 0) -> Candidate:
@@ -101,26 +105,38 @@ class TestSpillMechanics:
 
 
 class TestSpillingStrategy:
-    def test_crawl_equivalent_coverage(self, thai_dataset):
-        from repro.experiments.runner import run_strategy
+    """Any strategy's link selection over a spilling queue."""
 
-        plain = run_strategy(thai_dataset, SimpleStrategy(mode="soft"))
-        spilling_strategy = SpillingStrategy(SimpleStrategy(mode="soft"), memory_limit=200)
-        spilled = run_strategy(thai_dataset, spilling_strategy)
+    def test_crawl_equivalent_coverage(self, thai_dataset):
+        request = CrawlRequest(dataset=thai_dataset, strategy=SimpleStrategy(mode="soft"))
+        plain = CrawlSession(request).run()
+        session = CrawlSession(
+            request, SessionConfig(frontier=SpillConfig(memory_limit=200))
+        )
+        session.step()
+        spilled = session.report()
+        stats = session.frontier.stats()
+        session.close()
 
         assert spilled.final_coverage == pytest.approx(plain.final_coverage)
         assert spilled.pages_crawled == plain.pages_crawled
-        stats = spilling_strategy.last_stats
-        assert stats is not None
         assert stats.spilled > 0
         # The whole point: resident set bounded, far under the plain
         # frontier's peak.
         assert stats.peak_resident <= 200 + 20
         assert stats.peak_resident < plain.summary.max_queue_size / 5
 
-    def test_name(self):
-        strategy = SpillingStrategy(SimpleStrategy(mode="soft"), memory_limit=64)
-        assert strategy.name == "spilling(soft-focused, mem=64)"
+    def test_name(self, tiny_web):
+        result = CrawlSession(
+            CrawlRequest(
+                strategy=SimpleStrategy(mode="soft"),
+                web=tiny_web,
+                classifier=Classifier("thai"),
+                seeds=(SEED,),
+            ),
+            SessionConfig(frontier=SpillConfig(memory_limit=64)),
+        ).run()
+        assert result.strategy == result.series.name == "spilling(soft-focused, mem=64)"
 
 
 class TestIdSpill:
@@ -219,11 +235,6 @@ class TestIdSpill:
 
 class TestSessionSpillConfig:
     def test_spill_config_equivalent_crawl(self, thai_dataset):
-        from repro.api import CrawlRequest, CrawlSession
-        from repro.core.classifier import Classifier
-        from repro.core.session import SessionConfig
-        from repro.core.spilling import SpillConfig
-
         def run(config):
             request = CrawlRequest(
                 strategy=SimpleStrategy(mode="soft"),
@@ -236,16 +247,12 @@ class TestSessionSpillConfig:
 
         plain = run(SessionConfig(sample_interval=500))
         spilled = run(
-            SessionConfig(sample_interval=500, spill=SpillConfig(memory_limit=100))
+            SessionConfig(sample_interval=500, frontier=SpillConfig(memory_limit=100))
         )
         assert spilled.pages_crawled == plain.pages_crawled
         assert spilled.final_coverage == pytest.approx(plain.final_coverage)
 
     def test_spill_rejects_checkpointing(self, thai_dataset):
-        from repro.api import CrawlRequest, CrawlSession
-        from repro.core.classifier import Classifier
-        from repro.core.session import SessionConfig
-        from repro.core.spilling import SpillConfig
         from repro.errors import ConfigError
 
         request = CrawlRequest(
@@ -259,7 +266,7 @@ class TestSessionSpillConfig:
             CrawlSession(
                 request,
                 SessionConfig(
-                    spill=SpillConfig(memory_limit=100),
+                    frontier=SpillConfig(memory_limit=100),
                     checkpoint_every=100,
                     checkpoint_path="/tmp/never-written.ckpt",
                 ),

@@ -263,19 +263,22 @@ class TestBacklinkReuseRegression:
         backlink table: the second run's fetch order has to match the
         first exactly."""
         from repro.core.classifier import Classifier
-        from repro.core.simulator import SimulationConfig, Simulator
+        from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
 
         strategy = BacklinkCountStrategy()
         orders = []
         for _ in range(2):
             urls = []
-            Simulator(
-                web=tiny_web,
-                strategy=strategy,
-                classifier=Classifier(Language.THAI),
-                seed_urls=[SEED],
-                config=SimulationConfig(sample_interval=1),
-                on_fetch=lambda event: urls.append(event.url),
+            CrawlSession(
+                CrawlRequest(
+                    strategy=strategy,
+                    web=tiny_web,
+                    classifier=Classifier(Language.THAI),
+                    seeds=(SEED,),
+                ),
+                SessionConfig(
+                    sample_interval=1, on_fetch=lambda event: urls.append(event.url)
+                ),
             ).run()
             orders.append(urls)
         assert orders[0] == orders[1]

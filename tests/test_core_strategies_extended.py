@@ -5,7 +5,7 @@ import pytest
 from repro.charset.languages import Language
 from repro.core.classifier import Classifier
 from repro.core.frontier import ReprioritizableFrontier
-from repro.core.simulator import SimulationConfig, Simulator
+from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
 from repro.core.strategies import (
     BacklinkCountStrategy,
     DistilledSoftStrategy,
@@ -22,14 +22,15 @@ THAI_SET_KW = dict(sample_interval=1)
 
 def run(web, strategy, seeds, relevant=frozenset()):
     urls = []
-    result = Simulator(
-        web=web,
-        strategy=strategy,
-        classifier=Classifier(Language.THAI),
-        seed_urls=list(seeds),
-        relevant_urls=relevant,
-        config=SimulationConfig(**THAI_SET_KW),
-        on_fetch=lambda event: urls.append(event.url),
+    result = CrawlSession(
+        CrawlRequest(
+            strategy=strategy,
+            web=web,
+            classifier=Classifier(Language.THAI),
+            seeds=tuple(seeds),
+            relevant_urls=relevant,
+        ),
+        SessionConfig(on_fetch=lambda event: urls.append(event.url), **THAI_SET_KW),
     ).run()
     return result, urls
 

@@ -81,17 +81,18 @@ class TestIntegrationWithSimulator:
     def test_sim_time_series_monotone(self, tiny_web):
         from repro.charset.languages import Language
         from repro.core.classifier import Classifier
-        from repro.core.simulator import SimulationConfig, Simulator
+        from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
         from repro.core.strategies import BreadthFirstStrategy
         from conftest import SEED
 
-        result = Simulator(
-            web=tiny_web,
-            strategy=BreadthFirstStrategy(),
-            classifier=Classifier(Language.THAI),
-            seed_urls=[SEED],
-            config=SimulationConfig(sample_interval=1),
-            timing=TimingModel(),
+        result = CrawlSession(
+            CrawlRequest(
+                strategy=BreadthFirstStrategy(),
+                web=tiny_web,
+                classifier=Classifier(Language.THAI),
+                seeds=(SEED,),
+            ),
+            SessionConfig(sample_interval=1, timing=TimingModel()),
         ).run()
         assert len(result.series.sim_time) == result.pages_crawled
         assert result.series.sim_time == sorted(result.series.sim_time)

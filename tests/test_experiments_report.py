@@ -1,7 +1,7 @@
 """Unit tests for the plain-text report renderers."""
 
 from repro.core.metrics import MetricSeries
-from repro.core.simulator import CrawlResult
+from repro.core.session import CrawlResult
 from repro.core.metrics import CrawlSummary
 from repro.experiments.figures import FigureResult
 from repro.experiments.report import (

@@ -1,7 +1,7 @@
 """The resilient fetch pipeline: retry, breakers, requeue — and the
 no-op guarantee on a healthy web.
 
-Integration tests drive the real :class:`Simulator` over the tiny web so
+Integration tests drive a real :class:`CrawlSession` over the tiny web so
 every assertion is about observable crawl behaviour (pages crawled,
 series, stats), not internals.
 """
@@ -10,7 +10,7 @@ import pytest
 
 from repro.charset.languages import Language
 from repro.core.classifier import Classifier
-from repro.core.simulator import SimulationConfig, Simulator
+from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
 from repro.core.strategies import BreadthFirstStrategy
 from repro.core.timing import TimingModel
 from repro.errors import ConfigError
@@ -29,14 +29,16 @@ from conftest import SEED
 THAI_SET = frozenset({SEED})
 
 
-def simulate(web, **kwargs):
-    kwargs.setdefault("config", SimulationConfig(sample_interval=1))
-    return Simulator(
-        web=web,
-        strategy=BreadthFirstStrategy(),
-        classifier=Classifier(Language.THAI),
-        seed_urls=[SEED],
-        **kwargs,
+def simulate(web, relevant_urls=None, **config):
+    return CrawlSession(
+        CrawlRequest(
+            strategy=BreadthFirstStrategy(),
+            web=web,
+            classifier=Classifier(Language.THAI),
+            seeds=(SEED,),
+            relevant_urls=relevant_urls,
+        ),
+        SessionConfig(sample_interval=1, **config),
     )
 
 

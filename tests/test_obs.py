@@ -13,8 +13,8 @@ import pytest
 
 from repro.charset.languages import Language
 from repro.core.classifier import Classifier
-from repro.core.simulator import SimulationConfig, Simulator
-from repro.core.spilling import SpillingStrategy
+from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
+from repro.core.spilling import SpillConfig
 from repro.core.strategies import BreadthFirstStrategy, SimpleStrategy
 from repro.obs import (
     CounterEvent,
@@ -34,14 +34,15 @@ from repro.obs.instrument import active
 from conftest import SEED
 
 
-def crawl(web, instrumentation=None, strategy=None):
-    return Simulator(
-        web=web,
-        strategy=strategy or BreadthFirstStrategy(),
-        classifier=Classifier(Language.THAI),
-        seed_urls=[SEED],
-        config=SimulationConfig(sample_interval=2),
-        instrumentation=instrumentation,
+def crawl(web, instrumentation=None, strategy=None, classifier=None):
+    return CrawlSession(
+        CrawlRequest(
+            strategy=strategy or BreadthFirstStrategy(),
+            web=web,
+            classifier=classifier or Classifier(Language.THAI),
+            seeds=(SEED,),
+        ),
+        SessionConfig(sample_interval=2, instrumentation=instrumentation),
     ).run()
 
 
@@ -234,13 +235,7 @@ class TestInstrumentedSimulation:
     def test_classifier_unbound_after_run(self, tiny_web):
         classifier = Classifier(Language.THAI)
         hub = Instrumentation()
-        Simulator(
-            web=tiny_web,
-            strategy=BreadthFirstStrategy(),
-            classifier=classifier,
-            seed_urls=[SEED],
-            instrumentation=hub,
-        ).run()
+        crawl(tiny_web, hub, classifier=classifier)
         judged = hub.registry.timer("classifier.judge").count
         # A later, uninstrumented judge must not keep feeding the hub.
         classifier.judge(tiny_web.fetch(SEED))
@@ -248,14 +243,13 @@ class TestInstrumentedSimulation:
 
     def test_spilling_frontier_reports_spill_counters(self, thai_dataset):
         hub = Instrumentation()
-        strategy = SpillingStrategy(SimpleStrategy(mode="soft"), memory_limit=50)
-        Simulator(
-            web=thai_dataset.web(),
-            strategy=strategy,
-            classifier=Classifier(Language.THAI),
-            seed_urls=list(thai_dataset.seed_urls),
-            config=SimulationConfig(sample_interval=500),
-            instrumentation=hub,
+        CrawlSession(
+            CrawlRequest(dataset=thai_dataset, strategy=SimpleStrategy(mode="soft")),
+            SessionConfig(
+                frontier=SpillConfig(memory_limit=50),
+                sample_interval=500,
+                instrumentation=hub,
+            ),
         ).run()
         assert hub.registry.counter("frontier.spilled") > 0
         assert hub.registry.timer("frontier.spill").count > 0
@@ -369,13 +363,7 @@ class TestInstrumentationOverheadContract:
 
         cache = ClassifierCache()
         hub = Instrumentation()
-        Simulator(
-            web=tiny_web,
-            strategy=BreadthFirstStrategy(),
-            classifier=Classifier(Language.THAI, cache=cache),
-            seed_urls=[SEED],
-            instrumentation=hub,
-        ).run()
+        crawl(tiny_web, hub, classifier=Classifier(Language.THAI, cache=cache))
         gauges = hub.registry.gauges
         assert gauges["classifier.cache.hits"] == cache.hits
         assert gauges["classifier.cache.misses"] == cache.misses

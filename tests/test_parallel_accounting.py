@@ -17,7 +17,7 @@ import pytest
 
 from repro.charset.languages import Language
 from repro.core.classifier import Classifier
-from repro.core.parallel import ParallelCrawlSimulator, PartitionMode
+from repro.core.parallel import ParallelConfig, ParallelCrawlSimulator, PartitionMode
 from repro.core.strategies import BreadthFirstStrategy
 from repro.faults import FaultModel, FaultProfile
 from repro.webspace.crawllog import CrawlLog
@@ -46,8 +46,7 @@ def run_parallel(web, seeds, mode=PartitionMode.EXCHANGE, partitions=2, **kwargs
         strategy_factory=BreadthFirstStrategy,
         classifier=Classifier(Language.THAI),
         seed_urls=list(seeds),
-        partitions=partitions,
-        mode=mode,
+        config=ParallelConfig(partitions=partitions, mode=mode),
         **kwargs,
     ).run()
 
@@ -142,16 +141,20 @@ class TestMailboxReconciliation:
 
     def test_run_crawl_routes_faults_to_parallel_engine(self, thai_dataset):
         from repro.api import run_crawl
-        from repro.core.parallel import ParallelConfig
+        from repro.core.session import CrawlRequest, SessionConfig
 
         result = run_crawl(
-            web=thai_dataset.web(),
-            strategy=BreadthFirstStrategy,
-            classifier=Classifier(Language.THAI),
-            seeds=thai_dataset.seed_urls,
-            relevant_urls=thai_dataset.relevant_urls(),
-            config=ParallelConfig(partitions=2, max_pages=300),
-            faults=FaultModel(profile=FAULTY_PROFILE, seed=7),
+            CrawlRequest(
+                strategy=BreadthFirstStrategy,
+                web=thai_dataset.web(),
+                classifier=Classifier(Language.THAI),
+                seeds=thai_dataset.seed_urls,
+                relevant_urls=thai_dataset.relevant_urls(),
+            ),
+            config=SessionConfig(
+                parallel=ParallelConfig(partitions=2, max_pages=300),
+                faults=FaultModel(profile=FAULTY_PROFILE, seed=7),
+            ),
         )
         assert result.pages_crawled == sum(result.per_crawler_pages)
         assert result.pages_crawled <= 300

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.charset.languages import Language
 from repro.core.classifier import Classifier
-from repro.core.simulator import SimulationConfig, Simulator
+from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
 from repro.core.strategies import BreadthFirstStrategy, SimpleStrategy
 from repro.webspace.crawllog import CrawlLog
 from repro.webspace.linkdb import LinkDB
@@ -46,14 +46,15 @@ def random_webs(draw):
 def crawl_with_events(log: CrawlLog, strategy):
     events = []
     relevant = relevant_url_set(log, Language.THAI)
-    result = Simulator(
-        web=VirtualWebSpace(log),
-        strategy=strategy,
-        classifier=Classifier(Language.THAI),
-        seed_urls=[next(iter(log.urls()))],
-        relevant_urls=relevant,
-        config=SimulationConfig(sample_interval=1),
-        on_fetch=events.append,
+    result = CrawlSession(
+        CrawlRequest(
+            strategy=strategy,
+            web=VirtualWebSpace(log),
+            classifier=Classifier(Language.THAI),
+            seeds=(next(iter(log.urls())),),
+            relevant_urls=relevant,
+        ),
+        SessionConfig(sample_interval=1, on_fetch=events.append),
     ).run()
     return result, events, relevant
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.charset.languages import Language
 from repro.core.classifier import Classifier
-from repro.core.parallel import ParallelCrawlSimulator, PartitionMode
-from repro.core.simulator import Simulator
+from repro.core.parallel import ParallelConfig, ParallelCrawlSimulator, PartitionMode
+from repro.core.session import CrawlRequest, CrawlSession
 from repro.core.strategies import BreadthFirstStrategy
 from repro.webspace.crawllog import CrawlLog
 from repro.webspace.page import PageRecord
@@ -51,8 +51,7 @@ def run(log: CrawlLog, partitions: int, mode: PartitionMode):
         strategy_factory=BreadthFirstStrategy,
         classifier=Classifier(Language.THAI),
         seed_urls=[next(iter(log.urls()))],
-        partitions=partitions,
-        mode=PartitionMode(mode),
+        config=ParallelConfig(partitions=partitions, mode=PartitionMode(mode)),
         relevant_urls=relevant_url_set(log, Language.THAI),
     ).run()
 
@@ -78,12 +77,14 @@ class TestParallelInvariants:
     @settings(max_examples=40, deadline=None)
     def test_single_partition_equals_sequential(self, log):
         parallel = run(log, 1, "exchange")
-        sequential = Simulator(
-            web=VirtualWebSpace(log),
-            strategy=BreadthFirstStrategy(),
-            classifier=Classifier(Language.THAI),
-            seed_urls=[next(iter(log.urls()))],
-            relevant_urls=relevant_url_set(log, Language.THAI),
+        sequential = CrawlSession(
+            CrawlRequest(
+                strategy=BreadthFirstStrategy(),
+                web=VirtualWebSpace(log),
+                classifier=Classifier(Language.THAI),
+                seeds=(next(iter(log.urls())),),
+                relevant_urls=relevant_url_set(log, Language.THAI),
+            )
         ).run()
         assert parallel.pages_crawled == sequential.pages_crawled
         assert parallel.covered_relevant == sequential.summary.covered_relevant

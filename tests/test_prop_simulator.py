@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.charset.languages import Language
 from repro.core.classifier import Classifier
-from repro.core.simulator import SimulationConfig, Simulator
+from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
 from repro.core.strategies import (
     BreadthFirstStrategy,
     LimitedDistanceStrategy,
@@ -59,14 +59,15 @@ def strategies_under_test():
 
 def run(log: CrawlLog, strategy):
     urls = []
-    result = Simulator(
-        web=VirtualWebSpace(log),
-        strategy=strategy,
-        classifier=Classifier(Language.THAI),
-        seed_urls=[next(iter(log.urls()))],
-        relevant_urls=relevant_url_set(log, Language.THAI),
-        config=SimulationConfig(sample_interval=1),
-        on_fetch=lambda event: urls.append(event.url),
+    result = CrawlSession(
+        CrawlRequest(
+            strategy=strategy,
+            web=VirtualWebSpace(log),
+            classifier=Classifier(Language.THAI),
+            seeds=(next(iter(log.urls())),),
+            relevant_urls=relevant_url_set(log, Language.THAI),
+        ),
+        SessionConfig(sample_interval=1, on_fetch=lambda event: urls.append(event.url)),
     ).run()
     return result, urls
 

@@ -1,0 +1,62 @@
+"""Repository hygiene that no other test would notice breaking.
+
+Nothing in tier-1 *runs* ``examples/*.py`` or ``benchmarks/bench_*.py``,
+so a name deleted from ``repro`` would break them silently; and the
+rule for removing an API here is *replace, don't deprecate*, so no
+deprecation machinery may linger under ``src/``.  Both checks read
+source text only — nothing is executed.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted(
+    [*(ROOT / "examples").glob("*.py"), *(ROOT / "benchmarks").glob("bench_*.py")]
+)
+
+
+def _repro_imports(path: Path) -> list[tuple[str, str | None]]:
+    """Every ``(module, name-or-None)`` a script imports from ``repro``."""
+    found: list[tuple[str, str | None]] = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found += [(node.module, alias.name) for alias in node.names]
+    return [
+        (module, name)
+        for module, name in found
+        if module == "repro" or module.startswith("repro.")
+    ]
+
+
+def test_scripts_were_found():
+    assert any(path.parent.name == "examples" for path in SCRIPTS)
+    assert any(path.parent.name == "benchmarks" for path in SCRIPTS)
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_script_imports_resolve(path):
+    for module_name, name in _repro_imports(path):
+        module = importlib.import_module(module_name)
+        if name is None or name == "*" or hasattr(module, name):
+            continue
+        # ``from package import submodule`` without the package having
+        # imported it yet.
+        importlib.import_module(f"{module_name}.{name}")
+
+
+def test_src_has_no_deprecation_machinery():
+    offenders = [
+        f"{path.relative_to(ROOT)}: {needle}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for needle in ("DeprecationWarning", "warnings.warn")
+        if needle in path.read_text(encoding="utf-8")
+    ]
+    assert not offenders, offenders
