@@ -34,7 +34,6 @@ tallies — all snapshot/restored through the checkpoint layer.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Mapping
 
 from repro.adversary.model import AdversaryModel
@@ -224,7 +223,7 @@ class AdversarialWebSpace:
         # Same content, different URL — the defining property of a
         # session alias.  The record stays the canonical page's, which is
         # what content fingerprinting keys on.
-        return replace(response, url=url, adversary="alias", page_id=None)
+        return response._replace(url=url, adversary="alias", page_id=None)
 
     # -- spider traps --------------------------------------------------------
 
@@ -318,7 +317,7 @@ class AdversarialWebSpace:
             return response
         if "outlinks" in changed:
             changed["outlink_ids"] = None  # no longer aligned with the links
-        return replace(response, **changed)  # type: ignore[arg-type]
+        return response._replace(**changed)
 
     def _alias_links(self, referrer: str, outlinks: tuple[str, ...]) -> tuple[str, ...] | None:
         """Rewrite hostile-host links with per-referrer session aliases."""

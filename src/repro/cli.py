@@ -8,7 +8,8 @@ Subcommands map onto the experiment harness:
   a columnar page store (``--capture none`` streams the raw universe in
   bounded memory, the out-of-core path for million-page webs).
 - ``lswc-sim dataset inspect thai.lswc`` — print a store's header,
-  section sizes and capture provenance without loading any pages.
+  section sizes and capture provenance, then read every record once (a
+  damaged row is an error) and print the decoded-URL cache's counters.
 - ``lswc-sim run thai soft-focused`` — run one strategy, print the
   summary and checkpoint series.
 - ``lswc-sim figure 6 --dataset thai`` — regenerate a paper figure as
@@ -609,6 +610,11 @@ def _dataset_inspect(args: argparse.Namespace) -> int:
         for name, size in store.section_sizes().items()
     ]
     print(render_table(sections, title="Sections"))
+    for _record in store:  # every row read once: damage is an error here, not mid-crawl
+        pass
+    cache = store.url_cache_stats()
+    cache["hit_ratio"] = round(cache["hits"] / max(1, cache["lookups"]), 3)
+    print(render_table([cache], title="Decoded-URL cache after one sequential scan"))
     store.close()
     return 0
 

@@ -41,7 +41,7 @@ fraction of hosts answer with a latency multiplier, surfaced through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from hashlib import blake2b
 from pathlib import Path
 from typing import Mapping
@@ -430,7 +430,7 @@ class FaultyWebSpace:
             if response.body is None and not response.ok:
                 return response  # nothing to truncate on a failed page
             body = self.model.garble(response.body) if response.body is not None else None
-            return replace(response, body=body, truncated=True, fault="truncate")
+            return response._replace(body=body, truncated=True, fault="truncate")
         return FetchResponse(
             url=url,
             status=_FAULT_STATUS[kind],

@@ -55,6 +55,9 @@ def check_link_cues(url: str, cues: Sequence[int], n_outlinks: int) -> None:
         raise CrawlLogError(f"{url!r}: invalid link cue byte {bad!r}")
 
 
+_set_field = object.__setattr__  # how a frozen dataclass fills itself
+
+
 @dataclass(frozen=True, slots=True)
 class PageRecord:
     """One entry of a crawl log.
@@ -90,7 +93,7 @@ class PageRecord:
     link_cues: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        # Records are where every URL in the system originates, so the
+        # A record built here is where its URLs enter the system, so the
         # canonical string objects are established here: interning makes
         # the simulator's scheduled-set and crawl-log lookups compare
         # pointers, not characters (see repro.urlkit.normalize).
@@ -98,6 +101,28 @@ class PageRecord:
         object.__setattr__(
             self, "outlinks", tuple(intern_url(link) for link in self.outlinks)
         )
+
+    @classmethod
+    def from_interned(
+        cls, url, status, content_type, charset, true_language, outlinks, size, link_cues
+    ) -> "PageRecord":
+        """A record whose ``url`` and ``outlinks`` are already interned objects.
+
+        The public constructor interns every URL it is given: a call per
+        link, every fetch.  A :class:`PageStore` interns a URL once, where
+        it decodes it, and builds its records here; only a caller that can
+        promise the same (and that ``outlinks`` is a tuple) may.
+        """
+        record = object.__new__(cls)
+        _set_field(record, "url", url)
+        _set_field(record, "status", status)
+        _set_field(record, "content_type", content_type)
+        _set_field(record, "charset", charset)
+        _set_field(record, "true_language", true_language)
+        _set_field(record, "outlinks", outlinks)
+        _set_field(record, "size", size)
+        _set_field(record, "link_cues", link_cues)
+        return record
 
     @property
     def ok(self) -> bool:

@@ -7,10 +7,10 @@ numpy columns and flat arenas in one on-disk file.  Opening a store
 loads only the fixed-width index columns (~50 bytes/page); the
 variable-length arenas are read per request with ``os.pread``, so a
 million-page web costs tens of megabytes resident, not gigabytes of
-Python objects.  Records are materialised lazily and
-transiently: ``store.get(url)`` builds a
-:class:`~repro.webspace.page.PageRecord` on demand, byte-identical to
-the one the in-memory backend would hold.
+Python objects.  Records are materialised lazily and transiently, by
+one routine: ``store.get(url)`` builds on demand a
+:class:`~repro.webspace.page.PageRecord` equal, field for field, to the
+one the in-memory backend would hold.
 
 On-disk layout (single file)::
 
@@ -61,6 +61,7 @@ import numpy as np
 
 from repro.charset.languages import Language, language_of_charset
 from repro.errors import CrawlLogError, UnknownPageError
+from repro.urlkit.normalize import intern_url
 from repro.webspace.page import HTML_CONTENT_TYPE, STATUS_OK, PageRecord, check_link_cues
 
 _MAGIC = b"LSWCPGS1"
@@ -226,7 +227,10 @@ class PageStore:
     get / getitem / urls), which is what lets
     :class:`~repro.webspace.virtualweb.VirtualWebSpace`, the stats and
     coverage helpers, and checkpoint record re-attachment run unchanged
-    over either backend.
+    over either backend.  The crawl enters through :meth:`fetch_record`,
+    which hands out ids and verifies the hint it is given; every record is
+    built by :meth:`_materialise`; every URL string is decoded, and interned,
+    by :meth:`url_of`, entered only for what the URL cache does not hold.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -250,6 +254,8 @@ class PageStore:
         if header.get("version") != _FORMAT_VERSION:
             raise CrawlLogError(f"{path}: unsupported version {header.get('version')!r}")
         self.header = header
+        self.page_count = int(header["pages"])  # plain ints: compared on every fetch
+        self.url_count = int(header["urls"])
         data_start = _align_up(len(_MAGIC) + 8 + header_len)
         self._file = open(path, "rb")
         self._fd = self._file.fileno()
@@ -291,6 +297,7 @@ class PageStore:
         self._languages: list[Language] = [Language(value) for value in header["languages"]]
         self._url_cache: dict[int, str] = {}
         self._url_cache_order: deque[int] = deque()
+        self._url_lookups = self._url_misses = self._url_evictions = 0
         self._closed = False
 
     # -- classmethod conveniences -----------------------------------------
@@ -321,14 +328,6 @@ class PageStore:
     # -- store geometry -----------------------------------------------------
 
     @property
-    def page_count(self) -> int:
-        return int(self.header["pages"])
-
-    @property
-    def url_count(self) -> int:
-        return int(self.header["urls"])
-
-    @property
     def link_count(self) -> int:
         return int(self.header["links"])
 
@@ -354,28 +353,44 @@ class PageStore:
     # -- id <-> url ----------------------------------------------------------
 
     def url_of(self, uid: int) -> str:
-        """Decode url-id ``uid`` (bounded cache: hubs decode once)."""
+        """The URL of url-id ``uid`` (bounded cache: hubs decode once), interned
+        here, where the string comes into being — so nobody downstream need intern it."""
+        self._url_lookups += 1
         cached = self._url_cache.get(uid)
         if cached is not None:
             return cached
-        url = self._decode_url(uid)
+        self._check_open()
+        if not 0 <= uid < self.url_count:
+            raise UnknownPageError(f"url id {uid} out of range")
+        url = intern_url(self._decode_url(uid))
+        self._url_misses += 1
         if len(self._url_cache) >= _URL_CACHE_MAX:
             del self._url_cache[self._url_cache_order.popleft()]
+            self._url_evictions += 1
         self._url_cache[uid] = url
         self._url_cache_order.append(uid)
         return url
+
+    def url_cache_stats(self) -> dict[str, int]:
+        """Decoded-URL cache counters since open: every URL the store
+        handed out is one lookup, every arena decode one miss."""
+        lookups, misses = self._url_lookups, self._url_misses
+        return dict(lookups=lookups, hits=lookups - misses, misses=misses,
+                    evictions=self._url_evictions, size=len(self._url_cache))
 
     def _check_open(self) -> None:
         if self._closed:
             raise CrawlLogError(f"{self.path}: page store is closed")
 
     def _decode_url(self, uid: int) -> str:
-        self._check_open()
-        if not 0 <= uid < self.url_count:
-            raise UnknownPageError(f"url id {uid} out of range")
-        low = int(self._url_offsets[uid])
-        high = int(self._url_offsets[uid + 1])
-        return os.pread(self._fd, high - low, self._url_arena_start + low).decode("utf-8")
+        """Read url ``uid`` (in range, store open) from the arena, uncached."""
+        low = self._url_offsets.item(uid)
+        size = self._url_offsets.item(uid + 1) - low
+        raw = os.pread(self._fd, size, self._url_arena_start + low)
+        if len(raw) != size:
+            short = f"url_arena read {len(raw)} of {size} bytes"
+            raise CrawlLogError(f"{self.path}: url id {uid}: {short}")
+        return raw.decode("utf-8")
 
     def id_of(self, url: str) -> int | None:
         """The url-id of ``url`` (page or dangling target), or None."""
@@ -439,30 +454,53 @@ class PageStore:
 
     def _materialise(self, page_id: int) -> tuple[PageRecord, int, tuple[int, ...]]:
         """``(record, page_id, outlink url-ids)`` — the ids the record's
-        outlinks were decoded from, aligned 1:1 with ``record.outlinks``."""
-        self._check_page(page_id)
-        charset_id = int(self._charset[page_id])
-        status = int(self._status[page_id])
-        content_type = self._content_types[int(self._ctype[page_id])]
+        outlinks were decoded from, aligned 1:1 with ``record.outlinks``.
+
+        Every record comes out of here: the page pays its checks and reads
+        once, a link pays a cache probe, and only a link the cache does not
+        hold goes to :meth:`url_of` (which rejects an id no row should hold).
+        """
+        if self._closed:
+            raise CrawlLogError(f"{self.path}: page store is closed")
+        if not 0 <= page_id < self.page_count:
+            raise UnknownPageError(f"page id {page_id} out of range")
+        status = self._status.item(page_id)
+        content_type = self._content_types[self._ctype.item(page_id)]
+        charset_id = self._charset.item(page_id)
+        low = self._link_offsets.item(page_id)
+        count = self._link_offsets.item(page_id + 1) - low
+        link_ids: tuple[int, ...] = ()
+        if count:
+            row = os.pread(self._fd, 8 * count, self._link_arena_start + 8 * low)
+            if len(row) != 8 * count:
+                short = f"link_arena read {len(row)} of {8 * count} bytes"
+                raise CrawlLogError(f"{self.path}: page {page_id}: {short}")
+            link_ids = struct.unpack(f"<{count}q", row)
+        cached = self._url_cache.get
+        url = cached(page_id)
+        outlinks = [cached(uid) for uid in link_ids]
+        missing = outlinks.count(None) + (url is None)
+        self._url_lookups += count + 1 - missing  # url_of counts the rest
+        if missing:
+            url_of = self.url_of
+            try:
+                if url is None:
+                    url = url_of(page_id)
+                outlinks = [url_of(uid) if u is None else u for uid, u in zip(link_ids, outlinks)]
+            except UnknownPageError as exc:
+                message = f"{self.path}: page {page_id}: link row holds {exc.args[0]}"
+                raise CrawlLogError(message) from exc
         # Mirror the generator: only OK HTML pages carry a cue row (other
         # pages have no outlinks and record link_cues=None).
         cues: tuple[int, ...] | None = None
-        if status == STATUS_OK and content_type == HTML_CONTENT_TYPE:
-            cues = self.link_cue_row(page_id)
-        url_of = self.url_of
-        link_ids = tuple(self.outlink_ids(page_id).tolist())
-        url = url_of(page_id)
-        if cues is not None:
-            check_link_cues(url, cues, len(link_ids))
-        record = PageRecord(
-            url=url,
-            status=status,
-            content_type=content_type,
-            charset=None if charset_id < 0 else self._charsets[charset_id],
-            true_language=self._languages[int(self._lang[page_id])],
-            outlinks=tuple([url_of(uid) for uid in link_ids]),
-            size=int(self._size[page_id]),
-            link_cues=cues,
+        if self._link_cues_start >= 0 and status == STATUS_OK and content_type == HTML_CONTENT_TYPE:
+            cues = tuple(os.pread(self._fd, count, self._link_cues_start + low)) if count else ()
+            check_link_cues(url, cues, count)
+        charset = None if charset_id < 0 else self._charsets[charset_id]
+        language = self._languages[self._lang.item(page_id)]
+        record = PageRecord.from_interned(
+            url, status, content_type, charset, language,
+            tuple(outlinks), self._size.item(page_id), cues,
         )
         return record, page_id, link_ids
 
@@ -472,15 +510,19 @@ class PageStore:
         """``(record, page_id, outlink url-ids)`` of ``url``, all None if it has no page.
 
         ``hint`` is a url-id this store gave out for ``url`` earlier (an
-        outlink id riding on a candidate).  It is verified against the
-        record it leads to, and anything else — absent, out of range,
-        dangling, another page's — falls back to :meth:`id_of`: a wrong
-        hint costs time, never a wrong page.
+        outlink id riding on a candidate).  It is verified here, against
+        the URL it leads to, and anything else — absent, out of range,
+        another URL's — falls back to :meth:`id_of`: a wrong hint costs
+        time, never a wrong page.  A verified *dangling* hint answers "no
+        page" without the hash lookup.
         """
-        if hint is not None and 0 <= hint < self.page_count:
-            found = self._materialise(hint)
-            if found[0].url == url:
-                return found
+        if hint is not None:
+            if 0 <= hint < self.page_count:
+                found = self._materialise(hint)
+                if found[0].url == url:
+                    return found
+            elif self.page_count <= hint < self.url_count and self.url_of(hint) == url:
+                return None, None, None
         page_id = self.page_id_of(url)
         if page_id is None:
             return None, None, None
@@ -512,6 +554,7 @@ class PageStore:
 
     def urls(self) -> Iterator[str]:
         for page_id in range(self.page_count):
+            self._check_open()
             yield self._decode_url(page_id)
 
     # -- out-of-core hygiene --------------------------------------------------

@@ -18,8 +18,7 @@ charset detection instead of trusting the log.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import NamedTuple, Protocol
 
 from repro.webspace.base import PageSource
 from repro.webspace.page import HTML_CONTENT_TYPE, STATUS_OK, PageRecord
@@ -28,12 +27,15 @@ from repro.webspace.page import HTML_CONTENT_TYPE, STATUS_OK, PageRecord
 STATUS_UNKNOWN_URL = 404
 
 
-@dataclass(frozen=True, slots=True)
-class FetchResponse:
+class FetchResponse(NamedTuple):
     """What one simulated download returns.
 
     ``record`` is None for URLs with no crawl-log entry; ``body`` is None
     unless body synthesis is enabled and the page is an OK HTML page.
+
+    One per fetch, so a tuple (like ``Candidate``): built positionally on
+    the fetch path, by keyword elsewhere, and altered only by derivation —
+    ``response._replace(...)`` in the fault and adversary wrappers.
     """
 
     url: str
@@ -136,29 +138,18 @@ class VirtualWebSpace:
         else:
             record, page_id, link_ids = self._fetch_record(url, uid)
         if record is None:
-            return FetchResponse(
-                url=url,
-                status=STATUS_UNKNOWN_URL,
-                content_type=HTML_CONTENT_TYPE,
-                charset=None,
-                outlinks=(),
-                size=0,
-            )
-        emits = record.status == STATUS_OK and record.content_type == HTML_CONTENT_TYPE
+            return FetchResponse(url, STATUS_UNKNOWN_URL, HTML_CONTENT_TYPE, None, (), 0)
+        status = record.status
+        content_type = record.content_type
+        emits = status == STATUS_OK and content_type == HTML_CONTENT_TYPE
         body: bytes | None = None
         if self._synthesize is not None and emits:
             body = self._synthesize(record)
         return FetchResponse(
-            url=record.url,
-            status=record.status,
-            content_type=record.content_type,
-            charset=record.charset,
-            outlinks=record.outlinks if emits else (),
-            size=record.size,
-            body=body,
-            record=record,
-            page_id=page_id,
-            outlink_ids=link_ids if emits else None,
+            record.url, status, content_type, record.charset,
+            record.outlinks if emits else (), record.size, body, record,
+            False, None, None, None,  # truncated, fault, redirect_to, adversary
+            page_id, link_ids if emits else None,
         )
 
 
@@ -185,7 +176,3 @@ def make_cached_synthesizer(
         return body
 
     return cached
-
-
-# Convenience alias used by type annotations elsewhere.
-Fetcher = Callable[[str], FetchResponse]

@@ -293,6 +293,7 @@ class TestDatasetStoreCommands:
         assert "Page store" in out
         assert "url_arena" in out
         assert "fingerprint" in out
+        assert "Decoded-URL cache" in out and "hit_ratio" in out and "evictions" in out
 
     def test_build_without_out_errors(self, capsys):
         code = main(["dataset", "build", "thai"])

@@ -1,7 +1,5 @@
 """Unit tests for repro.core.visitor."""
 
-from dataclasses import replace
-
 from repro.charset.languages import Language
 from repro.core.strategies.textcues import context_fractions
 from repro.core.visitor import Visitor
@@ -129,7 +127,7 @@ class TestExtractContexts:
         assert visitor.extract_contexts(visitor.fetch(SEED), ()) == ()
 
     def test_no_record_and_no_body_is_none(self, tiny_web):
-        recordless = replace(Visitor(tiny_web).fetch(SEED), record=None)
+        recordless = Visitor(tiny_web).fetch(SEED)._replace(record=None)
         assert Visitor(tiny_web).extract_contexts(recordless, (A,)) is None
 
     def test_body_mode_parses_the_markup(self, tiny_log):

@@ -212,6 +212,24 @@ class TestIdOfCalls:
         assert len(universe_dataset.seed_urls) == 10
         assert sorted(id_of_calls) == sorted(universe_dataset.seed_urls)
 
+    def test_a_verified_dangling_hint_answers_without_hashing(self, store_dataset, id_of_calls):
+        store = store_dataset.crawl_log
+        web = VirtualWebSpace(store)
+        dangling = range(store.page_count, store.url_count)
+        assert len(dangling) >= 2, "fixture must have dangling targets"
+        for uid in (dangling[0], dangling[-1]):
+            url = store.url_of(uid)
+            unhinted = web.fetch(url)
+            assert unhinted.status == 404 and unhinted.record is None
+            del id_of_calls[:]
+            assert store.fetch_record(url, uid) == (None, None, None)
+            assert web.fetch(url, uid) == unhinted
+            assert id_of_calls == []
+            # Another dangling URL's id proves nothing: one lookup, same answer.
+            wrong = dangling[0] if uid != dangling[0] else dangling[1]
+            assert web.fetch(url, wrong) == unhinted
+            assert id_of_calls == [url]
+
     def test_resumed_frontier_is_unhinted_and_pays_one_lookup_a_page(
         self, universe_dataset, id_of_calls, tmp_path
     ):

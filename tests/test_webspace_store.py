@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import struct
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -11,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.charset.languages import Language
 from repro.errors import CrawlLogError, UnknownPageError
+from repro.urlkit.normalize import intern_url
 from repro.webspace.crawllog import CrawlLog
 from repro.webspace.linkdb import LinkDB
 from repro.webspace import store as store_module
@@ -289,6 +293,141 @@ class TestUrlCache:
                     if uid not in fifo:
                         fifo = (fifo + [uid])[-2:]
                     assert sorted(store._url_cache) == sorted(fifo)
+
+
+class TestFusedFetchPath:
+    """One routine builds every record: what it hands out, what it
+    counts, and what a damaged row or a short read turns into."""
+
+    #: Cues *and* dangling targets (x, y), rows longer than the cache
+    #: bound used below, a self link, and pages that emit nothing.
+    PAGES = [
+        PageRecord(
+            url="http://a.example/",
+            true_language=Language.THAI,
+            charset="TIS-620",
+            outlinks=(
+                "http://b.example/", "http://x.example/", "http://c.example/",
+                "http://a.example/", "http://d.example/", "http://y.example/",
+            ),
+            size=900,
+            link_cues=(0x0A, 0, 0x1A, 0, 0x08, 0x10),
+        ),
+        PageRecord(url="http://b.example/", outlinks=("http://a.example/",), link_cues=(0x1A,)),
+        PageRecord(url="http://c.example/", status=404),
+        PageRecord(url="http://d.example/doc.pdf", content_type="application/pdf", size=7),
+        PageRecord(
+            url="http://d.example/",
+            charset="EUC-JP",
+            true_language=Language.JAPANESE,
+            outlinks=("http://y.example/", "http://b.example/", "http://d.example/doc.pdf"),
+            link_cues=(0, 0x09, 0),
+        ),
+        PageRecord(url="http://e.example/", outlinks=(), link_cues=()),
+    ]
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        builder = StoreBuilder()
+        builder.add_all(self.PAGES)
+        builder.finish(tmp_path / "fused.lswc")
+        return tmp_path / "fused.lswc"
+
+    def test_every_hint_builds_the_public_constructors_record(self, path, monkeypatch):
+        # A bound of 4 under rows of 6: a miss late in a row evicts a
+        # hit found earlier in the same row.
+        monkeypatch.setattr(store_module, "_URL_CACHE_MAX", 4)
+        with PageStore.open(path) as store:
+            decodes: list[int] = []
+            real = store._decode_url
+            monkeypatch.setattr(store, "_decode_url", lambda uid: decodes.append(uid) or real(uid))
+            assert (store.page_count, store.url_count) == (6, 8)
+            handed_out = 0
+            for page_id, expected in enumerate(self.PAGES):
+                hints = {
+                    "right": page_id,
+                    "another page's": (page_id + 1) % 6,
+                    "dangling": 6,
+                    "out of range": 8,
+                    "negative": -3,
+                    "none": None,
+                }
+                for kind, hint in hints.items():
+                    before = store.url_cache_stats()["lookups"]
+                    record, found_id, link_ids = store.fetch_record(expected.url, hint)
+                    # Wrong hints are verified, which hands out URLs too.
+                    handed_out += store.url_cache_stats()["lookups"] - before
+                    assert found_id == page_id, kind
+                    for field in dataclasses.fields(PageRecord):
+                        got, want = getattr(record, field.name), getattr(expected, field.name)
+                        assert got == want and type(got) is type(want), (kind, field.name)
+                    assert record == expected and hash(record) == hash(expected)
+                    assert len(link_ids) == len(record.outlinks)
+                    assert all(type(uid) is int for uid in link_ids)
+                    assert tuple(real(uid) for uid in link_ids) == record.outlinks
+                    for url in (record.url, *record.outlinks):
+                        assert url is intern_url(url), (kind, url)
+            stats = store.url_cache_stats()
+            assert stats["hits"] + stats["misses"] == stats["lookups"] == handed_out
+            assert stats["misses"] == len(decodes)
+            assert stats["evictions"] == stats["misses"] - 4 and stats["size"] == 4
+
+    def test_counters_add_one_lookup_per_url_handed_out(self, path):
+        with PageStore.open(path) as store:
+            assert store.url_cache_stats() == {
+                "lookups": 0, "hits": 0, "misses": 0, "evictions": 0, "size": 0,
+            }
+            store.record_at(0)  # 1 + 6 URLs, one of them the page itself: 6 decodes
+            assert store.url_cache_stats() == {
+                "lookups": 7, "hits": 1, "misses": 6, "evictions": 0, "size": 6,
+            }
+            store.record_at(1)  # b and a: both cached
+            store.url_of(7)  # y, cached
+            assert store.url_cache_stats() == {
+                "lookups": 10, "hits": 4, "misses": 6, "evictions": 0, "size": 6,
+            }
+            store.release_page_cache()
+            assert store.url_cache_stats()["size"] == 0
+
+    def test_every_entry_point_goes_through_the_one_routine(self, path, monkeypatch):
+        with PageStore.open(path) as store:
+            seen: list[int] = []
+            real = store._materialise
+            monkeypatch.setattr(
+                store, "_materialise", lambda page_id: seen.append(page_id) or real(page_id)
+            )
+            url = self.PAGES[4].url
+            assert store.record_at(4) == store.get(url) == store[url] == self.PAGES[4]
+            assert store.fetch_record(url)[0] == store.fetch_record(url, 4)[0] == self.PAGES[4]
+            assert seen == [4] * 5
+            assert list(store) == self.PAGES
+            assert seen[5:] == list(range(6))
+
+    @pytest.mark.parametrize("section", ["link_arena", "url_arena"])
+    def test_a_short_read_is_a_named_error_at_the_page(self, path, section):
+        with PageStore.open(path) as store:
+            start = {"link_arena": store._link_arena_start, "url_arena": store._url_arena_start}
+            os.truncate(path, start[section] + 3)  # mid-row: every read there comes back short
+            with pytest.raises(CrawlLogError, match=rf"fused\.lswc.*\b0\b.*{section} read 3 of"):
+                store.fetch_record("http://a.example/", 0)
+            with pytest.raises(CrawlLogError, match=f"{section} read"):
+                store.record_at(0)
+
+    @pytest.mark.parametrize("bad", [8, -1, 2**40])
+    def test_a_link_id_outside_the_url_table_is_a_named_error(self, path, tmp_path, bad):
+        with PageStore.open(path) as store:
+            offset = store._link_arena_start + 8 * 2  # a.example's third link
+        data = bytearray(path.read_bytes())
+        assert struct.unpack_from("<q", data, offset) == (2,)
+        struct.pack_into("<q", data, offset, bad)
+        damaged = tmp_path / "damaged.lswc"
+        damaged.write_bytes(bytes(data))
+        with PageStore.open(damaged) as store:
+            assert store.get("http://b.example/") == self.PAGES[1]
+            with pytest.raises(CrawlLogError, match=rf"damaged\.lswc: page 0: .*url id {bad} out"):
+                store.fetch_record("http://a.example/", 0)
+            with pytest.raises(UnknownPageError):  # a caller's bad id is still the caller's
+                store.url_of(bad)
 
 
 class TestStoreLinkDB:

@@ -1,10 +1,15 @@
 """Unit tests for repro.webspace.virtualweb."""
 
+import pickle
+
+import pytest
+
 from repro.graphgen.htmlsynth import HtmlSynthesizer
 from repro.webspace.crawllog import CrawlLog
 from repro.webspace.page import PageRecord
 from repro.webspace.virtualweb import (
     STATUS_UNKNOWN_URL,
+    FetchResponse,
     VirtualWebSpace,
     make_cached_synthesizer,
 )
@@ -54,6 +59,51 @@ class TestFetch:
         )
         web = VirtualWebSpace(CrawlLog([record]))
         assert web.fetch("http://x.example/doc.pdf").outlinks == ()
+
+
+class TestFetchResponse:
+    """The tuple-backed response: what the dataclass promised still holds."""
+
+    def test_defaults_are_an_organic_recordless_response(self):
+        response = FetchResponse("http://x.example/", 200, "text/html", None, (), 0)
+        assert response.ok and response.is_html
+        assert (response.body, response.record, response.truncated) == (None, None, False)
+        assert (response.fault, response.redirect_to, response.adversary) == (None, None, None)
+        assert (response.page_id, response.outlink_ids) == (None, None)
+
+    def test_positional_fetch_equals_the_keyword_form(self, tiny_web, tiny_log):
+        record = tiny_log.get(SEED)
+        by_keyword = FetchResponse(
+            url=record.url,
+            status=record.status,
+            content_type=record.content_type,
+            charset=record.charset,
+            outlinks=record.outlinks,
+            size=record.size,
+            record=record,
+        )
+        assert tiny_web.fetch(SEED) == by_keyword
+        assert hash(tiny_web.fetch(SEED)) == hash(by_keyword)
+        assert tiny_web.fetch(SEED) != tiny_web.fetch(DEAD)
+
+    def test_replace_derives_and_the_original_is_immutable(self, tiny_web):
+        response = tiny_web.fetch(SEED)
+        garbled = response._replace(body=b"\xff", truncated=True, fault="truncate")
+        assert (garbled.body, garbled.truncated, garbled.fault) == (b"\xff", True, "truncate")
+        assert garbled.url is response.url and garbled.record is response.record
+        assert response.fault is None and not response.truncated
+        with pytest.raises(AttributeError):
+            response.status = 500
+        with pytest.raises(ValueError, match="unexpected field"):
+            response._replace(no_such_field=1)
+
+    def test_pickle_round_trip(self, tiny_log):
+        # Sweep workers ship responses between processes.
+        web = VirtualWebSpace(tiny_log, body_synthesizer=HtmlSynthesizer())
+        for url in (SEED, DEAD, "http://never-seen.example/"):
+            response = web.fetch(url)._replace(page_id=3, outlink_ids=(1, 2))
+            clone = pickle.loads(pickle.dumps(response))
+            assert type(clone) is FetchResponse and clone == response
 
 
 class TestBodySynthesis:
