@@ -25,6 +25,7 @@ import json
 import time
 
 from repro.adversary import AdversaryModel, DefenseConfig
+from repro.core.session import SessionConfig
 from repro.core.strategies import (
     BacklinkCountStrategy,
     BreadthFirstStrategy,
@@ -144,7 +145,7 @@ def _time_sweep(dataset, trials: int = TRIALS, **kwargs) -> list[float]:
     timings = []
     for _ in range(trials):
         start = time.perf_counter()
-        run_strategies(dataset, _sweep_strategies(), **kwargs)
+        run_strategies(dataset, _sweep_strategies(), SessionConfig(**kwargs))
         timings.append(round(time.perf_counter() - start, 3))
     return timings
 

@@ -22,6 +22,7 @@ import json
 import time
 
 from repro.core.engine import EngineHook, EngineStep
+from repro.core.session import SessionConfig
 from repro.experiments.runner import run_strategies
 
 from conftest import BENCH_SCALE
@@ -55,7 +56,7 @@ def _time_sweep(dataset, trials: int = TRIALS, **kwargs) -> list[float]:
     timings = []
     for _ in range(trials):
         start = time.perf_counter()
-        run_strategies(dataset, SWEEP, **kwargs)
+        run_strategies(dataset, SWEEP, SessionConfig(**kwargs))
         timings.append(round(time.perf_counter() - start, 3))
     return timings
 

@@ -24,7 +24,8 @@ import json
 import os
 import time
 
-from repro.experiments.runner import run_strategies
+from repro.exec import DatasetSpec
+from repro.experiments.sweep import run_cells, strategy_spec
 
 from conftest import BENCH_SCALE
 
@@ -32,11 +33,17 @@ TRIALS = 3
 MIN_SPEEDUP_W4 = 1.8
 
 SWEEP = [
-    "breadth-first",
-    "hard-focused",
-    "soft-focused",
+    ("breadth-first", {}),
+    ("hard-focused", {}),
+    ("soft-focused", {}),
     ("limited-distance", {"n": 2}),
 ]
+
+
+def _sweep(dataset, strategies, workers: int = 0) -> dict:
+    dataset_spec = DatasetSpec.from_dataset(dataset)
+    runs = run_cells(strategies, lambda *ref: strategy_spec(dataset_spec, ref), workers)
+    return {result.strategy: result for _, result in runs}
 
 
 def _canonical_hash(results: dict) -> str:
@@ -59,7 +66,7 @@ def _time_sweep(dataset, workers: int) -> tuple[list[float], str]:
     digest = None
     for _ in range(TRIALS):
         start = time.perf_counter()
-        results = run_strategies(dataset, SWEEP, workers=workers)
+        results = _sweep(dataset, SWEEP, workers)
         timings.append(round(time.perf_counter() - start, 3))
         digest = _canonical_hash(results)
     assert digest is not None
@@ -69,8 +76,8 @@ def _time_sweep(dataset, workers: int) -> tuple[list[float], str]:
 def test_worker_sweep_is_identical_and_scales(thai_bench, results_dir):
     # Warm-up: pay dataset/web construction and the disk-cache write the
     # workers will read, outside the timed region.
-    run_strategies(thai_bench, SWEEP[:1])
-    run_strategies(thai_bench, SWEEP[:1], workers=2)
+    _sweep(thai_bench, SWEEP[:1])
+    _sweep(thai_bench, SWEEP[:2], workers=2)
 
     cpu_count = os.cpu_count() or 1
     serial_trials, serial_hash = _time_sweep(thai_bench, workers=0)
@@ -89,7 +96,7 @@ def test_worker_sweep_is_identical_and_scales(thai_bench, results_dir):
         "pages": len(thai_bench.crawl_log),
         "cpu_count": cpu_count,
         "method": (
-            f"best of {TRIALS} trials of run_strategies() over {len(SWEEP)} "
+            f"best of {TRIALS} trials of one RunSpec sweep (run_cells) over {len(SWEEP)} "
             "strategies, warm dataset cache; workers>0 fans runs out over a "
             "ProcessPoolExecutor (repro.exec.SweepExecutor) and merges in "
             "submission order"

@@ -10,15 +10,16 @@ an order of magnitude at a 1-second per-site interval; which one suffers
 more depends on how bursty its per-host request pattern is, so no
 direction is asserted between them.)
 
-The politeness variants go through ``run_strategies(timing_spec=...)``
-so each point of the sweep builds a fresh clock, and the whole sweep
-fans out over :class:`~repro.exec.SweepExecutor` workers — with a
-sha256 gate pinning the worker results to the serial ones.
+The politeness variants are :class:`~repro.exec.RunSpec` cells carrying
+a :class:`~repro.exec.TimingSpec`, so each point of the sweep builds a
+fresh clock, and the whole sweep fans out over
+:class:`~repro.exec.SweepExecutor` workers — with a sha256 gate pinning
+the worker results to the serial ones.
 """
 
-from repro.exec import TimingSpec
+from repro.exec import DatasetSpec, RunSpec, TimingSpec
 from repro.experiments.report import render_table
-from repro.experiments.runner import run_strategies
+from repro.experiments.sweep import run_cells
 
 from conftest import canonical_hash, emit
 
@@ -27,13 +28,16 @@ STRATEGIES = ["breadth-first", "hard-focused"]
 
 
 def _sweep(dataset, politeness: float, workers: int = 0):
-    return run_strategies(
-        dataset,
-        STRATEGIES,
-        timing_spec=TimingSpec(politeness_interval_s=politeness, connections=32),
-        max_pages=MAX_PAGES,
-        workers=workers,
+    dataset_spec = DatasetSpec.from_dataset(dataset)
+    timing = TimingSpec(politeness_interval_s=politeness, connections=32)
+    runs = run_cells(
+        [(name,) for name in STRATEGIES],
+        lambda name: RunSpec(
+            dataset=dataset_spec, strategy=name, timing=timing, max_pages=MAX_PAGES
+        ),
+        workers,
     )
+    return {result.strategy: result for _, result in runs}
 
 
 def test_ext_timing_model(benchmark, thai_bench, results_dir):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import time
 
+from repro.core.session import SessionConfig
 from repro.exec import TimingSpec
 from repro.experiments.concurrency import DEFAULT_KS, concurrency_sweep
 from repro.experiments.report import render_table
@@ -51,7 +52,9 @@ def _overhead_measurement(dataset) -> dict:
         best = float("inf")
         for _ in range(TRIALS):
             start = time.perf_counter()
-            run_strategy(dataset, strategy, timing=spec.build(), concurrency=concurrency)
+            run_strategy(
+                dataset, strategy, SessionConfig(timing=spec.build(), concurrency=concurrency)
+            )
             best = min(best, time.perf_counter() - start)
         return best
 

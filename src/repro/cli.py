@@ -28,6 +28,7 @@ import argparse
 import sys
 
 from repro.charset.detector import detect_charset
+from repro.core.session import SessionConfig
 from repro.core.strategies import available_strategies, get_strategy
 from repro.core.timing import (
     CLOCK_KNOBS,
@@ -455,17 +456,19 @@ def _dispatch(args: argparse.Namespace) -> int:
             result = run_strategy(
                 dataset,
                 strategy,
+                SessionConfig(
+                    max_pages=args.max_pages,
+                    instrumentation=instrumentation,
+                    faults=faults,
+                    adversary=adversary,
+                    defenses=defenses,
+                    checkpoint_every=args.checkpoint_every if args.checkpoint else None,
+                    checkpoint_path=args.checkpoint,
+                    resume_from=args.resume,
+                    timing=timing,
+                    concurrency=args.concurrency,
+                ),
                 classifier_mode=args.classifier,
-                max_pages=args.max_pages,
-                instrumentation=instrumentation,
-                faults=faults,
-                adversary=adversary,
-                defenses=defenses,
-                checkpoint_every=args.checkpoint_every if args.checkpoint else None,
-                checkpoint_path=args.checkpoint,
-                resume_from=args.resume,
-                timing=timing,
-                concurrency=args.concurrency,
             )
         finally:
             if instrumentation is not None:

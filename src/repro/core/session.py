@@ -161,6 +161,13 @@ def report_payload(result: CrawlResult) -> dict:
     }
 
 
+def needs_bodies(mode: ClassifierMode, extract_from_body: bool = False) -> bool:
+    """Whether a run reads page bodies, so its web must synthesize them:
+    META / DETECTOR judge the HTML, ``extract_from_body`` parses links
+    out of it; every other run works from the crawl-log record alone."""
+    return extract_from_body or mode in (ClassifierMode.META, ClassifierMode.DETECTOR)
+
+
 @dataclass(frozen=True)
 class CrawlRequest:
     """What to crawl: the workload half of a session, in one object.
@@ -213,12 +220,13 @@ class CrawlRequest:
             return lambda: get_strategy(name, **params)
         return strategy
 
-    def resolve(self) -> "CrawlRequest":
+    def resolve(self, extract_from_body: bool = False) -> "CrawlRequest":
         """A copy with every dataset default applied and validated.
 
         Building the web space is the expensive part of a session, so
         sessions call this from :meth:`CrawlSession.open`, not at
-        construction.
+        construction, passing their config's ``extract_from_body``
+        (:func:`needs_bodies` decides whether the web carries bodies).
         """
         web = self.web
         classifier = self.classifier
@@ -229,8 +237,7 @@ class CrawlRequest:
                 raise ConfigError("pass either web= or dataset=, not both")
             if classifier is None:
                 classifier = Classifier(self.dataset.target_language)
-            if classifier.mode in (ClassifierMode.META, ClassifierMode.DETECTOR):
-                # Body-reading classifiers need synthesized HTML to judge.
+            if needs_bodies(classifier.mode, extract_from_body):
                 from repro.graphgen.htmlsynth import HtmlSynthesizer
 
                 web = self.dataset.web(body_synthesizer=HtmlSynthesizer())
@@ -456,7 +463,7 @@ class CrawlSession:
             return self
         if self._state == "closed":
             raise SessionError("cannot reopen a closed crawl session")
-        request = self._request.resolve()
+        request = self._request.resolve(self._config.extract_from_body)
         strategy = request.build_strategy()
         if not request.seeds:
             raise SimulationError("at least one seed URL is required")

@@ -13,11 +13,11 @@ an independent simulation.  This package scales them out:
   — the picklable task recipes workers rebuild runs from, with a
   per-process cache of the run-invariant state.
 
-Entry points that accept ``workers=`` —
-:func:`repro.experiments.runner.run_strategies`,
-:func:`repro.experiments.faultsweep.fault_sweep`,
-:func:`repro.experiments.robustness.seed_sweep` and the ablation
-sweeps — route through here; the CLI exposes the same knob as
+Every grid experiment reaches this package through
+:func:`repro.experiments.sweep.run_cells` (cells → ``RunSpec`` →
+executor), at every worker count; the seed-robustness and ablation
+sweeps, whose rows are whole universes rather than runs, use
+:meth:`SweepExecutor.map` directly.  CLIs expose the knob as
 ``--workers N``.
 """
 

@@ -22,9 +22,12 @@ Picklability rules — everything in a spec must be
 Workers rebuild the expensive run-invariant state — the dataset, its
 virtual web space, the recall denominator and a classifier cache —
 once per process via :func:`_sweep_cache`, keyed by
-:class:`DatasetSpec`: the per-worker equivalent of
+:class:`DatasetSpec`: the per-process equivalent of
 :func:`~repro.experiments.runner.run_strategies`' sweep-invariant
-sharing.  Results come back as ``to_dict()``-level payloads
+sharing.  A spec taken from a live dataset
+(:meth:`DatasetSpec.from_dataset`) seeds that cache, so an in-process
+sweep crawls the dataset its caller already holds.  Results come back
+as ``to_dict()``-level payloads
 (:func:`result_to_payload`) and are rehydrated driver-side
 (:func:`result_from_payload`), so nothing engine-internal needs to
 pickle.
@@ -32,7 +35,8 @@ pickle.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
 from repro.adversary import AdversaryProfile, DefenseConfig
@@ -110,12 +114,19 @@ class DatasetSpec:
 
     @classmethod
     def from_dataset(cls, dataset: "Dataset", use_cache: bool = True) -> "DatasetSpec":
-        return cls(
+        """The recipe of a live dataset; seeds this process's sweep cache
+        with it (a cache fill, never state: :meth:`build` yields the same
+        dataset, which is what a worker process crawls)."""
+        spec = cls(
             profile=dataset.profile,
             capture_kind=dataset.capture_kind,
             capture_n=dataset.capture_n,
             use_cache=use_cache,
         )
+        cached = _PROCESS_CACHE.get(spec)
+        if cached is None or cached.dataset is not dataset:
+            _PROCESS_CACHE[spec] = _SweepCache(dataset)
+        return spec
 
     @classmethod
     def from_store(cls, path) -> "DatasetSpec":
@@ -173,7 +184,6 @@ class RunSpec:
     max_pages: int | None = None
     sample_interval: int | None = None
     extract_from_body: bool = False
-    synthesize_bodies: bool = False
     fault_profile: FaultProfile | None = None
     fault_seed: int = 0
     #: A timing spec makes the worker build a fresh clock per run; with
@@ -223,21 +233,21 @@ class _SweepCache:
         from repro.core.classifier import ClassifierCache
 
         self.dataset = dataset
-        self.relevant_urls = dataset.relevant_urls()
         self.classifier_cache = ClassifierCache()
         self._webs: dict[bool, Any] = {}
 
-    def web(self, needs_bodies: bool):
-        web = self._webs.get(needs_bodies)
-        if web is None:
-            if needs_bodies:
-                from repro.graphgen.htmlsynth import HtmlSynthesizer
+    @cached_property
+    def relevant_urls(self):
+        return self.dataset.relevant_urls()
 
-                web = self.dataset.web(body_synthesizer=HtmlSynthesizer())
-            else:
-                web = self.dataset.web()
-            self._webs[needs_bodies] = web
-        return web
+    def web(self, needs_bodies: bool):
+        if needs_bodies not in self._webs:
+            from repro.graphgen.htmlsynth import HtmlSynthesizer
+
+            self._webs[needs_bodies] = self.dataset.web(
+                body_synthesizer=HtmlSynthesizer() if needs_bodies else None
+            )
+        return self._webs[needs_bodies]
 
 
 #: Per-process cache: each worker rebuilds a dataset's run-invariant
@@ -305,6 +315,7 @@ def execute_run(spec: RunSpec) -> dict:
     """
     from repro.adversary import AdversaryModel
     from repro.core.classifier import ClassifierMode
+    from repro.core.session import SessionConfig, needs_bodies
     from repro.core.strategies.registry import get_strategy
     from repro.faults.model import FaultModel
 
@@ -326,26 +337,25 @@ def execute_run(spec: RunSpec) -> dict:
 
     from repro.experiments.runner import run_strategy
 
-    needs_bodies = (
-        spec.synthesize_bodies
-        or spec.extract_from_body
-        or mode in (ClassifierMode.META, ClassifierMode.DETECTOR)
-    )
-    result = run_strategy(
-        ctx.dataset,
-        get_strategy(spec.strategy, **dict(spec.params)),
-        classifier_mode=mode,
+    config = SessionConfig(
         max_pages=spec.max_pages,
-        sample_interval=spec.sample_interval,
         extract_from_body=spec.extract_from_body,
-        web=ctx.web(needs_bodies),
-        relevant_urls=ctx.relevant_urls,
-        classifier_cache=ctx.classifier_cache,
         faults=faults,
         timing=spec.timing.build() if spec.timing is not None else None,
         concurrency=spec.concurrency,
         adversary=adversary,
         defenses=spec.defenses,
+    )
+    if spec.sample_interval is not None:
+        config = replace(config, sample_interval=spec.sample_interval)
+    result = run_strategy(
+        ctx.dataset,
+        get_strategy(spec.strategy, **dict(spec.params)),
+        config,
+        classifier_mode=mode,
+        web=ctx.web(needs_bodies(mode, spec.extract_from_body)),
+        relevant_urls=ctx.relevant_urls,
+        classifier_cache=ctx.classifier_cache,
     )
     return result_to_payload(result)
 

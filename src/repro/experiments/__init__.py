@@ -4,6 +4,9 @@
   Japanese datasets: generate a universe, then *capture* it by crawling
   from seeds the way the authors did.
 - :mod:`~repro.experiments.runner` — run strategies over datasets.
+- :mod:`~repro.experiments.sweep` — the one sweep path every grid
+  experiment runs on (cells → ``RunSpec`` → executor → digest) and the
+  shared tail of their ``python -m`` entry points.
 - :mod:`~repro.experiments.figures` — series producers for Figures 3-7.
 - :mod:`~repro.experiments.tables` — Tables 1-3.
 - :mod:`~repro.experiments.report` — plain-text rendering.
@@ -15,11 +18,7 @@
 
 from repro.experiments.datasets import Dataset, build_dataset, load_or_build_dataset
 from repro.experiments.export import export_figure_gnuplot, export_figure_json
-from repro.experiments.faultsweep import (
-    FaultSweepPoint,
-    fault_sweep,
-    write_faultsweep_json,
-)
+from repro.experiments.faultsweep import FaultSweepPoint, fault_sweep
 from repro.experiments.figures import (
     FigureResult,
     figure3,
@@ -55,5 +54,4 @@ __all__ = [
     "sweep_summary",
     "FaultSweepPoint",
     "fault_sweep",
-    "write_faultsweep_json",
 ]

@@ -21,6 +21,7 @@ from repro.core.classifier import ClassifierMode
 from repro.exec import DatasetSpec, RunSpec, SweepExecutor
 from repro.experiments.datasets import Dataset, build_dataset
 from repro.experiments.runner import run_strategy
+from repro.experiments.sweep import run_cells
 from repro.graphgen.config import DatasetProfile
 from repro.graphgen.generator import generate_universe
 
@@ -118,41 +119,28 @@ _CLASSIFIER_SWEEP_MODES = (
 )
 
 
-def _classifier_row(mode: ClassifierMode, result) -> dict:
-    return {
-        "classifier": mode.value,
-        "pages_crawled": result.pages_crawled,
-        "final_harvest_rate": round(result.final_harvest_rate, 3),
-        "coverage_of_charset_set": round(result.final_coverage, 3),
-    }
-
-
 def classifier_sweep(dataset: Dataset, workers: int = 0) -> list[dict]:
     """A2: harvest/coverage of hard-focused under each classifier mode.
 
     Harvest is judged by the classifier under test while coverage is
     measured against the charset-based reference set, so the rows
-    directly expose classifier disagreement.  ``workers > 0`` runs the
-    modes as :class:`~repro.exec.RunSpec` tasks over a process pool —
-    each worker rebuilds the dataset from its spec rather than
-    pickling the crawl log.
+    directly expose classifier disagreement.
     """
-    if workers:
-        spec = DatasetSpec.from_dataset(dataset)
-        specs = [
-            RunSpec(dataset=spec, strategy="hard-focused", classifier_mode=mode.value)
-            for mode in _CLASSIFIER_SWEEP_MODES
-        ]
-        results = SweepExecutor(workers).run(specs)
-        return [
-            _classifier_row(mode, result)
-            for mode, result in zip(_CLASSIFIER_SWEEP_MODES, results)
-        ]
-    rows = []
-    for mode in _CLASSIFIER_SWEEP_MODES:
-        result = run_strategy(dataset, "hard-focused", classifier_mode=mode)
-        rows.append(_classifier_row(mode, result))
-    return rows
+    spec = DatasetSpec.from_dataset(dataset)
+    runs = run_cells(
+        [(mode,) for mode in _CLASSIFIER_SWEEP_MODES],
+        lambda mode: RunSpec(dataset=spec, strategy="hard-focused", classifier_mode=mode.value),
+        workers,
+    )
+    return [
+        {
+            "classifier": mode.value,
+            "pages_crawled": result.pages_crawled,
+            "final_harvest_rate": round(result.final_harvest_rate, 3),
+            "coverage_of_charset_set": round(result.final_coverage, 3),
+        }
+        for (mode,), result in runs
+    ]
 
 
 def scale_sweep(

@@ -19,23 +19,20 @@ alias URL earns no recall credit.  Defenses can push the ratio above
 that merely waste fetches, so a defended crawl can beat the clean one.
 
 ``benchmarks/bench_adversarial_survival.py`` renders and gates the
-payload; CI runs the small ``python -m repro.experiments.adversweep``
-smoke with a digest-equality determinism check.  Cells are independent
-runs fanned out through :class:`~repro.exec.SweepExecutor`, so
-``workers=N`` is byte-identical to serial by the executor's contract.
+payload.  Every cell is one :class:`~repro.exec.RunSpec` on the shared
+sweep path (:mod:`repro.experiments.sweep`).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import sys
-from pathlib import Path
+import functools
 
 from repro.adversary import AdversaryProfile, DefenseConfig
-from repro.exec import DatasetSpec, RunSpec, SweepExecutor
-from repro.experiments.concurrency import sweep_digest
+from repro.errors import ConfigError
+from repro.exec import DatasetSpec, RunSpec
 from repro.experiments.datasets import Dataset, load_or_build_dataset
+from repro.experiments.sweep import comma_list, run_cells, sweep_digest, sweep_main
 from repro.graphgen.profiles import thai_profile
 
 __all__ = [
@@ -94,33 +91,32 @@ def adversarial_sweep(
     """
     unknown = [name for name in scenarios if name not in SCENARIOS]
     if unknown:
-        raise ValueError(f"unknown adversweep scenarios: {unknown}; known: {sorted(SCENARIOS)}")
+        raise ConfigError(f"unknown adversweep scenarios: {unknown}; known: {sorted(SCENARIOS)}")
 
     dataset_spec = DatasetSpec.from_dataset(dataset)
     standard = DefenseConfig.standard()
-    cells: list[tuple[str, str, int, bool]] = []
-    for strategy in strategies:
-        for scenario in scenarios:
-            scenario_seeds = (seeds[0],) if scenario == "clean" else seeds
-            for seed in scenario_seeds:
-                for defended in (False, True):
-                    cells.append((strategy, scenario, seed, defended))
-
-    specs = [
-        RunSpec(
+    cells = [
+        (strategy, scenario, seed, defended)
+        for strategy in strategies
+        for scenario in scenarios
+        for seed in ((seeds[0],) if scenario == "clean" else seeds)
+        for defended in (False, True)
+    ]
+    runs = run_cells(
+        cells,
+        lambda strategy, scenario, seed, defended: RunSpec(
             dataset=dataset_spec,
             strategy=strategy,
             max_pages=max_pages,
             adversary_profile=None if scenario == "clean" else SCENARIOS[scenario],
             adversary_seed=seed,
             defenses=standard if defended else None,
-        )
-        for strategy, scenario, seed, defended in cells
-    ]
-    results = SweepExecutor(workers).run(specs)
+        ),
+        workers,
+    )
 
     rows = []
-    for (strategy, scenario, seed, defended), result in zip(cells, results):
+    for (strategy, scenario, seed, defended), result in runs:
         adversary = result.adversary or {}
         rows.append(
             {
@@ -209,27 +205,6 @@ def recovery_summary(rows: list[dict]) -> list[dict]:
     return summary
 
 
-def _parse_names(flag: str, text: str, known: tuple[str, ...] | None = None) -> tuple[str, ...]:
-    names = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not names:
-        raise argparse.ArgumentTypeError(f"{flag} needs at least one name")
-    if known is not None:
-        unknown = [name for name in names if name not in known]
-        if unknown:
-            raise argparse.ArgumentTypeError(f"{flag}: unknown {unknown}; known: {sorted(known)}")
-    return names
-
-
-def _parse_seeds(text: str) -> tuple[int, ...]:
-    try:
-        seeds = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--seeds needs comma-separated integers, got {text!r}")
-    if not seeds:
-        raise argparse.ArgumentTypeError("--seeds needs at least one integer")
-    return seeds
-
-
 def _main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.adversweep",
@@ -238,70 +213,32 @@ def _main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale", type=float, default=0.02, help="universe scale factor")
     parser.add_argument(
         "--strategies",
-        type=lambda t: _parse_names("--strategies", t),
+        type=comma_list(str),
         default=DEFAULT_STRATEGIES,
         help="comma-separated strategy registry names",
     )
     parser.add_argument(
         "--scenarios",
-        type=lambda t: _parse_names("--scenarios", t, tuple(SCENARIOS)),
+        type=comma_list(str, known=SCENARIOS),
         default=tuple(SCENARIOS),
         help=f"comma-separated scenario names (known: {', '.join(SCENARIOS)})",
     )
     parser.add_argument(
-        "--seeds", type=_parse_seeds, default=DEFAULT_SEEDS, help="adversary seeds per cell"
+        "--seeds", type=comma_list(int), default=DEFAULT_SEEDS, help="adversary seeds per cell"
     )
     parser.add_argument("--max-pages", type=int, default=1100, help="page cap per run")
-    parser.add_argument(
-        "--workers", type=int, default=0, metavar="N", help="sweep worker processes"
-    )
-    parser.add_argument("--output", default=None, help="write the JSON payload here")
-    parser.add_argument(
-        "--check-determinism",
-        action="store_true",
-        help="run the sweep twice (second pass serial) and require digest equality",
-    )
-    args = parser.parse_args(argv)
-
-    dataset = load_or_build_dataset(thai_profile().scaled(args.scale))
-    payload = adversarial_sweep(
-        dataset,
-        strategies=args.strategies,
-        scenarios=args.scenarios,
-        seeds=args.seeds,
-        max_pages=args.max_pages,
-        workers=args.workers,
-    )
-    if args.check_determinism:
-        again = adversarial_sweep(
-            dataset,
+    return sweep_main(
+        parser,
+        lambda args: functools.partial(
+            adversarial_sweep,
+            load_or_build_dataset(thai_profile().scaled(args.scale)),
             strategies=args.strategies,
             scenarios=args.scenarios,
             seeds=args.seeds,
             max_pages=args.max_pages,
-            workers=0,
-        )
-        if again["digest_sha256"] != payload["digest_sha256"]:
-            print(
-                "determinism check FAILED: "
-                f"workers={args.workers} digest {payload['digest_sha256']} != "
-                f"serial digest {again['digest_sha256']}",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"determinism check ok: {payload['digest_sha256']}")
-
-    rendered = json.dumps(payload, indent=2, sort_keys=True)
-    if args.output is not None:
-        output = Path(args.output)
-        output.parent.mkdir(parents=True, exist_ok=True)
-        output.write_text(rendered + "\n")
-        print(f"wrote {output}")
-    else:
-        for line in payload["summary"]:
-            print(json.dumps(line, sort_keys=True))
-        print(f"digest: {payload['digest_sha256']}")
-    return 0
+        ),
+        argv,
+    )
 
 
 if __name__ == "__main__":

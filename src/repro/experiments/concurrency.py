@@ -6,29 +6,23 @@ slotted issue policy (``CrawlEngine(concurrency=K)``) the same sweep
 gains a new axis: with K fetches in flight, frontier order — and
 therefore queue growth — depends on latency, bandwidth and per-site
 politeness.  This module produces that sweep as a machine-readable
-payload; ``benchmarks/bench_fig5_concurrency.py`` renders and gates it,
-and CI runs the small ``python -m repro.experiments.concurrency`` smoke
-with a digest-equality determinism check.
-
-Every cell of the (strategy × K) grid is an independent run, so the
-sweep fans out through :class:`~repro.exec.SweepExecutor` — ``workers=N``
-is byte-identical to serial by the executor's contract, and the payload
-digest makes that checkable across invocations.
+payload; ``benchmarks/bench_fig5_concurrency.py`` renders and gates it.
+Every cell of the (strategy × K) grid is one
+:class:`~repro.exec.RunSpec` on the shared sweep path
+(:mod:`repro.experiments.sweep`).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-import sys
-from pathlib import Path
+import functools
 
-from repro.exec import DatasetSpec, RunSpec, SweepExecutor, TimingSpec
+from repro.exec import DatasetSpec, RunSpec, TimingSpec
 from repro.experiments.datasets import Dataset, load_or_build_dataset
+from repro.experiments.sweep import comma_list, run_cells, sweep_digest, sweep_main
 from repro.graphgen.profiles import thai_profile
 
-__all__ = ["DEFAULT_KS", "DEFAULT_STRATEGIES", "concurrency_sweep", "sweep_digest"]
+__all__ = ["DEFAULT_KS", "DEFAULT_STRATEGIES", "concurrency_sweep"]
 
 #: The concurrency ladder of the headline sweep: serial equivalence
 #: anchor, a small politeness-bound fleet, and two saturation points.
@@ -50,27 +44,24 @@ def concurrency_sweep(
 
     Each cell runs the engine with ``concurrency=K`` fetch slots under
     a fresh clock built from ``timing_spec`` (default: the stock
-    :class:`~repro.exec.TimingSpec`).  Cells are independent runs and go
-    through :class:`~repro.exec.SweepExecutor`, so ``workers=N`` fans
-    them out without changing a byte of the results.
+    :class:`~repro.exec.TimingSpec`).
     """
     spec = timing_spec if timing_spec is not None else TimingSpec()
     dataset_spec = DatasetSpec.from_dataset(dataset)
-    cells = [(strategy, k) for strategy in strategies for k in ks]
-    specs = [
-        RunSpec(
+    runs = run_cells(
+        [(strategy, k) for strategy in strategies for k in ks],
+        lambda strategy, k: RunSpec(
             dataset=dataset_spec,
             strategy=strategy,
             max_pages=max_pages,
             timing=spec,
             concurrency=k,
-        )
-        for strategy, k in cells
-    ]
-    results = SweepExecutor(workers).run(specs)
+        ),
+        workers,
+    )
 
     rows = []
-    for (strategy, k), result in zip(cells, results):
+    for (strategy, k), result in runs:
         sim_seconds = result.summary.simulated_seconds
         rows.append(
             {
@@ -106,30 +97,6 @@ def concurrency_sweep(
     return payload
 
 
-def sweep_digest(payload: dict) -> str:
-    """Canonical sha256 of a sweep payload's deterministic content.
-
-    Hashes the rows (series and summaries included) plus the grid
-    parameters — everything except the digest field itself.  Two
-    invocations of the same sweep, at any worker count, must agree.
-    """
-    canonical = json.dumps(
-        {key: value for key, value in payload.items() if key != "digest_sha256"},
-        sort_keys=True,
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def _parse_ks(text: str) -> tuple[int, ...]:
-    try:
-        ks = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--ks needs comma-separated integers, got {text!r}")
-    if not ks or any(k < 1 for k in ks):
-        raise argparse.ArgumentTypeError("--ks needs at least one integer >= 1")
-    return ks
-
-
 def _main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.concurrency",
@@ -137,45 +104,22 @@ def _main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--scale", type=float, default=0.05, help="universe scale factor")
     parser.add_argument(
-        "--ks", type=_parse_ks, default=DEFAULT_KS, help="comma-separated concurrency levels"
+        "--ks",
+        type=comma_list(int, minimum=1),
+        default=DEFAULT_KS,
+        help="comma-separated concurrency levels",
     )
     parser.add_argument("--max-pages", type=int, default=None, help="page cap per run")
-    parser.add_argument(
-        "--workers", type=int, default=0, metavar="N", help="sweep worker processes"
+    return sweep_main(
+        parser,
+        lambda args: functools.partial(
+            concurrency_sweep,
+            load_or_build_dataset(thai_profile().scaled(args.scale)),
+            ks=args.ks,
+            max_pages=args.max_pages,
+        ),
+        argv,
     )
-    parser.add_argument("--output", default=None, help="write the JSON payload here")
-    parser.add_argument(
-        "--check-determinism",
-        action="store_true",
-        help="run the sweep twice (second pass serial) and require digest equality",
-    )
-    args = parser.parse_args(argv)
-
-    dataset = load_or_build_dataset(thai_profile().scaled(args.scale))
-    payload = concurrency_sweep(
-        dataset, ks=args.ks, max_pages=args.max_pages, workers=args.workers
-    )
-    if args.check_determinism:
-        again = concurrency_sweep(dataset, ks=args.ks, max_pages=args.max_pages, workers=0)
-        if again["digest_sha256"] != payload["digest_sha256"]:
-            print(
-                "determinism check FAILED: "
-                f"workers={args.workers} digest {payload['digest_sha256']} != "
-                f"serial digest {again['digest_sha256']}",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"determinism check ok: {payload['digest_sha256']}")
-
-    rendered = json.dumps(payload, indent=2, sort_keys=True)
-    if args.output is not None:
-        output = Path(args.output)
-        output.parent.mkdir(parents=True, exist_ok=True)
-        output.write_text(rendered + "\n")
-        print(f"wrote {output}")
-    else:
-        print(rendered)
-    return 0
 
 
 if __name__ == "__main__":

@@ -13,43 +13,37 @@ error rate equals the sweep rate and timeouts/truncations run at half of
 it — a mix that exercises all three recovery layers.  Fault decisions
 are seeded, so the whole sweep is reproducible.
 
-Output is machine-readable JSON (``write_faultsweep_json``) with one row
-per sweep point, consumed by the CI smoke job and plottable directly::
-
-    python -m repro.experiments.faultsweep --scale 0.05 \
-        --rates 0,0.1,0.2 --output faultsweep.json
+Every point is one :class:`~repro.exec.RunSpec` on the shared sweep
+path (:mod:`repro.experiments.sweep`); :func:`faultsweep_payload` is the
+machine-readable artifact, one row per point.
 """
 
 from __future__ import annotations
 
-import json
+import argparse
 from dataclasses import dataclass
-from pathlib import Path
 
-from repro.core.strategies import get_strategy
-from repro.errors import ConfigError
-from repro.exec import DatasetSpec, RunSpec, SweepExecutor
-from repro.experiments.datasets import Dataset
-from repro.experiments.runner import run_strategy
-from repro.faults import FaultModel, FaultProfile
+from repro.exec import DatasetSpec
+from repro.experiments.datasets import Dataset, load_or_build_dataset
+from repro.experiments.sweep import (
+    comma_list,
+    run_cells,
+    strategy_spec,
+    sweep_digest,
+    sweep_main,
+)
+from repro.faults import FaultProfile
+from repro.graphgen.profiles import profile_by_name
 
 DEFAULT_RATES = (0.0, 0.05, 0.1, 0.2, 0.4)
 
-#: The paper's strategy set as picklable ``(registry name, params)``
-#: pairs — the form a ``workers > 0`` sweep ships to worker processes.
+#: The paper's strategy set as ``(registry name, params)`` pairs.
 DEFAULT_STRATEGY_SPECS = (
     ("breadth-first", {}),
     ("hard-focused", {}),
     ("soft-focused", {}),
     ("limited-distance", {"n": 2}),
 )
-
-
-def default_strategies():
-    """The paper's strategy set, fresh instances per call."""
-    return tuple(
-        get_strategy(name, **params) for name, params in DEFAULT_STRATEGY_SPECS
-    )
 
 
 def profile_for_rate(rate: float) -> FaultProfile:
@@ -97,172 +91,99 @@ class FaultSweepPoint:
         }
 
 
-def _sweep_point(strategy_name: str, rate: float, result) -> FaultSweepPoint:
-    """One sweep row from a finished run — shared by both backends."""
-    resilience = result.resilience or {}
-    return FaultSweepPoint(
-        strategy=strategy_name,
-        fault_rate=rate,
-        pages_crawled=result.pages_crawled,
-        harvest_rate=result.final_harvest_rate,
-        coverage=result.final_coverage,
-        fetches_failed=resilience.get("fetches_failed", 0),
-        retries=resilience.get("retries", 0),
-        requeued=resilience.get("requeued", 0),
-        dropped=resilience.get("dropped", 0),
-        faults_injected=sum(resilience.get("faults_injected", {}).values()),
-    )
-
-
 def fault_sweep(
     dataset: Dataset,
     rates: tuple[float, ...] = DEFAULT_RATES,
-    strategies=None,
+    strategies: tuple[str | tuple[str, dict], ...] = DEFAULT_STRATEGY_SPECS,
     max_pages: int | None = None,
     fault_seed: int = 0,
     workers: int = 0,
 ) -> list[FaultSweepPoint]:
     """Measure every strategy at every fault rate.
 
-    The same ``fault_seed`` is used at every sweep point, so two
-    strategies at the same rate face the *same* unreliable web — the
-    per-URL fault decisions agree wherever their crawls overlap.
-
-    ``workers > 0`` distributes the (strategy × rate) grid over a
-    :class:`~repro.exec.SweepExecutor` process pool; ``strategies``
-    must then be ``(name, params)`` pairs or plain registry names
-    (defaulting to :data:`DEFAULT_STRATEGY_SPECS`), and the returned
-    points are identical to the serial sweep's.
+    ``strategies`` are registry names or ``(name, params)`` pairs.  The
+    same ``fault_seed`` is used at every sweep point, so two strategies
+    at the same rate face the *same* unreliable web — the per-URL fault
+    decisions agree wherever their crawls overlap.
     """
-    if workers:
-        return _fault_sweep_workers(dataset, rates, strategies, max_pages, fault_seed, workers)
-    points: list[FaultSweepPoint] = []
-    for rate in rates:
-        for strategy in strategies if strategies is not None else default_strategies():
-            faults = (
-                FaultModel(profile=profile_for_rate(rate), seed=fault_seed)
-                if rate > 0
-                else None
+    dataset_spec = DatasetSpec.from_dataset(dataset)
+    runs = run_cells(
+        [(rate, strategy) for rate in rates for strategy in strategies],
+        lambda rate, strategy: strategy_spec(
+            dataset_spec,
+            strategy,
+            max_pages=max_pages,
+            fault_profile=profile_for_rate(rate) if rate > 0 else None,
+            fault_seed=fault_seed,
+        ),
+        workers,
+    )
+    points = []
+    for (rate, _), result in runs:
+        resilience = result.resilience or {}
+        points.append(
+            FaultSweepPoint(
+                strategy=result.strategy,
+                fault_rate=rate,
+                pages_crawled=result.pages_crawled,
+                harvest_rate=result.final_harvest_rate,
+                coverage=result.final_coverage,
+                fetches_failed=resilience.get("fetches_failed", 0),
+                retries=resilience.get("retries", 0),
+                requeued=resilience.get("requeued", 0),
+                dropped=resilience.get("dropped", 0),
+                faults_injected=sum(resilience.get("faults_injected", {}).values()),
             )
-            result = run_strategy(
-                dataset,
-                strategy,
-                max_pages=max_pages,
-                faults=faults,
-            )
-            points.append(_sweep_point(strategy.name, rate, result))
+        )
     return points
 
 
-def _fault_sweep_workers(
-    dataset: Dataset,
-    rates: tuple[float, ...],
-    strategies,
-    max_pages: int | None,
-    fault_seed: int,
-    workers: int,
-) -> list[FaultSweepPoint]:
-    if strategies is None:
-        strategies = DEFAULT_STRATEGY_SPECS
-    dataset_spec = DatasetSpec.from_dataset(dataset)
-    labels: list[tuple[str, float]] = []
-    specs: list[RunSpec] = []
-    for rate in rates:
-        for strategy in strategies:
-            if isinstance(strategy, tuple):
-                name, params = strategy
-            elif isinstance(strategy, str):
-                name, params = strategy, {}
-            else:
-                raise ConfigError(
-                    "fault_sweep(workers>0) needs registry-name strategies (a "
-                    f"name or (name, params) pair), got instance {strategy!r}"
-                )
-            labels.append((get_strategy(name, **params).name, rate))
-            specs.append(
-                RunSpec(
-                    dataset=dataset_spec,
-                    strategy=name,
-                    params=tuple(sorted(params.items())),
-                    max_pages=max_pages,
-                    fault_profile=profile_for_rate(rate) if rate > 0 else None,
-                    fault_seed=fault_seed,
-                )
-            )
-    results = SweepExecutor(workers).run(specs)
-    return [
-        _sweep_point(name, rate, result)
-        for (name, rate), result in zip(labels, results)
-    ]
-
-
-def write_faultsweep_json(
-    points: list[FaultSweepPoint],
-    path: str | Path,
-    dataset: Dataset | None = None,
-) -> None:
-    """Serialise a sweep to the JSON artifact shape CI uploads."""
+def faultsweep_payload(dataset: Dataset, points: list[FaultSweepPoint]) -> dict:
+    """The sweep's JSON artifact: one row per point, plus its digest."""
     payload = {
         "experiment": "faultsweep",
-        "dataset": dataset.name if dataset is not None else None,
-        "dataset_pages": len(dataset.crawl_log) if dataset is not None else None,
+        "dataset": dataset.name,
+        "dataset_pages": len(dataset.crawl_log),
         "points": [point.to_dict() for point in points],
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    payload["digest_sha256"] = sweep_digest(payload)
+    return payload
 
 
-def main(argv=None) -> int:
-    import argparse
-
-    from repro.experiments.datasets import load_or_build_dataset
-    from repro.experiments.report import render_table
-    from repro.graphgen.profiles import profile_by_name
-
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Harvest/coverage degradation vs fault rate, per strategy"
+        prog="python -m repro.experiments.faultsweep",
+        description="Harvest/coverage degradation vs fault rate, per strategy",
     )
     parser.add_argument("--profile", default="thai", choices=["thai", "japanese", "korean"])
     parser.add_argument("--scale", type=float, default=0.25)
     parser.add_argument(
         "--rates",
-        default=",".join(str(rate) for rate in DEFAULT_RATES),
+        type=comma_list(float, minimum=0.0, maximum=1.0),
+        default=DEFAULT_RATES,
         help="comma-separated fault rates in [0, 1]",
     )
     parser.add_argument("--max-pages", type=int, default=None)
     parser.add_argument("--fault-seed", type=int, default=0)
     parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--output", default=None, metavar="FILE.json")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="fan sweep points out to N worker processes (0 = serial, default)",
-    )
-    args = parser.parse_args(argv)
 
-    profile = profile_by_name(args.profile)
-    if args.scale != 1.0:
-        profile = profile.scaled(args.scale)
-    dataset = load_or_build_dataset(profile, cache_dir=None if args.no_cache else "default")
-    rates = tuple(float(token) for token in args.rates.split(",") if token.strip())
-    points = fault_sweep(
-        dataset,
-        rates=rates,
-        max_pages=args.max_pages,
-        fault_seed=args.fault_seed,
-        workers=args.workers,
-    )
-    print(
-        render_table(
-            [point.to_dict() for point in points],
-            title="Fault sweep (harvest/coverage vs fault rate)",
+    def sweep(args: argparse.Namespace):
+        profile = profile_by_name(args.profile)
+        if args.scale != 1.0:
+            profile = profile.scaled(args.scale)
+        dataset = load_or_build_dataset(profile, cache_dir=None if args.no_cache else "default")
+        return lambda workers: faultsweep_payload(
+            dataset,
+            fault_sweep(
+                dataset,
+                rates=args.rates,
+                max_pages=args.max_pages,
+                fault_seed=args.fault_seed,
+                workers=workers,
+            ),
         )
-    )
-    if args.output:
-        write_faultsweep_json(points, args.output, dataset=dataset)
-        print(f"wrote {args.output}")
-    return 0
+
+    return sweep_main(parser, sweep, argv)
 
 
 if __name__ == "__main__":

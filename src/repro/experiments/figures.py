@@ -23,8 +23,10 @@ from dataclasses import dataclass, field
 
 from repro.core.metrics import MetricSeries
 from repro.core.session import CrawlResult
+from repro.exec import DatasetSpec
 from repro.experiments.datasets import Dataset
-from repro.experiments.runner import run_strategies
+from repro.experiments.runner import resolve_strategies
+from repro.experiments.sweep import run_cells, strategy_spec
 
 #: The N sweep of Figures 6 and 7.
 LIMITED_DISTANCE_NS = (1, 2, 3, 4)
@@ -53,35 +55,42 @@ class FigureResult:
         }
 
 
-def _simple_strategy_runs(dataset: Dataset, **kwargs) -> dict[str, CrawlResult]:
-    return run_strategies(
-        dataset, ["breadth-first", "hard-focused", "soft-focused"], **kwargs
-    )
+def _runs(
+    dataset: Dataset, strategies: list[tuple[str, dict]], workers: int
+) -> dict[str, CrawlResult]:
+    """One :class:`~repro.exec.RunSpec` per strategy, keyed by its label."""
+    labels = [strategy.name for strategy in resolve_strategies(strategies)]
+    dataset_spec = DatasetSpec.from_dataset(dataset)
+    runs = run_cells(strategies, lambda *ref: strategy_spec(dataset_spec, ref), workers)
+    return {label: result for label, (_, result) in zip(labels, runs)}
 
 
-def figure3(dataset: Dataset, **kwargs) -> FigureResult:
+_SIMPLE = [("breadth-first", {}), ("hard-focused", {}), ("soft-focused", {})]
+
+
+def figure3(dataset: Dataset, workers: int = 0) -> FigureResult:
     """Simple strategy on the Thai dataset (harvest + coverage)."""
     return FigureResult(
         figure="3",
         title="Simulation results of the Simple Strategy on Thai dataset",
         dataset=dataset.name,
         panels=("harvest_rate", "coverage"),
-        results=_simple_strategy_runs(dataset, **kwargs),
+        results=_runs(dataset, _SIMPLE, workers),
     )
 
 
-def figure4(dataset: Dataset, **kwargs) -> FigureResult:
+def figure4(dataset: Dataset, workers: int = 0) -> FigureResult:
     """Simple strategy on the Japanese dataset (harvest + coverage)."""
     return FigureResult(
         figure="4",
         title="Simulation results of the Simple Strategy on Japanese dataset",
         dataset=dataset.name,
         panels=("harvest_rate", "coverage"),
-        results=_simple_strategy_runs(dataset, **kwargs),
+        results=_runs(dataset, _SIMPLE, workers),
     )
 
 
-def figure5(dataset: Dataset, **kwargs) -> FigureResult:
+def figure5(dataset: Dataset, workers: int = 0) -> FigureResult:
     """URL queue size while running the simple strategy (Thai dataset).
 
     The paper plots hard- and soft-focused; we keep both and the
@@ -92,21 +101,16 @@ def figure5(dataset: Dataset, **kwargs) -> FigureResult:
         title="Size of URL Queue while running the Simple Strategy",
         dataset=dataset.name,
         panels=("queue_size",),
-        results=_simple_strategy_runs(dataset, **kwargs),
+        results=_runs(dataset, _SIMPLE, workers),
     )
 
 
-def _limited_distance_runs(
-    dataset: Dataset, prioritized: bool, ns: tuple[int, ...], **kwargs
-) -> dict[str, CrawlResult]:
-    # (name, params) pairs rather than instances, so a caller-supplied
-    # workers= can ship the sweep to worker processes.
-    strategies = [("limited-distance", {"n": n, "prioritized": prioritized}) for n in ns]
-    return run_strategies(dataset, strategies, **kwargs)
+def _limited_distance(prioritized: bool, ns: tuple[int, ...]) -> list[tuple[str, dict]]:
+    return [("limited-distance", {"n": n, "prioritized": prioritized}) for n in ns]
 
 
 def figure6(
-    dataset: Dataset, ns: tuple[int, ...] = LIMITED_DISTANCE_NS, **kwargs
+    dataset: Dataset, ns: tuple[int, ...] = LIMITED_DISTANCE_NS, workers: int = 0
 ) -> FigureResult:
     """Non-prioritized limited distance, N sweep (queue/harvest/coverage)."""
     return FigureResult(
@@ -114,12 +118,12 @@ def figure6(
         title="Non-Prioritized Limited Distance Strategy",
         dataset=dataset.name,
         panels=("queue_size", "harvest_rate", "coverage"),
-        results=_limited_distance_runs(dataset, prioritized=False, ns=ns, **kwargs),
+        results=_runs(dataset, _limited_distance(False, ns), workers),
     )
 
 
 def figure7(
-    dataset: Dataset, ns: tuple[int, ...] = LIMITED_DISTANCE_NS, **kwargs
+    dataset: Dataset, ns: tuple[int, ...] = LIMITED_DISTANCE_NS, workers: int = 0
 ) -> FigureResult:
     """Prioritized limited distance, N sweep (queue/harvest/coverage)."""
     return FigureResult(
@@ -127,5 +131,5 @@ def figure7(
         title="Prioritized Limited Distance Strategy",
         dataset=dataset.name,
         panels=("queue_size", "harvest_rate", "coverage"),
-        results=_limited_distance_runs(dataset, prioritized=True, ns=ns, **kwargs),
+        results=_runs(dataset, _limited_distance(True, ns), workers),
     )

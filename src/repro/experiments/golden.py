@@ -31,6 +31,7 @@ import json
 from pathlib import Path
 from typing import Callable
 
+from repro.core.session import SessionConfig
 from repro.core.strategies import CrawlStrategy, get_strategy
 from repro.errors import ReproError
 from repro.experiments.datasets import Dataset, build_dataset
@@ -137,7 +138,7 @@ def record_golden_trace(
             {"step": event.step, "url": event.url, "relevant": event.judgment.relevant}
         )
 
-    run_strategy(dataset, strategy, max_pages=max_pages, on_fetch=observe)
+    run_strategy(dataset, strategy, SessionConfig(max_pages=max_pages, on_fetch=observe))
     return rows
 
 
@@ -169,10 +170,12 @@ def record_sched_trace(
     run_strategy(
         dataset,
         strategy,
-        max_pages=max_pages,
-        on_fetch=observe,
-        timing=spec.build(),
-        concurrency=concurrency,
+        SessionConfig(
+            max_pages=max_pages,
+            on_fetch=observe,
+            timing=spec.build(),
+            concurrency=concurrency,
+        ),
     )
     return rows
 

@@ -2,100 +2,66 @@
 
 Thin orchestration over :func:`repro.api.run_crawl` so the figure
 producers, benchmarks and examples all share one code path (and
-therefore one definition of "a run").  ``run_strategy`` adds the
-dataset-aware defaults — body synthesis when the classifier needs it, a
-sample interval scaled to the dataset — and hands everything else to
-the session API.
+therefore one definition of "a run").  ``run_strategy`` adds only what
+is dataset-aware — the classifier of the dataset's language, a sample
+interval scaled to the dataset, sweep-shared state — and takes
+everything else as the :class:`~repro.core.session.SessionConfig` the
+caller means.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
+from dataclasses import replace
 
 from repro.api import run_crawl
 from repro.core.classifier import Classifier, ClassifierCache, ClassifierMode
-from repro.core.engine import EngineHook
-from repro.core.events import FetchCallback
-from repro.core.session import CrawlRequest, CrawlResult, SessionConfig
+from repro.core.session import CrawlRequest, CrawlResult, SessionConfig, needs_bodies
 from repro.core.strategies.base import CrawlStrategy
 from repro.core.strategies.registry import get_strategy
 from repro.core.summary import CrawlReport
-from repro.core.timing import TimingModel
 from repro.errors import ConfigError
-from repro.exec import DatasetSpec, RunSpec, SweepExecutor, TimingSpec
 from repro.experiments.datasets import Dataset
 from repro.graphgen.htmlsynth import HtmlSynthesizer
-from repro.obs import Instrumentation
 
 #: A sweep strategy reference: an instance, a registry name, or a
-#: ``(name, params)`` pair — the last two forms are picklable and thus
-#: the only ones a ``workers > 0`` sweep accepts.
+#: ``(name, params)`` pair.
 StrategyRef = CrawlStrategy | str | tuple[str, dict]
-
-#: ``run_strategy`` keywords a worker task spec can carry.  Everything
-#: else either holds live cross-run state (web, caches, hooks,
-#: callbacks) or is checkpoint plumbing — both are meaningless across a
-#: process boundary, so ``workers > 0`` rejects them loudly.
-_SPECABLE_KWARGS = frozenset(
-    {
-        "classifier_mode",
-        "max_pages",
-        "sample_interval",
-        "extract_from_body",
-        "synthesize_bodies",
-        "timing_spec",
-        "concurrency",
-    }
-)
 
 
 def run_strategy(
     dataset: Dataset,
     strategy: CrawlStrategy | str,
+    config: SessionConfig | None = None,
+    *,
     classifier_mode: ClassifierMode | str = ClassifierMode.CHARSET,
-    max_pages: int | None = None,
-    sample_interval: int | None = None,
-    synthesize_bodies: bool = False,
-    extract_from_body: bool = False,
-    timing: TimingModel | None = None,
-    concurrency: int | None = None,
-    on_fetch: FetchCallback | None = None,
-    instrumentation: Instrumentation | None = None,
     web=None,
     relevant_urls: frozenset[str] | None = None,
     classifier_cache: ClassifierCache | None = None,
-    faults=None,
-    resilience=None,
-    adversary=None,
-    defenses=None,
-    checkpoint_every: int | None = None,
-    checkpoint_path=None,
-    resume_from=None,
-    hooks: Sequence[EngineHook] = (),
 ) -> CrawlResult:
     """One strategy, one dataset, one result.
 
     ``strategy`` is an instance or a registered name
     (:func:`repro.core.strategies.get_strategy` resolves names).
+    ``config`` is how the session runs, every field of it; a
+    ``sample_interval`` left at the :class:`SessionConfig` default
+    becomes ~200 samples over the dataset, so the series resolution
+    scales with dataset size.
 
-    ``sample_interval`` defaults to ~200 samples over the dataset so the
-    series resolution scales with dataset size.
-
-    ``web``, ``relevant_urls`` and ``classifier_cache`` exist so
-    :func:`run_strategies` can share run-invariant state across a sweep
-    — a prebuilt virtual web space (with its body-synthesis cache warm),
-    the recall denominator set, and the memoised classifier judgments.
-    Each defaults to per-run construction.
+    ``web``, ``relevant_urls`` and ``classifier_cache`` exist so a sweep
+    can share run-invariant state — a prebuilt virtual web space (with
+    its body-synthesis cache warm), the recall denominator set, and the
+    memoised classifier judgments.  Each defaults to per-run
+    construction.
     """
     if isinstance(strategy, str):
         strategy = get_strategy(strategy)
-    if sample_interval is None:
-        sample_interval = max(1, len(dataset.crawl_log) // 200)
+    if config is None:
+        config = SessionConfig()
+    if config.sample_interval == SessionConfig.sample_interval:
+        config = replace(config, sample_interval=max(1, len(dataset.crawl_log) // 200))
     if web is None:
-        needs_bodies = synthesize_bodies or extract_from_body or (
-            ClassifierMode(classifier_mode) if isinstance(classifier_mode, str) else classifier_mode
-        ) in (ClassifierMode.META, ClassifierMode.DETECTOR)
-        web = dataset.web(body_synthesizer=HtmlSynthesizer() if needs_bodies else None)
+        web = _dataset_web(dataset, classifier_mode, config)
     if relevant_urls is None:
         relevant_urls = dataset.relevant_urls()
     return run_crawl(
@@ -108,157 +74,71 @@ def run_strategy(
             seeds=tuple(dataset.seed_urls),
             relevant_urls=relevant_urls,
         ),
-        config=SessionConfig(
-            max_pages=max_pages,
-            sample_interval=sample_interval,
-            extract_from_body=extract_from_body,
-            checkpoint_every=checkpoint_every,
-            checkpoint_path=checkpoint_path,
-            timing=timing,
-            concurrency=concurrency,
-            on_fetch=on_fetch,
-            instrumentation=instrumentation,
-            faults=faults,
-            resilience=resilience,
-            adversary=adversary,
-            defenses=defenses,
-            resume_from=resume_from,
-            hooks=tuple(hooks),
-        ),
+        config=config,
     )
+
+
+def _dataset_web(dataset: Dataset, classifier_mode: ClassifierMode | str, config: SessionConfig):
+    bodies = needs_bodies(ClassifierMode(classifier_mode), config.extract_from_body)
+    return dataset.web(body_synthesizer=HtmlSynthesizer() if bodies else None)
+
+
+def resolve_strategies(strategies: Iterable[StrategyRef]) -> list[CrawlStrategy]:
+    """An instance per reference; a repeated label is a :class:`ConfigError`.
+
+    Sweep results are keyed by ``strategy.name``, so two runs under one
+    label would silently shadow each other — refuse before any crawl.
+    """
+    resolved = []
+    for ref in strategies:
+        if not isinstance(ref, CrawlStrategy):
+            name, params = ref if isinstance(ref, tuple) else (ref, {})
+            ref = get_strategy(name, **params)
+        resolved.append(ref)
+    names = [strategy.name for strategy in resolved]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"sweep strategy labels must be unique, repeated: {', '.join(repeated)}")
+    return resolved
 
 
 def run_strategies(
     dataset: Dataset,
     strategies: Iterable[StrategyRef],
-    workers: int = 0,
-    **kwargs,
+    config: SessionConfig | None = None,
+    *,
+    classifier_mode: ClassifierMode | str = ClassifierMode.CHARSET,
 ) -> dict[str, CrawlResult]:
-    """Run several strategies under identical conditions.
+    """Run several strategies in this process, under identical conditions.
 
-    Returns results keyed by strategy name, in input order (dicts
-    preserve insertion order, and the figure renderers rely on it for
-    stable legends).
+    The loop for what a :class:`~repro.exec.RunSpec` cannot carry —
+    strategy instances, hooks and callbacks in ``config``; a grid of
+    registry names belongs on :func:`repro.experiments.sweep.run_cells`,
+    which also fans out to workers and builds a fresh ``timing`` clock
+    per run (here one ``config`` serves every run).  Returns results
+    keyed by strategy name, in input order (the figure renderers rely on
+    it for stable legends).
 
     Sweep-invariant state is built once and shared by every run: the
     virtual web space (a replayed log never changes between strategies),
     the relevant-URL denominator set, and one
     :class:`~repro.core.classifier.ClassifierCache` — the same bytes are
     classified by every strategy in the sweep, so all runs after the
-    first judge almost entirely from cache.  Callers can still override
-    any of the three through ``kwargs``.
-
-    ``workers > 0`` fans the runs out over a
-    :class:`~repro.exec.SweepExecutor` process pool: each strategy must
-    then be a registry name (or ``(name, params)`` pair) and ``kwargs``
-    restricted to picklable run parameters; per-worker rebuilds of the
-    sweep-invariant state replace the in-process sharing, and results
-    are byte-identical to ``workers=0`` (pinned by
-    ``tests/test_exec_sweep.py``).
+    first judge almost entirely from cache.
     """
-    if "timing_spec" in kwargs and kwargs.get("timing") is not None:
-        raise ConfigError("pass timing_spec= or timing=, not both")
-    if workers:
-        return _run_strategies_workers(dataset, strategies, workers, kwargs)
-    timing_spec = kwargs.pop("timing_spec", None)
-    if timing_spec is not None and not isinstance(timing_spec, TimingSpec):
-        raise ConfigError(
-            f"timing_spec= needs a repro.exec.TimingSpec, got {type(timing_spec).__name__}"
-        )
-    kwargs.setdefault("relevant_urls", dataset.relevant_urls())
-    kwargs.setdefault("classifier_cache", ClassifierCache())
-    if "web" not in kwargs:
-        classifier_mode = kwargs.get("classifier_mode", ClassifierMode.CHARSET)
-        needs_bodies = (
-            kwargs.get("synthesize_bodies", False)
-            or kwargs.get("extract_from_body", False)
-            or (
-                ClassifierMode(classifier_mode)
-                if isinstance(classifier_mode, str)
-                else classifier_mode
-            )
-            in (ClassifierMode.META, ClassifierMode.DETECTOR)
-        )
-        kwargs["web"] = dataset.web(
-            body_synthesizer=HtmlSynthesizer() if needs_bodies else None
-        )
-    results: dict[str, CrawlResult] = {}
-    for strategy in strategies:
-        strategy = _resolve_strategy(strategy)
-        if timing_spec is not None:
-            # The clock is per-run mutable state: every run of the sweep
-            # gets a fresh model, exactly as a worker process would.
-            kwargs["timing"] = timing_spec.build()
-        results[strategy.name] = run_strategy(dataset, strategy, **kwargs)
-    return results
-
-
-def _resolve_strategy(strategy: StrategyRef) -> CrawlStrategy:
-    if isinstance(strategy, tuple):
-        name, params = strategy
-        return get_strategy(name, **params)
-    if isinstance(strategy, str):
-        return get_strategy(strategy)
-    return strategy
-
-
-def _run_strategies_workers(
-    dataset: Dataset,
-    strategies: Iterable[StrategyRef],
-    workers: int,
-    kwargs: dict,
-) -> dict[str, CrawlResult]:
-    unsupported = sorted(set(kwargs) - _SPECABLE_KWARGS)
-    if unsupported:
-        raise ConfigError(
-            f"run_strategies(workers={workers}) cannot ship {', '.join(unsupported)} "
-            "to worker processes; supported sweep keywords are "
-            f"{', '.join(sorted(_SPECABLE_KWARGS))} — pass workers=0 for the rest"
-        )
-    classifier_mode = kwargs.get("classifier_mode", ClassifierMode.CHARSET)
-    mode = (
-        ClassifierMode(classifier_mode)
-        if isinstance(classifier_mode, str)
-        else classifier_mode
-    )
-    timing_spec = kwargs.get("timing_spec")
-    if timing_spec is not None and not isinstance(timing_spec, TimingSpec):
-        raise ConfigError(
-            f"timing_spec= needs a repro.exec.TimingSpec, got {type(timing_spec).__name__}"
-        )
-    dataset_spec = DatasetSpec.from_dataset(dataset)
-    names: list[str] = []
-    specs: list[RunSpec] = []
-    for strategy in strategies:
-        if isinstance(strategy, tuple):
-            name, params = strategy
-        elif isinstance(strategy, str):
-            name, params = strategy, {}
-        else:
-            raise ConfigError(
-                "a workers>0 sweep needs registry-name strategies (a name or "
-                f"(name, params) pair), got instance {strategy!r} — strategy "
-                "objects hold run state and do not cross process boundaries"
-            )
-        # Constructing driver-side both fails fast on bad names/params
-        # and yields the result key (e.g. "limited-distance(n=2)").
-        names.append(get_strategy(name, **params).name)
-        specs.append(
-            RunSpec(
-                dataset=dataset_spec,
-                strategy=name,
-                params=tuple(sorted(params.items())),
-                classifier_mode=mode.value,
-                max_pages=kwargs.get("max_pages"),
-                sample_interval=kwargs.get("sample_interval"),
-                extract_from_body=kwargs.get("extract_from_body", False),
-                synthesize_bodies=kwargs.get("synthesize_bodies", False),
-                timing=timing_spec,
-                concurrency=kwargs.get("concurrency"),
-            )
-        )
-    results = SweepExecutor(workers).run(specs)
-    return dict(zip(names, results))
+    resolved = resolve_strategies(strategies)
+    if config is None:
+        config = SessionConfig()
+    shared = {
+        "classifier_mode": classifier_mode,
+        "web": _dataset_web(dataset, classifier_mode, config),
+        "relevant_urls": dataset.relevant_urls(),
+        "classifier_cache": ClassifierCache(),
+    }
+    return {
+        strategy.name: run_strategy(dataset, strategy, config, **shared)
+        for strategy in resolved
+    }
 
 
 def summary_rows(results: dict[str, CrawlReport]) -> list[dict]:
@@ -276,8 +156,3 @@ def summary_rows(results: dict[str, CrawlReport]) -> list[dict]:
             row[key] = round(value, 4) if isinstance(value, float) else value
         rows.append(row)
     return rows
-
-
-def seeds_subset(seed_urls: Sequence[str], count: int) -> tuple[str, ...]:
-    """The first ``count`` seeds (deterministic helper for examples)."""
-    return tuple(seed_urls[:count])

@@ -46,6 +46,7 @@ from pathlib import Path
 from repro.core.session import CrawlRequest, CrawlSession, SessionConfig, report_payload
 from repro.core.spilling import SpillConfig
 from repro.errors import SimulationError
+from repro.experiments.sweep import comma_list, emit_payload
 from repro.graphgen.profiles import profile_by_name
 from repro.urlkit.normalize import clear_url_caches
 
@@ -368,16 +369,6 @@ def scale_frontier_sweep(
     return payload
 
 
-def _parse_scales(text: str) -> tuple[float, ...]:
-    try:
-        scales = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--scales needs comma-separated floats, got {text!r}")
-    if not scales:
-        raise argparse.ArgumentTypeError("--scales needs at least one float")
-    return scales
-
-
 def _main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.scalefrontier",
@@ -394,7 +385,7 @@ def _main(argv: list[str] | None = None) -> int:
         help=argparse.SUPPRESS,  # child mode: JSON spec of one store build
     )
     parser.add_argument(
-        "--scales", type=_parse_scales, default=DEFAULT_SCALES,
+        "--scales", type=comma_list(float), default=DEFAULT_SCALES,
         help="comma-separated universe scale factors (default 0.25,0.5,1.0)",
     )
     parser.add_argument("--max-pages", type=int, default=1500, help="crawl budget per point")
@@ -434,14 +425,7 @@ def _main(argv: list[str] | None = None) -> int:
         workdir=args.workdir,
         progress=lambda message: print(message, file=sys.stderr),
     )
-    rendered = json.dumps(payload, indent=2, sort_keys=True)
-    if args.output is not None:
-        output = Path(args.output)
-        output.parent.mkdir(parents=True, exist_ok=True)
-        output.write_text(rendered + "\n")
-        print(f"wrote {output}")
-    else:
-        print(rendered)
+    emit_payload(payload, args.output)
     if payload["rss_gate"] is not None and not payload["rss_gate"]["pass"]:
         print(
             f"RSS gate FAILED: store {payload['rss_gate']['store_rss_kb']} KB > "

@@ -17,27 +17,23 @@ strictly equal budget on an identical web.
 
 The grid is strategies × scales × seeds; seeds re-roll the generated
 universe (``profile.with_seed``), so a strategy has to win on several
-independent webs, not one lucky layout.  Cells are independent runs
-fanned out through :class:`~repro.exec.SweepExecutor`, so ``workers=N``
-is byte-identical to serial by the executor's contract — the payload
-digest is the determinism witness.
+independent webs, not one lucky layout.  Every cell is one
+:class:`~repro.exec.RunSpec` on the shared sweep path
+(:mod:`repro.experiments.sweep`).
 
 ``benchmarks/bench_strategy_tournament.py`` renders and gates the
-payload; CI runs the small ``python -m repro.experiments.tournament``
-smoke with a digest-equality determinism check.
+payload.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import sys
+import functools
 from dataclasses import replace
-from pathlib import Path
 
-from repro.exec import DatasetSpec, RunSpec, SweepExecutor
-from repro.experiments.concurrency import sweep_digest
+from repro.exec import DatasetSpec, RunSpec
 from repro.experiments.datasets import load_or_build_dataset
+from repro.experiments.sweep import comma_list, run_cells, sweep_digest, sweep_main
 from repro.graphgen.config import DatasetProfile
 from repro.graphgen.profiles import thai_profile
 
@@ -112,8 +108,8 @@ def tournament_sweep(
 
     Datasets are built (or read from the disk cache) driver-side once
     per (scale, seed) so a cold cache pays each capture crawl exactly
-    once; workers then rehydrate them through the shared
-    :class:`~repro.exec.DatasetSpec` cache.
+    once; in-process cells crawl those live datasets, workers rehydrate
+    them from the :class:`~repro.exec.DatasetSpec`.
     """
     dataset_specs: dict[tuple[float, int], DatasetSpec] = {}
     dataset_pages: dict[tuple[float, int], int] = {}
@@ -123,24 +119,16 @@ def tournament_sweep(
             dataset_specs[(scale, seed)] = DatasetSpec.from_dataset(dataset)
             dataset_pages[(scale, seed)] = len(dataset.crawl_log)
 
-    cells: list[tuple[str, float, int]] = [
-        (strategy, scale, seed)
-        for strategy in strategies
-        for scale in scales
-        for seed in seeds
-    ]
-    specs = [
-        RunSpec(
-            dataset=dataset_specs[(scale, seed)],
-            strategy=strategy,
-            max_pages=max_pages,
-        )
-        for strategy, scale, seed in cells
-    ]
-    results = SweepExecutor(workers).run(specs)
+    runs = run_cells(
+        [(strategy, scale, seed) for strategy in strategies for scale in scales for seed in seeds],
+        lambda strategy, scale, seed: RunSpec(
+            dataset=dataset_specs[(scale, seed)], strategy=strategy, max_pages=max_pages
+        ),
+        workers,
+    )
 
     rows = []
-    for (strategy, scale, seed), result in zip(cells, results):
+    for (strategy, scale, seed), result in runs:
         rows.append(
             {
                 "strategy": strategy,
@@ -205,33 +193,6 @@ def ranking_summary(rows: list[dict]) -> list[dict]:
     return entries
 
 
-def _parse_names(text: str) -> tuple[str, ...]:
-    names = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not names:
-        raise argparse.ArgumentTypeError("--strategies needs at least one name")
-    return names
-
-
-def _parse_scales(text: str) -> tuple[float, ...]:
-    try:
-        scales = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--scales needs comma-separated floats, got {text!r}")
-    if not scales:
-        raise argparse.ArgumentTypeError("--scales needs at least one float")
-    return scales
-
-
-def _parse_seeds(text: str) -> tuple[int, ...]:
-    try:
-        seeds = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--seeds needs comma-separated integers, got {text!r}")
-    if not seeds:
-        raise argparse.ArgumentTypeError("--seeds needs at least one integer")
-    return seeds
-
-
 def _main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.tournament",
@@ -239,64 +200,28 @@ def _main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--strategies",
-        type=_parse_names,
+        type=comma_list(str),
         default=FULL_ZOO,
         help="comma-separated strategy registry names (default: the full zoo)",
     )
     parser.add_argument(
-        "--scales", type=_parse_scales, default=(0.02,), help="universe scale factors"
+        "--scales", type=comma_list(float), default=(0.02,), help="universe scale factors"
     )
     parser.add_argument(
-        "--seeds", type=_parse_seeds, default=DEFAULT_SEEDS, help="universe seeds per cell"
+        "--seeds", type=comma_list(int), default=DEFAULT_SEEDS, help="universe seeds per cell"
     )
     parser.add_argument("--max-pages", type=int, default=1100, help="page cap per run")
-    parser.add_argument(
-        "--workers", type=int, default=0, metavar="N", help="sweep worker processes"
-    )
-    parser.add_argument("--output", default=None, help="write the JSON payload here")
-    parser.add_argument(
-        "--check-determinism",
-        action="store_true",
-        help="run the sweep twice (second pass serial) and require digest equality",
-    )
-    args = parser.parse_args(argv)
-
-    payload = tournament_sweep(
-        strategies=args.strategies,
-        scales=args.scales,
-        seeds=args.seeds,
-        max_pages=args.max_pages,
-        workers=args.workers,
-    )
-    if args.check_determinism:
-        again = tournament_sweep(
+    return sweep_main(
+        parser,
+        lambda args: functools.partial(
+            tournament_sweep,
             strategies=args.strategies,
             scales=args.scales,
             seeds=args.seeds,
             max_pages=args.max_pages,
-            workers=0,
-        )
-        if again["digest_sha256"] != payload["digest_sha256"]:
-            print(
-                "determinism check FAILED: "
-                f"workers={args.workers} digest {payload['digest_sha256']} != "
-                f"serial digest {again['digest_sha256']}",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"determinism check ok: {payload['digest_sha256']}")
-
-    rendered = json.dumps(payload, indent=2, sort_keys=True)
-    if args.output is not None:
-        output = Path(args.output)
-        output.parent.mkdir(parents=True, exist_ok=True)
-        output.write_text(rendered + "\n")
-        print(f"wrote {output}")
-    else:
-        for line in payload["summary"]:
-            print(json.dumps(line, sort_keys=True))
-        print(f"digest: {payload['digest_sha256']}")
-    return 0
+        ),
+        argv,
+    )
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary import AdversaryModel, AdversaryProfile, DefenseConfig
+from repro.core.session import SessionConfig
 from repro.exec import TimingSpec
 from repro.experiments.golden import (
     GOLDEN_FIXTURE_DIR,
@@ -65,7 +66,7 @@ def record_trace(dataset, strategy, max_pages=GOLDEN_MAX_PAGES, **kwargs):
             {"step": event.step, "url": event.url, "relevant": event.judgment.relevant}
         )
 
-    run_strategy(dataset, strategy, max_pages=max_pages, on_fetch=observe, **kwargs)
+    run_strategy(dataset, strategy, SessionConfig(max_pages=max_pages, on_fetch=observe, **kwargs))
     return rows
 
 

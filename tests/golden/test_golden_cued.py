@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.session import SessionConfig
 from repro.experiments.datasets import build_dataset_store, open_dataset_store
 from repro.experiments.golden import (
     CUED_FIXTURE_DIR,
@@ -129,10 +130,12 @@ class TestCuedKillResume:
             run_strategy(
                 dataset,
                 factory(),
-                on_fetch=lambda event: rows.append(
-                    {"step": event.step, "url": event.url, "relevant": event.judgment.relevant}
+                SessionConfig(
+                    on_fetch=lambda event: rows.append(
+                        {"step": event.step, "url": event.url, "relevant": event.judgment.relevant}
+                    ),
+                    **kwargs,
                 ),
-                **kwargs,
             )
             return rows
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.session import SessionConfig
 from repro.experiments.golden import (
     GOLDEN_FIXTURE_DIR,
     GOLDEN_MAX_PAGES,
@@ -44,7 +45,7 @@ def record_trace(dataset, strategy, max_pages=GOLDEN_MAX_PAGES, **kwargs):
             {"step": event.step, "url": event.url, "relevant": event.judgment.relevant}
         )
 
-    run_strategy(dataset, strategy, max_pages=max_pages, on_fetch=observe, **kwargs)
+    run_strategy(dataset, strategy, SessionConfig(max_pages=max_pages, on_fetch=observe, **kwargs))
     return rows
 
 

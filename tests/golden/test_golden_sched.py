@@ -133,11 +133,13 @@ class TestK1Equivalence:
             result = run_strategy(
                 golden_web_dataset,
                 golden_strategies()[SCHED_GOLDEN_STRATEGY](),
-                max_pages=GOLDEN_MAX_PAGES,
-                timing=TimingModel(connections=1),
-                concurrency=concurrency,
-                on_fetch=lambda event: sim_times.append(event.sim_time),
-                **ENGINE_SCENARIOS[scenario](),
+                SessionConfig(
+                    max_pages=GOLDEN_MAX_PAGES,
+                    timing=TimingModel(connections=1),
+                    concurrency=concurrency,
+                    on_fetch=lambda event: sim_times.append(event.sim_time),
+                    **ENGINE_SCENARIOS[scenario](),
+                ),
             )
             return report_payload(result), sim_times
 

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.session import SessionConfig
 from repro.exec import TimingSpec
 from repro.experiments.datasets import build_dataset_store, open_dataset_store
 from repro.experiments.golden import (
@@ -111,10 +112,12 @@ class TestStoreKillResume:
             run_strategy(
                 store_dataset,
                 factory(),
-                on_fetch=lambda event: rows.append(
-                    {"step": event.step, "url": event.url, "relevant": event.judgment.relevant}
+                SessionConfig(
+                    on_fetch=lambda event: rows.append(
+                        {"step": event.step, "url": event.url, "relevant": event.judgment.relevant}
+                    ),
+                    **kwargs,
                 ),
-                **kwargs,
             )
             return rows
 
@@ -135,8 +138,10 @@ class TestStoreCoverageById:
         result = run_strategy(
             store_dataset,
             golden_strategies()[name](),
-            max_pages=GOLDEN_MAX_PAGES,
-            on_fetch=lambda event: fetched.append((event.url, event.response.page_id)),
+            SessionConfig(
+                max_pages=GOLDEN_MAX_PAGES,
+                on_fetch=lambda event: fetched.append((event.url, event.response.page_id)),
+            ),
         )
         assert any(page_id is not None for _, page_id in fetched)
         for url, page_id in fetched:

@@ -98,9 +98,11 @@ class TestDatasetDefaults:
 
         direct = run_crawl(
             CrawlRequest(dataset=thai_dataset, strategy=SimpleStrategy(mode="soft")),
-            config=SessionConfig(sample_interval=500),
+            config=SessionConfig(sample_interval=250),
         )
-        harness = run_strategy(thai_dataset, SimpleStrategy(mode="soft"), sample_interval=500)
+        harness = run_strategy(
+            thai_dataset, SimpleStrategy(mode="soft"), SessionConfig(sample_interval=250)
+        )
         assert direct.to_dict() == harness.to_dict()
 
 

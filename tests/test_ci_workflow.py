@@ -1,0 +1,97 @@
+"""The CI workflow's ``repro`` command lines still parse.
+
+Nobody can run Actions from a checkout, so a renamed flag or module in
+``.github/workflows/ci.yml`` would only fail on the next push.  This
+loads the workflow, expands every matrix entry, and feeds each
+``python -m repro.…`` / ``lswc-sim`` invocation's flags to the module's
+own argument parser — parse only, nothing runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+import yaml
+
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "ci.yml"
+
+
+def _invocations() -> list[tuple[str, str, list[str]]]:
+    """``(job[entry], module, argv)`` for every repro command line."""
+    found = []
+    for job_name, job in yaml.safe_load(WORKFLOW.read_text())["jobs"].items():
+        entries = job.get("strategy", {}).get("matrix", {}).get("include") or [{}]
+        for entry in entries:
+            label = f"{job_name}[{entry['name']}]" if "name" in entry else job_name
+            for step in job["steps"]:
+                command = re.sub(
+                    r"\$\{\{\s*matrix\.(\w+)\s*\}\}",
+                    lambda match: str(entry.get(match.group(1), match.group(0))),
+                    step.get("run", ""),
+                )
+                for line in command.splitlines():
+                    tokens = shlex.split(line)
+                    if tokens[:1] == ["lswc-sim"]:
+                        found.append((label, "repro.cli", tokens[1:]))
+                    elif tokens[:2] == ["python", "-m"] and tokens[2].startswith("repro"):
+                        found.append((label, tokens[2], tokens[3:]))
+    return found
+
+
+INVOCATIONS = _invocations()
+
+
+class _Parsed(Exception):
+    """Raised in place of running the command once its flags parsed."""
+
+
+def test_the_workflow_runs_every_sweep_cli():
+    modules = {module for _, module, _ in INVOCATIONS}
+    assert {
+        "repro.cli",
+        "repro.experiments.adversweep",
+        "repro.experiments.concurrency",
+        "repro.experiments.faultsweep",
+        "repro.experiments.scalefrontier",
+        "repro.experiments.tournament",
+    } <= modules
+
+
+def test_sweep_smokes_are_one_matrix_job():
+    jobs = yaml.safe_load(WORKFLOW.read_text())["jobs"]
+    sweeps = {
+        label.split("[")[0]
+        for label, module, _ in INVOCATIONS
+        if module.startswith("repro.experiments.")
+    }
+    assert sweeps == {"sweep-smoke"}
+    for entry in jobs["sweep-smoke"]["strategy"]["matrix"]["include"]:
+        assert set(entry) == {"name", "module", "args", "validate"}
+        if entry["module"] != "repro.experiments.scalefrontier":
+            assert "--workers 2 --check-determinism" in entry["args"]
+        # The validate expression is pasted into ``python -c "…"``.
+        assert '"' not in entry["validate"]
+        compile(entry["validate"], entry["name"], "exec")
+
+
+@pytest.mark.parametrize(
+    ("module_name", "argv"),
+    [pytest.param(module, argv, id=label) for label, module, argv in INVOCATIONS],
+)
+def test_flags_parse(module_name, argv, monkeypatch):
+    real_parse_args = argparse.ArgumentParser.parse_args
+
+    def parse_only(self, args=None, namespace=None):
+        real_parse_args(self, args, namespace)
+        raise _Parsed
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_only)
+    module = importlib.import_module(module_name)
+    main = getattr(module, "_main", None) or module.main
+    with pytest.raises(_Parsed):
+        main(argv)

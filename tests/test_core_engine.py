@@ -23,6 +23,7 @@ from repro.core.engine import (
     EngineStage,
     EngineStep,
 )
+from repro.core.session import SessionConfig
 from repro.core.strategies import get_strategy
 from repro.core.timing import TimingModel
 from repro.core.visitor import Visitor
@@ -140,10 +141,12 @@ class TestStageSequence:
         result = run_strategy(
             thai_dataset,
             "soft-focused",
-            max_pages=400,
-            concurrency=concurrency,
-            hooks=(hook,),
-            **ENGINE_SCENARIOS[scenario](),
+            SessionConfig(
+                max_pages=400,
+                concurrency=concurrency,
+                hooks=(hook,),
+                **ENGINE_SCENARIOS[scenario](),
+            ),
         )
         if scenario == "faulted":
             assert result.resilience["requeued"] > 0

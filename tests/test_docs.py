@@ -41,9 +41,10 @@ class TestTutorial:
         assert len(namespace["results"]) == 4
         strategy_cls = namespace["ArticleFirstStrategy"]
 
+        from repro import SessionConfig
         from repro.experiments.runner import run_strategy
 
-        result = run_strategy(namespace["dataset"], strategy_cls(), max_pages=300)
+        result = run_strategy(namespace["dataset"], strategy_cls(), SessionConfig(max_pages=300))
         assert result.pages_crawled == 300
 
 

@@ -12,12 +12,13 @@ import json
 
 import pytest
 
-from repro.core.strategies import BreadthFirstStrategy
+from repro.core.session import SessionConfig
 from repro.errors import ConfigError
 from repro.exec import DatasetSpec, RunSpec, SweepExecutor, execute_run
 from repro.exec.spec import result_from_payload
 from repro.experiments.faultsweep import fault_sweep
 from repro.experiments.runner import run_strategies
+from repro.experiments.sweep import run_cells, strategy_spec
 
 SWEEP = ["breadth-first", "hard-focused", ("limited-distance", {"n": 2})]
 
@@ -63,28 +64,39 @@ class TestExecutor:
 
 class TestRunStrategiesDifferential:
     def test_workers_match_serial_byte_for_byte(self, thai_dataset):
-        serial = run_strategies(thai_dataset, SWEEP, max_pages=300)
-        parallel = run_strategies(thai_dataset, SWEEP, max_pages=300, workers=2)
+        """The in-process live-object loop and the spec path through two
+        worker processes are the same sweep."""
+        serial = run_strategies(thai_dataset, SWEEP, SessionConfig(max_pages=300))
+        dataset_spec = DatasetSpec.from_dataset(thai_dataset)
+        runs = run_cells(
+            [(ref,) for ref in SWEEP],
+            lambda ref: strategy_spec(dataset_spec, ref, max_pages=300),
+            workers=2,
+        )
+        parallel = {result.strategy: result for _, result in runs}
         assert list(serial) == list(parallel)  # key order = input order
         assert canonical(serial) == canonical(parallel)
 
-    def test_rejects_strategy_instances(self, thai_dataset):
-        with pytest.raises(ConfigError, match="registry-name"):
-            run_strategies(thai_dataset, [BreadthFirstStrategy()], workers=2)
+    def test_rejects_unknown_strategy_driver_side(self, thai_dataset):
+        # Bad names must fail before any crawl starts.
+        with pytest.raises(ConfigError, match="no-such-strategy"):
+            run_strategies(thai_dataset, ["breadth-first", "no-such-strategy"])
 
-    def test_rejects_unspecable_kwargs(self, thai_dataset):
-        with pytest.raises(ConfigError, match="on_fetch"):
+    def test_colliding_labels_are_refused_before_any_crawl(self, thai_dataset):
+        crawled = []
+        config = SessionConfig(max_pages=5, on_fetch=crawled.append)
+        with pytest.raises(ConfigError, match=r"limited-distance\(N=2\), soft-focused"):
             run_strategies(
                 thai_dataset,
-                ["breadth-first"],
-                workers=2,
-                on_fetch=lambda event: None,
+                [
+                    "soft-focused",
+                    "soft-focused",
+                    ("limited-distance", {"n": 2}),
+                    ("limited-distance", {"n": 2}),
+                ],
+                config,
             )
-
-    def test_rejects_unknown_strategy_driver_side(self, thai_dataset):
-        # Bad names must fail before any worker is spawned.
-        with pytest.raises(Exception):
-            run_strategies(thai_dataset, ["no-such-strategy"], workers=2)
+        assert crawled == []
 
 
 class TestFaultSweepDifferential:

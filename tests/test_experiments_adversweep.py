@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.experiments.adversweep import (
     DEFAULT_SEEDS,
     DEFAULT_STRATEGIES,
@@ -90,7 +91,7 @@ class TestGridShape:
         assert parallel["digest_sha256"] == sweep["digest_sha256"]
 
     def test_unknown_scenario_is_loud(self, small_dataset):
-        with pytest.raises(ValueError, match="unknown adversweep scenarios"):
+        with pytest.raises(ConfigError, match="unknown adversweep scenarios"):
             adversarial_sweep(small_dataset, scenarios=("clean", "nope"))
 
     def test_default_registry_sanity(self):

@@ -9,14 +9,13 @@ import json
 
 import pytest
 
-from repro.core.strategies import BreadthFirstStrategy
 from repro.experiments.datasets import build_dataset
 from repro.experiments.faultsweep import (
     DEFAULT_RATES,
     FaultSweepPoint,
     fault_sweep,
+    faultsweep_payload,
     profile_for_rate,
-    write_faultsweep_json,
 )
 from repro.graphgen.profiles import thai_profile
 
@@ -31,7 +30,7 @@ def sweep(small_dataset):
     return fault_sweep(
         small_dataset,
         rates=(0.0, 0.3),
-        strategies=(BreadthFirstStrategy(),),
+        strategies=("breadth-first",),
         max_pages=150,
     )
 
@@ -67,12 +66,12 @@ class TestFaultSweep:
 
 
 class TestArtifact:
-    def test_json_artifact_shape(self, sweep, small_dataset, tmp_path):
-        path = tmp_path / "faultsweep.json"
-        write_faultsweep_json(sweep, path, dataset=small_dataset)
-        payload = json.loads(path.read_text())
+    def test_json_artifact_shape(self, sweep, small_dataset):
+        payload = json.loads(json.dumps(faultsweep_payload(small_dataset, sweep)))
         assert payload["experiment"] == "faultsweep"
         assert payload["dataset"] == small_dataset.name
+        assert payload["dataset_pages"] == len(small_dataset.crawl_log)
+        assert payload["digest_sha256"]
         assert len(payload["points"]) == len(sweep)
         point = payload["points"][0]
         assert set(point) == set(FaultSweepPoint(

@@ -7,6 +7,7 @@ asserted at benchmark scale in benchmarks/.
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.experiments.figures import figure3, figure5, figure6, figure7
 
 
@@ -97,3 +98,16 @@ class TestFigure7:
             fig6.results.items(), fig7.results.items()
         ):
             assert result7.final_coverage >= result6.final_coverage - 0.02
+
+
+class TestSpecPath:
+    """Figures are ``RunSpec`` grids: any worker count, same curves."""
+
+    def test_workers_do_not_move_a_curve(self, thai_dataset, fig6, fig7):
+        assert figure5(thai_dataset, workers=2).to_dict() == figure5(thai_dataset).to_dict()
+        assert figure6(thai_dataset, ns=(1, 2, 3), workers=2).to_dict() == fig6.to_dict()
+        assert figure7(thai_dataset, ns=(1, 2, 3), workers=2).to_dict() == fig7.to_dict()
+
+    def test_colliding_labels_are_refused(self, thai_dataset):
+        with pytest.raises(ConfigError, match=r"repeated: .*limited-distance\(N=2\)"):
+            figure6(thai_dataset, ns=(2, 2))

@@ -1,5 +1,7 @@
 """Unit tests for the experiment runner."""
 
+from repro.core.politeness import HostQueues
+from repro.core.session import SessionConfig
 from repro.core.strategies import BreadthFirstStrategy, SimpleStrategy
 from repro.core.timing import TimingModel
 from repro.experiments.runner import run_strategies, run_strategy, summary_rows
@@ -7,7 +9,7 @@ from repro.experiments.runner import run_strategies, run_strategy, summary_rows
 
 class TestRunStrategy:
     def test_basic_run(self, thai_dataset):
-        result = run_strategy(thai_dataset, BreadthFirstStrategy(), max_pages=500)
+        result = run_strategy(thai_dataset, BreadthFirstStrategy(), SessionConfig(max_pages=500))
         assert result.pages_crawled == 500
         assert 0.0 <= result.final_harvest_rate <= 1.0
 
@@ -17,40 +19,58 @@ class TestRunStrategy:
 
     def test_classifier_mode_string(self, thai_dataset):
         result = run_strategy(
-            thai_dataset, SimpleStrategy(mode="hard"), classifier_mode="oracle", max_pages=300
+            thai_dataset,
+            SimpleStrategy(mode="hard"),
+            SessionConfig(max_pages=300),
+            classifier_mode="oracle",
         )
         assert result.pages_crawled == 300
 
     def test_detector_mode_gets_bodies_automatically(self, thai_dataset):
         result = run_strategy(
-            thai_dataset, SimpleStrategy(mode="hard"), classifier_mode="detector", max_pages=100
+            thai_dataset,
+            SimpleStrategy(mode="hard"),
+            SessionConfig(max_pages=100),
+            classifier_mode="detector",
         )
         assert result.pages_crawled == 100
 
     def test_extract_from_body(self, thai_dataset):
         with_body = run_strategy(
-            thai_dataset, BreadthFirstStrategy(), extract_from_body=True, max_pages=200
+            thai_dataset,
+            BreadthFirstStrategy(),
+            SessionConfig(extract_from_body=True, max_pages=200),
         )
-        without = run_strategy(thai_dataset, BreadthFirstStrategy(), max_pages=200)
+        without = run_strategy(thai_dataset, BreadthFirstStrategy(), SessionConfig(max_pages=200))
         # Synthesized bodies reproduce record outlinks exactly, so the
         # two modes crawl the same pages in the same order.
         assert with_body.final_harvest_rate == without.final_harvest_rate
 
     def test_timing_model_attached(self, thai_dataset):
         result = run_strategy(
-            thai_dataset, BreadthFirstStrategy(), timing=TimingModel(), max_pages=200
+            thai_dataset,
+            BreadthFirstStrategy(),
+            SessionConfig(timing=TimingModel(), max_pages=200),
         )
         assert result.summary.simulated_seconds > 0
+
+    def test_every_session_field_is_reachable(self, thai_dataset):
+        # frontier= is the field the old keyword mirror had no name for.
+        config = SessionConfig(frontier=HostQueues(), max_pages=200)
+        result = run_strategy(thai_dataset, "soft-focused", config)
+        assert result.pages_crawled == 200
+        plain = run_strategy(thai_dataset, "soft-focused", SessionConfig(max_pages=200))
+        assert result.series.to_dict() != plain.series.to_dict()
 
 
 class TestRunStrategies:
     def test_keyed_by_name_in_order(self, thai_dataset):
         strategies = [BreadthFirstStrategy(), SimpleStrategy(mode="hard")]
-        results = run_strategies(thai_dataset, strategies, max_pages=200)
+        results = run_strategies(thai_dataset, strategies, SessionConfig(max_pages=200))
         assert list(results) == ["breadth-first", "hard-focused"]
 
     def test_summary_rows(self, thai_dataset):
-        results = run_strategies(thai_dataset, [BreadthFirstStrategy()], max_pages=100)
+        results = run_strategies(thai_dataset, [BreadthFirstStrategy()], SessionConfig(max_pages=100))
         rows = summary_rows(results)
         assert rows[0]["strategy"] == "breadth-first"
         assert rows[0]["pages_crawled"] == 100

@@ -153,9 +153,9 @@ class TestCrawlsAgreeAcrossBackends:
                 run_strategy(
                     dataset,
                     "soft-focused",
-                    max_pages=1500,
-                    concurrency=concurrency,
-                    **SCENARIOS[scenario](),
+                    SessionConfig(
+                        max_pages=1500, concurrency=concurrency, **SCENARIOS[scenario]()
+                    ),
                 )
             )
             for dataset in (store_dataset, memory_twin)
@@ -165,9 +165,9 @@ class TestCrawlsAgreeAcrossBackends:
     def test_reprioritising_strategy_keeps_hints_and_agrees(
         self, store_dataset, memory_twin, id_of_calls
     ):
-        on_store = run_strategy(store_dataset, "backlink-count", max_pages=800)
+        on_store = run_strategy(store_dataset, "backlink-count", SessionConfig(max_pages=800))
         store_calls = len(id_of_calls)
-        on_memory = run_strategy(memory_twin, "backlink-count", max_pages=800)
+        on_memory = run_strategy(memory_twin, "backlink-count", SessionConfig(max_pages=800))
         assert report_payload(on_store) == report_payload(on_memory)
         # update_priority re-creates queued candidates; the hint rides along.
         assert store_calls < 100
@@ -279,10 +279,12 @@ class TestCheckpointsHoldNoIds:
             run_strategy(
                 dataset,
                 "soft-focused",
-                max_pages=600,
-                concurrency=concurrency,
-                checkpoint_every=600,
-                checkpoint_path=path,
+                SessionConfig(
+                    max_pages=600,
+                    concurrency=concurrency,
+                    checkpoint_every=600,
+                    checkpoint_path=path,
+                ),
             )
             written.append(path.read_bytes())
         assert written[0] == written[1]

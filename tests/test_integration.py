@@ -4,6 +4,7 @@ session datasets, plus cross-cutting consistency between subsystems.
 
 import pytest
 
+from repro.core.session import SessionConfig
 from repro.core.strategies import LimitedDistanceStrategy, SimpleStrategy
 from repro.experiments.runner import run_strategy
 
@@ -68,14 +69,16 @@ class TestBodyModeEquivalence:
 
     def test_meta_mode_equals_charset_mode(self, thai_dataset):
         charset_run = run_strategy(
-            thai_dataset, SimpleStrategy(mode="hard"), classifier_mode="charset", max_pages=800
+            thai_dataset,
+            SimpleStrategy(mode="hard"),
+            SessionConfig(max_pages=800),
+            classifier_mode="charset",
         )
         meta_run = run_strategy(
             thai_dataset,
             SimpleStrategy(mode="hard"),
+            SessionConfig(extract_from_body=True, max_pages=800),
             classifier_mode="meta",
-            extract_from_body=True,
-            max_pages=800,
         )
         assert meta_run.pages_crawled == charset_run.pages_crawled
         assert meta_run.final_harvest_rate == pytest.approx(charset_run.final_harvest_rate)
@@ -94,6 +97,6 @@ class TestBodyModeEquivalence:
 
 class TestDeterminismEndToEnd:
     def test_same_dataset_same_results(self, thai_dataset):
-        first = run_strategy(thai_dataset, SimpleStrategy(mode="soft"), max_pages=1000)
-        second = run_strategy(thai_dataset, SimpleStrategy(mode="soft"), max_pages=1000)
+        first = run_strategy(thai_dataset, SimpleStrategy(mode="soft"), SessionConfig(max_pages=1000))
+        second = run_strategy(thai_dataset, SimpleStrategy(mode="soft"), SessionConfig(max_pages=1000))
         assert first.series.to_dict() == second.series.to_dict()
