@@ -350,6 +350,14 @@ class SessionStatus:
         return asdict(self)
 
 
+def _require_resumable(strategy: CrawlStrategy) -> None:
+    if not strategy.resumable:
+        raise CheckpointError(
+            f"{strategy.name} keeps cross-page tables that no checkpoint section "
+            "carries: it cannot be checkpointed, evicted or resumed"
+        )
+
+
 class CrawlSession:
     """One crawl as a lifecycle: ``open → step(budget) → report → close``.
 
@@ -468,6 +476,8 @@ class CrawlSession:
         if not request.seeds:
             raise SimulationError("at least one seed URL is required")
         config = self._config
+        if config.checkpoint_every is not None or config.resume_from is not None:
+            _require_resumable(strategy)
         assert request.web is not None and request.classifier is not None
         relevant_urls = request.relevant_urls
         if relevant_urls is None:
@@ -772,8 +782,15 @@ class CrawlSession:
         """
         self.open()
         assert self._engine is not None
+        _require_resumable(self._engine.strategy)
         rstate = self._engine.state
         return self._checkpoint_state(rstate)
+
+    @property
+    def resumable(self) -> bool:
+        """False when :meth:`snapshot` raises (``CrawlStrategy.resumable``)."""
+        self.open()
+        return self._engine.strategy.resumable
 
     def save_checkpoint(self, path: str | Path) -> None:
         """Atomically write :meth:`snapshot` to ``path`` (JSONL)."""

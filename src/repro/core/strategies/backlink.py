@@ -27,6 +27,7 @@ class BacklinkCountStrategy(CrawlStrategy):
     """Crawl the most-referenced known URL first."""
 
     name = "backlink-count"
+    resumable = False
 
     def __init__(self) -> None:
         self._backlinks: dict[str, int] = defaultdict(int)

@@ -39,6 +39,11 @@ class CrawlStrategy(ABC):
     #: every context-blind strategy — and all golden traces — unchanged.
     wants_link_contexts: bool = False
 
+    #: False for a strategy that keeps cross-page tables no checkpoint
+    #: section carries: resumed it would re-rank from empty tables, so
+    #: the session refuses to snapshot it (``CheckpointError``).
+    resumable: bool = True
+
     #: Per-run telemetry hub, bound by the session before
     #: ``make_frontier`` (None on uninstrumented runs).
     instrumentation: Instrumentation | None = None

@@ -33,6 +33,7 @@ class DistilledSoftStrategy(CrawlStrategy):
     """Soft-focused + intermittent distillation."""
 
     name = "distilled-soft"
+    resumable = False
 
     #: priority band width; hub bonus occupies [1, BAND-1].
     BAND = 10

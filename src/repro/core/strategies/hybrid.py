@@ -29,7 +29,7 @@ from repro.charset.languages import Language
 from repro.core.classifier import Judgment
 from repro.core.frontier import Candidate, Frontier, ReprioritizableFrontier
 from repro.core.strategies.base import CrawlStrategy
-from repro.core.strategies.textcues import anchor_affinity, resolve_language
+from repro.core.strategies.textcues import anchor_affinities, link_scores, resolve_language
 from repro.errors import ConfigError
 from repro.urlkit.extract import LinkContext
 from repro.webspace.virtualweb import FetchResponse
@@ -46,6 +46,7 @@ class PDDHybridStrategy(CrawlStrategy):
 
     name = "pdd-hybrid"
     wants_link_contexts = True
+    resumable = False
 
     def __init__(
         self,
@@ -74,11 +75,6 @@ class PDDHybridStrategy(CrawlStrategy):
     def max_priority(self) -> int:
         return SCORE_SCALE
 
-    def _priority(self, url: str) -> int:
-        link_term = min(1.0, self._backlinks[url] / _BACKLINK_SATURATION)
-        score = self.content_weight * self._content[url] + self.link_weight * link_term
-        return int(score * SCORE_SCALE)
-
     def expand(
         self,
         parent: Candidate,
@@ -87,20 +83,27 @@ class PDDHybridStrategy(CrawlStrategy):
         outlinks: Iterable[str],
         link_contexts: Sequence[LinkContext] | None = None,
     ) -> list[Candidate]:
-        parent_term = 1.0 if judgment.relevant else 0.0
-        frontier = self._frontier
+        outlinks = tuple(outlinks)
+        anchor_terms = link_scores(self, outlinks, link_contexts, anchor_affinities, 0.0)
+        half_parent_term = 0.5 * (1.0 if judgment.relevant else 0.0)
+        content_weight, link_weight = self.content_weight, self.link_weight
+        contents, backlinks = self._content, self._backlinks
+        update_priority = self._frontier.update_priority if self._frontier is not None else None
+        referrer = parent.url
         children: list[Candidate] = []
-        for index, url in enumerate(outlinks):
-            anchor_term = 0.0
-            if link_contexts is not None:
-                anchor_term = anchor_affinity(link_contexts[index], self.language)
-            content = 0.5 * parent_term + 0.5 * anchor_term
-            self._content[url] = max(content, self._content.get(url, 0.0))
-            self._backlinks[url] = self._backlinks.get(url, 0) + 1
-            priority = self._priority(url)
-            if frontier is not None and frontier.update_priority(url, priority):
+        for url, anchor_term in zip(outlinks, anchor_terms, strict=True):
+            content = half_parent_term + 0.5 * anchor_term
+            best = contents.get(url, 0.0)
+            if best > content:
+                content = best
+            contents[url] = content
+            backlinks[url] = count = backlinks.get(url, 0) + 1
+            link_term = count / _BACKLINK_SATURATION if count < _BACKLINK_SATURATION else 1.0
+            score = content_weight * content + link_weight * link_term
+            priority = int(score * SCORE_SCALE)
+            if update_priority is not None and update_priority(url, priority):
                 continue
-            children.append(Candidate(url=url, priority=priority, referrer=parent.url))
+            children.append(Candidate(url, priority, 0, referrer))
         return children
 
 
@@ -152,16 +155,17 @@ class PalContentLinkStrategy(CrawlStrategy):
         child_distance = 0 if judgment.relevant else parent.distance + 1
         parent_term = 1.0 if judgment.relevant else 0.0
         distance_term = 1.0 / (1.0 + child_distance)
+        outlinks = tuple(outlinks)
+        anchor_terms = link_scores(self, outlinks, link_contexts, anchor_affinities, 0.0)
+        content_weight, anchor_weight = self.content_weight, self.anchor_weight
+        distance_weight = self.distance_weight
         frontier = self._frontier
         children: list[Candidate] = []
-        for index, url in enumerate(outlinks):
-            anchor_term = 0.0
-            if link_contexts is not None:
-                anchor_term = anchor_affinity(link_contexts[index], self.language)
+        for url, anchor_term in zip(outlinks, anchor_terms, strict=True):
             score = (
-                self.content_weight * parent_term
-                + self.anchor_weight * anchor_term
-                + self.distance_weight * distance_term
+                content_weight * parent_term
+                + anchor_weight * anchor_term
+                + distance_weight * distance_term
             )
             priority = int(score * SCORE_SCALE)
             if frontier is not None:

@@ -24,7 +24,7 @@ from repro.core.classifier import Judgment
 from repro.core.frontier import Candidate, Frontier, ReprioritizableFrontier
 from repro.core.strategies.base import CrawlStrategy
 from repro.core.strategies.hybrid import SCORE_SCALE
-from repro.core.strategies.textcues import context_fractions, resolve_language
+from repro.core.strategies.textcues import link_fractions, link_scores, resolve_language
 from repro.errors import ConfigError
 from repro.urlkit.extract import LinkContext
 from repro.webspace.virtualweb import FetchResponse
@@ -57,10 +57,6 @@ class InfoSpidersStrategy(CrawlStrategy):
     def max_priority(self) -> int:
         return SCORE_SCALE
 
-    def _score(self, context: LinkContext) -> float:
-        anchor, around = context_fractions(context, self.language)
-        return self.anchor_weight * anchor + self.around_weight * around
-
     def expand(
         self,
         parent: Candidate,
@@ -69,12 +65,14 @@ class InfoSpidersStrategy(CrawlStrategy):
         outlinks: Iterable[str],
         link_contexts: Sequence[LinkContext] | None = None,
     ) -> list[Candidate]:
+        outlinks = tuple(outlinks)
+        # Context-blind, every link scores 0.
+        fractions = link_scores(self, outlinks, link_contexts, link_fractions, (0.0, 0.0))
+        anchor_weight, around_weight = self.anchor_weight, self.around_weight
         frontier = self._frontier
         children: list[Candidate] = []
-        for index, url in enumerate(outlinks):
-            priority = 0
-            if link_contexts is not None:
-                priority = int(self._score(link_contexts[index]) * SCORE_SCALE)
+        for url, (anchor, around) in zip(outlinks, fractions, strict=True):
+            priority = int((anchor_weight * anchor + around_weight * around) * SCORE_SCALE)
             if frontier is not None:
                 current = frontier.priority_of(url)
                 if current is not None:

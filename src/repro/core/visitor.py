@@ -11,6 +11,7 @@ enabled.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from time import perf_counter
 from typing import Any
 
@@ -103,28 +104,28 @@ class Visitor:
 
     def extract_contexts(
         self, response: FetchResponse, outlinks: tuple[str, ...]
-    ) -> tuple[Any, ...] | None:
+    ) -> Sequence[Any] | None:
         """Per-outlink textual contexts, aligned 1:1 with ``outlinks``.
 
         Only called when the active strategy sets
         ``wants_link_contexts`` — context-blind runs never pay for it.
         With ``extract_from_body`` (and a body present) the contexts are
         :class:`~repro.urlkit.extract.LinkContext` rows parsed out of the
-        HTML; otherwise each is a
-        :class:`~repro.graphgen.linkcontext.CuedLinkContext` of the
-        crawl-log record, which reads the same (``url``,
-        ``anchor_text``, ``around_text``) but scores from the record's
-        cue byte and words its text only when asked.  The two modes
+        HTML; otherwise they are the crawl-log record's one
+        :class:`~repro.graphgen.linkcontext.RecordLinkContexts` row,
+        whose contexts read the same (``url``, ``anchor_text``,
+        ``around_text``) but score from the record's cue bytes and word
+        their text only when asked.  The two modes
         agree on the anchor *markup*, not on what a strategy reads: a
         body is encoded to the page's native charset before
         :func:`~repro.urlkit.extract.extract_link_contexts` decodes it as
         Latin-1 (see that function), so only record mode sees Thai/CJK
         anchors as such.  ``outlinks`` is the engine's post-defense link
         list, which may be a filtered, reordered or rewritten version of
-        the raw extraction — contexts are re-aligned to it by URL, with
-        an empty context for any URL the source did not cover.  Returns
-        None when no context source exists (no body parse and no
-        record).
+        the raw extraction — contexts are then re-aligned to it by URL
+        (a tuple), with an empty context for any URL the source did not
+        cover.  Returns None when no context source exists (no body
+        parse and no record).
         """
         if not outlinks or not response.ok or not response.is_html:
             return ()

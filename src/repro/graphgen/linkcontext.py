@@ -18,13 +18,14 @@ This module owns both halves of that feature:
 
 Record-mode strategies do not read that text, though: they read the
 share of each text's characters in the target language's script, and
-every vocabulary word is wholly inside one script.  So a
-:class:`CuedLinkContext` (:func:`record_link_contexts`, what
-:meth:`repro.core.visitor.Visitor.extract_contexts` hands out) answers
-those fractions from the cue byte, and synthesizes its text only for a
-link whose around text mixes two scripts — there the fraction depends
-on word lengths.  :func:`synthesize_link_contexts` is the eager
-whole-record form, kept as the reference the tests compare against.
+every vocabulary word is wholly inside one script.  So a page's links
+travel as one :class:`RecordLinkContexts` row (:func:`record_link_contexts`,
+what :meth:`repro.core.visitor.Visitor.extract_contexts` hands out) and
+each :class:`CuedLinkContext` it stands for answers those fractions from
+the cue byte; a link whose around text mixes two scripts makes the
+text's word draws and sums word lengths
+(:meth:`CuedLinkContext.around_fraction`) — nothing on the crawl path
+writes text.
 
 The byte layout is part of the on-disk dataset format: the order of
 :data:`CUE_LANGUAGES` must never change.
@@ -33,14 +34,14 @@ The byte layout is part of the on-disk dataset format: the order of
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
 
 from repro.charset.languages import Language
 from repro.errors import CrawlLogError
-from repro.graphgen.textgen import TextGenerator, flavor_for
-from repro.urlkit.extract import LinkContext
+from repro.graphgen.textgen import TextGenerator, _flavor_tables, flavor_for
 from repro.webspace.page import VALID_LINK_CUES, PageRecord
 
 #: Cue-language table indexed by (cue_byte & _LANGUAGE_MASK) - 1.
@@ -112,11 +113,11 @@ def has_around_cue(cue: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _closed_fractions(
+def closed_fractions(
     source: Language, target: Language
-) -> tuple[tuple[float, float | None] | None, ...]:
-    """Per cue byte, the ``(anchor, around)`` fractions of a link on a
-    ``source``-language page scored for ``target``.
+) -> dict[int, tuple[float, float | None]]:
+    """Per valid cue byte, the ``(anchor, around)`` fractions of a link on
+    a ``source``-language page scored for ``target``.
 
     A text whose words all come from one script scores 1.0 when that is
     ``target``'s script and 0.0 otherwise (``flavor_for`` is the script:
@@ -125,13 +126,13 @@ def _closed_fractions(
     word obeys it).  The anchor is one such text.  The around text is
     source-language prose + the anchor + a cue-language run when the
     around bit is set: 1.0 if every part matches, 0.0 if none does, and
-    None — read the text — when they disagree.
+    None — only the word lengths can tell — when they disagree.  A dict:
+    ``.get`` is None for any other int, where an index raises or wraps.
     """
     script = flavor_for(target)
-    rows: list[tuple[float, float | None] | None] = []
-    for entry in _CUE_TABLE:
+    rows: dict[int, tuple[float, float | None]] = {}
+    for byte, entry in enumerate(_CUE_TABLE):
         if entry is None:
-            rows.append(None)
             continue
         language, anchor_cue, around_cue = entry
         language = language or source
@@ -140,8 +141,15 @@ def _closed_fractions(
             parts.append(language)
         hits = [flavor_for(part) == script for part in parts]
         around = 1.0 if all(hits) else None if any(hits) else 0.0
-        rows.append((1.0 if hits[1] else 0.0, around))
-    return tuple(rows)
+        rows[byte] = (1.0 if hits[1] else 0.0, around)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _word_lengths(flavor: str) -> tuple[list[int], np.ndarray]:
+    """``(characters per vocabulary word, zipf cumulative)`` of a flavor."""
+    vocabulary, cumulative, _, _ = _flavor_tables(flavor)
+    return [len(word) for word in vocabulary], cumulative
 
 
 def _link_seed(source_url: str, target_url: str) -> int:
@@ -180,8 +188,8 @@ class CuedLinkContext:
 
     Reads like a :class:`~repro.urlkit.extract.LinkContext` (``url``,
     ``anchor_text``, ``around_text``), but each text access synthesizes
-    the link afresh — contexts live for one ``expand`` call, and scoring
-    goes through :meth:`cue_fractions` first.
+    the link afresh — scoring goes through :meth:`cue_fractions` and
+    :meth:`around_fraction`, which write none.
     """
 
     __slots__ = ("url", "_source_url", "_source_language", "_cue")
@@ -212,38 +220,71 @@ class CuedLinkContext:
 
     def cue_fractions(self, language: Language) -> tuple[float, float | None]:
         """``(anchor, around)`` character fractions in ``language``'s
-        script; ``around`` is None when only :attr:`around_text` can tell."""
-        fractions = _closed_fractions(self._source_language, language)[self._cue]
+        script; ``around`` is None when only :meth:`around_fraction` can tell."""
+        fractions = closed_fractions(self._source_language, language).get(self._cue)
         if fractions is None:
             raise CrawlLogError(f"{self._source_url!r}: invalid link cue byte {self._cue!r}")
         return fractions
 
+    def around_fraction(self, language: Language) -> float:
+        """:attr:`around_text`'s character fraction in ``language``'s
+        script, unwritten: :meth:`texts`' draws in its order, word lengths
+        summed in their place — words hold no whitespace and lie in one
+        script, so these are the two ints the character walk counts."""
+        cue_language, anchor_cue, around_cue = _decode(self._cue)
+        source = self._source_language
+        cue_language = cue_language or source
+        seed = _link_seed(self._source_url, self.url)
+        rng = np.random.default_rng(seed)
+        parts = [(cue_language if anchor_cue else source, rng.random(int(rng.integers(1, 4))))]
+        if around_cue:
+            parts.append((cue_language, rng.random(3)))
+        parts.append((source, np.random.default_rng(seed ^ 0xA5A5A5A5).random(4)))
+        script = flavor_for(language)
+        hits = total = 0
+        for part_language, draws in parts:
+            flavor = flavor_for(part_language)
+            lengths, cumulative = _word_lengths(flavor)
+            characters = sum([lengths[index] for index in cumulative.searchsorted(draws)])
+            total += characters
+            if flavor == script:
+                hits += characters
+        return hits / total
 
-def record_link_contexts(record: PageRecord) -> tuple[CuedLinkContext, ...]:
-    """One :class:`CuedLinkContext` per ``record.outlinks`` entry, in order.
+
+class RecordLinkContexts(Sequence):
+    """One record's link contexts as a row: its outlinks beside their
+    cue bytes, so that scoring a page is a table lookup per link
+    (:func:`repro.core.strategies.textcues.anchor_affinities`); a
+    :class:`CuedLinkContext` is made only when one is indexed, sliced
+    or iterated out."""
+
+    __slots__ = ("urls", "cues", "source_url", "source_language")
+
+    def __init__(self, record: PageRecord) -> None:
+        self.urls = record.outlinks
+        self.cues = record.link_cues if record.link_cues is not None else (0,) * len(self.urls)
+        if len(self.cues) != len(self.urls):
+            raise ValueError(f"{record.url!r}: link_cues and outlinks differ in length")
+        self.source_url = record.url
+        self.source_language = record.true_language
+
+    def __len__(self) -> int:
+        return len(self.urls)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[position] for position in range(*index.indices(len(self))))
+        return CuedLinkContext(
+            self.urls[index], self.source_url, self.source_language, self.cues[index]
+        )
+
+
+def record_link_contexts(record: PageRecord) -> RecordLinkContexts:
+    """One context per ``record.outlinks`` entry, in order, as one row.
 
     Records without a ``link_cues`` column (legacy datasets, cue knobs
     at 0) still yield contexts — every link simply reads as written in
     the source page's language, carrying no cue signal.
     """
-    outlinks = record.outlinks
-    cues = record.link_cues if record.link_cues is not None else (0,) * len(outlinks)
-    url = record.url
-    language = record.true_language
-    return tuple(
-        [
-            CuedLinkContext(target, url, language, cue)
-            for target, cue in zip(outlinks, cues, strict=True)
-        ]
-    )
-
-
-def synthesize_link_contexts(record: PageRecord) -> tuple[LinkContext, ...]:
-    """Every link of ``record`` with its text spelled out, eagerly.
-
-    The reference the closed-form fractions are tested against; nothing
-    on the fetch path calls it.
-    """
-    return tuple(
-        LinkContext(context.url, *context.texts()) for context in record_link_contexts(record)
-    )
+    return RecordLinkContexts(record)

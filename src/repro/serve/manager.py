@@ -332,7 +332,7 @@ class SessionManager:
                 continue
             if record.lock.acquire(blocking=False):
                 try:
-                    if record.resident and now - record.tick >= idle_for:
+                    if record.resident and now - record.tick >= idle_for and record.session.resumable:
                         self._evict_locked(record)
                         evicted.append(record.name)
                 finally:
@@ -340,7 +340,9 @@ class SessionManager:
         return evicted
 
     def _enforce_residency(self, exempt: str) -> None:
-        """Evict LRU idle sessions until the resident cap holds."""
+        """Evict LRU idle sessions until the resident cap holds; one that
+        cannot be snapshotted (``CrawlSession.resumable``) stays, as a busy
+        one does — only an explicit :meth:`evict` of it raises."""
         if self._max_resident is None:
             return
         while True:
@@ -355,7 +357,7 @@ class SessionManager:
             for record in victims:
                 if record.lock.acquire(blocking=False):
                     try:
-                        if record.resident:
+                        if record.resident and record.session.resumable:
                             self._evict_locked(record)
                             break
                     finally:

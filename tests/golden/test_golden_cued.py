@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.session import SessionConfig
+from repro.errors import CheckpointError
 from repro.experiments.datasets import build_dataset_store, open_dataset_store
 from repro.experiments.golden import (
     CUED_FIXTURE_DIR,
@@ -100,26 +101,22 @@ class TestCuedGoldenDifferential:
         assert store_dataset.crawl_log.link_cue_row(0) is not None
 
 
-#: pdd-hybrid keeps per-URL backlink/content tables across pages and no
-#: checkpoint section carries strategy state, so a resumed run re-ranks
-#: from empty tables.  Known hole (ROADMAP item 6), pinned so that closing
-#: it shows up here.
-_PDD_RESUME_GAP = pytest.mark.xfail(
-    strict=True,
-    reason="strategy tables are not checkpointed: diverges at step 505, as at the recording commit",
-)
-
-
 class TestCuedKillResume:
     """Checkpoint every 250 pages, kill at 600, resume to the cap."""
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            pytest.param(name, marks=_PDD_RESUME_GAP) if name == "pdd-hybrid" else name
-            for name in STRATEGY_NAMES
-        ],
-    )
+    def test_pdd_hybrid_refuses_to_checkpoint(self, dataset, tmp_path):
+        """It keeps per-URL backlink/content tables across pages and no
+        checkpoint section carries strategy state: a resumed run used to
+        re-rank from empty tables and diverge at step 505 (ROADMAP item
+        4(c)).  Until a ``strategy`` section exists, that is an error."""
+        config = SessionConfig(
+            max_pages=600, checkpoint_every=250, checkpoint_path=tmp_path / "pdd.ckpt"
+        )
+        with pytest.raises(CheckpointError, match="pdd-hybrid.*cross-page tables"):
+            run_strategy(dataset, cued_golden_strategies()["pdd-hybrid"](), config)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name", [name for name in STRATEGY_NAMES if name != "pdd-hybrid"])
     def test_interrupted_plus_resumed_equals_fixture(self, dataset, name, tmp_path):
         _, expected = read_golden_trace(CUED_FIXTURE_DIR / f"{name}.jsonl")
         factory = cued_golden_strategies()[name]

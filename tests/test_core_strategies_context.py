@@ -213,10 +213,10 @@ class TestInfoSpiders:
         assert priorities["http://plain.example/"] == 0
 
     def test_around_text_scores_below_anchor(self):
-        strategy = InfoSpidersStrategy()
-        anchor_only = strategy._score(LinkContext("u", THAI_TEXT, ""))
-        around_only = strategy._score(LinkContext("u", "", THAI_TEXT))
-        assert anchor_only > around_only > 0
+        contexts = (LinkContext("http://a.example/", THAI_TEXT, ""), LinkContext("http://b.example/", "", THAI_TEXT))
+        urls = tuple(context.url for context in contexts)
+        anchor_only, around_only = InfoSpidersStrategy().expand(PARENT, None, IRRELEVANT, urls, contexts)
+        assert anchor_only.priority > around_only.priority > 0
 
     def test_none_contexts_degrade_to_fifo_priorities(self):
         strategy = InfoSpidersStrategy()

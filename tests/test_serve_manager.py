@@ -318,6 +318,73 @@ class TestEvictEveryStepOnGoldens:
         assert _canon(manager.close("s")) == _canon(expected)
 
 
+class TestUnresumableStrategyStaysResident:
+    """``backlink-count`` keeps a cross-page table no checkpoint section
+    carries: evicted every 90 pages it used to leave the direct run's
+    fetch sequence at fetch 92, silently.  The residency cap now skips
+    it, and asking for the eviction by name is an error."""
+
+    def _crawl(self, dataset, name, rows):
+        request = CrawlRequest(strategy=name, dataset=dataset)
+        config = SessionConfig(
+            max_pages=GOLDEN_MAX_PAGES,
+            sample_interval=50,
+            on_fetch=lambda event: rows.append({"step": event.step, "url": event.url}),
+        )
+        return request.resolve(), config
+
+    def test_served_beside_an_evictable_session_equals_the_direct_run(self, tmp_path):
+        dataset = golden_dataset()
+        expected_rows: dict[str, list] = {"backlink-count": [], "soft-focused": []}
+        expected = {
+            name: CrawlSession(*self._crawl(dataset, name, rows)).run()
+            for name, rows in expected_rows.items()
+        }
+        rows: dict[str, list] = {name: [] for name in expected}
+        manager = SessionManager(spool_dir=tmp_path, max_resident=1)
+        for name in expected:
+            manager.open(name, *self._crawl(dataset, name, rows[name]))
+        done = False
+        while not done:
+            # Each step of one would evict the other; only soft-focused goes.
+            done = all([manager.step(name, 90).done for name in expected])
+            assert manager.status("backlink-count").state == "open"
+        stats = manager.stats()
+        assert stats["evictions"] == stats["resumes"] >= 6
+        for name in expected:
+            assert first_divergence(expected_rows[name], rows[name]) is None, name
+            assert _canon(manager.close(name)) == _canon(expected[name])
+
+    @pytest.mark.parametrize("name", ["backlink-count", "distilled-soft", "pdd-hybrid"])
+    def test_explicit_evict_and_snapshot_are_a_named_error(self, tiny_web, tmp_path, name):
+        manager = SessionManager(spool_dir=tmp_path)
+        manager.open("s", _request(tiny_web, name), SessionConfig())
+        manager.step("s", 1)
+        with pytest.raises(CheckpointError, match=f"{name}.*cross-page tables"):
+            manager.evict("s")
+        assert manager.evict_idle(0) == []
+        assert not list(tmp_path.iterdir())
+        manager.step("s")  # still resident, still crawling
+        session = CrawlSession(_request(tiny_web, name))
+        with pytest.raises(CheckpointError, match=name):
+            session.snapshot()
+        with pytest.raises(CheckpointError, match=name):
+            session.save_checkpoint(tmp_path / "never.ckpt")
+        assert not session.resumable and not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("field", ["checkpoint_every", "resume_from"])
+    def test_a_checkpointing_config_is_refused_at_open(self, tiny_web, tmp_path, field):
+        donor = CrawlSession(_request(tiny_web))
+        donor.step(1)
+        extra = (
+            {"checkpoint_every": 2, "checkpoint_path": tmp_path / "p.ckpt"}
+            if field == "checkpoint_every"
+            else {"resume_from": donor.snapshot()}
+        )
+        with pytest.raises(CheckpointError, match="backlink-count.*cross-page tables"):
+            CrawlSession(_request(tiny_web, "backlink-count"), SessionConfig(**extra)).open()
+
+
 class TestMidBackoffEviction:
     """TestBackoffBoundaryKill, driven through the SessionManager.
 

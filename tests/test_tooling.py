@@ -60,3 +60,34 @@ def test_src_has_no_deprecation_machinery():
         if needle in path.read_text(encoding="utf-8")
     ]
     assert not offenders, offenders
+
+
+STRATEGY_MODULES = sorted(
+    path
+    for path in (ROOT / "src" / "repro" / "core" / "strategies").glob("*.py")
+    if path.name != "textcues.py"
+)
+
+
+@pytest.mark.parametrize("path", STRATEGY_MODULES, ids=lambda path: path.name)
+def test_only_textcues_reads_link_text(path):
+    """One place asks what a link's text says: ``textcues.py``.  A
+    strategy that imports the character detector or touches
+    ``.anchor_text`` / ``.around_text`` itself has gone back to per-link
+    text, which on a record-mode page means writing it first."""
+    assert len(STRATEGY_MODULES) > 10
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            offenders += [
+                f"line {node.lineno}: imports {alias.name}"
+                for alias in node.names
+                if alias.name.split(".")[-1] == "language_char_fraction"
+            ]
+        elif isinstance(node, ast.Attribute) and node.attr in (
+            "anchor_text",
+            "around_text",
+            "language_char_fraction",
+        ):
+            offenders.append(f"line {node.lineno}: reads .{node.attr}")
+    assert not offenders, offenders
