@@ -10,14 +10,16 @@ an order of magnitude at a 1-second per-site interval; which one suffers
 more depends on how bursty its per-host request pattern is, so no
 direction is asserted between them.)
 
-The politeness variants are :class:`~repro.exec.RunSpec` cells carrying
-a :class:`~repro.exec.TimingSpec`, so each point of the sweep builds a
-fresh clock, and the whole sweep fans out over
-:class:`~repro.exec.SweepExecutor` workers — with a sha256 gate pinning
-the worker results to the serial ones.
+The politeness variants are :class:`~repro.exec.RunSpec` cells whose
+config carries a :class:`~repro.core.timing.TimingModel`, so each point
+of the sweep runs on its own fresh clock, and the whole sweep fans out
+over :class:`~repro.exec.SweepExecutor` workers — with a sha256 gate
+pinning the worker results to the serial ones.
 """
 
-from repro.exec import DatasetSpec, RunSpec, TimingSpec
+from repro.core.session import SessionConfig
+from repro.core.timing import TimingModel
+from repro.exec import DatasetSpec, RunSpec
 from repro.experiments.report import render_table
 from repro.experiments.sweep import run_cells
 
@@ -29,12 +31,13 @@ STRATEGIES = ["breadth-first", "hard-focused"]
 
 def _sweep(dataset, politeness: float, workers: int = 0):
     dataset_spec = DatasetSpec.from_dataset(dataset)
-    timing = TimingSpec(politeness_interval_s=politeness, connections=32)
+    config = SessionConfig(
+        max_pages=MAX_PAGES,
+        timing=TimingModel(politeness_interval_s=politeness, connections=32),
+    )
     runs = run_cells(
         [(name,) for name in STRATEGIES],
-        lambda name: RunSpec(
-            dataset=dataset_spec, strategy=name, timing=timing, max_pages=MAX_PAGES
-        ),
+        lambda name: RunSpec(dataset=dataset_spec, strategy=name, config=config),
         workers,
     )
     return {result.strategy: result for _, result in runs}
@@ -47,7 +50,7 @@ def test_ext_timing_model(benchmark, thai_bench, results_dir):
     fast_results, polite_results = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
     # Timed sweeps fanned out to worker processes must not move a byte:
-    # the TimingSpec recipe rebuilds a fresh clock per run on both paths.
+    # every session builds its own clock from the config on both paths.
     fast_digest = canonical_hash(fast_results)
     polite_digest = canonical_hash(polite_results)
     assert canonical_hash(_sweep(thai_bench, politeness=0.0, workers=2)) == fast_digest

@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 
 from repro.core.session import SessionConfig
-from repro.exec import TimingSpec
+from repro.core.timing import TimingModel
 from repro.experiments.concurrency import DEFAULT_KS, concurrency_sweep
 from repro.experiments.report import render_table
 from repro.experiments.runner import run_strategy
@@ -46,14 +46,12 @@ def _overhead_measurement(dataset) -> dict:
 
     Pooled across both strategies (one ratio, less variance than two).
     """
-    spec = TimingSpec()
-
     def run(strategy: str, concurrency: int | None) -> float:
         best = float("inf")
         for _ in range(TRIALS):
             start = time.perf_counter()
             run_strategy(
-                dataset, strategy, SessionConfig(timing=spec.build(), concurrency=concurrency)
+                dataset, strategy, SessionConfig(timing=TimingModel(), concurrency=concurrency)
             )
             best = min(best, time.perf_counter() - start)
         return best

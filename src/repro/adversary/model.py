@@ -4,16 +4,16 @@ Follows the :class:`~repro.faults.FaultModel` design exactly: every
 decision is a pure function of ``(seed, kind, token)`` via a keyed
 blake2b draw, so two models with the same seed agree on every trap
 host, redirect chain and charset lie they would ever produce, in any
-query order.  The model keeps observability tallies (``injected``) but
-those never feed back into decisions — the only mutable adversary state
-lives in :class:`~repro.adversary.web.AdversarialWebSpace` (the global
-fetch index and the redirect-chain target map), which the checkpoint
+query order.  The model is a value, never mutated by a run: all mutable
+adversary state — the global fetch index, the redirect-chain target map
+and the ``injected`` tallies — lives in
+:class:`~repro.adversary.web.AdversarialWebSpace`, which the checkpoint
 layer snapshots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from hashlib import blake2b
 from pathlib import Path
 from typing import Mapping
@@ -143,28 +143,29 @@ class AdversaryProfile:
         return cls(**kwargs)
 
 
+@dataclass(frozen=True)
 class AdversaryModel:
     """Seeded, stateless-by-construction adversary decisions.
+
+    A value: equal and hashable by ``(profile, seed)``.
 
     Args:
         profile: the :class:`AdversaryProfile` in force.
         seed: hash key; same seed ⇒ identical adversarial web.
     """
 
-    def __init__(self, profile: AdversaryProfile | None = None, seed: int = 0) -> None:
-        self.profile = profile or AdversaryProfile()
-        self.seed = seed
-        self._key = blake2b(f"lswc-adversary:{seed}".encode(), digest_size=16).digest()
-        self._trap_hosts = frozenset(self.profile.trap_hosts)
-        self._alias_hosts = frozenset(self.profile.alias_hosts)
-        self.injected: dict[str, int] = {
-            "trap_pages": 0,
-            "trap_links": 0,
-            "redirects": 0,
-            "soft404": 0,
-            "alias": 0,
-            "mislabel": 0,
-        }
+    profile: AdversaryProfile = field(default_factory=AdversaryProfile)
+    seed: int = 0
+    _key: bytes = field(init=False, repr=False, compare=False)
+    _trap_hosts: frozenset[str] = field(init=False, repr=False, compare=False)
+    _alias_hosts: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        setattr_ = object.__setattr__
+        key = blake2b(f"lswc-adversary:{self.seed}".encode(), digest_size=16).digest()
+        setattr_(self, "_key", key)
+        setattr_(self, "_trap_hosts", frozenset(self.profile.trap_hosts))
+        setattr_(self, "_alias_hosts", frozenset(self.profile.alias_hosts))
 
     # -- derived randomness --------------------------------------------------
 

@@ -111,6 +111,15 @@ class AdversarialWebSpace:
         self._empty = model.profile.is_empty
         #: hop token -> the URL whose content the chain eventually serves.
         self._redirect_targets: dict[str, str] = {}
+        #: This run's interventions by kind (observability only).
+        self.injected: dict[str, int] = {
+            "trap_pages": 0,
+            "trap_links": 0,
+            "redirects": 0,
+            "soft404": 0,
+            "alias": 0,
+            "mislabel": 0,
+        }
         self.journal: list[tuple[int, str, str]] | None = [] if record_journal else None
 
     @property
@@ -173,7 +182,7 @@ class AdversarialWebSpace:
     def _start_chain(self, url: str, host: str) -> FetchResponse:
         token = self.model.token_hex("rchain", url, 12)
         self._redirect_targets[token] = url
-        self.model.injected["redirects"] += 1
+        self.injected["redirects"] += 1
         self._journal(url, "redirect")
         return FetchResponse(
             url=url,
@@ -218,7 +227,7 @@ class AdversarialWebSpace:
     def _fetch_alias(self, url: str, split) -> FetchResponse:
         canonical = url.partition("?")[0]
         response = self._resolve(canonical, split.site_key)
-        self.model.injected["alias"] += 1
+        self.injected["alias"] += 1
         self._journal(url, "alias")
         # Same content, different URL — the defining property of a
         # session alias.  The record stays the canonical page's, which is
@@ -233,8 +242,8 @@ class AdversarialWebSpace:
         children = tuple(
             f"{base}/{self.model.token_hex('trapchild', f'{url}#{k}')}" for k in range(fanout)
         )
-        self.model.injected["trap_pages"] += 1
-        self.model.injected["trap_links"] += fanout
+        self.injected["trap_pages"] += 1
+        self.injected["trap_links"] += fanout
         self._journal(url, "trap")
         body = _trap_body(url, children) if self.synthesizes_bodies else None
         return FetchResponse(
@@ -265,7 +274,7 @@ class AdversarialWebSpace:
             f"{base}/{self.model.token_hex('soft404link', f'{url}#{k}')}.html"
             for k in range(fanout)
         )
-        self.model.injected["soft404"] += 1
+        self.injected["soft404"] += 1
         self._journal(url, "soft404")
         body = _soft404_body(host) if self.synthesizes_bodies else None
         return FetchResponse(
@@ -293,7 +302,7 @@ class AdversarialWebSpace:
         changed: dict[str, object] = {}
         if model.is_trap_host(host):
             entries = self._trap_entries(url)
-            model.injected["trap_links"] += len(entries)
+            self.injected["trap_links"] += len(entries)
             self._journal(url, "trap-entry")
             changed["outlinks"] = outlinks + entries
             outlinks = changed["outlinks"]  # type: ignore[assignment]
@@ -310,7 +319,7 @@ class AdversarialWebSpace:
                         f"charset={response.charset}".encode("ascii"),
                         f"charset={lie}".encode("ascii"),
                     )
-                model.injected["mislabel"] += 1
+                self.injected["mislabel"] += 1
                 self._journal(url, "mislabel")
                 changed["adversary"] = "mislabel"
         if not changed:
@@ -344,7 +353,7 @@ class AdversarialWebSpace:
             "seed": self.model.seed,
             "fetch_index": self.fetch_index,
             "redirects": dict(self._redirect_targets),
-            "injected": dict(self.model.injected),
+            "injected": dict(self.injected),
         }
 
     def restore(self, state: Mapping) -> None:
@@ -355,4 +364,4 @@ class AdversarialWebSpace:
             )
         self.fetch_index = state["fetch_index"]
         self._redirect_targets = dict(state["redirects"])
-        self.model.injected.update(state.get("injected", {}))
+        self.injected.update(state.get("injected", {}))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from repro.charset.detector import detect_charset
 from repro.core.session import SessionConfig
@@ -414,23 +415,14 @@ def _dispatch(args: argparse.Namespace) -> int:
 
             faults = load_fault_model(args.faults)
             if args.fault_seed is not None:
-                from repro.faults import FaultModel
-
-                faults = FaultModel(
-                    profile=faults.profile,
-                    per_host=faults.per_host,
-                    outages=faults.outages,
-                    seed=args.fault_seed,
-                )
+                faults = replace(faults, seed=args.fault_seed)
         adversary = None
         if args.adversary is not None:
-            from repro.adversary import AdversaryModel, load_adversary_model
+            from repro.adversary import load_adversary_model
 
             adversary = load_adversary_model(args.adversary)
             if args.adversary_seed is not None:
-                adversary = AdversaryModel(
-                    profile=adversary.profile, seed=args.adversary_seed
-                )
+                adversary = replace(adversary, seed=args.adversary_seed)
         defenses = None
         overrides = {
             "max_url_depth": args.max_url_depth,
@@ -438,12 +430,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             "max_redirect_hops": args.max_redirect_hops,
         }
         if args.defenses or any(value is not None for value in overrides.values()):
-            from dataclasses import replace as _replace
-
             from repro.adversary import DefenseConfig
 
             base = DefenseConfig.standard() if args.defenses else DefenseConfig()
-            defenses = _replace(
+            defenses = replace(
                 base, **{key: value for key, value in overrides.items() if value is not None}
             )
         given = {

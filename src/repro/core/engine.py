@@ -14,18 +14,18 @@ epilogue: metrics record, the per-fetch callback, hook ``on_step``).
 The one decision that varies is the *issue policy*:
 
 - ``concurrency=None`` — every issued fetch is handed straight to
-  completion.  Crawl order cannot depend on time; ``timing`` is optional
-  and pure accounting (:meth:`TimingModel.observe_fetch`, which owns a
+  completion.  Crawl order cannot depend on time; ``clock`` is optional
+  and pure accounting (:meth:`VirtualClock.observe_fetch`, which owns a
   ``connections`` pool), and ``sim_time`` is None without it.  This is
   the paper's setting.
 - ``concurrency=K`` — up to K fetches are in flight at once.  A fetch is
   issued at pop time, booked on the clock with
-  :meth:`TimingModel.reserve_fetch` (per-site politeness only — the
+  :meth:`VirtualClock.reserve_fetch` (per-site politeness only — the
   engine owns the K slots) and completes at its simulated completion
   time, so frontier ordering depends on latency, bandwidth, politeness
   windows and the fault layer's slow-host scaling — the elapsed-time /
   per-server-queue dimension the paper's simulator omitted (§6).
-  ``timing`` is mandatory: virtual time *is* the scheduler.
+  ``clock`` is mandatory: virtual time *is* the scheduler.
 
 Determinism contract of the slotted policy:
 
@@ -79,31 +79,30 @@ per partition round-robin.
 
 from __future__ import annotations
 
+import base64
 import heapq
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.adversary.defense import NAIVE_REDIRECT_CAP
 from repro.core.candidate import candidate_from_dict, candidate_to_dict, stamp_uid
-from repro.core.events import CrawlEvent, FetchCallback
 from repro.core.frontier import Candidate, Frontier
-from repro.core.sched import response_from_dict, response_to_dict
 from repro.errors import CheckpointError, ConfigError
 from repro.faults.model import RETRYABLE_FAULTS
 from repro.urlkit.normalize import intern_url, url_site_key
+from repro.webspace.virtualweb import FetchResponse
 
 if TYPE_CHECKING:
     from repro.adversary.defense import DefensePolicy
     from repro.core.classifier import Classifier, Judgment
     from repro.core.metrics import MetricsRecorder
     from repro.core.strategies.base import CrawlStrategy
-    from repro.core.timing import TimingModel
+    from repro.core.timing import VirtualClock
     from repro.core.visitor import Visitor
     from repro.faults.model import FaultModel
     from repro.faults.resilience import HostBreakers, RetryPolicy
-    from repro.webspace.virtualweb import FetchResponse
 
 
 class EngineStage(Enum):
@@ -153,6 +152,32 @@ class EngineStep:
     #: Wall-clock time the step's fetch was issued (its frontier pop
     #: began); only set when a hook needs wall time.
     started_s: float = 0.0
+
+
+@dataclass(frozen=True, slots=True)
+class CrawlEvent:
+    """One completed fetch, fully described, for the ``on_fetch`` callback.
+
+    Unlike :class:`EngineStep`, an event is a fresh immutable value per
+    step, so a callback may keep it; the loop allocates none when no
+    callback is installed.
+    """
+
+    step: int
+    candidate: Candidate
+    response: FetchResponse
+    judgment: Judgment
+    queue_size: int
+    scheduled_count: int
+    sim_time: float | None = None
+
+    @property
+    def url(self) -> str:
+        return self.candidate.url
+
+
+#: Signature of the engine's optional per-fetch callback.
+FetchCallback = Callable[[CrawlEvent], None]
 
 
 class EngineHook:
@@ -295,7 +320,7 @@ class CrawlEngine:
     ``concurrency`` selects the issue policy (see the module docstring):
     None completes every fetch the moment it is issued, an integer K
     keeps up to K fetches in flight on the virtual clock and needs a
-    ``timing`` model.
+    ``clock`` (:meth:`repro.core.timing.TimingModel.clock`).
 
     The loop preserves the exact operation order the golden traces pin:
     pop → gate → fetch (retry, redirects) → clock → judge → extract →
@@ -314,7 +339,7 @@ class CrawlEngine:
         scheduled: Optional[set[str]] = None,
         recorder: Optional["MetricsRecorder"] = None,
         max_pages: Optional[int] = None,
-        timing: Optional["TimingModel"] = None,
+        clock: Optional["VirtualClock"] = None,
         on_fetch: Optional[FetchCallback] = None,
         faults: Optional["FaultModel"] = None,
         retry: Optional["RetryPolicy"] = None,
@@ -327,10 +352,10 @@ class CrawlEngine:
         concurrency: Optional[int] = None,
     ) -> None:
         if concurrency is not None:
-            if timing is None:
+            if clock is None:
                 raise ConfigError(
-                    "concurrency= needs a timing= model — virtual time is the "
-                    "scheduler; use zero_latency_timing() for the degenerate clock"
+                    "concurrency= needs a clock= — virtual time is the scheduler; "
+                    "use zero_latency_timing().clock() for the degenerate clock"
                 )
             if concurrency < 1:
                 raise ConfigError("concurrency must be >= 1")
@@ -341,7 +366,7 @@ class CrawlEngine:
         self.scheduled: set[str] = set() if scheduled is None else scheduled
         self.recorder = recorder
         self.max_pages = max_pages
-        self.timing = timing
+        self.clock = clock
         self.on_fetch = on_fetch
         self.faults = faults
         self.retry = retry
@@ -507,7 +532,7 @@ class CrawlEngine:
         strategy = self.strategy
         scheduled = self.scheduled
         recorder = self.recorder
-        timing = self.timing
+        clock = self.clock
         on_fetch = self.on_fetch
         faults = self.faults
         retry = self.retry
@@ -533,12 +558,6 @@ class CrawlEngine:
         record = recorder.record if recorder is not None else None
         scheduled_add = scheduled.add
         site_of = url_site_key
-        # Over an id-addressed page source (a PageStore) responses carry
-        # the url-ids of their outlinks: each newly scheduled candidate
-        # is stamped with its id, and its fetch and its coverage lookup
-        # go by that id instead of re-hashing the URL.  The id is a hint
-        # the store verifies; every other web takes today's path.
-        hinted = hasattr(visitor.web.crawl_log, "fetch_record")
 
         resilient = retry is not None
         max_attempts = retry.max_attempts if retry is not None else 0
@@ -645,11 +664,9 @@ class CrawlEngine:
                     # Fetch, with retry/backoff on retryable faults.
                     # Retries and redirect chains resolve here, so the
                     # response (and the fault layer's state) materialises
-                    # at issue time.
-                    if hinted:
-                        response = fetch(candidate.url, candidate.uid)
-                    else:
-                        response = fetch(candidate.url)
+                    # at issue time.  The candidate's url-id hint rides
+                    # every attempt; only an id-addressed source reads it.
+                    response = fetch(candidate.url, candidate.uid)
                     if response.fault is not None or response.redirect_to is not None:
                         attempt = 1
                         while response.fault in RETRYABLE_FAULTS and attempt < max_attempts:
@@ -657,9 +674,9 @@ class CrawlEngine:
                             if retry_cbs is not None:
                                 for callback in retry_cbs:
                                     callback(candidate, attempt)
-                            if timing is not None and backoff_s is not None:
-                                timing.delay_site(candidate.url, backoff_s(attempt))
-                            response = fetch(candidate.url)
+                            if clock is not None and backoff_s is not None:
+                                clock.delay_site(candidate.url, backoff_s(attempt))
+                            response = fetch(candidate.url, candidate.uid)
                             attempt += 1
                         if (
                             response.redirect_to is not None
@@ -679,7 +696,7 @@ class CrawlEngine:
                         on_success(host)
 
                     # Clock.  Without one the fetch completes untimed.
-                    if timing is None:
+                    if clock is None:
                         break
                     if has_faults:
                         lscale, bscale = faults.fetch_scales(host, candidate.url)
@@ -690,10 +707,10 @@ class CrawlEngine:
                         # global clock, not this fetch's own completion:
                         # with pooled connections a later-started fetch
                         # can finish earlier, but elapsed time is monotone.
-                        timing.observe_fetch(candidate.url, response.size, lscale, bscale)
-                        sim_time = timing.now
+                        clock.observe_fetch(candidate.url, response.size, lscale, bscale)
+                        sim_time = clock.now
                         break
-                    start, completion = timing.reserve_fetch(
+                    start, completion = clock.reserve_fetch(
                         candidate.url, response.size, self._now, lscale, bscale
                     )
                     heapq.heappush(
@@ -776,8 +793,12 @@ class CrawlEngine:
                 if timing_cbs is not None:
                     push_started = perf()
                 if route is None:
+                    # Over an id-addressed source (a PageStore) a response
+                    # carries its outlinks' url-ids: each newly scheduled
+                    # candidate is stamped with its id, so its fetch and
+                    # coverage lookup skip re-hashing the URL.
                     uid_of = None
-                    if hinted and response.outlink_ids is not None:
+                    if response.outlink_ids is not None:
                         uid_of = dict(zip(response.outlinks, response.outlink_ids)).get
                     for child in children:
                         url = child.url
@@ -896,3 +917,60 @@ class CrawlEngine:
         self._events = events
         self._now = state["now"]
         self._issue_seq = state["issue_seq"]
+
+
+def response_to_dict(response: FetchResponse) -> dict:
+    """JSON form of an in-flight fetch's response (checkpoint ``sched``).
+
+    The page record is *not* serialised — it is a pure function of the
+    dataset, so only its presence is recorded (``has_record``) and
+    :func:`response_from_dict` re-attaches it from the crawl log.  The
+    body (present only under body synthesis, possibly garbled by the
+    fault layer) travels as base64.
+    """
+    entry: dict = {
+        "url": response.url,
+        "status": response.status,
+        "content_type": response.content_type,
+        "charset": response.charset,
+        "outlinks": list(response.outlinks),
+        "size": response.size,
+        "truncated": response.truncated,
+        "fault": response.fault,
+        "redirect_to": response.redirect_to,
+        "adversary": response.adversary,
+        "has_record": response.record is not None,
+    }
+    if response.body is not None:
+        entry["body"] = base64.b64encode(response.body).decode("ascii")
+    return entry
+
+
+def response_from_dict(entry: dict, crawl_log: Any) -> FetchResponse:
+    """Inverse of :func:`response_to_dict`, re-attaching the page record."""
+    url = intern_url(entry["url"])
+    record = None
+    if entry["has_record"]:
+        record = crawl_log.get(url)
+        if record is None:
+            raise CheckpointError(
+                f"checkpointed in-flight fetch of {url!r} has no record in this "
+                "crawl log; resume against the web space the checkpoint was "
+                "taken from"
+            )
+    body_b64 = entry.get("body")
+    return FetchResponse(
+        url=url,
+        status=entry["status"],
+        content_type=entry["content_type"],
+        charset=entry["charset"],
+        outlinks=tuple(intern_url(link) for link in entry["outlinks"]),
+        size=entry["size"],
+        body=base64.b64decode(body_b64) if body_b64 is not None else None,
+        record=record,
+        truncated=entry["truncated"],
+        fault=entry["fault"],
+        # .get: format-v2 checkpoints predate the adversary layer.
+        redirect_to=entry.get("redirect_to"),
+        adversary=entry.get("adversary"),
+    )

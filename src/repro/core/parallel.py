@@ -46,8 +46,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from repro.core.classifier import Classifier
-from repro.core.engine import CrawlEngine
-from repro.core.events import CrawlEvent
+from repro.core.engine import CrawlEngine, CrawlEvent
 from repro.core.strategies.base import CrawlStrategy
 from repro.core.visitor import Visitor
 from repro.errors import ConfigError

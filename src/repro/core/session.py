@@ -61,15 +61,15 @@ from repro.core.engine import (
     EngineHook,
     EngineLoopState,
     EngineStep,
+    FetchCallback,
 )
-from repro.core.events import FetchCallback
 from repro.core.metrics import CrawlSummary, MetricsRecorder, MetricSeries
 from repro.core.frontier import Frontier
 from repro.core.politeness import HostQueueFrontier, HostQueues
 from repro.core.spilling import SpillConfig, SpillingFrontier
 from repro.core.strategies.base import CrawlStrategy
 from repro.core.strategies.registry import get_strategy
-from repro.core.timing import TimingModel
+from repro.core.timing import TimingModel, VirtualClock
 from repro.core.visitor import Visitor
 from repro.errors import (
     CheckpointError,
@@ -269,6 +269,15 @@ class CrawlRequest:
 class SessionConfig:
     """How a session runs: every run-shaping knob in one typed object.
 
+    A config is a value: the timing, fault and adversary models it names
+    are frozen settings, and every piece of run state they imply — the
+    clock, injection counters, redirect chains — is built fresh by
+    :meth:`CrawlSession.open`.  One config may therefore serve any
+    number of runs, in sequence or interleaved, each crawling exactly as
+    it would alone.  Only the fields that name live objects —
+    ``on_fetch``, ``instrumentation``, ``hooks``, checkpoint files and
+    ``resume_from`` — are the caller's to share or not.
+
     ``parallel`` switches the run to the partitioned engine — a
     :class:`~repro.core.parallel.ParallelConfig` session is driven by
     :func:`repro.api.run_crawl`, never by :class:`CrawlSession` (the
@@ -289,11 +298,13 @@ class SessionConfig:
     #: Destination file of the periodic checkpoint (each write
     #: atomically replaces the previous one).
     checkpoint_path: str | Path | None = None
+    #: Clock settings; each run keeps time on its own
+    #: :meth:`TimingModel.clock`.
     timing: TimingModel | None = None
     #: Number of concurrent fetch slots — the engine's issue policy.
     #: None completes every fetch as it is issued (the paper's
     #: setting); an integer K >= 1 keeps up to K fetches in flight on
-    #: the virtual clock, with ``timing`` defaulting to a fresh
+    #: the virtual clock, with ``timing`` defaulting to the stock
     #: :class:`TimingModel` when unset.
     concurrency: int | None = None
     on_fetch: FetchCallback | None = None
@@ -419,11 +430,6 @@ class CrawlSession:
         self._resume_state = resume
         if config.concurrency is not None and config.concurrency < 1:
             raise ConfigError("concurrency must be >= 1")
-        # Fetch slots are scheduled on the timing model; default one so
-        # concurrency=K alone is a complete configuration.
-        self._timing = config.timing
-        if config.concurrency is not None and self._timing is None:
-            self._timing = TimingModel()
         resilient = (
             config.faults is not None
             or config.resilience is not None
@@ -440,6 +446,7 @@ class CrawlSession:
         #: adversary) — tests read its journal and injection tallies.
         self.adversarial_web: AdversarialWebSpace | None = None
         self._defenses: DefensePolicy | None = None
+        self._clock: VirtualClock | None = None
         self._engine: CrawlEngine | None = None
         #: The run's reported name: the strategy's, decorated by the
         #: ``frontier=`` choice (``spilling(…, mem=N)`` / ``polite(…)``).
@@ -513,6 +520,12 @@ class CrawlSession:
         if config.defenses is not None and config.defenses.enabled:
             defenses = DefensePolicy(config.defenses)
         self._defenses = defenses
+        # Fetch slots are scheduled on the clock; default one so
+        # concurrency=K alone is a complete configuration.
+        timing = config.timing
+        if timing is None and config.concurrency is not None:
+            timing = TimingModel()
+        self._clock = timing.clock() if timing is not None else None
         visitor = Visitor(
             web,
             extract_from_body=config.extract_from_body,
@@ -588,7 +601,7 @@ class CrawlSession:
             scheduled=scheduled,
             recorder=recorder,
             max_pages=config.max_pages,
-            timing=self._timing,
+            clock=self._clock,
             concurrency=config.concurrency,
             on_fetch=config.on_fetch,
             faults=config.faults,
@@ -702,15 +715,15 @@ class CrawlSession:
                 breaker_skips=rstate.breaker_skips,
                 breaker_opened=self._breakers.opened if self._breakers is not None else 0,
                 checkpoints_written=rstate.checkpoints_written,
-                faults_injected=dict(self._config.faults.injected)
-                if self._config.faults
+                faults_injected=dict(self.faulty_web.injected)
+                if self.faulty_web is not None
                 else {},
             ).to_dict()
         adversary_dict: dict | None = None
         if self.adversarial_web is not None or self._defenses is not None:
             rstate = self._engine.state
             adversary_dict = {
-                "injected": dict(self.adversarial_web.model.injected)
+                "injected": dict(self.adversarial_web.injected)
                 if self.adversarial_web is not None
                 else {},
                 "defense_stats": dict(self._defenses.stats)
@@ -753,8 +766,8 @@ class CrawlSession:
             if self._breakers is not None:
                 instr.gauge("breaker.open_hosts", self._breakers.open_hosts())
                 instr.gauge("breaker.opened", self._breakers.opened)
-            if self._config.faults is not None:
-                for kind, injected in self._config.faults.injected.items():
+            if self.faulty_web is not None:
+                for kind, injected in self.faulty_web.injected.items():
                     instr.gauge(f"faults.injected.{kind}", injected)
             self._classifier.bind_instrumentation(None)
         self._frontier.close()
@@ -819,7 +832,7 @@ class CrawlSession:
             recorder=self._recorder.snapshot(),
             visitor=self._visitor.snapshot(),
             loop=rstate.to_dict(),
-            timing=self._timing.snapshot() if self._timing is not None else None,
+            timing=self._clock.snapshot() if self._clock is not None else None,
             faults=self.faulty_web.snapshot() if self.faulty_web is not None else None,
             breakers=self._breakers.snapshot() if self._breakers is not None else None,
             sched=engine.snapshot_events() if engine.concurrency is not None else None,
@@ -909,12 +922,12 @@ class CrawlSession:
         with self._restoring("visitor"):
             visitor.restore(resume.visitor)
         if resume.timing is not None:
-            if self._timing is None:
+            if self._clock is None:
                 raise CheckpointError(
                     "checkpoint carries timing state but no timing model is configured"
                 )
             with self._restoring("timing"):
-                self._timing.restore(resume.timing)
+                self._clock.restore(resume.timing)
         if resume.faults is not None:
             if faulty is None:
                 raise CheckpointError(

@@ -11,19 +11,24 @@ window has elapsed since its previous request; it then takes
 ``latency + size / bandwidth`` seconds.  The model is deliberately
 sequential-in-schedule-order — it answers "how long would this crawl
 order take", not "what order would a real crawler pick".
+
+Two objects, one per role: :class:`TimingModel` is the *configuration*
+— four frozen clock settings, a value that any number of runs may share
+— and :class:`VirtualClock` is the *state* of one run's clock, built
+from it by :meth:`TimingModel.clock` when a session opens.
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.urlkit.normalize import url_site_key
 
 
-#: The stock clock, spelled here only: ``TimingSpec`` defaults to these
-#: and the CLI and the wire pass :class:`TimingModel` just the knobs
-#: they were given.
+#: The stock clock, spelled here only: :class:`TimingModel` defaults to
+#: these and the CLI and the wire pass it just the knobs they were given.
 DEFAULT_BANDWIDTH_BYTES_PER_S = 2_000_000.0
 DEFAULT_LATENCY_S = 0.05
 DEFAULT_POLITENESS_INTERVAL_S = 1.0
@@ -38,28 +43,56 @@ CLOCK_KNOBS = {
 }
 
 
+@dataclass(frozen=True, slots=True)
 class TimingModel:
-    """Simulated clock for fetch completion times."""
+    """The settings of a simulated clock for fetch completion times.
 
-    def __init__(
-        self,
-        bandwidth_bytes_per_s: float = DEFAULT_BANDWIDTH_BYTES_PER_S,
-        latency_s: float = DEFAULT_LATENCY_S,
-        politeness_interval_s: float = DEFAULT_POLITENESS_INTERVAL_S,
-        connections: int = DEFAULT_CONNECTIONS,
-    ) -> None:
-        if bandwidth_bytes_per_s <= 0:
+    A value: equal and hashable by its four settings, never mutated by a
+    run.  Each run keeps time on its own :meth:`clock`.
+    """
+
+    bandwidth_bytes_per_s: float = DEFAULT_BANDWIDTH_BYTES_PER_S
+    latency_s: float = DEFAULT_LATENCY_S
+    politeness_interval_s: float = DEFAULT_POLITENESS_INTERVAL_S
+    connections: int = DEFAULT_CONNECTIONS
+
+    def __post_init__(self) -> None:
+        if self.bandwidth_bytes_per_s <= 0:
             raise ConfigError("bandwidth_bytes_per_s must be > 0")
-        if latency_s < 0 or politeness_interval_s < 0:
+        if self.latency_s < 0 or self.politeness_interval_s < 0:
             raise ConfigError("latency and politeness interval must be >= 0")
-        if connections < 1:
+        if self.connections < 1:
             raise ConfigError("connections must be >= 1")
-        self.bandwidth = bandwidth_bytes_per_s
-        self.latency = latency_s
-        self.politeness = politeness_interval_s
+
+    def clock(self) -> "VirtualClock":
+        """A fresh clock at time zero, for one run."""
+        return VirtualClock(self)
+
+
+def zero_latency_timing() -> TimingModel:
+    """A timing model under which every fetch completes instantly.
+
+    Infinite bandwidth (``size / inf == 0.0``), zero latency, zero
+    politeness: all completion times are 0.0 and ties resolve purely on
+    issue order.  This is the configuration the K=1 ≡ round-based
+    equivalence contract is stated (and tested) under.
+    """
+    return TimingModel(
+        bandwidth_bytes_per_s=float("inf"),
+        latency_s=0.0,
+        politeness_interval_s=0.0,
+    )
+
+
+class VirtualClock:
+    """The mutable clock of one run: slot heap, site windows, ``now``."""
+
+    def __init__(self, model: TimingModel) -> None:
+        self.bandwidth = model.bandwidth_bytes_per_s
+        self.latency = model.latency_s
+        self.politeness = model.politeness_interval_s
         # Min-heap of slot-free times, one entry per connection.
-        self._slots: list[float] = [0.0] * connections
-        heapq.heapify(self._slots)
+        self._slots: list[float] = [0.0] * model.connections
         self._site_available: dict[str, float] = {}
         self.now = 0.0
 
@@ -146,7 +179,7 @@ class TimingModel:
         }
 
     def restore(self, state: dict) -> None:
-        """Load a :meth:`snapshot`; the model resumes mid-crawl exactly."""
+        """Load a :meth:`snapshot`; the clock resumes mid-crawl exactly."""
         self.bandwidth = state["bandwidth"]
         self.latency = state["latency"]
         self.politeness = state["politeness"]

@@ -57,16 +57,16 @@ class Visitor:
     def fetch(self, url: str, uid: int | None = None) -> FetchResponse:
         """Simulate downloading ``url`` and update transfer accounting.
 
-        ``uid`` is the candidate's url-id hint, forwarded only when set
-        (so web spaces that predate hints keep their one-argument fetch).
+        ``uid`` is the candidate's url-id hint, handed to the web space
+        as is: every :class:`~repro.webspace.base.WebSpace` takes one, and
+        only an id-addressed source reads it.
         """
-        fetch = self._web.fetch
         instr = self._instr
         if instr is None:
-            response = fetch(url) if uid is None else fetch(url, uid)
+            response = self._web.fetch(url, uid)
         else:
             started = perf_counter()
-            response = fetch(url) if uid is None else fetch(url, uid)
+            response = self._web.fetch(url, uid)
             instr.observe("visitor.fetch", perf_counter() - started)
         if response.record is None:
             self.fetches_failed += 1

@@ -25,7 +25,6 @@ from repro.exec.executor import SweepExecutor
 from repro.exec.spec import (
     DatasetSpec,
     RunSpec,
-    TimingSpec,
     execute_run,
     result_from_payload,
     result_to_payload,
@@ -35,7 +34,6 @@ __all__ = [
     "SweepExecutor",
     "DatasetSpec",
     "RunSpec",
-    "TimingSpec",
     "execute_run",
     "result_from_payload",
     "result_to_payload",

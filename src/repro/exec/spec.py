@@ -12,8 +12,10 @@ Picklability rules — everything in a spec must be
 - **constructive**: a registry *name* plus plain keyword parameters,
   not a strategy instance; a :class:`~repro.graphgen.config.DatasetProfile`
   plus capture parameters, not a built dataset; a
-  :class:`~repro.faults.FaultProfile` plus seed, not a live
-  :class:`~repro.faults.FaultModel` (whose injection counters mutate);
+  :class:`~repro.core.session.SessionConfig` holding only values (a
+  config is the *settings* of a run — its clock, fault counters and
+  adversary state are built per session, so one config serves every
+  run), never one naming a callback, a hook, telemetry or a file;
 - **process-independent**: nothing derived from ``id()``, ``hash()``
   or iteration order of unsorted containers.  Partition ownership in
   particular goes through :func:`repro.webspace.query.host_bucket`
@@ -35,22 +37,13 @@ pickle.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
-from repro.adversary import AdversaryProfile, DefenseConfig
 from repro.core.metrics import CrawlSummary, MetricSeries
-from repro.core.session import CrawlResult
-from repro.core.timing import (
-    DEFAULT_BANDWIDTH_BYTES_PER_S,
-    DEFAULT_CONNECTIONS,
-    DEFAULT_LATENCY_S,
-    DEFAULT_POLITENESS_INTERVAL_S,
-    TimingModel,
-)
+from repro.core.session import CrawlResult, SessionConfig
 from repro.errors import ConfigError
-from repro.faults.model import FaultProfile
 from repro.graphgen.config import DatasetProfile
 from repro.webspace.query import host_bucket
 
@@ -60,31 +53,18 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DatasetSpec",
-    "TimingSpec",
     "RunSpec",
     "execute_run",
     "result_to_payload",
     "result_from_payload",
 ]
 
-
-@dataclass(frozen=True, slots=True)
-class TimingSpec:
-    """Recipe to rebuild a :class:`~repro.core.timing.TimingModel`.
-
-    The model itself holds per-run mutable clock state (slot heap, site
-    availability), so sweeps ship this spec and build a **fresh** model
-    per run — serial and worker paths alike, which is what keeps
-    ``workers > 0`` byte-identical to serial under timing.
-    """
-
-    bandwidth_bytes_per_s: float = DEFAULT_BANDWIDTH_BYTES_PER_S
-    latency_s: float = DEFAULT_LATENCY_S
-    politeness_interval_s: float = DEFAULT_POLITENESS_INTERVAL_S
-    connections: int = DEFAULT_CONNECTIONS
-
-    def build(self) -> TimingModel:
-        return TimingModel(**asdict(self))
+#: The :class:`SessionConfig` fields that name live, process-local
+#: objects — callbacks, hooks, telemetry sinks, checkpoint files — and
+#: so cannot ride a spec into a worker.
+_LIVE_FIELDS = frozenset(
+    {"on_fetch", "instrumentation", "hooks", "checkpoint_every", "checkpoint_path", "resume_from"}
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,21 +138,23 @@ class DatasetSpec:
 
 @dataclass(frozen=True, slots=True)
 class RunSpec:
-    """One independent crawl run, as plain (picklable) parameters.
+    """One independent crawl run: what to crawl, and the config to run it.
 
     ``strategy`` is a registry name resolved through
     :func:`repro.core.strategies.get_strategy` in the worker; ``params``
     is its keyword arguments as a sorted tuple of pairs (tuples keep the
-    spec hashable).  A ``fault_profile`` makes the worker build a fresh
-    :class:`~repro.faults.FaultModel` seeded with ``fault_seed`` — the
-    model itself never crosses the boundary, so its injection counters
-    cannot leak between runs.
+    spec hashable).  ``config`` is the run's
+    :class:`~repro.core.session.SessionConfig`, as is: every value field
+    (page cap, sampling, timing, faults, adversary, defenses, queue,
+    partitions) crosses to the worker unchanged, and a field naming a
+    live object is refused here, by name.  A ``sample_interval`` left at
+    its default becomes ~200 samples over the dataset
+    (:func:`~repro.experiments.runner.run_strategy`).
 
-    ``partitions`` switches the run to the partitioned engine
-    (:class:`~repro.core.parallel.ParallelCrawlSimulator`) under
-    ``partition_mode``; ``seed_owners`` then carries the driver's
-    expected seed → partition assignment (:meth:`for_parallel` computes
-    it with :func:`~repro.webspace.query.host_bucket`), which the worker
+    ``config.parallel`` switches the run to the partitioned engine;
+    ``seed_owners`` then carries the driver's expected seed → partition
+    assignment (:meth:`for_parallel` computes it with
+    :func:`~repro.webspace.query.host_bucket`), which the worker
     re-derives and verifies — a cheap guard that driver and worker agree
     on partition ownership before any pages are fetched.
     """
@@ -181,44 +163,31 @@ class RunSpec:
     strategy: str
     params: tuple[tuple[str, Any], ...] = ()
     classifier_mode: str = "charset"
-    max_pages: int | None = None
-    sample_interval: int | None = None
-    extract_from_body: bool = False
-    fault_profile: FaultProfile | None = None
-    fault_seed: int = 0
-    #: A timing spec makes the worker build a fresh clock per run; with
-    #: ``concurrency`` set the engine keeps K fetches in flight on it
-    #: (:class:`~repro.core.engine.CrawlEngine`'s slotted issue policy).
-    timing: "TimingSpec | None" = None
-    concurrency: int | None = None
-    #: An adversary profile makes the worker build a fresh
-    #: :class:`~repro.adversary.AdversaryModel` seeded with
-    #: ``adversary_seed`` — like faults, the live model (whose injection
-    #: tallies mutate) never crosses the process boundary.
-    adversary_profile: AdversaryProfile | None = None
-    adversary_seed: int = 0
-    #: Engine countermeasures; the config is frozen, the per-run
-    #: :class:`~repro.adversary.DefensePolicy` is built session-side.
-    defenses: DefenseConfig | None = None
-    partitions: int | None = None
-    partition_mode: str = "exchange"
+    config: SessionConfig = SessionConfig()
     seed_owners: tuple[tuple[str, int], ...] | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.config, SessionConfig):
+            raise ConfigError(f"RunSpec.config must be a SessionConfig, got {self.config!r}")
+        for spec in fields(SessionConfig):
+            if spec.name in _LIVE_FIELDS and getattr(self.config, spec.name) != spec.default:
+                raise ConfigError(
+                    f"a RunSpec cannot carry SessionConfig.{spec.name}=: it names a "
+                    "process-local object; run it through run_strategies instead"
+                )
 
     @classmethod
     def for_parallel(
-        cls,
-        dataset: "Dataset",
-        strategy: str,
-        partitions: int,
-        partition_mode: str = "exchange",
-        **kwargs: Any,
+        cls, dataset: "Dataset", strategy: str, config: SessionConfig, **kwargs: Any
     ) -> "RunSpec":
         """A partition-aware spec: seed ownership is pinned driver-side."""
+        if config.parallel is None:
+            raise ConfigError("RunSpec.for_parallel needs a config with parallel= set")
+        partitions = config.parallel.partitions
         return cls(
             dataset=DatasetSpec.from_dataset(dataset),
             strategy=strategy,
-            partitions=partitions,
-            partition_mode=partition_mode,
+            config=config,
             seed_owners=tuple(
                 (url, host_bucket(url, partitions)) for url in dataset.seed_urls
             ),
@@ -313,61 +282,34 @@ def execute_run(spec: RunSpec) -> dict:
     :class:`~repro.exec.executor.SweepExecutor` can ship it to a
     :class:`~concurrent.futures.ProcessPoolExecutor` directly.
     """
-    from repro.adversary import AdversaryModel
     from repro.core.classifier import ClassifierMode
-    from repro.core.session import SessionConfig, needs_bodies
+    from repro.core.session import needs_bodies
     from repro.core.strategies.registry import get_strategy
-    from repro.faults.model import FaultModel
-
-    ctx = _sweep_cache(spec.dataset)
-    mode = ClassifierMode(spec.classifier_mode)
-    faults = (
-        FaultModel(profile=spec.fault_profile, seed=spec.fault_seed)
-        if spec.fault_profile is not None
-        else None
-    )
-    adversary = (
-        AdversaryModel(profile=spec.adversary_profile, seed=spec.adversary_seed)
-        if spec.adversary_profile is not None
-        else None
-    )
-
-    if spec.partitions is not None:
-        return _execute_parallel(spec, ctx, faults)
-
     from repro.experiments.runner import run_strategy
 
-    config = SessionConfig(
-        max_pages=spec.max_pages,
-        extract_from_body=spec.extract_from_body,
-        faults=faults,
-        timing=spec.timing.build() if spec.timing is not None else None,
-        concurrency=spec.concurrency,
-        adversary=adversary,
-        defenses=spec.defenses,
-    )
-    if spec.sample_interval is not None:
-        config = replace(config, sample_interval=spec.sample_interval)
+    ctx = _sweep_cache(spec.dataset)
+    if spec.config.parallel is not None:
+        return _execute_parallel(spec, ctx)
+    mode = ClassifierMode(spec.classifier_mode)
     result = run_strategy(
         ctx.dataset,
         get_strategy(spec.strategy, **dict(spec.params)),
-        config,
+        spec.config,
         classifier_mode=mode,
-        web=ctx.web(needs_bodies(mode, spec.extract_from_body)),
+        web=ctx.web(needs_bodies(mode, spec.config.extract_from_body)),
         relevant_urls=ctx.relevant_urls,
         classifier_cache=ctx.classifier_cache,
     )
     return result_to_payload(result)
 
 
-def _execute_parallel(spec: RunSpec, ctx: _SweepCache, faults) -> dict:
+def _execute_parallel(spec: RunSpec, ctx: _SweepCache) -> dict:
     from repro.api import run_crawl
-    from repro.core.parallel import ParallelConfig, PartitionMode
-    from repro.core.session import CrawlRequest, SessionConfig
+    from repro.core.session import CrawlRequest
     from repro.core.strategies.registry import get_strategy
 
-    partitions = spec.partitions
-    assert partitions is not None
+    assert spec.config.parallel is not None
+    partitions = spec.config.parallel.partitions
     if spec.seed_owners is not None:
         # Re-derive the driver's partition plan; host_bucket is process-
         # independent, so any disagreement means the spec was built for
@@ -389,14 +331,7 @@ def _execute_parallel(spec: RunSpec, ctx: _SweepCache, faults) -> dict:
             seeds=tuple(ctx.dataset.seed_urls),
             relevant_urls=ctx.relevant_urls,
         ),
-        config=SessionConfig(
-            faults=faults,
-            parallel=ParallelConfig(
-                partitions=partitions,
-                mode=PartitionMode(spec.partition_mode),
-                max_pages=spec.max_pages,
-            ),
-        ),
+        config=spec.config,
     )
     return {
         "kind": "parallel",

@@ -28,7 +28,8 @@ from __future__ import annotations
 import argparse
 import functools
 
-from repro.adversary import AdversaryProfile, DefenseConfig
+from repro.adversary import AdversaryModel, AdversaryProfile, DefenseConfig
+from repro.core.session import SessionConfig
 from repro.errors import ConfigError
 from repro.exec import DatasetSpec, RunSpec
 from repro.experiments.datasets import Dataset, load_or_build_dataset
@@ -107,10 +108,13 @@ def adversarial_sweep(
         lambda strategy, scenario, seed, defended: RunSpec(
             dataset=dataset_spec,
             strategy=strategy,
-            max_pages=max_pages,
-            adversary_profile=None if scenario == "clean" else SCENARIOS[scenario],
-            adversary_seed=seed,
-            defenses=standard if defended else None,
+            config=SessionConfig(
+                max_pages=max_pages,
+                adversary=None
+                if scenario == "clean"
+                else AdversaryModel(SCENARIOS[scenario], seed=seed),
+                defenses=standard if defended else None,
+            ),
         ),
         workers,
     )

@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import functools
 
-from repro.exec import DatasetSpec, RunSpec, TimingSpec
+from repro.core.session import SessionConfig
+from repro.core.timing import TimingModel
+from repro.exec import DatasetSpec, RunSpec
 from repro.experiments.datasets import Dataset, load_or_build_dataset
 from repro.experiments.sweep import comma_list, run_cells, sweep_digest, sweep_main
 from repro.graphgen.profiles import thai_profile
@@ -37,25 +39,21 @@ def concurrency_sweep(
     ks: tuple[int, ...] = DEFAULT_KS,
     strategies: tuple[str, ...] = DEFAULT_STRATEGIES,
     max_pages: int | None = None,
-    timing_spec: TimingSpec | None = None,
+    timing: TimingModel = TimingModel(),
     workers: int = 0,
 ) -> dict:
     """Run the (strategy × K) grid; returns the Fig-5 payload.
 
-    Each cell runs the engine with ``concurrency=K`` fetch slots under
-    a fresh clock built from ``timing_spec`` (default: the stock
-    :class:`~repro.exec.TimingSpec`).
+    Each cell runs the engine with ``concurrency=K`` fetch slots on its
+    own clock of ``timing``'s settings (default: the stock clock).
     """
-    spec = timing_spec if timing_spec is not None else TimingSpec()
     dataset_spec = DatasetSpec.from_dataset(dataset)
     runs = run_cells(
         [(strategy, k) for strategy in strategies for k in ks],
         lambda strategy, k: RunSpec(
             dataset=dataset_spec,
             strategy=strategy,
-            max_pages=max_pages,
-            timing=spec,
-            concurrency=k,
+            config=SessionConfig(max_pages=max_pages, timing=timing, concurrency=k),
         ),
         workers,
     )
@@ -87,9 +85,9 @@ def concurrency_sweep(
         "ks": list(ks),
         "strategies": list(strategies),
         "timing": {
-            "bandwidth_bytes_per_s": spec.bandwidth_bytes_per_s,
-            "latency_s": spec.latency_s,
-            "politeness_interval_s": spec.politeness_interval_s,
+            "bandwidth_bytes_per_s": timing.bandwidth_bytes_per_s,
+            "latency_s": timing.latency_s,
+            "politeness_interval_s": timing.politeness_interval_s,
         },
         "rows": rows,
     }

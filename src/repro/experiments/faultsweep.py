@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass
 
+from repro.core.session import SessionConfig
 from repro.exec import DatasetSpec
 from repro.experiments.datasets import Dataset, load_or_build_dataset
 from repro.experiments.sweep import (
@@ -32,7 +33,7 @@ from repro.experiments.sweep import (
     sweep_digest,
     sweep_main,
 )
-from repro.faults import FaultProfile
+from repro.faults import FaultModel, FaultProfile
 from repro.graphgen.profiles import profile_by_name
 
 DEFAULT_RATES = (0.0, 0.05, 0.1, 0.2, 0.4)
@@ -112,9 +113,10 @@ def fault_sweep(
         lambda rate, strategy: strategy_spec(
             dataset_spec,
             strategy,
-            max_pages=max_pages,
-            fault_profile=profile_for_rate(rate) if rate > 0 else None,
-            fault_seed=fault_seed,
+            config=SessionConfig(
+                max_pages=max_pages,
+                faults=FaultModel(profile_for_rate(rate), seed=fault_seed) if rate > 0 else None,
+            ),
         ),
         workers,
     )

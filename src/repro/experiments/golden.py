@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.core.session import SessionConfig
+from repro.core.timing import TimingModel
 from repro.core.strategies import CrawlStrategy, get_strategy
 from repro.errors import ReproError
 from repro.experiments.datasets import Dataset, build_dataset
@@ -147,18 +148,16 @@ def record_sched_trace(
     strategy: CrawlStrategy,
     max_pages: int = GOLDEN_MAX_PAGES,
     concurrency: int = 1,
-    timing_spec=None,
+    timing: TimingModel = TimingModel(),
 ) -> list[dict]:
     """Fetch order + relevance of one ``concurrency=K`` crawl.
 
     Same row shape as :func:`record_golden_trace`, but the engine keeps
-    ``concurrency`` fetches in flight on the virtual clock built from
-    ``timing_spec`` (default: the stock clock).  With
-    ``concurrency=1`` the trace must equal the round-based one — the
-    K=1 equivalence contract ``tests/golden/test_golden_sched.py`` pins.
+    ``concurrency`` fetches in flight on a virtual clock of ``timing``'s
+    settings (default: the stock clock).  With ``concurrency=1`` the
+    trace must equal the round-based one — the K=1 equivalence contract
+    ``tests/golden/test_golden_sched.py`` pins.
     """
-    from repro.exec import TimingSpec
-
     rows: list[dict] = []
 
     def observe(event) -> None:
@@ -166,15 +165,11 @@ def record_sched_trace(
             {"step": event.step, "url": event.url, "relevant": event.judgment.relevant}
         )
 
-    spec = timing_spec if timing_spec is not None else TimingSpec()
     run_strategy(
         dataset,
         strategy,
         SessionConfig(
-            max_pages=max_pages,
-            on_fetch=observe,
-            timing=spec.build(),
-            concurrency=concurrency,
+            max_pages=max_pages, on_fetch=observe, timing=timing, concurrency=concurrency
         ),
     )
     return rows

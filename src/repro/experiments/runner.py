@@ -114,10 +114,11 @@ def run_strategies(
     The loop for what a :class:`~repro.exec.RunSpec` cannot carry —
     strategy instances, hooks and callbacks in ``config``; a grid of
     registry names belongs on :func:`repro.experiments.sweep.run_cells`,
-    which also fans out to workers and builds a fresh ``timing`` clock
-    per run (here one ``config`` serves every run).  Returns results
-    keyed by strategy name, in input order (the figure renderers rely on
-    it for stable legends).
+    which also fans out to workers.  One ``config`` serves every run,
+    and each run crawls exactly as it would alone: its clock and fault
+    and adversary state are built per session.  Returns results keyed
+    by strategy name, in input order (the figure renderers rely on it
+    for stable legends).
 
     Sweep-invariant state is built once and shared by every run: the
     virtual web space (a replayed log never changes between strategies),

@@ -31,6 +31,7 @@ import argparse
 import functools
 from dataclasses import replace
 
+from repro.core.session import SessionConfig
 from repro.exec import DatasetSpec, RunSpec
 from repro.experiments.datasets import load_or_build_dataset
 from repro.experiments.sweep import comma_list, run_cells, sweep_digest, sweep_main
@@ -122,7 +123,9 @@ def tournament_sweep(
     runs = run_cells(
         [(strategy, scale, seed) for strategy in strategies for scale in scales for seed in seeds],
         lambda strategy, scale, seed: RunSpec(
-            dataset=dataset_specs[(scale, seed)], strategy=strategy, max_pages=max_pages
+            dataset=dataset_specs[(scale, seed)],
+            strategy=strategy,
+            config=SessionConfig(max_pages=max_pages),
         ),
         workers,
     )

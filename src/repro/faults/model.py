@@ -35,16 +35,16 @@ Fault kinds (checked in precedence order):
 
 Slow hosts are not a fault decision but a timing property: a seeded
 fraction of hosts answer with a latency multiplier, surfaced through
-:meth:`FaultModel.latency_scale` and consumed by the
-:class:`~repro.core.timing.TimingModel`.
+:meth:`FaultModel.latency_scale` and consumed by the run's
+:class:`~repro.core.timing.VirtualClock`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from pathlib import Path
-from typing import Mapping
 
 from repro.errors import ConfigError
 from repro.urlkit.normalize import url_site_key
@@ -174,46 +174,50 @@ class HostOutage:
         return {"host": self.host, "start": self.start, "end": self.end}
 
 
+@dataclass(frozen=True)
 class FaultModel:
     """Seeded, stateless-by-construction fault decisions.
 
     Every decision is a pure function of ``(seed, url/host, attempt,
     fetch_index)``: two models with the same seed and profiles agree on
     every fault they would ever inject, in any order of queries.  The
-    model still keeps *tallies* (``injected``) for observability, but
-    those never feed back into decisions.
+    model is a value — equal and hashable by its inputs, never mutated
+    by a run; the injection tallies live on the run's
+    :class:`FaultyWebSpace`.
 
     Args:
         profile: the global default :class:`FaultProfile`.
-        per_host: overrides keyed by site (as produced by
-            :func:`repro.urlkit.normalize.url_site_key`).
+        per_host: overrides keyed by host, as a mapping or as
+            ``(host, profile)`` pairs; stored as sorted pairs of bare
+            hosts (port-insensitive: profiles say ``seed.co.th``, site
+            keys say ``seed.co.th:80``).
         outages: scheduled :class:`HostOutage` windows.
         seed: hash key; same seed ⇒ identical fault sequence.
     """
 
-    def __init__(
-        self,
-        profile: FaultProfile | None = None,
-        per_host: Mapping[str, FaultProfile] | None = None,
-        outages: tuple[HostOutage, ...] = (),
-        seed: int = 0,
-    ) -> None:
-        self.profile = profile or FaultProfile()
-        # Host matching is port-insensitive: profiles say "seed.co.th",
-        # site keys say "seed.co.th:80" — both normalise to the bare host.
-        self.per_host = {_bare_host(host): prof for host, prof in (per_host or {}).items()}
-        self.outages = tuple(outages)
-        self.seed = seed
-        self._key = blake2b(f"lswc-faults:{seed}".encode(), digest_size=16).digest()
-        self.injected: dict[str, int] = {
-            "transient": 0,
-            "timeout": 0,
-            "outage": 0,
-            "truncate": 0,
-        }
-        self._outages_by_host: dict[str, list[HostOutage]] = {}
+    profile: FaultProfile = field(default_factory=FaultProfile)
+    per_host: tuple[tuple[str, FaultProfile], ...] = ()
+    outages: tuple[HostOutage, ...] = ()
+    seed: int = 0
+    _key: bytes = field(init=False, repr=False, compare=False)
+    _profiles: dict[str, FaultProfile] = field(init=False, repr=False, compare=False)
+    _outages_by_host: dict[str, list[HostOutage]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        setattr_ = object.__setattr__
+        pairs = self.per_host.items() if isinstance(self.per_host, Mapping) else self.per_host
+        profiles = {_bare_host(host): prof for host, prof in pairs}
+        setattr_(self, "per_host", tuple(sorted(profiles.items())))
+        setattr_(self, "outages", tuple(self.outages))
+        setattr_(self, "_profiles", profiles)
+        key = blake2b(f"lswc-faults:{self.seed}".encode(), digest_size=16).digest()
+        setattr_(self, "_key", key)
+        by_host: dict[str, list[HostOutage]] = {}
         for outage in self.outages:
-            self._outages_by_host.setdefault(_bare_host(outage.host), []).append(outage)
+            by_host.setdefault(_bare_host(outage.host), []).append(outage)
+        setattr_(self, "_outages_by_host", by_host)
 
     # -- derived randomness --------------------------------------------------
 
@@ -225,7 +229,7 @@ class FaultModel:
         return int.from_bytes(digest, "big") / 2**64
 
     def profile_for(self, host: str) -> FaultProfile:
-        return self.per_host.get(_bare_host(host), self.profile)
+        return self._profiles.get(_bare_host(host), self.profile)
 
     # -- decisions -----------------------------------------------------------
 
@@ -244,21 +248,17 @@ class FaultModel:
         """
         for outage in self._outages_by_host.get(_bare_host(host), ()):
             if outage.covers(fetch_index):
-                self.injected["outage"] += 1
                 return "outage"
         prof = self.profile_for(host)
         if prof.timeout_rate and self._unit("timeout", f"{url}#{attempt}") < prof.timeout_rate:
-            self.injected["timeout"] += 1
             return "timeout"
         if (
             prof.transient_error_rate
             and attempt < prof.transient_recovery_attempts
             and self._unit("transient", url) < prof.transient_error_rate
         ):
-            self.injected["transient"] += 1
             return "transient"
         if prof.truncation_rate and self._unit("truncate", url) < prof.truncation_rate:
-            self.injected["truncate"] += 1
             return "truncate"
         return None
 
@@ -299,7 +299,7 @@ class FaultModel:
         return {
             "seed": self.seed,
             "global": self.profile.to_json_dict(),
-            "hosts": {host: prof.to_json_dict() for host, prof in sorted(self.per_host.items())},
+            "hosts": {host: prof.to_json_dict() for host, prof in self.per_host},
             "outages": [outage.to_json_dict() for outage in self.outages],
         }
 
@@ -353,7 +353,8 @@ class FaultyWebSpace:
     outage windows) and per-URL attempt counts (drives transient
     recovery) — exposed via :meth:`snapshot`/:meth:`restore` so a
     resumed crawl replays the exact fault sequence the interrupted one
-    would have seen.
+    would have seen.  The per-kind ``injected`` tallies ride along: they
+    are this run's observability, never an input to a decision.
 
     ``journal`` (opt-in) records every injected fault as
     ``(fetch_index, url, kind)`` tuples — the sequence the determinism
@@ -370,6 +371,12 @@ class FaultyWebSpace:
         self.model = model
         self.fetch_index = 0
         self._attempts: dict[str, int] = {}
+        self.injected: dict[str, int] = {
+            "transient": 0,
+            "timeout": 0,
+            "outage": 0,
+            "truncate": 0,
+        }
         self.journal: list[tuple[int, str, str]] | None = [] if record_journal else None
 
     @property
@@ -423,6 +430,7 @@ class FaultyWebSpace:
                 del self._attempts[url]
         if kind is None:
             return self._web.fetch(url, uid)
+        self.injected[kind] += 1
         if self.journal is not None:
             self.journal.append((self.fetch_index, url, kind))
         if kind == "truncate":
@@ -449,7 +457,7 @@ class FaultyWebSpace:
             "seed": self.model.seed,
             "fetch_index": self.fetch_index,
             "attempts": dict(self._attempts),
-            "injected": dict(self.model.injected),
+            "injected": dict(self.injected),
         }
 
     def restore(self, state: Mapping) -> None:
@@ -460,4 +468,4 @@ class FaultyWebSpace:
             )
         self.fetch_index = state["fetch_index"]
         self._attempts = dict(state["attempts"])
-        self.model.injected.update(state.get("injected", {}))
+        self.injected.update(state.get("injected", {}))

@@ -71,9 +71,9 @@ class PageSource(Protocol):
 class WebSpace(Protocol):
     """The fetch interface the crawl engines consume.
 
-    ``fetch``'s ``uid`` is an unverified url-id hint, passed only when a
-    candidate carries one; wrappers forward it with the URL it belongs
-    to or drop it.  ``fetch_count`` is mutable accounting (every layer
+    ``fetch``'s ``uid`` is an unverified url-id hint (None when the
+    candidate carries none), passed on every fetch; wrappers forward it
+    with the URL it belongs to or drop it.  ``fetch_count`` is mutable accounting (every layer
     increments its own); ``crawl_log`` exposes the underlying
     :class:`PageSource` so resume paths can re-attach records without
     holding live objects in checkpoints.

@@ -22,7 +22,7 @@ import pytest
 
 from repro.adversary import AdversaryModel, AdversaryProfile, DefenseConfig
 from repro.core.session import SessionConfig
-from repro.exec import TimingSpec
+from repro.core.timing import zero_latency_timing
 from repro.experiments.golden import (
     GOLDEN_FIXTURE_DIR,
     GOLDEN_MAX_PAGES,
@@ -35,9 +35,7 @@ from repro.experiments.runner import run_strategy
 
 STRATEGY_NAMES = sorted(golden_strategies())
 
-ZERO_LATENCY = TimingSpec(
-    bandwidth_bytes_per_s=float("inf"), latency_s=0.0, politeness_interval_s=0.0
-)
+ZERO_LATENCY = zero_latency_timing()
 
 #: The hostile web of the kill/resume differential: every scenario that
 #: carries *state* across fetches (in-flight redirect chains, trap
@@ -91,7 +89,7 @@ class TestInertSeamsAreCleanPathNoOp:
             golden_web_dataset,
             golden_strategies()[name](),
             concurrency=1,
-            timing=ZERO_LATENCY.build(),
+            timing=ZERO_LATENCY,
             **inert_seams(),
         )
         divergence = first_divergence(expected, actual)

@@ -32,8 +32,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.session import CrawlRequest, CrawlSession, SessionConfig, report_payload
-from repro.core.timing import TimingModel
-from repro.exec import TimingSpec
+from repro.core.timing import TimingModel, zero_latency_timing
 from repro.experiments.golden import (
     GOLDEN_FIXTURE_DIR,
     GOLDEN_MAX_PAGES,
@@ -57,9 +56,7 @@ STRATEGY_NAMES = sorted(golden_strategies())
 #: The zero-latency clock: infinite bandwidth, no latency, no politeness
 #: hold-off.  Under it every fetch completes at issue time, so K=1 must
 #: match round-based in virtual time as well as in order.
-ZERO_LATENCY = TimingSpec(
-    bandwidth_bytes_per_s=float("inf"), latency_s=0.0, politeness_interval_s=0.0
-)
+ZERO_LATENCY = zero_latency_timing()
 
 SCHED_FIXTURE = SCHED_FIXTURE_DIR / f"{SCHED_GOLDEN_STRATEGY}-k{SCHED_GOLDEN_CONCURRENCY}.jsonl"
 
@@ -101,7 +98,7 @@ class TestK1Equivalence:
             golden_web_dataset,
             golden_strategies()[name](),
             concurrency=1,
-            timing_spec=ZERO_LATENCY,
+            timing=ZERO_LATENCY,
         )
         _assert_matches(f"sched-k1-{name}", expected, actual)
 
@@ -116,7 +113,7 @@ class TestK1Equivalence:
             golden_web_dataset,
             golden_strategies()[name](),
             concurrency=1,
-            timing_spec=TimingSpec(),
+            timing=TimingModel(),
         )
         _assert_matches(f"sched-k1-default-clock-{name}", expected, actual)
 

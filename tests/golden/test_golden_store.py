@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.session import SessionConfig
-from repro.exec import TimingSpec
+from repro.core.timing import zero_latency_timing
 from repro.experiments.datasets import build_dataset_store, open_dataset_store
 from repro.experiments.golden import (
     GOLDEN_FIXTURE_DIR,
@@ -43,9 +43,7 @@ STRATEGY_NAMES = sorted(golden_strategies())
 
 #: Zero-latency clock for the K=1 replay (same contract as
 #: ``test_golden_sched.py``: identical trace, identical virtual time).
-ZERO_LATENCY = TimingSpec(
-    bandwidth_bytes_per_s=float("inf"), latency_s=0.0, politeness_interval_s=0.0
-)
+ZERO_LATENCY = zero_latency_timing()
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +90,7 @@ class TestStoreBackedGolden:
             store_dataset,
             golden_strategies()[name](),
             concurrency=1,
-            timing_spec=ZERO_LATENCY,
+            timing=ZERO_LATENCY,
         )
         _assert_matches(f"store-sched-k1-{name}", expected, actual)
 

@@ -44,7 +44,7 @@ class TestEmptyProfile:
         adversarial.fetch(SEED)
         adversarial.fetch(A)
         assert adversarial.journal == []
-        assert all(count == 0 for count in adversarial.model.injected.values())
+        assert all(count == 0 for count in adversarial.injected.values())
 
 
 class TestSpiderTraps:
@@ -183,9 +183,9 @@ class TestSnapshotRestore:
         adversarial.fetch(SEED)
         state = adversarial.snapshot()
         resumed = wrap(self.PROFILE, seed=5)
-        resumed.model.injected["redirects"] = 99
+        resumed.injected["redirects"] = 99
         resumed.restore(state)
-        assert resumed.model.injected["redirects"] == state["injected"]["redirects"]
+        assert resumed.injected["redirects"] == state["injected"]["redirects"]
 
 
 class TestJournal:

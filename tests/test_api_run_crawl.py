@@ -18,7 +18,7 @@ from repro.core.classifier import Classifier
 from repro.core.engine import EngineHook
 from repro.core.parallel import ParallelConfig, ParallelResult, PartitionMode
 from repro.core.politeness import HostQueues
-from repro.core.session import CrawlRequest, CrawlResult, SessionConfig
+from repro.core.session import CrawlRequest, CrawlResult, SessionConfig, report_payload
 from repro.core.strategies import BreadthFirstStrategy, SimpleStrategy
 from repro.core.timing import TimingModel
 from repro.errors import ConfigError
@@ -232,6 +232,34 @@ class TestOnFetchCallback:
             assert record["step"] == event.step
             assert record["url"] == event.url
             assert record["sim_time"] == pytest.approx(event.sim_time)
+
+
+class TestConfigIsAValue:
+    """A config names settings, never run state: reusing it leaks nothing."""
+
+    def test_one_config_run_twice_crawls_the_same(self, thai_dataset):
+        config = SessionConfig(
+            max_pages=300,
+            concurrency=4,
+            timing=TimingModel(),
+            faults=FaultModel(FaultProfile(transient_error_rate=0.1), seed=3),
+            adversary=AdversaryModel(AdversaryProfile(trap_host_rate=0.2), seed=5),
+        )
+        workload = CrawlRequest(strategy="soft-focused", dataset=thai_dataset)
+        first = run_crawl(workload, config=config)
+        second = run_crawl(workload, config=config)
+        assert sum(first.resilience["faults_injected"].values()) > 0
+        assert report_payload(second) == report_payload(first)
+        assert second.resilience == first.resilience
+        assert second.adversary == first.adversary
+
+    def test_models_are_equal_by_their_inputs(self):
+        assert TimingModel(latency_s=0.2) == TimingModel(latency_s=0.2)
+        assert hash(FaultModel(per_host={"a.co.th:80": FaultProfile()}, seed=1)) == hash(
+            FaultModel(per_host={"a.co.th": FaultProfile()}, seed=1)
+        )
+        assert AdversaryModel(seed=2) == AdversaryModel(AdversaryProfile(), seed=2)
+        assert AdversaryModel(seed=2) != AdversaryModel(seed=3)
 
 
 class TestPublicSurface:

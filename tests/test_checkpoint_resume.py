@@ -22,6 +22,7 @@ from repro.core.checkpoint import (
     write_checkpoint,
 )
 from repro.core.classifier import Classifier
+from repro.core.engine import EngineHook
 from repro.core.frontier import (
     Candidate,
     FIFOFrontier,
@@ -430,25 +431,23 @@ class _KillSignal(BaseException):
     """Simulated hard kill (BaseException so nothing swallows it)."""
 
 
-class _BackoffKillTimingModel(TimingModel):
-    """A timing model that 'kills the process' at a chosen backoff.
+class _BackoffKillHook(EngineHook):
+    """An engine hook that 'kills the process' at a chosen backoff.
 
-    ``delay_site`` is only ever called by the engine's retry path —
-    between a failed fetch attempt and its retry — so raising from the
-    N-th call interrupts the crawl exactly at the backoff boundary,
+    ``on_retry`` fires only on the engine's retry path — between a
+    failed fetch attempt and its backoff and retry — so raising from
+    the N-th call interrupts the crawl exactly at the backoff boundary,
     with the in-flight candidate's attempt half-done.
     """
 
     def __init__(self, kill_at_backoff: int | None = None) -> None:
-        super().__init__()
         self.backoffs_seen = 0
         self.kill_at_backoff = kill_at_backoff
 
-    def delay_site(self, url: str, seconds: float) -> None:
+    def on_retry(self, candidate, attempt: int) -> None:
         self.backoffs_seen += 1
         if self.kill_at_backoff is not None and self.backoffs_seen == self.kill_at_backoff:
             raise _KillSignal()
-        super().delay_site(url, seconds)
 
 
 class TestBackoffBoundaryKill:
@@ -456,13 +455,14 @@ class TestBackoffBoundaryKill:
     mid-retry-backoff: resuming must replay the in-flight candidate's
     whole fetch round, never double-count its attempts."""
 
-    def _run(self, tiny_web, timing, path=None, resume_from=None):
+    def _run(self, tiny_web, killer=None, path=None, resume_from=None):
         checkpointing = {}
         if path is not None:
             checkpointing = {"checkpoint_every": 1, "checkpoint_path": path}
         simulator = simulate(
             tiny_web,
-            timing=timing,
+            timing=TimingModel(),
+            hooks=(killer,) if killer is not None else (),
             faults=FaultModel(profile=FAULTY_PROFILE, seed=42),
             record_fault_journal=True,
             resume_from=resume_from,
@@ -471,18 +471,18 @@ class TestBackoffBoundaryKill:
         return simulator.run(), simulator
 
     def test_kill_at_every_backoff_boundary_resumes_identically(self, tiny_web, tmp_path):
-        reference_timing = _BackoffKillTimingModel()
-        full, _ = self._run(tiny_web, reference_timing)
-        assert reference_timing.backoffs_seen > 0, "profile must exercise retries"
+        reference = _BackoffKillHook()
+        full, _ = self._run(tiny_web, reference)
+        assert reference.backoffs_seen > 0, "profile must exercise retries"
         assert full.resilience["retries"] > 0
 
-        for kill_at in range(1, reference_timing.backoffs_seen + 1):
+        for kill_at in range(1, reference.backoffs_seen + 1):
             path = tmp_path / f"kill{kill_at}.ckpt"
             with pytest.raises(_KillSignal):
-                self._run(tiny_web, _BackoffKillTimingModel(kill_at), path=path)
+                self._run(tiny_web, _BackoffKillHook(kill_at), path=path)
             assert path.exists(), "cadence=1 must have checkpointed before the kill"
 
-            resumed, _ = self._run(tiny_web, TimingModel(), resume_from=path)
+            resumed, _ = self._run(tiny_web, resume_from=path)
             assert resumed.pages_crawled == full.pages_crawled, f"kill_at={kill_at}"
             assert resumed.series.to_dict() == full.series.to_dict(), f"kill_at={kill_at}"
             for key in ("retries", "requeued", "dropped", "fetches_failed"):
@@ -499,15 +499,14 @@ class TestBackoffBoundaryKill:
         # step, not mid-flight.
         path = tmp_path / "mid.ckpt"
         with pytest.raises(_KillSignal):
-            self._run(tiny_web, _BackoffKillTimingModel(1), path=path)
+            self._run(tiny_web, _BackoffKillHook(1), path=path)
         state = read_checkpoint(path)
         assert state.steps >= 1
         assert state.loop["steps"] == state.steps
         # The in-flight candidate's interrupted attempt is absent from
         # the serialised tallies (retries recorded in memory after the
         # write must not leak into the file).
-        uninterrupted_timing = _BackoffKillTimingModel()
-        full, _ = self._run(tiny_web, uninterrupted_timing)
+        full, _ = self._run(tiny_web)
         assert state.loop["retries"] <= full.resilience["retries"]
 
 
@@ -526,7 +525,7 @@ class TestSchedBoundaryKill:
     def _session(
         self,
         tiny_web,
-        timing,
+        killer=None,
         concurrency=CONCURRENCY,
         path=None,
         resume_from=None,
@@ -542,7 +541,8 @@ class TestSchedBoundaryKill:
             ),
             SessionConfig(
                 sample_interval=1,
-                timing=timing,
+                timing=TimingModel(),
+                hooks=(killer,) if killer is not None else (),
                 concurrency=concurrency,
                 faults=FaultModel(profile=FAULTY_PROFILE, seed=42),
                 checkpoint_every=1 if path is not None else None,
@@ -552,12 +552,10 @@ class TestSchedBoundaryKill:
             ),
         )
 
-    def _full(self, tiny_web, timing=None):
+    def _full(self, tiny_web, killer=None):
         urls: list[str] = []
         result = self._session(
-            tiny_web,
-            timing if timing is not None else TimingModel(),
-            on_fetch=lambda event: urls.append(event.url),
+            tiny_web, killer, on_fetch=lambda event: urls.append(event.url)
         ).run()
         return result, urls
 
@@ -569,7 +567,7 @@ class TestSchedBoundaryKill:
         for cut in range(1, full.pages_crawled):
             urls: list[str] = []
             partial = self._session(
-                tiny_web, TimingModel(), on_fetch=lambda event: urls.append(event.url)
+                tiny_web, on_fetch=lambda event: urls.append(event.url)
             ).open()
             partial.step(cut)
             state = partial.snapshot()
@@ -582,7 +580,6 @@ class TestSchedBoundaryKill:
             write_checkpoint(path, state)
             resumed = self._session(
                 tiny_web,
-                TimingModel(),
                 resume_from=path,
                 on_fetch=lambda event: urls.append(event.url),
             ).run()
@@ -601,22 +598,19 @@ class TestSchedBoundaryKill:
         )
 
     def test_kill_at_every_backoff_boundary_resumes_identically(self, tiny_web, tmp_path):
-        reference_timing = _BackoffKillTimingModel()
-        full, full_urls = self._full(tiny_web, timing=reference_timing)
-        assert reference_timing.backoffs_seen > 0, "profile must exercise retries"
+        reference = _BackoffKillHook()
+        full, full_urls = self._full(tiny_web, killer=reference)
+        assert reference.backoffs_seen > 0, "profile must exercise retries"
 
-        for kill_at in range(1, reference_timing.backoffs_seen + 1):
+        for kill_at in range(1, reference.backoffs_seen + 1):
             path = tmp_path / f"sched-kill{kill_at}.ckpt"
             with pytest.raises(_KillSignal):
-                self._session(
-                    tiny_web, _BackoffKillTimingModel(kill_at), path=path
-                ).run()
+                self._session(tiny_web, _BackoffKillHook(kill_at), path=path).run()
             assert path.exists(), "cadence=1 must have checkpointed before the kill"
 
             urls: list[str] = []
             resumed = self._session(
                 tiny_web,
-                TimingModel(),
                 resume_from=path,
                 on_fetch=lambda event: urls.append(event.url),
             ).run()
@@ -631,38 +625,34 @@ class TestSchedBoundaryKill:
                 )
 
     def test_round_based_engine_rejects_sched_checkpoint(self, tiny_web, tmp_path):
-        partial = self._session(tiny_web, TimingModel()).open()
+        partial = self._session(tiny_web).open()
         partial.step(1)
         state = partial.snapshot()
         partial.close()
         path = tmp_path / "sched.ckpt"
         write_checkpoint(path, state)
         with pytest.raises(CheckpointError, match="concurrency"):
-            self._session(
-                tiny_web, TimingModel(), concurrency=None, resume_from=path
-            ).run()
+            self._session(tiny_web, concurrency=None, resume_from=path).run()
 
     def test_sched_engine_rejects_round_based_checkpoint(self, tiny_web, tmp_path):
-        partial = self._session(tiny_web, TimingModel(), concurrency=None).open()
+        partial = self._session(tiny_web, concurrency=None).open()
         partial.step(1)
         state = partial.snapshot()
         partial.close()
         path = tmp_path / "round.ckpt"
         write_checkpoint(path, state)
         with pytest.raises(CheckpointError, match="round-based"):
-            self._session(tiny_web, TimingModel(), resume_from=path).run()
+            self._session(tiny_web, resume_from=path).run()
 
     def test_concurrency_mismatch_rejected(self, tiny_web, tmp_path):
-        partial = self._session(tiny_web, TimingModel()).open()
+        partial = self._session(tiny_web).open()
         partial.step(1)
         state = partial.snapshot()
         partial.close()
         path = tmp_path / "k4.ckpt"
         write_checkpoint(path, state)
         with pytest.raises(CheckpointError, match="concurrency=4"):
-            self._session(
-                tiny_web, TimingModel(), concurrency=2, resume_from=path
-            ).run()
+            self._session(tiny_web, concurrency=2, resume_from=path).run()
 
 
 class TestAdversaryKillAndResume:

@@ -79,6 +79,19 @@ def test_sweep_smokes_are_one_matrix_job():
         compile(entry["validate"], entry["name"], "exec")
 
 
+def test_typecheck_paths_exist():
+    """A deleted module left in the mypy step breaks only the typecheck job."""
+    root = WORKFLOW.parents[2]
+    paths = []
+    for job in yaml.safe_load(WORKFLOW.read_text())["jobs"].values():
+        for step in job["steps"]:
+            tokens = shlex.split(step.get("run", ""))
+            if tokens[:3] == ["python", "-m", "mypy"]:
+                paths += [token for token in tokens[3:] if not token.startswith("-")]
+    assert paths, "no mypy step found"
+    assert [path for path in paths if not (root / path).exists()] == []
+
+
 @pytest.mark.parametrize(
     ("module_name", "argv"),
     [pytest.param(module, argv, id=label) for label, module, argv in INVOCATIONS],

@@ -169,7 +169,7 @@ class TestStageSequence:
             ["http://seed.co.th/"],
             hooks=(hook,),
             concurrency=3,
-            timing=TimingModel(),
+            clock=TimingModel().clock(),
         )
         engine.run()
         assert all(0.0 < started <= ended for started, ended in hook.rows)

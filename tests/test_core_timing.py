@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.core.timing import TimingModel
+from repro.core.timing import TimingModel, VirtualClock
 from repro.errors import ConfigError
 
 
-def model(**kwargs) -> TimingModel:
+def model(**kwargs) -> VirtualClock:
     defaults = dict(
         bandwidth_bytes_per_s=1000.0,
         latency_s=0.1,
@@ -14,7 +14,7 @@ def model(**kwargs) -> TimingModel:
         connections=1,
     )
     defaults.update(kwargs)
-    return TimingModel(**defaults)
+    return TimingModel(**defaults).clock()
 
 
 class TestSingleConnection:

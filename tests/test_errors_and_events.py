@@ -5,7 +5,7 @@ import pytest
 from repro import errors
 from repro.charset.languages import Language
 from repro.core.classifier import Judgment
-from repro.core.events import CrawlEvent
+from repro.core.engine import CrawlEvent
 from repro.core.frontier import Candidate
 from repro.webspace.virtualweb import FetchResponse
 

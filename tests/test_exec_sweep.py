@@ -9,11 +9,21 @@ boundary.
 
 import dataclasses
 import json
+import pickle
+from pathlib import Path
 
 import pytest
 
+from repro.adversary import AdversaryModel, AdversaryProfile, DefenseConfig
+from repro.core.engine import EngineHook
+from repro.core.parallel import ParallelConfig
+from repro.core.politeness import HostQueues
 from repro.core.session import SessionConfig
+from repro.core.timing import TimingModel
 from repro.errors import ConfigError
+from repro.faults import FaultModel, FaultProfile, HostOutage
+from repro.faults.resilience import BreakerPolicy, ResilienceConfig, RetryPolicy
+from repro.obs import Instrumentation
 from repro.exec import DatasetSpec, RunSpec, SweepExecutor, execute_run
 from repro.exec.spec import result_from_payload
 from repro.experiments.faultsweep import fault_sweep
@@ -70,7 +80,7 @@ class TestRunStrategiesDifferential:
         dataset_spec = DatasetSpec.from_dataset(thai_dataset)
         runs = run_cells(
             [(ref,) for ref in SWEEP],
-            lambda ref: strategy_spec(dataset_spec, ref, max_pages=300),
+            lambda ref: strategy_spec(dataset_spec, ref, config=SessionConfig(max_pages=300)),
             workers=2,
         )
         parallel = {result.strategy: result for _, result in runs}
@@ -130,8 +140,7 @@ class TestSpecs:
         spec = RunSpec.for_parallel(
             dataset=thai_dataset,
             strategy="hard-focused",
-            partitions=2,
-            max_pages=200,
+            config=SessionConfig(parallel=ParallelConfig(partitions=2, max_pages=200)),
         )
         serial = SweepExecutor(0).run([spec])
         parallel = SweepExecutor(2).run([spec])
@@ -141,7 +150,9 @@ class TestSpecs:
 
     def test_parallel_spec_guards_partition_plan(self, thai_dataset):
         spec = RunSpec.for_parallel(
-            dataset=thai_dataset, strategy="breadth-first", partitions=2
+            dataset=thai_dataset,
+            strategy="breadth-first",
+            config=SessionConfig(parallel=ParallelConfig(partitions=2)),
         )
         assert spec.seed_owners
         tampered = dataclasses.replace(
@@ -157,7 +168,7 @@ class TestSpecs:
         spec = RunSpec(
             dataset=DatasetSpec.from_dataset(thai_dataset),
             strategy="breadth-first",
-            max_pages=100,
+            config=SessionConfig(max_pages=100),
         )
         payload = execute_run(spec)
         result = result_from_payload(payload)
@@ -165,6 +176,66 @@ class TestSpecs:
         assert result.pages_crawled == 100
         # The payload is what crosses the process boundary: plain JSON.
         json.dumps(payload)
+
+
+def _value_spec() -> RunSpec:
+    """A spec with every value field of its config set off the default."""
+    return RunSpec(
+        dataset=DatasetSpec(store_path="web.lswc"),
+        strategy="limited-distance",
+        params=(("n", 2),),
+        classifier_mode="meta",
+        config=SessionConfig(
+            max_pages=300,
+            sample_interval=25,
+            extract_from_body=True,
+            timing=TimingModel(latency_s=0.2, connections=8),
+            concurrency=4,
+            faults=FaultModel(
+                FaultProfile(transient_error_rate=0.1),
+                per_host={"b.co.th": FaultProfile(timeout_rate=0.5)},
+                outages=(HostOutage("c.co.th", 10, 20),),
+                seed=3,
+            ),
+            resilience=ResilienceConfig(retry=RetryPolicy(), breaker=BreakerPolicy()),
+            adversary=AdversaryModel(AdversaryProfile(trap_hosts=("t.co.th",)), seed=9),
+            defenses=DefenseConfig.standard(),
+            frontier=HostQueues(),
+            record_fault_journal=True,
+            record_adversary_journal=True,
+        ),
+    )
+
+
+class TestRunSpecCarriesAConfig:
+    """A ``RunSpec`` is ``(what, SessionConfig)``: the config crosses to
+    workers as a value, and a field naming a live object cannot."""
+
+    def test_value_spec_is_hashable_picklable_and_equal(self):
+        spec = _value_spec()
+        assert spec == _value_spec()
+        assert hash(spec) == hash(_value_spec())
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        assert spec in {_value_spec()}
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("on_fetch", print),
+            ("instrumentation", Instrumentation()),
+            ("hooks", (EngineHook(),)),
+            ("checkpoint_every", 10),
+            ("checkpoint_path", Path("run.ckpt")),
+            ("resume_from", "run.ckpt"),
+        ],
+    )
+    def test_live_fields_are_refused_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=f"SessionConfig.{field}="):
+            RunSpec(
+                dataset=DatasetSpec(store_path="web.lswc"),
+                strategy="breadth-first",
+                config=SessionConfig(**{field: value}),
+            )
 
 
 class TestStoreSpecs:
@@ -209,8 +280,7 @@ class TestStoreSpecs:
             RunSpec(
                 dataset=DatasetSpec.from_store(store_path),
                 strategy=name,
-                max_pages=120,
-                sample_interval=40,
+                config=SessionConfig(max_pages=120, sample_interval=40),
             )
             for name in ("breadth-first", "soft-focused")
         ]

@@ -1,10 +1,11 @@
 """Unit tests for the experiment runner."""
 
 from repro.core.politeness import HostQueues
-from repro.core.session import SessionConfig
+from repro.core.session import SessionConfig, report_payload
 from repro.core.strategies import BreadthFirstStrategy, SimpleStrategy
 from repro.core.timing import TimingModel
 from repro.experiments.runner import run_strategies, run_strategy, summary_rows
+from repro.faults import FaultModel, FaultProfile
 
 
 class TestRunStrategy:
@@ -68,6 +69,18 @@ class TestRunStrategies:
         strategies = [BreadthFirstStrategy(), SimpleStrategy(mode="hard")]
         results = run_strategies(thai_dataset, strategies, SessionConfig(max_pages=200))
         assert list(results) == ["breadth-first", "hard-focused"]
+
+    def test_shared_config_runs_each_strategy_as_alone(self, thai_dataset):
+        config = SessionConfig(
+            max_pages=300,
+            timing=TimingModel(),
+            faults=FaultModel(FaultProfile(transient_error_rate=0.1), seed=3),
+        )
+        together = run_strategies(thai_dataset, ["breadth-first", "soft-focused"], config)
+        for name, result in together.items():
+            alone = run_strategy(thai_dataset, name, config)
+            assert report_payload(result) == report_payload(alone), name
+            assert result.resilience == alone.resilience, name
 
     def test_summary_rows(self, thai_dataset):
         results = run_strategies(thai_dataset, [BreadthFirstStrategy()], SessionConfig(max_pages=100))

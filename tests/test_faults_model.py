@@ -262,7 +262,7 @@ class TestLoadFaultModel:
         model = load_fault_model(path)
         assert model.seed == 9
         assert model.profile.timeout_rate == 0.1
-        assert model.per_host["a.co.th"].transient_error_rate == 0.5
+        assert dict(model.per_host)["a.co.th"].transient_error_rate == 0.5
         assert model.outages[0].covers(5)
 
     def test_missing_file_raises_config_error(self, tmp_path):

@@ -31,7 +31,7 @@ from repro.core.strategies import get_strategy
 from repro.core.visitor import Visitor
 from repro.experiments.datasets import build_dataset_store, open_dataset_store
 from repro.experiments.runner import run_strategy
-from repro.faults import FaultyWebSpace
+from repro.faults import FaultModel, FaultProfile, FaultyWebSpace
 from repro.graphgen.profiles import thai_profile
 from repro.webspace.crawllog import CrawlLog
 from repro.webspace.store import PageStore
@@ -211,6 +211,17 @@ class TestIdOfCalls:
         # every other URL was an outlink the store handed out with its id.
         assert len(universe_dataset.seed_urls) == 10
         assert sorted(id_of_calls) == sorted(universe_dataset.seed_urls)
+
+    def test_a_retried_fetch_keeps_its_hint(self, universe_dataset, id_of_calls):
+        faults = FaultModel(FaultProfile(transient_error_rate=0.3), seed=1)
+        result = CrawlSession(
+            CrawlRequest(strategy="soft-focused", dataset=universe_dataset),
+            SessionConfig(max_pages=600, faults=faults),
+        ).run()
+        assert result.resilience["retries"] > 100
+        # Every attempt of a hinted candidate fetches by its id, so the
+        # only URLs ever hashed are the unhinted seeds (once per attempt).
+        assert set(id_of_calls) <= set(universe_dataset.seed_urls)
 
     def test_a_verified_dangling_hint_answers_without_hashing(self, store_dataset, id_of_calls):
         store = store_dataset.crawl_log

@@ -117,7 +117,7 @@ class TestSameSeedDeterminism:
         )
         assert _trace(first, urls) == _trace(second, urls)
         assert first.journal == second.journal
-        assert dict(first.model.injected) == dict(second.model.injected)
+        assert dict(first.injected) == dict(second.injected)
 
 
 class TestEmptyProfileTransparency:
@@ -129,7 +129,7 @@ class TestEmptyProfileTransparency:
         for url in urls:
             assert wrapped.fetch(url) == bare.fetch(url)
         assert wrapped.fetch_count == bare.fetch_count
-        assert all(count == 0 for count in wrapped.model.injected.values())
+        assert all(count == 0 for count in wrapped.injected.values())
 
 
 class TestTrapSubtreeUniqueness:

@@ -3,7 +3,7 @@
 The event-driven engine's determinism rests on three load-bearing
 mechanisms, each pinned here over randomised inputs:
 
-- :meth:`repro.core.timing.TimingModel.reserve_fetch` — politeness is a
+- :meth:`repro.core.timing.VirtualClock.reserve_fetch` — politeness is a
   hard per-site floor, starts respect the issue-time clock, and the
   ``latency_scale == 1.0`` fast path is bit-identical to the general
   expression (healthy hosts must not pay float drift for the slow-host
@@ -70,7 +70,7 @@ class TestReserveFetch:
     @settings(max_examples=40, deadline=None)
     def test_per_site_gap_is_at_least_politeness(self, workload):
         politeness, latency, requests = workload
-        model = TimingModel(latency_s=latency, politeness_interval_s=politeness)
+        model = TimingModel(latency_s=latency, politeness_interval_s=politeness).clock()
         last_start: dict[int, float] = {}
         for site, size, not_before in requests:
             start, completion = model.reserve_fetch(_site_url(site), size, not_before)
@@ -86,7 +86,7 @@ class TestReserveFetch:
     @settings(max_examples=40, deadline=None)
     def test_now_tracks_max_completion(self, workload):
         politeness, latency, requests = workload
-        model = TimingModel(latency_s=latency, politeness_interval_s=politeness)
+        model = TimingModel(latency_s=latency, politeness_interval_s=politeness).clock()
         seen = 0.0
         for site, size, not_before in requests:
             _, completion = model.reserve_fetch(_site_url(site), size, not_before)
@@ -105,7 +105,7 @@ class TestReserveFetch:
         multiply; it must produce the exact floats of the general
         expression, and a non-unit scale must follow that expression."""
         politeness, latency, requests = workload
-        model = TimingModel(latency_s=latency, politeness_interval_s=politeness)
+        model = TimingModel(latency_s=latency, politeness_interval_s=politeness).clock()
         available: dict[str, float] = {}
         for index, (site, size, not_before) in enumerate(requests):
             scale = 1.0 if index % 2 == 0 else odd_scale

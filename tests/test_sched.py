@@ -19,16 +19,11 @@ from repro.core.checkpoint import (
     write_checkpoint,
 )
 from repro.core.classifier import Classifier
-from repro.core.engine import CrawlEngine
+from repro.core.engine import CrawlEngine, response_from_dict, response_to_dict
 from repro.core.parallel import ParallelConfig
-from repro.core.sched import (
-    response_from_dict,
-    response_to_dict,
-    zero_latency_timing,
-)
 from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
 from repro.core.strategies import get_strategy
-from repro.core.timing import TimingModel
+from repro.core.timing import TimingModel, zero_latency_timing
 from repro.core.visitor import Visitor
 from repro.errors import CheckpointError, ConfigError
 from repro.webspace.virtualweb import FetchResponse
@@ -40,7 +35,7 @@ from conftest import SEED, A, C, F, legacy_checkpoint
 THAI_SET = frozenset({SEED, A, C, F})
 
 
-def build_engine(web, *, concurrency=2, timing=None, **kwargs):
+def build_engine(web, *, concurrency=2, **kwargs):
     strategy = get_strategy("breadth-first")
     engine = CrawlEngine(
         concurrency=concurrency,
@@ -48,7 +43,7 @@ def build_engine(web, *, concurrency=2, timing=None, **kwargs):
         visitor=Visitor(web),
         classifier=Classifier("thai"),
         strategy=strategy,
-        timing=timing if timing is not None else TimingModel(),
+        clock=TimingModel().clock(),
         **kwargs,
     )
     engine.seed([SEED])
@@ -72,7 +67,7 @@ def session(web, **config):
 class TestConstruction:
     def test_engine_requires_timing(self, tiny_web):
         strategy = get_strategy("breadth-first")
-        with pytest.raises(ConfigError, match="timing"):
+        with pytest.raises(ConfigError, match="clock"):
             CrawlEngine(
                 concurrency=2,
                 frontier=strategy.make_frontier(),

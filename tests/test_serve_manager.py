@@ -15,6 +15,7 @@ import pytest
 from repro import CrawlRequest, CrawlSession, SessionConfig, report_payload, run_crawl
 from repro.charset.languages import Language
 from repro.core.classifier import Classifier
+from repro.core.engine import EngineHook
 from repro.core.strategies import BreadthFirstStrategy, SimpleStrategy
 from repro.core.timing import TimingModel
 from repro.errors import CheckpointError, ConfigError, SessionError
@@ -53,20 +54,18 @@ class _KillSignal(BaseException):
     """Simulated hard kill (BaseException so nothing swallows it)."""
 
 
-class _BackoffKillTimingModel(TimingModel):
+class _BackoffKillHook(EngineHook):
     """Raises from the N-th retry backoff — a process death mid-round."""
 
     def __init__(self, kill_at_backoff: int | None = None) -> None:
-        super().__init__()
         self.backoffs_seen = 0
         self.kill_at_backoff = kill_at_backoff
 
-    def delay_site(self, url: str, seconds: float) -> None:
+    def on_retry(self, candidate, attempt: int) -> None:
         self.backoffs_seen += 1
         if self.kill_at_backoff is not None and self.backoffs_seen == self.kill_at_backoff:
             self.kill_at_backoff = None  # one kill; the resumed run proceeds
             raise _KillSignal()
-        super().delay_site(url, seconds)
 
 
 class TestLifecycleThroughManager:
@@ -385,6 +384,30 @@ class TestUnresumableStrategyStaysResident:
             CrawlSession(_request(tiny_web, "backlink-count"), SessionConfig(**extra)).open()
 
 
+class TestSharedConfig:
+    def test_interleaved_sessions_of_one_config_each_equal_their_direct_run(
+        self, tiny_web, tmp_path
+    ):
+        config = SessionConfig(
+            sample_interval=1,
+            concurrency=2,
+            timing=TimingModel(),
+            faults=FaultModel(profile=FAULTY_PROFILE, seed=42),
+        )
+        strategies = {"bfs": BreadthFirstStrategy, "soft": lambda: SimpleStrategy(mode="soft")}
+        manager = SessionManager(spool_dir=tmp_path)
+        for name, factory in strategies.items():
+            manager.open(name, _request(tiny_web, factory()), config)
+        while not all(manager.status(name).done for name in strategies):
+            for name in strategies:
+                manager.step(name, 1)
+        for name, factory in strategies.items():
+            served = manager.close(name)
+            direct = run_crawl(_request(tiny_web, factory()), config=config)
+            assert _canon(served) == _canon(direct), name
+            assert served.resilience == direct.resilience, name
+
+
 class TestMidBackoffEviction:
     """TestBackoffBoundaryKill, driven through the SessionManager.
 
@@ -396,23 +419,24 @@ class TestMidBackoffEviction:
     double-counted).
     """
 
-    def _faulty_config(self, timing, **extra) -> SessionConfig:
+    def _faulty_config(self, killer, **extra) -> SessionConfig:
         return SessionConfig(
             sample_interval=1,
             faults=FaultModel(profile=FAULTY_PROFILE, seed=42),
-            timing=timing,
+            timing=TimingModel(),
+            hooks=(killer,),
             checkpoint_every=1,
             **extra,
         )
 
     def _run_reference(self, tiny_web, tmp_path):
-        timing = _BackoffKillTimingModel()  # never kills; counts backoffs
+        counter = _BackoffKillHook()  # never kills; counts backoffs
         manager = SessionManager(spool_dir=tmp_path / "ref")
-        manager.open("ref", _request(tiny_web), self._faulty_config(timing))
+        manager.open("ref", _request(tiny_web), self._faulty_config(counter))
         manager.step("ref")
         result = manager.report("ref")
         manager.close("ref")
-        return result, timing.backoffs_seen
+        return result, counter.backoffs_seen
 
     def test_kill_evict_resume_never_double_counts(self, tiny_web, tmp_path):
         full, backoffs = self._run_reference(tiny_web, tmp_path)
@@ -424,7 +448,7 @@ class TestMidBackoffEviction:
             manager.open(
                 "s",
                 _request(tiny_web),
-                self._faulty_config(_BackoffKillTimingModel(kill_at)),
+                self._faulty_config(_BackoffKillHook(kill_at)),
             )
             with pytest.raises(_KillSignal):
                 manager.step("s")
@@ -446,9 +470,7 @@ class TestMidBackoffEviction:
     def test_step_after_kill_auto_recovers(self, tiny_web, tmp_path):
         full, backoffs = self._run_reference(tiny_web, tmp_path)
         manager = SessionManager(spool_dir=tmp_path / "auto")
-        manager.open(
-            "s", _request(tiny_web), self._faulty_config(_BackoffKillTimingModel(1))
-        )
+        manager.open("s", _request(tiny_web), self._faulty_config(_BackoffKillHook(1)))
         with pytest.raises(_KillSignal):
             manager.step("s")
         # No explicit evict/recover: the next step must notice the dirty
@@ -461,9 +483,7 @@ class TestMidBackoffEviction:
 
     def test_recover_explicitly(self, tiny_web, tmp_path):
         manager = SessionManager(spool_dir=tmp_path)
-        manager.open(
-            "s", _request(tiny_web), self._faulty_config(_BackoffKillTimingModel(1))
-        )
+        manager.open("s", _request(tiny_web), self._faulty_config(_BackoffKillHook(1)))
         with pytest.raises(_KillSignal):
             manager.step("s")
         status = manager.recover("s")
@@ -477,9 +497,7 @@ class TestMidBackoffEviction:
         full, _ = self._run_reference(tiny_web, tmp_path)
         spool_dir = tmp_path / "spool"
         manager = SessionManager(spool_dir=spool_dir)
-        manager.open(
-            "s", _request(tiny_web), self._faulty_config(_BackoffKillTimingModel(2))
-        )
+        manager.open("s", _request(tiny_web), self._faulty_config(_BackoffKillHook(2)))
         manager.step("s", 1)
         manager.evict("s")  # a clean eviction first: writes the spool
         with pytest.raises(_KillSignal):
@@ -504,7 +522,8 @@ class TestMidBackoffEviction:
             SessionConfig(
                 sample_interval=1,
                 faults=FaultModel(profile=FAULTY_PROFILE, seed=42),
-                timing=_BackoffKillTimingModel(1),
+                timing=TimingModel(),
+                hooks=(_BackoffKillHook(1),),
             ),
         )
         with pytest.raises(_KillSignal):
