@@ -35,7 +35,6 @@ from repro.adversary import (
     AdversaryModel,
     AdversaryProfile,
     DefenseConfig,
-    load_adversary_model,
 )
 from repro.api import run_crawl
 from repro.charset import (
@@ -87,7 +86,6 @@ from repro.faults import (
     HostOutage,
     ResilienceConfig,
     RetryPolicy,
-    load_fault_model,
 )
 from repro.graphgen import (
     DatasetProfile,
@@ -161,12 +159,10 @@ __all__ = [
     "AdversaryModel",
     "AdversarialWebSpace",
     "DefenseConfig",
-    "load_adversary_model",
     # faults + resilience
     "FaultProfile",
     "FaultModel",
     "HostOutage",
-    "load_fault_model",
     "RetryPolicy",
     "BreakerPolicy",
     "ResilienceConfig",

@@ -24,7 +24,6 @@ from repro.adversary.defense import DefenseConfig, DefensePolicy, shingle_hash
 from repro.adversary.model import (
     AdversaryModel,
     AdversaryProfile,
-    load_adversary_model,
 )
 from repro.adversary.web import AdversarialWebSpace
 
@@ -34,6 +33,5 @@ __all__ = [
     "AdversaryProfile",
     "DefenseConfig",
     "DefensePolicy",
-    "load_adversary_model",
     "shingle_hash",
 ]

@@ -32,10 +32,11 @@ fingerprint set and per-host counters from a checkpoint.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.errors import ConfigError
+from repro.schema import ConfigValue
 from repro.webspace.virtualweb import FetchResponse
 
 #: Chain-following cap when no defense limit is configured: generous
@@ -80,7 +81,7 @@ def url_depth(url: str) -> int:
 
 
 @dataclass(frozen=True, slots=True)
-class DefenseConfig:
+class DefenseConfig(ConfigValue):
     """Engine defense knobs, all off by default.
 
     An all-default config is inert: the engine builds no policy for it
@@ -88,15 +89,17 @@ class DefenseConfig:
     run (pinned by the golden suite).
     """
 
-    max_url_depth: int | None = None
+    #: Skip URLs deeper than this many path segments.
+    max_url_depth: int | None = field(default=None, metadata={"flag": True})
     #: Per-host budget of *consecutive* pages judged irrelevant: once a
     #: host serves this many in an unbroken run, it is refused at the
     #: gate.  A relevant page resets its host's streak, which is what
     #: makes the budget trap containment rather than collateral damage —
     #: a trap subtree or boilerplate mill is an unbounded irrelevant
     #: stream, while an honest mixed-language host keeps resetting.
-    host_page_budget: int | None = None
-    max_redirect_hops: int | None = None
+    host_page_budget: int | None = field(default=None, metadata={"flag": True})
+    #: Follow at most this many redirect hops, with loop detection.
+    max_redirect_hops: int | None = field(default=None, metadata={"flag": True})
     fingerprint_dupes: bool = False
     soft404_threshold: int | None = None
     #: Rewrite session-id query URLs (``?sid=…``) to their base at the
@@ -138,24 +141,6 @@ class DefenseConfig:
             soft404_threshold=3,
             strip_session_ids=True,
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_url_depth": self.max_url_depth,
-            "host_page_budget": self.host_page_budget,
-            "max_redirect_hops": self.max_redirect_hops,
-            "fingerprint_dupes": self.fingerprint_dupes,
-            "soft404_threshold": self.soft404_threshold,
-            "strip_session_ids": self.strip_session_ids,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "DefenseConfig":
-        known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown defense config keys: {sorted(unknown)}")
-        return cls(**dict(data))
 
 
 class DefensePolicy:

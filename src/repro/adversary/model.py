@@ -13,13 +13,14 @@ layer snapshots.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from pathlib import Path
-from typing import Mapping
 
 from repro.charset.languages import canonical_charset
 from repro.errors import ConfigError
+from repro.schema import ConfigValue, decode, read_json
 
 #: Declared-charset swaps of the mislabelling scenario: each Thai
 #: charset lies as a Japanese one and vice versa (paper §3 — the exact
@@ -50,7 +51,7 @@ def _bare_host(site: str) -> str:
 
 
 @dataclass(frozen=True, slots=True)
-class AdversaryProfile:
+class AdversaryProfile(ConfigValue):
     """Knobs of one adversarial web, all off by default.
 
     An all-default profile is *empty*: :class:`AdversarialWebSpace`
@@ -115,39 +116,15 @@ class AdversaryProfile:
             and not self.alias_hosts
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "trap_host_rate": self.trap_host_rate,
-            "trap_hosts": list(self.trap_hosts),
-            "trap_fanout": self.trap_fanout,
-            "redirect_rate": self.redirect_rate,
-            "redirect_hops": self.redirect_hops,
-            "redirect_loop_rate": self.redirect_loop_rate,
-            "soft404_rate": self.soft404_rate,
-            "soft404_fanout": self.soft404_fanout,
-            "alias_host_rate": self.alias_host_rate,
-            "alias_hosts": list(self.alias_hosts),
-            "mislabel_rate": self.mislabel_rate,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "AdversaryProfile":
-        known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown adversary profile keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        for name in ("trap_hosts", "alias_hosts"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class AdversaryModel:
+class AdversaryModel(ConfigValue):
     """Seeded, stateless-by-construction adversary decisions.
 
-    A value: equal and hashable by ``(profile, seed)``.
+    A value: equal and hashable by ``(profile, seed)``.  Its JSON (an
+    ``--adversary`` file, the wire's ``adversary`` object) is ``{"seed",
+    "profile"}``; an ``--adversary`` file may also hold a bare profile
+    (:meth:`load`).
 
     Args:
         profile: the :class:`AdversaryProfile` in force.
@@ -155,7 +132,8 @@ class AdversaryModel:
     """
 
     profile: AdversaryProfile = field(default_factory=AdversaryProfile)
-    seed: int = 0
+    #: Seed of every adversary decision.
+    seed: int = field(default=0, metadata={"flag": "adversary-seed", "override_only": True})
     _key: bytes = field(init=False, repr=False, compare=False)
     _trap_hosts: frozenset[str] = field(init=False, repr=False, compare=False)
     _alias_hosts: frozenset[str] = field(init=False, repr=False, compare=False)
@@ -166,6 +144,15 @@ class AdversaryModel:
         setattr_(self, "_key", key)
         setattr_(self, "_trap_hosts", frozenset(self.profile.trap_hosts))
         setattr_(self, "_alias_hosts", frozenset(self.profile.alias_hosts))
+
+    @classmethod
+    def load(cls, path: str | Path) -> AdversaryModel:
+        """The model an ``--adversary`` file holds: its JSON, or a bare
+        :class:`AdversaryProfile` object (seed 0)."""
+        data = read_json(path, "adversary model")
+        if isinstance(data, Mapping) and not ("profile" in data or data.keys() <= {"seed"}):
+            return cls(profile=decode(AdversaryProfile, data, str(path)))
+        return decode(cls, data, str(path))
 
     # -- derived randomness --------------------------------------------------
 
@@ -222,38 +209,3 @@ class AdversaryModel:
     def trap_size(self, url: str) -> int:
         """Deterministic byte size of a synthetic trap page."""
         return 1200 + int(self._unit("trapsize", url) * 2800)
-
-    # -- serialisation -------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {"seed": self.seed, "profile": self.profile.to_json_dict()}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "AdversaryModel":
-        unknown = set(data) - {"seed", "profile"}
-        if unknown:
-            raise ConfigError(f"unknown adversary model keys: {sorted(unknown)}")
-        return cls(
-            profile=AdversaryProfile.from_json_dict(data.get("profile", {})),
-            seed=data.get("seed", 0),
-        )
-
-
-def load_adversary_model(path: str | Path) -> AdversaryModel:
-    """Read an adversary profile JSON file (the ``--adversary`` payload).
-
-    Accepts either the full model shape (``{"seed": ..., "profile":
-    {...}}``) or a bare profile object.
-    """
-    import json
-
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read adversary profile {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: adversary profile must be a JSON object")
-    if "profile" in data or data.keys() <= {"seed", "profile"}:
-        return AdversaryModel.from_json_dict(data)
-    return AdversaryModel(profile=AdversaryProfile.from_json_dict(data))

@@ -25,26 +25,23 @@ Subcommands map onto the experiment harness:
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import replace
+from typing import get_args
 
 from repro.charset.detector import detect_charset
 from repro.core.session import SessionConfig
 from repro.core.strategies import available_strategies, get_strategy
-from repro.core.timing import (
-    CLOCK_KNOBS,
-    DEFAULT_BANDWIDTH_BYTES_PER_S,
-    DEFAULT_LATENCY_S,
-    DEFAULT_POLITENESS_INTERVAL_S,
-    TimingModel,
-)
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.experiments import figures as figures_module
 from repro.experiments.datasets import load_or_build_dataset
 from repro.experiments.report import render_figure, render_ascii_chart, render_table
 from repro.experiments.runner import run_strategy, summary_rows
+from repro.experiments.sweep import add_workers_flag
 from repro.experiments.tables import table3
 from repro.graphgen.profiles import profile_by_name
+from repro.schema import FieldSpec, field_specs, kinds, load, value_types
 
 _FIGURES = {
     "3": figures_module.figure3,
@@ -53,6 +50,13 @@ _FIGURES = {
     "6": figures_module.figure6,
     "7": figures_module.figure7,
 }
+
+
+#: Checkpoint period of a ``--checkpoint`` run that names none.
+_DEFAULT_CHECKPOINT_EVERY = 1000
+
+#: What a bare value flag (``--defenses``) parses to: the field's preset.
+_PRESET = object()
 
 
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
@@ -149,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--prioritized", action="store_true", help="prioritized limited distance")
     p_run.add_argument("--classifier", default="charset", help="charset|meta|detector|oracle")
-    p_run.add_argument("--max-pages", type=int, default=None)
     p_run.add_argument(
         "--trace",
         metavar="FILE.jsonl",
@@ -163,120 +166,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a per-component timing table after the run",
     )
     p_run.add_argument(
-        "--faults",
-        metavar="PROFILE.json",
-        default=None,
-        help="inject faults from a fault-profile JSON file",
-    )
-    p_run.add_argument(
-        "--fault-seed",
-        type=int,
-        default=None,
-        help="override the fault profile's seed",
-    )
-    p_run.add_argument(
-        "--adversary",
-        metavar="PROFILE.json",
-        default=None,
-        help="attach an adversarial web layer from an adversary-profile JSON file",
-    )
-    p_run.add_argument(
-        "--adversary-seed",
-        type=int,
-        default=None,
-        help="override the adversary profile's seed",
-    )
-    p_run.add_argument(
-        "--defenses",
-        action="store_true",
-        help="arm the standard engine defenses (trap containment, redirect "
-        "limits, duplicate collapsing, soft-404 down-weighting)",
-    )
-    p_run.add_argument(
-        "--max-url-depth",
-        type=int,
-        default=None,
-        metavar="N",
-        help="defense override: skip URLs deeper than N path segments",
-    )
-    p_run.add_argument(
-        "--host-page-budget",
-        type=int,
-        default=None,
-        metavar="N",
-        help="defense override: stop fetching a host after N pages",
-    )
-    p_run.add_argument(
-        "--max-redirect-hops",
-        type=int,
-        default=None,
-        metavar="N",
-        help="defense override: follow at most N redirect hops, with loop detection",
-    )
-    p_run.add_argument(
-        "--checkpoint",
-        metavar="FILE",
-        default=None,
-        help="write a resumable checkpoint to FILE every --checkpoint-every pages",
-    )
-    p_run.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=1000,
-        metavar="N",
-        help="checkpoint period in crawled pages (default 1000; needs --checkpoint)",
-    )
-    p_run.add_argument(
         "--resume",
         metavar="FILE",
         default=None,
         help="resume the crawl from a checkpoint file",
     )
-    p_run.add_argument(
-        "--concurrency",
-        type=int,
-        default=None,
-        metavar="K",
-        help="crawl with K concurrent fetch slots on the virtual clock "
-        "(default: the paper's round-based crawl, one fetch at a time)",
-    )
-    p_run.add_argument(
-        "--latency",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=f"per-request latency of the simulated clock (default {DEFAULT_LATENCY_S})",
-    )
-    p_run.add_argument(
-        "--bandwidth",
-        type=float,
-        default=None,
-        metavar="BYTES_PER_S",
-        help="download bandwidth of the simulated clock "
-        f"(default {DEFAULT_BANDWIDTH_BYTES_PER_S:g})",
-    )
-    p_run.add_argument(
-        "--politeness",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-host politeness interval of the simulated clock "
-        f"(default {DEFAULT_POLITENESS_INTERVAL_S})",
-    )
+    _add_config_flags(p_run)
     _add_dataset_args(p_run)
 
     p_figure = sub.add_parser("figure", help="regenerate a paper figure")
     p_figure.add_argument("number", choices=sorted(_FIGURES))
     p_figure.add_argument("--dataset", default=None, help="thai (default) or japanese")
     p_figure.add_argument("--chart", action="store_true", help="also draw ASCII charts")
-    p_figure.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="fan the figure's strategy sweep out to N worker processes "
-        "(0 = serial, default; results are identical either way)",
-    )
+    add_workers_flag(p_figure)
     _add_dataset_args(p_figure)
 
     p_analyze = sub.add_parser("analyze", help="language locality + degree structure of a dataset")
@@ -289,13 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reproduce.add_argument("output_dir")
     p_reproduce.add_argument("--scale", type=float, default=0.25)
     p_reproduce.add_argument("--no-cache", action="store_true")
-    p_reproduce.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker processes per figure sweep (0 = serial, default)",
-    )
+    add_workers_flag(p_reproduce)
 
     p_detect = sub.add_parser("detect", help="detect the charset of a local file")
     p_detect.add_argument("path")
@@ -393,103 +289,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "run":
-        from repro.obs import Instrumentation
-
-        dataset = _dataset_from_args(args.profile, args)
-        kwargs = {}
-        if args.strategy == "limited-distance":
-            kwargs = {"n": args.n, "prioritized": args.prioritized}
-        elif args.strategy in ("hard+limited", "soft+limited"):
-            kwargs = {"n": args.n}
-        strategy = get_strategy(args.strategy, **kwargs)
-        instrumentation = None
-        if args.trace or args.profile_timings:
-            try:
-                instrumentation = Instrumentation(trace_path=args.trace)
-            except OSError as exc:
-                print(f"error: cannot open trace file: {exc}", file=sys.stderr)
-                return 1
-        faults = None
-        if args.faults is not None:
-            from repro.faults import load_fault_model
-
-            faults = load_fault_model(args.faults)
-            if args.fault_seed is not None:
-                faults = replace(faults, seed=args.fault_seed)
-        adversary = None
-        if args.adversary is not None:
-            from repro.adversary import load_adversary_model
-
-            adversary = load_adversary_model(args.adversary)
-            if args.adversary_seed is not None:
-                adversary = replace(adversary, seed=args.adversary_seed)
-        defenses = None
-        overrides = {
-            "max_url_depth": args.max_url_depth,
-            "host_page_budget": args.host_page_budget,
-            "max_redirect_hops": args.max_redirect_hops,
-        }
-        if args.defenses or any(value is not None for value in overrides.values()):
-            from repro.adversary import DefenseConfig
-
-            base = DefenseConfig.standard() if args.defenses else DefenseConfig()
-            defenses = replace(
-                base, **{key: value for key, value in overrides.items() if value is not None}
-            )
-        given = {
-            keyword: getattr(args, knob)
-            for knob, keyword in CLOCK_KNOBS.items()
-            if getattr(args, knob) is not None
-        }
-        timing = TimingModel(**given) if given else None
-        try:
-            result = run_strategy(
-                dataset,
-                strategy,
-                SessionConfig(
-                    max_pages=args.max_pages,
-                    instrumentation=instrumentation,
-                    faults=faults,
-                    adversary=adversary,
-                    defenses=defenses,
-                    checkpoint_every=args.checkpoint_every if args.checkpoint else None,
-                    checkpoint_path=args.checkpoint,
-                    resume_from=args.resume,
-                    timing=timing,
-                    concurrency=args.concurrency,
-                ),
-                classifier_mode=args.classifier,
-            )
-        finally:
-            if instrumentation is not None:
-                instrumentation.close()
-        print(render_table(summary_rows({strategy.name: result}), title="Run summary"))
-        if result.resilience is not None:
-            row = {
-                key: value
-                for key, value in result.resilience.items()
-                if key != "faults_injected"
-            }
-            for kind, injected in result.resilience["faults_injected"].items():
-                row[f"faults_{kind}"] = injected
-            print()
-            print(render_table([row], title="Resilience"))
-        if result.adversary is not None:
-            row = {
-                f"inj_{kind}": count
-                for kind, count in result.adversary["injected"].items()
-            }
-            row.update(result.adversary["defense_stats"])
-            row["redirect_hops"] = result.adversary["redirect_hops"]
-            row["redirect_aborts"] = result.adversary["redirect_aborts"]
-            print()
-            print(render_table([row], title="Adversary"))
-        if instrumentation is not None and args.profile_timings:
-            print()
-            print(instrumentation.render_profile(title="Per-component profile"))
-        if instrumentation is not None and args.trace:
-            print(f"\ntrace written to {args.trace}")
-        return 0
+        return _run(args)
 
     if args.command == "figure":
         default_dataset = "japanese" if args.number == "4" else "thai"
@@ -539,6 +339,151 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _serve(args)
 
     raise AssertionError(f"unhandled command {args.command!r}")
+
+
+def _config_flags() -> list[tuple[str, FieldSpec, FieldSpec | None]]:
+    """``(flag, field, parent)`` of every run flag the config schema declares.
+
+    Each :class:`SessionConfig` field that is not live is a flag: a
+    scalar takes its value, a nested value a JSON file (or, given bare,
+    the field's ``preset``).  The fields of a nested value that declare a
+    ``flag`` follow it, as overrides of that value.
+    """
+    flags: list[tuple[str, FieldSpec, FieldSpec | None]] = []
+    for spec in field_specs(SessionConfig):
+        flag = spec.metadata.get("flag", True)
+        if spec.live or flag is False:
+            continue
+        flags.append((_flag_name(spec, flag), spec, None))
+        for value_type in value_types(spec.hint)[:1]:
+            for sub in field_specs(value_type):
+                if sub.metadata.get("flag"):
+                    flags.append((_flag_name(sub, sub.metadata["flag"]), sub, spec))
+    return flags
+
+
+def _flag_name(spec: FieldSpec, flag: bool | str) -> str:
+    return flag if isinstance(flag, str) else spec.key.replace("_", "-")
+
+
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_argument_group("session config", "SessionConfig fields")
+    for flag, spec, _parent in _config_flags():
+        # The field's doc comment, first sentence, without reST markup.
+        text = re.sub(r":\w+:`~?(?:[\w.]+\.)?(\w+)`", r"\1", spec.doc).replace("``", "")
+        text = text.split(". ")[0].rstrip(".")
+        kwargs: dict = {}
+        if value_types(spec.hint):
+            kwargs["metavar"] = "FILE.json"
+            text += " (a JSON file"
+            if len(value_types(spec.hint)) > 1:
+                text += ' with a "kind": ' + " | ".join(sorted(kinds(spec.hint)))
+            if "preset" in spec.metadata:
+                kwargs.update(nargs="?", const=_PRESET)
+                text += "; bare, the standard preset"
+            text += ")"
+        elif bool in _scalars(spec.hint):
+            kwargs.update(action="store_const", const=True)
+        else:
+            kwargs["type"] = _scalars(spec.hint)[0]
+            kwargs["metavar"] = "FILE" if spec.metadata.get("path") else kwargs["type"].__name__.upper()
+            if spec.default is not None:
+                text += f" (default {spec.default:g})"
+        group.add_argument(f"--{flag}", default=None, help=text.replace("%", "%%"), **kwargs)
+
+
+def _scalars(hint) -> tuple:
+    return tuple(option for option in get_args(hint) or (hint,) if option is not type(None))
+
+
+def _config_from_args(args: argparse.Namespace) -> SessionConfig:
+    """The run's config, spelled by the flags given.
+
+    An override of a nested value starts from the value its parent flag
+    gave, or else from that value's defaults (so ``--latency`` alone arms
+    a clock) — unless the field is ``override_only``: ``--fault-seed``
+    without ``--faults`` would attach a layer that injects nothing.
+    """
+    changes: dict = {}
+    for flag, spec, parent in _config_flags():
+        given = getattr(args, flag.replace("-", "_"))
+        if given is None:
+            continue
+        if parent is not None:
+            base = changes.get(parent.name)
+            if base is None:
+                if spec.metadata.get("override_only"):
+                    parent_flag = _flag_name(parent, parent.metadata.get("flag", True))
+                    raise ConfigError(f"--{flag} needs --{parent_flag}")
+                base = value_types(parent.hint)[0]()
+            changes[parent.name] = replace(base, **{spec.name: given})
+        elif given is _PRESET:
+            changes[spec.name] = spec.metadata["preset"]()
+        elif value_types(spec.hint):
+            changes[spec.name] = load(spec.hint, given)
+        else:
+            changes[spec.name] = given
+    config = SessionConfig(**changes)
+    if config.checkpoint_path is not None and config.checkpoint_every is None:
+        config = replace(config, checkpoint_every=_DEFAULT_CHECKPOINT_EVERY)
+    return replace(config, resume_from=args.resume)
+
+
+def _run(args: argparse.Namespace) -> int:
+    from repro.obs import Instrumentation
+
+    config = _config_from_args(args)
+    dataset = _dataset_from_args(args.profile, args)
+    kwargs = {}
+    if args.strategy == "limited-distance":
+        kwargs = {"n": args.n, "prioritized": args.prioritized}
+    elif args.strategy in ("hard+limited", "soft+limited"):
+        kwargs = {"n": args.n}
+    strategy = get_strategy(args.strategy, **kwargs)
+    instrumentation = None
+    if args.trace or args.profile_timings:
+        try:
+            instrumentation = Instrumentation(trace_path=args.trace)
+        except OSError as exc:
+            print(f"error: cannot open trace file: {exc}", file=sys.stderr)
+            return 1
+    try:
+        result = run_strategy(
+            dataset,
+            strategy,
+            replace(config, instrumentation=instrumentation),
+            classifier_mode=args.classifier,
+        )
+    finally:
+        if instrumentation is not None:
+            instrumentation.close()
+    print(render_table(summary_rows({strategy.name: result}), title="Run summary"))
+    if result.resilience is not None:
+        row = {
+            key: value
+            for key, value in result.resilience.items()
+            if key != "faults_injected"
+        }
+        for kind, injected in result.resilience["faults_injected"].items():
+            row[f"faults_{kind}"] = injected
+        print()
+        print(render_table([row], title="Resilience"))
+    if result.adversary is not None:
+        row = {
+            f"inj_{kind}": count
+            for kind, count in result.adversary["injected"].items()
+        }
+        row.update(result.adversary["defense_stats"])
+        row["redirect_hops"] = result.adversary["redirect_hops"]
+        row["redirect_aborts"] = result.adversary["redirect_aborts"]
+        print()
+        print(render_table([row], title="Adversary"))
+    if instrumentation is not None and args.profile_timings:
+        print()
+        print(instrumentation.render_profile(title="Per-component profile"))
+    if instrumentation is not None and args.trace:
+        print(f"\ntrace written to {args.trace}")
+    return 0
 
 
 def _dataset_build(args: argparse.Namespace) -> int:

@@ -50,6 +50,7 @@ from repro.core.engine import CrawlEngine, CrawlEvent
 from repro.core.strategies.base import CrawlStrategy
 from repro.core.visitor import Visitor
 from repro.errors import ConfigError
+from repro.schema import ConfigValue
 from repro.faults.model import FaultModel, FaultyWebSpace
 from repro.faults.resilience import HostBreakers, ResilienceConfig
 from repro.obs import Instrumentation
@@ -73,7 +74,7 @@ class PartitionMode(str, Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class ParallelConfig:
+class ParallelConfig(ConfigValue):
     """Run-level knobs of a partitioned crawl: everything independent
     of the strategy under test.
 

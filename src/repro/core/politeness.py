@@ -28,6 +28,7 @@ from itertools import chain
 from repro.core.candidate import candidates_from_columns, candidates_to_columns, int_column
 from repro.core.frontier import Candidate, Frontier
 from repro.errors import CheckpointError, FrontierError, UrlError
+from repro.schema import ConfigValue
 from repro.urlkit.normalize import url_site_key
 
 
@@ -128,7 +129,7 @@ class HostQueueFrontier(Frontier):
 
 
 @dataclass(frozen=True, slots=True)
-class HostQueues:
+class HostQueues(ConfigValue):
     """``SessionConfig(frontier=HostQueues())``: crawl on a
     :class:`HostQueueFrontier`, whatever queue the strategy would make."""
 

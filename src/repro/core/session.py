@@ -36,10 +36,10 @@ import time
 from collections.abc import Iterator
 from collections.abc import Set as AbstractSet
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.adversary import (
     AdversarialWebSpace,
@@ -65,6 +65,7 @@ from repro.core.engine import (
 )
 from repro.core.metrics import CrawlSummary, MetricsRecorder, MetricSeries
 from repro.core.frontier import Frontier
+from repro.core.parallel import ParallelConfig
 from repro.core.politeness import HostQueueFrontier, HostQueues
 from repro.core.spilling import SpillConfig, SpillingFrontier
 from repro.core.strategies.base import CrawlStrategy
@@ -83,12 +84,10 @@ from repro.faults.resilience import HostBreakers, ResilienceConfig, ResilienceSt
 from repro.obs import Instrumentation
 from repro.obs.hooks import ResilienceCountersHook, StepSpanHook
 from repro.obs.instrument import active as _active_instrumentation
+from repro.schema import ConfigValue
 from repro.urlkit.normalize import intern_url
 from repro.webspace.stats import relevant_url_set
 from repro.webspace.virtualweb import VirtualWebSpace
-
-if TYPE_CHECKING:
-    from repro.core.parallel import ParallelConfig
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,7 +265,7 @@ class CrawlRequest:
 
 
 @dataclass(frozen=True)
-class SessionConfig:
+class SessionConfig(ConfigValue):
     """How a session runs: every run-shaping knob in one typed object.
 
     A config is a value: the timing, fault and adversary models it names
@@ -274,9 +273,14 @@ class SessionConfig:
     clock, injection counters, redirect chains — is built fresh by
     :meth:`CrawlSession.open`.  One config may therefore serve any
     number of runs, in sequence or interleaved, each crawling exactly as
-    it would alone.  Only the fields that name live objects —
-    ``on_fetch``, ``instrumentation``, ``hooks``, checkpoint files and
-    ``resume_from`` — are the caller's to share or not.
+    it would alone.  Only the :data:`LIVE_FIELDS` — ``on_fetch``,
+    ``instrumentation``, ``hooks`` and ``resume_from`` — name live
+    objects that are the caller's to share or not.
+
+    Everything else is its own JSON (:mod:`repro.schema`):
+    :meth:`to_json` / :meth:`from_json` / :meth:`load` are the wire
+    ``config`` object, the CLI's ``--config`` file and, field by field,
+    the CLI's run flags.  A live field has no JSON form.
 
     ``parallel`` switches the run to the partitioned engine — a
     :class:`~repro.core.parallel.ParallelConfig` session is driven by
@@ -297,7 +301,9 @@ class SessionConfig:
     checkpoint_every: int | None = None
     #: Destination file of the periodic checkpoint (each write
     #: atomically replaces the previous one).
-    checkpoint_path: str | Path | None = None
+    checkpoint_path: str | Path | None = field(
+        default=None, metadata={"path": True, "flag": "checkpoint"}
+    )
     #: Clock settings; each run keeps time on its own
     #: :meth:`TimingModel.clock`.
     timing: TimingModel | None = None
@@ -307,9 +313,14 @@ class SessionConfig:
     #: the virtual clock, with ``timing`` defaulting to the stock
     #: :class:`TimingModel` when unset.
     concurrency: int | None = None
-    on_fetch: FetchCallback | None = None
-    instrumentation: Instrumentation | None = None
+    #: Called with each fetch's :class:`~repro.core.engine.CrawlEvent`.
+    on_fetch: FetchCallback | None = field(default=None, metadata={"live": True})
+    #: Telemetry sink of spans, counters and the trace file.
+    instrumentation: Instrumentation | None = field(default=None, metadata={"live": True})
+    #: Fault injection: transient errors, timeouts, truncation, outages.
     faults: FaultModel | None = None
+    #: Retry, backoff, requeue and circuit-breaker policy (default on
+    #: when faults or checkpointing are configured).
     resilience: ResilienceConfig | None = None
     #: Content-level adversary layer (spider traps, redirect chains,
     #: soft-404s, aliases, charset lies).  Wrapped *inside* the fault
@@ -317,7 +328,9 @@ class SessionConfig:
     adversary: AdversaryModel | None = None
     #: Engine countermeasures (:class:`~repro.adversary.DefenseConfig`).
     #: An all-default config is inert — no policy is built.
-    defenses: DefenseConfig | None = None
+    defenses: DefenseConfig | None = field(
+        default=None, metadata={"preset": DefenseConfig.standard}
+    )
     #: The URL queue the crawl runs on.  The strategy decides link
     #: expansion, this field decides the queue: None keeps the
     #: strategy's own discipline; a
@@ -330,16 +343,28 @@ class SessionConfig:
     #: :class:`~repro.core.politeness.HostQueues` runs on per-server
     #: round-robin queues.
     frontier: SpillConfig | HostQueues | None = None
-    resume_from: CheckpointState | str | Path | None = None
-    hooks: tuple[EngineHook, ...] = ()
-    record_fault_journal: bool = False
-    record_adversary_journal: bool = False
-    parallel: "ParallelConfig | None" = None
+    #: Checkpoint state (or file) to continue from.
+    resume_from: CheckpointState | str | Path | None = field(
+        default=None, metadata={"live": True}
+    )
+    #: Engine stage observers, run after the session's own.
+    hooks: tuple[EngineHook, ...] = field(default=(), metadata={"live": True})
+    #: Keep every injected fault in ``faulty_web.journal``.
+    record_fault_journal: bool = field(default=False, metadata={"flag": False})
+    #: Keep every adversary decision in ``adversarial_web.journal``.
+    record_adversary_journal: bool = field(default=False, metadata={"flag": False})
+    #: Partitioned-engine settings (a :func:`repro.api.run_crawl` run).
+    parallel: ParallelConfig | None = field(default=None, metadata={"flag": False})
 
     def __post_init__(self) -> None:
         # Accept any sequence of hooks; store the canonical tuple.
         if not isinstance(self.hooks, tuple):
             object.__setattr__(self, "hooks", tuple(self.hooks))
+
+
+#: The :class:`SessionConfig` fields that name live, process-local
+#: objects: they have no JSON form and cannot ride a sweep spec.
+LIVE_FIELDS = tuple(spec.name for spec in fields(SessionConfig) if spec.metadata.get("live"))
 
 
 @dataclass(frozen=True, slots=True)

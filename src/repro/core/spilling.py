@@ -41,7 +41,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.frontier import (
     Candidate,
@@ -51,6 +51,7 @@ from repro.core.frontier import (
     candidate_to_dict,
 )
 from repro.errors import FrontierError
+from repro.schema import ConfigValue
 from repro.urlkit.normalize import intern_url
 
 #: How many spilled candidates to reload per refill.
@@ -58,7 +59,7 @@ _REFILL_BATCH = 1024
 
 
 @dataclass(frozen=True, slots=True)
-class SpillConfig:
+class SpillConfig(ConfigValue):
     """Session-level opt-in to the spilling frontier.
 
     Attributes:
@@ -73,7 +74,7 @@ class SpillConfig:
     """
 
     memory_limit: int = 10_000
-    spill_dir: str | None = None
+    spill_dir: str | None = field(default=None, metadata={"path": True})
 
 
 @dataclass(frozen=True, slots=True)

@@ -21,40 +21,34 @@ from it by :meth:`TimingModel.clock` when a session opens.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
+from repro.schema import ConfigValue
 from repro.urlkit.normalize import url_site_key
 
 
-#: The stock clock, spelled here only: :class:`TimingModel` defaults to
-#: these and the CLI and the wire pass it just the knobs they were given.
-DEFAULT_BANDWIDTH_BYTES_PER_S = 2_000_000.0
-DEFAULT_LATENCY_S = 0.05
-DEFAULT_POLITENESS_INTERVAL_S = 1.0
-DEFAULT_CONNECTIONS = 64
-
-#: The short knob names the CLI flags and the wire ``timing`` object
-#: share, mapped to :class:`TimingModel` keywords.
-CLOCK_KNOBS = {
-    "bandwidth": "bandwidth_bytes_per_s",
-    "latency": "latency_s",
-    "politeness": "politeness_interval_s",
-}
-
-
 @dataclass(frozen=True, slots=True)
-class TimingModel:
+class TimingModel(ConfigValue):
     """The settings of a simulated clock for fetch completion times.
 
     A value: equal and hashable by its four settings, never mutated by a
-    run.  Each run keeps time on its own :meth:`clock`.
+    run.  Each run keeps time on its own :meth:`clock`.  Its JSON keys
+    (and CLI flags) are the short knob names.
     """
 
-    bandwidth_bytes_per_s: float = DEFAULT_BANDWIDTH_BYTES_PER_S
-    latency_s: float = DEFAULT_LATENCY_S
-    politeness_interval_s: float = DEFAULT_POLITENESS_INTERVAL_S
-    connections: int = DEFAULT_CONNECTIONS
+    #: Download bandwidth of the simulated clock, in bytes per second.
+    bandwidth_bytes_per_s: float = field(
+        default=2_000_000.0, metadata={"json": "bandwidth", "flag": True}
+    )
+    #: Per-request latency of the simulated clock, in seconds.
+    latency_s: float = field(default=0.05, metadata={"json": "latency", "flag": True})
+    #: Per-host politeness interval of the simulated clock, in seconds.
+    politeness_interval_s: float = field(
+        default=1.0, metadata={"json": "politeness", "flag": True}
+    )
+    #: Download slots of a round-based crawl's clock.
+    connections: int = 64
 
     def __post_init__(self) -> None:
         if self.bandwidth_bytes_per_s <= 0:

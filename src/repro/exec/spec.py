@@ -42,7 +42,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
 from repro.core.metrics import CrawlSummary, MetricSeries
-from repro.core.session import CrawlResult, SessionConfig
+from repro.core.session import LIVE_FIELDS, CrawlResult, SessionConfig
 from repro.errors import ConfigError
 from repro.graphgen.config import DatasetProfile
 from repro.webspace.query import host_bucket
@@ -59,12 +59,10 @@ __all__ = [
     "result_from_payload",
 ]
 
-#: The :class:`SessionConfig` fields that name live, process-local
-#: objects — callbacks, hooks, telemetry sinks, checkpoint files — and
-#: so cannot ride a spec into a worker.
-_LIVE_FIELDS = frozenset(
-    {"on_fetch", "instrumentation", "hooks", "checkpoint_every", "checkpoint_path", "resume_from"}
-)
+#: The :class:`SessionConfig` fields a spec cannot carry into a worker:
+#: the live ones, and the checkpoint cadence and file (a sweep cell
+#: writes nothing to disk).
+_REFUSED_FIELDS = LIVE_FIELDS + ("checkpoint_every", "checkpoint_path")
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,10 +168,10 @@ class RunSpec:
         if not isinstance(self.config, SessionConfig):
             raise ConfigError(f"RunSpec.config must be a SessionConfig, got {self.config!r}")
         for spec in fields(SessionConfig):
-            if spec.name in _LIVE_FIELDS and getattr(self.config, spec.name) != spec.default:
+            if spec.name in _REFUSED_FIELDS and getattr(self.config, spec.name) != spec.default:
                 raise ConfigError(
                     f"a RunSpec cannot carry SessionConfig.{spec.name}=: it names a "
-                    "process-local object; run it through run_strategies instead"
+                    "process-local object or file; run it through run_strategies instead"
                 )
 
     @classmethod

@@ -146,7 +146,7 @@ def adversarial_sweep(
         "strategies": list(strategies),
         "scenarios": list(scenarios),
         "seeds": list(seeds),
-        "defenses": standard.to_json_dict(),
+        "defenses": standard.to_json(),
         "rows": rows,
         "summary": recovery_summary(rows),
     }

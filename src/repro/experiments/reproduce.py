@@ -135,6 +135,8 @@ def _main(argv: list[str] | None = None) -> int:
     """
     import argparse
 
+    from repro.experiments.sweep import add_workers_flag
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.reproduce",
         description="Reproduce the paper's tables and figures, or regenerate golden traces.",
@@ -159,13 +161,7 @@ def _main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-cache", action="store_true", help="do not use the on-disk dataset cache"
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker processes per figure sweep (0 = serial, default)",
-    )
+    add_workers_flag(parser)
     args = parser.parse_args(argv)
 
     if args.regen_golden is not None:

@@ -101,15 +101,8 @@ def run_point(spec: dict) -> dict:
     else:
         raise SimulationError(f"unknown scale-frontier backend {backend!r}")
 
-    spill_limit = spec.get("spill_limit")
-    session = CrawlSession(
-        CrawlRequest(strategy=spec["strategy"], dataset=dataset),
-        SessionConfig(
-            max_pages=spec["max_pages"],
-            sample_interval=spec["sample_interval"],
-            frontier=SpillConfig(memory_limit=spill_limit) if spill_limit else None,
-        ),
-    )
+    config = SessionConfig.from_json(spec["config"])
+    session = CrawlSession(CrawlRequest(strategy=spec["strategy"], dataset=dataset), config)
     # Open first: dataset resolution (recall denominator, seeds) is
     # setup, not crawl throughput.
     session.open()
@@ -128,7 +121,7 @@ def run_point(spec: dict) -> dict:
                 clear_url_caches()
         wall_s = time.perf_counter() - started
         result = session.report()
-        if spill_limit:
+        if isinstance(config.frontier, SpillConfig):
             spill_stats = asdict(session.frontier.stats())
     finally:
         session.close()
@@ -249,8 +242,7 @@ def scale_frontier_sweep(
                 "scale": scale,
                 "seed": seed,
                 "strategy": strategy,
-                "max_pages": max_pages,
-                "sample_interval": sample_interval,
+                "config": SessionConfig(max_pages=max_pages, sample_interval=sample_interval).to_json(),
             }
             note(f"crawling scale {scale:g} on the store backend ...")
             store_point = _run_point_subprocess(
@@ -321,11 +313,13 @@ def scale_frontier_sweep(
                     "scale": million_scale,
                     "seed": seed,
                     "strategy": strategy,
-                    "max_pages": million_max_pages,
-                    "sample_interval": sample_interval,
+                    "config": SessionConfig(
+                        max_pages=million_max_pages,
+                        sample_interval=sample_interval,
+                        frontier=SpillConfig(memory_limit=spill_limit) if spill_limit else None,
+                    ).to_json(),
                     "backend": "store",
                     "store_path": str(store_path),
-                    "spill_limit": spill_limit,
                 }
             )
             store_path.unlink(missing_ok=True)

@@ -104,6 +104,17 @@ def emit_payload(payload: dict, output: str | None) -> None:
     print(f"wrote {path}")
 
 
+def add_workers_flag(parser: argparse.ArgumentParser) -> None:
+    """``--workers N``: every sweep's fan-out flag, and every CLI's that runs sweeps."""
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=0,
+        metavar="N",
+        help="sweep worker processes (0 = serial, default; results are identical either way)",
+    )
+
+
 def sweep_main(
     parser: argparse.ArgumentParser,
     sweep: Callable[[argparse.Namespace], Callable[..., dict]],
@@ -116,9 +127,7 @@ def sweep_main(
     ``digest_sha256`` included.  ``--check-determinism`` reruns it
     serially and requires the two digests to agree.
     """
-    parser.add_argument(
-        "--workers", type=int, default=0, metavar="N", help="sweep worker processes (0 = serial)"
-    )
+    add_workers_flag(parser)
     parser.add_argument("--output", default=None, metavar="FILE.json", help="write the payload here")
     parser.add_argument(
         "--check-determinism",

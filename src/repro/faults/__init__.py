@@ -17,7 +17,6 @@ from repro.faults.model import (
     FaultProfile,
     FaultyWebSpace,
     HostOutage,
-    load_fault_model,
 )
 from repro.faults.resilience import (
     BreakerPolicy,
@@ -33,7 +32,6 @@ __all__ = [
     "FaultyWebSpace",
     "HostOutage",
     "RETRYABLE_FAULTS",
-    "load_fault_model",
     "RetryPolicy",
     "BreakerPolicy",
     "ResilienceConfig",

@@ -44,9 +44,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from pathlib import Path
 
 from repro.errors import ConfigError
+from repro.schema import ConfigValue
 from repro.urlkit.normalize import url_site_key
 from repro.webspace.page import (
     STATUS_HOST_DOWN,
@@ -79,7 +79,7 @@ def _bare_host(site: str) -> str:
 
 
 @dataclass(frozen=True, slots=True)
-class FaultProfile:
+class FaultProfile(ConfigValue):
     """Failure rates of one host (or the global default).
 
     Rates are probabilities in [0, 1]; each draw is an independent keyed
@@ -126,29 +126,9 @@ class FaultProfile:
         if self.slow_host_multiplier < 1.0:
             raise ConfigError("slow_host_multiplier must be >= 1")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "transient_error_rate": self.transient_error_rate,
-            "transient_recovery_attempts": self.transient_recovery_attempts,
-            "timeout_rate": self.timeout_rate,
-            "truncation_rate": self.truncation_rate,
-            "slow_host_rate": self.slow_host_rate,
-            "slow_host_multiplier": self.slow_host_multiplier,
-            "latency_jitter": self.latency_jitter,
-            "bandwidth_jitter": self.bandwidth_jitter,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "FaultProfile":
-        known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown fault profile keys: {sorted(unknown)}")
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True, slots=True)
-class HostOutage:
+class HostOutage(ConfigValue):
     """A scheduled whole-host outage over a global fetch-index window.
 
     The window is half-open: the host is down for fetch indices
@@ -170,12 +150,9 @@ class HostOutage:
     def covers(self, index: int) -> bool:
         return self.start <= index < self.end
 
-    def to_json_dict(self) -> dict:
-        return {"host": self.host, "start": self.start, "end": self.end}
-
 
 @dataclass(frozen=True)
-class FaultModel:
+class FaultModel(ConfigValue):
     """Seeded, stateless-by-construction fault decisions.
 
     Every decision is a pure function of ``(seed, url/host, attempt,
@@ -193,12 +170,16 @@ class FaultModel:
             keys say ``seed.co.th:80``).
         outages: scheduled :class:`HostOutage` windows.
         seed: hash key; same seed ⇒ identical fault sequence.
+
+    Its JSON (a ``--faults`` file, the wire's ``faults`` object) is
+    ``{"seed", "global", "hosts", "outages"}``.
     """
 
-    profile: FaultProfile = field(default_factory=FaultProfile)
-    per_host: tuple[tuple[str, FaultProfile], ...] = ()
+    profile: FaultProfile = field(default_factory=FaultProfile, metadata={"json": "global"})
+    per_host: tuple[tuple[str, FaultProfile], ...] = field(default=(), metadata={"json": "hosts"})
     outages: tuple[HostOutage, ...] = ()
-    seed: int = 0
+    #: Seed of every fault decision.
+    seed: int = field(default=0, metadata={"flag": "fault-seed", "override_only": True})
     _key: bytes = field(init=False, repr=False, compare=False)
     _profiles: dict[str, FaultProfile] = field(init=False, repr=False, compare=False)
     _outages_by_host: dict[str, list[HostOutage]] = field(
@@ -292,52 +273,6 @@ class FaultModel:
     def garble(body: bytes) -> bytes:
         """A deterministically truncated, detection-defeating body."""
         return body[: max(8, len(body) // 2)] + _GARBLE
-
-    # -- serialisation -------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "global": self.profile.to_json_dict(),
-            "hosts": {host: prof.to_json_dict() for host, prof in self.per_host},
-            "outages": [outage.to_json_dict() for outage in self.outages],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "FaultModel":
-        unknown = set(data) - {"seed", "global", "hosts", "outages"}
-        if unknown:
-            raise ConfigError(f"unknown fault model keys: {sorted(unknown)}")
-        try:
-            outages = tuple(
-                HostOutage(host=o["host"], start=o["start"], end=o["end"])
-                for o in data.get("outages", ())
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed outage entry: {exc}") from exc
-        return cls(
-            profile=FaultProfile.from_json_dict(data.get("global", {})),
-            per_host={
-                host: FaultProfile.from_json_dict(prof)
-                for host, prof in data.get("hosts", {}).items()
-            },
-            outages=outages,
-            seed=data.get("seed", 0),
-        )
-
-
-def load_fault_model(path: str | Path) -> FaultModel:
-    """Read a fault profile JSON file (the ``--faults`` CLI payload)."""
-    import json
-
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read fault profile {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: fault profile must be a JSON object")
-    return FaultModel.from_json_dict(data)
 
 
 class FaultyWebSpace:

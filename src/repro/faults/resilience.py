@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.errors import ConfigError
+from repro.schema import ConfigValue
 
 _CLOSED = "closed"
 _OPEN = "open"
@@ -36,7 +37,7 @@ _HALF_OPEN = "half-open"
 
 
 @dataclass(frozen=True, slots=True)
-class RetryPolicy:
+class RetryPolicy(ConfigValue):
     """Retry/backoff/requeue knobs of the resilient fetch pipeline.
 
     Attributes:
@@ -67,7 +68,7 @@ class RetryPolicy:
 
 
 @dataclass(frozen=True, slots=True)
-class BreakerPolicy:
+class BreakerPolicy(ConfigValue):
     """Error budget and cooldown of the per-host circuit breaker.
 
     Attributes:
@@ -89,7 +90,7 @@ class BreakerPolicy:
 
 
 @dataclass(frozen=True, slots=True)
-class ResilienceConfig:
+class ResilienceConfig(ConfigValue):
     """Everything the resilient crawl loop needs, in one object.
 
     ``breaker=None`` disables circuit breaking (retry and requeue still

@@ -7,12 +7,18 @@ object).  The same :class:`ProtocolHandler` backs both transports in
 POST bodies — so a scripted stdio client and an HTTP client observe
 identical semantics.
 
+A request says what to crawl (:class:`WireRequest`); ``config`` is the
+:class:`~repro.core.session.SessionConfig` JSON (:mod:`repro.schema`),
+every field the one-shot API takes except the live ones and files on
+the server (``checkpoint_path``, a spill directory).
+
 Commands::
 
     {"cmd": "open", "session": "s1",
      "request": {"strategy": "soft-focused", "params": {},
                  "dataset": {"profile": "thai", "scale": 0.08, "seed": 7}},
-     "config": {"max_pages": 400, "checkpoint_every": 50}}
+     "config": {"max_pages": 400, "checkpoint_every": 50,
+                "faults": {"seed": 3, "global": {"transient_error_rate": 0.1}}}}
     {"cmd": "step", "session": "s1", "budget": 100}
     {"cmd": "status", "session": "s1"}
     {"cmd": "report", "session": "s1"}       # deterministic report payload
@@ -39,16 +45,14 @@ session ever opened.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Collection, Mapping
 
-from repro.adversary import AdversaryModel, AdversaryProfile, DefenseConfig
 from repro.core.session import CrawlRequest, SessionConfig, report_payload
-from repro.core.timing import CLOCK_KNOBS, TimingModel
 from repro.errors import ReproError, SessionError
 from repro.experiments.datasets import load_or_build_dataset
-from repro.faults.model import FaultModel, FaultProfile
-from repro.faults.resilience import BreakerPolicy, ResilienceConfig, RetryPolicy
 from repro.graphgen import profile_by_name
+from repro.schema import ConfigValue, decode, decode_value, host_paths
 from repro.serve.manager import SessionManager
 
 __all__ = ["ProtocolHandler", "DEFAULT_BASE_SEED", "DEFAULT_SEED_POOL"]
@@ -70,18 +74,30 @@ DEFAULT_DATASET_CACHE_SIZE = 32
 #: sizes share one cached dataset build.
 SCALE_GRID = 0.01
 
-_REQUEST_KEYS = {"strategy", "params", "dataset", "faults", "adversary"}
-_DATASET_KEYS = {"profile", "scale", "seed", "capture_kind", "capture_n", "store"}
-_CONFIG_KEYS = {
-    "max_pages",
-    "sample_interval",
-    "extract_from_body",
-    "checkpoint_every",
-    "resilience",
-    "concurrency",
-    "timing",
-    "defenses",
-}
+
+@dataclass(frozen=True)
+class WireDataset(ConfigValue):
+    """A wire request's web space: a generator recipe, or a page store."""
+
+    #: Generator profile name (``thai``, ``japanese``, ``korean``).
+    profile: str | None = None
+    #: Universe scale, snapped to :data:`SCALE_GRID`.
+    scale: float = 1.0
+    #: Universe seed (default: the next of the process's seed pool).
+    seed: int | None = None
+    capture_kind: str | None = None
+    capture_n: int | None = None
+    #: A prebuilt columnar page store: the path *is* the dataset.
+    store: str | None = None
+
+
+@dataclass(frozen=True)
+class WireRequest(ConfigValue):
+    """What an ``open`` command crawls: a registry strategy over a web space."""
+
+    strategy: str
+    dataset: WireDataset
+    params: tuple[tuple[str, Any], ...] = ()
 
 
 def _require(payload: Mapping[str, Any], key: str, cmd: str) -> Any:
@@ -126,159 +142,77 @@ class ProtocolHandler:
             self._counter += 1
             return seed
 
-    def _dataset(self, spec: Mapping[str, Any]) -> Any:
-        unknown = set(spec) - _DATASET_KEYS
-        if unknown:
-            raise SessionError(f"unknown dataset keys: {sorted(unknown)}")
-        store_path = spec.get("store")
-        if store_path is not None:
-            # A prebuilt columnar store: the path *is* the dataset (its
-            # header carries profile/seeds/capture), so every other key
-            # would be ignored — reject them instead of lying.
-            extra = set(spec) - {"store"}
+    def _dataset(self, spec: WireDataset, keys: Collection[str]) -> Any:
+        """The web space ``spec`` names; ``keys`` are the ones the client sent."""
+        if spec.store is not None:
+            # The store's header carries profile/seeds/capture, so every
+            # other key would be ignored — reject them instead of lying.
+            extra = sorted(set(keys) - {"store"})
             if extra:
-                raise SessionError(
-                    f"dataset store= excludes other dataset keys: {sorted(extra)}"
-                )
-            key = ("store", str(store_path))
-            with self._datasets_lock:
-                dataset = self._datasets.pop(key, None)
-                if dataset is not None:
-                    self._datasets[key] = dataset
-            if dataset is None:
-                from repro.experiments.datasets import open_dataset_store
+                raise SessionError(f"dataset store= excludes other dataset keys: {extra}")
+            from repro.experiments.datasets import open_dataset_store
 
-                dataset = open_dataset_store(store_path)
-                with self._datasets_lock:
-                    dataset = self._datasets.setdefault(key, dataset)
-                    while len(self._datasets) > self._dataset_cache_size:
-                        self._datasets.pop(next(iter(self._datasets)))
-            return dataset
-        profile_name = _require(spec, "profile", "dataset")
-        scale = float(spec.get("scale", 1.0))
-        if scale <= 0:
-            raise SessionError(f"dataset scale must be > 0, got {scale!r}")
+            return self._cached(("store", spec.store), lambda: open_dataset_store(spec.store))
+        if spec.profile is None:
+            raise SessionError("'dataset' needs a 'profile' or a 'store' field")
+        if spec.scale <= 0:
+            raise SessionError(f"dataset scale must be > 0, got {spec.scale!r}")
         # Snap to the grid (keeps the cache small under load generation).
-        scale = max(SCALE_GRID, round(scale / SCALE_GRID) * SCALE_GRID)
-        seed = spec.get("seed")
-        if seed is None:
-            seed = self._next_seed()
-        key = (
-            profile_name,
-            round(scale, 6),
-            int(seed),
-            spec.get("capture_kind", "reference"),
-            spec.get("capture_n"),
-        )
+        scale = max(SCALE_GRID, round(spec.scale / SCALE_GRID) * SCALE_GRID)
+        seed = spec.seed if spec.seed is not None else self._next_seed()
+
+        def build() -> Any:
+            profile = profile_by_name(spec.profile, seed=seed)
+            if scale != 1.0:
+                profile = profile.scaled(scale)
+            kwargs: dict[str, Any] = {}
+            if spec.capture_kind is not None:
+                kwargs["capture_kind"] = spec.capture_kind
+            if spec.capture_n is not None:
+                kwargs["capture_n"] = spec.capture_n
+            if self._dataset_cache_dir is not None:
+                kwargs["cache_dir"] = self._dataset_cache_dir
+            return load_or_build_dataset(profile, **kwargs)
+
+        key = (spec.profile, round(scale, 6), seed, spec.capture_kind or "reference", spec.capture_n)
+        return self._cached(key, build)
+
+    def _cached(self, key: tuple, build: Callable[[], Any]) -> Any:
+        """The dataset cached under ``key``, built on a miss (LRU, capped)."""
         with self._datasets_lock:
             dataset = self._datasets.pop(key, None)
             if dataset is not None:
                 self._datasets[key] = dataset  # refresh LRU recency
-        if dataset is None:
-            profile = profile_by_name(profile_name, seed=int(seed))
-            if scale != 1.0:
-                profile = profile.scaled(scale)
-            kwargs: dict[str, Any] = {}
-            if "capture_kind" in spec:
-                kwargs["capture_kind"] = spec["capture_kind"]
-            if spec.get("capture_n") is not None:
-                kwargs["capture_n"] = int(spec["capture_n"])
-            if self._dataset_cache_dir is not None:
-                kwargs["cache_dir"] = self._dataset_cache_dir
-            dataset = load_or_build_dataset(profile, **kwargs)
-            with self._datasets_lock:
-                dataset = self._datasets.setdefault(key, dataset)
-                while len(self._datasets) > self._dataset_cache_size:
-                    self._datasets.pop(next(iter(self._datasets)))
+                return dataset
+        dataset = build()
+        with self._datasets_lock:
+            dataset = self._datasets.setdefault(key, dataset)
+            while len(self._datasets) > self._dataset_cache_size:
+                self._datasets.pop(next(iter(self._datasets)))
         return dataset
 
     def build_request(self, spec: Mapping[str, Any]) -> CrawlRequest:
         """A resolved :class:`CrawlRequest` from its wire form."""
-        unknown = set(spec) - _REQUEST_KEYS
-        if unknown:
-            raise SessionError(f"unknown request keys: {sorted(unknown)}")
-        strategy = _require(spec, "strategy", "request")
-        if not isinstance(strategy, str):
-            raise SessionError("wire requests name strategies by registry name")
-        dataset_spec = _require(spec, "dataset", "request")
+        if isinstance(spec, Mapping) and {"faults", "adversary"} & spec.keys():
+            raise SessionError("faults and adversary ride in the config object, not the request")
+        wire = decode(WireRequest, spec, "request")
         request = CrawlRequest(
-            strategy=strategy,
-            params=dict(spec.get("params") or {}),
-            dataset=self._dataset(dataset_spec),
+            strategy=wire.strategy,
+            params=dict(wire.params),
+            dataset=self._dataset(wire.dataset, spec["dataset"].keys()),
         )
         # Resolve now: the web space is materialised once and shared by
         # every evict/resume cycle of this session.
         return request.resolve()
 
-    def build_config(
-        self, spec: Mapping[str, Any], faults: Any = None, adversary: Any = None
-    ) -> SessionConfig:
-        unknown = set(spec) - _CONFIG_KEYS
-        if unknown:
-            raise SessionError(f"unknown config keys: {sorted(unknown)}")
-        defenses = None
-        if spec.get("defenses") is not None:
-            defenses = DefenseConfig.from_json_dict(spec["defenses"])
-        resilience = None
-        if spec.get("resilience") is not None:
-            rspec = dict(spec["resilience"])
-            retry = rspec.pop("retry", None)
-            breaker = rspec.pop("breaker", None)
-            if rspec:
-                raise SessionError(f"unknown resilience keys: {sorted(rspec)}")
-            resilience = ResilienceConfig(
-                retry=RetryPolicy(**retry) if retry is not None else RetryPolicy(),
-                breaker=BreakerPolicy(**breaker) if breaker is not None else None,
-            )
-        timing = None
-        if spec.get("timing") is not None:
-            # Wire timing knobs: {"latency": s, "bandwidth": bytes/s,
-            # "politeness": s} — the session-local clock of an
-            # event-driven (concurrency=K) crawl.
-            tspec = dict(spec["timing"])
-            unknown = set(tspec) - CLOCK_KNOBS.keys()
-            if unknown:
-                raise SessionError(f"unknown timing keys: {sorted(unknown)}")
-            timing = TimingModel(
-                **{CLOCK_KNOBS[key]: float(value) for key, value in tspec.items()}
-            )
-        kwargs: dict[str, Any] = {
-            k: spec[k]
-            for k in (
-                "max_pages",
-                "sample_interval",
-                "extract_from_body",
-                "checkpoint_every",
-                "concurrency",
-            )
-            if k in spec and spec[k] is not None
-        }
-        return SessionConfig(
-            resilience=resilience,
-            faults=faults,
-            adversary=adversary,
-            defenses=defenses,
-            timing=timing,
-            **kwargs,
-        )
-
-    @staticmethod
-    def build_faults(spec: Mapping[str, Any] | None) -> FaultModel | None:
-        if spec is None:
-            return None
-        spec = dict(spec)
-        seed = int(spec.pop("seed", 0))
-        return FaultModel(profile=FaultProfile.from_json_dict(spec), seed=seed)
-
-    @staticmethod
-    def build_adversary(spec: Mapping[str, Any] | None) -> AdversaryModel | None:
-        """An :class:`AdversaryModel` from its wire form (like faults,
-        the seed rides inside the spec: ``{"seed": N, ...profile...}``)."""
-        if spec is None:
-            return None
-        spec = dict(spec)
-        seed = int(spec.pop("seed", 0))
-        return AdversaryModel(profile=AdversaryProfile.from_json_dict(spec), seed=seed)
+    def build_config(self, spec: Mapping[str, Any]) -> SessionConfig:
+        """A :class:`SessionConfig` from its wire form — its own JSON
+        (:meth:`SessionConfig.from_json`), minus any file on this host."""
+        config = SessionConfig.from_json(spec)
+        named = host_paths(config)
+        if named:
+            raise SessionError(f"wire configs cannot name files on the server: {named}")
+        return config
 
     # -- command dispatch ----------------------------------------------
 
@@ -308,18 +242,14 @@ class ProtocolHandler:
     def _cmd_open(self, payload: Mapping[str, Any]) -> dict:
         name = _require(payload, "session", "open")
         request = self.build_request(_require(payload, "request", "open"))
-        faults = self.build_faults(payload.get("request", {}).get("faults"))
-        adversary = self.build_adversary(payload.get("request", {}).get("adversary"))
-        config = self.build_config(
-            payload.get("config") or {}, faults=faults, adversary=adversary
-        )
+        config = self.build_config(payload.get("config") or {})
         status = self.manager.open(str(name), request, config)
         return {"session": name, "status": status.to_dict()}
 
     def _cmd_step(self, payload: Mapping[str, Any]) -> dict:
         name = _require(payload, "session", "step")
-        budget = payload.get("budget")
-        status = self.manager.step(str(name), int(budget) if budget is not None else None)
+        budget = decode_value(int | None, payload.get("budget"), "step.budget")
+        status = self.manager.step(str(name), budget)
         return {"session": name, "status": status.to_dict()}
 
     def _cmd_status(self, payload: Mapping[str, Any]) -> dict:

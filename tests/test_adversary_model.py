@@ -8,7 +8,7 @@ independently constructed models rather than pinning specific draws.
 
 import pytest
 
-from repro.adversary import AdversaryModel, AdversaryProfile, load_adversary_model
+from repro.adversary import AdversaryModel, AdversaryProfile
 from repro.adversary.model import MISLABEL_MAP
 from repro.errors import ConfigError
 
@@ -60,11 +60,11 @@ class TestAdversaryProfile:
             alias_hosts=("b.co.th", "c.com"),
             mislabel_rate=0.05,
         )
-        assert AdversaryProfile.from_json_dict(profile.to_json_dict()) == profile
+        assert AdversaryProfile.from_json(profile.to_json()) == profile
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown adversary profile keys"):
-            AdversaryProfile.from_json_dict({"trap_rate": 0.5})
+            AdversaryProfile.from_json({"trap_rate": 0.5})
 
 
 class TestAdversaryModelDeterminism:
@@ -153,7 +153,7 @@ class TestLoadAdversaryModel:
         path.write_text(
             '{"seed": 9, "profile": {"trap_host_rate": 0.2, "alias_hosts": ["a.co.th"]}}'
         )
-        model = load_adversary_model(path)
+        model = AdversaryModel.load(path)
         assert model.seed == 9
         assert model.profile.trap_host_rate == 0.2
         assert model.profile.alias_hosts == ("a.co.th",)
@@ -161,22 +161,22 @@ class TestLoadAdversaryModel:
     def test_loads_bare_profile(self, tmp_path):
         path = tmp_path / "adversary.json"
         path.write_text('{"soft404_rate": 0.5}')
-        model = load_adversary_model(path)
+        model = AdversaryModel.load(path)
         assert model.seed == 0
         assert model.profile.soft404_rate == 0.5
 
     def test_missing_file_raises_config_error(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read adversary profile"):
-            load_adversary_model(tmp_path / "nope.json")
+        with pytest.raises(ConfigError, match="cannot read adversary model"):
+            AdversaryModel.load(tmp_path / "nope.json")
 
     def test_non_object_payload_rejected(self, tmp_path):
         path = tmp_path / "adversary.json"
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="must be a JSON object"):
-            load_adversary_model(path)
+            AdversaryModel.load(path)
 
     def test_model_json_roundtrip(self):
         model = AdversaryModel(profile=AdversaryProfile(trap_host_rate=0.4), seed=17)
-        rebuilt = AdversaryModel.from_json_dict(model.to_json_dict())
+        rebuilt = AdversaryModel.from_json(model.to_json())
         assert rebuilt.seed == model.seed
         assert rebuilt.profile == model.profile

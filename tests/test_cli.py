@@ -258,7 +258,7 @@ class TestAdversaryFlags:
             ]
         )
         assert code == 1
-        assert "cannot read adversary profile" in capsys.readouterr().err
+        assert "cannot read adversary model" in capsys.readouterr().err
 
 
 class TestDatasetStoreCommands:

@@ -69,11 +69,11 @@ class TestDefenseConfig:
 
     def test_json_roundtrip(self):
         config = DefenseConfig.standard()
-        assert DefenseConfig.from_json_dict(config.to_json_dict()) == config
+        assert DefenseConfig.from_json(config.to_json()) == config
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown defense config keys"):
-            DefenseConfig.from_json_dict({"max_depth": 4})
+            DefenseConfig.from_json({"max_depth": 4})
 
 
 class TestUrlDepth:

@@ -18,7 +18,6 @@ from repro.faults import (
     FaultProfile,
     FaultyWebSpace,
     HostOutage,
-    load_fault_model,
 )
 from repro.webspace.crawllog import CrawlLog
 from repro.webspace.page import (
@@ -50,11 +49,11 @@ class TestFaultProfile:
 
     def test_json_roundtrip(self):
         profile = FaultProfile(transient_error_rate=0.2, timeout_rate=0.1)
-        assert FaultProfile.from_json_dict(profile.to_json_dict()) == profile
+        assert FaultProfile.from_json(profile.to_json()) == profile
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown fault profile keys"):
-            FaultProfile.from_json_dict({"transient_rate": 0.5})
+            FaultProfile.from_json({"transient_rate": 0.5})
 
 
 class TestHostOutage:
@@ -259,24 +258,24 @@ class TestLoadFaultModel:
             ' "hosts": {"a.co.th": {"transient_error_rate": 0.5}},'
             ' "outages": [{"host": "b.com", "start": 0, "end": 10}]}'
         )
-        model = load_fault_model(path)
+        model = FaultModel.load(path)
         assert model.seed == 9
         assert model.profile.timeout_rate == 0.1
         assert dict(model.per_host)["a.co.th"].transient_error_rate == 0.5
         assert model.outages[0].covers(5)
 
     def test_missing_file_raises_config_error(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read fault profile"):
-            load_fault_model(tmp_path / "nope.json")
+        with pytest.raises(ConfigError, match="cannot read fault model"):
+            FaultModel.load(tmp_path / "nope.json")
 
     def test_non_object_payload_rejected(self, tmp_path):
         path = tmp_path / "faults.json"
         path.write_text("[1, 2, 3]")
         with pytest.raises(ConfigError, match="must be a JSON object"):
-            load_fault_model(path)
+            FaultModel.load(path)
 
     def test_malformed_outage_rejected(self, tmp_path):
         path = tmp_path / "faults.json"
         path.write_text('{"outages": [{"host": "a.com"}]}')
-        with pytest.raises(ConfigError, match="malformed outage"):
-            load_fault_model(path)
+        with pytest.raises(ConfigError, match="malformed host outage"):
+            FaultModel.load(path)

@@ -17,7 +17,9 @@ from pathlib import Path
 import pytest
 
 from repro import CrawlRequest, SessionConfig, report_payload, run_crawl
-from repro.adversary import DefenseConfig
+from repro.adversary import AdversaryModel, DefenseConfig
+from repro.core.spilling import SpillConfig
+from repro.faults import FaultModel, FaultProfile
 from repro.errors import ConfigError
 from repro.experiments.datasets import load_or_build_dataset
 from repro.graphgen import profile_by_name
@@ -93,6 +95,16 @@ class TestProtocolHandler:
             assert response["ok"] is False
             assert response["error"]["type"] == "SessionError"
             assert response["error"]["message"]
+        for payload in (
+            {"cmd": "step", "session": "s", "budget": "ten"},
+            {"cmd": "open", "session": "s", "request": ["breadth-first"]},
+            {"cmd": "open", "session": "s", "request": 5},
+            {**_open_command("s", "breadth-first", 9001), "config": [1]},
+        ):
+            response = handler.handle(payload)
+            assert response["ok"] is False
+            assert response["error"]["type"] == "ConfigError"
+            assert response["error"]["message"]
 
     def test_unknown_keys_are_rejected(self, tmp_path, serve_cache):
         handler = _handler(tmp_path, serve_cache)
@@ -131,7 +143,26 @@ class TestProtocolHandler:
             }
         )
         assert not response["ok"]
-        assert "registry name" in response["error"]["message"]
+        assert "request.strategy must be str" in response["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "request_spec, named",
+        [
+            ({"strategy": "breadth-first", "dataset": {"profile": "thai", "scale": "big"}}, "scale"),
+            ({"strategy": "breadth-first", "dataset": {"profile": "thai", "seed": "7"}}, "seed"),
+            ({"strategy": "breadth-first", "params": [1], "dataset": {"profile": "thai"}}, "params"),
+            ({"strategy": "breadth-first"}, "dataset"),
+        ],
+    )
+    def test_mistyped_requests_are_error_replies(
+        self, tmp_path, serve_cache, request_spec, named
+    ):
+        """A wrongly typed request field is a named error reply, never an
+        exception escaping ``handle``."""
+        handler = _handler(tmp_path, serve_cache)
+        reply = handler.handle({"cmd": "open", "session": "s", "request": request_spec})
+        assert reply["ok"] is False and reply["error"]["type"] == "ConfigError"
+        assert named in reply["error"]["message"]
 
     def test_open_step_close_matches_one_shot(self, tmp_path, serve_cache):
         handler = _handler(tmp_path, serve_cache)
@@ -484,16 +515,16 @@ class TestServeCLIIntegration:
 
 
 class TestAdversaryOverTheWire:
-    """The adversary rides in the request payload and the defenses in
-    the config — both must round-trip the wire and reproduce a direct
-    in-process run exactly."""
+    """The adversary and the defenses ride in the config object — both
+    must round-trip the wire and reproduce a direct in-process run
+    exactly."""
 
-    ADVERSARY_WIRE = {"seed": 3, "trap_host_rate": 0.3, "trap_fanout": 3}
+    ADVERSARY_WIRE = {"seed": 3, "profile": {"trap_host_rate": 0.3, "trap_fanout": 3}}
 
     def _hostile_command(self, name, seed):
         command = _open_command(name, "breadth-first", seed)
-        command["request"]["adversary"] = dict(self.ADVERSARY_WIRE)
-        command["config"]["defenses"] = DefenseConfig.standard().to_json_dict()
+        command["config"]["adversary"] = dict(self.ADVERSARY_WIRE)
+        command["config"]["defenses"] = DefenseConfig.standard().to_json()
         return command
 
     def test_wire_session_matches_direct_adversarial_run(self, tmp_path, serve_cache):
@@ -511,7 +542,7 @@ class TestAdversaryOverTheWire:
             config=SessionConfig(
                 max_pages=MAX_PAGES,
                 sample_interval=SAMPLE_INTERVAL,
-                adversary=ProtocolHandler.build_adversary(self.ADVERSARY_WIRE),
+                adversary=AdversaryModel.from_json(self.ADVERSARY_WIRE),
                 defenses=DefenseConfig.standard(),
             ),
         )
@@ -532,7 +563,7 @@ class TestAdversaryOverTheWire:
     def test_unknown_adversary_key_is_an_error_reply(self, tmp_path, serve_cache):
         handler = _handler(tmp_path, serve_cache)
         command = _open_command("s", "breadth-first", 9007)
-        command["request"]["adversary"] = {"seed": 1, "trap_rate": 0.5}
+        command["config"]["adversary"] = {"seed": 1, "profile": {"trap_rate": 0.5}}
         response = handler.handle(command)
         assert response["ok"] is False
         assert "trap_rate" in response["error"]["message"]
@@ -545,10 +576,66 @@ class TestAdversaryOverTheWire:
         assert response["ok"] is False
         assert "bogus" in response["error"]["message"]
 
-    def test_build_adversary_none_passthrough(self):
-        assert ProtocolHandler.build_adversary(None) is None
-        model = ProtocolHandler.build_adversary({"seed": 7})
-        assert model is not None and model.seed == 7 and model.profile.is_empty
+    def test_seed_only_adversary_is_an_empty_profile(self):
+        model = AdversaryModel.from_json({"seed": 7})
+        assert model.seed == 7 and model.profile.is_empty
+
+    def test_request_side_adversary_names_the_config(self, tmp_path, serve_cache):
+        handler = _handler(tmp_path, serve_cache)
+        command = _open_command("s", "breadth-first", 9007)
+        command["request"]["adversary"] = dict(self.ADVERSARY_WIRE)
+        response = handler.handle(command)
+        assert response["ok"] is False
+        assert "config object" in response["error"]["message"]
+
+
+class TestWireConfigIsSessionConfigJSON:
+    """The wire ``config`` object is ``SessionConfig.to_json()``: every
+    value field crosses, including the queue, and files on the server do
+    not."""
+
+    CONFIG = SessionConfig(
+        max_pages=MAX_PAGES,
+        sample_interval=SAMPLE_INTERVAL,
+        faults=FaultModel(FaultProfile(transient_error_rate=0.2), seed=5),
+        frontier=SpillConfig(memory_limit=8),
+    )
+
+    def test_any_value_config_matches_its_direct_run(self, tmp_path, serve_cache):
+        handler = _handler(tmp_path, serve_cache)
+        command = _open_command("s", "soft-focused", 9009)
+        command["config"] = json.loads(json.dumps(self.CONFIG.to_json()))
+        assert handler.handle(command)["ok"]
+        while not handler.handle({"cmd": "step", "session": "s", "budget": 15})["status"]["done"]:
+            pass
+        report = handler.handle({"cmd": "close", "session": "s"})["report"]
+
+        dataset = load_or_build_dataset(
+            profile_by_name("thai", seed=9009).scaled(SCALE), cache_dir=serve_cache
+        )
+        direct = run_crawl(CrawlRequest(dataset=dataset, strategy="soft-focused"), config=self.CONFIG)
+        assert "spilling(" in direct.strategy and direct.resilience["faults_injected"]
+        assert json.dumps(report, sort_keys=True) == json.dumps(
+            report_payload(direct), sort_keys=True
+        )
+
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ({"checkpoint_every": 5, "checkpoint_path": "/tmp/x.ckpt"}, "checkpoint_path"),
+            ({"frontier": {"kind": "spill-config", "spill_dir": "/tmp"}}, "frontier.spill_dir"),
+            ({"on_fetch": None}, "live object"),
+            ({"max_pages": "40"}, "max_pages"),
+            ({"parallel": {"partitions": 2}}, "ParallelConfig"),
+        ],
+    )
+    def test_refused_configs_are_error_replies(self, tmp_path, serve_cache, config, named):
+        handler = _handler(tmp_path, serve_cache)
+        command = _open_command("s", "breadth-first", 9001)
+        command["config"] = config
+        reply = handler.handle(command)
+        assert reply["ok"] is False
+        assert named in reply["error"]["message"]
 
 
 class TestStoreDatasetOverTheWire:
@@ -601,19 +688,22 @@ class TestStoreDatasetOverTheWire:
         )
 
     def test_store_excludes_other_dataset_keys(self, tmp_path, serve_cache, store_path):
+        """Any other key is refused, even one at its default value."""
         handler = _handler(tmp_path, serve_cache)
-        reply = handler.handle(
-            {
-                "cmd": "open",
-                "session": "s",
-                "request": {
-                    "strategy": "soft-focused",
-                    "dataset": {"store": str(store_path), "scale": 0.5},
-                },
-            }
-        )
-        assert not reply["ok"]
-        assert "excludes other dataset keys" in reply["error"]["message"]
+        for extra in ({"scale": 0.5}, {"scale": 1.0}, {"seed": None, "capture_kind": None}):
+            reply = handler.handle(
+                {
+                    "cmd": "open",
+                    "session": "s",
+                    "request": {
+                        "strategy": "soft-focused",
+                        "dataset": {"store": str(store_path), **extra},
+                    },
+                }
+            )
+            assert not reply["ok"]
+            message = reply["error"]["message"]
+            assert f"excludes other dataset keys: {sorted(extra)}" in message
 
     def test_missing_store_file_is_an_error_reply(self, tmp_path, serve_cache):
         handler = _handler(tmp_path, serve_cache)

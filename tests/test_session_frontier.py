@@ -167,9 +167,11 @@ class TestScaleFrontierPoint:
                 **spec,
                 "backend": "store",
                 "strategy": "soft-focused",
-                "max_pages": 1500,
-                "sample_interval": 1_000_000,
-                "spill_limit": 200,
+                "config": {
+                    "max_pages": 1500,
+                    "sample_interval": 1_000_000,
+                    "frontier": {"kind": "spill-config", "memory_limit": 200},
+                },
             }
         )
         assert labels == ["spilling(soft-focused, mem=200)"]
