@@ -22,6 +22,7 @@ observation (§3, observation 3).
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 
 
 class Language(Enum):
@@ -135,12 +136,15 @@ def canonical_charset(name: str | None) -> str | None:
     return None
 
 
+@lru_cache(maxsize=1024)
 def language_of_charset(name: str | None) -> Language:
     """Map a charset label (any alias) to its :class:`Language`.
 
     Unknown labels map to :attr:`Language.UNKNOWN` rather than raising:
     the classifier treats unidentifiable pages as irrelevant, it does not
-    abort the crawl.
+    abort the crawl.  Memoised by label in a bounded table (labels come
+    from files), so a scan over a web's records normalises each distinct
+    label once.
     """
     canonical = canonical_charset(name)
     if canonical is None:

@@ -27,7 +27,7 @@ crawl and a store crawl byte-equal.  Property tests
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from functools import partial
 from itertools import repeat
 from typing import NamedTuple, cast
@@ -80,6 +80,16 @@ class Candidate(NamedTuple):
 _new_candidate = cast(
     "Callable[[tuple], Candidate]", partial(tuple.__new__, Candidate)
 )
+
+
+def candidates_for(
+    urls: Iterable[str], priority: int, distance: int, referrer: str | None
+) -> list[Candidate]:
+    """One candidate per URL, the other fields shared: a strategy's link
+    expansion, built by ``map``/``zip``/``repeat`` with no Python frame
+    per link (the NamedTuple's own ``__new__`` is one)."""
+    shared = repeat(priority), repeat(distance), repeat(referrer), repeat(None)
+    return list(map(_new_candidate, zip(urls, *shared)))
 
 
 def stamp_uid(candidate: Candidate, uid: int | None) -> Candidate:

@@ -156,6 +156,8 @@ class Classifier:
         self.mode = mode
         self.cache = cache
         self._instr = None
+        # Cache keys lead with one plain string: an Enum hashes in Python.
+        self._key_tag = f"{mode.value}:{target_language!r}"
 
     def bind_instrumentation(self, instrumentation) -> None:
         """Attach a :class:`repro.obs.Instrumentation` for timing.
@@ -188,13 +190,14 @@ class Classifier:
         ``charset`` mode classifies nothing but the declared charset, so
         that string *is* the content identity; ``meta``/``detector``
         read the body bytes, so the bytes are.  Mode and target language
-        are part of the key so one cache can serve a whole sweep.
+        lead the key (as one string tag) so one cache can serve a whole
+        sweep.
         """
         if self.mode is ClassifierMode.CHARSET:
-            return (self.mode, self.target_language, response.charset)
+            return (self._key_tag, response.charset)
         if response.body is None:
             return None  # the mode needs a body; let _judge raise
-        return (self.mode, self.target_language, response.body)
+        return (self._key_tag, response.body)
 
     def _judge(self, response: FetchResponse) -> Judgment:
         if not response.ok or not response.is_html:

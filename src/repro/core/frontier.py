@@ -88,7 +88,10 @@ class Frontier(ABC):
     Every implementation keeps two always-on operation counters —
     ``pushes`` and ``pops`` — cheap enough to maintain unconditionally
     and the raw material of the observability layer's frontier gauges
-    (:mod:`repro.obs`).
+    (:mod:`repro.obs`).  Each ``push`` counts itself and raises
+    ``_peak_size`` inline, from its own container's C-level ``len``;
+    truth is ``__len__`` alone (no ``__bool__``), so the engine's
+    ``while frontier`` costs one Python call.
     """
 
     def __init__(self) -> None:
@@ -110,9 +113,6 @@ class Frontier(ABC):
 
     @abstractmethod
     def __len__(self) -> int: ...
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
 
     @property
     def peak_size(self) -> int:
@@ -166,18 +166,6 @@ class Frontier(ABC):
                 f"the strategy's {kind!r} frontier — resume with the same strategy"
             )
 
-    def _note_size(self) -> None:
-        """Account for one push: op counter + peak occupancy.
-
-        Every ``push`` implementation calls this exactly once, which is
-        why the push counter lives here and the pop counter in each
-        ``pop`` (pops have no shared hook).
-        """
-        self.pushes += 1
-        size = len(self)
-        if size > self._peak_size:
-            self._peak_size = size
-
 
 class FIFOFrontier(Frontier):
     """First-in first-out queue: pure discovery order."""
@@ -187,8 +175,11 @@ class FIFOFrontier(Frontier):
         self._queue: deque[Candidate] = deque()
 
     def push(self, candidate: Candidate) -> None:
-        self._queue.append(candidate)
-        self._note_size()
+        queue = self._queue
+        queue.append(candidate)
+        self.pushes += 1
+        if len(queue) > self._peak_size:
+            self._peak_size = len(queue)
 
     def pop(self) -> Candidate:
         if not self._queue:
@@ -227,10 +218,13 @@ class PriorityFrontier(Frontier):
         self._counter = 0
 
     def push(self, candidate: Candidate) -> None:
+        heap = self._heap
         counter = self._counter
         self._counter = counter + 1
-        heapq.heappush(self._heap, (-candidate.priority, counter, candidate))
-        self._note_size()
+        heapq.heappush(heap, (-candidate.priority, counter, candidate))
+        self.pushes += 1
+        if len(heap) > self._peak_size:
+            self._peak_size = len(heap)
 
     def pop(self) -> Candidate:
         if not self._heap:
@@ -297,7 +291,9 @@ class ReprioritizableFrontier(Frontier):
         entry = (-candidate.priority, counter, candidate)
         self._current[url] = entry
         heapq.heappush(self._heap, entry)
-        self._note_size()
+        self.pushes += 1
+        if len(self._current) > self._peak_size:
+            self._peak_size = len(self._current)
 
     def update_priority(self, url: str, priority: int) -> bool:
         """Re-prioritize a queued URL; returns False if it is not queued."""

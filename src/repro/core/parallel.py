@@ -43,7 +43,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import AbstractSet, Callable, Sequence
 
 from repro.core.classifier import Classifier
 from repro.core.engine import CrawlEngine, CrawlEvent
@@ -56,7 +56,6 @@ from repro.faults.resilience import HostBreakers, ResilienceConfig
 from repro.obs import Instrumentation
 from repro.obs.instrument import active as _active_instrumentation
 from repro.webspace.query import host_bucket
-from repro.webspace.stats import relevant_url_set
 from repro.webspace.virtualweb import VirtualWebSpace
 
 #: Builds one strategy instance per crawler (strategies hold state).
@@ -166,7 +165,7 @@ class ParallelCrawlSimulator:
         seed_urls: Sequence[str],
         config: ParallelConfig | None = None,
         *,
-        relevant_urls: frozenset[str] | None = None,
+        relevant_urls: AbstractSet[str] | None = None,
         instrumentation: Instrumentation | None = None,
         faults: FaultModel | None = None,
         resilience: ResilienceConfig | None = None,
@@ -178,7 +177,7 @@ class ParallelCrawlSimulator:
         self._classifier = classifier
         self._config = config
         if relevant_urls is None:
-            relevant_urls = relevant_url_set(web.crawl_log, classifier.target_language)
+            relevant_urls = web.crawl_log.relevant_url_view(classifier.target_language)
         self._relevant = relevant_urls
         self._instrumentation = instrumentation
         self._faults = faults

@@ -65,7 +65,9 @@ class HostQueueFrontier(Frontier):
             self._rotation.append(site)
         queue.append(candidate)
         self._size += 1
-        self._note_size()
+        self.pushes += 1
+        if self._size > self._peak_size:
+            self._peak_size = self._size
 
     def pop(self) -> Candidate:
         while self._rotation:

@@ -86,7 +86,6 @@ from repro.obs.hooks import ResilienceCountersHook, StepSpanHook
 from repro.obs.instrument import active as _active_instrumentation
 from repro.schema import ConfigValue
 from repro.urlkit.normalize import intern_url
-from repro.webspace.stats import relevant_url_set
 from repro.webspace.virtualweb import VirtualWebSpace
 
 
@@ -174,7 +173,9 @@ class CrawlRequest:
     Exactly one of ``web`` / ``dataset`` supplies the space.  A
     ``dataset`` also defaults ``classifier`` (the charset classifier of
     its target language), ``seeds`` (the captured seed list) and
-    ``relevant_urls`` (the explicit-recall denominator).
+    ``relevant_urls`` (the explicit-recall denominator); without one,
+    the denominator is the page source's memoised
+    ``relevant_url_view`` for the classifier's target language.
 
     ``strategy`` is a :class:`CrawlStrategy` instance, a zero-arg
     factory, or a registered name (``params`` are the name's constructor
@@ -254,6 +255,8 @@ class CrawlRequest:
             )
         if seeds is None:
             raise ConfigError("a crawl session needs seeds= (or a dataset= to default from)")
+        if relevant_urls is None:
+            relevant_urls = web.crawl_log.relevant_url_view(classifier.target_language)
         return replace(
             self,
             web=web,
@@ -357,6 +360,10 @@ class SessionConfig(ConfigValue):
     parallel: ParallelConfig | None = field(default=None, metadata={"flag": False})
 
     def __post_init__(self) -> None:
+        if self.sample_interval < 1:
+            raise ConfigError(f"sample_interval must be >= 1, got {self.sample_interval!r}")
+        if self.max_pages is not None and self.max_pages < 0:
+            raise ConfigError(f"max_pages must be >= 0, got {self.max_pages!r}")
         # Accept any sequence of hooks; store the canonical tuple.
         if not isinstance(self.hooks, tuple):
             object.__setattr__(self, "hooks", tuple(self.hooks))
@@ -511,11 +518,6 @@ class CrawlSession:
         if config.checkpoint_every is not None or config.resume_from is not None:
             _require_resumable(strategy)
         assert request.web is not None and request.classifier is not None
-        relevant_urls = request.relevant_urls
-        if relevant_urls is None:
-            relevant_urls = relevant_url_set(
-                request.web.crawl_log, request.classifier.target_language
-            )
 
         instr = _active_instrumentation(config.instrumentation)
         web: VirtualWebSpace | AdversarialWebSpace | FaultyWebSpace = request.web
@@ -582,7 +584,7 @@ class CrawlSession:
             label = f"polite({label})"
         recorder = MetricsRecorder(
             name=label,
-            relevant_urls=relevant_urls,
+            relevant_urls=request.relevant_urls,
             sample_interval=config.sample_interval,
         )
 

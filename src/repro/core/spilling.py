@@ -194,7 +194,10 @@ class SpillingFrontier(Frontier):
             self._spill_coldest()
         if len(self._heap) > self._peak_resident:
             self._peak_resident = len(self._heap)
-        self._note_size()
+        self.pushes += 1
+        size = len(self._heap) + self._pending_on_disk
+        if size > self._peak_size:
+            self._peak_size = size
 
     def pop(self) -> Candidate:
         if not self._heap and self._pending_on_disk:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+from repro.core.candidate import candidates_for
 from repro.core.classifier import Judgment
 from repro.core.frontier import Candidate, FIFOFrontier, Frontier
 from repro.core.strategies.base import CrawlStrategy
@@ -34,5 +35,4 @@ class BreadthFirstStrategy(CrawlStrategy):
         outlinks: Iterable[str],
         link_contexts: Sequence[LinkContext] | None = None,
     ) -> list[Candidate]:
-        # Positional (url, priority, distance, referrer): once per link.
-        return [Candidate(url, 0, 0, parent.url) for url in outlinks]
+        return candidates_for(outlinks, 0, 0, parent.url)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+from repro.core.candidate import candidates_for
 from repro.core.classifier import Judgment
 from repro.core.frontier import Candidate, FIFOFrontier, Frontier, PriorityFrontier
 from repro.core.strategies.base import CrawlStrategy
@@ -58,9 +59,7 @@ class SimpleStrategy(CrawlStrategy):
         if self.mode == "hard":
             if not judgment.relevant:
                 return []  # Table 2: discard extracted links
-            return [Candidate(url, 0, 0, parent.url) for url in outlinks]
+            return candidates_for(outlinks, 0, 0, parent.url)
 
-        # Positional (url, priority, distance, referrer): this line runs
-        # once per extracted link, and keywords cost a third more.
         priority = HIGH_PRIORITY if judgment.relevant else LOW_PRIORITY
-        return [Candidate(url, priority, 0, parent.url) for url in outlinks]
+        return candidates_for(outlinks, priority, 0, parent.url)

@@ -38,7 +38,6 @@ pickle.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
 from repro.core.metrics import CrawlSummary, MetricSeries
@@ -203,10 +202,6 @@ class _SweepCache:
         self.classifier_cache = ClassifierCache()
         self._webs: dict[bool, Any] = {}
 
-    @cached_property
-    def relevant_urls(self):
-        return self.dataset.relevant_urls()
-
     def web(self, needs_bodies: bool):
         if needs_bodies not in self._webs:
             from repro.graphgen.htmlsynth import HtmlSynthesizer
@@ -295,7 +290,6 @@ def execute_run(spec: RunSpec) -> dict:
         spec.config,
         classifier_mode=mode,
         web=ctx.web(needs_bodies(mode, spec.config.extract_from_body)),
-        relevant_urls=ctx.relevant_urls,
         classifier_cache=ctx.classifier_cache,
     )
     return result_to_payload(result)
@@ -327,7 +321,6 @@ def _execute_parallel(spec: RunSpec, ctx: _SweepCache) -> dict:
             web=ctx.web(False),
             classifier=_classifier_for(ctx.dataset, spec.classifier_mode),
             seeds=tuple(ctx.dataset.seed_urls),
-            relevant_urls=ctx.relevant_urls,
         ),
         config=spec.config,
     )

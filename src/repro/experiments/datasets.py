@@ -38,7 +38,7 @@ from repro.graphgen.generator import generate_universe
 from repro.graphgen.profiles import profile_by_name
 from repro.webspace.base import PageSource
 from repro.webspace.crawllog import CrawlLog
-from repro.webspace.stats import DatasetStats, compute_stats, relevant_url_set
+from repro.webspace.stats import DatasetStats, compute_stats
 from repro.webspace.store import PageStore, StoreBuilder
 from repro.webspace.virtualweb import VirtualWebSpace
 
@@ -75,16 +75,13 @@ class Dataset:
         return compute_stats(self.crawl_log, self.target_language)
 
     def relevant_urls(self) -> AbstractSet[str]:
-        """The explicit-recall denominator set.
+        """The explicit-recall denominator set, memoised by the page source.
 
         Store-backed datasets answer with a lazy column-computed view
         (:class:`~repro.webspace.store.StoreRelevantSet`) — same
         membership and size, no full-record scan.
         """
-        lazy = getattr(self.crawl_log, "relevant_url_view", None)
-        if lazy is not None:
-            return lazy(self.target_language)
-        return relevant_url_set(self.crawl_log, self.target_language)
+        return self.crawl_log.relevant_url_view(self.target_language)
 
     def web(self, body_synthesizer=None) -> VirtualWebSpace:
         """A fresh virtual web space over this dataset."""

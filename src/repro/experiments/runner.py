@@ -36,7 +36,6 @@ def run_strategy(
     *,
     classifier_mode: ClassifierMode | str = ClassifierMode.CHARSET,
     web=None,
-    relevant_urls: frozenset[str] | None = None,
     classifier_cache: ClassifierCache | None = None,
 ) -> CrawlResult:
     """One strategy, one dataset, one result.
@@ -48,11 +47,11 @@ def run_strategy(
     becomes ~200 samples over the dataset, so the series resolution
     scales with dataset size.
 
-    ``web``, ``relevant_urls`` and ``classifier_cache`` exist so a sweep
-    can share run-invariant state — a prebuilt virtual web space (with
-    its body-synthesis cache warm), the recall denominator set, and the
-    memoised classifier judgments.  Each defaults to per-run
-    construction.
+    ``web`` and ``classifier_cache`` exist so a sweep can share
+    run-invariant state — a prebuilt virtual web space (with its
+    body-synthesis cache warm) and the memoised classifier judgments.
+    Each defaults to per-run construction.  The recall denominator needs
+    no sharing: the page source memoises it.
     """
     if isinstance(strategy, str):
         strategy = get_strategy(strategy)
@@ -62,8 +61,6 @@ def run_strategy(
         config = replace(config, sample_interval=max(1, len(dataset.crawl_log) // 200))
     if web is None:
         web = _dataset_web(dataset, classifier_mode, config)
-    if relevant_urls is None:
-        relevant_urls = dataset.relevant_urls()
     return run_crawl(
         CrawlRequest(
             strategy=strategy,
@@ -72,7 +69,6 @@ def run_strategy(
                 dataset.target_language, mode=classifier_mode, cache=classifier_cache
             ),
             seeds=tuple(dataset.seed_urls),
-            relevant_urls=relevant_urls,
         ),
         config=config,
     )
@@ -121,11 +117,10 @@ def run_strategies(
     for stable legends).
 
     Sweep-invariant state is built once and shared by every run: the
-    virtual web space (a replayed log never changes between strategies),
-    the relevant-URL denominator set, and one
-    :class:`~repro.core.classifier.ClassifierCache` — the same bytes are
-    classified by every strategy in the sweep, so all runs after the
-    first judge almost entirely from cache.
+    virtual web space (a replayed log never changes between strategies)
+    and one :class:`~repro.core.classifier.ClassifierCache` — the same
+    bytes are classified by every strategy in the sweep, so all runs
+    after the first judge almost entirely from cache.
     """
     resolved = resolve_strategies(strategies)
     if config is None:
@@ -133,7 +128,6 @@ def run_strategies(
     shared = {
         "classifier_mode": classifier_mode,
         "web": _dataset_web(dataset, classifier_mode, config),
-        "relevant_urls": dataset.relevant_urls(),
         "classifier_cache": ClassifierCache(),
     }
     return {

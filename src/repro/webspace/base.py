@@ -25,9 +25,11 @@ conformance structurally.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from collections.abc import Set as AbstractSet
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 if TYPE_CHECKING:
+    from repro.charset.languages import Language
     from repro.webspace.page import PageRecord
     from repro.webspace.virtualweb import FetchResponse
 
@@ -65,6 +67,13 @@ class PageSource(Protocol):
     def __getitem__(self, url: str) -> "PageRecord": ...
 
     def urls(self) -> Iterator[str]: ...
+
+    def relevant_url_view(self, target_language: "Language") -> AbstractSet[str]:
+        """URLs of the OK HTML pages declared in ``target_language``: the
+        coverage denominator, "determined beforehand by analyzing the input
+        crawl logs" (paper §3.4), so a source builds it once per language
+        and returns that same object until it changes."""
+        ...
 
 
 @runtime_checkable

@@ -17,8 +17,10 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import IO
 
+from repro.charset.languages import Language
 from repro.errors import CrawlLogError, UnknownPageError
 from repro.webspace.page import PageRecord
+from repro.webspace.stats import relevant_url_set
 
 _FORMAT_NAME = "repro-lswc-crawllog"
 _FORMAT_VERSION = 1
@@ -34,6 +36,7 @@ class CrawlLog:
 
     def __init__(self, pages: Iterable[PageRecord] = ()) -> None:
         self._pages: dict[str, PageRecord] = {}
+        self._relevant: dict[Language, frozenset[str]] = {}
         for page in pages:
             self.add(page)
 
@@ -44,6 +47,14 @@ class CrawlLog:
         if page.url in self._pages:
             raise CrawlLogError(f"duplicate crawl-log record for {page.url!r}")
         self._pages[page.url] = page
+        self._relevant.clear()
+
+    def relevant_url_view(self, target_language: Language) -> frozenset[str]:
+        """The coverage denominator, scanned once per language until :meth:`add`."""
+        view = self._relevant.get(target_language)
+        if view is None:
+            view = self._relevant[target_language] = relevant_url_set(self, target_language)
+        return view
 
     # -- access ------------------------------------------------------------
 

@@ -298,6 +298,7 @@ class PageStore:
         self._url_cache: dict[int, str] = {}
         self._url_cache_order: deque[int] = deque()
         self._url_lookups = self._url_misses = self._url_evictions = 0
+        self._relevant: dict[Language, StoreRelevantSet] = {}
         self._closed = False
 
     # -- classmethod conveniences -----------------------------------------
@@ -315,6 +316,7 @@ class PageStore:
             setattr(self, name, np.empty(0, dtype=np.int8))
         self._url_cache.clear()
         self._url_cache_order.clear()
+        self._relevant.clear()
         if not self._closed:
             self._file.close()
         self._closed = True
@@ -574,8 +576,11 @@ class PageStore:
         self._url_cache_order.clear()
 
     def relevant_url_view(self, target_language: Language) -> "StoreRelevantSet":
-        """Lazy coverage denominator (see :class:`StoreRelevantSet`)."""
-        return StoreRelevantSet(self, target_language)
+        """Lazy coverage denominator (see :class:`StoreRelevantSet`), built once per language."""
+        view = self._relevant.get(target_language)
+        if view is None:
+            view = self._relevant[target_language] = StoreRelevantSet(self, target_language)
+        return view
 
 
 class StoreRelevantSet(AbstractSet):

@@ -1,8 +1,10 @@
 """Unit tests for repro.charset.languages (paper Table 1)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.charset.languages import (
+    _CHARSET_ALIASES,
     CHARSET_LANGUAGES,
     PYTHON_CODECS,
     Language,
@@ -107,3 +109,26 @@ class TestConsistency:
 
     def test_language_str(self):
         assert str(Language.THAI) == "thai"
+
+
+class TestMemoisedLanguageOfCharset:
+    """The by-label table answers exactly what the normalising lookup does."""
+
+    uncached = staticmethod(language_of_charset.__wrapped__)
+
+    def _agrees(self, label):
+        expected = self.uncached(label)
+        assert language_of_charset(label) is expected
+        assert language_of_charset(label) is expected  # now from the table
+
+    @pytest.mark.parametrize("label", [*_CHARSET_ALIASES, *CHARSET_LANGUAGES, None, ""])
+    def test_every_alias_and_canonical_name(self, label):
+        self._agrees(label)
+
+    @given(st.text(max_size=24))
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_labels(self, label):
+        self._agrees(label)
+
+    def test_table_is_bounded(self):
+        assert language_of_charset.cache_info().maxsize is not None

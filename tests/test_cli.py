@@ -90,6 +90,19 @@ class TestExecution:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--sample-interval", "0"], "sample_interval"),
+            (["--max-pages", "-1"], "max_pages"),
+        ],
+    )
+    def test_out_of_range_config_knob_is_an_error(self, capsys, flags, named):
+        code = main(["run", "thai", "soft-focused", "--scale", "0.03", *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+
     def test_unknown_strategy_error_names_available_options(self, capsys):
         code = main(["run", "thai", "teleport", "--scale", "0.03", "--no-cache"])
         assert code == 1

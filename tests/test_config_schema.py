@@ -92,6 +92,17 @@ class TestRoundTrip:
         assert rebuilt == config
         assert json.loads(json.dumps(rebuilt.to_json())) == wire
 
+    @pytest.mark.parametrize(
+        "knobs, named",
+        [({"sample_interval": 0}, "sample_interval"), ({"max_pages": -1}, "max_pages")],
+    )
+    def test_out_of_range_knobs_fail_where_the_config_is_built(self, knobs, named):
+        with pytest.raises(ConfigError, match=named):
+            SessionConfig(**knobs)
+        with pytest.raises(ConfigError, match=named):
+            SessionConfig.from_json(knobs)
+        assert SessionConfig(max_pages=0, sample_interval=1).max_pages == 0
+
     def test_default_config_is_the_empty_object(self):
         assert SessionConfig().to_json() == {}
         assert SessionConfig.from_json({}) == SessionConfig()

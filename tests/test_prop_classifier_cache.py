@@ -101,18 +101,22 @@ class TestCachedEqualsUncached:
         assert cached.judge(response) == expected
         assert cache.hits == 1 and cache.misses == 1
 
-    @given(st.binary(max_size=200), target_languages)
+    @given(st.binary(max_size=200), st.sampled_from(["TIS-620", "EUC-JP", "utf-8", None]))
     @settings(max_examples=30, deadline=None)
-    def test_shared_cache_keeps_languages_and_modes_apart(self, body, target):
+    def test_shared_cache_keeps_languages_and_modes_apart(self, body, charset):
         """One cache serving several classifiers must never cross wires:
         the key carries (mode, target language), so a THAI verdict can
-        never be replayed to a JAPANESE classifier or across modes."""
+        never be replayed to a JAPANESE classifier or across modes — on
+        the first judgment or on the repeat the cache answers."""
         cache = ClassifierCache()
-        response = response_with_body(body)
-        for mode in (ClassifierMode.META, ClassifierMode.DETECTOR):
-            for language in (Language.THAI, Language.JAPANESE):
-                expected = Classifier(language, mode=mode).judge(response)
-                assert Classifier(language, mode=mode, cache=cache).judge(response) == expected
+        response = response_with_body(body)._replace(charset=charset)
+        modes = (ClassifierMode.CHARSET, ClassifierMode.META, ClassifierMode.DETECTOR)
+        for _ in range(2):
+            for mode in modes:
+                for language in (Language.THAI, Language.JAPANESE):
+                    expected = Classifier(language, mode=mode).judge(response)
+                    assert Classifier(language, mode=mode, cache=cache).judge(response) == expected
+        assert len(cache) == cache.misses == cache.hits == 6
 
 
 class TestEvictionSoundness:
@@ -148,3 +152,21 @@ class TestEvictionSoundness:
         cache.store("f", verdict)  # evicts d: c e f
         assert [key for key in "abcdef" if cache.lookup(key) is not None] == ["c", "e", "f"]
         assert cache.evictions == 3 and len(cache) == 3
+
+
+def test_golden_soft_focused_cache_counters():
+    """The charset cache answers the golden soft-focused crawl exactly as
+    it always has: 11 distinct (mode, language, charset) keys, 651 hits
+    over the 662 OK HTML pages of the first 1 100 fetches."""
+    from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
+    from repro.experiments.golden import GOLDEN_MAX_PAGES, golden_dataset
+
+    dataset = golden_dataset()
+    cache = ClassifierCache()
+    request = CrawlRequest(
+        strategy="soft-focused",
+        dataset=dataset,
+        classifier=Classifier(dataset.target_language, cache=cache),
+    )
+    CrawlSession(request, SessionConfig(max_pages=GOLDEN_MAX_PAGES)).run()
+    assert cache.stats() == {"hits": 651, "misses": 11, "evictions": 0, "size": 11}

@@ -637,6 +637,26 @@ class TestWireConfigIsSessionConfigJSON:
         assert reply["ok"] is False
         assert named in reply["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ({"max_pages": -1}, "max_pages"),
+            ({"sample_interval": 0}, "sample_interval"),
+            ({"sample_interval": -20}, "sample_interval"),
+        ],
+    )
+    def test_out_of_range_knobs_are_config_error_replies(
+        self, tmp_path, serve_cache, config, named
+    ):
+        handler = _handler(tmp_path, serve_cache)
+        command = _open_command("s", "breadth-first", 9001)
+        command["config"] = config
+        reply = handler.handle(command)
+        assert reply["ok"] is False
+        assert reply["error"]["type"] == "ConfigError"
+        assert named in reply["error"]["message"]
+        assert handler.handle(_open_command("s", "breadth-first", 9001))["ok"]
+
 
 class TestStoreDatasetOverTheWire:
     """`dataset: {"store": path}` — wire sessions over columnar stores."""

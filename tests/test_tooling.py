@@ -91,3 +91,33 @@ def test_only_textcues_reads_link_text(path):
         ):
             offenders.append(f"line {node.lineno}: reads .{node.attr}")
     assert not offenders, offenders
+
+
+def _calls_by_function(tree: ast.AST, name: str, scope: str = "<module>") -> list[str]:
+    """The enclosing function of every call to ``name`` (bare or attribute)."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _calls_by_function(node, name, node.name)
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                found.append(scope)
+        found += _calls_by_function(node, name, scope)
+    return found
+
+
+def test_one_scan_computes_the_coverage_denominator():
+    """The denominator is a memoised property of the page source (paper
+    §3.4: "determined beforehand"): only ``CrawlLog.relevant_url_view``
+    scans records for it.  A second caller of ``relevant_url_set`` would
+    be a per-session rescan of the whole web."""
+    callers = [
+        f"{path.relative_to(ROOT / 'src')}:{function}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for function in _calls_by_function(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "relevant_url_set"
+        )
+    ]
+    assert callers == ["repro/webspace/crawllog.py:relevant_url_view"]
