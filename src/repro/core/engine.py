@@ -84,6 +84,7 @@ import heapq
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import filterfalse
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.adversary.defense import NAIVE_REDIRECT_CAP
@@ -144,6 +145,7 @@ class EngineStep:
     response: Optional["FetchResponse"] = None
     judgment: Optional["Judgment"] = None
     outlinks: Sequence[str] = ()
+    #: What expand returned: for a per-link ordering, unscheduled outlinks only.
     children: Sequence[Candidate] = ()
     pushed: int = 0
     sim_time: Optional[float] = None
@@ -552,9 +554,16 @@ class CrawlEngine:
         # Link contexts are computed only for strategies that score on
         # textual cues; for everything else this stays None and the
         # extract→expand hand-off is exactly the pre-context code path.
-        wants_contexts = getattr(strategy, "wants_link_contexts", False)
-        extract_contexts = visitor.extract_contexts if wants_contexts else None
+        extract_contexts = visitor.extract_contexts if strategy.wants_link_contexts else None
+        # A per-link ordering is handed only unscheduled outlinks (unrouted).
+        skip_scheduled = route is None and not strategy.sees_scheduled_links
+        is_scheduled = scheduled.__contains__
+        # Compile away an un-overridden tick (an instance-level one runs).
+        # Imported here: at module level it would reorder the package's imports.
+        from repro.core.strategies import base as strategy_base
         tick = strategy.tick if self.call_tick else None
+        if getattr(tick, "__func__", None) is strategy_base.CrawlStrategy.tick:
+            tick = None
         record = recorder.record if recorder is not None else None
         scheduled_add = scheduled.add
         site_of = url_site_key
@@ -769,6 +778,8 @@ class CrawlEngine:
                     step.outlinks = outlinks
                     for callback in stage_cbs:
                         callback(stage_extract, step)
+                if skip_scheduled:
+                    outlinks = tuple(filterfalse(is_scheduled, outlinks))
 
                 # -- prioritize (strategy link expansion) ---------------
                 if extract_contexts is not None:

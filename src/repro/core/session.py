@@ -401,6 +401,11 @@ def _require_resumable(strategy: CrawlStrategy) -> None:
         )
 
 
+def check_step_budget(budget: int | None) -> None:
+    if budget is not None and budget < 0:
+        raise ConfigError(f"step budget must be >= 0 or None, got {budget}")
+
+
 class CrawlSession:
     """One crawl as a lifecycle: ``open → step(budget) → report → close``.
 
@@ -666,8 +671,9 @@ class CrawlSession:
         """Crawl up to ``budget`` pages (None = to exhaustion / page cap).
 
         Returns the number of crawl steps completed by this call; 0 when
-        the session is already :attr:`done`.
+        the session is already :attr:`done`.  A negative budget is a ConfigError.
         """
+        check_step_budget(budget)
         self.open()
         assert self._engine is not None
         started = time.perf_counter()

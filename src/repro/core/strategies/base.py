@@ -39,6 +39,10 @@ class CrawlStrategy(ABC):
     #: every context-blind strategy — and all golden traces — unchanged.
     wants_link_contexts: bool = False
 
+    #: False declares ``expand`` a pure per-link map, handed only unscheduled
+    #: outlinks; the re-rankers, which count or revisit every link, keep True.
+    sees_scheduled_links: bool = True
+
     #: False for a strategy that keeps cross-page tables no checkpoint
     #: section carries: resumed it would re-rank from empty tables, so
     #: the session refuses to snapshot it (``CheckpointError``).
@@ -84,7 +88,8 @@ class CrawlStrategy(ABC):
             response: what the virtual web answered.
             judgment: the classifier's relevance verdict for the page.
             outlinks: URLs extracted from the page (already normalised,
-                duplicates removed; empty for non-OK/non-HTML pages).
+                duplicates removed; empty for non-OK/non-HTML pages;
+                without the scheduled ones when :attr:`sees_scheduled_links` is False).
             link_contexts: per-outlink textual context (aligned with
                 ``outlinks``), passed only when
                 :attr:`wants_link_contexts` is True — and even then it
@@ -98,8 +103,8 @@ class CrawlStrategy(ABC):
         Returns:
             Candidates the simulator should enqueue.  URLs already
             scheduled (queued or visited) are filtered out by the
-            simulator, *not* by the strategy — discarding and
-            re-discovery semantics depend on that split.
+            simulator, *not* by the strategy, declared or not —
+            discarding and re-discovery semantics depend on that split.
         """
 
     def tick(self, step: int, frontier: Frontier) -> None:

@@ -23,6 +23,7 @@ class BreadthFirstStrategy(CrawlStrategy):
     """Crawl in pure discovery (FIFO) order."""
 
     name = "breadth-first"
+    sees_scheduled_links = False  # expand is a pure per-link map
 
     def make_frontier(self) -> Frontier:
         return FIFOFrontier()

@@ -86,6 +86,8 @@ def host_layer_table(layer_of: dict[str, int]) -> dict[str, int]:
 class ContextGraphStrategy(CrawlStrategy):
     """Layered best-first crawling from a precomputed context graph."""
 
+    sees_scheduled_links = False  # expand is a pure per-link map
+
     def __init__(
         self,
         linkdb: LinkDB,
@@ -125,12 +127,6 @@ class ContextGraphStrategy(CrawlStrategy):
             return 0
         return self.layers + 1 - layer
 
-    def seed_candidates(self, seed_urls: Sequence[str]) -> list[Candidate]:
-        return [
-            Candidate(url=url, priority=self.max_priority(), distance=0)
-            for url in seed_urls
-        ]
-
     def expand(
         self,
         parent: Candidate,
@@ -139,7 +135,4 @@ class ContextGraphStrategy(CrawlStrategy):
         outlinks: Iterable[str],
         link_contexts: Sequence[LinkContext] | None = None,
     ) -> list[Candidate]:
-        return [
-            Candidate(url=url, priority=self._layer_priority(url), referrer=parent.url)
-            for url in outlinks
-        ]
+        return [Candidate(url, self._layer_priority(url), referrer=parent.url) for url in outlinks]

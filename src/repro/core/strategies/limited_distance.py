@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+from repro.core.candidate import candidates_for
 from repro.core.classifier import Judgment
 from repro.core.frontier import Candidate, FIFOFrontier, Frontier, PriorityFrontier
 from repro.core.strategies.base import CrawlStrategy
@@ -37,6 +38,8 @@ from repro.webspace.virtualweb import FetchResponse
 
 class LimitedDistanceStrategy(CrawlStrategy):
     """Tunnel through at most N consecutive irrelevant pages."""
+
+    sees_scheduled_links = False  # expand is a pure per-link map
 
     def __init__(self, n: int = 2, prioritized: bool = False) -> None:
         if n < 0:
@@ -70,12 +73,4 @@ class LimitedDistanceStrategy(CrawlStrategy):
                 return []  # path exhausted its irrelevant budget
 
         priority = (self.n - child_distance) if self.prioritized else 0
-        return [
-            Candidate(
-                url=url,
-                priority=priority,
-                distance=child_distance,
-                referrer=parent.url,
-            )
-            for url in outlinks
-        ]
+        return candidates_for(outlinks, priority, child_distance, parent.url)

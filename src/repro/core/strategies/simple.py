@@ -34,6 +34,8 @@ LOW_PRIORITY = 0
 class SimpleStrategy(CrawlStrategy):
     """Referrer-relevance priority assignment, hard or soft."""
 
+    sees_scheduled_links = False  # expand is a pure per-link map
+
     def __init__(self, mode: str = "soft") -> None:
         if mode not in ("hard", "soft"):
             raise ConfigError(f"SimpleStrategy mode must be 'hard' or 'soft', got {mode!r}")

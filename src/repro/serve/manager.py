@@ -38,6 +38,7 @@ periodic checkpoint, whose writer only runs at step boundaries.
 
 from __future__ import annotations
 
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -50,10 +51,14 @@ from repro.core.session import (
     CrawlSession,
     SessionConfig,
     SessionStatus,
+    check_step_budget,
 )
 from repro.errors import SessionError
 
 __all__ = ["SessionManager", "ManagedSession"]
+
+#: A session name is a spool file stem: no path separator, no leading dot.
+_SESSION_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
 
 
 @dataclass
@@ -152,6 +157,8 @@ class SessionManager:
         config: SessionConfig | None = None,
     ) -> SessionStatus:
         """Register and open a new named session."""
+        if not isinstance(name, str) or not _SESSION_NAME.fullmatch(name):
+            raise SessionError(f"session name must be [A-Za-z0-9._-] not led by '.', got {name!r}")
         config = config or SessionConfig()
         owns_checkpoint = False
         if (
@@ -189,6 +196,7 @@ class SessionManager:
 
     def step(self, name: str, budget: int | None = None) -> SessionStatus:
         """Step one session by ``budget`` pages, resuming it if evicted."""
+        check_step_budget(budget)  # a refused budget must not mark the record dirty
         record = self._get(name)
         with record.lock:
             if record.dirty:

@@ -106,6 +106,10 @@ def _require(payload: Mapping[str, Any], key: str, cmd: str) -> Any:
     return payload[key]
 
 
+def _session(payload: Mapping[str, Any], cmd: str) -> str:
+    return decode_value(str, _require(payload, "session", cmd), f"{cmd}.session")
+
+
 class ProtocolHandler:
     """Decode JSON commands, drive a :class:`SessionManager`, encode replies."""
 
@@ -240,35 +244,35 @@ class ProtocolHandler:
         return {"pong": True}
 
     def _cmd_open(self, payload: Mapping[str, Any]) -> dict:
-        name = _require(payload, "session", "open")
+        name = _session(payload, "open")
         request = self.build_request(_require(payload, "request", "open"))
         config = self.build_config(payload.get("config") or {})
-        status = self.manager.open(str(name), request, config)
+        status = self.manager.open(name, request, config)
         return {"session": name, "status": status.to_dict()}
 
     def _cmd_step(self, payload: Mapping[str, Any]) -> dict:
-        name = _require(payload, "session", "step")
+        name = _session(payload, "step")
         budget = decode_value(int | None, payload.get("budget"), "step.budget")
-        status = self.manager.step(str(name), budget)
+        status = self.manager.step(name, budget)
         return {"session": name, "status": status.to_dict()}
 
     def _cmd_status(self, payload: Mapping[str, Any]) -> dict:
-        name = _require(payload, "session", "status")
-        return {"session": name, "status": self.manager.status(str(name)).to_dict()}
+        name = _session(payload, "status")
+        return {"session": name, "status": self.manager.status(name).to_dict()}
 
     def _cmd_report(self, payload: Mapping[str, Any]) -> dict:
-        name = _require(payload, "session", "report")
-        result = self.manager.report(str(name))
+        name = _session(payload, "report")
+        result = self.manager.report(name)
         return {"session": name, "report": report_payload(result)}
 
     def _cmd_evict(self, payload: Mapping[str, Any]) -> dict:
-        name = _require(payload, "session", "evict")
-        self.manager.evict(str(name))
-        return {"session": name, "status": self.manager.status(str(name)).to_dict()}
+        name = _session(payload, "evict")
+        self.manager.evict(name)
+        return {"session": name, "status": self.manager.status(name).to_dict()}
 
     def _cmd_close(self, payload: Mapping[str, Any]) -> dict:
-        name = _require(payload, "session", "close")
-        result = self.manager.close(str(name))
+        name = _session(payload, "close")
+        result = self.manager.close(name)
         return {"session": name, "report": report_payload(result)}
 
     def _cmd_stats(self, payload: Mapping[str, Any]) -> dict:

@@ -77,6 +77,15 @@ class TestLifecycle:
         assert session.step(5) == 0
         session.close()
 
+    def test_negative_budget_is_a_config_error(self, tiny_web):
+        session = CrawlSession(_request(tiny_web))
+        with pytest.raises(ConfigError, match="budget.*-5"):
+            session.step(-5)
+        assert session.steps == 0
+        assert session.step(0) == 0  # zero stays a legal no-op
+        assert session.step(2) == 2
+        session.close()
+
     def test_status_reflects_progress(self, tiny_web):
         session = CrawlSession(_request(tiny_web))
         status = session.status()

@@ -116,6 +116,17 @@ class TestLifecycleThroughManager:
             with record.lock:
                 manager._ensure_resident(record)
 
+    def test_refused_budget_leaves_the_session_clean(self, tiny_web):
+        # No spool dir and no periodic checkpoint: a record left dirty
+        # could never step again.
+        manager = SessionManager()
+        manager.open("s", _request(tiny_web))
+        with pytest.raises(ConfigError, match="budget.*-5"):
+            manager.step("s", -5)
+        assert manager.step("s", 0).steps == 0
+        assert manager.step("s", 3).steps == 3
+        manager.close("s")
+
     def test_step_many_steps_every_session(self, tiny_web, tmp_path):
         manager = SessionManager(spool_dir=tmp_path)
         for name in ("a", "b", "c"):
@@ -123,6 +134,42 @@ class TestLifecycleThroughManager:
         statuses = manager.step_many([("a", 2), ("b", 2), ("c", 2)])
         assert [s.steps for s in statuses] == [2, 2, 2]
         manager.close_all()
+
+
+#: Names that could leave the spool dir, or are not names at all.
+BAD_SESSION_NAMES = ["../escaped", "", ".hidden", "..", "a/b", "a\\b", "s\n", "s p", {"x": 1}, 5]
+
+
+class TestSessionNames:
+    @pytest.mark.parametrize("name", BAD_SESSION_NAMES, ids=repr)
+    def test_a_name_that_is_not_a_spool_stem_is_refused(self, tiny_web, tmp_path, name):
+        spool = tmp_path / "spool"
+        manager = SessionManager(spool_dir=spool, max_resident=1)
+        for config in (None, SessionConfig(checkpoint_every=2)):
+            with pytest.raises(SessionError, match="session name"):
+                manager.open(name, _request(tiny_web), config)
+        assert manager.names() == []
+        # Opening a second session evicts the first under the cap: only
+        # a name that passed the check can ever be spooled.
+        manager.open("a", _request(tiny_web), SessionConfig(checkpoint_every=2))
+        manager.step("a", 3)
+        manager.open("b", _request(tiny_web))
+        assert [path.name for path in tmp_path.iterdir()] == ["spool"]
+        assert sorted(path.name for path in spool.iterdir()) == [
+            "a.evict.ckpt",
+            "a.periodic.ckpt",
+        ]
+        manager.close_all()
+
+    def test_spool_stems_are_accepted(self, tiny_web, tmp_path):
+        manager = SessionManager(spool_dir=tmp_path, max_resident=1)
+        for name in ("s", "S-1", "thai000", "a.b_c", "-x", "_"):
+            manager.open(name, _request(tiny_web))
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            f"{name}.evict.ckpt" for name in ("s", "S-1", "thai000", "a.b_c", "-x")
+        )
+        manager.close_all()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEviction:

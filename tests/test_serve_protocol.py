@@ -106,6 +106,44 @@ class TestProtocolHandler:
             assert response["error"]["type"] == "ConfigError"
             assert response["error"]["message"]
 
+    def test_session_names_stay_inside_the_spool_dir(self, tmp_path, serve_cache):
+        handler = _handler(tmp_path, serve_cache, manager={"max_resident": 1})
+        cadence = {"max_pages": MAX_PAGES, "checkpoint_every": 10}
+        for name, error in (
+            ("../escaped", "SessionError"),
+            ("", "SessionError"),
+            (".hidden", "SessionError"),
+            ({"x": 1}, "ConfigError"),
+            (7, "ConfigError"),
+        ):
+            for config in ({"max_pages": MAX_PAGES}, cadence):
+                command = {**_open_command("ok", "breadth-first", 9001), "config": config}
+                reply = handler.handle({**command, "session": name})
+                assert reply["ok"] is False, name
+                assert reply["error"]["type"] == error, reply
+                assert "session" in reply["error"]["message"]
+        # A legal name evicted under the cap spools inside the spool dir.
+        handler.handle({**_open_command("a", "breadth-first", 9001), "config": cadence})
+        assert handler.handle({"cmd": "step", "session": "a", "budget": 15})["ok"]
+        assert handler.handle(_open_command("b", "breadth-first", 9001))["ok"]
+        assert [path.name for path in tmp_path.iterdir()] == ["spool"]
+        assert sorted(path.name for path in (tmp_path / "spool").iterdir()) == [
+            "a.evict.ckpt",
+            "a.periodic.ckpt",
+        ]
+        assert handler.handle({"cmd": "shutdown"})["ok"]
+
+    def test_negative_budget_is_an_error_reply(self, tmp_path, serve_cache):
+        handler = _handler(tmp_path, serve_cache)
+        assert handler.handle(_open_command("s", "breadth-first", 9001))["ok"]
+        reply = handler.handle({"cmd": "step", "session": "s", "budget": -5})
+        assert reply["ok"] is False
+        assert reply["error"]["type"] == "ConfigError"
+        assert "budget" in reply["error"]["message"] and "-5" in reply["error"]["message"]
+        zero = handler.handle({"cmd": "step", "session": "s", "budget": 0})
+        assert zero["ok"] and zero["status"]["steps"] == 0
+        assert handler.handle({"cmd": "step", "session": "s", "budget": 5})["status"]["steps"] == 5
+
     def test_unknown_keys_are_rejected(self, tmp_path, serve_cache):
         handler = _handler(tmp_path, serve_cache)
         bad_request = handler.handle(

@@ -121,3 +121,62 @@ def test_one_scan_computes_the_coverage_denominator():
         )
     ]
     assert callers == ["repro/webspace/crawllog.py:relevant_url_view"]
+
+
+def _declares_per_link_expand(node: ast.ClassDef) -> bool:
+    """True for a class body setting ``sees_scheduled_links = False``."""
+    for statement in node.body:
+        if isinstance(statement, ast.Assign):
+            targets = statement.targets
+        elif isinstance(statement, ast.AnnAssign):
+            targets = [statement.target]
+        else:
+            continue
+        if any(getattr(target, "id", None) == "sees_scheduled_links" for target in targets):
+            value = statement.value
+            return isinstance(value, ast.Constant) and value.value is False
+    return False
+
+
+def _writes_to_self(target: ast.AST) -> bool:
+    """``self.x = ...`` or ``self.x[k] = ...``."""
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    return isinstance(target, ast.Attribute) and getattr(target.value, "id", None) == "self"
+
+
+def test_declared_per_link_expands_keep_no_state():
+    """A strategy declaring ``sees_scheduled_links = False`` is handed
+    only unscheduled outlinks, which is sound only while its ``expand``
+    is a pure per-link map.  An ``expand`` that writes a ``self.``
+    attribute or re-ranks the queue has outgrown the declaration."""
+    declared, offenders = [], []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or not _declares_per_link_expand(cls):
+                continue
+            declared.append(cls.name)
+            for function in cls.body:
+                if not isinstance(function, ast.FunctionDef) or function.name != "expand":
+                    continue
+                for node in ast.walk(function):
+                    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                        offenders += [
+                            f"{cls.name}.expand line {node.lineno}: writes self state"
+                            for target in targets
+                            if _writes_to_self(target)
+                        ]
+                    elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+                        "update_priority",
+                        "priority_of",
+                    ):
+                        offenders.append(f"{cls.name}.expand line {node.lineno}: re-ranks")
+    assert sorted(declared) == [
+        "BreadthFirstStrategy",
+        "ContextGraphStrategy",
+        "LimitedDistanceStrategy",
+        "SimpleStrategy",
+    ]
+    assert not offenders, offenders
