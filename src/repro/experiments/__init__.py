@@ -16,9 +16,10 @@
   versus fault rate under the resilient fetch pipeline.
 """
 
+import importlib
+
 from repro.experiments.datasets import Dataset, build_dataset, load_or_build_dataset
 from repro.experiments.export import export_figure_gnuplot, export_figure_json
-from repro.experiments.faultsweep import FaultSweepPoint, fault_sweep
 from repro.experiments.figures import (
     FigureResult,
     figure3,
@@ -27,7 +28,6 @@ from repro.experiments.figures import (
     figure6,
     figure7,
 )
-from repro.experiments.reproduce import reproduce_all
 from repro.experiments.robustness import seed_sweep, sweep_summary
 from repro.experiments.runner import run_strategies, run_strategy
 from repro.experiments.tables import table1, table2, table3
@@ -55,3 +55,13 @@ __all__ = [
     "FaultSweepPoint",
     "fault_sweep",
 ]
+
+#: Imported on first use: these modules are ``python -m`` entry points,
+#: and runpy warns when one it runs was already imported by the package.
+_LAZY = {"FaultSweepPoint": "faultsweep", "fault_sweep": "faultsweep", "reproduce_all": "reproduce"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)

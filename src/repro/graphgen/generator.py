@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.charset.languages import Language
+from repro.errors import UnknownPageError
 from repro.graphgen.config import DatasetProfile
 from repro.graphgen.hosts import Host, build_hosts
 from repro.graphgen.linkcontext import (
@@ -99,6 +100,8 @@ class UniverseColumns:
 
     def host_of(self, page: int) -> Host:
         """The host owning page id ``page`` (pages contiguous per host)."""
+        if not 0 <= page < self.n_pages:
+            raise UnknownPageError(f"page id {page} out of range")
         index = int(np.searchsorted(self._host_first, page, side="right")) - 1
         return self.hosts[index]
 
@@ -290,7 +293,7 @@ def generate_universe(profile: DatasetProfile) -> GeneratedUniverse:
     """
     columns = generate_columns(profile)
     n_pages = columns.n_pages
-    urls = _page_urls(list(columns.hosts), n_pages)
+    urls = [url for host in columns.hosts for url in host.page_urls()]
     records = [columns.record_for(page, urls) for page in range(n_pages)]
     return GeneratedUniverse(
         profile=profile,
@@ -298,14 +301,6 @@ def generate_universe(profile: DatasetProfile) -> GeneratedUniverse:
         seed_urls=tuple(urls[int(page)] for page in columns.seed_pages),
         hosts=columns.hosts,
     )
-
-
-def _page_urls(hosts: list[Host], n_pages: int) -> list[str]:
-    urls: list[str] = [""] * n_pages
-    for host in hosts:
-        for offset in range(host.n_pages):
-            urls[host.first_page + offset] = host.page_url(offset)
-    return urls
 
 
 def _select_seed_pages(

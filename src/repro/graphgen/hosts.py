@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.charset.languages import Language
+from repro.errors import UnknownPageError
 from repro.graphgen.config import DatasetProfile
 
 #: TLD flavors per dominant language, purely cosmetic (the classifier
@@ -48,9 +49,16 @@ class Host:
 
     def page_url(self, offset: int) -> str:
         """URL of the host's ``offset``-th page (offset 0 is the root)."""
+        if not 0 <= offset < self.n_pages:
+            raise UnknownPageError(f"{self.name} page offset {offset} out of range")
         if offset == 0:
             return f"http://{self.name}/"
         return f"http://{self.name}/p/{offset}.html"
+
+    def page_urls(self) -> list[str]:
+        """Every URL of the host in offset order: ``page_url`` at each offset."""
+        root = f"http://{self.name}/"
+        return [root, *[f"{root}p/{offset}.html" for offset in range(1, self.n_pages)]]
 
 
 def build_hosts(profile: DatasetProfile, rng: np.random.Generator) -> list[Host]:

@@ -40,7 +40,12 @@ def universe_store_meta(profile: DatasetProfile, seed_urls: tuple[str, ...]) -> 
 
 
 def write_columns_store(columns: UniverseColumns, path: str | Path) -> None:
-    """Write generated columns to a page-store file (no record objects)."""
+    """Write generated columns to a page-store file (no record objects).
+
+    The URL arena is one bytes piece per host, from :meth:`Host.page_urls`,
+    and ``url_offsets`` is the cumsum of one int64 length column: no Python
+    list spans every URL, and no URL costs a scalar store into numpy.
+    """
     profile = columns.profile
     n_pages = columns.n_pages
     ok = columns.ok_mask
@@ -93,19 +98,17 @@ def write_columns_store(columns: UniverseColumns, path: str | Path) -> None:
     size = np.where(ok & html, columns.sizes, 0).astype(np.int64)
 
     # URL arena: page urls in id order (pages are contiguous per host,
-    # hosts ascend), encoded straight into one byte buffer.
-    url_offsets = np.zeros(n_pages + 1, dtype=np.int64)
-    chunks: list[bytes] = []
-    position = 0
-    page = 0
+    # hosts ascend).
+    url_lengths = np.empty(n_pages, dtype=np.int64)
+    pieces: list[bytes] = []
     for host in columns.hosts:
-        for offset in range(host.n_pages):
-            encoded = host.page_url(offset).encode("utf-8")
-            chunks.append(encoded)
-            position += len(encoded)
-            page += 1
-            url_offsets[page] = position
-    arena = np.frombuffer(b"".join(chunks), dtype=np.uint8)
+        encoded = [url.encode("utf-8") for url in host.page_urls()]
+        url_lengths[host.page_slice] = list(map(len, encoded))
+        pieces.append(b"".join(encoded))
+    url_offsets = np.zeros(n_pages + 1, dtype=np.int64)
+    np.cumsum(url_lengths, out=url_offsets[1:])
+    arena = np.frombuffer(b"".join(pieces), dtype=np.uint8)
+    del pieces  # not alive beside the hash index write_store builds
 
     write_store(
         path,

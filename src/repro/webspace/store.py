@@ -96,6 +96,10 @@ _LINK_CUES_SECTION = ("link_cues", "|u1")
 #: (``next(iter(dict))`` would rescan every tombstone eviction leaves).
 _URL_CACHE_MAX = 1 << 16
 
+#: URLs hashed per block while a store is written (bounds the transient
+#: per-URL objects: one block's offsets and digests).
+_HASH_BLOCK = 1 << 13
+
 
 def hash_url(url: str) -> int:
     """Deterministic 64-bit hash of a URL (process-independent)."""
@@ -131,7 +135,10 @@ def write_store(
     :func:`repro.graphgen.stream.write_universe_store` (generator
     columns, no record objects) sit on.  ``url_offsets`` spans all M
     URLs (pages first, then dangling targets); the hash index is
-    computed here so callers never worry about it.
+    computed here so callers never worry about it.  Each URL's
+    :func:`hash_url` is its blake2b digest read back as a ``<u8``; the
+    digests go into the column a block of ``_HASH_BLOCK`` URLs at a time,
+    so no per-URL Python object outlives its block.
     """
     path = Path(path)
     n_pages = len(status)
@@ -141,12 +148,14 @@ def write_store(
     ) else url_arena.astype(np.uint8, copy=False)
     arena_bytes = arena.tobytes()
 
-    hashes = np.empty(n_urls, dtype=np.uint64)
-    offsets = url_offsets
-    for uid in range(n_urls):
-        chunk = arena_bytes[int(offsets[uid]) : int(offsets[uid + 1])]
-        digest = hashlib.blake2b(chunk, digest_size=8).digest()
-        hashes[uid] = int.from_bytes(digest, "little")
+    hashes = np.empty(n_urls, dtype="<u8")  # hash_url of each URL: its digest read as "<u8"
+    for start in range(0, n_urls, _HASH_BLOCK):
+        bounds = url_offsets[start : start + _HASH_BLOCK + 1].tolist()
+        digests = b"".join([
+            hashlib.blake2b(arena_bytes[low:high], digest_size=8).digest()
+            for low, high in zip(bounds, bounds[1:])
+        ])
+        hashes[start : start + len(bounds) - 1] = np.frombuffer(digests, dtype="<u8")
     order = np.argsort(hashes, kind="stable").astype(np.int64)
     sorted_hashes = hashes[order]
 
@@ -249,6 +258,7 @@ class PageStore:
                 header = json.loads(handle.read(header_len))
             except json.JSONDecodeError as exc:
                 raise CrawlLogError(f"{path}: malformed store header: {exc}") from exc
+            file_size = os.fstat(handle.fileno()).st_size
         if header.get("format") != _FORMAT_NAME:
             raise CrawlLogError(f"{path}: unexpected format {header.get('format')!r}")
         if header.get("version") != _FORMAT_VERSION:
@@ -257,6 +267,13 @@ class PageStore:
         self.page_count = int(header["pages"])  # plain ints: compared on every fetch
         self.url_count = int(header["urls"])
         data_start = _align_up(len(_MAGIC) + 8 + header_len)
+        # np.fromfile would hand a short column back without a word.
+        for name, spec in header["sections"].items():
+            end = data_start + int(spec["offset"])
+            end += int(spec["count"]) * np.dtype(spec["dtype"]).itemsize
+            if end > file_size:
+                short = f"section {name} ends at byte {end} of a {file_size}-byte file"
+                raise CrawlLogError(f"{path}: truncated page store: {short}")
         self._file = open(path, "rb")
         self._fd = self._file.fileno()
 
