@@ -8,7 +8,8 @@ Subcommands map onto the experiment harness:
   a columnar page store (``--capture none`` streams the raw universe in
   bounded memory, the out-of-core path for million-page webs).
 - ``lswc-sim dataset inspect thai.lswc`` — print a store's header,
-  section sizes and capture provenance, then read every record once (a
+  format version, section widths, sizes and checksum state (``ok``, or
+  ``unchecked`` on a v1 file) and capture provenance, then read every record once (a
   damaged row is an error) and print the decoded-URL cache's counters.
 - ``lswc-sim run thai soft-focused`` — run one strategy, print the
   summary and checkpoint series.
@@ -539,13 +540,16 @@ def _dataset_inspect(args: argparse.Namespace) -> int:
             "capture": dataset.capture_kind,
             "capture_n": dataset.capture_n,
             "bytes": store.nbytes,
+            "format": store.header["version"],
             "fingerprint": dataset.profile.fingerprint(),
         }
     ]
     print(render_table(rows, title=f"Page store {args.target}"))
+    checksum = "ok" if store.header["version"] > 1 else "unchecked"  # the open verified each
+    sizes = store.section_sizes()
     sections = [
-        {"section": name, "bytes": size}
-        for name, size in store.section_sizes().items()
+        {"section": name, "dtype": spec["dtype"], "bytes": sizes[name], "crc32": checksum}
+        for name, spec in store.header["sections"].items()
     ]
     print(render_table(sections, title="Sections"))
     for _record in store:  # every row read once: damage is an error here, not mid-crawl

@@ -4,7 +4,7 @@ A :class:`PageStore` holds the same information as an in-memory
 :class:`~repro.webspace.crawllog.CrawlLog` — URL, status, content type,
 charset, true language, outlinks, size per page — but as fixed-width
 numpy columns and flat arenas in one on-disk file.  Opening a store
-loads only the fixed-width index columns (~50 bytes/page); the
+loads only the fixed-width index columns (~30 bytes/page); the
 variable-length arenas are read per request with ``os.pread``, so a
 million-page web costs tens of megabytes resident, not gigabytes of
 Python objects.  Records are materialised lazily and transiently, by
@@ -12,26 +12,33 @@ one routine: ``store.get(url)`` builds on demand a
 :class:`~repro.webspace.page.PageRecord` equal, field for field, to the
 one the in-memory backend would hold.
 
-On-disk layout (single file)::
+On-disk layout (single file, format v2)::
 
-    magic "LSWCPGS1" | u64 header_len | header JSON | pad to 64
+    magic "LSWCPGS2" | u64 header_len | u32 crc32(header) | header JSON | pad to 64
     ----------------------------------------------------------- data start
-    status       int16[N]     HTTP status per page
-    ctype        int16[N]     content-type table index
-    charset      int16[N]     charset table index, -1 = none declared
-    lang         int8[N]      true-language table index
-    size         int64[N]     body size in bytes
-    link_offsets int64[N+1]   CSR row offsets into link_arena
-    link_arena   int64[E]     outlink url-ids, deduped, document order
-    url_offsets  int64[M+1]   row offsets into url_arena
+    status       int*[N]      HTTP status per page
+    ctype        int*[N]      content-type table index
+    charset      int*[N]      charset table index, -1 = none declared
+    lang         int*[N]      true-language table index
+    size         int*[N]      body size in bytes
+    link_offsets int*[N+1]    CSR row offsets into link_arena
+    link_arena   int*[E]      outlink url-ids, deduped, document order
+    url_offsets  int*[M+1]    row offsets into url_arena
     url_arena    uint8[...]   UTF-8 URL bytes, concatenated
     url_hash     uint64[M]    sorted 64-bit URL hashes (lookup index)
-    url_hash_order int64[M]   url-id of each sorted hash
+    url_hash_order int*[M]    url-id of each sorted hash
 
-Every section is 64-byte aligned.  The header JSON carries the string
-tables (content types, charsets, language labels), the section table
-(offsets relative to data start) and a free-form ``meta`` object the
-dataset layer uses for profile/seed/capture parameters.
+``int*`` is the narrowest of int8 / int16 / int32 / int64 that holds
+the column (:func:`narrowest_int`).  Every section is 64-byte aligned.
+The header JSON carries the string tables (content types, charsets,
+language labels), the section table (dtype, count, offset relative to
+data start, crc32) and a free-form ``meta`` object the dataset layer
+uses for profile/seed/capture parameters.  The open checks both crc32
+levels, the header's shape, the file size and the index columns'
+ranges: a flipped bit or a crafted file is a
+:class:`~repro.errors.CrawlLogError` naming the section, never a wrong
+page.  Version 1 files (``LSWCPGS1``: every integer int64, no
+checksums) are still read, never written.
 
 URL ids: the first ``N`` ids are the pages themselves, in insertion
 order (so a page's url-id equals its page-id); ids ``N..M-1`` are
@@ -52,10 +59,11 @@ import hashlib
 import json
 import os
 import struct
+import zlib
 from collections import deque
 from collections.abc import Iterable, Iterator, Set as AbstractSet
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -64,30 +72,42 @@ from repro.errors import CrawlLogError, UnknownPageError
 from repro.urlkit.normalize import intern_url
 from repro.webspace.page import HTML_CONTENT_TYPE, STATUS_OK, PageRecord, check_link_cues
 
-_MAGIC = b"LSWCPGS1"
+_MAGIC = b"LSWCPGS2"
+_MAGIC_V1 = b"LSWCPGS1"  # all-int64, unchecksummed: read, never written
 _FORMAT_NAME = "repro-lswc-pagestore"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _ALIGN = 64
 
-#: Fixed section order; (name, dtype).  Counts come from the header.
+#: Bytes cast, checksummed and written — or read back and checksummed —
+#: at a time: no whole-column copy on either side.
+_IO_BLOCK = 1 << 20
+
+#: The widths a narrowed section may take, narrowest first.
+_INT_DTYPES = ("<i1", "<i2", "<i4", "<i8")
+
+#: Fixed section order; (name, dtype).  A ``None`` dtype is the column's
+#: :func:`narrowest_int`.  Counts come from the header.
 _SECTIONS = (
-    ("status", "<i2"),
-    ("ctype", "<i2"),
-    ("charset", "<i2"),
-    ("lang", "<i1"),
-    ("size", "<i8"),
-    ("link_offsets", "<i8"),
-    ("link_arena", "<i8"),
-    ("url_offsets", "<i8"),
+    ("status", None),
+    ("ctype", None),
+    ("charset", None),
+    ("lang", None),
+    ("size", None),
+    ("link_offsets", None),
+    ("link_arena", None),
+    ("url_offsets", None),
     ("url_arena", "|u1"),
     ("url_hash", "<u8"),
-    ("url_hash_order", "<i8"),
+    ("url_hash_order", None),
 )
+
+#: The sections loaded resident at open, in load order; the arenas stay on disk.
+_INDEX_SECTIONS = tuple(name for name, _ in _SECTIONS if name not in ("link_arena", "url_arena"))
 
 #: Optional trailing section: per-link textual-cue bytes, aligned 1:1
 #: with link_arena (encoding in :mod:`repro.graphgen.linkcontext`).
 #: Present only in stores written from cue-enabled profiles; readers key
-#: off the self-describing header, so the format version is unchanged.
+#: off the self-describing header.
 _LINK_CUES_SECTION = ("link_cues", "|u1")
 
 #: Decoded-URL cache bound: popular link targets (hubs) decode once,
@@ -109,6 +129,89 @@ def hash_url(url: str) -> int:
 
 def _align_up(value: int, align: int = _ALIGN) -> int:
     return (value + align - 1) // align * align
+
+
+def narrowest_int(column: np.ndarray) -> str:
+    """The narrowest of ``<i1`` / ``<i2`` / ``<i4`` / ``<i8`` holding every
+    value of ``column`` (``<i1`` when it is empty)."""
+    if len(column) == 0:
+        return _INT_DTYPES[0]
+    low, high = int(column.min()), int(column.max())
+    return next(d for d in _INT_DTYPES if np.iinfo(d).min <= low and high <= np.iinfo(d).max)
+
+
+def _write_column(handle: Any, column: np.ndarray, dtype: np.dtype) -> str:
+    """Write ``column`` as ``dtype`` one ``_IO_BLOCK`` at a time; its crc32 as 8 hex digits."""
+    crc = 0
+    rows = _IO_BLOCK // dtype.itemsize
+    for start in range(0, len(column), rows):
+        block = np.ascontiguousarray(column[start : start + rows], dtype=dtype)
+        crc = zlib.crc32(block, crc)
+        handle.write(block)
+    return f"{crc:08x}"
+
+
+def _span_crc(fd: int, start: int, nbytes: int) -> str:
+    """crc32 of ``nbytes`` of the file at ``start``, read ``_IO_BLOCK`` at a time."""
+    crc = 0
+    for at in range(start, start + nbytes, _IO_BLOCK):
+        crc = zlib.crc32(os.pread(fd, min(_IO_BLOCK, start + nbytes - at), at), crc)
+    return f"{crc:08x}"
+
+
+def _check_header(path: Path, header: Any, version: int) -> None:
+    """The header's shape: every key the reader uses present and typed,
+    every section known, with an allowed dtype and the count the page,
+    URL and link counts imply.  Anything else names the file and field."""
+
+    def fail(field: str, why: str) -> NoReturn:
+        raise CrawlLogError(f"{path}: store header field {field}: {why}")
+
+    if not isinstance(header, dict):
+        fail("(root)", "not a JSON object")
+    if header.get("format") != _FORMAT_NAME:
+        raise CrawlLogError(f"{path}: unexpected format {header.get('format')!r}")
+    if header.get("version") != version:
+        raise CrawlLogError(f"{path}: unsupported version {header.get('version')!r}")
+    for key in ("pages", "urls", "links"):
+        if type(header.get(key)) is not int or header[key] < 0:
+            fail(key, f"{header.get(key)!r} is not a count")
+    for key in ("content_types", "charsets", "languages"):
+        table = header.get(key)
+        if not isinstance(table, list) or not all(isinstance(value, str) for value in table):
+            fail(key, "not a list of strings")
+    unknown = set(header["languages"]) - {language.value for language in Language}
+    if unknown:
+        fail("languages", f"unknown label {sorted(unknown)[0]!r}")
+    if not isinstance(header.get("meta", {}), dict):
+        fail("meta", "not a JSON object")
+    sections = header.get("sections")
+    if not isinstance(sections, dict):
+        fail("sections", "not a JSON object")
+    pages, urls, links = header["pages"], header["urls"], header["links"]
+    counts = dict.fromkeys(("status", "ctype", "charset", "lang", "size"), pages)
+    counts.update(link_offsets=pages + 1, link_arena=links, link_cues=links,
+                  url_offsets=urls + 1, url_arena=None, url_hash=urls, url_hash_order=urls)
+    for name in sections.keys() - counts.keys():
+        fail(f"sections.{name}", "not a page-store section")
+    for name, dtype in (*_SECTIONS, _LINK_CUES_SECTION):
+        spec = sections.get(name)
+        if spec is None and name == _LINK_CUES_SECTION[0]:
+            continue
+        if not isinstance(spec, dict):
+            fail(f"sections.{name}", "missing" if spec is None else "not a JSON object")
+        allowed = _INT_DTYPES if dtype is None else (dtype,)
+        if spec.get("dtype") not in allowed:
+            fail(f"sections.{name}.dtype", f"{spec.get('dtype')!r} is not one of {allowed}")
+        for key in ("count", "offset"):
+            if type(spec.get(key)) is not int or spec[key] < 0:
+                fail(f"sections.{name}.{key}", f"{spec.get(key)!r} is not a count")
+        if counts[name] is not None and spec["count"] != counts[name]:
+            fail(f"sections.{name}.count", f"{spec['count']}, where the header implies {counts[name]}")
+        if version > 1 and not (isinstance(spec.get("crc32"), str) and len(spec["crc32"]) == 8):
+            fail(f"sections.{name}.crc32", f"{spec.get('crc32')!r} is not 8 hex digits")
+    if urls < pages:  # url ids are pages first
+        fail("urls", f"{urls} is fewer than the {pages} pages")
 
 
 def write_store(
@@ -138,7 +241,10 @@ def write_store(
     computed here so callers never worry about it.  Each URL's
     :func:`hash_url` is its blake2b digest read back as a ``<u8``; the
     digests go into the column a block of ``_HASH_BLOCK`` URLs at a time,
-    so no per-URL Python object outlives its block.
+    so no per-URL Python object outlives its block.  Every integer section
+    is written in its :func:`narrowest_int`, cast and checksummed a block
+    at a time beside the write; the header, sealed last, records each
+    section's dtype and crc32.
     """
     path = Path(path)
     n_pages = len(status)
@@ -159,60 +265,51 @@ def write_store(
     order = np.argsort(hashes, kind="stable").astype(np.int64)
     sorted_hashes = hashes[order]
 
-    arrays: dict[str, np.ndarray] = {
-        "status": np.asarray(status, dtype=np.int16),
-        "ctype": np.asarray(ctype, dtype=np.int16),
-        "charset": np.asarray(charset, dtype=np.int16),
-        "lang": np.asarray(lang, dtype=np.int8),
-        "size": np.asarray(size, dtype=np.int64),
-        "link_offsets": np.asarray(link_offsets, dtype=np.int64),
-        "link_arena": np.asarray(link_arena, dtype=np.int64),
-        "url_offsets": np.asarray(url_offsets, dtype=np.int64),
-        "url_arena": arena,
-        "url_hash": sorted_hashes,
-        "url_hash_order": order,
-    }
+    columns: dict[str, np.ndarray] = dict(
+        status=status, ctype=ctype, charset=charset, lang=lang, size=size,
+        link_offsets=link_offsets, link_arena=link_arena, url_offsets=url_offsets,
+        url_arena=arena, url_hash=sorted_hashes, url_hash_order=order,
+    )
     section_specs = list(_SECTIONS)
     if link_cues is not None:
-        arrays["link_cues"] = np.asarray(link_cues, dtype=np.uint8)
+        columns["link_cues"] = link_cues
         section_specs.append(_LINK_CUES_SECTION)
 
     sections: dict[str, dict[str, Any]] = {}
-    relative = 0
+    relative = end = 0
     for name, dtype in section_specs:
-        array = arrays[name]
-        sections[name] = {"dtype": dtype, "count": int(array.shape[0]), "offset": relative}
-        relative = _align_up(relative + array.nbytes)
+        column = columns[name] = np.asarray(columns[name])
+        dtype = dtype or narrowest_int(column)
+        count = int(column.shape[0])
+        # crc32 as fixed-width hex: the header keeps its length once they are filled in.
+        sections[name] = {"dtype": dtype, "count": count, "offset": relative, "crc32": "0" * 8}
+        end = relative + count * np.dtype(dtype).itemsize
+        relative = _align_up(end)
 
     header = {
         "format": _FORMAT_NAME,
         "version": _FORMAT_VERSION,
         "pages": int(n_pages),
         "urls": int(n_urls),
-        "links": int(arrays["link_arena"].shape[0]),
+        "links": int(columns["link_arena"].shape[0]),
         "content_types": content_types,
         "charsets": charsets,
         "languages": languages,
         "sections": sections,
         "meta": meta or {},
     }
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    data_start = _align_up(len(_MAGIC) + 8 + len(header_bytes))
+    header_len = len(json.dumps(header, separators=(",", ":")).encode("utf-8"))
+    data_start = _align_up(len(_MAGIC) + 12 + header_len)
 
     with open(path, "wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(struct.pack("<Q", len(header_bytes)))
+        for name, spec in sections.items():  # gaps read back as zeros
+            handle.seek(data_start + spec["offset"])
+            spec["crc32"] = _write_column(handle, columns[name], np.dtype(spec["dtype"]))
+        handle.truncate(data_start + end)  # an empty last section still lies inside the file
+        header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        handle.seek(0)
+        handle.write(_MAGIC + struct.pack("<QI", header_len, zlib.crc32(header_bytes)))
         handle.write(header_bytes)
-        handle.write(b"\x00" * (data_start - len(_MAGIC) - 8 - len(header_bytes)))
-        position = 0
-        for name, _dtype in section_specs:
-            section_offset = sections[name]["offset"]
-            if section_offset > position:
-                handle.write(b"\x00" * (section_offset - position))
-                position = section_offset
-            payload = arrays[name].tobytes()
-            handle.write(payload)
-            position += len(payload)
 
 
 class PageStore:
@@ -220,7 +317,7 @@ class PageStore:
 
     Opened read-only.  The fixed-width index columns (status, tables,
     sizes, CSR offsets, the URL hash index) are loaded into plain numpy
-    arrays — ~50 bytes per page, the part you hold — while the two
+    arrays — ~30 bytes per page, the part you hold — while the two
     variable-length arenas (URL bytes, outlink rows), which dominate the
     file, stay on disk and are served per request with ``os.pread``.
     Positioned reads go through the kernel page cache but are never
@@ -251,28 +348,37 @@ class PageStore:
             raise CrawlLogError(f"{path}: cannot open page store: {exc}") from exc
         with handle:
             magic = handle.read(len(_MAGIC))
-            if magic != _MAGIC:
+            if magic not in (_MAGIC, _MAGIC_V1):
                 raise CrawlLogError(f"{path}: not a page-store file (magic={magic!r})")
-            (header_len,) = struct.unpack("<Q", handle.read(8))
-            try:
-                header = json.loads(handle.read(header_len))
-            except json.JSONDecodeError as exc:
-                raise CrawlLogError(f"{path}: malformed store header: {exc}") from exc
+            version = 1 if magic == _MAGIC_V1 else 2
+            want = 8 if version == 1 else 12  # u64 header_len [, u32 crc32(header)]
+            fields = handle.read(want)
             file_size = os.fstat(handle.fileno()).st_size
-        if header.get("format") != _FORMAT_NAME:
-            raise CrawlLogError(f"{path}: unexpected format {header.get('format')!r}")
-        if header.get("version") != _FORMAT_VERSION:
-            raise CrawlLogError(f"{path}: unsupported version {header.get('version')!r}")
+            header_len = int.from_bytes(fields[:8], "little")
+            header_end = len(_MAGIC) + want + header_len
+            if len(fields) < want or header_end > file_size:
+                short = f"header ends at byte {header_end} of a {file_size}-byte file"
+                raise CrawlLogError(f"{path}: truncated page store: {short}")
+            raw = handle.read(header_len)
+        if version > 1 and zlib.crc32(raw) != int.from_bytes(fields[8:], "little"):
+            raise CrawlLogError(f"{path}: header fails its checksum")
+        try:
+            header = json.loads(raw)
+        except ValueError as exc:
+            raise CrawlLogError(f"{path}: malformed store header: {exc}") from exc
+        _check_header(path, header, version)
         self.header = header
-        self.page_count = int(header["pages"])  # plain ints: compared on every fetch
-        self.url_count = int(header["urls"])
-        data_start = _align_up(len(_MAGIC) + 8 + header_len)
+        self.page_count: int = header["pages"]  # plain ints: compared on every fetch
+        self.url_count: int = header["urls"]
+        data_start = _align_up(header_end)
+        spans = {  # (first byte, byte count) of each section
+            name: (data_start + spec["offset"], spec["count"] * np.dtype(spec["dtype"]).itemsize)
+            for name, spec in header["sections"].items()
+        }
         # np.fromfile would hand a short column back without a word.
-        for name, spec in header["sections"].items():
-            end = data_start + int(spec["offset"])
-            end += int(spec["count"]) * np.dtype(spec["dtype"]).itemsize
-            if end > file_size:
-                short = f"section {name} ends at byte {end} of a {file_size}-byte file"
+        for name, (start, nbytes) in spans.items():
+            if start + nbytes > file_size:
+                short = f"section {name} ends at byte {start + nbytes} of a {file_size}-byte file"
                 raise CrawlLogError(f"{path}: truncated page store: {short}")
         self._file = open(path, "rb")
         self._fd = self._file.fileno()
@@ -280,34 +386,20 @@ class PageStore:
         def load(name: str) -> np.ndarray:
             spec = header["sections"][name]
             dtype = np.dtype(spec["dtype"])
-            count = int(spec["count"])
-            if count == 0:
+            if spec["count"] == 0:
                 return np.empty(0, dtype=dtype)
-            return np.fromfile(
-                path, dtype=dtype, count=count, offset=data_start + int(spec["offset"])
-            )
+            return np.fromfile(path, dtype=dtype, count=spec["count"], offset=spans[name][0])
 
-        def arena(name: str) -> tuple[int, int]:
-            spec = header["sections"][name]
-            return data_start + int(spec["offset"]), int(spec["count"])
-
-        self._status = load("status")
-        self._ctype = load("ctype")
-        self._charset = load("charset")
-        self._lang = load("lang")
-        self._size = load("size")
-        self._link_offsets = load("link_offsets")
-        self._url_offsets = load("url_offsets")
-        self._url_hash = load("url_hash")
-        self._url_hash_order = load("url_hash_order")
-        self._link_arena_start, self._link_arena_count = arena("link_arena")
-        self._url_arena_start, self._url_arena_count = arena("url_arena")
+        index = {name: load(name) for name in _INDEX_SECTIONS}
+        (self._status, self._ctype, self._charset, self._lang, self._size, self._link_offsets,
+         self._url_offsets, self._url_hash, self._url_hash_order) = index.values()
+        self._link_arena_start = spans["link_arena"][0]
+        self._url_arena_start = spans["url_arena"][0]
         # Optional cue section: absent in stores written before the cue
         # knobs existed (or with them at 0) — key off the header.
-        if "link_cues" in header["sections"]:
-            self._link_cues_start, self._link_cues_count = arena("link_cues")
-        else:
-            self._link_cues_start, self._link_cues_count = -1, 0
+        self._link_cues_start = spans["link_cues"][0] if "link_cues" in spans else -1
+        self._link_dtype = np.dtype(header["sections"]["link_arena"]["dtype"])
+        self._link_code = {1: "b", 2: "h", 4: "i", 8: "q"}[self._link_dtype.itemsize]
 
         self._content_types: list[str] = list(header["content_types"])
         self._charsets: list[str] = list(header["charsets"])
@@ -317,6 +409,50 @@ class PageStore:
         self._url_lookups = self._url_misses = self._url_evictions = 0
         self._relevant: dict[Language, StoreRelevantSet] = {}
         self._closed = False
+        try:
+            for name, spec in header["sections"].items() if version > 1 else ():
+                if name in index:
+                    crc = f"{zlib.crc32(index[name]):08x}"
+                else:  # an arena: streamed, never resident
+                    crc = _span_crc(self._fd, *spans[name])
+                if crc != spec["crc32"]:
+                    says = f"crc32 {crc}, header says {spec['crc32']}"
+                    raise CrawlLogError(f"{path}: section {name} fails its checksum ({says})")
+            self._check_columns()
+        except CrawlLogError:
+            self.close()
+            raise
+
+    def _check_columns(self) -> None:
+        """Vectorised range checks on the loaded index columns: a value no
+        table or arena holds is an error here, not another page's value."""
+        within = (
+            ("ctype", self._ctype, 0, len(self._content_types)),
+            ("charset", self._charset, -1, len(self._charsets)),
+            ("lang", self._lang, 0, len(self._languages)),
+            ("url_hash_order", self._url_hash_order, 0, self.url_count),
+        )
+        for name, column, low, high in within:
+            bad = np.flatnonzero((column < low) | (column >= high))
+            if bad.size:
+                self._bad_value(name, column, int(bad[0]), f"outside [{low}, {high})")
+        arena_size = self.header["sections"]["url_arena"]["count"]
+        for name, column, last in (
+            ("link_offsets", self._link_offsets, self.link_count),
+            ("url_offsets", self._url_offsets, arena_size),
+            ("url_hash", self._url_hash, None),
+        ):
+            if last is not None and column.item(0) != 0:
+                self._bad_value(name, column, 0, "where 0 must start")
+            falls = np.flatnonzero(column[1:] < column[:-1])
+            if falls.size:
+                self._bad_value(name, column, int(falls[0]) + 1, "below the value before it")
+            if last is not None and column.item(-1) != last:
+                self._bad_value(name, column, len(column) - 1, f"where {last} must end")
+
+    def _bad_value(self, name: str, column: np.ndarray, index: int, why: str) -> NoReturn:
+        value = column.item(index)
+        raise CrawlLogError(f"{self.path}: section {name}: index {index} holds {value}, {why}")
 
     # -- classmethod conveniences -----------------------------------------
 
@@ -326,11 +462,8 @@ class PageStore:
 
     def close(self) -> None:
         """Drop the index columns and close the file (store unusable after)."""
-        for name in (
-            "_status", "_ctype", "_charset", "_lang", "_size",
-            "_link_offsets", "_url_offsets", "_url_hash", "_url_hash_order",
-        ):
-            setattr(self, name, np.empty(0, dtype=np.int8))
+        for name in _INDEX_SECTIONS:
+            setattr(self, f"_{name}", np.empty(0, dtype=np.int8))
         self._url_cache.clear()
         self._url_cache_order.clear()
         self._relevant.clear()
@@ -449,9 +582,10 @@ class PageStore:
         low = int(self._link_offsets[page_id])
         high = int(self._link_offsets[page_id + 1])
         if high == low:
-            return np.empty(0, dtype=np.int64)
-        row = os.pread(self._fd, 8 * (high - low), self._link_arena_start + 8 * low)
-        return np.frombuffer(row, dtype="<i8")
+            return np.empty(0, dtype=self._link_dtype)
+        width = self._link_dtype.itemsize
+        row = os.pread(self._fd, width * (high - low), self._link_arena_start + width * low)
+        return np.frombuffer(row, dtype=self._link_dtype)
 
     def link_cue_row(self, page_id: int) -> tuple[int, ...] | None:
         """The cue bytes of page ``page_id``'s outlinks; None if the
@@ -490,11 +624,12 @@ class PageStore:
         count = self._link_offsets.item(page_id + 1) - low
         link_ids: tuple[int, ...] = ()
         if count:
-            row = os.pread(self._fd, 8 * count, self._link_arena_start + 8 * low)
-            if len(row) != 8 * count:
-                short = f"link_arena read {len(row)} of {8 * count} bytes"
+            width = self._link_dtype.itemsize
+            row = os.pread(self._fd, width * count, self._link_arena_start + width * low)
+            if len(row) != width * count:
+                short = f"link_arena read {len(row)} of {width * count} bytes"
                 raise CrawlLogError(f"{self.path}: page {page_id}: {short}")
-            link_ids = struct.unpack(f"<{count}q", row)
+            link_ids = struct.unpack(f"<{count}{self._link_code}", row)
         cached = self._url_cache.get
         url = cached(page_id)
         outlinks = [cached(uid) for uid in link_ids]

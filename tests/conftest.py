@@ -10,8 +10,10 @@ suite.
 from __future__ import annotations
 
 import json
+import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.adversary import AdversaryModel, AdversaryProfile, DefenseConfig
@@ -59,6 +61,61 @@ def legacy_checkpoint(name: str, version: int, tmp_path: Path) -> Path:
     path = tmp_path / f"{name}.v{version}.ckpt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+#: The golden web's page store as the last format-v1 writer wrote it (see
+#: the MANIFEST there): a real v1 file, not a v2 file with an edited header.
+V1_STORE_FIXTURE = Path(__file__).parent / "golden" / "fixtures" / "stores" / "thai-golden.v1.lswc"
+
+
+def _store_header(data: bytes) -> tuple[dict, int, int]:
+    """``(header, header start, header length)`` of a v1 or v2 store file."""
+    start = 20 if data[:8] == b"LSWCPGS2" else 16
+    length = int.from_bytes(data[8:16], "little")
+    return json.loads(data[start : start + length]), start, length
+
+
+def store_sections(data: bytes) -> dict[str, tuple[int, int]]:
+    """Each section's ``(first byte, end byte)`` in a store file's bytes."""
+    header, start, length = _store_header(data)
+    data_start = (start + length + 63) // 64 * 64
+    spans = {}
+    for name, spec in header["sections"].items():
+        first = data_start + spec["offset"]
+        spans[name] = (first, first + spec["count"] * np.dtype(spec["dtype"]).itemsize)
+    return spans
+
+
+def reseal_store(data: bytes, edit=lambda header: None) -> bytes:
+    """``data`` with ``edit`` applied to its header and, in a v2 file, every
+    section's crc32 and the header's recomputed first: a crafted file that
+    passes its checksums.  The new header JSON is padded to the old length,
+    so every section stays where it was."""
+    header, start, length = _store_header(data)
+    if start == 20:
+        for name, (first, end) in store_sections(data).items():
+            header["sections"][name]["crc32"] = f"{zlib.crc32(data[first:end]):08x}"
+    edit(header)
+    raw = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    assert len(raw) <= length, "the edited header must not outgrow the old one"
+    raw = raw.ljust(length)
+    out = bytearray(data)
+    out[start : start + length] = raw
+    if start == 20:
+        out[16:20] = zlib.crc32(raw).to_bytes(4, "little")
+    return bytes(out)
+
+
+def poke_store(data: bytes, section: str, index: int, value: int) -> bytes:
+    """``data`` with item ``index`` of ``section`` set to ``value`` in the
+    section's recorded dtype, resealed (:func:`reseal_store`)."""
+    header, _start, _length = _store_header(data)
+    dtype = np.dtype(header["sections"][section]["dtype"])
+    first, _end = store_sections(data)[section]
+    out = bytearray(data)
+    at = first + index * dtype.itemsize
+    out[at : at + dtype.itemsize] = np.array([value], dtype=dtype).tobytes()
+    return reseal_store(bytes(out))
 
 
 def frontier_roundtrip(frontier, into=None):

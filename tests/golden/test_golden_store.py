@@ -11,7 +11,10 @@ The store is built through the full out-of-core pipeline
 (:func:`~repro.experiments.datasets.build_dataset_store`: streamed
 universe store → capture crawl over the mapped universe → captured
 store), so a divergence anywhere in generation, storage or access shows
-up here with the first divergent step named.
+up here with the first divergent step named.  The round-based replay
+also runs over the checked-in format-v1 store of the same web
+(``fixtures/stores/``), so a file the old writer wrote still crawls
+identically.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import json
 from pathlib import Path
 
 import pytest
+from conftest import V1_STORE_FIXTURE
 
 from repro.core.session import SessionConfig
 from repro.core.timing import zero_latency_timing
@@ -56,6 +60,14 @@ def store_dataset(tmp_path_factory):
     dataset.crawl_log.close()
 
 
+@pytest.fixture(scope="module")
+def v1_store_dataset():
+    """The same web as the format-v1 file the last v1 writer wrote."""
+    dataset = open_dataset_store(V1_STORE_FIXTURE)
+    yield dataset
+    dataset.crawl_log.close()
+
+
 def _dump_actual(name: str, rows: list[dict]) -> Path:
     DIFF_DIR.mkdir(parents=True, exist_ok=True)
     path = DIFF_DIR / f"{name}.actual.jsonl"
@@ -82,6 +94,12 @@ class TestStoreBackedGolden:
         _, expected = read_golden_trace(GOLDEN_FIXTURE_DIR / f"{name}.jsonl")
         actual = record_golden_trace(store_dataset, golden_strategies()[name]())
         _assert_matches(f"store-{name}", expected, actual)
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_round_based_trace_over_a_v1_store_matches_golden(self, v1_store_dataset, name):
+        _, expected = read_golden_trace(GOLDEN_FIXTURE_DIR / f"{name}.jsonl")
+        actual = record_golden_trace(v1_store_dataset, golden_strategies()[name]())
+        _assert_matches(f"store-v1-{name}", expected, actual)
 
     @pytest.mark.parametrize("name", STRATEGY_NAMES)
     def test_k1_sched_trace_matches_golden(self, store_dataset, name):

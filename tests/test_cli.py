@@ -1,6 +1,7 @@
 """Unit tests for the lswc-sim CLI."""
 
 import pytest
+from conftest import V1_STORE_FIXTURE
 
 from repro.cli import build_parser, main
 from repro.core.strategies import available_strategies
@@ -307,6 +308,18 @@ class TestDatasetStoreCommands:
         assert "url_arena" in out
         assert "fingerprint" in out
         assert "Decoded-URL cache" in out and "hit_ratio" in out and "evictions" in out
+        rows = {line.split()[0]: line.split()[1:] for line in out.splitlines() if line.strip()}
+        assert rows["link_arena"][0] == "<i2" and rows["url_hash"][0] == "<u8"
+        assert all(rows[name][-1] == "ok" for name in ("status", "url_arena", "url_hash_order"))
+        assert rows["name"][-2] == "format" and rows["thai-x0.02"][-2] == "2"
+
+    def test_inspect_a_v1_store_says_its_sections_are_unchecked(self, capsys):
+        assert main(["dataset", "inspect", str(V1_STORE_FIXTURE)]) == 0
+        out = capsys.readouterr().out
+        rows = {line.split()[0]: line.split()[1:] for line in out.splitlines() if line.strip()}
+        assert rows["link_arena"] == ["<i8", "67128", "unchecked"]
+        assert all(rows[name][-1] == "unchecked" for name in ("status", "url_arena", "url_hash"))
+        assert rows["thai-x0.02"][-2] == "1"
 
     def test_build_without_out_errors(self, capsys):
         code = main(["dataset", "build", "thai"])

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import struct
 import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
+from conftest import V1_STORE_FIXTURE, poke_store, reseal_store, store_sections
 from hypothesis import given, settings, strategies as st
 
 from repro.charset.languages import Language
@@ -174,14 +175,17 @@ class TestCueColumn:
     @pytest.mark.parametrize("damage", [0x0E, 0x0F, 0x1F, 0x2A, 0xFF])
     def test_one_damaged_byte_is_a_named_error_at_the_page(self, cued_path, tmp_path, damage):
         """Used to materialise fine and raise a bare IndexError from
-        inside a context strategy's expand, mid-crawl."""
-        with PageStore.open(cued_path) as store:
-            offset = store._link_cues_start + 2  # b.example's only cue
-        copy = tmp_path / "damaged.lswc"
+        inside a context strategy's expand, mid-crawl.  The byte fails the
+        cue section's checksum at open; resealed, it fails at the page."""
         data = bytearray(cued_path.read_bytes())
+        offset = store_sections(data)["link_cues"][0] + 2  # b.example's only cue
         assert data[offset] == 0x1A
         data[offset] = damage
+        copy = tmp_path / "damaged.lswc"
         copy.write_bytes(bytes(data))
+        with pytest.raises(CrawlLogError, match="section link_cues fails its checksum"):
+            PageStore.open(copy)
+        copy.write_bytes(reseal_store(bytes(data)))
         with PageStore.open(copy) as store:
             assert store.get("http://a.example/") == self.CUED[0]
             with pytest.raises(CrawlLogError, match=f"b.example.*invalid link cue byte {damage}"):
@@ -413,21 +417,34 @@ class TestFusedFetchPath:
             with pytest.raises(CrawlLogError, match=f"{section} read"):
                 store.record_at(0)
 
-    @pytest.mark.parametrize("bad", [8, -1, 2**40])
+    @pytest.mark.parametrize("bad", [8, -1, 127])  # the table size, -1, the row dtype's max
     def test_a_link_id_outside_the_url_table_is_a_named_error(self, path, tmp_path, bad):
+        """A crafted row that passes its checksums still fails at the page, by name."""
+        data = path.read_bytes()
         with PageStore.open(path) as store:
-            offset = store._link_arena_start + 8 * 2  # a.example's third link
-        data = bytearray(path.read_bytes())
-        assert struct.unpack_from("<q", data, offset) == (2,)
-        struct.pack_into("<q", data, offset, bad)
+            assert store.outlink_ids(0).tolist()[2] == 2  # a.example's third link
+            assert (store.url_count, np.iinfo(store.outlink_ids(0).dtype).max) == (8, 127)
         damaged = tmp_path / "damaged.lswc"
-        damaged.write_bytes(bytes(data))
+        damaged.write_bytes(poke_store(data, "link_arena", 2, bad))
         with PageStore.open(damaged) as store:
             assert store.get("http://b.example/") == self.PAGES[1]
             with pytest.raises(CrawlLogError, match=rf"damaged\.lswc: page 0: .*url id {bad} out"):
                 store.fetch_record("http://a.example/", 0)
             with pytest.raises(UnknownPageError):  # a caller's bad id is still the caller's
                 store.url_of(bad)
+
+    def test_an_int64_link_id_outside_the_url_table_is_a_named_error(self, tmp_path):
+        """The v1 fixture's link rows are int64: a 2**40 id reads back whole."""
+        data = V1_STORE_FIXTURE.read_bytes()
+        with PageStore.open(V1_STORE_FIXTURE) as store:
+            page = next(page for page in range(store.page_count) if len(store.outlink_ids(page)))
+            low = int(store._link_offsets[page])
+            url = store.url_of(page)
+        damaged = tmp_path / "damaged.lswc"
+        damaged.write_bytes(poke_store(data, "link_arena", low, 2**40))
+        with PageStore.open(damaged) as store:
+            with pytest.raises(CrawlLogError, match=rf"damaged\.lswc: page {page}: .*url id {2**40} out"):
+                store.fetch_record(url, page)
 
 
 class TestStoreLinkDB:
