@@ -2,8 +2,9 @@
 
 A candidate is a plain tuple with field names — cheap to build in the
 strategies' per-link comprehensions, immutable, and transposable:
-``zip(*candidates)`` yields columns and ``tuple.__new__`` rebuilds
-candidates from columns without a Python-level call per field.
+an ``itemgetter`` mapped over a batch yields a column (:data:`FIELDS`)
+and ``tuple.__new__`` rebuilds candidates from columns without a
+Python-level call per field.
 
 Two serialised forms, one per shape of traffic:
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from functools import partial
 from itertools import repeat
+from operator import itemgetter
 from typing import NamedTuple, cast
 
 from repro.errors import CheckpointError
@@ -77,7 +79,7 @@ class Candidate(NamedTuple):
 
 #: A candidate from a tuple of its five fields, without a Python frame:
 #: what ``Candidate._make`` does, minus its call and its length check.
-_new_candidate = cast(
+new_candidate = cast(
     "Callable[[tuple], Candidate]", partial(tuple.__new__, Candidate)
 )
 
@@ -89,12 +91,12 @@ def candidates_for(
     expansion, built by ``map``/``zip``/``repeat`` with no Python frame
     per link (the NamedTuple's own ``__new__`` is one)."""
     shared = repeat(priority), repeat(distance), repeat(referrer), repeat(None)
-    return list(map(_new_candidate, zip(urls, *shared)))
+    return list(map(new_candidate, zip(urls, *shared)))
 
 
 def stamp_uid(candidate: Candidate, uid: int | None) -> Candidate:
     """A copy of ``candidate`` carrying the url-id hint ``uid``."""
-    return _new_candidate(candidate[:4] + (uid,))
+    return new_candidate(candidate[:4] + (uid,))
 
 
 def candidate_to_dict(candidate: Candidate) -> dict:
@@ -127,6 +129,15 @@ def candidate_from_dict(entry: dict) -> Candidate:
     )
 
 
+#: ``candidate[0]`` … ``candidate[3]`` — url, priority, distance,
+#: referrer — as C callables.  A batch is transposed by mapping each over
+#: it, which allocates one list per column and nothing per candidate:
+#: ``zip(*candidates)`` holds one iterator per candidate, and on a large
+#: frontier those set off garbage collections that cost more than the
+#: transpose.
+FIELDS = tuple(map(itemgetter, range(4)))
+
+
 def candidates_to_columns(candidates: Collection[Candidate], index: dict[str, int]) -> dict:
     """A batch of candidates as columns ``u, p, d, r`` over a URL table.
 
@@ -134,16 +145,38 @@ def candidates_to_columns(candidates: Collection[Candidate], index: dict[str, in
     takes the next position, so ``list(index)`` afterwards *is* the
     table the columns refer to (dicts keep insertion order).
     """
-    if not candidates:
-        return {"u": [], "p": [], "d": [], "r": []}
-    urls, priorities, distances, referrers, _ = zip(*candidates)
+    urls, priorities, distances, referrers = (list(map(field, candidates)) for field in FIELDS)
+    return url_columns(urls, priorities, distances, referrers, index)
+
+
+def url_columns(
+    urls: Sequence[str],
+    priorities: list[int],
+    distances: list[int],
+    referrers: Sequence[str | None],
+    index: dict[str, int],
+) -> dict:
+    """:func:`candidates_to_columns` of candidates given as four columns
+    (``priorities`` and ``distances`` become columns as they are).
+
+    Positions are looked up by ``map`` over the index, with no Python
+    frame per candidate; only when a URL is missing from ``index`` does
+    the batch take the per-URL route that appends it — the URLs first,
+    then the referrers, each in order, so the table comes out the same
+    either way.
+    """
     position = index.setdefault
-    return {
-        "u": [position(url, len(index)) for url in urls],
-        "p": list(priorities),
-        "d": list(distances),
-        "r": [-1 if url is None else position(url, len(index)) for url in referrers],
-    }
+    try:
+        u = list(map(index.__getitem__, urls))
+    except KeyError:
+        u = [position(url, len(index)) for url in urls]
+    # ``None`` (no referrer) is never a key, so it maps to -1 with the
+    # misses; equal counts of -1 and None mean there were no misses.
+    lookup = cast("Callable[[str | None, int], int]", index.get)
+    r = list(map(lookup, referrers, repeat(-1)))
+    if r.count(-1) != referrers.count(None):
+        r = [-1 if url is None else position(url, len(index)) for url in referrers]
+    return {"u": u, "p": priorities, "d": distances, "r": r}
 
 
 def is_list_of(value: object, kind: type) -> bool:
@@ -172,8 +205,11 @@ def int_column(section: Mapping, name: str, length: int | None = None) -> list[i
     return column
 
 
-def candidates_from_columns(columns: Mapping, table: Sequence[str]) -> list[Candidate]:
-    """Inverse of :func:`candidates_to_columns` over the (interned) table.
+def checked_columns(
+    columns: Mapping, table_size: int
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The columns ``u, p, d, r`` of a batch, checked against a table of
+    ``table_size`` URLs.
 
     Raises:
         CheckpointError: ragged or non-integer columns, or a position
@@ -185,12 +221,21 @@ def candidates_from_columns(columns: Mapping, table: Sequence[str]) -> list[Cand
     p = int_column(columns, "p", size)
     d = int_column(columns, "d", size)
     r = int_column(columns, "r", size)
-    if not size:
-        return []
-    if min(u) < 0 or min(r) < -1 or max(max(u), max(r)) >= len(table):
+    if size and (min(u) < 0 or min(r) < -1 or max(max(u), max(r)) >= table_size):
         raise CheckpointError(
-            f"candidate columns point outside the {len(table)}-entry URL table"
+            f"candidate columns point outside the {table_size}-entry URL table"
         )
-    url_at = table.__getitem__
-    referrers = [None if position < 0 else url_at(position) for position in r]
-    return list(map(_new_candidate, zip(map(url_at, u), p, d, referrers, repeat(None))))
+    return u, p, d, r
+
+
+def candidates_from_columns(columns: Mapping, table: Sequence[str]) -> list[Candidate]:
+    """Inverse of :func:`candidates_to_columns` over the (interned) table.
+
+    Raises:
+        CheckpointError: as :func:`checked_columns`.
+    """
+    u, p, d, r = checked_columns(columns, len(table))
+    # Past the range check the only negative position is r's -1, which
+    # indexes the appended None.
+    url_at = [*table, None].__getitem__
+    return list(map(new_candidate, zip(map(url_at, u), p, d, map(url_at, r), repeat(None))))

@@ -33,14 +33,20 @@ import heapq
 from abc import ABC, abstractmethod
 from collections import deque
 from collections.abc import Collection, Sequence
+from operator import itemgetter
+from typing import Any
 
 from repro.core.candidate import (
+    FIELDS,
     Candidate,
     candidate_from_dict,
     candidate_to_dict,
     candidates_from_columns,
     candidates_to_columns,
+    checked_columns,
     int_column,
+    new_candidate,
+    url_columns,
 )
 from repro.errors import CheckpointError, FrontierError
 
@@ -59,14 +65,20 @@ __all__ = [
 #: comparison never reaches the candidate.
 _HeapEntry = tuple
 
+#: A :class:`FIFOFrontier` with no restored head left.
+_NO_HEAD: tuple[list[str], list[int], list[int], list[str | None]] = ([], [], [], [])
+
+#: A heap entry's ``-priority``, tiebreak and candidate, as C callables.
+_NEG_PRIORITY, _TIEBREAK, _CANDIDATE = map(itemgetter, range(3))
+
 
 def _heap_columns(entries: Collection[_HeapEntry], index: dict[str, int]) -> dict:
-    """Heap entries as ``neg_priority`` / ``tiebreak`` + candidate columns."""
-    neg_priorities, tiebreaks, candidates = zip(*entries) if entries else ((), (), ())
+    """Heap entries as ``neg_priority`` / ``tiebreak`` + candidate columns
+    (transposed by ``map``, as :data:`~repro.core.candidate.FIELDS` says why)."""
     return {
-        "neg_priority": list(neg_priorities),
-        "tiebreak": list(tiebreaks),
-        **candidates_to_columns(candidates, index),
+        "neg_priority": list(map(_NEG_PRIORITY, entries)),
+        "tiebreak": list(map(_TIEBREAK, entries)),
+        **candidates_to_columns(list(map(_CANDIDATE, entries)), index),
     }
 
 
@@ -168,38 +180,71 @@ class Frontier(ABC):
 
 
 class FIFOFrontier(Frontier):
-    """First-in first-out queue: pure discovery order."""
+    """First-in first-out queue: pure discovery order.
+
+    A restored queue stays in its checkpoint columns — the *head* — until
+    it is popped: :meth:`restore` checks the columns whole and keeps them
+    with a cursor, :meth:`pop` builds the one candidate at the cursor,
+    and :meth:`push` appends behind the head as usual.  A resumed crawl
+    then pays per candidate it pops, not per candidate the queue holds;
+    an evicted session that steps a few pages and is evicted again
+    writes most of its queue straight back from the columns.
+    """
 
     def __init__(self) -> None:
         super().__init__()
         self._queue: deque[Candidate] = deque()
+        #: The restored head as columns of URLs, priorities, distances
+        #: and referrers, and how many of them are still unpopped (the
+        #: cursor is ``len(urls) - _head_left``).
+        self._head: tuple[list[str], list[int], list[int], list[str | None]] = _NO_HEAD
+        self._head_left = 0
 
     def push(self, candidate: Candidate) -> None:
         queue = self._queue
         queue.append(candidate)
         self.pushes += 1
-        if len(queue) > self._peak_size:
-            self._peak_size = len(queue)
+        if len(queue) + self._head_left > self._peak_size:
+            self._peak_size = len(queue) + self._head_left
 
     def pop(self) -> Candidate:
+        left = self._head_left
+        if left:
+            urls, priorities, distances, referrers = self._head
+            at = len(urls) - left
+            self._head_left = left - 1
+            if left == 1:
+                self._head = _NO_HEAD
+            self.pops += 1
+            return new_candidate((urls[at], priorities[at], distances[at], referrers[at], None))
         if not self._queue:
             raise FrontierError("pop from empty FIFO frontier")
         self.pops += 1
         return self._queue.popleft()
 
     def __len__(self) -> int:
-        return len(self._queue)
+        return len(self._queue) + self._head_left
 
     def snapshot(self, index: dict[str, int]) -> dict:
-        return {
-            "kind": "fifo",
-            **self._counters_dict(),
-            **candidates_to_columns(self._queue, index),
-        }
+        # The unpopped head, then the pushed queue: the order pop takes.
+        urls, priorities, distances, referrers = self._head
+        at = len(urls) - self._head_left
+        head: list[list[Any]] = [urls[at:], priorities[at:], distances[at:], referrers[at:]]
+        for column, field in zip(head, FIELDS):
+            column += map(field, self._queue)
+        return {"kind": "fifo", **self._counters_dict(), **url_columns(*head, index)}
 
     def restore(self, state: dict, table: Sequence[str]) -> None:
         self._check_kind(state, "fifo")
-        self._queue = deque(candidates_from_columns(state, table))
+        u, p, d, r = checked_columns(state, len(table))
+        self._queue = deque()
+        self._head = (
+            list(map(table.__getitem__, u)),
+            p,
+            d,
+            list(map([*table, None].__getitem__, r)),
+        )
+        self._head_left = len(u)
         self._restore_counters(state)
 
 

@@ -85,7 +85,7 @@ from repro.obs import Instrumentation
 from repro.obs.hooks import ResilienceCountersHook, StepSpanHook
 from repro.obs.instrument import active as _active_instrumentation
 from repro.schema import ConfigValue
-from repro.urlkit.normalize import intern_url
+from repro.urlkit.normalize import intern_urls
 from repro.webspace.virtualweb import VirtualWebSpace
 
 
@@ -839,7 +839,7 @@ class CrawlSession:
         return self._engine.strategy.resumable
 
     def save_checkpoint(self, path: str | Path) -> None:
-        """Atomically write :meth:`snapshot` to ``path`` (JSONL)."""
+        """Atomically write :meth:`snapshot` to ``path`` (checkpoint format v5)."""
         write_checkpoint(path, self.snapshot())
 
     def _checkpoint_state(self, rstate: EngineLoopState) -> CheckpointState:
@@ -938,7 +938,7 @@ class CrawlSession:
         with self._restoring("urls"):
             if not is_list_of(resume.urls, str):
                 raise CheckpointError("the URL table is not a list of strings")
-            table = list(map(intern_url, resume.urls))
+            table = intern_urls(resume.urls)
         with self._restoring("scheduled"):
             if type(resume.scheduled) is not int:
                 raise CheckpointError("the count of scheduled URLs is not an integer")

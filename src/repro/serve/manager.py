@@ -9,8 +9,8 @@ in parallel while steps on the *same* session serialise.
 The memory discipline is evict-to-disk (the steady-state-memory idea of
 the terabyte-corpus analysis in PAPERS.md): a session that falls out of
 the resident budget — or is idle, or is evicted explicitly — has its
-:meth:`~repro.core.session.CrawlSession.snapshot` spooled to a JSONL
-checkpoint and its live object dropped.  The next ``step`` transparently
+:meth:`~repro.core.session.CrawlSession.snapshot` spooled to a
+checkpoint file and its live object dropped.  The next ``step`` transparently
 rebuilds the session with ``resume_from=`` the spool and, once it is
 live again, deletes the spool: an eviction spool exists only while its
 session is evicted, so every eviction's atomic rename lands on an absent

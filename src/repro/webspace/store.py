@@ -83,7 +83,7 @@ _ALIGN = 64
 _IO_BLOCK = 1 << 20
 
 #: The widths a narrowed section may take, narrowest first.
-_INT_DTYPES = ("<i1", "<i2", "<i4", "<i8")
+INT_DTYPES = ("<i1", "<i2", "<i4", "<i8")
 
 #: Fixed section order; (name, dtype).  A ``None`` dtype is the column's
 #: :func:`narrowest_int`.  Counts come from the header.
@@ -135,9 +135,9 @@ def narrowest_int(column: np.ndarray) -> str:
     """The narrowest of ``<i1`` / ``<i2`` / ``<i4`` / ``<i8`` holding every
     value of ``column`` (``<i1`` when it is empty)."""
     if len(column) == 0:
-        return _INT_DTYPES[0]
+        return INT_DTYPES[0]
     low, high = int(column.min()), int(column.max())
-    return next(d for d in _INT_DTYPES if np.iinfo(d).min <= low and high <= np.iinfo(d).max)
+    return next(d for d in INT_DTYPES if np.iinfo(d).min <= low and high <= np.iinfo(d).max)
 
 
 def _write_column(handle: Any, column: np.ndarray, dtype: np.dtype) -> str:
@@ -200,7 +200,7 @@ def _check_header(path: Path, header: Any, version: int) -> None:
             continue
         if not isinstance(spec, dict):
             fail(f"sections.{name}", "missing" if spec is None else "not a JSON object")
-        allowed = _INT_DTYPES if dtype is None else (dtype,)
+        allowed = INT_DTYPES if dtype is None else (dtype,)
         if spec.get("dtype") not in allowed:
             fail(f"sections.{name}.dtype", f"{spec.get('dtype')!r} is not one of {allowed}")
         for key in ("count", "offset"):

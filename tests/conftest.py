@@ -10,6 +10,7 @@ suite.
 from __future__ import annotations
 
 import json
+import struct
 import zlib
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from repro.faults import FaultModel, FaultProfile, ResilienceConfig
 from repro.graphgen.profiles import japanese_profile, thai_profile
 from repro.webspace.crawllog import CrawlLog
 from repro.webspace.page import PageRecord
+from repro.webspace.store import narrowest_int
 from repro.webspace.virtualweb import VirtualWebSpace
 
 #: Scale used for the session's generated datasets — big enough for the
@@ -116,6 +118,99 @@ def poke_store(data: bytes, section: str, index: int, value: int) -> bytes:
     at = first + index * dtype.itemsize
     out[at : at + dtype.itemsize] = np.array([value], dtype=dtype).tobytes()
     return reseal_store(bytes(out))
+
+
+#: Real format-version-4 checkpoints, written by the last commit whose
+#: writer produced that version (see the MANIFEST there).
+V4_CHECKPOINT_DIR = LEGACY_CHECKPOINT_DIR / "v4"
+
+CHECKPOINT_MAGIC = b"LSWCCKP5"
+
+#: A version-5 checkpoint's frontier columns, in the order they are written.
+_FRONTIER_COLUMNS = ("u", "p", "d", "r", "neg_priority", "tiebreak", "sizes")
+
+
+def checkpoint_layout(data: bytes) -> tuple[dict, int]:
+    """``(header, data start)`` of a version-5 checkpoint file's bytes,
+    read without any check."""
+    length = int.from_bytes(data[8:16], "little")
+    return json.loads(data[20 : 20 + length]), 20 + length
+
+
+def checkpoint_columns(data: bytes) -> dict[str, tuple[int, int]]:
+    """Each column's ``(first byte, end byte)`` in a version-5 file."""
+    header, data_start = checkpoint_layout(data)
+    spans = {}
+    for key, spec in header["columns"].items():
+        first = data_start + spec["offset"]
+        spans[key] = (first, first + spec["count"] * np.dtype(spec["dtype"]).itemsize)
+    return spans
+
+
+def _column_array(values: list) -> np.ndarray:
+    """A list as the column a writer would make of it: integers in their
+    narrowest width, anything else in whatever dtype numpy gives it."""
+    array = np.asarray(values) if values else np.zeros(0, dtype=np.int64)
+    if array.dtype.kind != "i":
+        return array
+    return array.astype(narrowest_int(array))
+
+
+def reseal_checkpoint(path: Path, out: Path, mutate=None, mutate_columns=None) -> Path:
+    """A version-5 checkpoint decoded, edited, re-encoded and resealed.
+
+    The file at ``path`` is decoded into the sections the version-4
+    layout had — ``urls`` a list of strings, ``scheduled`` a count and
+    ``frontier`` one dict holding its columns as lists — and handed to
+    ``mutate``.  The edited sections are encoded again as the writer
+    would (integer columns narrowed, anything else kept in numpy's own
+    dtype), ``mutate_columns`` may then edit the encoded columns
+    (``{"urls.arena": array, ...}``), and every offset and crc32 is
+    recomputed: a crafted file whose fault is its content, not its
+    checksums.  With neither edit the output is byte-equal to the input.
+    """
+    data = path.read_bytes()
+    header, data_start = checkpoint_layout(data)
+    sections = {key: value for key, value in header.items() if key != "columns"}
+    decoded = {}
+    for key, spec in header["columns"].items():
+        first = data_start + spec["offset"]
+        decoded[key] = np.frombuffer(data, dtype=spec["dtype"], count=spec["count"], offset=first)
+    offsets = decoded.pop("urls.offsets").tolist()
+    arena = decoded.pop("urls.arena").tobytes()
+    sections["urls"] = [
+        arena[start:end].decode("utf-8", "surrogatepass")
+        for start, end in zip(offsets, offsets[1:])
+    ]
+    for key, array in decoded.items():
+        sections["frontier"][key.removeprefix("frontier.")] = array.tolist()
+    if mutate is not None:
+        mutate(sections)
+    pieces = [url.encode("utf-8", "surrogatepass") for url in sections.pop("urls")]
+    columns = {
+        "urls.offsets": _column_array(np.cumsum([0, *map(len, pieces)]).tolist()),
+        "urls.arena": np.frombuffer(b"".join(pieces), dtype=np.uint8),
+    }
+    if isinstance(sections["frontier"], dict):
+        sections["frontier"] = frontier = dict(sections["frontier"])
+        for name in _FRONTIER_COLUMNS:
+            if name in frontier:
+                columns[f"frontier.{name}"] = _column_array(frontier.pop(name))
+    if mutate_columns is not None:
+        mutate_columns(columns)
+    table, blobs, offset = {}, [], 0
+    for key, array in columns.items():
+        blob = array.tobytes()
+        dtype = "|u1" if key == "urls.arena" else np.dtype(array.dtype).str.replace("|", "<")
+        crc = f"{zlib.crc32(blob):08x}"
+        table[key] = {"dtype": dtype, "count": len(array), "offset": offset, "crc32": crc}
+        blobs.append(blob)
+        offset += len(blob)
+    raw = json.dumps({**sections, "columns": table}, sort_keys=True, separators=(",", ":")).encode()
+    out.write_bytes(
+        CHECKPOINT_MAGIC + struct.pack("<QI", len(raw), zlib.crc32(raw)) + raw + b"".join(blobs)
+    )
+    return out
 
 
 def frontier_roundtrip(frontier, into=None):

@@ -17,6 +17,10 @@ was cut from, byte for byte:
 
 Versions 1 and 2 are read from header-rewritten forms of the same files
 wherever the file has no section those versions lacked.
+
+``fixtures/checkpoints/v4/*.v4.ckpt`` are the same seven crawls cut at
+the same step by the last commit whose writer produced format version 4
+(the columnar JSONL layout; ``v4/MANIFEST.json``), replayed the same way.
 """
 
 from __future__ import annotations
@@ -42,9 +46,10 @@ from repro.experiments.golden import (
 )
 from repro.faults import FaultModel, FaultProfile
 
-from conftest import LEGACY_CHECKPOINT_DIR, legacy_checkpoint
+from conftest import LEGACY_CHECKPOINT_DIR, V4_CHECKPOINT_DIR, legacy_checkpoint
 
 MANIFEST = json.loads((LEGACY_CHECKPOINT_DIR / "MANIFEST.json").read_text(encoding="utf-8"))
+V4_MANIFEST = json.loads((V4_CHECKPOINT_DIR / "MANIFEST.json").read_text(encoding="utf-8"))
 CUT = MANIFEST["cut"]
 
 #: (fixture entry, format version) for every file the suite reads.
@@ -52,7 +57,16 @@ CASES = [
     pytest.param(entry, version, id=f"{entry['file'].removesuffix('.v3.ckpt')}-v{version}")
     for entry in MANIFEST["fixtures"]
     for version in (*entry["also_versions"], 3)
+] + [
+    pytest.param(entry, 4, id=f"{entry['file'].removesuffix('.v4.ckpt')}-v4")
+    for entry in V4_MANIFEST["fixtures"]
 ]
+
+
+def _fixture_path(entry: dict, version: int, tmp_path):
+    if version == 4:
+        return V4_CHECKPOINT_DIR / entry["file"]
+    return legacy_checkpoint(entry["file"].removesuffix(".v3.ckpt"), version, tmp_path)
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +134,26 @@ class TestFixtureIntegrity:
             assert sections["frontier"]["kind"] == entry["frontier_kind"]
             assert "u" not in sections["frontier"]
 
+    def test_v4_manifest_lists_exactly_the_files(self):
+        on_disk = sorted(path.name for path in V4_CHECKPOINT_DIR.glob("*.ckpt"))
+        assert on_disk == sorted(entry["file"] for entry in V4_MANIFEST["fixtures"])
+
+    def test_v4_files_are_the_columnar_jsonl_layout_of_the_same_crawls(self):
+        """Guards against "refreshing" a fixture with the current writer,
+        and pins that each v4 file is the v3 set's crawl, cut at its step."""
+        assert V4_MANIFEST["cut"] == CUT and V4_MANIFEST["max_pages"] == MANIFEST["max_pages"]
+        for old, entry in zip(MANIFEST["fixtures"], V4_MANIFEST["fixtures"], strict=True):
+            assert entry["file"] == old["file"].replace(".v3.", ".v4.")
+            assert entry["suffix_sha256"] == old["suffix_sha256"], entry["file"]
+            lines = (V4_CHECKPOINT_DIR / entry["file"]).read_text(encoding="utf-8").splitlines()
+            header = json.loads(lines[0])
+            assert (header["version"], header["steps"]) == (4, CUT), entry["file"]
+            sections = {record["section"]: record["data"] for record in map(json.loads, lines[1:])}
+            assert sorted(sections) == entry["sections"] == sorted([*old["sections"], "urls"])
+            assert isinstance(sections["scheduled"], int) and isinstance(sections["urls"], list)
+            assert sections["frontier"]["kind"] == entry["frontier_kind"]
+            assert {"u", "p", "d", "r"} <= sections["frontier"].keys()
+
     def test_every_frontier_class_and_optional_section_is_covered(self):
         assert {entry["frontier_kind"] for entry in MANIFEST["fixtures"]} == {
             "fifo", "priority", "reprioritizable", "host-queue",
@@ -134,9 +168,7 @@ class TestLegacyResumeReplaysItsTrace:
     def test_resume_replays_the_rest_of_the_crawl(self, datasets, entry, version, tmp_path):
         dataset = datasets[bool(entry.get("cued"))]
         label = f"{entry['file']} read as v{version}"
-        resumed = _trace(
-            dataset, entry, legacy_checkpoint(entry["file"].removesuffix(".v3.ckpt"), version, tmp_path)
-        )
+        resumed = _trace(dataset, entry, _fixture_path(entry, version, tmp_path))
         if entry.get("golden"):
             expected = read_golden_trace(GOLDEN_FIXTURE_DIR / entry["golden"])[1]
         else:
@@ -150,13 +182,19 @@ class TestLegacyResumeReplaysItsTrace:
         )
 
     @pytest.mark.parametrize(
-        "entry", [e for e in MANIFEST["fixtures"] if e["frontier_kind"] == "reprioritizable"]
+        "entry, version",
+        [
+            pytest.param(entry, version, id=f"v{version}")
+            for version, manifest in ((3, MANIFEST), (4, V4_MANIFEST))
+            for entry in manifest["fixtures"]
+            if entry["frontier_kind"] == "reprioritizable"
+        ],
     )
-    def test_reprioritizable_frontier_drains_in_the_recorded_order(self, entry):
+    def test_reprioritizable_frontier_drains_in_the_recorded_order(self, entry, version, tmp_path):
         """Frontier level: the upgraded section, restored and drained,
         pops every candidate — all four fields — in the order the
         recording commit's own restore popped them."""
-        state = read_checkpoint(LEGACY_CHECKPOINT_DIR / entry["file"])
+        state = read_checkpoint(_fixture_path(entry, version, tmp_path))
         frontier = ReprioritizableFrontier()
         frontier.restore(state.frontier, state.urls)
         pops = []

@@ -9,6 +9,8 @@ equivalents plus every file-format and mismatch error path.
 """
 
 import json
+import struct
+import zlib
 
 import pytest
 
@@ -38,7 +40,18 @@ from repro.errors import CheckpointError, ConfigError
 from repro.experiments.golden import golden_dataset
 from repro.faults import FaultModel, FaultProfile
 
-from conftest import SEED, A, C, F, frontier_roundtrip, legacy_checkpoint
+from conftest import (
+    CHECKPOINT_MAGIC,
+    SEED,
+    V4_CHECKPOINT_DIR,
+    A,
+    C,
+    F,
+    checkpoint_layout,
+    frontier_roundtrip,
+    legacy_checkpoint,
+    reseal_checkpoint,
+)
 
 THAI_SET = frozenset({SEED, A, C, F})
 
@@ -79,13 +92,19 @@ def simulate(web, strategy=None, **config):
     )
 
 
+#: The last version of the JSONL layout, which the reader still takes.
+JSONL_VERSION = 4
+
+
 class TestCheckpointFile:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "crawl.ckpt"
         state = _state(timing={"now": 4.5}, breakers={"hosts": {}})
         write_checkpoint(path, state)
         loaded = read_checkpoint(path)
-        assert json.loads(path.read_text().splitlines()[0])["version"] == FORMAT_VERSION == 4
+        data = path.read_bytes()
+        assert data[:8] == CHECKPOINT_MAGIC
+        assert checkpoint_layout(data)[0]["version"] == FORMAT_VERSION == 5
         assert loaded.strategy == "breadth-first"
         assert loaded.steps == 3
         assert (loaded.urls, loaded.scheduled, loaded.frontier) == (
@@ -131,30 +150,43 @@ class TestCheckpointFile:
             read_checkpoint(path)
 
     def test_malformed_section_line(self, tmp_path):
+        """A JSONL file's section line, and a version-5 header, that are not JSON."""
         path = tmp_path / "crawl.ckpt"
         path.write_text(
-            json.dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION}) + "\n"
+            json.dumps({"format": FORMAT_NAME, "version": JSONL_VERSION}) + "\n"
             + "not json\n"
         )
         with pytest.raises(CheckpointError, match="malformed checkpoint section"):
+            read_checkpoint(path)
+        raw = b"not json"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<QI", len(raw), zlib.crc32(raw)) + raw)
+        with pytest.raises(CheckpointError, match="checkpoint header: not JSON"):
             read_checkpoint(path)
 
     def test_unknown_section(self, tmp_path):
         path = tmp_path / "crawl.ckpt"
         path.write_text(
-            json.dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION}) + "\n"
+            json.dumps({"format": FORMAT_NAME, "version": JSONL_VERSION}) + "\n"
             + json.dumps({"section": "surprise", "data": {}}) + "\n"
         )
-        with pytest.raises(CheckpointError, match="unknown section"):
+        with pytest.raises(CheckpointError, match="unknown section 'surprise'"):
+            read_checkpoint(path)
+        write_checkpoint(path, _state())
+        reseal_checkpoint(path, path, mutate=_put({}, "surprise"))
+        with pytest.raises(CheckpointError, match="unknown section 'surprise'"):
             read_checkpoint(path)
 
     def test_missing_required_sections(self, tmp_path):
         path = tmp_path / "crawl.ckpt"
         path.write_text(
-            json.dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION}) + "\n"
+            json.dumps({"format": FORMAT_NAME, "version": JSONL_VERSION}) + "\n"
             + json.dumps({"section": "frontier", "data": {}}) + "\n"
         )
         with pytest.raises(CheckpointError, match="missing sections"):
+            read_checkpoint(path)
+        write_checkpoint(path, _state())
+        reseal_checkpoint(path, path, mutate=_drop("visitor"))
+        with pytest.raises(CheckpointError, match=r"missing sections \['visitor'\]"):
             read_checkpoint(path)
 
 
@@ -185,11 +217,54 @@ def _put(value, *path):
     return mutate
 
 
+class _Raw:
+    """A mutation of a version-5 file's encoded columns, not its sections
+    (:func:`~conftest.reseal_checkpoint`'s ``mutate_columns``)."""
+
+    def __init__(self, mutate):
+        self.mutate = mutate
+
+
+def _poke(key, index, value):
+    """A raw mutation setting item ``index`` of column ``key`` (``value``
+    may be a function of the column)."""
+
+    def mutate(columns):
+        columns[key] = column = columns[key].copy()
+        column[index] = value(column) if callable(value) else value
+
+    return _Raw(mutate)
+
+
+#: Mutations every layout since version 4 can carry, with the section
+#: the error must name.  A string position and a float tiebreak reach a
+#: version-5 file as a column of text or float dtype.
+_COLUMN_MALFORMATIONS = [
+    ("ragged candidate columns", "frontier", _put(lambda s: s["frontier"]["p"][:-1], "frontier", "p")),
+    ("ragged heap columns", "frontier", _put(lambda s: s["frontier"]["tiebreak"][:-1], "frontier", "tiebreak")),
+    ("candidate column missing", "frontier", _drop("frontier", "u")),
+    ("position past the table", "frontier", _put(lambda s: len(s["urls"]), "frontier", "u", 0)),
+    ("referrer past the table", "frontier", _put(lambda s: len(s["urls"]), "frontier", "r", 0)),
+    ("position -1 would wrap around", "frontier", _put(-1, "frontier", "u", 0)),
+    ("referrer below -1", "frontier", _put(-2, "frontier", "r", 0)),
+    ("position is a string", "frontier", _put("0", "frontier", "u", 0)),
+    ("tiebreak is a float", "frontier", _put(0.5, "frontier", "tiebreak", 0)),
+    ("scheduled count past the table", "scheduled", _put(lambda s: len(s["urls"]) + 1, "scheduled")),
+    ("scheduled count negative", "scheduled", _put(-1, "scheduled")),
+    ("scheduled is a list again", "scheduled", _put(lambda s: s["urls"], "scheduled")),
+    ("frontier without counter", "frontier", _drop("frontier", "counter")),
+    ("recorder without covered", "recorder", _drop("recorder", "covered")),
+    ("loop is a string", "loop", _put("x", "loop")),
+    ("visitor is a list", "visitor", _put([], "visitor")),
+]
+
 #: (label, format version of the file, section the error must name, mutation).
-#: The first six are the faults that escaped as bare exceptions — or
-#: loaded without complaint — from version-3 files; the rest are what
-#: the version-4 layout makes possible, plus the same six again where a
-#: version-4 file can have them.
+#: The first eight are the faults that escaped as bare exceptions — or
+#: loaded without complaint — from version-3 files.  Then the faults the
+#: columnar layout makes possible, on a real version-4 file and on a
+#: resealed version-5 one; and the URL-table faults of each layout: a
+#: JSON table of the wrong types, a binary one whose arena or offsets
+#: are wrong.
 MALFORMATIONS = [
     ("v3 candidate without its url", 3, "frontier", _drop("frontier", "heap", 0, 2, "u")),
     ("v3 short heap row", 3, "frontier", _put(lambda s: s["frontier"]["heap"][0][:2], "frontier", "heap", 0)),
@@ -199,24 +274,14 @@ MALFORMATIONS = [
     ("v3 scheduled of integers", 3, "scheduled", _put([1, 2, 3], "scheduled")),
     ("v3 scheduled is a number", 3, "scheduled", _put(7, "scheduled")),
     ("v3 frontier is a list", 3, "frontier", _put([], "frontier")),
-    ("ragged candidate columns", 4, "frontier", _put(lambda s: s["frontier"]["p"][:-1], "frontier", "p")),
-    ("ragged heap columns", 4, "frontier", _put(lambda s: s["frontier"]["tiebreak"][:-1], "frontier", "tiebreak")),
-    ("candidate column missing", 4, "frontier", _drop("frontier", "u")),
-    ("position past the table", 4, "frontier", _put(lambda s: len(s["urls"]), "frontier", "u", 0)),
-    ("referrer past the table", 4, "frontier", _put(lambda s: len(s["urls"]), "frontier", "r", 0)),
-    ("position -1 would wrap around", 4, "frontier", _put(-1, "frontier", "u", 0)),
-    ("referrer below -1", 4, "frontier", _put(-2, "frontier", "r", 0)),
-    ("position is a string", 4, "frontier", _put("0", "frontier", "u", 0)),
-    ("tiebreak is a float", 4, "frontier", _put(0.5, "frontier", "tiebreak", 0)),
-    ("non-string table entry", 4, "urls", _put(5, "urls", 0)),
-    ("table is an object", 4, "urls", _put({}, "urls")),
-    ("scheduled count past the table", 4, "scheduled", _put(lambda s: len(s["urls"]) + 1, "scheduled")),
-    ("scheduled count negative", 4, "scheduled", _put(-1, "scheduled")),
-    ("scheduled is a list again", 4, "scheduled", _put(lambda s: s["urls"], "scheduled")),
-    ("frontier without counter", 4, "frontier", _drop("frontier", "counter")),
-    ("recorder without covered", 4, "recorder", _drop("recorder", "covered")),
-    ("loop is a string", 4, "loop", _put("x", "loop")),
-    ("visitor is a list", 4, "visitor", _put([], "visitor")),
+    *[(f"v4 {label}", 4, section, mutate) for label, section, mutate in _COLUMN_MALFORMATIONS],
+    ("v4 non-string table entry", 4, "urls", _put(5, "urls", 0)),
+    ("v4 table is an object", 4, "urls", _put({}, "urls")),
+    *[(label, 5, section, mutate) for label, section, mutate in _COLUMN_MALFORMATIONS],
+    ("table entry is not UTF-8", 5, "urls", _poke("urls.arena", 0, 0xFF)),
+    ("table offsets past the arena", 5, "urls", _poke("urls.offsets", -1, 127)),
+    ("table offsets run backwards", 5, "urls", _poke("urls.offsets", 1, lambda c: c[2] + 1)),
+    ("frontier is a list", 5, "frontier", _put([], "frontier")),
 ]
 
 
@@ -225,7 +290,8 @@ class TestMalformedContents:
     current one, is a :class:`CheckpointError` naming the file and the
     section — never a bare ``KeyError`` / ``TypeError`` out of restore
     code (the wire handler only turns library errors into replies), and
-    never a silent load."""
+    never a silent load.  A version-5 case is resealed, so it is its
+    content the reader rejects, not its checksums."""
 
     @pytest.fixture(scope="class")
     def request_(self):
@@ -244,35 +310,43 @@ class TestMalformedContents:
     def test_is_a_checkpoint_error_naming_file_and_section(
         self, request_, tmp_path, version, section, mutate
     ):
-        path = legacy_checkpoint("soft-focused", 3, tmp_path)
-        if version == 4:
-            path = tmp_path / "current.ckpt"
-            self._resume(request_, legacy_checkpoint("soft-focused", 3, tmp_path)).save_checkpoint(path)
-        header, *lines = path.read_text(encoding="utf-8").splitlines()
-        assert json.loads(header)["version"] == version
-        sections = {record["section"]: record["data"] for record in map(json.loads, lines)}
-        mutate(sections)
         broken = tmp_path / "broken.ckpt"
-        broken.write_text(
-            "\n".join(
-                [header]
-                + [json.dumps({"section": name, "data": data}) for name, data in sections.items()]
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        if version == 5:
+            current = tmp_path / "current.ckpt"
+            legacy = legacy_checkpoint("soft-focused", 3, tmp_path)
+            self._resume(request_, legacy).save_checkpoint(current)
+            if isinstance(mutate, _Raw):
+                reseal_checkpoint(current, broken, mutate_columns=mutate.mutate)
+            else:
+                reseal_checkpoint(current, broken, mutate=mutate)
+        else:
+            path = legacy_checkpoint("soft-focused", 3, tmp_path)
+            if version == 4:
+                path = V4_CHECKPOINT_DIR / "soft-focused.v4.ckpt"
+            header, *lines = path.read_text(encoding="utf-8").splitlines()
+            assert json.loads(header)["version"] == version
+            sections = {record["section"]: record["data"] for record in map(json.loads, lines)}
+            mutate(sections)
+            records = [json.dumps({"section": name, "data": data}) for name, data in sections.items()]
+            broken.write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
         with pytest.raises(CheckpointError) as caught:
             self._resume(request_, broken)
         assert str(broken) in str(caught.value)
         assert repr(section) in str(caught.value)
+        assert "checksum" not in str(caught.value)
 
     def test_the_unbroken_files_resume(self, request_, tmp_path):
-        """The other half of the parametrised test: what it mutates loads."""
+        """The other half of the parametrised test: what it mutates loads,
+        and a version-5 file resealed without an edit is the same bytes."""
         legacy = self._resume(request_, legacy_checkpoint("soft-focused", 3, tmp_path))
         current = tmp_path / "current.ckpt"
         legacy.save_checkpoint(current)
         assert self._resume(request_, current).status() == legacy.status()
         assert legacy.status().steps == 300
+        recorded = self._resume(request_, V4_CHECKPOINT_DIR / "soft-focused.v4.ckpt")
+        assert recorded.status() == legacy.status()
+        resealed = reseal_checkpoint(current, tmp_path / "resealed.ckpt")
+        assert resealed.read_bytes() == current.read_bytes()
 
 
 class TestFrontierSnapshots:

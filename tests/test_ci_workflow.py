@@ -92,6 +92,26 @@ def test_typecheck_paths_exist():
     assert [path for path in paths if not (root / path).exists()] == []
 
 
+def _pytest_paths(job: str) -> list[str]:
+    """The test paths every ``python -m pytest`` step of ``job`` names."""
+    paths = []
+    for step in yaml.safe_load(WORKFLOW.read_text())["jobs"][job]["steps"]:
+        tokens = shlex.split(step.get("run", ""))
+        if tokens[:3] == ["python", "-m", "pytest"]:
+            paths += [token for token in tokens[3:] if token.startswith("tests")]
+    return paths
+
+
+def test_checkpoint_suites_run_in_the_differential_and_serve_jobs():
+    """The checkpoint format's own suites gate both jobs a format change
+    can break: the golden replay and the eviction-heavy serve load."""
+    root = WORKFLOW.parents[2]
+    for job in ("golden-diff", "serve-load"):
+        paths = _pytest_paths(job)
+        assert {"tests/test_checkpoint_resume.py", "tests/test_checkpoint_format.py"} <= set(paths)
+        assert [path for path in paths if not (root / path).exists()] == []
+
+
 @pytest.mark.parametrize(
     ("module_name", "argv"),
     [pytest.param(module, argv, id=label) for label, module, argv in INVOCATIONS],

@@ -24,10 +24,12 @@ from repro.core.candidate import (
     candidates_to_columns,
     stamp_uid,
 )
+from repro.core.checkpoint import read_checkpoint
 from repro.core.classifier import Classifier
 from repro.core.engine import CrawlEngine
 from repro.core.metrics import MetricsRecorder
 from repro.core.strategies import get_strategy
+from repro.core.timing import TimingModel
 from repro.core.visitor import Visitor
 from repro.experiments.datasets import build_dataset_store, open_dataset_store
 from repro.experiments.runner import run_strategy
@@ -259,6 +261,36 @@ class TestIdOfCalls:
         assert len(set(id_of_calls)) == len(id_of_calls)
 
 
+class TestRestoredInFlightRecords:
+    def test_a_resume_gets_one_record_per_restored_in_flight_event(
+        self, universe_dataset, monkeypatch, tmp_path
+    ):
+        """Where a serve pass's ``PageStore.get`` calls come from: a
+        ``concurrency=K`` checkpoint holds up to K in-flight fetches, and
+        ``CrawlEngine.restore_events`` re-attaches each one's page record
+        by URL (``response_from_dict``) — one ``get`` per restored event,
+        nothing else on the resume path."""
+        path = tmp_path / "crawl.ckpt"
+        request = CrawlRequest(strategy="soft-focused", dataset=universe_dataset)
+        config = SessionConfig(max_pages=600, concurrency=8, timing=TimingModel())
+        session = CrawlSession(request, config).open()
+        session.step(150)
+        session.save_checkpoint(path)
+        session.close()
+        events = read_checkpoint(path).sched["events"]
+        assert 0 < len(events) <= 8 and all(event["response"]["has_record"] for event in events)
+        gets: list[str] = []
+        real = PageStore.get
+
+        def counting(self, url):
+            gets.append(url)
+            return real(self, url)
+
+        monkeypatch.setattr(PageStore, "get", counting)
+        CrawlSession(request, replace(config, resume_from=path)).open()
+        assert gets == [event["response"]["url"] for event in events]
+
+
 class TestCheckpointsHoldNoIds:
     def test_candidate_wire_form_ignores_the_hint(self):
         plain = Candidate(url="http://a.example/", priority=1, referrer="http://b.example/")
@@ -283,7 +315,7 @@ class TestCheckpointsHoldNoIds:
     ):
         """A store crawl's frontier is full of hinted candidates and its
         in-flight responses carry ids; the memory crawl has neither.  The
-        files must not differ by a byte: format v4 holds no ids either."""
+        files must not differ by a byte: no checkpoint format holds ids."""
         written = []
         for name, dataset in (("store", store_dataset), ("memory", memory_twin)):
             path = tmp_path / f"{name}.ckpt"

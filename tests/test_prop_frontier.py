@@ -1,7 +1,7 @@
 """Property-based tests for the frontier implementations."""
 
 import json
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +20,7 @@ from repro.core.frontier import (
     ReprioritizableFrontier,
 )
 from repro.core.politeness import HostQueueFrontier
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, FrontierError
 
 from conftest import frontier_roundtrip
 
@@ -273,3 +273,126 @@ class TestInterleaved:
                 peak = max(peak, expected_size)
             assert len(frontier) == expected_size
         assert frontier.peak_size == peak
+
+
+def reference_columns(candidates, index):
+    """``candidates_to_columns`` as it was written before it mapped in C:
+    one ``setdefault`` per URL, the URLs first, then the referrers."""
+    if not candidates:
+        return {"u": [], "p": [], "d": [], "r": []}
+    urls, priorities, distances, referrers, _ = zip(*candidates)
+    position = index.setdefault
+    return {
+        "u": [position(url, len(index)) for url in urls],
+        "p": list(priorities),
+        "d": list(distances),
+        "r": [-1 if url is None else position(url, len(index)) for url in referrers],
+    }
+
+
+class TestColumnsEqualTheReference:
+    @given(batches, tables)
+    def test_candidates_to_columns_equals_the_comprehension(self, batch, scheduled):
+        """Missing URLs, missing referrers and ``None`` referrers alike:
+        the same columns, and the index grown in the same order."""
+        index = {url: position for position, url in enumerate(scheduled)}
+        reference_index = dict(index)
+        assert candidates_to_columns(batch, index) == reference_columns(batch, reference_index)
+        assert list(index.items()) == list(reference_index.items())
+
+    @given(batches, tables)
+    def test_candidates_from_columns_inverts_the_reference(self, batch, scheduled):
+        index = {url: position for position, url in enumerate(scheduled)}
+        columns = reference_columns(batch, index)
+        assert candidates_from_columns(columns, list(index)) == batch
+
+
+class EagerFIFO:
+    """The FIFO frontier as it was before its restored head stayed in
+    columns: a restore rebuilds every queued candidate up front."""
+
+    def __init__(self):
+        self.queue = deque()
+        self.pushes = self.pops = self.peak_size = 0
+
+    def push(self, candidate):
+        self.queue.append(candidate)
+        self.pushes += 1
+        self.peak_size = max(self.peak_size, len(self.queue))
+
+    def pop(self):
+        self.pops += 1
+        return self.queue.popleft()
+
+    def __len__(self):
+        return len(self.queue)
+
+    def snapshot(self, index):
+        counters = {"pushes": self.pushes, "pops": self.pops, "peak_size": self.peak_size}
+        return {"kind": "fifo", **counters, **reference_columns(list(self.queue), index)}
+
+    def restore(self, state, table):
+        self.queue = deque(candidates_from_columns(state, table))
+        self.pushes, self.pops, self.peak_size = state["pushes"], state["pops"], state["peak_size"]
+
+
+#: push a candidate / pop / snapshot-and-restore (over a table that
+#: starts with some "scheduled" URLs).
+fifo_operations = st.lists(
+    st.one_of(
+        st.builds(
+            Candidate,
+            url=pool_urls,
+            priority=st.integers(min_value=-3, max_value=3),
+            distance=st.integers(min_value=0, max_value=3),
+            referrer=st.one_of(st.none(), pool_urls),
+            uid=st.one_of(st.none(), st.integers(min_value=0, max_value=99)),
+        ),
+        st.just("pop"),
+        tables,
+    ),
+    max_size=80,
+)
+
+
+class TestLazyFifoHead:
+    @given(fifo_operations)
+    @settings(max_examples=200, deadline=None)
+    def test_restored_then_driven_equals_the_eager_reference(self, ops):
+        """Any interleaving of pushes, pops and snapshot/restore cycles —
+        snapshots taken with the restored head untouched, part-popped,
+        drained, or with pushes behind it — pops the same candidates and
+        keeps the same counters and peak as the eager frontier; and each
+        snapshot is the same columns over the same table."""
+        lazy, eager = FIFOFrontier(), EagerFIFO()
+        popped_lazy, popped_eager = [], []
+        for op in ops:
+            if op == "pop":
+                if eager:
+                    popped_lazy.append(lazy.pop())
+                    popped_eager.append(eager.pop())
+                else:
+                    assert not lazy
+            elif isinstance(op, list):
+                index = {url: position for position, url in enumerate(op)}
+                state = lazy.snapshot(index)
+                reference_index = {url: position for position, url in enumerate(op)}
+                assert state == eager.snapshot(reference_index)
+                assert list(index) == list(reference_index)
+                lazy, eager = FIFOFrontier(), EagerFIFO()
+                lazy.restore(state, list(index))
+                eager.restore(state, list(index))
+            else:
+                lazy.push(op)
+                eager.push(op)
+            assert len(lazy) == len(eager)
+            assert (lazy.pushes, lazy.pops, lazy.peak_size) == (
+                eager.pushes, eager.pops, eager.peak_size,
+            )
+        while eager:
+            popped_lazy.append(lazy.pop())
+            popped_eager.append(eager.pop())
+        assert [tuple(c) for c in popped_lazy] == [tuple(c) for c in popped_eager]
+        assert not lazy
+        with pytest.raises(FrontierError):
+            lazy.pop()

@@ -5,7 +5,8 @@ import string
 from hypothesis import given, strategies as st
 
 from repro.errors import UrlError
-from repro.urlkit.normalize import normalize_url
+from repro.urlkit import normalize as normalize_module
+from repro.urlkit.normalize import intern_url, intern_urls, normalize_url
 from repro.urlkit.parse import parse_url
 
 host_labels = st.text(alphabet=string.ascii_lowercase + string.digits, min_size=1, max_size=8)
@@ -83,3 +84,45 @@ class TestParseTotality:
     def test_round_trip_preserves_identity(self, url):
         split = parse_url(url)
         assert parse_url(split.unsplit()) == parse_url(parse_url(split.unsplit()).unsplit())
+
+
+#: A small pool of URL texts: batches repeat them, so hits, misses and
+#: repeats within one batch all occur.
+_INTERN_POOL = [f"http://h{n}.example/p" for n in range(12)]
+
+
+def _fresh(text: str) -> str:
+    """An equal string that is a new object (not the pool's, not interned)."""
+    return "".join([text[:1], text[1:]])
+
+
+class TestInternUrls:
+    """``intern_urls`` is ``map(intern_url)`` in C: the same objects back
+    and the same table left behind — also when the batch crosses the
+    table's cap, where ``intern_url`` clears a generation mid-batch."""
+
+    @given(
+        before=st.lists(st.sampled_from(_INTERN_POOL), max_size=10),
+        batch=st.lists(st.sampled_from(_INTERN_POOL), max_size=16),
+        cap=st.integers(min_value=1, max_value=20),
+    )
+    def test_same_objects_as_map_intern_url(self, before, batch, cap):
+        before = [_fresh(url) for url in before]
+        batch = [_fresh(url) for url in batch]
+        saved_cap, saved_table = normalize_module._INTERN_MAX, dict(normalize_module._intern_table)
+        try:
+            normalize_module._INTERN_MAX = cap
+            results = []
+            for intern in (intern_urls, lambda urls: list(map(intern_url, urls))):
+                normalize_module._intern_table.clear()
+                for url in before:
+                    intern_url(url)
+                out = intern(batch)
+                table = {key: id(value) for key, value in normalize_module._intern_table.items()}
+                results.append(([id(url) for url in out], table))
+                assert out == batch
+        finally:
+            normalize_module._INTERN_MAX = saved_cap
+            normalize_module._intern_table.clear()
+            normalize_module._intern_table.update(saved_table)
+        assert results[0] == results[1]

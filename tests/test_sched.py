@@ -217,7 +217,7 @@ class TestCheckpointFormatV2:
         (pre-scheduler) loads with ``sched=None``, in the current
         in-memory shape.  (That a resume from it replays its golden
         trace is ``tests/golden/test_golden_legacy_checkpoints.py``.)"""
-        assert FORMAT_VERSION == 4
+        assert FORMAT_VERSION == 5
         loaded = read_checkpoint(legacy_checkpoint("breadth-first", 1, tmp_path))
         assert loaded.steps == 300
         assert loaded.sched is None

@@ -30,7 +30,7 @@ from repro.experiments.golden import (
 from repro.faults import FaultModel, FaultProfile
 from repro.serve import SessionManager
 
-from conftest import SEED
+from conftest import SEED, reseal_checkpoint
 
 FAULTY_PROFILE = FaultProfile(
     transient_error_rate=0.5, timeout_rate=0.2, truncation_rate=0.3
@@ -260,12 +260,16 @@ class TestEviction:
         manager.open("s", _request(tiny_web))
         manager.step("s", 1)
         manager.evict("s")
-        good = spool.read_text(encoding="utf-8")
-        spool.write_text(good.replace('"section": "loop"', '"section": "pool"'))
-        with pytest.raises(CheckpointError, match="unknown section"):
+        good = spool.read_bytes()
+
+        def rename_loop(sections):
+            sections["pool"] = sections.pop("loop")
+
+        reseal_checkpoint(spool, spool, mutate=rename_loop)
+        with pytest.raises(CheckpointError, match="unknown section 'pool'"):
             manager.step("s", 1)
         assert spool.exists(), "the only copy of the session must survive a failed resume"
-        spool.write_text(good, encoding="utf-8")
+        spool.write_bytes(good)
         assert manager.step("s", 1).steps == 2
         assert not spool.exists()
 

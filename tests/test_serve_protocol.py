@@ -32,6 +32,8 @@ from repro.serve import (
     serve_stdio,
 )
 
+from conftest import reseal_checkpoint
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: Wire-session knobs shared by the handler tests and the subprocess
@@ -273,14 +275,12 @@ class TestProtocolHandler:
         handler.handle({"cmd": "step", "session": "s", "budget": 10})
         assert handler.handle({"cmd": "evict", "session": "s"})["ok"]
         spool = tmp_path / "spool" / "s.evict.ckpt"
-        good = spool.read_text(encoding="utf-8")
-        lines = good.splitlines()
-        for number, line in enumerate(lines):
-            record = json.loads(line)
-            if record.get("section") == "frontier":
-                record["data"]["u"][0] = 10**6
-                lines[number] = json.dumps(record)
-        spool.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        good = spool.read_bytes()
+
+        def past_the_table(sections):
+            sections["frontier"]["u"][0] = 10**6
+
+        reseal_checkpoint(spool, spool, mutate=past_the_table)
 
         reply = handler.handle({"cmd": "step", "session": "s", "budget": 10})
         assert reply["ok"] is False
@@ -288,7 +288,7 @@ class TestProtocolHandler:
         assert "s.evict.ckpt" in reply["error"]["message"]
         assert "'frontier'" in reply["error"]["message"]
 
-        spool.write_text(good, encoding="utf-8")
+        spool.write_bytes(good)
         reply = handler.handle({"cmd": "step", "session": "s", "budget": 10})
         assert reply["ok"] and reply["status"]["steps"] == 20
 
