@@ -40,6 +40,16 @@ end of the file:
   narrowest of int8 / int16 / int32 / int64 that holds it
   (:func:`~repro.webspace.store.narrowest_int`, the page store's rule).
 
+A priority frontier's rows are written in pop order, each row's
+``tiebreak`` its rank, under a push ``counter`` above every rank — so
+they are also a valid heap.  Files the earlier heap-backed frontier
+wrote (every version up to and including 5) hold them in that heap's
+internal layout instead.  Priority rows are read in any order:
+:meth:`PriorityFrontier.restore
+<repro.core.frontier.PriorityFrontier.restore>` sorts them by
+``(neg_priority, tiebreak)``, and two rows sharing a pair are a
+:class:`~repro.errors.CheckpointError`.
+
 The reader checks the header crc, the header's shape, the file's size
 (every byte belongs to the header or one column), then each column's
 crc, before anything is decoded: a flipped bit or a truncation is a

@@ -13,13 +13,21 @@ Two disciplines cover every strategy in the paper:
 Both track their peak occupancy, which is the quantity Figures 5-7(a)
 plot.
 
-Heap entries are plain ``(-priority, tiebreak, candidate)`` tuples, so
-every ``heappush``/``heappop`` comparison runs in C.  The ``tiebreak``
-is a per-frontier monotonic counter: it is unique, so two entries always
-order on ``(-priority, tiebreak)`` and the candidate element is *never*
-compared — pop order within a priority band is push order, identically
-on every Python version.  The golden-trace suite (``tests/golden``)
-pins that ordering byte-for-byte.
+:class:`PriorityFrontier` is a bucket queue: one ``deque`` band per
+distinct priority, keyed by ``-priority``, and a small heap of just the
+band keys.  A push appends to its band and a pop takes the left end of
+the top band, dropping that band's key once the band is empty — O(1)
+each but for the heap of keys, which holds only as many entries as there
+are distinct priorities (2 for soft-focused, N+1 for prioritized
+limited-distance, layers+2 for the context graph).  Pop order is exactly
+``(-priority, push order)``, and a candidate is never compared, so it is
+the same on every Python version.  The golden-trace suite
+(``tests/golden``) pins that ordering byte-for-byte.
+
+A restored queue — :class:`FIFOFrontier`'s, or each band of a
+:class:`PriorityFrontier` — stays in its checkpoint columns (a
+:class:`_ColumnHead`) until it is popped, so a resumed crawl pays per
+candidate it pops, not per candidate the queue holds.
 
 :class:`ReprioritizableFrontier` reprioritizes with lazy deletion: an
 update pushes a fresh entry in O(log n) and *tombstones* the stale one,
@@ -31,8 +39,10 @@ from __future__ import annotations
 
 import heapq
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from collections import deque
 from collections.abc import Collection, Sequence
+from itertools import repeat
 from operator import itemgetter
 from typing import Any
 
@@ -60,13 +70,10 @@ __all__ = [
     "ReprioritizableFrontier",
 ]
 
-#: Heap entries of the priority frontiers: ``(-priority, tiebreak,
-#: candidate)``.  The tiebreak counter is unique per frontier, so tuple
-#: comparison never reaches the candidate.
+#: Heap entries of :class:`ReprioritizableFrontier`: ``(-priority,
+#: tiebreak, candidate)``.  The tiebreak counter is unique per frontier,
+#: so tuple comparison never reaches the candidate.
 _HeapEntry = tuple
-
-#: A :class:`FIFOFrontier` with no restored head left.
-_NO_HEAD: tuple[list[str], list[int], list[int], list[str | None]] = ([], [], [], [])
 
 #: A heap entry's ``-priority``, tiebreak and candidate, as C callables.
 _NEG_PRIORITY, _TIEBREAK, _CANDIDATE = map(itemgetter, range(3))
@@ -94,6 +101,52 @@ def _heap_entries(state: dict, table: Sequence[str]) -> list[_HeapEntry]:
     )
 
 
+#: A restored queue's columns: URLs, priorities, distances, referrers.
+_Columns = tuple[list[str], list[int], list[int], list[str | None]]
+
+
+def _resolved(
+    u: list[int], p: list[int], d: list[int], r: list[int], table: Sequence[str]
+) -> _Columns:
+    """Checked candidate columns (:func:`~repro.core.candidate.checked_columns`)
+    with the URL and referrer positions resolved against the (interned)
+    table at C speed."""
+    return list(map(table.__getitem__, u)), p, d, list(map([*table, None].__getitem__, r))
+
+
+class _ColumnHead:
+    """Restored candidates kept as checkpoint columns until popped.
+
+    Rows ``start`` up to ``stop`` of shared columns; :meth:`pop` builds
+    the one candidate at the cursor (``stop - left``), and :meth:`columns`
+    hands what is left back to a snapshot as it is.
+    """
+
+    __slots__ = ("_columns", "_stop", "left")
+
+    def __init__(self, columns: _Columns, start: int, stop: int) -> None:
+        self._columns = columns
+        self._stop = stop
+        #: Rows not yet popped.
+        self.left = stop - start
+
+    def pop(self) -> Candidate:
+        left = self.left
+        at = self._stop - left
+        self.left = left - 1
+        urls, priorities, distances, referrers = self._columns
+        return new_candidate((urls[at], priorities[at], distances[at], referrers[at], None))
+
+    def columns(self) -> list[list[Any]]:
+        """The unpopped rows, one new list per column."""
+        start, stop = self._stop - self.left, self._stop
+        return [column[start:stop] for column in self._columns]
+
+
+#: A :class:`FIFOFrontier` with no restored head left.
+_NO_HEAD = _ColumnHead(([], [], [], []), 0, 0)
+
+
 class Frontier(ABC):
     """Common interface of the URL queue implementations.
 
@@ -101,7 +154,8 @@ class Frontier(ABC):
     ``pushes`` and ``pops`` — cheap enough to maintain unconditionally
     and the raw material of the observability layer's frontier gauges
     (:mod:`repro.obs`).  Each ``push`` counts itself and raises
-    ``_peak_size`` inline, from its own container's C-level ``len``;
+    ``_peak_size`` inline, from its own container's C-level ``len`` or
+    its own count of what it holds;
     truth is ``__len__`` alone (no ``__bool__``), so the engine's
     ``while frontier`` costs one Python call.
     """
@@ -182,119 +236,180 @@ class Frontier(ABC):
 class FIFOFrontier(Frontier):
     """First-in first-out queue: pure discovery order.
 
-    A restored queue stays in its checkpoint columns — the *head* — until
-    it is popped: :meth:`restore` checks the columns whole and keeps them
-    with a cursor, :meth:`pop` builds the one candidate at the cursor,
-    and :meth:`push` appends behind the head as usual.  A resumed crawl
-    then pays per candidate it pops, not per candidate the queue holds;
-    an evicted session that steps a few pages and is evicted again
-    writes most of its queue straight back from the columns.
+    A restored queue stays in its checkpoint columns — the *head*, a
+    :class:`_ColumnHead` — until it is popped: :meth:`restore` checks the
+    columns whole and keeps them, :meth:`pop` builds the one candidate at
+    the head's cursor, and :meth:`push` appends behind the head as usual.
+    A resumed crawl then pays per candidate it pops, not per candidate
+    the queue holds; an evicted session that steps a few pages and is
+    evicted again writes most of its queue straight back from the
+    columns.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self._queue: deque[Candidate] = deque()
-        #: The restored head as columns of URLs, priorities, distances
-        #: and referrers, and how many of them are still unpopped (the
-        #: cursor is ``len(urls) - _head_left``).
-        self._head: tuple[list[str], list[int], list[int], list[str | None]] = _NO_HEAD
-        self._head_left = 0
+        self._head = _NO_HEAD
 
     def push(self, candidate: Candidate) -> None:
         queue = self._queue
         queue.append(candidate)
         self.pushes += 1
-        if len(queue) + self._head_left > self._peak_size:
-            self._peak_size = len(queue) + self._head_left
+        if len(queue) + self._head.left > self._peak_size:
+            self._peak_size = len(queue) + self._head.left
 
     def pop(self) -> Candidate:
-        left = self._head_left
-        if left:
-            urls, priorities, distances, referrers = self._head
-            at = len(urls) - left
-            self._head_left = left - 1
-            if left == 1:
-                self._head = _NO_HEAD
+        head = self._head
+        if head.left:
             self.pops += 1
-            return new_candidate((urls[at], priorities[at], distances[at], referrers[at], None))
+            if head.left == 1:
+                self._head = _NO_HEAD
+            return head.pop()
         if not self._queue:
             raise FrontierError("pop from empty FIFO frontier")
         self.pops += 1
         return self._queue.popleft()
 
     def __len__(self) -> int:
-        return len(self._queue) + self._head_left
+        return len(self._queue) + self._head.left
 
     def snapshot(self, index: dict[str, int]) -> dict:
         # The unpopped head, then the pushed queue: the order pop takes.
-        urls, priorities, distances, referrers = self._head
-        at = len(urls) - self._head_left
-        head: list[list[Any]] = [urls[at:], priorities[at:], distances[at:], referrers[at:]]
+        head = self._head.columns()
         for column, field in zip(head, FIELDS):
             column += map(field, self._queue)
         return {"kind": "fifo", **self._counters_dict(), **url_columns(*head, index)}
 
     def restore(self, state: dict, table: Sequence[str]) -> None:
         self._check_kind(state, "fifo")
-        u, p, d, r = checked_columns(state, len(table))
+        columns = _resolved(*checked_columns(state, len(table)), table)
         self._queue = deque()
-        self._head = (
-            list(map(table.__getitem__, u)),
-            p,
-            d,
-            list(map([*table, None].__getitem__, r)),
-        )
-        self._head_left = len(u)
+        self._head = _ColumnHead(columns, 0, len(columns[0]))
         self._restore_counters(state)
 
 
 class PriorityFrontier(Frontier):
-    """Max-priority queue with FIFO order within equal priorities.
+    """Max-priority queue with FIFO order within equal priorities: a
+    bucket queue.
 
-    A monotonically increasing insertion counter serves as the tie
-    breaker, so two candidates pushed with the same priority pop in push
+    Each priority has its own ``deque`` band in ``_bands``, keyed by
+    ``-priority``, and ``_keys`` is a heap of the keys of the non-empty
+    bands.  Two candidates pushed with the same priority pop in push
     order — the behaviour the paper's two-band soft-focused queue needs
     for its results to be deterministic.
+
+    A snapshot writes the queue in pop order, band by band, with each
+    row's ``tiebreak`` its rank, under the frontier's push ``counter``
+    (never reset by pops, so it stays above every rank): sorted rows
+    are a valid heap, so the heap frontier of earlier releases reads
+    these files too.  :meth:`restore` takes the rows in *any* order —
+    it sorts them by ``(neg_priority, tiebreak)``, which is how it reads
+    the heap-layout files those releases wrote — and keeps each band's
+    rows as a :class:`_ColumnHead` until they are popped.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        self._heap: list[_HeapEntry] = []
+        self._bands: dict[int, deque[Candidate]] = {}
+        self._keys: list[int] = []
+        #: Restored rows not yet popped, by band key; a band with a head
+        #: pops it before its deque, which holds what was pushed since.
+        self._heads: dict[int, _ColumnHead] = {}
+        self._size = 0
         self._counter = 0
 
     def push(self, candidate: Candidate) -> None:
-        heap = self._heap
-        counter = self._counter
-        self._counter = counter + 1
-        heapq.heappush(heap, (-candidate.priority, counter, candidate))
+        key = -candidate.priority
+        band = self._bands.get(key)
+        if band is None:
+            band = self._bands[key] = deque()
+            heapq.heappush(self._keys, key)
+        band.append(candidate)
+        self._counter += 1
         self.pushes += 1
-        if len(heap) > self._peak_size:
-            self._peak_size = len(heap)
+        size = self._size + 1
+        self._size = size
+        if size > self._peak_size:
+            self._peak_size = size
 
     def pop(self) -> Candidate:
-        if not self._heap:
+        keys = self._keys
+        if not keys:
             raise FrontierError("pop from empty priority frontier")
+        key = keys[0]
+        self._size -= 1
         self.pops += 1
-        return heapq.heappop(self._heap)[2]
+        band = self._bands[key]
+        heads = self._heads
+        if heads and key in heads:
+            head = heads[key]
+            if head.left == 1:
+                del heads[key]
+                if not band:
+                    heapq.heappop(keys)
+                    del self._bands[key]
+            return head.pop()
+        candidate = band.popleft()
+        if not band:
+            heapq.heappop(keys)
+            del self._bands[key]
+        return candidate
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._size
 
     def snapshot(self, index: dict[str, int]) -> dict:
-        # Heap entries are serialised in their internal (heap-ordered)
-        # list layout, tiebreaks included, so a restore re-creates the
-        # exact pop sequence without re-heapifying.
+        columns: list[list[Any]] = [[], [], [], []]
+        neg_priority: list[int] = []
+        for key in sorted(self._keys):
+            head = self._heads.get(key)
+            if head is not None:
+                for column, rows in zip(columns, head.columns()):
+                    column += rows
+            for column, field in zip(columns, FIELDS):
+                column += map(field, self._bands[key])
+            neg_priority += repeat(key, len(columns[0]) - len(neg_priority))
         return {
             "kind": "priority",
             **self._counters_dict(),
             "counter": self._counter,
-            **_heap_columns(self._heap, index),
+            "neg_priority": neg_priority,
+            "tiebreak": list(range(len(neg_priority))),
+            **url_columns(*columns, index),
         }
 
     def restore(self, state: dict, table: Sequence[str]) -> None:
         self._check_kind(state, "priority")
-        self._heap = _heap_entries(state, table)
-        self._counter = state["counter"]
+        u, p, d, r = checked_columns(state, len(table))
+        size = len(u)
+        neg_priority = int_column(state, "neg_priority", size)
+        tiebreak = int_column(state, "tiebreak", size)
+        counter = state["counter"]
+        if type(counter) is not int or counter < size:
+            raise CheckpointError(
+                f"push counter {counter!r} is below the {size} queued candidates"
+            )
+        if tiebreak != list(range(size)) or neg_priority != sorted(neg_priority):
+            # Not in pop order (a heap-layout file): sort the rows.
+            pairs = list(zip(neg_priority, tiebreak))
+            if len(set(pairs)) != size:
+                raise CheckpointError("two frontier rows share a (neg_priority, tiebreak) pair")
+            order = sorted(range(size), key=pairs.__getitem__)
+            u, p, d, r, neg_priority = (
+                list(map(column.__getitem__, order)) for column in (u, p, d, r, neg_priority)
+            )
+        columns = _resolved(u, p, d, r, table)
+        self._bands, self._keys, self._heads = {}, [], {}
+        start = 0
+        while start < size:
+            key = neg_priority[start]
+            stop = bisect_right(neg_priority, key, start)
+            self._bands[key] = deque()
+            self._keys.append(key)
+            self._heads[key] = _ColumnHead(columns, start, stop)
+            start = stop
+        self._size = size
+        self._counter = counter
         self._restore_counters(state)
 
 

@@ -124,6 +124,11 @@ def poke_store(data: bytes, section: str, index: int, value: int) -> bytes:
 #: writer produced that version (see the MANIFEST there).
 V4_CHECKPOINT_DIR = LEGACY_CHECKPOINT_DIR / "v4"
 
+#: Real format-version-5 checkpoints, written by the last commit whose
+#: priority frontier was a binary heap (see the MANIFEST there): its
+#: priority rows are in heap layout, not pop order.
+V5_CHECKPOINT_DIR = LEGACY_CHECKPOINT_DIR / "v5"
+
 CHECKPOINT_MAGIC = b"LSWCCKP5"
 
 #: A version-5 checkpoint's frontier columns, in the order they are written.

@@ -21,6 +21,14 @@ wherever the file has no section those versions lacked.
 ``fixtures/checkpoints/v4/*.v4.ckpt`` are the same seven crawls cut at
 the same step by the last commit whose writer produced format version 4
 (the columnar JSONL layout; ``v4/MANIFEST.json``), replayed the same way.
+
+``fixtures/checkpoints/v5/*.v5.ckpt`` are the same seven again, written
+by the last commit whose priority frontier was a binary heap
+(``v5/MANIFEST.json``): the format is the current one, but the four
+priority frontiers' rows are in that heap's internal layout, not the pop
+order the current writer uses — the only real files that exercise the
+reader's re-sorting path.  Each priority frontier, restored and drained,
+must pop what the recording commit's own restore popped.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ import pytest
 from repro.adversary import AdversaryModel, AdversaryProfile, DefenseConfig
 from repro.core.checkpoint import read_checkpoint
 from repro.core.classifier import Classifier
-from repro.core.frontier import ReprioritizableFrontier
+from repro.core.frontier import PriorityFrontier, ReprioritizableFrontier
 from repro.core.politeness import HostQueues
 from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
 from repro.core.strategies import get_strategy
@@ -46,10 +54,17 @@ from repro.experiments.golden import (
 )
 from repro.faults import FaultModel, FaultProfile
 
-from conftest import LEGACY_CHECKPOINT_DIR, V4_CHECKPOINT_DIR, legacy_checkpoint
+from conftest import (
+    LEGACY_CHECKPOINT_DIR,
+    V4_CHECKPOINT_DIR,
+    V5_CHECKPOINT_DIR,
+    checkpoint_layout,
+    legacy_checkpoint,
+)
 
 MANIFEST = json.loads((LEGACY_CHECKPOINT_DIR / "MANIFEST.json").read_text(encoding="utf-8"))
 V4_MANIFEST = json.loads((V4_CHECKPOINT_DIR / "MANIFEST.json").read_text(encoding="utf-8"))
+V5_MANIFEST = json.loads((V5_CHECKPOINT_DIR / "MANIFEST.json").read_text(encoding="utf-8"))
 CUT = MANIFEST["cut"]
 
 #: (fixture entry, format version) for every file the suite reads.
@@ -58,14 +73,18 @@ CASES = [
     for entry in MANIFEST["fixtures"]
     for version in (*entry["also_versions"], 3)
 ] + [
-    pytest.param(entry, 4, id=f"{entry['file'].removesuffix('.v4.ckpt')}-v4")
-    for entry in V4_MANIFEST["fixtures"]
+    pytest.param(entry, version, id=f"{entry['file'].removesuffix(f'.v{version}.ckpt')}-v{version}")
+    for version, manifest in ((4, V4_MANIFEST), (5, V5_MANIFEST))
+    for entry in manifest["fixtures"]
 ]
+
+#: The directory of each recorded version past 3.
+RECORDED_DIRS = {4: V4_CHECKPOINT_DIR, 5: V5_CHECKPOINT_DIR}
 
 
 def _fixture_path(entry: dict, version: int, tmp_path):
-    if version == 4:
-        return V4_CHECKPOINT_DIR / entry["file"]
+    if version in RECORDED_DIRS:
+        return RECORDED_DIRS[version] / entry["file"]
     return legacy_checkpoint(entry["file"].removesuffix(".v3.ckpt"), version, tmp_path)
 
 
@@ -154,6 +173,31 @@ class TestFixtureIntegrity:
             assert sections["frontier"]["kind"] == entry["frontier_kind"]
             assert {"u", "p", "d", "r"} <= sections["frontier"].keys()
 
+    def test_v5_manifest_lists_exactly_the_files(self):
+        on_disk = sorted(path.name for path in V5_CHECKPOINT_DIR.glob("*.ckpt"))
+        assert on_disk == sorted(entry["file"] for entry in V5_MANIFEST["fixtures"])
+
+    def test_v5_files_are_the_same_crawls_with_heap_layout_priority_rows(self):
+        """Guards against "refreshing" a fixture with the current writer:
+        each priority frontier's rows are not sorted by ``(neg_priority,
+        tiebreak)``, which pop-order rows always are."""
+        assert V5_MANIFEST["cut"] == CUT and V5_MANIFEST["max_pages"] == MANIFEST["max_pages"]
+        for old, entry in zip(V4_MANIFEST["fixtures"], V5_MANIFEST["fixtures"], strict=True):
+            assert entry["file"] == old["file"].replace(".v4.", ".v5.")
+            assert entry["suffix_sha256"] == old["suffix_sha256"], entry["file"]
+            assert entry["sections"] == old["sections"], entry["file"]
+            data = (V5_CHECKPOINT_DIR / entry["file"]).read_bytes()
+            header, _ = checkpoint_layout(data)
+            assert (header["version"], header["steps"]) == (5, CUT), entry["file"]
+            assert header["frontier"]["kind"] == entry["frontier_kind"]
+            if entry["frontier_kind"] == "priority":
+                assert entry["rows_in_heap_layout"], entry["file"]
+                frontier = read_checkpoint(V5_CHECKPOINT_DIR / entry["file"]).frontier
+                rows = list(zip(frontier["neg_priority"], frontier["tiebreak"]))
+                assert rows != sorted(rows), entry["file"]
+        kinds = [entry["frontier_kind"] for entry in V5_MANIFEST["fixtures"]]
+        assert kinds.count("priority") == 4
+
     def test_every_frontier_class_and_optional_section_is_covered(self):
         assert {entry["frontier_kind"] for entry in MANIFEST["fixtures"]} == {
             "fifo", "priority", "reprioritizable", "host-queue",
@@ -181,21 +225,8 @@ class TestLegacyResumeReplaysItsTrace:
             "the run of the commit that wrote the file"
         )
 
-    @pytest.mark.parametrize(
-        "entry, version",
-        [
-            pytest.param(entry, version, id=f"v{version}")
-            for version, manifest in ((3, MANIFEST), (4, V4_MANIFEST))
-            for entry in manifest["fixtures"]
-            if entry["frontier_kind"] == "reprioritizable"
-        ],
-    )
-    def test_reprioritizable_frontier_drains_in_the_recorded_order(self, entry, version, tmp_path):
-        """Frontier level: the upgraded section, restored and drained,
-        pops every candidate — all four fields — in the order the
-        recording commit's own restore popped them."""
+    def _assert_drains_as_recorded(self, frontier, entry, version, tmp_path):
         state = read_checkpoint(_fixture_path(entry, version, tmp_path))
-        frontier = ReprioritizableFrontier()
         frontier.restore(state.frontier, state.urls)
         pops = []
         while frontier:
@@ -205,3 +236,31 @@ class TestLegacyResumeReplaysItsTrace:
             )
         assert len(pops) == entry["drain_length"]
         assert _digest(pops) == entry["drain_sha256"]
+
+    @pytest.mark.parametrize(
+        "entry, version",
+        [
+            pytest.param(entry, version, id=f"v{version}")
+            for version, manifest in ((3, MANIFEST), (4, V4_MANIFEST), (5, V5_MANIFEST))
+            for entry in manifest["fixtures"]
+            if entry["frontier_kind"] == "reprioritizable"
+        ],
+    )
+    def test_reprioritizable_frontier_drains_in_the_recorded_order(self, entry, version, tmp_path):
+        """Frontier level: the upgraded section, restored and drained,
+        pops every candidate — all four fields — in the order the
+        recording commit's own restore popped them."""
+        self._assert_drains_as_recorded(ReprioritizableFrontier(), entry, version, tmp_path)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            pytest.param(entry, id=entry["file"].removesuffix(".v5.ckpt"))
+            for entry in V5_MANIFEST["fixtures"]
+            if entry["frontier_kind"] == "priority"
+        ],
+    )
+    def test_heap_layout_priority_frontier_drains_in_the_recorded_order(self, entry, tmp_path):
+        """The same for the four priority frontiers the heap wrote: the
+        band frontier sorts their rows into the heap's pop order."""
+        self._assert_drains_as_recorded(PriorityFrontier(), entry, 5, tmp_path)

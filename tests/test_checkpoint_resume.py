@@ -9,6 +9,7 @@ equivalents plus every file-format and mismatch error path.
 """
 
 import json
+import random
 import struct
 import zlib
 
@@ -37,13 +38,14 @@ from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
 from repro.core.strategies import BreadthFirstStrategy, SimpleStrategy
 from repro.core.timing import TimingModel
 from repro.errors import CheckpointError, ConfigError
-from repro.experiments.golden import golden_dataset
+from repro.experiments.golden import GOLDEN_FIXTURE_DIR, golden_dataset, read_golden_trace
 from repro.faults import FaultModel, FaultProfile
 
 from conftest import (
     CHECKPOINT_MAGIC,
     SEED,
     V4_CHECKPOINT_DIR,
+    V5_CHECKPOINT_DIR,
     A,
     C,
     F,
@@ -217,6 +219,14 @@ def _put(value, *path):
     return mutate
 
 
+def _duplicate_heap_key(sections):
+    """Give the second priority row the first one's ``(neg_priority,
+    tiebreak)`` pair, so the two could only be ordered by their URLs."""
+    frontier = sections["frontier"]
+    for name in ("neg_priority", "tiebreak"):
+        frontier[name][1] = frontier[name][0]
+
+
 class _Raw:
     """A mutation of a version-5 file's encoded columns, not its sections
     (:func:`~conftest.reseal_checkpoint`'s ``mutate_columns``)."""
@@ -249,6 +259,7 @@ _COLUMN_MALFORMATIONS = [
     ("referrer below -1", "frontier", _put(-2, "frontier", "r", 0)),
     ("position is a string", "frontier", _put("0", "frontier", "u", 0)),
     ("tiebreak is a float", "frontier", _put(0.5, "frontier", "tiebreak", 0)),
+    ("duplicate heap key", "frontier", _duplicate_heap_key),
     ("scheduled count past the table", "scheduled", _put(lambda s: len(s["urls"]) + 1, "scheduled")),
     ("scheduled count negative", "scheduled", _put(-1, "scheduled")),
     ("scheduled is a list again", "scheduled", _put(lambda s: s["urls"], "scheduled")),
@@ -347,6 +358,73 @@ class TestMalformedContents:
         assert recorded.status() == legacy.status()
         resealed = reseal_checkpoint(current, tmp_path / "resealed.ckpt")
         assert resealed.read_bytes() == current.read_bytes()
+
+
+def _permute_frontier_rows(order_of):
+    """A mutation reordering the frontier's rows, every column alike
+    (``order_of(frontier)`` gives the new order of its rows)."""
+
+    def mutate(sections):
+        frontier = sections["frontier"]
+        order = order_of(frontier)
+        for name in ("u", "p", "d", "r", "neg_priority", "tiebreak"):
+            frontier[name] = [frontier[name][row] for row in order]
+
+    return mutate
+
+
+def _pop_order(frontier):
+    pairs = list(zip(frontier["neg_priority"], frontier["tiebreak"]))
+    return sorted(range(len(pairs)), key=pairs.__getitem__)
+
+
+def _shuffled(seed):
+    def order_of(frontier):
+        order = list(range(len(frontier["u"])))
+        random.Random(seed).shuffle(order)
+        return order
+
+    return order_of
+
+
+class TestPriorityRowOrder:
+    """A priority frontier's rows are keyed by ``(neg_priority,
+    tiebreak)``, so their order in the file is no part of the queue: the
+    recorded heap-layout file, its rows in pop order, reversed or
+    shuffled, resume the same crawl — the golden one."""
+
+    @pytest.fixture(scope="class")
+    def request_(self):
+        return CrawlRequest(strategy="soft-focused", dataset=golden_dataset()).resolve()
+
+    @pytest.mark.parametrize(
+        "order_of",
+        [
+            pytest.param(None, id="as-recorded"),
+            pytest.param(_pop_order, id="pop-order"),
+            pytest.param(lambda frontier: list(range(len(frontier["u"])))[::-1], id="reversed"),
+            pytest.param(_shuffled(1), id="shuffled-1"),
+            pytest.param(_shuffled(2), id="shuffled-2"),
+        ],
+    )
+    def test_any_row_order_resumes_the_golden_crawl(self, request_, tmp_path, order_of):
+        path = V5_CHECKPOINT_DIR / "soft-focused.v5.ckpt"
+        if order_of is not None:
+            path = reseal_checkpoint(
+                path, tmp_path / "permuted.ckpt", mutate=_permute_frontier_rows(order_of)
+            )
+        urls: list[str] = []
+        CrawlSession(
+            request_,
+            SessionConfig(
+                max_pages=1100,
+                sample_interval=max(1, len(request_.web.crawl_log) // 200),
+                on_fetch=lambda event: urls.append(event.url),
+                resume_from=path,
+            ),
+        ).run()
+        golden = read_golden_trace(GOLDEN_FIXTURE_DIR / "soft-focused.jsonl")[1]
+        assert urls == [row["url"] for row in golden[300:]]
 
 
 class TestFrontierSnapshots:

@@ -112,6 +112,16 @@ def test_checkpoint_suites_run_in_the_differential_and_serve_jobs():
         assert [path for path in paths if not (root / path).exists()] == []
 
 
+def test_frontier_suites_run_in_the_differential_job():
+    """The goldens rest on the priority frontier's pop order; its unit
+    and reference-property suites gate the same job."""
+    root = WORKFLOW.parents[2]
+    paths = _pytest_paths("golden-diff")
+    pinned = {"tests/test_core_frontier.py", "tests/test_prop_frontier.py", "tests/golden"}
+    assert pinned <= set(paths)
+    assert [path for path in paths if not (root / path).exists()] == []
+
+
 @pytest.mark.parametrize(
     ("module_name", "argv"),
     [pytest.param(module, argv, id=label) for label, module, argv in INVOCATIONS],

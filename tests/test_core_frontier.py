@@ -125,12 +125,13 @@ class TestPriorityFrontier:
 
 
 class TestTiebreakCounter:
-    """The explicit FIFO tiebreak in the heap tuples.
+    """FIFO order within a priority, and the push counter a snapshot writes.
 
-    Entries are ``(-priority, tiebreak, candidate)`` with a per-frontier
-    monotonic counter: unique tiebreaks mean tuple comparison never
-    reaches the candidate, so pop order is a pure function of
-    (priority, push sequence) on every Python version.  The golden-trace
+    The queue is one ``deque`` band per priority under a heap of plain
+    ``int`` band keys, so pop order is a pure function of (priority,
+    push sequence) on every Python version and no candidate is ever
+    compared.  The per-frontier push counter only goes into snapshots,
+    where it must stay above every row's tiebreak.  The golden-trace
     suite pins the crawl-level consequence; these pin the mechanism.
     """
 
@@ -140,9 +141,9 @@ class TestTiebreakCounter:
             frontier.push(Candidate(url=f"http://a{index}.example/", priority=1))
         frontier.pop()
         frontier.push(Candidate(url="http://late.example/", priority=1))
-        tiebreaks = [entry[1] for entry in frontier._heap]
-        assert len(set(tiebreaks)) == len(tiebreaks)  # unique
-        assert frontier._counter == 4  # never reset by pops
+        state = frontier.snapshot({})
+        assert state["tiebreak"] == [0, 1, 2]  # unique: the rows' pop ranks
+        assert frontier._counter == state["counter"] == 4  # never reset by pops
 
     def test_candidates_are_never_compared(self):
         """Equal (priority, referrer-free) candidates would raise if the
@@ -154,13 +155,17 @@ class TestTiebreakCounter:
         popped = [frontier.pop().url for _ in range(100)]
         assert popped == [f"http://h{index}.example/" for index in range(100)]
 
-    def test_heap_entries_are_plain_tuples(self):
+    def test_bands_hold_the_candidates_under_plain_int_keys(self):
         frontier = PriorityFrontier()
-        frontier.push(Candidate(url="http://a.example/", priority=2))
-        entry = frontier._heap[0]
-        assert type(entry) is tuple
-        assert entry[0] == -2 and entry[1] == 0
-        assert entry[2].url == "http://a.example/"
+        low = Candidate(url="http://low.example/", priority=-1)
+        high = Candidate(url="http://a.example/", priority=2)
+        frontier.push(low)
+        frontier.push(high)
+        assert frontier._keys == [-2, 1]
+        assert all(type(key) is int for key in frontier._keys)
+        assert frontier._bands[-2][0] is high and frontier._bands[1][0] is low
+        frontier.pop()
+        assert frontier._keys == [1] and -2 not in frontier._bands  # an empty band goes
 
     def test_mixed_band_burst_pops_priority_then_insertion(self):
         frontier = PriorityFrontier()

@@ -1,5 +1,6 @@
 """Property-based tests for the frontier implementations."""
 
+import heapq
 import json
 from collections import Counter, deque
 
@@ -396,3 +397,113 @@ class TestLazyFifoHead:
         assert not lazy
         with pytest.raises(FrontierError):
             lazy.pop()
+
+
+class HeapPriority:
+    """The priority frontier as it was before its bands: one binary heap
+    of ``(-priority, tiebreak, candidate)`` entries, snapshotted in heap
+    layout and restored as it reads, without a heapify."""
+
+    def __init__(self):
+        self.heap, self.counter = [], 0
+        self.pushes = self.pops = self.peak_size = 0
+
+    def push(self, candidate):
+        heapq.heappush(self.heap, (-candidate.priority, self.counter, candidate))
+        self.counter += 1
+        self.pushes += 1
+        self.peak_size = max(self.peak_size, len(self.heap))
+
+    def pop(self):
+        self.pops += 1
+        return heapq.heappop(self.heap)[2]
+
+    def __len__(self):
+        return len(self.heap)
+
+    def snapshot(self, index):
+        counters = {"pushes": self.pushes, "pops": self.pops, "peak_size": self.peak_size}
+        neg_priority, tiebreak, queued = zip(*self.heap) if self.heap else ((), (), ())
+        return {
+            "kind": "priority", **counters, "counter": self.counter,
+            "neg_priority": list(neg_priority), "tiebreak": list(tiebreak),
+            **reference_columns(list(queued), index),
+        }
+
+    def restore(self, state, table):
+        queued = candidates_from_columns(state, table)
+        self.heap = list(zip(state["neg_priority"], state["tiebreak"], queued))
+        self.counter = state["counter"]
+        self.pushes, self.pops, self.peak_size = state["pushes"], state["pops"], state["peak_size"]
+
+
+#: Few shared values, so bands fill; many distinct ones, so bands come
+#: and go; and the extremes a checkpoint's int64 columns can hold.
+any_priority = st.one_of(
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=-(2**63) + 1, max_value=2**63 - 1),
+)
+
+#: push a candidate / pop / snapshot on one side ("band" or "heap") and
+#: restore both sides from it (over a table that starts with some
+#: "scheduled" URLs).
+priority_operations = st.lists(
+    st.one_of(
+        st.builds(
+            Candidate,
+            url=pool_urls,
+            priority=any_priority,
+            distance=st.integers(min_value=0, max_value=3),
+            referrer=st.one_of(st.none(), pool_urls),
+            uid=st.one_of(st.none(), st.integers(min_value=0, max_value=99)),
+        ),
+        st.just("pop"),
+        st.tuples(st.sampled_from(["band", "heap"]), tables),
+    ),
+    max_size=100,
+)
+
+
+class TestBandsEqualTheHeap:
+    @given(priority_operations)
+    @settings(max_examples=300, deadline=None)
+    def test_any_interleaving_equals_the_heap_reference(self, ops):
+        """Pushes, pops and snapshot/restore cycles in any order, with any
+        int priorities: the band frontier pops what the heap pops, and
+        keeps the same ``pushes``, ``pops``, ``peak_size`` and ``len`` —
+        across restores from the heap's own heap-layout columns, and
+        across the heap reading the band frontier's pop-order ones."""
+        bands, heap = PriorityFrontier(), HeapPriority()
+        popped_bands, popped_heap = [], []
+        for op in ops:
+            if op == "pop":
+                if heap:
+                    popped_bands.append(bands.pop())
+                    popped_heap.append(heap.pop())
+                else:
+                    assert not bands
+            elif isinstance(op, Candidate):
+                bands.push(op)
+                heap.push(op)
+            else:
+                writer, scheduled = op
+                index = {url: position for position, url in enumerate(scheduled)}
+                state = (bands if writer == "band" else heap).snapshot(index)
+                if writer == "band":
+                    assert state["tiebreak"] == list(range(len(bands)))
+                    assert state["counter"] >= len(bands)
+                bands, heap = PriorityFrontier(), HeapPriority()
+                bands.restore(state, list(index))
+                heap.restore(state, list(index))
+            assert len(bands) == len(heap)
+            assert (bands.pushes, bands.pops, bands.peak_size) == (
+                heap.pushes, heap.pops, heap.peak_size,
+            )
+        while heap:
+            popped_bands.append(bands.pop())
+            popped_heap.append(heap.pop())
+        assert [tuple(c) for c in popped_bands] == [tuple(c) for c in popped_heap]
+        assert not bands
+        with pytest.raises(FrontierError):
+            bands.pop()
