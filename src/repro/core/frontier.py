@@ -29,10 +29,14 @@ A restored queue — :class:`FIFOFrontier`'s, or each band of a
 :class:`_ColumnHead`) until it is popped, so a resumed crawl pays per
 candidate it pops, not per candidate the queue holds.
 
-:class:`ReprioritizableFrontier` reprioritizes with lazy deletion: an
-update pushes a fresh entry in O(log n) and *tombstones* the stale one,
-which pop discards when it surfaces.  Tombstones are compacted once they
-outnumber live entries, bounding the heap at twice the live size.
+:class:`ReprioritizableFrontier` is the same bands with lazy deletion:
+an update appends the candidate to its new band in O(1) and
+*tombstones* the stale entry, which pop discards when it reaches the
+head of its band.  Tombstones are compacted once they outnumber live
+entries, bounding the bands at twice the live size.  The spilling
+frontier (:mod:`repro.core.spilling`) is a :class:`PriorityFrontier`
+too, its bands the resident set, so the bands are the one priority
+mechanism every queue rests on.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from bisect import bisect_right
 from collections import deque
 from collections.abc import Collection, Sequence
 from itertools import repeat
-from operator import itemgetter
 from typing import Any
 
 from repro.core.candidate import (
@@ -51,8 +54,6 @@ from repro.core.candidate import (
     Candidate,
     candidate_from_dict,
     candidate_to_dict,
-    candidates_from_columns,
-    candidates_to_columns,
     checked_columns,
     int_column,
     new_candidate,
@@ -69,37 +70,6 @@ __all__ = [
     "PriorityFrontier",
     "ReprioritizableFrontier",
 ]
-
-#: Heap entries of :class:`ReprioritizableFrontier`: ``(-priority,
-#: tiebreak, candidate)``.  The tiebreak counter is unique per frontier,
-#: so tuple comparison never reaches the candidate.
-_HeapEntry = tuple
-
-#: A heap entry's ``-priority``, tiebreak and candidate, as C callables.
-_NEG_PRIORITY, _TIEBREAK, _CANDIDATE = map(itemgetter, range(3))
-
-
-def _heap_columns(entries: Collection[_HeapEntry], index: dict[str, int]) -> dict:
-    """Heap entries as ``neg_priority`` / ``tiebreak`` + candidate columns
-    (transposed by ``map``, as :data:`~repro.core.candidate.FIELDS` says why)."""
-    return {
-        "neg_priority": list(map(_NEG_PRIORITY, entries)),
-        "tiebreak": list(map(_TIEBREAK, entries)),
-        **candidates_to_columns(list(map(_CANDIDATE, entries)), index),
-    }
-
-
-def _heap_entries(state: dict, table: Sequence[str]) -> list[_HeapEntry]:
-    """Inverse of :func:`_heap_columns`, in the order written."""
-    candidates = candidates_from_columns(state, table)
-    return list(
-        zip(
-            int_column(state, "neg_priority", len(candidates)),
-            int_column(state, "tiebreak", len(candidates)),
-            candidates,
-        )
-    )
-
 
 #: A restored queue's columns: URLs, priorities, distances, referrers.
 _Columns = tuple[list[str], list[int], list[int], list[str | None]]
@@ -308,6 +278,9 @@ class PriorityFrontier(Frontier):
     rows as a :class:`_ColumnHead` until they are popped.
     """
 
+    #: The ``kind`` a snapshot is written and restored under.
+    _KIND = "priority"
+
     def __init__(self) -> None:
         super().__init__()
         self._bands: dict[int, deque[Candidate]] = {}
@@ -319,6 +292,16 @@ class PriorityFrontier(Frontier):
         self._counter = 0
 
     def push(self, candidate: Candidate) -> None:
+        self._append(candidate)
+        self.pushes += 1
+        size = self._size + 1
+        self._size = size
+        if size > self._peak_size:
+            self._peak_size = size
+
+    def _append(self, candidate: Candidate) -> None:
+        """Queue ``candidate`` at the tail of its band, opening the band
+        if the queue has none for its priority."""
         key = -candidate.priority
         band = self._bands.get(key)
         if band is None:
@@ -326,37 +309,42 @@ class PriorityFrontier(Frontier):
             heapq.heappush(self._keys, key)
         band.append(candidate)
         self._counter += 1
-        self.pushes += 1
-        size = self._size + 1
-        self._size = size
-        if size > self._peak_size:
-            self._peak_size = size
 
     def pop(self) -> Candidate:
         keys = self._keys
         if not keys:
             raise FrontierError("pop from empty priority frontier")
-        key = keys[0]
         self._size -= 1
         self.pops += 1
-        band = self._bands[key]
         heads = self._heads
-        if heads and key in heads:
+        if heads and keys[0] in heads:
+            key = keys[0]
             head = heads[key]
             if head.left == 1:
                 del heads[key]
-                if not band:
+                if not self._bands[key]:
                     heapq.heappop(keys)
                     del self._bands[key]
             return head.pop()
+        return self._popleft()
+
+    def _popleft(self) -> Candidate:
+        """Take the left end of the top band, dropping the band (and its
+        key) once it is empty."""
+        key = self._keys[0]
+        band = self._bands[key]
         candidate = band.popleft()
         if not band:
-            heapq.heappop(keys)
+            heapq.heappop(self._keys)
             del self._bands[key]
         return candidate
 
     def __len__(self) -> int:
         return self._size
+
+    def _live(self, band: deque[Candidate]) -> Collection[Candidate]:
+        """The candidates of ``band`` a snapshot writes: all of them."""
+        return band
 
     def snapshot(self, index: dict[str, int]) -> dict:
         columns: list[list[Any]] = [[], [], [], []]
@@ -366,11 +354,12 @@ class PriorityFrontier(Frontier):
             if head is not None:
                 for column, rows in zip(columns, head.columns()):
                     column += rows
+            band = self._live(self._bands[key])
             for column, field in zip(columns, FIELDS):
-                column += map(field, self._bands[key])
+                column += map(field, band)
             neg_priority += repeat(key, len(columns[0]) - len(neg_priority))
         return {
-            "kind": "priority",
+            "kind": self._KIND,
             **self._counters_dict(),
             "counter": self._counter,
             "neg_priority": neg_priority,
@@ -379,7 +368,7 @@ class PriorityFrontier(Frontier):
         }
 
     def restore(self, state: dict, table: Sequence[str]) -> None:
-        self._check_kind(state, "priority")
+        self._check_kind(state, self._KIND)
         u, p, d, r = checked_columns(state, len(table))
         size = len(u)
         neg_priority = int_column(state, "neg_priority", size)
@@ -413,23 +402,31 @@ class PriorityFrontier(Frontier):
         self._restore_counters(state)
 
 
-class ReprioritizableFrontier(Frontier):
+class ReprioritizableFrontier(PriorityFrontier):
     """Priority frontier whose queued URLs can be re-prioritized in place.
 
     Needed by strategies that revise their opinion of a URL *after*
     enqueueing it — the distiller of the original focused-crawling system
     ("the priority values of URLs identified as hubs and their immediate
     neighbors are raised", paper §2.1) and backlink-count ordering (Cho
-    et al.).  Implemented with lazy deletion: ``update_priority`` pushes
-    a fresh heap entry and tombstones the stale one, which ``pop``
-    discards when it reaches the heap top — updates are O(log n), pops
-    amortised O(log n), no re-sort ever.  When tombstones outnumber live
-    entries the heap is compacted in O(live), so memory stays bounded at
-    twice the live queue even under pathological update rates.
+    et al.).  The queue is :class:`PriorityFrontier`'s bands plus
+    ``_current``, the live candidate of each queued URL.
+    ``update_priority`` appends a copy with the new priority to its new
+    band and leaves the old entry behind as a *tombstone*, which ``pop``
+    discards when it reaches the head of its band (it is no longer its
+    URL's ``_current``) — updates are O(1), no re-sort ever.  Pop order
+    is ``(-priority, order of the last push or update)``.  When
+    tombstones outnumber live entries the bands are compacted in
+    O(queued), so memory stays bounded at twice the live queue even
+    under pathological update rates.
 
+    A snapshot writes only the live entries; a restore builds every
+    candidate at once (``_current`` holds them), so it keeps no head.
     Unlike the simpler frontiers, a URL can only be queued once here —
     the class keys its bookkeeping by URL.
     """
+
+    _KIND = "reprioritizable"
 
     #: Compact only past this many tombstones, so small frontiers never
     #: pay the rebuild.
@@ -437,101 +434,77 @@ class ReprioritizableFrontier(Frontier):
 
     def __init__(self) -> None:
         super().__init__()
-        self._heap: list[_HeapEntry] = []
-        self._counter = 0
-        self._current: dict[str, _HeapEntry] = {}
+        self._current: dict[str, Candidate] = {}
         self._stale = 0
 
     def push(self, candidate: Candidate) -> None:
         url = candidate.url
         if url in self._current:
             raise FrontierError(f"{url!r} is already queued; use update_priority")
-        counter = self._counter
-        self._counter = counter + 1
-        entry = (-candidate.priority, counter, candidate)
-        self._current[url] = entry
-        heapq.heappush(self._heap, entry)
-        self.pushes += 1
-        if len(self._current) > self._peak_size:
-            self._peak_size = len(self._current)
+        # A copy of its own: pop tells a live entry from a tombstone by
+        # identity, and the caller may push an object that is one.
+        candidate = self._current[url] = new_candidate(candidate)
+        super().push(candidate)
 
     def update_priority(self, url: str, priority: int) -> bool:
         """Re-prioritize a queued URL; returns False if it is not queued."""
         stale = self._current.get(url)
         if stale is None:
             return False
-        if -stale[0] == priority:
-            return True  # no change needed
-        candidate = stale[2]._replace(priority=priority)
-        counter = self._counter
-        self._counter = counter + 1
-        entry = (-priority, counter, candidate)
-        self._current[url] = entry
-        heapq.heappush(self._heap, entry)
-        self._stale += 1
-        if self._stale > self._COMPACT_MIN and self._stale > len(self._current):
-            self._compact()
+        if stale.priority != priority:
+            candidate = self._current[url] = stale._replace(priority=priority)
+            self._append(candidate)
+            self._stale += 1
+            if self._stale > self._COMPACT_MIN and self._stale > len(self._current):
+                self._compact()
         return True
 
-    def _compact(self) -> None:
-        """Drop every tombstone by rebuilding the heap from live entries.
+    def _live(self, band: deque[Candidate]) -> list[Candidate]:
+        current = self._current
+        return [candidate for candidate in band if current.get(candidate.url) is candidate]
 
-        O(live); heapify keeps the ``(-priority, tiebreak)`` order, so
+    def _compact(self) -> None:
+        """Drop every tombstone by rebuilding the bands from live entries.
+
+        O(queued); each band keeps its live entries in their order, so
         pop order is untouched — only dead weight goes.
         """
-        self._heap = list(self._current.values())
-        heapq.heapify(self._heap)
-        self._stale = 0
+        live = ((key, deque(self._live(band))) for key, band in self._bands.items())
+        self._bands = {key: band for key, band in live if band}
+        self._keys, self._stale = sorted(self._bands), 0
 
     @property
     def stale_entries(self) -> int:
-        """Tombstoned heap entries awaiting lazy deletion/compaction."""
+        """Tombstoned entries awaiting lazy deletion/compaction."""
         return self._stale
 
     def priority_of(self, url: str) -> int | None:
         """Current priority of a queued URL, or None."""
-        entry = self._current.get(url)
-        if entry is None:
-            return None
-        return -entry[0]
+        candidate = self._current.get(url)
+        return None if candidate is None else candidate.priority
 
     def __contains__(self, url: str) -> bool:
         return url in self._current
 
     def pop(self) -> Candidate:
-        heap = self._heap
         current = self._current
-        while heap:
-            entry = heapq.heappop(heap)
-            candidate = entry[2]
-            if current.get(candidate.url) is entry:
+        while self._keys:
+            candidate = self._popleft()
+            if current.get(candidate.url) is candidate:
                 del current[candidate.url]
+                self._size -= 1
                 self.pops += 1
                 return candidate
             # A tombstone superseded by update_priority — discard it.
             self._stale -= 1
         raise FrontierError("pop from empty reprioritizable frontier")
 
-    def __len__(self) -> int:
-        return len(self._current)
-
-    def snapshot(self, index: dict[str, int]) -> dict:
-        # Only live entries are serialised — tombstones are dead weight
-        # whose omission cannot change pop order, because the live
-        # ``(-priority, tiebreak)`` pairs are unique and total-ordered.
-        return {
-            "kind": "reprioritizable",
-            **self._counters_dict(),
-            "counter": self._counter,
-            **_heap_columns(self._current.values(), index),
-        }
-
     def restore(self, state: dict, table: Sequence[str]) -> None:
-        self._check_kind(state, "reprioritizable")
-        heap = _heap_entries(state, table)
-        self._current = {entry[2].url: entry for entry in heap}
-        heapq.heapify(heap)
-        self._heap = heap
-        self._counter = state["counter"]
+        super().restore(state, table)
+        for key, head in self._heads.items():
+            self._bands[key].extend(map(new_candidate, zip(*head.columns(), repeat(None))))
+        self._heads = {}
+        self._current = {c.url: c for band in self._bands.values() for c in band}
+        if len(self._current) != self._size:
+            raise CheckpointError("two frontier rows queue the same URL")
         self._stale = 0
-        self._restore_counters(state)

@@ -64,7 +64,7 @@ from repro.core.engine import (
     FetchCallback,
 )
 from repro.core.metrics import CrawlSummary, MetricsRecorder, MetricSeries
-from repro.core.frontier import Frontier
+from repro.core.frontier import Frontier, ReprioritizableFrontier
 from repro.core.parallel import ParallelConfig
 from repro.core.politeness import HostQueueFrontier, HostQueues
 from repro.core.spilling import SpillConfig, SpillingFrontier
@@ -344,7 +344,10 @@ class SessionConfig(ConfigValue):
     #: ``snapshot()``) — the spilling frontier holds disk state a
     #: checkpoint cannot capture;
     #: :class:`~repro.core.politeness.HostQueues` runs on per-server
-    #: round-robin queues.
+    #: round-robin queues.  Neither can re-rank a queued URL, so a
+    #: strategy whose own queue is a
+    #: :class:`~repro.core.frontier.ReprioritizableFrontier` is a
+    #: :class:`~repro.errors.ConfigError` at ``open`` with either.
     frontier: SpillConfig | HostQueues | None = None
     #: Checkpoint state (or file) to continue from.
     resume_from: CheckpointState | str | Path | None = field(
@@ -568,11 +571,16 @@ class CrawlSession:
             classifier.bind_instrumentation(instr)
             strategy.bind_instrumentation(instr)
         # Always called, whichever queue the config names: it is the
-        # strategy's per-run reset point, and a re-ranking strategy keeps
-        # talking to the queue it made (which then simply stays empty).
+        # strategy's per-run reset point.
         frontier = strategy.make_frontier()
         label = strategy.name
         choice = config.frontier
+        if choice is not None and isinstance(frontier, ReprioritizableFrontier):
+            raise ConfigError(
+                f"{strategy.name} re-ranks the URLs it has queued, and a "
+                f"{type(choice).__name__} frontier cannot re-rank: its updates "
+                "would miss the queue; run it with frontier=None"
+            )
         if isinstance(choice, SpillConfig):
             page_source = request.web.crawl_log
             if not hasattr(page_source, "id_of"):

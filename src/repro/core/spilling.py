@@ -8,14 +8,16 @@ complementary engineering answer a production crawler uses — keep the
 high-priority head of the queue in memory and spill the cold tail to
 disk.
 
-:class:`SpillingFrontier` is a priority queue with a bounded in-memory
-resident set: when the memory budget is exceeded, the lowest-priority
-entries are appended to an on-disk JSONL spill file; when the in-memory
-queue drains, a batch is loaded back.  Ordering among spilled entries
-degrades from strict priority/FIFO to spill-then-batch order — the
-classic trade a spilling queue makes — while hot (high-priority) work
-stays resident, so a soft-focused crawl over a spilling frontier reaches
-the same coverage with a small, fixed resident set.
+:class:`SpillingFrontier` is a :class:`~repro.core.frontier.PriorityFrontier`
+whose bands (one FIFO band per priority) are a bounded in-memory
+resident set: when the memory budget is exceeded, the coldest entries —
+the right ends of the lowest-priority bands — are appended to an
+on-disk JSONL spill file, in pop order; when the bands drain, a batch
+is loaded back.  Ordering among spilled entries degrades from strict
+priority/FIFO to spill-then-batch order — the classic trade a spilling
+queue makes — while hot (high-priority) work stays resident, so a
+soft-focused crawl over a spilling frontier reaches the same coverage
+with a small, fixed resident set.
 
 When the crawl runs over a columnar :class:`~repro.webspace.store.PageStore`
 (see :mod:`repro.webspace.store`), pass it as ``page_source``: candidates
@@ -27,6 +29,9 @@ example) fall back to the string wire format, so the two entry kinds
 coexist in one spill file.
 
 Sessions opt in through ``SessionConfig(frontier=SpillConfig(...))``.
+The queue cannot re-rank a URL it holds, so a strategy whose own queue
+is a :class:`~repro.core.frontier.ReprioritizableFrontier` is refused
+with it (a :class:`~repro.errors.ConfigError` at session open).
 A spilling frontier does not implement checkpoint ``snapshot``/``restore``
 (the spill file *is* disk state already), so combining it with
 ``checkpoint_every=`` / ``resume_from=`` is a
@@ -36,21 +41,21 @@ A spilling frontier does not implement checkpoint ``snapshot``/``restore``
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 import tempfile
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.core.frontier import (
     Candidate,
     Frontier,
-    _HeapEntry,
+    PriorityFrontier,
     candidate_from_dict,
     candidate_to_dict,
 )
-from repro.errors import FrontierError
+from repro.errors import ConfigError, FrontierError
 from repro.schema import ConfigValue
 from repro.urlkit.normalize import intern_url
 
@@ -75,6 +80,10 @@ class SpillConfig(ConfigValue):
 
     memory_limit: int = 10_000
     spill_dir: str | None = field(default=None, metadata={"path": True})
+
+    def __post_init__(self) -> None:
+        if self.memory_limit < 2:
+            raise ConfigError(f"memory_limit must be >= 2, got {self.memory_limit!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,8 +151,10 @@ def candidate_from_spill(entry: dict, page_source=None) -> Candidate:
     )
 
 
-class SpillingFrontier(Frontier):
-    """Priority frontier with a bounded in-memory resident set.
+class SpillingFrontier(PriorityFrontier):
+    """Priority frontier with a bounded in-memory resident set: the
+    bands of :class:`~repro.core.frontier.PriorityFrontier`, while
+    ``len`` also counts the candidates spilled and not yet reloaded.
 
     Args:
         memory_limit: maximum candidates held in memory; beyond it the
@@ -172,8 +183,6 @@ class SpillingFrontier(Frontier):
         self._instr = instrumentation
         self._page_source = page_source
         self._limit = memory_limit
-        self._heap: list[_HeapEntry] = []
-        self._counter = 0
         self._spill_file = tempfile.NamedTemporaryFile(
             mode="w+", suffix=".spill.jsonl", dir=spill_dir, delete=False
         )
@@ -187,33 +196,25 @@ class SpillingFrontier(Frontier):
     # -- core queue operations ----------------------------------------------
 
     def push(self, candidate: Candidate) -> None:
-        counter = self._counter
-        self._counter = counter + 1
-        heapq.heappush(self._heap, (-candidate.priority, counter, candidate))
-        if len(self._heap) > self._limit:
+        super().push(candidate)
+        if self.resident_size > self._limit:
             self._spill_coldest()
-        if len(self._heap) > self._peak_resident:
-            self._peak_resident = len(self._heap)
-        self.pushes += 1
-        size = len(self._heap) + self._pending_on_disk
-        if size > self._peak_size:
-            self._peak_size = size
+        if self.resident_size > self._peak_resident:
+            self._peak_resident = self.resident_size
 
     def pop(self) -> Candidate:
-        if not self._heap and self._pending_on_disk:
+        if not self._keys and self._pending_on_disk:
             self._refill()
-        if not self._heap:
-            raise FrontierError("pop from empty spilling frontier")
-        self.pops += 1
-        return heapq.heappop(self._heap)[2]
-
-    def __len__(self) -> int:
-        return len(self._heap) + self._pending_on_disk
+        return super().pop()
 
     @property
     def resident_size(self) -> int:
         """Candidates currently held in memory."""
-        return len(self._heap)
+        return self._size - self._pending_on_disk
+
+    # The spill file is disk state no checkpoint section carries.
+    snapshot = Frontier.snapshot
+    restore = Frontier.restore
 
     def stats(self) -> SpillStats:
         return SpillStats(
@@ -240,20 +241,22 @@ class SpillingFrontier(Frontier):
     # -- spill mechanics ------------------------------------------------------
 
     def _spill_coldest(self) -> None:
-        """Spill the coldest ~10% of resident entries to disk in a batch.
-
-        Batch spilling keeps amortised push cost O(log n): one O(n)
-        partition pays for limit/10 subsequent pushes.
-        """
+        """Spill the coldest ~10% of resident entries to disk in a batch:
+        the right ends of the coldest bands, written in pop order."""
         started = time.perf_counter() if self._instr is not None else 0.0
         batch = max(1, self._limit // 10)
-        self._heap.sort()
-        victims = self._heap[-batch:]
-        del self._heap[-batch:]
-        heapq.heapify(self._heap)
-
+        victims: list[Candidate] = []
+        for key in sorted(self._bands, reverse=True):
+            band = self._bands[key]
+            while band and len(victims) < batch:
+                victims.append(band.pop())
+            if band:
+                break
+            del self._bands[key]
+        self._keys = sorted(self._bands)  # a sorted list is a heap
+        victims.reverse()
         self._spill_file.seek(0, os.SEEK_END)
-        for _, _, candidate in victims:
+        for candidate in victims:
             record = spill_entry(candidate, self._page_source)
             self._spill_file.write(json.dumps(record, separators=(",", ":")) + "\n")
         self._spill_file.flush()
@@ -268,17 +271,11 @@ class SpillingFrontier(Frontier):
         started = time.perf_counter() if self._instr is not None else 0.0
         self._spill_file.seek(self._read_offset)
         batch = min(_REFILL_BATCH, self._limit)
-        loaded = 0
-        while loaded < batch:
-            line = self._spill_file.readline()
-            if not line:
-                break
-            self._read_offset = self._spill_file.tell()
-            candidate = candidate_from_spill(json.loads(line), self._page_source)
-            counter = self._counter
-            self._counter = counter + 1
-            heapq.heappush(self._heap, (-candidate.priority, counter, candidate))
-            loaded += 1
+        lines = list(islice(iter(self._spill_file.readline, ""), batch))
+        self._read_offset = self._spill_file.tell()
+        for line in lines:
+            self._append(candidate_from_spill(json.loads(line), self._page_source))
+        loaded = len(lines)
         self._pending_on_disk -= loaded
         self.reloaded += loaded
         if self._instr is not None:

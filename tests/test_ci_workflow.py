@@ -114,10 +114,19 @@ def test_checkpoint_suites_run_in_the_differential_and_serve_jobs():
 
 def test_frontier_suites_run_in_the_differential_job():
     """The goldens rest on the priority frontier's pop order; its unit
-    and reference-property suites gate the same job."""
+    and reference-property suites, and those of the re-ranking and
+    spilling queues built on its bands, gate the same job."""
     root = WORKFLOW.parents[2]
     paths = _pytest_paths("golden-diff")
-    pinned = {"tests/test_core_frontier.py", "tests/test_prop_frontier.py", "tests/golden"}
+    pinned = {
+        "tests/test_core_frontier.py",
+        "tests/test_prop_frontier.py",
+        "tests/test_core_reprioritizable.py",
+        "tests/test_prop_extended_frontiers.py",
+        "tests/test_prop_frontier_accounting.py",
+        "tests/test_core_spilling.py",
+        "tests/golden",
+    }
     assert pinned <= set(paths)
     assert [path for path in paths if not (root / path).exists()] == []
 

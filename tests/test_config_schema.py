@@ -103,6 +103,14 @@ class TestRoundTrip:
             SessionConfig.from_json(knobs)
         assert SessionConfig(max_pages=0, sample_interval=1).max_pages == 0
 
+    @pytest.mark.parametrize("limit", [1, 0, -3])
+    def test_spill_memory_limit_fails_where_the_config_is_built(self, limit):
+        with pytest.raises(ConfigError, match="memory_limit"):
+            SessionConfig(frontier=SpillConfig(memory_limit=limit))
+        with pytest.raises(ConfigError, match="memory_limit"):
+            SessionConfig.from_json({"frontier": {"kind": "spill-config", "memory_limit": limit}})
+        assert SpillConfig(memory_limit=2).memory_limit == 2
+
     def test_default_config_is_the_empty_object(self):
         assert SessionConfig().to_json() == {}
         assert SessionConfig.from_json({}) == SessionConfig()
@@ -235,6 +243,15 @@ class TestGeneratedCLI:
         code = main(["run", "thai", "breadth-first", flag, "9"])
         assert code == 1
         assert f"{flag} needs {parent}" in capsys.readouterr().err
+
+    def test_out_of_range_spill_limit_file_is_an_error_exit(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "frontier.json"
+        path.write_text(json.dumps({"kind": "spill-config", "memory_limit": 0}))
+        code = main(["run", "thai", "soft-focused", "--frontier", str(path)])
+        assert code == 1
+        assert "memory_limit" in capsys.readouterr().err
 
     def test_bad_model_file_is_an_error_exit(self, tmp_path, capsys):
         from repro.cli import main

@@ -115,7 +115,7 @@ class TestUpdatePriority:
 
 
 class TestLazyDeletionAccounting:
-    """The tombstone fast path: O(log n) updates with bounded dead weight."""
+    """The tombstone fast path: O(1) updates with bounded dead weight."""
 
     def test_update_tombstones_instead_of_rebuilding(self):
         frontier = ReprioritizableFrontier()
@@ -130,6 +130,19 @@ class TestLazyDeletionAccounting:
         frontier = ReprioritizableFrontier()
         frontier.push(candidate("http://a.example/", 4))
         assert frontier.update_priority("http://a.example/", 4)
+        assert frontier.stale_entries == 0
+
+    def test_repushed_tombstone_object_queues_afresh(self):
+        """An object pushed, re-ranked away and pushed again once its URL
+        has left the queue pops at its new place, not at its tombstone's."""
+        frontier = ReprioritizableFrontier()
+        first = candidate("http://a.example/", 1)
+        frontier.push(first)
+        frontier.update_priority("http://a.example/", 9)
+        assert frontier.pop().priority == 9
+        frontier.push(candidate("http://b.example/", 1))
+        frontier.push(first)  # its tombstone still sits ahead of b
+        assert [frontier.pop().url for _ in range(2)] == ["http://b.example/", "http://a.example/"]
         assert frontier.stale_entries == 0
 
     def test_pop_reclaims_surfaced_tombstones(self):
@@ -149,14 +162,15 @@ class TestLazyDeletionAccounting:
         for index, url in enumerate(urls):
             frontier.push(candidate(url, index))
         # Hammer one URL with far more updates than there are live
-        # entries; compaction must keep the heap near the live size
-        # instead of letting it grow by one entry per update.
+        # entries; compaction must keep the bands near the live size
+        # instead of letting them grow by one entry per update.
         for round_number in range(50):
             for url in urls:
                 frontier.update_priority(url, round_number * 11 % 97)
         assert len(frontier) == 10
         assert frontier.stale_entries <= ReprioritizableFrontier._COMPACT_MIN + len(frontier)
-        assert len(frontier._heap) == len(frontier) + frontier.stale_entries
+        held = sum(map(len, frontier._bands.values()))
+        assert held == len(frontier) + frontier.stale_entries
 
     def test_pop_order_identical_with_and_without_compaction(self):
         """Compaction is invisible: a frontier driven past the compaction

@@ -507,3 +507,187 @@ class TestBandsEqualTheHeap:
         assert not bands
         with pytest.raises(FrontierError):
             bands.pop()
+
+
+class HeapReprioritizable:
+    """The reprioritizable frontier as it was before it became bands: a
+    lazy-deletion heap of ``(-priority, tiebreak, candidate)`` entries,
+    ``current`` naming each queued URL's live entry, snapshotted in
+    whatever order ``current`` holds them and heapified on restore."""
+
+    def __init__(self, compact_min):
+        self.heap, self.current, self.counter, self.stale = [], {}, 0, 0
+        self.compact_min = compact_min
+        self.pushes = self.pops = self.peak_size = 0
+
+    def _file(self, candidate):
+        entry = (-candidate.priority, self.counter, candidate)
+        self.counter += 1
+        self.current[candidate.url] = entry
+        heapq.heappush(self.heap, entry)
+
+    def push(self, candidate):
+        if candidate.url in self.current:
+            raise FrontierError(f"{candidate.url!r} is already queued")
+        self._file(candidate)
+        self.pushes += 1
+        self.peak_size = max(self.peak_size, len(self.current))
+
+    def update_priority(self, url, priority):
+        stale = self.current.get(url)
+        if stale is None:
+            return False
+        if -stale[0] != priority:
+            self._file(stale[2]._replace(priority=priority))
+            self.stale += 1
+            if self.stale > self.compact_min and self.stale > len(self.current):
+                self._compact()
+        return True
+
+    def _compact(self):
+        self.heap = list(self.current.values())
+        heapq.heapify(self.heap)
+        self.stale = 0
+
+    def priority_of(self, url):
+        entry = self.current.get(url)
+        return None if entry is None else -entry[0]
+
+    def pop(self):
+        while self.heap:
+            entry = heapq.heappop(self.heap)
+            if self.current.get(entry[2].url) is entry:
+                del self.current[entry[2].url]
+                self.pops += 1
+                return entry[2]
+            self.stale -= 1
+        raise FrontierError("pop from empty reprioritizable frontier")
+
+    def __len__(self):
+        return len(self.current)
+
+    def snapshot(self, index):
+        counters = {"pushes": self.pushes, "pops": self.pops, "peak_size": self.peak_size}
+        entries = list(self.current.values())
+        return {
+            "kind": "reprioritizable", **counters, "counter": self.counter,
+            "neg_priority": [entry[0] for entry in entries],
+            "tiebreak": [entry[1] for entry in entries],
+            **reference_columns([entry[2] for entry in entries], index),
+        }
+
+    def restore(self, state, table):
+        queued = candidates_from_columns(state, table)
+        self.heap = list(zip(state["neg_priority"], state["tiebreak"], queued))
+        self.current = {entry[2].url: entry for entry in self.heap}
+        heapq.heapify(self.heap)
+        self.counter, self.stale = state["counter"], 0
+        self.pushes, self.pops, self.peak_size = state["pushes"], state["pops"], state["peak_size"]
+
+
+#: push a new candidate / push again an object pushed before, once its
+#: URL has left the queue / update a pool URL or the n-th queued one /
+#: pop / compact / snapshot on one side ("band" or "heap") and restore
+#: both sides from it.
+rerank_operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("push"),
+            st.builds(
+                Candidate,
+                url=pool_urls,
+                priority=any_priority,
+                distance=st.integers(min_value=0, max_value=3),
+                referrer=st.one_of(st.none(), pool_urls),
+                uid=st.one_of(st.none(), st.integers(min_value=0, max_value=99)),
+            ),
+        ),
+        st.tuples(st.just("again"), st.integers(min_value=0, max_value=99)),
+        st.tuples(
+            st.just("update"),
+            st.one_of(pool_urls, st.integers(min_value=0, max_value=99)),
+            any_priority,
+        ),
+        st.tuples(st.just("pop")),
+        st.tuples(st.just("compact")),
+        st.tuples(st.just("snapshot"), st.sampled_from(["band", "heap"]), tables),
+    ),
+    max_size=100,
+)
+
+
+class TestReRankBandsEqualTheHeap:
+    @pytest.mark.parametrize("compact_min", [2, ReprioritizableFrontier._COMPACT_MIN])
+    @given(ops=rerank_operations)
+    @settings(max_examples=200, deadline=None)
+    def test_any_interleaving_equals_the_heap_reference(self, compact_min, ops):
+        """Pushes (a repeated URL is an error on both sides), updates,
+        pops, compactions and snapshot/restore cycles in any order: the
+        band frontier pops what the lazy-deletion heap pops, and keeps
+        the same counters, tombstone count, ``priority_of``, membership
+        and ``len`` — across restores from either side's snapshot."""
+
+        class Bands(ReprioritizableFrontier):
+            _COMPACT_MIN = compact_min
+
+        bands, heap = Bands(), HeapReprioritizable(compact_min)
+        pushed, popped_bands, popped_heap = [], [], []
+        for op in ops:
+            if op[0] == "again":
+                gone = [c for c in pushed if c.url not in heap.current]
+                if gone:
+                    candidate = gone[op[1] % len(gone)]
+                    bands.push(candidate)
+                    heap.push(candidate)
+            elif op[0] == "push":
+                candidate = op[1]
+                if candidate.url in heap.current:
+                    with pytest.raises(FrontierError, match="already queued"):
+                        bands.push(candidate)
+                    with pytest.raises(FrontierError):
+                        heap.push(candidate)
+                else:
+                    bands.push(candidate)
+                    heap.push(candidate)
+                    pushed.append(candidate)
+            elif op[0] == "update":
+                _, url, priority = op
+                if isinstance(url, int):
+                    queued = list(heap.current)
+                    url = queued[url % len(queued)] if queued else "http://gone.example/"
+                assert bands.update_priority(url, priority) == heap.update_priority(url, priority)
+            elif op[0] == "pop":
+                if heap:
+                    popped_bands.append(bands.pop())
+                    popped_heap.append(heap.pop())
+                else:  # both drain their tombstones on the way
+                    for frontier in (bands, heap):
+                        with pytest.raises(FrontierError):
+                            frontier.pop()
+            elif op[0] == "compact":
+                bands._compact()
+                heap._compact()
+            else:
+                _, writer, scheduled = op
+                index = {url: position for position, url in enumerate(scheduled)}
+                state = (bands if writer == "band" else heap).snapshot(index)
+                if writer == "band":
+                    assert state["tiebreak"] == list(range(len(bands)))
+                    assert state["counter"] >= len(bands)
+                bands, heap = Bands(), HeapReprioritizable(compact_min)
+                bands.restore(state, list(index))
+                heap.restore(state, list(index))
+            assert len(bands) == len(heap)
+            assert (bands.pushes, bands.pops, bands.peak_size, bands.stale_entries) == (
+                heap.pushes, heap.pops, heap.peak_size, heap.stale,
+            )
+            for url in _POOL:
+                assert bands.priority_of(url) == heap.priority_of(url)
+                assert (url in bands) == (url in heap.current)
+        while heap:
+            popped_bands.append(bands.pop())
+            popped_heap.append(heap.pop())
+        assert [tuple(c) for c in popped_bands] == [tuple(c) for c in popped_heap]
+        assert not bands
+        with pytest.raises(FrontierError):
+            bands.pop()

@@ -681,6 +681,9 @@ class TestWireConfigIsSessionConfigJSON:
             ({"max_pages": -1}, "max_pages"),
             ({"sample_interval": 0}, "sample_interval"),
             ({"sample_interval": -20}, "sample_interval"),
+            ({"frontier": {"kind": "spill-config", "memory_limit": 1}}, "memory_limit"),
+            ({"frontier": {"kind": "spill-config", "memory_limit": 0}}, "memory_limit"),
+            ({"frontier": {"kind": "spill-config", "memory_limit": -3}}, "memory_limit"),
         ],
     )
     def test_out_of_range_knobs_are_config_error_replies(
@@ -694,6 +697,17 @@ class TestWireConfigIsSessionConfigJSON:
         assert reply["error"]["type"] == "ConfigError"
         assert named in reply["error"]["message"]
         assert handler.handle(_open_command("s", "breadth-first", 9001))["ok"]
+
+    def test_re_ranker_on_host_queues_is_a_config_error_reply(self, tmp_path, serve_cache):
+        handler = _handler(tmp_path, serve_cache)
+        command = _open_command("s", "pdd-hybrid", 9001)
+        command["config"] = {**command["config"], "frontier": {"kind": "host-queues"}}
+        reply = handler.handle(command)
+        assert reply["ok"] is False
+        assert reply["error"]["type"] == "ConfigError"
+        assert "pdd-hybrid" in reply["error"]["message"]
+        assert "HostQueues" in reply["error"]["message"]
+        assert handler.handle(_open_command("s", "pdd-hybrid", 9001))["ok"]
 
 
 class TestStoreDatasetOverTheWire:

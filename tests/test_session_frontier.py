@@ -4,22 +4,26 @@ The strategy decides link expansion, ``SessionConfig.frontier`` decides
 the queue.  Whatever the config names, ``open`` calls the strategy's own
 ``make_frontier()`` first (its per-run reset point) and the engine talks
 to the one real strategy object — so nothing about the strategy has to
-be forwarded through a wrapper.  These tests hold that seam still from
-both sides: the strategy's view (reset, ``tick``, link contexts,
-telemetry hub), the checkpoint contract per queue, and the one ``src/``
-caller of the spill seat, ``scalefrontier.run_point``.
+be forwarded through a wrapper.  A strategy that re-ranks what it has
+queued cannot run on a queue it did not make, and ``open`` refuses the
+pair.  These tests hold that seam still from both sides: the strategy's
+view (reset, refusal, ``tick``, link contexts, telemetry hub), the
+checkpoint contract per queue, and the one ``src/`` caller of the spill
+seat, ``scalefrontier.run_point``.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+from repro.core.frontier import ReprioritizableFrontier
 from repro.core.politeness import HostQueueFrontier, HostQueues
 from repro.core.session import CrawlRequest, CrawlSession, SessionConfig, report_payload
 from repro.core.spilling import SpillConfig, SpillingFrontier
-from repro.core.strategies import SimpleStrategy, get_strategy
+from repro.core.strategies import SimpleStrategy, get_strategy, iter_strategy_names
 from repro.errors import CheckpointError, ConfigError
 from repro.experiments import scalefrontier
 from repro.experiments.golden import cued_golden_dataset
@@ -32,6 +36,9 @@ FRONTIERS = {
     "host-queues": HostQueues(),
 }
 SUBSTITUTED = [name for name in FRONTIERS if name != "own"]
+
+#: The orderings that re-rank URLs they have already queued.
+RERANKERS = ["backlink-count", "distilled-soft", "infospiders", "pal-content-link", "pdd-hybrid"]
 
 
 @pytest.fixture(scope="module")
@@ -48,18 +55,43 @@ def _session(dataset, strategy, frontier, **config) -> CrawlSession:
 
 
 class TestStrategyResetPoint:
-    """``make_frontier()`` runs whichever queue the crawl ends up on."""
+    """``make_frontier()`` resets a strategy, and a re-ranking strategy
+    keeps the queue it made: a substituted one would never see its
+    ``update_priority`` calls."""
 
-    @pytest.mark.parametrize("frontier", SUBSTITUTED)
     @pytest.mark.parametrize("name", ["backlink-count", "pdd-hybrid"])
-    def test_reused_instance_reports_like_a_fresh_one(self, cued, name, frontier):
-        def report(strategy, frontier_name) -> str:
-            result = _session(cued, strategy, FRONTIERS[frontier_name]).run()
+    def test_reused_instance_reports_like_a_fresh_one(self, cued, name):
+        def report(strategy) -> str:
+            result = _session(cued, strategy, None).run()
             return json.dumps(report_payload(result), sort_keys=True)
 
         reused = get_strategy(name)
-        report(reused, "own")  # leaves backlink / content tables behind
-        assert report(reused, frontier) == report(get_strategy(name), frontier)
+        report(reused)  # leaves backlink / content tables behind
+        assert report(reused) == report(get_strategy(name))
+
+    def test_the_re_rankers_are_the_strategies_with_a_reprioritizable_queue(self):
+        assert [
+            name
+            for name in iter_strategy_names()
+            if isinstance(get_strategy(name).make_frontier(), ReprioritizableFrontier)
+        ] == RERANKERS
+
+    @pytest.mark.parametrize("frontier", SUBSTITUTED)
+    @pytest.mark.parametrize("name", RERANKERS)
+    def test_re_ranker_on_a_substituted_queue_is_refused(self, cued, name, frontier):
+        session = _session(cued, name, FRONTIERS[frontier])
+        named = f"{re.escape(get_strategy(name).name)} .*{type(FRONTIERS[frontier]).__name__}"
+        with pytest.raises(ConfigError, match=named):
+            session.open()
+        assert session.frontier is None
+
+    @pytest.mark.parametrize("frontier", SUBSTITUTED)
+    @pytest.mark.parametrize(
+        "name", [name for name in iter_strategy_names() if name not in RERANKERS]
+    )
+    def test_every_other_strategy_runs_on_a_substituted_queue(self, cued, name, frontier):
+        result = _session(cued, name, FRONTIERS[frontier], max_pages=30).run()
+        assert result.pages_crawled == 30
 
 
 class _Probe(SimpleStrategy):
