@@ -1,10 +1,12 @@
-"""The crawl candidate and its two serialised forms.
+"""The crawl candidate, the link run, and the candidate's two serialised forms.
 
-A candidate is a plain tuple with field names — cheap to build in the
-strategies' per-link comprehensions, immutable, and transposable:
-an ``itemgetter`` mapped over a batch yields a column (:data:`FIELDS`)
-and ``tuple.__new__`` rebuilds candidates from columns without a
-Python-level call per field.
+A candidate is a plain tuple with field names — cheap to build,
+immutable, and transposable: an ``itemgetter`` mapped over a batch
+yields a column (:data:`FIELDS`) and ``tuple.__new__`` rebuilds
+candidates from columns without a Python-level call per field.  The
+links of one page share everything but their URL, so the paper's
+orderings expand a page into one :class:`LinkRun` — its URL tuple and
+the shared fields — rather than one candidate per link.
 
 Two serialised forms, one per shape of traffic:
 
@@ -28,11 +30,11 @@ crawl and a store crawl byte-equal.  Property tests
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from functools import partial
 from itertools import repeat
 from operator import itemgetter
-from typing import NamedTuple, cast
+from typing import NamedTuple, cast, overload
 
 from repro.errors import CheckpointError
 from repro.urlkit.normalize import intern_url
@@ -84,14 +86,65 @@ new_candidate = cast(
 )
 
 
-def candidates_for(
-    urls: Iterable[str], priority: int, distance: int, referrer: str | None
-) -> list[Candidate]:
-    """One candidate per URL, the other fields shared: a strategy's link
-    expansion, built by ``map``/``zip``/``repeat`` with no Python frame
-    per link (the NamedTuple's own ``__new__`` is one)."""
-    shared = repeat(priority), repeat(distance), repeat(referrer), repeat(None)
-    return list(map(new_candidate, zip(urls, *shared)))
+class LinkRun(Sequence[Candidate]):
+    """The new links of one page: candidates that share ``priority``,
+    ``distance`` and ``referrer``, held as one value.
+
+    Every ordering of the paper gives all the links of a page the same
+    bookkeeping, so a page's expansion is its URL tuple plus those three
+    fields — and, once scheduled over an id-addressed source, the
+    url-ids aligned with ``urls`` (``uids``, None elsewhere).  As a
+    ``Sequence[Candidate]`` it is the list of candidates it stands for:
+    indexing and iteration build them, and it compares equal to that
+    list.  The engine schedules a run whole — repeats within the page
+    dropped, the fresh URLs queued by
+    :meth:`~repro.core.frontier.Frontier.push_run` — so no Python frame
+    is spent per link.
+    """
+
+    __slots__ = ("urls", "priority", "distance", "referrer", "uids")
+
+    def __init__(
+        self,
+        urls: Iterable[str],
+        priority: int,
+        distance: int,
+        referrer: str | None,
+        uids: Sequence[int | None] | None = None,
+    ) -> None:
+        self.urls: tuple[str, ...] = tuple(urls)
+        self.priority = priority
+        self.distance = distance
+        self.referrer = referrer
+        self.uids = uids
+
+    def __len__(self) -> int:
+        return len(self.urls)
+
+    def __iter__(self) -> Iterator[Candidate]:
+        uids = repeat(None) if self.uids is None else self.uids
+        shared = repeat(self.priority), repeat(self.distance), repeat(self.referrer)
+        return map(new_candidate, zip(self.urls, *shared, uids))
+
+    @overload
+    def __getitem__(self, index: int) -> Candidate: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[Candidate]: ...
+
+    def __getitem__(self, index: int | slice) -> Candidate | list[Candidate]:
+        if isinstance(index, slice):
+            return list(self)[index]
+        uid = None if self.uids is None else self.uids[index]
+        return new_candidate((self.urls[index], self.priority, self.distance, self.referrer, uid))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (LinkRun, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"LinkRun({list(self)!r})"
 
 
 def stamp_uid(candidate: Candidate, uid: int | None) -> Candidate:

@@ -202,6 +202,10 @@ class SpillingFrontier(PriorityFrontier):
         if self.resident_size > self._peak_resident:
             self._peak_resident = self.resident_size
 
+    # Spilling takes candidates from the bands' tails: a run is pushed
+    # candidate by candidate.
+    push_run = Frontier.push_run
+
     def pop(self) -> Candidate:
         if not self._keys and self._pending_on_disk:
             self._refill()

@@ -80,7 +80,7 @@ class CrawlStrategy(ABC):
         judgment: Judgment,
         outlinks: Iterable[str],
         link_contexts: Sequence["LinkContext"] | None = None,
-    ) -> list[Candidate]:
+    ) -> Sequence[Candidate]:
         """Candidates to schedule from a just-crawled page.
 
         Args:
@@ -101,10 +101,16 @@ class CrawlStrategy(ABC):
                 byte-identical.
 
         Returns:
-            Candidates the simulator should enqueue.  URLs already
-            scheduled (queued or visited) are filtered out by the
-            simulator, *not* by the strategy, declared or not —
+            Candidates the simulator should enqueue: a list, or — when
+            every link of the page shares its priority, distance and
+            referrer, as in all the paper's orderings — one
+            :class:`~repro.core.candidate.LinkRun`, which the engine
+            schedules whole, with no Python frame per link.  URLs
+            already scheduled (queued or visited) are filtered out by
+            the simulator, *not* by the strategy, declared or not —
             discarding and re-discovery semantics depend on that split.
+            So are repeats within the page: a URL the page links twice
+            is queued once, at its first occurrence.
         """
 
     def tick(self, step: int, frontier: Frontier) -> None:

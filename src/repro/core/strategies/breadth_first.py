@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from repro.core.candidate import candidates_for
+from repro.core.candidate import LinkRun
 from repro.core.classifier import Judgment
 from repro.core.frontier import Candidate, FIFOFrontier, Frontier
 from repro.core.strategies.base import CrawlStrategy
@@ -35,5 +35,5 @@ class BreadthFirstStrategy(CrawlStrategy):
         judgment: Judgment,
         outlinks: Iterable[str],
         link_contexts: Sequence[LinkContext] | None = None,
-    ) -> list[Candidate]:
-        return candidates_for(outlinks, 0, 0, parent.url)
+    ) -> Sequence[Candidate]:
+        return LinkRun(outlinks, 0, 0, parent.url)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from repro.core.candidate import candidates_for
+from repro.core.candidate import LinkRun
 from repro.core.classifier import Judgment
 from repro.core.frontier import Candidate, FIFOFrontier, Frontier, PriorityFrontier
 from repro.core.strategies.base import CrawlStrategy
@@ -64,7 +64,7 @@ class LimitedDistanceStrategy(CrawlStrategy):
         judgment: Judgment,
         outlinks: Iterable[str],
         link_contexts: Sequence[LinkContext] | None = None,
-    ) -> list[Candidate]:
+    ) -> Sequence[Candidate]:
         if judgment.relevant:
             child_distance = 0
         else:
@@ -73,4 +73,4 @@ class LimitedDistanceStrategy(CrawlStrategy):
                 return []  # path exhausted its irrelevant budget
 
         priority = (self.n - child_distance) if self.prioritized else 0
-        return candidates_for(outlinks, priority, child_distance, parent.url)
+        return LinkRun(outlinks, priority, child_distance, parent.url)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from repro.core.candidate import candidates_for
+from repro.core.candidate import LinkRun
 from repro.core.classifier import Judgment
 from repro.core.frontier import Candidate, FIFOFrontier, Frontier, PriorityFrontier
 from repro.core.strategies.base import CrawlStrategy
@@ -57,11 +57,11 @@ class SimpleStrategy(CrawlStrategy):
         judgment: Judgment,
         outlinks: Iterable[str],
         link_contexts: Sequence[LinkContext] | None = None,
-    ) -> list[Candidate]:
+    ) -> Sequence[Candidate]:
         if self.mode == "hard":
             if not judgment.relevant:
                 return []  # Table 2: discard extracted links
-            return candidates_for(outlinks, 0, 0, parent.url)
+            return LinkRun(outlinks, 0, 0, parent.url)
 
         priority = HIGH_PRIORITY if judgment.relevant else LOW_PRIORITY
-        return candidates_for(outlinks, priority, 0, parent.url)
+        return LinkRun(outlinks, priority, 0, parent.url)

@@ -16,9 +16,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from repro.adversary import AdversaryModel, AdversaryProfile, DefenseConfig
 from repro.charset.languages import Language
+from repro.core.candidate import Candidate, LinkRun
 from repro.experiments.datasets import build_dataset
 from repro.faults import FaultModel, FaultProfile, ResilienceConfig
 from repro.graphgen.profiles import japanese_profile, thai_profile
@@ -226,6 +228,91 @@ def frontier_roundtrip(frontier, into=None):
     restored = (into or type(frontier))()
     restored.restore(state, list(index))
     return restored
+
+
+#: Operations on a frontier: push one candidate, push a run, pop, compare
+#: snapshots, or snapshot and restore into a fresh frontier.  URLs are
+#: ``(host, id)`` pairs over a few hosts; a run may repeat a URL.
+frontier_operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("push"), st.tuples(st.integers(0, 3), st.integers(0, 40)),
+            st.integers(-2, 2), st.integers(0, 3), st.booleans(),
+        ),
+        st.tuples(
+            st.just("run"),
+            st.lists(st.tuples(st.integers(0, 3), st.integers(0, 40)), max_size=7),
+            st.integers(-2, 2), st.integers(0, 3), st.booleans(),
+        ),
+        st.just(("pop",)),
+        st.just(("pop",)),
+        st.just(("snapshot",)),
+        st.just(("roundtrip",)),
+    ),
+    max_size=60,
+)
+
+
+def _url(host_and_id: tuple[int, int]) -> str:
+    host, url_id = host_and_id
+    return f"http://h{host}.example/p{url_id}"
+
+
+def _row(candidate: Candidate) -> tuple:
+    """A popped candidate with every field, the url-id hint included."""
+    return tuple(candidate)
+
+
+def assert_runs_push_like_candidates(factory, operations, *, unique=False, snapshots=True):
+    """Drive two frontiers from ``factory`` through ``operations``: one
+    takes each run with ``push_run``, the other candidate by candidate.
+
+    They must agree after every operation: on what pops (url-id hint
+    included), ``pushes``, ``pops``, ``peak_size``, ``len`` and — with
+    ``snapshots`` — the snapshot, also after either is restored from its
+    own.  ``unique`` leaves out URLs the queue holds (a frontier that
+    queues a URL once).
+    """
+    runs, reference = factory(), factory()
+    queued: set[str] = set()
+    referrer = "http://seed.example/"
+    for operation in operations:
+        kind = operation[0]
+        if kind in ("push", "run"):
+            _, urls, priority, distance, with_uids = operation
+            urls = [_url(urls)] if kind == "push" else list(map(_url, urls))
+            if unique:
+                urls = [url for url in dict.fromkeys(urls) if url not in queued]
+                queued.update(urls)
+            uids = [len(url) * 7 + index for index, url in enumerate(urls)] if with_uids else None
+            run = LinkRun(urls, priority, distance, referrer, uids)
+            if kind == "push":
+                for candidate in run:
+                    runs.push(candidate)
+            else:
+                runs.push_run(run)
+            for candidate in run:
+                reference.push(candidate)
+        elif kind == "pop":
+            if not len(reference):
+                continue
+            popped = reference.pop()
+            assert _row(runs.pop()) == _row(popped)
+            queued.discard(popped.url)
+            referrer = popped.url
+        elif snapshots:
+            index_runs: dict[str, int] = {}
+            index_reference: dict[str, int] = {}
+            assert runs.snapshot(index_runs) == reference.snapshot(index_reference)
+            assert list(index_runs) == list(index_reference)
+            if kind == "roundtrip":
+                runs, reference = frontier_roundtrip(runs), frontier_roundtrip(reference)
+        assert (runs.pushes, runs.pops, runs.peak_size, len(runs)) == (
+            reference.pushes, reference.pops, reference.peak_size, len(reference)
+        )
+    while len(reference):
+        assert _row(runs.pop()) == _row(reference.pop())
+    assert not len(runs)
 
 
 def thai_page(url: str, outlinks: tuple[str, ...] = (), charset: str = "TIS-620") -> PageRecord:

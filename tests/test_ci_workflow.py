@@ -131,6 +131,26 @@ def test_frontier_suites_run_in_the_differential_job():
     assert [path for path in paths if not (root / path).exists()] == []
 
 
+def test_engine_identities_run_in_the_differential_job():
+    """The reference oracle, the pinned checkpoint bytes and the per-page
+    frame count gate the job that replays the goldens."""
+    assert {
+        "tests/test_reference_oracle.py",
+        "tests/test_checkpoint_bytes.py",
+        "tests/test_frame_budget.py",
+    } <= set(_pytest_paths("golden-diff"))
+
+
+def test_the_per_page_layers_are_type_checked():
+    """The one-frame fetch, extract and judgment paths are mypy-checked."""
+    paths = []
+    for step in yaml.safe_load(WORKFLOW.read_text())["jobs"]["typecheck"]["steps"]:
+        tokens = shlex.split(step.get("run", ""))
+        if tokens[:3] == ["python", "-m", "mypy"]:
+            paths += tokens[3:]
+    assert {"src/repro/core/visitor.py", "src/repro/core/classifier.py"} <= set(paths)
+
+
 @pytest.mark.parametrize(
     ("module_name", "argv"),
     [pytest.param(module, argv, id=label) for label, module, argv in INVOCATIONS],

@@ -21,7 +21,7 @@ from repro.core.spilling import (
 )
 from repro.errors import FrontierError
 
-from conftest import frontier_roundtrip
+from conftest import assert_runs_push_like_candidates, frontier_operations, frontier_roundtrip
 
 pushes = st.lists(
     st.tuples(
@@ -300,3 +300,33 @@ class TestReprioritizableProperties:
                 final_priority[url] = priority
         priorities = [final_priority[frontier.pop().url] for _ in range(len(frontier))]
         assert priorities == sorted(priorities, reverse=True)
+
+
+class TestRunsPushLikeCandidates:
+    """The frontiers whose bands hold candidates take a run candidate by
+    candidate (``Frontier.push_run``): the same as pushing them."""
+
+    @given(frontier_operations)
+    @settings(max_examples=80, deadline=None)
+    def test_host_queues(self, operations):
+        assert_runs_push_like_candidates(HostQueueFrontier, operations)
+
+    @given(frontier_operations)
+    @settings(max_examples=80, deadline=None)
+    def test_reprioritizable(self, operations):
+        assert_runs_push_like_candidates(ReprioritizableFrontier, operations, unique=True)
+
+    @given(frontier_operations, st.integers(min_value=2, max_value=6))
+    @settings(max_examples=60, deadline=None)
+    def test_spilling(self, operations, limit):
+        frontiers = []
+
+        def spilling():
+            frontiers.append(SpillingFrontier(memory_limit=limit))
+            return frontiers[-1]
+
+        try:
+            assert_runs_push_like_candidates(spilling, operations, snapshots=False)
+        finally:
+            for frontier in frontiers:
+                frontier.close()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.candidate import (
+    LinkRun,
     candidate_from_dict,
     candidate_to_dict,
     candidates_from_columns,
@@ -23,7 +24,7 @@ from repro.core.frontier import (
 from repro.core.politeness import HostQueueFrontier
 from repro.errors import CheckpointError, FrontierError
 
-from conftest import frontier_roundtrip
+from conftest import assert_runs_push_like_candidates, frontier_operations, frontier_roundtrip
 
 pushes = st.lists(
     st.tuples(st.integers(min_value=0, max_value=999), st.integers(min_value=-5, max_value=5)),
@@ -691,3 +692,32 @@ class TestReRankBandsEqualTheHeap:
         assert not bands
         with pytest.raises(FrontierError):
             bands.pop()
+
+
+class TestRunsPushLikeCandidates:
+    """``push_run`` of a page's links ≡ pushing its candidates one by one."""
+
+    @given(frontier_operations)
+    @settings(max_examples=150, deadline=None)
+    def test_fifo(self, operations):
+        assert_runs_push_like_candidates(FIFOFrontier, operations)
+
+    @given(frontier_operations)
+    @settings(max_examples=150, deadline=None)
+    def test_priority(self, operations):
+        assert_runs_push_like_candidates(PriorityFrontier, operations)
+
+    def test_a_partly_popped_run_snapshots_its_unpopped_rows(self):
+        run = LinkRun([f"http://h.example/p{index}" for index in range(4)], 1, 2, "r", (5, 6, 7, 8))
+        for frontier in (FIFOFrontier(), PriorityFrontier()):
+            frontier.push_run(run)
+            assert tuple(frontier.pop()) == ("http://h.example/p0", 1, 2, "r", 5)
+            table: dict[str, int] = {}
+            state = frontier.snapshot(table)
+            assert [list(table)[position] for position in state["u"]] == [
+                f"http://h.example/p{index}" for index in (1, 2, 3)
+            ]
+            assert [tuple(frontier.pop()) for _ in range(3)] == [
+                (f"http://h.example/p{index}", 1, 2, "r", uid)
+                for index, uid in ((1, 6), (2, 7), (3, 8))
+            ]
