@@ -12,6 +12,7 @@ reaches a checkpoint.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import replace
 
 import pytest
@@ -36,8 +37,9 @@ from repro.experiments.runner import run_strategy
 from repro.faults import FaultModel, FaultProfile, FaultyWebSpace
 from repro.graphgen.profiles import thai_profile
 from repro.webspace.crawllog import CrawlLog
+from repro.webspace.page import HTML_CONTENT_TYPE, STATUS_OK
 from repro.webspace.store import PageStore
-from repro.webspace.virtualweb import VirtualWebSpace
+from repro.webspace.virtualweb import FetchResponse, VirtualWebSpace
 
 from conftest import ENGINE_SCENARIOS, faulted_inputs, hostile_defended_inputs
 
@@ -140,6 +142,45 @@ class TestHintedFetchEqualsUnhinted:
         response = memory_twin.web().fetch(memory_twin.seed_urls[0])
         assert response.record is not None
         assert response.page_id is None and response.outlink_ids is None
+
+
+class TestPositionalBuilders:
+    """``VirtualWebSpace.fetch`` builds its responses from positional
+    tuples, which no arity check guards, and the engine calls
+    ``MetricsRecorder.record`` positionally: a field added, dropped or
+    moved must fail here rather than as a misread field far away."""
+
+    def test_every_fetch_shape_equals_the_response_built_by_keyword(
+        self, store_dataset, memory_twin
+    ):
+        store = store_dataset.crawl_log
+        shapes = set()
+        for web, ids in ((VirtualWebSpace(store), True), (memory_twin.web(), False)):
+            for page_id in range(0, store.page_count, 7):
+                record = store.record_at(page_id)
+                emits = record.status == STATUS_OK and record.content_type == HTML_CONTENT_TYPE
+                shapes.add(emits)
+                assert web.fetch(record.url) == FetchResponse(
+                    url=record.url,
+                    status=record.status,
+                    content_type=record.content_type,
+                    charset=record.charset,
+                    outlinks=record.outlinks if emits else (),
+                    size=record.size,
+                    record=record,
+                    page_id=page_id if ids else None,
+                    outlink_ids=tuple(map(store.id_of, record.outlinks)) if ids and emits else None,
+                )
+            unknown = "http://nowhere.example/"
+            assert web.fetch(unknown) == FetchResponse(
+                url=unknown, status=404, content_type=HTML_CONTENT_TYPE, charset=None,
+                outlinks=(), size=0,
+            )
+        assert shapes == {True, False}
+
+    def test_the_engine_records_a_page_in_the_recorder_parameter_order(self):
+        parameters = list(inspect.signature(MetricsRecorder.record).parameters)
+        assert parameters == ["self", "url", "judged_relevant", "queue_size", "sim_time", "page_id"]
 
 
 class TestCrawlsAgreeAcrossBackends:
