@@ -36,6 +36,8 @@ from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple, cast, overload
 
+import numpy as np
+
 from repro.errors import CheckpointError
 from repro.urlkit.normalize import intern_url
 
@@ -210,26 +212,38 @@ def url_columns(
     index: dict[str, int],
 ) -> dict:
     """:func:`candidates_to_columns` of candidates given as four columns
-    (``priorities`` and ``distances`` become columns as they are).
+    (``priorities`` and ``distances`` become columns as they are): the
+    URL positions, then the referrer positions
+    (:func:`url_positions`, :func:`referrer_positions`)."""
+    u = url_positions(urls, index)
+    return {"u": u, "p": priorities, "d": distances, "r": referrer_positions(referrers, index)}
 
-    Positions are looked up by ``map`` over the index, with no Python
-    frame per candidate; only when a URL is missing from ``index`` does
-    the batch take the per-URL route that appends it — the URLs first,
-    then the referrers, each in order, so the table comes out the same
-    either way.
+
+def url_positions(urls: Sequence[str], index: dict[str, int]) -> list[int]:
+    """The positions of ``urls`` in ``index``, a URL it lacks appended.
+
+    Looked up by ``map`` over the index, with no Python frame per URL;
+    only when a URL is missing does the batch take the per-URL route
+    that appends it, in order, so the table comes out the same either
+    way.
     """
-    position = index.setdefault
     try:
-        u = list(map(index.__getitem__, urls))
+        return list(map(index.__getitem__, urls))
     except KeyError:
-        u = [position(url, len(index)) for url in urls]
-    # ``None`` (no referrer) is never a key, so it maps to -1 with the
-    # misses; equal counts of -1 and None mean there were no misses.
+        position = index.setdefault
+        return [position(url, len(index)) for url in urls]
+
+
+def referrer_positions(referrers: Sequence[str | None], index: dict[str, int]) -> list[int]:
+    """:func:`url_positions` of ``referrers``, ``None`` (no referrer) at ``-1``."""
+    # ``None`` is never a key, so it maps to -1 with the misses; equal
+    # counts of -1 and None mean there were no misses.
     lookup = cast("Callable[[str | None, int], int]", index.get)
     r = list(map(lookup, referrers, repeat(-1)))
     if r.count(-1) != referrers.count(None):
+        position = index.setdefault
         r = [-1 if url is None else position(url, len(index)) for url in referrers]
-    return {"u": u, "p": priorities, "d": distances, "r": r}
+    return r
 
 
 def is_list_of(value: object, kind: type) -> bool:
@@ -241,15 +255,30 @@ def is_list_of(value: object, kind: type) -> bool:
     return isinstance(value, list) and set(map(type, value)) <= {kind}
 
 
-def int_column(section: Mapping, name: str, length: int | None = None) -> list[int]:
-    """``section[name]`` checked to be a list of ints (of ``length``).
+def int_column(section: Mapping, name: str, length: int | None = None) -> np.ndarray:
+    """``section[name]`` checked to be a column of integers (of ``length``).
+
+    A numpy array is checked by its dtype, not element by element: a
+    version-5 checkpoint's columns come off disk in one of its integer
+    dtypes, and a frontier snapshot's are int64.  A list — what the
+    JSONL reader gives, or a caller built — must hold exact ints
+    (:func:`is_list_of`: ``True`` is not one) and is made an int64
+    array, so every column is checked and used one way from here on.
 
     Raises:
         CheckpointError: anything else — a column that would only fail
             (or silently misorder a heap) many steps after the resume.
     """
     column = section.get(name)
-    if not is_list_of(column, int):
+    if isinstance(column, np.ndarray):
+        if column.ndim != 1 or column.dtype.kind != "i":
+            raise CheckpointError(f"column {name!r} is not a list of integers")
+    elif is_list_of(column, int):
+        try:
+            column = np.array(column, dtype=np.int64)
+        except OverflowError:
+            raise CheckpointError(f"column {name!r} holds an integer past 64 bits") from None
+    else:
         raise CheckpointError(f"column {name!r} is not a list of integers")
     if length is not None and len(column) != length:
         raise CheckpointError(
@@ -260,9 +289,9 @@ def int_column(section: Mapping, name: str, length: int | None = None) -> list[i
 
 def checked_columns(
     columns: Mapping, table_size: int
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """The columns ``u, p, d, r`` of a batch, checked against a table of
-    ``table_size`` URLs.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The columns ``u, p, d, r`` of a batch (:func:`int_column`), checked
+    against a table of ``table_size`` URLs with one numpy pass each.
 
     Raises:
         CheckpointError: ragged or non-integer columns, or a position
@@ -274,7 +303,7 @@ def checked_columns(
     p = int_column(columns, "p", size)
     d = int_column(columns, "d", size)
     r = int_column(columns, "r", size)
-    if size and (min(u) < 0 or min(r) < -1 or max(max(u), max(r)) >= table_size):
+    if size and (u.min() < 0 or r.min() < -1 or max(u.max(), r.max()) >= table_size):
         raise CheckpointError(
             f"candidate columns point outside the {table_size}-entry URL table"
         )
@@ -287,7 +316,7 @@ def candidates_from_columns(columns: Mapping, table: Sequence[str]) -> list[Cand
     Raises:
         CheckpointError: as :func:`checked_columns`.
     """
-    u, p, d, r = checked_columns(columns, len(table))
+    u, p, d, r = (column.tolist() for column in checked_columns(columns, len(table)))
     # Past the range check the only negative position is r's -1, which
     # indexes the appended None.
     url_at = [*table, None].__getitem__

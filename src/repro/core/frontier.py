@@ -31,8 +31,12 @@ and a restored queue — :class:`FIFOFrontier`'s, or each band of a
 :class:`PriorityFrontier` — kept in its checkpoint columns.  ``pop``
 builds one candidate at a time from the entry at the head, so a page's
 links cost no Python frame each on the way in, and a resumed crawl pays
-per candidate it pops, not per candidate the queue holds.  Candidates
-pushed one by one (seeds, requeues) are entries of their own.
+per candidate it pops, not per candidate the queue holds.  A restored
+queue stays in the integer arrays it was checked as: ``pop`` reads one
+row of them as plain ints, and a snapshot writes the rows not popped
+back as array slices, their positions remapped into the new URL table
+by one array lookup.  Candidates pushed one by one (seeds, requeues) are
+entries of their own.
 
 :class:`ReprioritizableFrontier` is the same bands with lazy deletion:
 an update appends the candidate to its new band in O(1) and
@@ -48,11 +52,12 @@ from __future__ import annotations
 
 import heapq
 from abc import ABC, abstractmethod
-from bisect import bisect_right
 from collections import deque
 from collections.abc import Callable, Collection, Iterable, Sequence
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Any, cast
+
+import numpy as np
 
 from repro.core.candidate import (
     Candidate,
@@ -62,7 +67,8 @@ from repro.core.candidate import (
     checked_columns,
     int_column,
     new_candidate,
-    url_columns,
+    referrer_positions,
+    url_positions,
 )
 from repro.errors import CheckpointError, FrontierError
 
@@ -77,26 +83,18 @@ __all__ = [
 ]
 
 
-def _resolved(
-    u: list[int], p: list[int], d: list[int], r: list[int], table: Sequence[str]
-) -> tuple[list[str], tuple[list[int], list[int], list[str | None]]]:
-    """Checked candidate columns (:func:`~repro.core.candidate.checked_columns`)
-    with the URL and referrer positions resolved against the (interned)
-    table at C speed: the URLs, and the other three columns."""
-    return list(map(table.__getitem__, u)), (p, d, list(map([*table, None].__getitem__, r)))
-
-
 class _Rows:
     """Queued rows not yet popped, as one queue entry.
 
     Two things are rows: the links of one page (``_Rows(run)``: the
     run's URL tuple, url-id hints and shared fields) and a restored
     queue or band (:meth:`restored`: rows ``start`` up to ``stop`` of a
-    checkpoint's columns, shared between the bands, with the priority,
-    distance and referrer of each row in ``columns``).  The queue's
-    ``pop`` builds the one candidate at the cursor (``stop - left``) and
-    takes the entry off the queue with its last row; only the entry at
-    the head of a queue is ever partly popped.
+    checkpoint's columns ``u, p, d, r``, shared between the bands and
+    kept as the integer arrays they were checked as, with ``urls`` the
+    checkpoint's URL table).  The queue's ``pop`` builds the one
+    candidate at the cursor (``stop - left``) and takes the entry off
+    the queue with its last row; only the entry at the head of a queue
+    is ever partly popped.
 
     A run keeps its shared fields once rather than repeated into
     columns: a queued run is then two objects, this and its URL tuple.
@@ -110,36 +108,54 @@ class _Rows:
         self.priority: int = run.priority
         self.distance: int = run.distance
         self.referrer: str | None = run.referrer
-        #: Per-row priorities, distances and referrers (restored rows only).
-        self.columns: tuple[list[int], list[int], list[str | None]] | None = None
+        #: The checkpoint columns ``u, p, d, r`` (restored rows only).
+        self.columns: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
         #: Rows not yet popped, and the end of them.
         self.left = self.stop = len(run.urls)
 
     @classmethod
     def restored(
-        cls, urls: list[str], columns: tuple[list[int], list[int], list[str | None]],
-        start: int, stop: int,
+        cls,
+        table: Sequence[str],
+        columns: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        start: int,
+        stop: int,
     ) -> "_Rows":
-        """Rows ``start`` up to ``stop`` of a checkpoint's columns."""
+        """Rows ``start`` up to ``stop`` of a checkpoint's checked columns
+        ``u, p, d, r`` over the (interned) URL ``table``."""
         rows = cls.__new__(cls)
-        rows.urls, rows.uids, rows.columns = urls, None, columns
+        rows.urls, rows.uids, rows.columns = table, None, columns
         rows.stop, rows.left = stop, stop - start
         return rows
 
     def row(self, at: int) -> Candidate:
-        """Row ``at`` of restored rows as a candidate (``pop`` builds a
-        pushed run's rows inline)."""
+        """Row ``at`` of restored rows as a candidate of plain ints and
+        strings (``pop`` builds a pushed run's rows inline)."""
         assert self.columns is not None
-        priorities, distances, referrers = self.columns
-        return new_candidate((self.urls[at], priorities[at], distances[at], referrers[at], None))
+        u, p, d, r = self.columns
+        table = self.urls
+        referrer = r.item(at)
+        return new_candidate((
+            table[u.item(at)], p.item(at), d.item(at),
+            None if referrer < 0 else table[referrer], None,
+        ))
+
+    def unpopped(self, column: int) -> np.ndarray:
+        """The unpopped rows of restored column ``column`` (0-3: ``u, p, d, r``)."""
+        assert self.columns is not None
+        return self.columns[column][self.stop - self.left:self.stop]
 
     def rows(self) -> list[Sequence[Any]]:
-        """The unpopped rows, one sequence per candidate column (no url-ids)."""
+        """The unpopped rows, one sequence per candidate column (no url-ids),
+        of plain ints and strings."""
         left, stop = self.left, self.stop
-        urls = self.urls[stop - left:stop]
+        start = stop - left
         if self.columns is None:
+            urls = self.urls[start:stop]
             return [urls, [self.priority] * left, [self.distance] * left, [self.referrer] * left]
-        return [urls, *(column[stop - left:stop] for column in self.columns)]
+        u, p, d, r = (column[start:stop].tolist() for column in self.columns)
+        url_at = [*self.urls, None].__getitem__  # r's -1 is the None
+        return [list(map(url_at, u)), p, d, list(map(url_at, r))]
 
 
 #: ``_new_candidate(Candidate, fields)`` is ``new_candidate(fields)``
@@ -147,16 +163,73 @@ class _Rows:
 #: with it.
 _new_candidate = cast("Callable[[type[Candidate], tuple], Candidate]", tuple.__new__)
 
-def _write_rows(columns: list[list[Any]], entries: Iterable[Any]) -> None:
-    """Append the rows of queue ``entries`` — candidates and
-    :class:`_Rows`, in pop order — to the four snapshot columns."""
+
+def _segments(entries: Iterable[Any]) -> list[Any]:
+    """Queue ``entries`` — candidates and :class:`_Rows`, in pop order —
+    as snapshot segments: each restored entry is one, kept in its
+    columns, and each stretch of other entries is four lists (URLs,
+    priorities, distances, referrers)."""
+    segments: list[Any] = []
+    fresh: list[list[Any]] | None = None
     for entry in entries:
+        if type(entry) is _Rows and entry.columns is not None:
+            segments.append(entry)
+            fresh = None
+            continue
+        if fresh is None:
+            fresh = [[], [], [], []]
+            segments.append(fresh)
         if type(entry) is _Rows:
-            for column, rows in zip(columns, entry.rows()):
+            for column, rows in zip(fresh, entry.rows()):
                 column += rows
         else:
-            for column, value in zip(columns, entry):
+            for column, value in zip(fresh, entry):
                 column.append(value)
+    return segments
+
+
+def _snapshot_columns(segments: list[Any], index: dict[str, int]) -> dict[str, np.ndarray]:
+    """The columns ``u, p, d, r`` (int64) of :func:`_segments` over ``index``.
+
+    Positions come as :func:`~repro.core.candidate.url_columns` gives
+    them — every URL first, then every referrer, each in order, a URL
+    ``index`` lacks appended to it — so the table is the same whichever
+    way a row is held.  Restored rows are remapped from their table into
+    ``index`` by one array lookup: ``remap`` holds each table entry's
+    position in ``index`` (``-2`` where it has none), with a last ``-1``
+    that ``r``'s "no referrer" indexes.  It is built once, at C speed,
+    and only a slice that meets a ``-2`` is resolved URL by URL.
+    """
+    remaps: dict[int, np.ndarray] = {}  # by id of the table: a frontier has one
+
+    def positions(rows: _Rows, column: int) -> np.ndarray | list[int]:
+        table = rows.urls
+        remap = remaps.get(id(table))
+        if remap is None:
+            found = chain(map(index.get, table, repeat(-2)), (-1,))
+            remap = remaps[id(table)] = np.fromiter(found, dtype=np.int64, count=len(table) + 1)
+        at = rows.unpopped(column)
+        mapped = remap[at]
+        if not (mapped == -2).any():
+            return mapped
+        position = index.setdefault
+        urls = map([*table, None].__getitem__, at.tolist())
+        return [-1 if url is None else position(url, len(index)) for url in urls]
+
+    u = [positions(s, 0) if type(s) is _Rows else url_positions(s[0], index) for s in segments]
+    r = [positions(s, 3) if type(s) is _Rows else referrer_positions(s[3], index) for s in segments]
+    p = [s.unpopped(1) if type(s) is _Rows else s[1] for s in segments]
+    d = [s.unpopped(2) if type(s) is _Rows else s[2] for s in segments]
+    return {"u": _int64(u), "p": _int64(p), "d": _int64(d), "r": _int64(r)}
+
+
+def _int64(pieces: list[Any]) -> np.ndarray:
+    """Column pieces — arrays and lists of ints — as one int64 array."""
+    arrays = [
+        piece if type(piece) is np.ndarray else np.fromiter(piece, dtype=np.int64, count=len(piece))
+        for piece in pieces
+    ]
+    return np.concatenate(arrays, dtype=np.int64) if arrays else np.zeros(0, dtype=np.int64)
 
 
 class Frontier(ABC):
@@ -219,11 +292,12 @@ class Frontier(ABC):
     def snapshot(self, index: dict[str, int]) -> dict:
         """Serialisable state for checkpointing, as columns.
 
-        Candidates are written through
-        :func:`~repro.core.candidate.candidates_to_columns`: ``index``
-        maps URL to position in the checkpoint's URL table and grows by
-        any URL this frontier holds that it lacks, so ``list(index)``
-        afterwards is the table :meth:`restore` needs.
+        Candidates are written as the columns
+        :func:`~repro.core.candidate.candidates_to_columns` gives (the
+        queues here as int64 arrays, restored rows straight from their
+        own): ``index`` maps URL to position in the checkpoint's URL
+        table and grows by any URL this frontier holds that it lacks, so
+        ``list(index)`` afterwards is the table :meth:`restore` needs.
 
         The contract is exact: ``restore(snapshot(index), list(index))``
         on a fresh frontier of the same class must reproduce the
@@ -237,7 +311,9 @@ class Frontier(ABC):
     def restore(self, state: dict, table: Sequence[str]) -> None:
         """Load a :meth:`snapshot` into this (fresh, empty) frontier.
 
-        ``table`` is the checkpoint's URL table, already interned.
+        ``table`` is the checkpoint's URL table, already interned.  The
+        integer columns are checked by
+        :func:`~repro.core.candidate.checked_columns`, as arrays.
         """
         raise CheckpointError(f"{type(self).__name__} does not support checkpointing")
 
@@ -323,15 +399,14 @@ class FIFOFrontier(Frontier):
         return self._size
 
     def snapshot(self, index: dict[str, int]) -> dict:
-        columns: list[list[Any]] = [[], [], [], []]
-        _write_rows(columns, self._queue)
-        return {"kind": "fifo", **self._counters_dict(), **url_columns(*columns, index)}
+        columns = _snapshot_columns(_segments(self._queue), index)
+        return {"kind": "fifo", **self._counters_dict(), **columns}
 
     def restore(self, state: dict, table: Sequence[str]) -> None:
         self._check_kind(state, "fifo")
-        urls, columns = _resolved(*checked_columns(state, len(table)), table)
-        size = len(urls)
-        self._queue = deque([_Rows.restored(urls, columns, 0, size)] if size else [])
+        columns = checked_columns(state, len(table))
+        size = len(columns[0])
+        self._queue = deque([_Rows.restored(table, columns, 0, size)] if size else [])
         self._size = size
         self._restore_counters(state)
 
@@ -442,18 +517,21 @@ class PriorityFrontier(Frontier):
         return band
 
     def snapshot(self, index: dict[str, int]) -> dict:
-        columns: list[list[Any]] = [[], [], [], []]
-        neg_priority: list[int] = []
-        for key in sorted(self._keys):
-            _write_rows(columns, self._live(self._bands[key]))
-            neg_priority += repeat(key, len(columns[0]) - len(neg_priority))
+        keys = sorted(self._keys)
+        segments: list[Any] = []
+        counts: list[int] = []
+        for key in keys:
+            band = _segments(self._live(self._bands[key]))
+            segments += band
+            counts.append(sum(s.left if type(s) is _Rows else len(s[0]) for s in band))
+        columns = _snapshot_columns(segments, index)
         return {
             "kind": self._KIND,
             **self._counters_dict(),
             "counter": self._counter,
-            "neg_priority": neg_priority,
-            "tiebreak": list(range(len(neg_priority))),
-            **url_columns(*columns, index),
+            "neg_priority": np.repeat(np.array(keys, dtype=np.int64), counts),
+            "tiebreak": np.arange(len(columns["u"]), dtype=np.int64),
+            **columns,
         }
 
     def restore(self, state: dict, table: Sequence[str]) -> None:
@@ -467,24 +545,23 @@ class PriorityFrontier(Frontier):
             raise CheckpointError(
                 f"push counter {counter!r} is below the {size} queued candidates"
             )
-        if tiebreak != list(range(size)) or neg_priority != sorted(neg_priority):
+        if (tiebreak != np.arange(size)).any() or (neg_priority[1:] < neg_priority[:-1]).any():
             # Not in pop order (a heap-layout file): sort the rows.
-            pairs = list(zip(neg_priority, tiebreak))
-            if len(set(pairs)) != size:
+            order = np.lexsort((tiebreak, neg_priority))
+            neg_priority, tiebreak = neg_priority[order], tiebreak[order]
+            same = (neg_priority[1:] == neg_priority[:-1]) & (tiebreak[1:] == tiebreak[:-1])
+            if same.any():
                 raise CheckpointError("two frontier rows share a (neg_priority, tiebreak) pair")
-            order = sorted(range(size), key=pairs.__getitem__)
-            u, p, d, r, neg_priority = (
-                list(map(column.__getitem__, order)) for column in (u, p, d, r, neg_priority)
-            )
-        urls, columns = _resolved(u, p, d, r, table)
-        self._bands, self._keys = {}, []
-        start = 0
-        while start < size:
-            key = neg_priority[start]
-            stop = bisect_right(neg_priority, key, start)
-            self._bands[key] = deque([_Rows.restored(urls, columns, start, stop)])
-            self._keys.append(key)
-            start = stop
+            u, p, d, r = u[order], p[order], d[order], r[order]
+        columns = (u, p, d, r)
+        # Each band is a run of equal keys in the sorted rows.
+        starts = [0, *(np.flatnonzero(neg_priority[1:] != neg_priority[:-1]) + 1).tolist()]
+        self._keys = neg_priority[starts].tolist() if size else []
+        bounds = [*starts, size]
+        self._bands = {
+            key: deque([_Rows.restored(table, columns, start, stop)])
+            for key, start, stop in zip(self._keys, bounds, bounds[1:])
+        }
         self._size = size
         self._counter = counter
         self._restore_counters(state)

@@ -111,7 +111,7 @@ class HostQueueFrontier(Frontier):
         self._check_kind(state, "host-queue")
         candidates = candidates_from_columns(state, table)
         sites = state["sites"]
-        sizes = int_column(state, "sizes", len(sites))
+        sizes = int_column(state, "sizes", len(sites)).tolist()
         if (sizes and min(sizes) < 0) or sum(sizes) != len(candidates):
             raise CheckpointError(
                 f"host-queue sizes do not add up to its {len(candidates)} candidates"

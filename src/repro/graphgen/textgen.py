@@ -192,13 +192,21 @@ def _flavor_tables(flavor: str) -> tuple[tuple[str, ...], np.ndarray, str, str]:
 FLAVORS = ("japanese", "thai", "korean", "english", "latin")
 
 
+#: The languages with a flavor of their own, as module globals:
+#: :func:`flavor_for` runs per generated text and per cued link part, and
+#: a member looked up on its class costs an attribute walk each time.
+_JAPANESE = Language.JAPANESE
+_THAI = Language.THAI
+_KOREAN = Language.KOREAN
+
+
 def flavor_for(language: Language, accented: bool = False) -> str:
     """Default text flavor for a content language."""
-    if language is Language.JAPANESE:
+    if language is _JAPANESE:
         return "japanese"
-    if language is Language.THAI:
+    if language is _THAI:
         return "thai"
-    if language is Language.KOREAN:
+    if language is _KOREAN:
         return "korean"
     return "latin" if accented else "english"
 

@@ -34,6 +34,11 @@ STAGE_METRICS: dict[EngineStage, str] = {
 }
 
 
+#: Read per stage event: a module global, not a member looked up on its
+#: class each time.
+_SCHEDULE = EngineStage.SCHEDULE
+
+
 class StepSpanHook(EngineHook):
     """Per-stage timers and one ``simulator.fetch`` span per page.
 
@@ -52,7 +57,7 @@ class StepSpanHook(EngineHook):
     def on_stage_timing(self, stage: EngineStage, seconds: float, step: EngineStep) -> None:
         registry = self._registry
         registry.observe(STAGE_METRICS[stage], seconds)
-        if stage is EngineStage.SCHEDULE and step.pushed:
+        if stage is _SCHEDULE and step.pushed:
             registry.add("frontier.pushed", step.pushed)
 
     def on_step(self, step: EngineStep) -> None:

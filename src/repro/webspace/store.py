@@ -60,6 +60,7 @@ import json
 import os
 import struct
 import zlib
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterable, Iterator, Set as AbstractSet
 from pathlib import Path
@@ -393,6 +394,7 @@ class PageStore:
         index = {name: load(name) for name in _INDEX_SECTIONS}
         (self._status, self._ctype, self._charset, self._lang, self._size, self._link_offsets,
          self._url_offsets, self._url_hash, self._url_hash_order) = index.values()
+        self._url_views = self._views()
         self._link_arena_start = spans["link_arena"][0]
         self._url_arena_start = spans["url_arena"][0]
         # Optional cue section: absent in stores written before the cue
@@ -464,6 +466,7 @@ class PageStore:
         """Drop the index columns and close the file (store unusable after)."""
         for name in _INDEX_SECTIONS:
             setattr(self, f"_{name}", np.empty(0, dtype=np.int8))
+        self._url_views = self._views()
         self._url_cache.clear()
         self._url_cache_order.clear()
         self._relevant.clear()
@@ -544,21 +547,32 @@ class PageStore:
             raise CrawlLogError(f"{self.path}: url id {uid}: {short}")
         return raw.decode("utf-8")
 
+    def _views(self) -> tuple[memoryview, memoryview, memoryview]:
+        """``url_hash``, ``url_hash_order`` and ``url_offsets`` as memoryviews,
+        whose items are plain ints: :meth:`id_of` reads them."""
+        hashes, order, offsets = self._url_hash, self._url_hash_order, self._url_offsets
+        return memoryview(hashes), memoryview(order), memoryview(offsets)
+
     def id_of(self, url: str) -> int | None:
-        """The url-id of ``url`` (page or dangling target), or None."""
+        """The url-id of ``url`` (page or dangling target), or None.
+
+        A ``bisect`` over the sorted ``url_hash`` column finds the first
+        row holding the URL's hash, and every row with that hash is
+        checked against the URL's bytes in the arena (one ``pread``), so
+        a hash collision is never a wrong id.  The columns are read
+        through memoryviews (:meth:`_views`): no numpy scalar is made.
+        """
         self._check_open()
-        if self.url_count == 0:
-            return None
         encoded = url.encode("utf-8")
-        digest = hashlib.blake2b(encoded, digest_size=8).digest()
-        target = np.uint64(int.from_bytes(digest, "little"))
-        index = int(np.searchsorted(self._url_hash, target, side="left"))
-        offsets = self._url_offsets
-        while index < self.url_count and self._url_hash[index] == target:
-            uid = int(self._url_hash_order[index])
-            low, high = int(offsets[uid]), int(offsets[uid + 1])
-            if high - low == len(encoded) and (
-                os.pread(self._fd, high - low, self._url_arena_start + low) == encoded
+        target = int.from_bytes(hashlib.blake2b(encoded, digest_size=8).digest(), "little")
+        hashes, order, offsets = self._url_views
+        index = bisect_left(hashes, target)
+        size = len(encoded)
+        while index < self.url_count and hashes[index] == target:
+            uid = order[index]
+            low = offsets[uid]
+            if offsets[uid + 1] - low == size and (
+                os.pread(self._fd, size, self._url_arena_start + low) == encoded
             ):
                 return uid
             index += 1

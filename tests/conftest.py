@@ -220,6 +220,16 @@ def reseal_checkpoint(path: Path, out: Path, mutate=None, mutate_columns=None) -
     return out
 
 
+def plain_columns(state: dict) -> dict:
+    """``state`` with each numpy column a list: a frontier snapshot, and a
+    version-5 checkpoint's frontier as read, hold their integer columns as
+    arrays, and two states are equal when their values are."""
+    return {
+        key: value.tolist() if isinstance(value, np.ndarray) else value
+        for key, value in state.items()
+    }
+
+
 def frontier_roundtrip(frontier, into=None):
     """``restore(snapshot())`` into a fresh frontier of the same class
     (or ``into``), over a URL table holding just what the snapshot names."""
@@ -303,7 +313,9 @@ def assert_runs_push_like_candidates(factory, operations, *, unique=False, snaps
         elif snapshots:
             index_runs: dict[str, int] = {}
             index_reference: dict[str, int] = {}
-            assert runs.snapshot(index_runs) == reference.snapshot(index_reference)
+            assert plain_columns(runs.snapshot(index_runs)) == plain_columns(
+                reference.snapshot(index_reference)
+            )
             assert list(index_runs) == list(index_reference)
             if kind == "roundtrip":
                 runs, reference = frontier_roundtrip(runs), frontier_roundtrip(reference)

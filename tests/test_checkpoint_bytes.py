@@ -27,6 +27,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import plain_columns
+
 #: sha256 of each checkpoint's contents, by golden configuration (``@1000`` the
 #: one written mid-run by ``checkpoint_every``).
 PINNED = {
@@ -56,7 +58,7 @@ def contents_digest(path: Path) -> str:
     state = read_checkpoint(path)
     urls = state.urls
     sections = dict(state.sections())
-    frontier = dict(state.frontier)
+    frontier = plain_columns(state.frontier)
     frontier["u"] = [urls[position] for position in frontier["u"]]
     frontier["r"] = [None if position < 0 else urls[position] for position in frontier["r"]]
     sections["frontier"] = frontier

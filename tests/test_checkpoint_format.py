@@ -32,6 +32,7 @@ from conftest import (
     V4_CHECKPOINT_DIR,
     checkpoint_columns,
     checkpoint_layout,
+    plain_columns,
 )
 
 
@@ -189,7 +190,7 @@ class TestRoundTrips:
         assert header["columns"]["frontier.p"]["dtype"] == dtype
         assert header["columns"]["frontier.r"]["dtype"] == "<i1"
         loaded = read_checkpoint(path).frontier
-        assert loaded["p"] == column and all(type(value) is int for value in loaded["p"])
+        assert loaded["p"].dtype == dtype and loaded["p"].tolist() == column
 
 
 class TestUpgrade:
@@ -202,9 +203,9 @@ class TestUpgrade:
         defense state — survives the version-5 container unchanged."""
         recorded = read_checkpoint(path)
         write_checkpoint(tmp_path / "v5.ckpt", recorded)
-        assert dataclasses.asdict(read_checkpoint(tmp_path / "v5.ckpt")) == dataclasses.asdict(
-            recorded
-        )
+        rewritten = read_checkpoint(tmp_path / "v5.ckpt")
+        rewritten.frontier = plain_columns(rewritten.frontier)
+        assert dataclasses.asdict(rewritten) == dataclasses.asdict(recorded)
 
 
 class TestEvictionSpool:

@@ -13,6 +13,7 @@ import random
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
 from repro.adversary import AdversaryModel, AdversaryProfile, DefenseConfig
@@ -33,6 +34,7 @@ from repro.core.frontier import (
     ReprioritizableFrontier,
 )
 from repro.core.metrics import MetricsRecorder
+from repro.core.politeness import HostQueueFrontier
 from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
 from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
 from repro.core.strategies import BreadthFirstStrategy, SimpleStrategy
@@ -52,6 +54,7 @@ from conftest import (
     checkpoint_layout,
     frontier_roundtrip,
     legacy_checkpoint,
+    plain_columns,
     reseal_checkpoint,
 )
 
@@ -109,7 +112,7 @@ class TestCheckpointFile:
         assert checkpoint_layout(data)[0]["version"] == FORMAT_VERSION == 5
         assert loaded.strategy == "breadth-first"
         assert loaded.steps == 3
-        assert (loaded.urls, loaded.scheduled, loaded.frontier) == (
+        assert (loaded.urls, loaded.scheduled, plain_columns(loaded.frontier)) == (
             state.urls, state.scheduled, state.frontier,
         )
         assert loaded.visitor == state.visitor
@@ -246,6 +249,18 @@ def _poke(key, index, value):
     return _Raw(mutate)
 
 
+def _poke_table_size(key, index, offset):
+    """A raw mutation setting item ``index`` of column ``key`` to the URL
+    table's size plus ``offset``, in the column's own dtype."""
+
+    def mutate(columns):
+        size = len(columns["urls.offsets"]) - 1
+        columns[key] = column = columns[key].copy()
+        column[index] = size + offset
+
+    return _Raw(mutate)
+
+
 #: Mutations every layout since version 4 can carry, with the section
 #: the error must name.  A string position and a float tiebreak reach a
 #: version-5 file as a column of text or float dtype.
@@ -292,6 +307,11 @@ MALFORMATIONS = [
     ("table entry is not UTF-8", 5, "urls", _poke("urls.arena", 0, 0xFF)),
     ("table offsets past the arena", 5, "urls", _poke("urls.offsets", -1, 127)),
     ("table offsets run backwards", 5, "urls", _poke("urls.offsets", 1, lambda c: c[2] + 1)),
+    # The range bounds a version-5 column is checked against, in numpy,
+    # each on the column as it is encoded and on its last row.
+    ("last position at the table size", 5, "frontier", _poke_table_size("frontier.u", -1, 0)),
+    ("last position negative", 5, "frontier", _poke("frontier.u", -1, -1)),
+    ("last referrer at -2", 5, "frontier", _poke("frontier.r", -1, -2)),
     ("frontier is a list", 5, "frontier", _put([], "frontier")),
 ]
 
@@ -385,6 +405,82 @@ def _shuffled(seed):
         return order
 
     return order_of
+
+
+class TestColumnsACallerBuilt:
+    """A :class:`CheckpointState` built in memory is held to the rules a
+    file is: a column list must hold exact ints (``True`` is not one),
+    and a column array must be of an integer dtype."""
+
+    @pytest.fixture(scope="class")
+    def request_(self):
+        return CrawlRequest(strategy="soft-focused", dataset=golden_dataset()).resolve()
+
+    def _resume(self, request_, state):
+        sample_interval = max(1, len(request_.web.crawl_log) // 200)  # as recorded
+        config = SessionConfig(sample_interval=sample_interval, resume_from=state)
+        return CrawlSession(request_, config).open()
+
+    def test_the_state_as_read_resumes(self, request_):
+        state = read_checkpoint(V4_CHECKPOINT_DIR / "soft-focused.v4.ckpt")
+        assert self._resume(request_, state).status().steps == 300
+
+    @pytest.mark.parametrize("column", ["u", "p", "d", "r", "neg_priority", "tiebreak"])
+    def test_a_bool_inside_a_column_list_is_refused(self, request_, column):
+        state = read_checkpoint(V4_CHECKPOINT_DIR / "soft-focused.v4.ckpt")
+        assert type(state.frontier[column]) is list
+        state.frontier[column][0] = bool(state.frontier[column][0] % 2)
+        with pytest.raises(CheckpointError, match=f"'frontier' section: column '{column}'"):
+            self._resume(request_, state)
+
+    @pytest.mark.parametrize("dtype", [bool, np.float64, np.uint16])
+    def test_a_column_array_of_another_dtype_is_refused(self, request_, dtype):
+        state = read_checkpoint(V5_CHECKPOINT_DIR / "soft-focused.v5.ckpt")
+        state.frontier["d"] = state.frontier["d"].astype(dtype)
+        with pytest.raises(CheckpointError, match="'frontier' section: column 'd'"):
+            self._resume(request_, state)
+
+
+_FRONTIER_OF_KIND = {
+    "fifo": FIFOFrontier,
+    "priority": PriorityFrontier,
+    "reprioritizable": ReprioritizableFrontier,
+    "host-queue": HostQueueFrontier,
+}
+
+
+def _assert_plain(candidate):
+    """No numpy scalar in a candidate: every field its exact Python type."""
+    assert type(candidate.url) is str
+    assert type(candidate.priority) is int and type(candidate.distance) is int
+    assert candidate.referrer is None or type(candidate.referrer) is str
+    assert candidate.uid is None
+
+
+class TestRestoredCandidatesArePlain:
+    """A queue restored from a version-5 file's arrays pops candidates of
+    plain ints and strings, before and after a snapshot of its partly
+    popped rows is restored again."""
+
+    @pytest.mark.parametrize(
+        "path", sorted(V5_CHECKPOINT_DIR.glob("*.ckpt")), ids=lambda path: path.name
+    )
+    def test_every_popped_field_is_a_python_value(self, path):
+        state = read_checkpoint(path)
+        make = _FRONTIER_OF_KIND[state.frontier["kind"]]
+        frontier = make()
+        frontier.restore(state.frontier, state.urls)
+        queued = len(frontier)
+        head = [frontier.pop() for _ in range(queued // 3)]
+        index: dict[str, int] = {}
+        again = make()
+        again.restore(frontier.snapshot(index), list(index))
+        rest = []
+        while again:
+            rest.append(again.pop())
+        assert len(head) + len(rest) == queued > 0
+        for candidate in head + rest:
+            _assert_plain(candidate)
 
 
 class TestPriorityRowOrder:

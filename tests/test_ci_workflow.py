@@ -141,6 +141,27 @@ def test_engine_identities_run_in_the_differential_job():
     } <= set(_pytest_paths("golden-diff"))
 
 
+def test_the_pinned_suites_run_under_two_fixed_hash_seeds():
+    """Digests and bytes that follow the interpreter's string hashes would
+    pass under one seed and fail under another: the hash-seed job runs
+    the pinned suites under two."""
+    root = WORKFLOW.parents[2]
+    job = yaml.safe_load(WORKFLOW.read_text())["jobs"]["hash-seed"]
+    assert job["strategy"]["matrix"]["seed"] == ["123", "4242"]
+    assert job["env"]["PYTHONHASHSEED"] == "${{ matrix.seed }}"
+    paths = _pytest_paths("hash-seed")
+    assert {
+        "tests/golden",
+        "tests/test_checkpoint_bytes.py",
+        "tests/test_store_build.py",
+        "tests/test_experiments_sweep.py",
+        "tests/test_experiments_faultsweep.py",
+        "tests/test_experiments_adversweep.py",
+        "tests/test_experiments_tournament.py",
+    } <= set(paths)
+    assert [path for path in paths if not (root / path).exists()] == []
+
+
 def test_the_per_page_layers_are_type_checked():
     """The one-frame fetch, extract and judgment paths are mypy-checked."""
     paths = []

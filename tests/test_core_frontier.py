@@ -142,7 +142,7 @@ class TestTiebreakCounter:
         frontier.pop()
         frontier.push(Candidate(url="http://late.example/", priority=1))
         state = frontier.snapshot({})
-        assert state["tiebreak"] == [0, 1, 2]  # unique: the rows' pop ranks
+        assert state["tiebreak"].tolist() == [0, 1, 2]  # unique: the rows' pop ranks
         assert frontier._counter == state["counter"] == 4  # never reset by pops
 
     def test_candidates_are_never_compared(self):

@@ -24,7 +24,12 @@ from repro.core.frontier import (
 from repro.core.politeness import HostQueueFrontier
 from repro.errors import CheckpointError, FrontierError
 
-from conftest import assert_runs_push_like_candidates, frontier_operations, frontier_roundtrip
+from conftest import (
+    assert_runs_push_like_candidates,
+    frontier_operations,
+    frontier_roundtrip,
+    plain_columns,
+)
 
 pushes = st.lists(
     st.tuples(st.integers(min_value=0, max_value=999), st.integers(min_value=-5, max_value=5)),
@@ -379,7 +384,7 @@ class TestLazyFifoHead:
                 index = {url: position for position, url in enumerate(op)}
                 state = lazy.snapshot(index)
                 reference_index = {url: position for position, url in enumerate(op)}
-                assert state == eager.snapshot(reference_index)
+                assert plain_columns(state) == eager.snapshot(reference_index)
                 assert list(index) == list(reference_index)
                 lazy, eager = FIFOFrontier(), EagerFIFO()
                 lazy.restore(state, list(index))
@@ -433,7 +438,8 @@ class HeapPriority:
 
     def restore(self, state, table):
         queued = candidates_from_columns(state, table)
-        self.heap = list(zip(state["neg_priority"], state["tiebreak"], queued))
+        plain = plain_columns(state)
+        self.heap = list(zip(plain["neg_priority"], plain["tiebreak"], queued))
         self.counter = state["counter"]
         self.pushes, self.pops, self.peak_size = state["pushes"], state["pops"], state["peak_size"]
 
@@ -492,7 +498,7 @@ class TestBandsEqualTheHeap:
                 index = {url: position for position, url in enumerate(scheduled)}
                 state = (bands if writer == "band" else heap).snapshot(index)
                 if writer == "band":
-                    assert state["tiebreak"] == list(range(len(bands)))
+                    assert state["tiebreak"].tolist() == list(range(len(bands)))
                     assert state["counter"] >= len(bands)
                 bands, heap = PriorityFrontier(), HeapPriority()
                 bands.restore(state, list(index))
@@ -579,7 +585,8 @@ class HeapReprioritizable:
 
     def restore(self, state, table):
         queued = candidates_from_columns(state, table)
-        self.heap = list(zip(state["neg_priority"], state["tiebreak"], queued))
+        plain = plain_columns(state)
+        self.heap = list(zip(plain["neg_priority"], plain["tiebreak"], queued))
         self.current = {entry[2].url: entry for entry in self.heap}
         heapq.heapify(self.heap)
         self.counter, self.stale = state["counter"], 0
@@ -673,7 +680,7 @@ class TestReRankBandsEqualTheHeap:
                 index = {url: position for position, url in enumerate(scheduled)}
                 state = (bands if writer == "band" else heap).snapshot(index)
                 if writer == "band":
-                    assert state["tiebreak"] == list(range(len(bands)))
+                    assert state["tiebreak"].tolist() == list(range(len(bands)))
                     assert state["counter"] >= len(bands)
                 bands, heap = Bands(), HeapReprioritizable(compact_min)
                 bands.restore(state, list(index))
