@@ -6,8 +6,9 @@ paper's answer is to *discard* URLs (limited distance).  This benchmark
 evaluates the engineering alternative a production crawler uses —
 spilling the cold tail of the queue to disk — and compares both cures:
 
-- spilling keeps soft-focused's exact coverage at a tiny resident set,
-  paying in disk traffic and batch-FIFO ordering of cold URLs;
+- spilling keeps soft-focused's exact crawl — the same pop order, so
+  the same fetches and coverage — at a tiny resident set, paying in
+  disk traffic;
 - limited distance keeps everything in memory but gives up tail coverage.
 """
 

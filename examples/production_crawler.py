@@ -9,7 +9,8 @@ physical memory at Web scale.  This example composes the three
 extensions that close those gaps around one soft-focused crawl:
 
 - ``frontier=SpillConfig(...)`` — bounded resident URL queue, cold tail
-  on disk;
+  on disk; it pops what the in-memory queue pops, so the crawl is the
+  same one and checkpoints like it;
 - ``frontier=HostQueues()`` — per-server round-robin, no bursts;
 - :class:`TimingModel` — transfer delays + per-site access intervals.
 
@@ -64,10 +65,12 @@ def main() -> None:
     print("2. Production configuration (spilling + politeness + timing):")
     # Each frontier= value replaces the queue discipline, so they are
     # shown separately — one cost at a time.  First spilling:
-    spilled, _, queue = crawl(dataset, SpillConfig(memory_limit=MEMORY_LIMIT))
+    spilled, spilled_urls, queue = crawl(dataset, SpillConfig(memory_limit=MEMORY_LIMIT))
     stats = queue.stats()
-    print(f"   [spilling]  coverage {spilled.final_coverage:.0%} with only "
-          f"{stats.peak_resident} URLs resident ({stats.spilled} spilled to disk)")
+    same = "the same" if spilled_urls == plain_urls else "a DIFFERENT"
+    print(f"   [spilling]  {same} fetch order, coverage {spilled.final_coverage:.0%}, "
+          f"with only {stats.peak_resident} URLs resident "
+          f"({stats.spilled} spilled to disk)")
 
     polite, polite_urls, _ = crawl(
         dataset,

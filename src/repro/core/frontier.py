@@ -44,8 +44,8 @@ an update appends the candidate to its new band in O(1) and
 head of its band.  Tombstones are compacted once they outnumber live
 entries, bounding the bands at twice the live size.  The spilling
 frontier (:mod:`repro.core.spilling`) is a :class:`PriorityFrontier`
-too, its bands the resident set, so the bands are the one priority
-mechanism every queue rests on.
+too, a stretch of a band on disk being one more kind of band entry, so
+the bands are the one priority mechanism every queue rests on.
 """
 
 from __future__ import annotations
@@ -289,6 +289,7 @@ class Frontier(ABC):
         crawl finishes.
         """
 
+    @abstractmethod
     def snapshot(self, index: dict[str, int]) -> dict:
         """Serialisable state for checkpointing, as columns.
 
@@ -302,12 +303,9 @@ class Frontier(ABC):
         The contract is exact: ``restore(snapshot(index), list(index))``
         on a fresh frontier of the same class must reproduce the
         identical pop sequence, operation counters and peak occupancy.
-        In-memory frontiers implement this; wrappers holding external
-        resources (spilling) raise
-        :class:`~repro.errors.CheckpointError`.
         """
-        raise CheckpointError(f"{type(self).__name__} does not support checkpointing")
 
+    @abstractmethod
     def restore(self, state: dict, table: Sequence[str]) -> None:
         """Load a :meth:`snapshot` into this (fresh, empty) frontier.
 
@@ -315,7 +313,6 @@ class Frontier(ABC):
         integer columns are checked by
         :func:`~repro.core.candidate.checked_columns`, as arrays.
         """
-        raise CheckpointError(f"{type(self).__name__} does not support checkpointing")
 
     def _restore_counters(self, state: dict) -> None:
         self.pushes = state["pushes"]

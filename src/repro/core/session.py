@@ -338,11 +338,10 @@ class SessionConfig(ConfigValue):
     #: expansion, this field decides the queue: None keeps the
     #: strategy's own discipline; a
     #: :class:`~repro.core.spilling.SpillConfig` runs on a disk-spilling
-    #: queue (over a store-backed web space the cold tail spills as URL
-    #: ids into the store's arena instead of URL strings), and is
-    #: mutually exclusive with checkpointing (``checkpoint_every`` /
-    #: ``snapshot()``) — the spilling frontier holds disk state a
-    #: checkpoint cannot capture;
+    #: priority queue whose pop order, ``(-priority, push order)``, does
+    #: not depend on what is on disk, so it checkpoints like any other
+    #: (over a store-backed web space the cold tail spills as URL ids
+    #: into the store's arena instead of URL strings);
     #: :class:`~repro.core.politeness.HostQueues` runs on per-server
     #: round-robin queues.  Neither can re-rank a queued URL, so a
     #: strategy whose own queue is a
@@ -450,13 +449,6 @@ class CrawlSession:
             raise ConfigError(
                 "frontier= must be a SpillConfig, HostQueues() or None, got "
                 f"{type(config.frontier).__name__}"
-            )
-        if isinstance(config.frontier, SpillConfig) and (
-            config.checkpoint_every is not None or config.resume_from is not None
-        ):
-            raise ConfigError(
-                "a spill frontier cannot combine with checkpointing/resume: the "
-                "spilling frontier's disk tail is not captured by CheckpointState"
             )
         resume = config.resume_from
         #: What a malformed section is reported against: the file, when

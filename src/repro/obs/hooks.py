@@ -25,17 +25,12 @@ from repro.core.engine import EngineHook, EngineStage, EngineStep
 from repro.core.frontier import Candidate
 from repro.obs.instrument import Instrumentation
 
-#: Engine stages the instrumented profile times, and the metric each
-#: duration lands in (the component doing that stage's work).
-STAGE_METRICS: dict[EngineStage, str] = {
-    EngineStage.POP: "frontier.pop",
-    EngineStage.PRIORITIZE: "strategy.expand",
-    EngineStage.SCHEDULE: "frontier.push",
-}
-
-
-#: Read per stage event: a module global, not a member looked up on its
-#: class each time.
+#: The engine times three stages — pop, prioritize and schedule — and
+#: each duration lands in the metric of the component doing that
+#: stage's work: ``frontier.pop``, ``strategy.expand``, ``frontier.push``.
+#: The stage is told by identity against module globals, not looked up
+#: in a dict keyed by an ``Enum`` member, which hashes in Python.
+_POP = EngineStage.POP
 _SCHEDULE = EngineStage.SCHEDULE
 
 
@@ -56,9 +51,14 @@ class StepSpanHook(EngineHook):
 
     def on_stage_timing(self, stage: EngineStage, seconds: float, step: EngineStep) -> None:
         registry = self._registry
-        registry.observe(STAGE_METRICS[stage], seconds)
-        if stage is _SCHEDULE and step.pushed:
-            registry.add("frontier.pushed", step.pushed)
+        if stage is _POP:
+            registry.observe("frontier.pop", seconds)
+        elif stage is _SCHEDULE:
+            registry.observe("frontier.push", seconds)
+            if step.pushed:
+                registry.add("frontier.pushed", step.pushed)
+        else:
+            registry.observe("strategy.expand", seconds)
 
     def on_step(self, step: EngineStep) -> None:
         assert step.candidate is not None and step.response is not None

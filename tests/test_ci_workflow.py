@@ -114,8 +114,9 @@ def test_checkpoint_suites_run_in_the_differential_and_serve_jobs():
 
 def test_frontier_suites_run_in_the_differential_job():
     """The goldens rest on the priority frontier's pop order; its unit
-    and reference-property suites, and those of the re-ranking and
-    spilling queues built on its bands, gate the same job."""
+    and reference-property suites, those of the re-ranking and spilling
+    queues built on its bands, and the spilled session's identities with
+    the unspilled one (fetch order, checkpoints), gate the same job."""
     root = WORKFLOW.parents[2]
     paths = _pytest_paths("golden-diff")
     pinned = {
@@ -125,6 +126,7 @@ def test_frontier_suites_run_in_the_differential_job():
         "tests/test_prop_extended_frontiers.py",
         "tests/test_prop_frontier_accounting.py",
         "tests/test_core_spilling.py",
+        "tests/test_session_frontier.py",
         "tests/golden",
     }
     assert pinned <= set(paths)

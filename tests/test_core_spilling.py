@@ -251,23 +251,3 @@ class TestSessionSpillConfig:
         )
         assert spilled.pages_crawled == plain.pages_crawled
         assert spilled.final_coverage == pytest.approx(plain.final_coverage)
-
-    def test_spill_rejects_checkpointing(self, thai_dataset):
-        from repro.errors import ConfigError
-
-        request = CrawlRequest(
-            strategy=SimpleStrategy(mode="soft"),
-            web=VirtualWebSpace(thai_dataset.crawl_log),
-            classifier=Classifier(thai_dataset.profile.target_language),
-            seeds=thai_dataset.seed_urls,
-            relevant_urls=thai_dataset.relevant_urls(),
-        )
-        with pytest.raises(ConfigError, match="spill"):
-            CrawlSession(
-                request,
-                SessionConfig(
-                    frontier=SpillConfig(memory_limit=100),
-                    checkpoint_every=100,
-                    checkpoint_path="/tmp/never-written.ckpt",
-                ),
-            )

@@ -3,23 +3,14 @@ reprioritizable) — conservation and discipline invariants under random
 operation sequences.
 """
 
-import heapq
-import json
-import os
 from collections import Counter
+from contextlib import contextmanager
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.frontier import Candidate, ReprioritizableFrontier
+from repro.core.frontier import Candidate, PriorityFrontier, ReprioritizableFrontier
 from repro.core.politeness import HostQueueFrontier
-from repro.core.spilling import (
-    _REFILL_BATCH,
-    SpillingFrontier,
-    candidate_from_spill,
-    spill_entry,
-)
-from repro.errors import FrontierError
+from repro.core.spilling import SpillingFrontier
 
 from conftest import assert_runs_push_like_candidates, frontier_operations, frontier_roundtrip
 
@@ -73,129 +64,71 @@ class TestSpillingConservation:
             assert len(frontier) == pushed - popped
 
 
-class HeapSpilling(SpillingFrontier):
-    """The spilling frontier as it was before its resident set became
-    bands: a heap of ``(-priority, counter, candidate)`` entries, sorted
-    whole on every spill, its tail written to the same spill file."""
+@contextmanager
+def spilling_frontiers(limit: int):
+    """A factory of spilling frontiers at ``limit``, each closed on exit."""
+    frontiers: list[SpillingFrontier] = []
 
-    def __init__(self, memory_limit: int) -> None:
-        super().__init__(memory_limit)
-        self.heap: list = []
-        self.counter = 0
+    def spilling() -> SpillingFrontier:
+        frontiers.append(SpillingFrontier(memory_limit=limit))
+        return frontiers[-1]
 
-    def _file(self, candidate: Candidate) -> None:
-        heapq.heappush(self.heap, (-candidate.priority, self.counter, candidate))
-        self.counter += 1
-
-    def push(self, candidate: Candidate) -> None:
-        self._file(candidate)
-        if len(self.heap) > self._limit:
-            self._spill_coldest()
-        self._peak_resident = max(self._peak_resident, len(self.heap))
-        self.pushes += 1
-        self._peak_size = max(self._peak_size, len(self))
-
-    def pop(self) -> Candidate:
-        if not self.heap and self._pending_on_disk:
-            self._refill()
-        if not self.heap:
-            raise FrontierError("pop from empty spilling frontier")
-        self.pops += 1
-        return heapq.heappop(self.heap)[2]
-
-    def __len__(self) -> int:
-        return len(self.heap) + self._pending_on_disk
-
-    @property
-    def resident_size(self) -> int:
-        return len(self.heap)
-
-    def _spill_coldest(self) -> None:
-        batch = max(1, self._limit // 10)
-        self.heap.sort()
-        victims = self.heap[-batch:]
-        del self.heap[-batch:]
-        heapq.heapify(self.heap)
-        self._spill_file.seek(0, os.SEEK_END)
-        for _, _, candidate in victims:
-            self._spill_file.write(json.dumps(spill_entry(candidate), separators=(",", ":")) + "\n")
-        self._spill_file.flush()
-        self._pending_on_disk += batch
-        self.spilled += batch
-
-    def _refill(self) -> None:
-        self._spill_file.seek(self._read_offset)
-        loaded = 0
-        while loaded < min(_REFILL_BATCH, self._limit):
-            line = self._spill_file.readline()
-            if not line:
-                break
-            self._read_offset = self._spill_file.tell()
-            self._file(candidate_from_spill(json.loads(line)))
-            loaded += 1
-        self._pending_on_disk -= loaded
-        self.reloaded += loaded
+    try:
+        yield spilling
+    finally:
+        for frontier in frontiers:
+            frontier.close()
 
 
-def spill_bytes(frontier: SpillingFrontier) -> bytes:
-    with open(frontier._spill_path, "rb") as spilled:
-        return spilled.read()
+def overfill(limit: int) -> list[tuple]:
+    """``2 * limit`` pushes over five priorities: a spilling frontier at
+    ``limit`` spills stretches of every size its batch allows, and the
+    final drain of ``assert_runs_push_like_candidates`` reads each of
+    them back."""
+    return [("push", (i % 4, i), i % 5 - 2, i % 3, i % 2 == 0) for i in range(2 * limit)]
 
 
-#: A memory limit, and two to six times that many operations: a push
-#: (url id, priority index, referrer?) or, when the last field is 0, a
-#: pop — so about five in six push, and every long enough run spills.
-spill_runs = st.integers(min_value=2, max_value=40).flatmap(
-    lambda limit: st.tuples(
-        st.just(limit),
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=400),
-                st.integers(min_value=0, max_value=7),
-                st.booleans(),
-                st.integers(min_value=0, max_value=5),
-            ),
-            min_size=2 * limit,
-            max_size=6 * limit,
-        ),
-    )
-)
+class TestSpillEqualsThePriorityFrontier:
+    @given(frontier_operations, st.integers(min_value=2, max_value=40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_interleaving_equals_the_priority_frontier(self, operations, limit):
+        """Pushes, runs, pops, snapshots and restores in any order, on a
+        queue already twice the limit: the spilling frontier pops what
+        :class:`PriorityFrontier` pops (the url-id hint aside), keeps its
+        counters and ``len``, and snapshots the same columns, however
+        much of it is on disk."""
+        with spilling_frontiers(limit) as spilling:
+            assert_runs_push_like_candidates(
+                spilling, overfill(limit) + operations, reference=PriorityFrontier, hints=False
+            )
 
+    @given(frontier_operations, st.integers(min_value=2, max_value=6))
+    @settings(max_examples=200, deadline=None)
+    def test_the_resident_set_stays_within_the_limit(self, operations, limit):
+        """Every operation, a restore and a pop that reads a stretch back
+        included, leaves at most ``limit`` candidates in memory."""
+        resident: list[int] = []
 
-class TestSpillBandsEqualTheHeap:
-    @pytest.mark.parametrize("distinct", [1, 3, 8])
-    @given(run=spill_runs)
-    @settings(max_examples=120, deadline=None)
-    def test_any_interleaving_equals_the_heap_reference(self, distinct, run):
-        """Pushes and pops in any order, with 1, 3 or 8 distinct
-        priorities: the band-resident spilling frontier pops what the
-        heap-resident one pops, keeps the same counters and spill
-        accounting, and writes the same spill file byte for byte."""
-        limit, ops = run
-        with SpillingFrontier(memory_limit=limit) as bands, HeapSpilling(limit) as heap:
-            for op in ops:
-                if not op[3]:
-                    if heap:
-                        assert tuple(bands.pop()) == tuple(heap.pop())
-                    else:
-                        assert not bands
-                else:
-                    url_id, level, referred, _ = op
-                    referrer = f"http://r{url_id % 7}.example/" if referred else None
-                    candidate = Candidate(
-                        f"http://h{url_id % 5}.example/p{url_id}", level % distinct - 1,
-                        url_id % 3, referrer,
-                    )
-                    bands.push(candidate)
-                    heap.push(candidate)
-                assert (len(bands), bands.resident_size) == (len(heap), heap.resident_size)
-                assert (bands.pushes, bands.pops, bands.stats()) == (
-                    heap.pushes, heap.pops, heap.stats(),
-                )
-            while heap:
-                assert tuple(bands.pop()) == tuple(heap.pop())
-            assert not bands
-            assert spill_bytes(bands) == spill_bytes(heap)
+        class Bounded(SpillingFrontier):
+            def push(self, candidate):
+                super().push(candidate)
+                resident.append(self.resident_size)
+
+            def pop(self):
+                candidate = super().pop()
+                resident.append(self.resident_size)
+                return candidate
+
+            def restore(self, state, table):
+                super().restore(state, table)
+                resident.append(self.resident_size)
+
+        with spilling_frontiers(limit) as spilling:
+            assert_runs_push_like_candidates(
+                lambda: Bounded(memory_limit=limit), overfill(limit) + operations,
+                reference=spilling,
+            )
+        assert all(size <= limit for size in resident)
 
 
 class TestHostQueueProperties:
@@ -319,14 +252,5 @@ class TestRunsPushLikeCandidates:
     @given(frontier_operations, st.integers(min_value=2, max_value=6))
     @settings(max_examples=60, deadline=None)
     def test_spilling(self, operations, limit):
-        frontiers = []
-
-        def spilling():
-            frontiers.append(SpillingFrontier(memory_limit=limit))
-            return frontiers[-1]
-
-        try:
-            assert_runs_push_like_candidates(spilling, operations, snapshots=False)
-        finally:
-            for frontier in frontiers:
-                frontier.close()
+        with spilling_frontiers(limit) as spilling:
+            assert_runs_push_like_candidates(spilling, operations)

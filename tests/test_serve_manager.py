@@ -16,6 +16,7 @@ from repro import CrawlRequest, CrawlSession, SessionConfig, report_payload, run
 from repro.charset.languages import Language
 from repro.core.classifier import Classifier
 from repro.core.engine import EngineHook
+from repro.core.spilling import SpillConfig
 from repro.core.strategies import BreadthFirstStrategy, SimpleStrategy
 from repro.core.timing import TimingModel
 from repro.errors import CheckpointError, ConfigError, SessionError
@@ -433,6 +434,38 @@ class TestUnresumableStrategyStaysResident:
         )
         with pytest.raises(CheckpointError, match="backlink-count.*cross-page tables"):
             CrawlSession(_request(tiny_web, "backlink-count"), SessionConfig(**extra)).open()
+
+
+class TestSpilledSessionIsEvicted:
+    """A spilled queue snapshots like any other, so the residency cap
+    spools a spilled session and resumes it.  One resident spilled
+    session used to make a second session's ``open`` and ``step`` raise
+    ``CheckpointError``."""
+
+    def test_spilled_beside_a_plain_session_equals_the_direct_runs(self, tmp_path):
+        dataset = golden_dataset()
+        configs = {
+            "spilled": SessionConfig(
+                max_pages=GOLDEN_MAX_PAGES, sample_interval=50,
+                frontier=SpillConfig(memory_limit=40),
+            ),
+            "plain": SessionConfig(max_pages=GOLDEN_MAX_PAGES, sample_interval=50),
+        }
+        expected = {
+            name: run_crawl(CrawlRequest(strategy="soft-focused", dataset=dataset), config=config)
+            for name, config in configs.items()
+        }
+        manager = SessionManager(spool_dir=tmp_path, max_resident=1)
+        for name, config in configs.items():
+            manager.open(name, CrawlRequest(strategy="soft-focused", dataset=dataset), config)
+        assert manager.status("spilled").state == "evicted"
+        done = False
+        while not done:
+            done = all([manager.step(name, 90).done for name in configs])
+            assert manager.status("spilled").state == "evicted" or done
+        assert manager.stats()["resumes"] >= 6
+        for name in configs:
+            assert _canon(manager.close(name)) == _canon(expected[name])
 
 
 class TestSharedConfig:

@@ -657,6 +657,37 @@ class TestWireConfigIsSessionConfigJSON:
             report_payload(direct), sort_keys=True
         )
 
+    def test_spilled_session_under_a_resident_cap_of_one_matches_its_direct_run(
+        self, tmp_path, serve_cache
+    ):
+        """The spilled session is spooled each time the plain one steps,
+        and resumed each time it steps itself."""
+        handler = _handler(tmp_path, serve_cache, manager={"max_resident": 1})
+        spilled = _open_command("s", "soft-focused", 9009)
+        spilled["config"] = json.loads(json.dumps(self.CONFIG.to_json()))
+        assert handler.handle(spilled)["ok"]
+        assert handler.handle(_open_command("t", "breadth-first", 9009))["ok"]
+        done: set[str] = set()
+        while len(done) < 2:
+            for name in {"s", "t"} - done:
+                reply = handler.handle({"cmd": "step", "session": name, "budget": 7})
+                assert reply["ok"], reply
+                if reply["status"]["done"]:
+                    done.add(name)
+        assert handler.manager.stats()["evictions"] >= 4
+        report = handler.handle({"cmd": "close", "session": "s"})["report"]
+
+        dataset = load_or_build_dataset(
+            profile_by_name("thai", seed=9009).scaled(SCALE), cache_dir=serve_cache
+        )
+        direct = run_crawl(CrawlRequest(dataset=dataset, strategy="soft-focused"), config=self.CONFIG)
+        assert json.dumps(report, sort_keys=True) == json.dumps(
+            report_payload(direct), sort_keys=True
+        )
+        assert json.dumps(
+            handler.handle({"cmd": "close", "session": "t"})["report"], sort_keys=True
+        ) == _one_shot(serve_cache, "breadth-first", 9009)
+
     @pytest.mark.parametrize(
         "config, named",
         [

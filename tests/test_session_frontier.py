@@ -21,13 +21,18 @@ import pytest
 
 from repro.core.frontier import ReprioritizableFrontier
 from repro.core.politeness import HostQueueFrontier, HostQueues
+from repro.core.checkpoint import read_checkpoint
 from repro.core.session import CrawlRequest, CrawlSession, SessionConfig, report_payload
 from repro.core.spilling import SpillConfig, SpillingFrontier
 from repro.core.strategies import SimpleStrategy, get_strategy, iter_strategy_names
 from repro.errors import CheckpointError, ConfigError
 from repro.experiments import scalefrontier
+from repro.experiments.datasets import build_dataset, build_dataset_store, open_dataset_store
 from repro.experiments.golden import cued_golden_dataset
+from repro.graphgen import thai_profile
 from repro.obs import Instrumentation
+
+from conftest import plain_columns
 
 #: Every value ``SessionConfig.frontier`` takes.
 FRONTIERS = {
@@ -150,36 +155,148 @@ class TestEngineTalksToTheRealStrategy:
             _session(cued, "soft-focused", "host-queues")
 
 
-class TestSpillDoesNotCheckpoint:
-    """The spill file is disk state no checkpoint section carries (the
-    ``checkpoint_every`` half is ``test_core_spilling``'s
-    ``test_spill_rejects_checkpointing``)."""
+#: The paper's orderings, by registry name and parameters.
+PAPER_ORDERINGS = [
+    ("soft-focused", {}),
+    ("hard-focused", {}),
+    ("breadth-first", {}),
+    *(
+        ("limited-distance", {"n": n, "prioritized": prioritized})
+        for n in (1, 2, 3, 4)
+        for prioritized in (False, True)
+    ),
+]
 
-    def test_resume_is_a_config_error(self, cued, tmp_path):
-        path = tmp_path / "plain.ckpt"
-        plain = _session(cued, "soft-focused", None, max_pages=50)
-        plain.step()
-        plain.save_checkpoint(path)
-        plain.close()
-        with pytest.raises(ConfigError, match="spill"):
-            _session(cued, "soft-focused", SpillConfig(memory_limit=100), resume_from=path)
+#: A resident cap that the 0.05-scale Thai web overflows many times
+#: over, so every crawl below spills and reads stretches back.
+SPILL = SpillConfig(memory_limit=200)
 
-    def test_snapshot_is_a_checkpoint_error(self, cued):
-        session = _session(cued, "soft-focused", SpillConfig(memory_limit=100))
-        session.step(50)
-        try:
-            with pytest.raises(CheckpointError):
-                session.snapshot()
-        finally:
-            session.close()
+
+@pytest.fixture(scope="module")
+def thai05(tmp_path_factory):
+    """The Thai web at scale 0.05, in memory and as a page store."""
+    profile = thai_profile().scaled(0.05)
+    path = tmp_path_factory.mktemp("thai05") / "thai05.lswc"
+    build_dataset_store(profile, path)
+    store = open_dataset_store(path)
+    yield {"memory": build_dataset(profile), "store": store}
+    store.crawl_log.close()
+
+
+def _fetches(dataset, name, params, frontier, **config):
+    """The fetch sequence, the report with its label taken out, and the
+    spill accounting (None unspilled) of one crawl."""
+    urls: list[str] = []
+    session = CrawlSession(
+        CrawlRequest(dataset=dataset, strategy=name, params=params),
+        SessionConfig(
+            sample_interval=250, frontier=frontier,
+            on_fetch=lambda event: urls.append(event.url), **config,
+        ),
+    )
+    result = session.run()
+    stats = session.frontier.stats() if frontier is not None else None
+    payload = json.loads(json.dumps(report_payload(result)).replace(result.strategy, "LABEL"))
+    return urls, payload, stats
+
+
+class TestSpilledEqualsUnspilled:
+    """A spilled stretch is one more entry in its band, read back when
+    it reaches the head: the spilling queue pops exactly what the
+    unspilled queue pops, so the crawl fetches the same pages in the
+    same order and reports the same figures — Fig 5's queue size too."""
+
+    @pytest.mark.parametrize("backend", ["memory", "store"])
+    @pytest.mark.parametrize(
+        "name, params", PAPER_ORDERINGS, ids=[get_strategy(n, **p).name for n, p in PAPER_ORDERINGS]
+    )
+    def test_fetch_sequence_and_report(self, thai05, backend, name, params):
+        dataset = thai05[backend]
+        urls, payload, _ = _fetches(dataset, name, params, None)
+        spilled_urls, spilled_payload, stats = _fetches(dataset, name, params, SPILL)
+        assert stats.reloaded > 0, "the cap forced no reload: nothing was tested"
+        assert stats.peak_resident <= SPILL.memory_limit
+        assert spilled_urls == urls
+        assert spilled_payload == payload
+
+
+class TestSpillCheckpoints:
+    """A snapshot reads the spilled stretches back, a restore spills down
+    to the limit again: a spilled session checkpoints, resumes and is
+    evicted like any other."""
+
+    SPILL = SpillConfig(memory_limit=30)
+
+    def _session(self, dataset, frontier, **config) -> CrawlSession:
+        return CrawlSession(
+            CrawlRequest(dataset=dataset, strategy="soft-focused"),
+            SessionConfig(max_pages=900, sample_interval=50, frontier=frontier, **config),
+        )
+
+    @pytest.mark.parametrize("concurrency", [None, 8], ids=["round-based", "K=8"])
+    def test_cut_and_resumed_equals_uninterrupted(self, cued, tmp_path, concurrency):
+        full_urls: list[str] = []
+        full = self._session(
+            cued, self.SPILL, concurrency=concurrency,
+            on_fetch=lambda event: full_urls.append(event.url),
+        ).run()
+        for cut in (1, 200, 450, 700):
+            partial = self._session(cued, self.SPILL, concurrency=concurrency).open()
+            partial.step(cut)
+            assert partial.frontier.stats().spilled > 0 or cut == 1
+            path = tmp_path / f"cut{cut}.ckpt"
+            partial.save_checkpoint(path)
+            partial.close()
+            # The checkpoint's queue is the unspilled queue at the same cut.
+            plain = self._session(cued, None, concurrency=concurrency).open()
+            plain.step(cut)
+            state, plain_state = read_checkpoint(path), plain.snapshot()
+            plain.close()
+            assert state.urls == plain_state.urls
+            assert plain_columns(state.frontier) == plain_columns(plain_state.frontier)
+
+            urls: list[str] = []
+            session = self._session(
+                cued, self.SPILL, concurrency=concurrency, resume_from=path,
+                on_fetch=lambda event: urls.append(event.url),
+            ).open()
+            assert session.frontier.resident_size <= self.SPILL.memory_limit
+            resumed = session.run()
+            assert urls == full_urls[len(full_urls) - len(urls):], f"cut={cut}"
+            assert report_payload(resumed) == report_payload(full), f"cut={cut}"
+
+    def test_periodic_checkpoints_resume_to_the_same_report(self, cued, tmp_path):
+        path = tmp_path / "spill.ckpt"
+        config = {"checkpoint_every": 100, "checkpoint_path": path}
+        full = self._session(cued, self.SPILL, **config).run()
+        killed = self._session(cued, self.SPILL, **config)
+        killed.step(350)  # the last checkpoint was written at page 300
+        killed.close()
+        resumed = self._session(cued, self.SPILL, resume_from=path, **config).run()
+        assert resumed.resilience["checkpoints_written"] == full.resilience["checkpoints_written"]
+        assert report_payload(resumed) == report_payload(full)
+
+    @pytest.mark.parametrize(
+        "taken, resumed",
+        [(SPILL, SpillConfig(memory_limit=31)), (SPILL, None), (None, SPILL)],
+        ids=["other-limit", "spilled-to-plain", "plain-to-spilled"],
+    )
+    def test_resume_under_another_queue_is_a_label_error(self, cued, tmp_path, taken, resumed):
+        path = tmp_path / "taken.ckpt"
+        session = self._session(cued, taken)
+        session.step(300)
+        session.save_checkpoint(path)
+        session.close()
+        with pytest.raises(CheckpointError, match=r"cannot resume it with"):
+            self._session(cued, resumed, resume_from=path).open()
 
 
 class TestScaleFrontierPoint:
     """``run_point`` with a spill limit: the one ``src/`` user of the seat.
 
-    Digest and spill accounting were recorded from the last commit that
-    built the queue by wrapping the strategy (``a537cd3``); the move to
-    the config seat must not shift either.
+    The spill accounting and digest are pinned; the spilled point
+    crawls as the unspilled point does, so their reports are equal but
+    for the label.
     """
 
     def test_spill_point_is_pinned(self, tmp_path, monkeypatch):
@@ -187,33 +304,38 @@ class TestScaleFrontierPoint:
         spec = {"profile": "thai", "scale": 0.02, "seed": None, "store_path": str(store_path)}
         scalefrontier.run_build(spec)
 
-        labels: list[str] = []
+        results: list = []
         digest_of = scalefrontier._report_digest
         monkeypatch.setattr(
             scalefrontier,
             "_report_digest",
-            lambda result: labels.append(result.strategy) or digest_of(result),
+            lambda result: results.append(result) or digest_of(result),
         )
-        point = scalefrontier.run_point(
-            {
-                **spec,
-                "backend": "store",
-                "strategy": "soft-focused",
-                "config": {
-                    "max_pages": 1500,
-                    "sample_interval": 1_000_000,
-                    "frontier": {"kind": "spill-config", "memory_limit": 200},
-                },
-            }
-        )
-        assert labels == ["spilling(soft-focused, mem=200)"]
+        def run_point(**frontier) -> dict:
+            config = {"max_pages": 1500, "sample_interval": 1_000_000, **frontier}
+            return scalefrontier.run_point(
+                {**spec, "backend": "store", "strategy": "soft-focused", "config": config}
+            )
+
+        point = run_point(frontier={"kind": "spill-config", "memory_limit": 200})
+        unspilled = run_point()
+        assert [result.strategy for result in results] == [
+            "spilling(soft-focused, mem=200)",
+            "soft-focused",
+        ]
         assert point["pages_crawled"] == 1500
         assert point["spill"] == {
-            "spilled": 280,
-            "reloaded": 200,
+            "spilled": 460,
+            "reloaded": 440,
             "peak_resident": 200,
-            "peak_total": 453,
+            "peak_total": 492,
         }
         assert point["digest"] == (
-            "7eb04a31da576899d07dbb93580a6494e576a21c881ebebfb6523de33ed7185c"
+            "32b7605481067615f3bc206dc72f30dc1aabc4969162f6b47949730e72c1394c"
         )
+        spilled, plain = (
+            json.dumps(report_payload(result)).replace(result.strategy, "LABEL")
+            for result in results
+        )
+        assert spilled == plain
+        assert unspilled["spill"] is None
