@@ -37,7 +37,7 @@ from repro.experiments.datasets import load_or_build_dataset
 from repro.experiments.runner import run_strategies
 from repro.graphgen.profiles import thai_profile
 
-from conftest import BENCH_SCALE
+from conftest import BENCH_SCALE, CACHE_DIR
 
 #: The survival matrix runs at golden scale: the scenario rates are
 #: tuned to dent a ~1.6k-page web within the golden page cap, and the
@@ -61,7 +61,7 @@ def test_survival_matrix_and_overhead(results_dir):
     # GC state — both timing arms must see the same interpreter history.
     overhead = _clean_path_overhead()
 
-    dataset = load_or_build_dataset(thai_profile().scaled(MATRIX_SCALE))
+    dataset = load_or_build_dataset(thai_profile().scaled(MATRIX_SCALE), cache_dir=CACHE_DIR)
     payload = adversarial_sweep(dataset, max_pages=MATRIX_MAX_PAGES)
 
     summary = {
@@ -151,7 +151,7 @@ def _time_sweep(dataset, trials: int = TRIALS, **kwargs) -> list[float]:
 
 
 def _clean_path_overhead() -> dict:
-    dataset = load_or_build_dataset(thai_profile().scaled(BENCH_SCALE))
+    dataset = load_or_build_dataset(thai_profile().scaled(BENCH_SCALE), cache_dir=CACHE_DIR)
     # Warm-up pays dataset/web construction for both variants; discard.
     _time_sweep(dataset, trials=1)
     bare = _time_sweep(dataset)

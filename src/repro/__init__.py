@@ -69,7 +69,6 @@ from repro.core import (
     available_strategies,
     get_strategy,
     register_strategy,
-    strategy_by_name,
 )
 from repro.exec import DatasetSpec, RunSpec, SweepExecutor
 from repro.experiments import (
@@ -150,7 +149,6 @@ __all__ = [
     "register_strategy",
     "get_strategy",
     "available_strategies",
-    "strategy_by_name",
     "CrawlEngine",
     "EngineHook",
     "EngineStage",

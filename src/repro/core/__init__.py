@@ -55,7 +55,6 @@ from repro.core.strategies import (
     available_strategies,
     get_strategy,
     register_strategy,
-    strategy_by_name,
 )
 from repro.core.timing import TimingModel
 from repro.core.visitor import Visitor
@@ -87,7 +86,6 @@ __all__ = [
     "register_strategy",
     "get_strategy",
     "available_strategies",
-    "strategy_by_name",
     "CrawlEngine",
     "EngineHook",
     "EngineStage",

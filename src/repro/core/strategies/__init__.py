@@ -43,7 +43,6 @@ __all__ = [
     "get_strategy",
     "available_strategies",
     "iter_strategy_names",
-    "strategy_by_name",
 ]
 
 register_strategy(
@@ -99,7 +98,3 @@ register_strategy(
     soft_limited_strategy,
     description="soft-focused capture with n-hop tunnelling (params: n; paper §4)",
 )
-
-#: Backwards-compatible alias of :func:`get_strategy` (the pre-registry
-#: entry point's name).
-strategy_by_name = get_strategy

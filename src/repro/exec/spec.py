@@ -120,11 +120,7 @@ class DatasetSpec:
             return open_dataset_store(self.store_path)
         if self.profile is None:
             raise ConfigError("DatasetSpec needs a profile= or a store_path=")
-        if self.capture_kind == "none":
-            from repro.experiments.ablations import universe_dataset
-
-            return universe_dataset(self.profile)
-        if self.use_cache:
+        if self.use_cache and self.capture_kind != "none":
             from repro.experiments.datasets import load_or_build_dataset
 
             return load_or_build_dataset(self.profile, self.capture_kind, self.capture_n)

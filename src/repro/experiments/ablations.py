@@ -23,7 +23,6 @@ from repro.experiments.datasets import Dataset, build_dataset
 from repro.experiments.runner import run_strategy
 from repro.experiments.sweep import run_cells
 from repro.graphgen.config import DatasetProfile
-from repro.graphgen.generator import generate_universe
 
 DEFAULT_LOCALITIES = (0.5, 0.65, 0.8, 0.9, 0.95)
 DEFAULT_SCALES = (0.25, 0.5, 1.0)
@@ -63,27 +62,9 @@ def _measure(dataset: Dataset, label: str) -> AblationRow:
     )
 
 
-def universe_dataset(profile: DatasetProfile) -> Dataset:
-    """Wrap a *raw* universe as a Dataset (no capture crawl).
-
-    Ablations that vary a generator knob compare on the raw universe so
-    the dataset composition stays fixed — a capture crawl would itself
-    respond to the knob and confound the measurement.
-    """
-    universe = generate_universe(profile)
-    return Dataset(
-        name=profile.name,
-        profile=profile,
-        crawl_log=universe.crawl_log,
-        seed_urls=universe.seed_urls,
-        capture_kind="none",
-        capture_n=0,
-    )
-
-
 def _measure_locality(base_profile: DatasetProfile, locality: float) -> AblationRow:
     """One locality row; module-level so a worker process can run it."""
-    dataset = universe_dataset(base_profile.with_locality(locality))
+    dataset = build_dataset(base_profile.with_locality(locality), "none")
     return _measure(dataset, label=f"locality={locality:g}")
 
 

@@ -8,24 +8,28 @@ limited-distance for the Thai set.  We replicate that two-stage process:
 1. :func:`repro.graphgen.generate_universe` synthesizes a raw web;
 2. a **capture crawl** with the corresponding combined strategy walks it
    from the seeds; every *visited* URL's record (full outlink list
-   included) becomes the dataset.
+   included) becomes the dataset.  ``capture_kind="none"`` skips it and
+   keeps the raw universe.
 
 Replayed experiments then run against the captured log, which gives the
 same closure property the paper relies on: the soft-focused strategy can
 reach 100% coverage because everything in the log was reachable when the
 log was captured.
 
-Datasets are cached on disk keyed by the profile fingerprint and capture
-parameters; set ``REPRO_LSWC_CACHE`` to relocate the cache, or pass
-``cache_dir=None`` to disable caching.
+On disk a dataset is one columnar page store (``.lswc``): its header
+carries the name, profile, seeds and capture kind and depth.
+:func:`build_dataset_store` writes one, :func:`open_dataset_store` serves
+one from disk and :func:`read_dataset` reads one into memory.  The disk
+cache of :func:`load_or_build_dataset` is such a store per profile
+fingerprint and capture parameters; set ``REPRO_LSWC_CACHE`` to relocate
+it, or pass ``cache_dir=None`` to disable caching.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.charset.languages import Language
@@ -93,34 +97,40 @@ def capture_kind_for(profile: DatasetProfile) -> str:
     return "hard-limited" if profile.target_language is Language.JAPANESE else "soft-limited"
 
 
-def build_dataset(
-    profile: DatasetProfile,
-    capture_kind: str | None = None,
-    capture_n: int | None = None,
-) -> Dataset:
-    """Generate a universe and capture it into a dataset (no caching)."""
-    if capture_kind is None:
-        capture_kind = capture_kind_for(profile)
-    if capture_kind not in ("soft-limited", "hard-limited"):
-        raise ConfigError(f"capture_kind must be soft-limited or hard-limited, got {capture_kind!r}")
+def _checked_capture_n(capture_kind: str, capture_n: int | None) -> int:
+    """``capture_n`` defaulted for ``capture_kind``, after checking both."""
+    if capture_kind == "none":
+        return 0
+    if capture_kind not in DEFAULT_CAPTURE_N:
+        raise ConfigError(
+            f"capture_kind must be none, soft-limited or hard-limited, got {capture_kind!r}"
+        )
     if capture_n is None:
         capture_n = DEFAULT_CAPTURE_N[capture_kind]
     if capture_n < 0:
         raise ConfigError("capture_n must be >= 0")
+    return capture_n
 
-    universe = generate_universe(profile)
+
+def _capture(
+    profile: DatasetProfile,
+    universe: PageSource,
+    seed_urls: tuple[str, ...],
+    capture_kind: str,
+    capture_n: int,
+) -> Dataset:
+    """Run the capture crawl over ``universe``; its visited records are the dataset."""
     if capture_kind == "soft-limited":
         strategy = soft_limited_strategy(capture_n)
     else:
         strategy = hard_limited_strategy(capture_n)
-
     visited: list[str] = []
     CrawlSession(
         CrawlRequest(
             strategy=strategy,
-            web=VirtualWebSpace(universe.crawl_log),
+            web=VirtualWebSpace(universe),
             classifier=Classifier(profile.target_language),
-            seeds=tuple(universe.seed_urls),
+            seeds=seed_urls,
             relevant_urls=frozenset(),  # capture needs no coverage accounting
         ),
         SessionConfig(
@@ -128,23 +138,56 @@ def build_dataset(
             on_fetch=lambda event: visited.append(event.url),
         ),
     ).run()
-
-    captured = CrawlLog(
-        universe.crawl_log[url] for url in visited if url in universe.crawl_log
-    )
     return Dataset(
         name=profile.name,
         profile=profile,
-        crawl_log=captured,
-        seed_urls=universe.seed_urls,
+        crawl_log=CrawlLog(record for url in visited if (record := universe.get(url)) is not None),
+        seed_urls=seed_urls,
         capture_kind=capture_kind,
         capture_n=capture_n,
     )
 
 
+def build_dataset(
+    profile: DatasetProfile,
+    capture_kind: str | None = None,
+    capture_n: int | None = None,
+) -> Dataset:
+    """Generate a universe and capture it into a dataset (no caching).
+
+    ``capture_kind="none"`` returns the raw universe: the ablations that
+    vary a generator knob compare on it, since a capture crawl would
+    itself respond to the knob and confound the measurement.
+    """
+    if capture_kind is None:
+        capture_kind = capture_kind_for(profile)
+    capture_n = _checked_capture_n(capture_kind, capture_n)
+    universe = generate_universe(profile)
+    if capture_kind == "none":
+        return Dataset(profile.name, profile, universe.crawl_log, universe.seed_urls, "none", 0)
+    return _capture(profile, universe.crawl_log, universe.seed_urls, capture_kind, capture_n)
+
+
 # --------------------------------------------------------------------------
 # Columnar on-disk datasets
 # --------------------------------------------------------------------------
+
+def _write_store(path: Path, dataset: Dataset) -> None:
+    """Write ``dataset``'s records, and the meta :func:`open_dataset_store`
+    reads back, to a store file at ``path``."""
+    builder = StoreBuilder()
+    builder.add_all(dataset.crawl_log)
+    builder.finish(
+        path,
+        meta={
+            "name": dataset.name,
+            "profile": dataset.profile.to_json_dict(),
+            "seed_urls": list(dataset.seed_urls),
+            "capture_kind": dataset.capture_kind,
+            "capture_n": dataset.capture_n,
+        },
+    )
+
 
 def build_dataset_store(
     profile: DatasetProfile,
@@ -160,8 +203,7 @@ def build_dataset_store(
     kinds run the same capture crawl as :func:`build_dataset`, but over a
     store-backed universe: the universe is staged to ``path + ".universe.tmp"``,
     crawled through an on-disk :class:`~repro.webspace.store.PageStore`,
-    and only the *visited* records pass through a
-    :class:`~repro.webspace.store.StoreBuilder` into the final file.
+    and only the *visited* records are written to the final file.
 
     Returns ``path`` (as a :class:`~pathlib.Path`).
     """
@@ -173,53 +215,14 @@ def build_dataset_store(
     if capture_kind == "none":
         write_universe_store(profile, path)
         return path
-    if capture_kind not in ("soft-limited", "hard-limited"):
-        raise ConfigError(
-            f"capture_kind must be none, soft-limited or hard-limited, got {capture_kind!r}"
-        )
-    if capture_n is None:
-        capture_n = DEFAULT_CAPTURE_N[capture_kind]
-    if capture_n < 0:
-        raise ConfigError("capture_n must be >= 0")
+    capture_n = _checked_capture_n(capture_kind, capture_n)
 
     universe_path = path.with_name(path.name + ".universe.tmp")
     write_universe_store(profile, universe_path)
     try:
         with PageStore.open(universe_path) as universe:
-            if capture_kind == "soft-limited":
-                strategy = soft_limited_strategy(capture_n)
-            else:
-                strategy = hard_limited_strategy(capture_n)
-            seed_urls = universe.seed_urls
-            visited: list[str] = []
-            CrawlSession(
-                CrawlRequest(
-                    strategy=strategy,
-                    web=VirtualWebSpace(universe),
-                    classifier=Classifier(profile.target_language),
-                    seeds=seed_urls,
-                    relevant_urls=frozenset(),
-                ),
-                SessionConfig(
-                    sample_interval=1_000_000,
-                    on_fetch=lambda event: visited.append(event.url),
-                ),
-            ).run()
-
-            builder = StoreBuilder()
-            for url in visited:
-                record = universe.get(url)
-                if record is not None:
-                    builder.add(record)
-            builder.finish(
-                path,
-                meta={
-                    "name": profile.name,
-                    "profile": profile.to_json_dict(),
-                    "seed_urls": list(seed_urls),
-                    "capture_kind": capture_kind,
-                    "capture_n": capture_n,
-                },
+            _write_store(
+                path, _capture(profile, universe, universe.seed_urls, capture_kind, capture_n)
             )
     finally:
         universe_path.unlink(missing_ok=True)
@@ -250,6 +253,18 @@ def open_dataset_store(path: Path | str) -> Dataset:
     )
 
 
+def read_dataset(path: Path | str) -> Dataset:
+    """Read a store file into an in-memory dataset and close the file.
+
+    The same dataset as :func:`open_dataset_store`, but its ``crawl_log``
+    is a :class:`~repro.webspace.crawllog.CrawlLog` of every record, in
+    page-id order.
+    """
+    dataset = open_dataset_store(path)
+    with dataset.crawl_log as store:
+        return replace(dataset, crawl_log=CrawlLog(store))
+
+
 # --------------------------------------------------------------------------
 # Disk cache
 # --------------------------------------------------------------------------
@@ -272,13 +287,18 @@ def load_or_build_dataset(
     cache_dir: Path | str | None = "default",
     force: bool = False,
 ) -> Dataset:
-    """Like :func:`build_dataset`, but memoised on disk.
+    """Like :func:`build_dataset`, but memoised on disk as one page store.
+
+    A miss builds in memory and writes ``<key>.lswc`` under a temporary
+    name in the cache directory, then renames it into place: a build
+    killed mid-write leaves no ``<key>.lswc``, so the next call builds.
+    A hit is :func:`read_dataset` of that file.
 
     Args:
         profile: a :class:`DatasetProfile` or a registered profile name
             (``"thai"`` / ``"japanese"``).
-        capture_kind: ``soft-limited`` / ``hard-limited``; defaults per
-            the paper's choice for the profile's language.
+        capture_kind: ``soft-limited`` / ``hard-limited`` / ``none``;
+            defaults per the paper's choice for the profile's language.
         capture_n: tunneling depth of the capture crawl.
         cache_dir: ``"default"`` → ``$REPRO_LSWC_CACHE`` or
             ``~/.cache/repro-lswc``; ``None`` disables caching.
@@ -288,40 +308,21 @@ def load_or_build_dataset(
         profile = profile_by_name(profile)
     if capture_kind is None:
         capture_kind = capture_kind_for(profile)
-    if capture_n is None:
-        capture_n = DEFAULT_CAPTURE_N[capture_kind]
+    capture_n = _checked_capture_n(capture_kind, capture_n)
 
     if cache_dir is None:
         return build_dataset(profile, capture_kind, capture_n)
     directory = default_cache_dir() if cache_dir == "default" else Path(cache_dir)
-    key = _cache_key(profile, capture_kind, capture_n)
-    log_path = directory / f"{key}.jsonl.gz"
-    meta_path = directory / f"{key}.meta.json"
-
-    if not force and log_path.exists() and meta_path.exists():
-        with open(meta_path, "r", encoding="utf-8") as handle:
-            meta = json.load(handle)
-        return Dataset(
-            name=profile.name,
-            profile=profile,
-            crawl_log=CrawlLog.load(log_path),
-            seed_urls=tuple(meta["seed_urls"]),
-            capture_kind=meta["capture_kind"],
-            capture_n=meta["capture_n"],
-        )
+    path = directory / f"{_cache_key(profile, capture_kind, capture_n)}.lswc"
+    if not force and path.exists():
+        return read_dataset(path)
 
     dataset = build_dataset(profile, capture_kind, capture_n)
     directory.mkdir(parents=True, exist_ok=True)
-    dataset.crawl_log.save(log_path)
-    with open(meta_path, "w", encoding="utf-8") as handle:
-        json.dump(
-            {
-                "seed_urls": list(dataset.seed_urls),
-                "capture_kind": dataset.capture_kind,
-                "capture_n": dataset.capture_n,
-                "profile_fingerprint": profile.fingerprint(),
-            },
-            handle,
-            indent=2,
-        )
+    staged = directory / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        _write_store(staged, dataset)
+        os.replace(staged, path)
+    finally:
+        staged.unlink(missing_ok=True)
     return dataset

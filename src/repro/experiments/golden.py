@@ -5,8 +5,7 @@ strategy's value rests on its exact, reproducible fetch ordering (the
 paper's figures are functions of that order, and the limited-distance
 semantics are defined path-by-path).  This module records the complete
 observable behaviour of a crawl — the fetch order and each page's
-relevance verdict — on a small, fully deterministic generated web, and
-serialises it as JSONL.
+relevance verdict — on a small, fixed web, and serialises it as JSONL.
 
 The checked-in fixtures under ``tests/golden/fixtures/`` are the golden
 reference; ``tests/golden/test_golden_traces.py`` replays every strategy
@@ -15,30 +14,36 @@ orderings — a heap tiebreak regression, a cache returning a stale
 judgment, an interning bug collapsing two URLs — fails tier-1 with the
 first divergent step named.
 
-Regenerate fixtures (only when an ordering change is *intended* and
-reviewed) with::
+The webs the traces crawl are checked in too, as page stores under
+``tests/golden/fixtures/stores/`` (``thai-golden.v2.lswc`` and its cued
+twin ``thai-cued-golden.v2.lswc``, each written once by
+:func:`~repro.experiments.datasets.build_dataset_store`).  So the goldens
+pin the engine alone: a generator change moves the pinned build digests
+of ``tests/test_store_build.py``, not the goldens.
+
+Regenerate the trace fixtures (only when an ordering change is
+*intended* and reviewed) with::
 
     python -m repro.experiments.reproduce --regen-golden
 
 Fixture format: line 1 is a JSON header (format name/version, profile,
-scale, strategy, page cap); each further line is one fetch,
-``{"step": n, "url": ..., "relevant": ...}``, in fetch order.
+scale, strategy, page cap, and the concurrency of a concurrent crawl);
+each further line is one fetch, ``{"step": n, "url": ..., "relevant": ...}``,
+in fetch order.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
 from repro.core.session import SessionConfig
-from repro.core.timing import TimingModel
 from repro.core.strategies import CrawlStrategy, get_strategy
 from repro.errors import ReproError
-from repro.experiments.datasets import Dataset, build_dataset
+from repro.experiments.datasets import Dataset, read_dataset
 from repro.experiments.runner import run_strategy
-from repro.experiments.tournament import cued_thai_profile
-from repro.graphgen.profiles import thai_profile
 
 _FORMAT_NAME = "repro-lswc-golden-trace"
 _FORMAT_VERSION = 1
@@ -59,6 +64,9 @@ GOLDEN_MAX_PAGES = 1100
 #: Default fixture directory, resolved from the repository layout
 #: (``src/repro/experiments/golden.py`` → repo root → ``tests/golden``).
 GOLDEN_FIXTURE_DIR = Path(__file__).resolve().parents[3] / "tests" / "golden" / "fixtures"
+
+#: The checked-in golden webs (see the module docstring).
+_STORE_DIR = GOLDEN_FIXTURE_DIR / "stores"
 
 #: Event-driven (virtual-time) fixtures live in a subdirectory: the
 #: round-based suite's orphan check globs ``fixtures/*.jsonl``
@@ -108,53 +116,28 @@ def cued_golden_strategies() -> dict[str, Callable[[], CrawlStrategy]]:
 
 
 def golden_dataset() -> Dataset:
-    """The deterministic web the traces are recorded on.
-
-    Built fresh (no disk cache) from the Thai profile's fixed seed:
-    generation and capture are pure functions of the profile, so every
-    machine and every run constructs byte-identical logs.
-    """
-    return build_dataset(thai_profile().scaled(GOLDEN_SCALE))
+    """The web the traces are recorded on: ``thai_profile().scaled(GOLDEN_SCALE)``,
+    read from its checked-in page store."""
+    return read_dataset(_STORE_DIR / "thai-golden.v2.lswc")
 
 
 def cued_golden_dataset() -> Dataset:
-    """The golden web with link cues switched on (the tournament's rates)."""
-    return build_dataset(cued_thai_profile(GOLDEN_SCALE))
+    """The golden web with link cues switched on (the tournament's rates):
+    ``cued_thai_profile(GOLDEN_SCALE)``, read from its checked-in page store."""
+    return read_dataset(_STORE_DIR / "thai-cued-golden.v2.lswc")
 
 
 def record_golden_trace(
     dataset: Dataset,
     strategy: CrawlStrategy,
-    max_pages: int = GOLDEN_MAX_PAGES,
+    config: SessionConfig = SessionConfig(max_pages=GOLDEN_MAX_PAGES),
 ) -> list[dict]:
-    """The exact fetch order + per-page relevance of one crawl.
+    """The exact fetch order + per-page relevance of one crawl under ``config``.
 
     Returns one row per fetch, in order:
-    ``{"step": n, "url": str, "relevant": bool}``.
-    """
-    rows: list[dict] = []
-
-    def observe(event) -> None:
-        rows.append(
-            {"step": event.step, "url": event.url, "relevant": event.judgment.relevant}
-        )
-
-    run_strategy(dataset, strategy, SessionConfig(max_pages=max_pages, on_fetch=observe))
-    return rows
-
-
-def record_sched_trace(
-    dataset: Dataset,
-    strategy: CrawlStrategy,
-    max_pages: int = GOLDEN_MAX_PAGES,
-    concurrency: int = 1,
-    timing: TimingModel = TimingModel(),
-) -> list[dict]:
-    """Fetch order + relevance of one ``concurrency=K`` crawl.
-
-    Same row shape as :func:`record_golden_trace`, but the engine keeps
-    ``concurrency`` fetches in flight on a virtual clock of ``timing``'s
-    settings (default: the stock clock).  With ``concurrency=1`` the
+    ``{"step": n, "url": str, "relevant": bool}``.  A config with
+    ``concurrency=K`` keeps K fetches in flight on a virtual clock of its
+    ``timing`` (default: the stock clock); with ``concurrency=1`` the
     trace must equal the round-based one — the K=1 equivalence contract
     ``tests/golden/test_golden_sched.py`` pins.
     """
@@ -165,14 +148,30 @@ def record_sched_trace(
             {"step": event.step, "url": event.url, "relevant": event.judgment.relevant}
         )
 
-    run_strategy(
-        dataset,
-        strategy,
-        SessionConfig(
-            max_pages=max_pages, on_fetch=observe, timing=timing, concurrency=concurrency
-        ),
-    )
+    run_strategy(dataset, strategy, replace(config, on_fetch=observe))
     return rows
+
+
+def _write_fixture(
+    path: Path, dataset: Dataset, name: str, strategy: CrawlStrategy, config: SessionConfig
+) -> Path:
+    """Record one crawl into ``path``: the header line, then one line per fetch."""
+    rows = record_golden_trace(dataset, strategy, config)
+    header = {
+        "format": _FORMAT_NAME,
+        "version": _FORMAT_VERSION,
+        "profile": dataset.profile.name,
+        "scale": GOLDEN_SCALE,
+        "strategy": name,
+        "max_pages": config.max_pages,
+        "pages": len(rows),
+    }
+    if config.concurrency is not None:
+        header["concurrency"] = config.concurrency
+    with open(path, "w", encoding="utf-8") as handle:
+        for line in (header, *rows):
+            handle.write(json.dumps(line, sort_keys=True) + "\n")
+    return path
 
 
 def write_sched_traces(
@@ -191,33 +190,15 @@ def write_sched_traces(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     say = progress or (lambda _message: None)
-    if dataset is None:
-        say(f"building golden dataset (thai × {GOLDEN_SCALE}) ...")
-        dataset = golden_dataset()
     name = f"{SCHED_GOLDEN_STRATEGY}-k{SCHED_GOLDEN_CONCURRENCY}"
     say(f"recording {name} ...")
-    factory = golden_strategies()[SCHED_GOLDEN_STRATEGY]
-    rows = record_sched_trace(
-        dataset,
-        factory(),
-        max_pages=max_pages,
-        concurrency=SCHED_GOLDEN_CONCURRENCY,
+    path = _write_fixture(
+        directory / f"{name}.jsonl",
+        dataset or golden_dataset(),
+        SCHED_GOLDEN_STRATEGY,
+        golden_strategies()[SCHED_GOLDEN_STRATEGY](),
+        SessionConfig(max_pages=max_pages, concurrency=SCHED_GOLDEN_CONCURRENCY),
     )
-    path = directory / f"{name}.jsonl"
-    header = {
-        "format": _FORMAT_NAME,
-        "version": _FORMAT_VERSION,
-        "profile": dataset.profile.name,
-        "scale": GOLDEN_SCALE,
-        "strategy": SCHED_GOLDEN_STRATEGY,
-        "concurrency": SCHED_GOLDEN_CONCURRENCY,
-        "max_pages": max_pages,
-        "pages": len(rows),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(header, sort_keys=True) + "\n")
-        for row in rows:
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
     say(f"wrote sched trace to {path}")
     return [path]
 
@@ -238,31 +219,19 @@ def write_golden_traces(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     say = progress or (lambda _message: None)
-    if dataset is None:
-        say(f"building golden dataset (thai × {GOLDEN_SCALE}) ...")
-        dataset = golden_dataset()
-    if strategies is None:
-        strategies = golden_strategies()
-
+    dataset = dataset or golden_dataset()
     written: list[Path] = []
-    for name, factory in strategies.items():
+    for name, factory in (strategies or golden_strategies()).items():
         say(f"recording {name} ...")
-        rows = record_golden_trace(dataset, factory(), max_pages=max_pages)
-        path = directory / f"{name}.jsonl"
-        header = {
-            "format": _FORMAT_NAME,
-            "version": _FORMAT_VERSION,
-            "profile": dataset.profile.name,
-            "scale": GOLDEN_SCALE,
-            "strategy": name,
-            "max_pages": max_pages,
-            "pages": len(rows),
-        }
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            for row in rows:
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
-        written.append(path)
+        written.append(
+            _write_fixture(
+                directory / f"{name}.jsonl",
+                dataset,
+                name,
+                factory(),
+                SessionConfig(max_pages=max_pages),
+            )
+        )
     say(f"wrote {len(written)} golden traces to {directory}")
     return written
 
@@ -272,8 +241,6 @@ def write_cued_traces(
     progress: Callable[[str], None] | None = None,
 ) -> list[Path]:
     """Record and serialise the cue-reading family on the cued golden web."""
-    if progress is not None:
-        progress(f"building cued golden dataset (thai-cued × {GOLDEN_SCALE}) ...")
     return write_golden_traces(
         directory,
         dataset=cued_golden_dataset(),

@@ -95,9 +95,9 @@ def run_point(spec: dict) -> dict:
 
         dataset = open_dataset_store(spec["store_path"])
     elif backend == "memory":
-        from repro.experiments.ablations import universe_dataset
+        from repro.experiments.datasets import build_dataset
 
-        dataset = universe_dataset(profile)
+        dataset = build_dataset(profile, "none")
     else:
         raise SimulationError(f"unknown scale-frontier backend {backend!r}")
 

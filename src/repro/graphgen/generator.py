@@ -21,7 +21,6 @@ produced by :mod:`repro.experiments.datasets`.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,16 +269,6 @@ def generate_columns(profile: DatasetProfile) -> UniverseColumns:
         _host_first=np.array([host.first_page for host in hosts], dtype=np.int64),
         link_cues=link_cues,
     )
-
-
-def iter_universe_records(columns: UniverseColumns) -> Iterator[PageRecord]:
-    """Stream the universe's records one at a time, in page-id order.
-
-    Bounded memory: each record (and its URL strings) is materialised on
-    demand from the columns and may be dropped by the consumer.
-    """
-    for page in range(columns.n_pages):
-        yield columns.record_for(page)
 
 
 def generate_universe(profile: DatasetProfile) -> GeneratedUniverse:

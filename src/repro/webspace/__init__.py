@@ -9,8 +9,9 @@ answers each "download" request with the recorded properties of the page
 Components:
 
 - :class:`~repro.webspace.page.PageRecord` — one crawl-log entry.
-- :class:`~repro.webspace.crawllog.CrawlLog` — the log store, with a
-  versioned JSONL(.gz) on-disk format.
+- :class:`~repro.webspace.crawllog.CrawlLog` — the in-memory log.
+- :class:`~repro.webspace.store.PageStore` — the same records as a
+  columnar file, the one on-disk form of a log.
 - :class:`~repro.webspace.linkdb.LinkDB` — forward/backward adjacency.
 - :class:`~repro.webspace.virtualweb.VirtualWebSpace` — the request
   interface the simulated crawler talks to.

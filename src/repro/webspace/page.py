@@ -43,8 +43,8 @@ VALID_LINK_CUES = frozenset(cue for cue in range(0x20) if cue & 0x07 <= 5)
 def check_link_cues(url: str, cues: Sequence[int], n_outlinks: int) -> None:
     """Raise :class:`CrawlLogError` unless ``cues`` is one valid byte per outlink.
 
-    Called where a record crosses into the program (JSONL line, store
-    row, store build), so a crawl never meets a cue it cannot decode.
+    Called where a record crosses into the program (store row, store
+    build), so a crawl never meets a cue it cannot decode.
     """
     if len(cues) != n_outlinks:
         raise CrawlLogError(
@@ -142,44 +142,3 @@ class PageRecord:
     def mislabeled(self) -> bool:
         """True when the declared charset disagrees with the true language."""
         return self.declared_language is not self.true_language
-
-    def to_json_dict(self) -> dict:
-        """Serialise for the crawl-log file format (compact keys)."""
-        record: dict = {"u": self.url, "s": self.status}
-        if self.content_type != HTML_CONTENT_TYPE:
-            record["t"] = self.content_type
-        if self.charset is not None:
-            record["c"] = self.charset
-        if self.true_language is not Language.OTHER:
-            record["l"] = self.true_language.value
-        if self.outlinks:
-            record["o"] = list(self.outlinks)
-        if self.size:
-            record["z"] = self.size
-        if self.link_cues is not None:
-            record["lc"] = list(self.link_cues)
-        return record
-
-    @classmethod
-    def from_json_dict(cls, record: dict) -> "PageRecord":
-        """Inverse of :meth:`to_json_dict`.
-
-        Raises:
-            CrawlLogError: when the ``lc`` row is not one valid cue byte
-                per outlink.
-        """
-        outlinks = tuple(record.get("o", ()))
-        link_cues = None
-        if "lc" in record:
-            link_cues = tuple(record["lc"])
-            check_link_cues(record["u"], link_cues, len(outlinks))
-        return cls(
-            url=record["u"],
-            status=record.get("s", STATUS_OK),
-            content_type=record.get("t", HTML_CONTENT_TYPE),
-            charset=record.get("c"),
-            true_language=Language(record.get("l", Language.OTHER.value)),
-            outlinks=outlinks,
-            size=record.get("z", 0),
-            link_cues=link_cues,
-        )

@@ -156,7 +156,3 @@ def host_bucket(url: str, partitions: int) -> int:
     for char in host.encode("ascii", errors="replace"):
         digest = ((digest ^ char) * 16777619) & 0xFFFFFFFF
     return digest % partitions
-
-
-#: Deprecated private alias; use :func:`host_bucket`.
-_host_bucket = host_bucket

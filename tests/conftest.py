@@ -67,9 +67,15 @@ def legacy_checkpoint(name: str, version: int, tmp_path: Path) -> Path:
     return path
 
 
+STORE_FIXTURE_DIR = Path(__file__).parent / "golden" / "fixtures" / "stores"
+
 #: The golden web's page store as the last format-v1 writer wrote it (see
 #: the MANIFEST there): a real v1 file, not a v2 file with an edited header.
-V1_STORE_FIXTURE = Path(__file__).parent / "golden" / "fixtures" / "stores" / "thai-golden.v1.lswc"
+V1_STORE_FIXTURE = STORE_FIXTURE_DIR / "thai-golden.v1.lswc"
+
+#: The golden webs every golden trace crawls, as format-v2 page stores.
+GOLDEN_STORE_FIXTURE = STORE_FIXTURE_DIR / "thai-golden.v2.lswc"
+CUED_STORE_FIXTURE = STORE_FIXTURE_DIR / "thai-cued-golden.v2.lswc"
 
 
 def _store_header(data: bytes) -> tuple[dict, int, int]:

@@ -22,11 +22,10 @@ import pytest
 
 from repro.core.session import SessionConfig
 from repro.errors import CheckpointError
-from repro.experiments.datasets import build_dataset_store, open_dataset_store
+from repro.experiments.datasets import open_dataset_store
 from repro.experiments.golden import (
     CUED_FIXTURE_DIR,
     GOLDEN_MAX_PAGES,
-    GOLDEN_SCALE,
     cued_golden_dataset,
     cued_golden_strategies,
     first_divergence,
@@ -34,7 +33,8 @@ from repro.experiments.golden import (
     record_golden_trace,
 )
 from repro.experiments.runner import run_strategy
-from repro.experiments.tournament import cued_thai_profile
+
+from conftest import CUED_STORE_FIXTURE
 
 DIFF_DIR = Path(__file__).parent / "diffs"
 
@@ -47,10 +47,8 @@ def memory_dataset():
 
 
 @pytest.fixture(scope="module")
-def store_dataset(tmp_path_factory):
-    path = tmp_path_factory.mktemp("golden-cued-store") / "cued.lswc"
-    build_dataset_store(cued_thai_profile(GOLDEN_SCALE), path)
-    dataset = open_dataset_store(path)
+def store_dataset():
+    dataset = open_dataset_store(CUED_STORE_FIXTURE)
     yield dataset
     dataset.crawl_log.close()
 

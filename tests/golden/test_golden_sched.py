@@ -43,7 +43,7 @@ from repro.experiments.golden import (
     golden_dataset,
     golden_strategies,
     read_golden_trace,
-    record_sched_trace,
+    record_golden_trace,
 )
 from repro.experiments.runner import run_strategy
 
@@ -94,11 +94,10 @@ class TestK1Equivalence:
     @pytest.mark.parametrize("name", STRATEGY_NAMES)
     def test_zero_latency_replays_round_based_fixture(self, golden_web_dataset, name):
         _, expected = read_golden_trace(GOLDEN_FIXTURE_DIR / f"{name}.jsonl")
-        actual = record_sched_trace(
+        actual = record_golden_trace(
             golden_web_dataset,
             golden_strategies()[name](),
-            concurrency=1,
-            timing=ZERO_LATENCY,
+            SessionConfig(max_pages=GOLDEN_MAX_PAGES, concurrency=1, timing=ZERO_LATENCY),
         )
         _assert_matches(f"sched-k1-{name}", expected, actual)
 
@@ -109,11 +108,10 @@ class TestK1Equivalence:
         long each fetch takes."""
         name = SCHED_GOLDEN_STRATEGY
         _, expected = read_golden_trace(GOLDEN_FIXTURE_DIR / f"{name}.jsonl")
-        actual = record_sched_trace(
+        actual = record_golden_trace(
             golden_web_dataset,
             golden_strategies()[name](),
-            concurrency=1,
-            timing=TimingModel(),
+            SessionConfig(max_pages=GOLDEN_MAX_PAGES, concurrency=1, timing=TimingModel()),
         )
         _assert_matches(f"sched-k1-default-clock-{name}", expected, actual)
 
@@ -188,10 +186,10 @@ class TestConcurrentGolden:
 
     def test_k8_trace_matches_fixture(self, golden_web_dataset):
         _, expected = read_golden_trace(SCHED_FIXTURE)
-        actual = record_sched_trace(
+        actual = record_golden_trace(
             golden_web_dataset,
             golden_strategies()[SCHED_GOLDEN_STRATEGY](),
-            concurrency=SCHED_GOLDEN_CONCURRENCY,
+            SessionConfig(max_pages=GOLDEN_MAX_PAGES, concurrency=SCHED_GOLDEN_CONCURRENCY),
         )
         _assert_matches(
             f"{SCHED_GOLDEN_STRATEGY}-k{SCHED_GOLDEN_CONCURRENCY}", expected, actual

@@ -7,14 +7,13 @@ the in-memory :class:`~repro.webspace.crawllog.CrawlLog` — on the
 round-based engine (all 7 fixtures) and on the virtual-time engine at
 K=1 (the equivalence contract both backends must satisfy).
 
-The store is built through the full out-of-core pipeline
-(:func:`~repro.experiments.datasets.build_dataset_store`: streamed
-universe store → capture crawl over the mapped universe → captured
-store), so a divergence anywhere in generation, storage or access shows
-up here with the first divergent step named.  The round-based replay
-also runs over the checked-in format-v1 store of the same web
-(``fixtures/stores/``), so a file the old writer wrote still crawls
-identically.
+The store is the checked-in format-v2 file of the golden web
+(``fixtures/stores/thai-golden.v2.lswc``, the bytes
+:func:`~repro.experiments.datasets.build_dataset_store` writes for it),
+served straight from disk, so a divergence in storage or access shows up
+here with the first divergent step named.  The round-based replay also
+runs over the checked-in format-v1 store of the same web, so a file the
+old writer wrote still crawls identically.
 """
 
 from __future__ import annotations
@@ -23,23 +22,20 @@ import json
 from pathlib import Path
 
 import pytest
-from conftest import V1_STORE_FIXTURE
+from conftest import GOLDEN_STORE_FIXTURE, V1_STORE_FIXTURE
 
 from repro.core.session import SessionConfig
 from repro.core.timing import zero_latency_timing
-from repro.experiments.datasets import build_dataset_store, open_dataset_store
+from repro.experiments.datasets import open_dataset_store
 from repro.experiments.golden import (
     GOLDEN_FIXTURE_DIR,
     GOLDEN_MAX_PAGES,
-    GOLDEN_SCALE,
     first_divergence,
     golden_strategies,
     read_golden_trace,
     record_golden_trace,
-    record_sched_trace,
 )
 from repro.experiments.runner import run_strategy
-from repro.graphgen.profiles import thai_profile
 
 DIFF_DIR = Path(__file__).parent / "diffs"
 
@@ -51,11 +47,9 @@ ZERO_LATENCY = zero_latency_timing()
 
 
 @pytest.fixture(scope="module")
-def store_dataset(tmp_path_factory):
-    """The golden dataset, built and served as a columnar page store."""
-    path = tmp_path_factory.mktemp("golden-store") / "golden.lswc"
-    build_dataset_store(thai_profile().scaled(GOLDEN_SCALE), path)
-    dataset = open_dataset_store(path)
+def store_dataset():
+    """The golden dataset, served from its checked-in columnar page store."""
+    dataset = open_dataset_store(GOLDEN_STORE_FIXTURE)
     yield dataset
     dataset.crawl_log.close()
 
@@ -104,11 +98,10 @@ class TestStoreBackedGolden:
     @pytest.mark.parametrize("name", STRATEGY_NAMES)
     def test_k1_sched_trace_matches_golden(self, store_dataset, name):
         _, expected = read_golden_trace(GOLDEN_FIXTURE_DIR / f"{name}.jsonl")
-        actual = record_sched_trace(
+        actual = record_golden_trace(
             store_dataset,
             golden_strategies()[name](),
-            concurrency=1,
-            timing=ZERO_LATENCY,
+            SessionConfig(max_pages=GOLDEN_MAX_PAGES, concurrency=1, timing=ZERO_LATENCY),
         )
         _assert_matches(f"store-sched-k1-{name}", expected, actual)
 

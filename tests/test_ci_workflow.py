@@ -164,6 +164,15 @@ def test_the_pinned_suites_run_under_two_fixed_hash_seeds():
     assert [path for path in paths if not (root / path).exists()] == []
 
 
+def test_the_dataset_cache_runs_with_the_page_store_suites():
+    """The dataset cache is a page store, so its suite gates the job that
+    runs the store's own."""
+    root = WORKFLOW.parents[2]
+    paths = _pytest_paths("scale-frontier")
+    assert {"tests/test_webspace_store.py", "tests/test_experiments_datasets.py"} <= set(paths)
+    assert [path for path in paths if not (root / path).exists()] == []
+
+
 def test_the_per_page_layers_are_type_checked():
     """The one-frame fetch, extract and judgment paths are mypy-checked."""
     paths = []

@@ -14,9 +14,9 @@ from repro.core.strategies import (
     BreadthFirstStrategy,
     LimitedDistanceStrategy,
     SimpleStrategy,
+    get_strategy,
     hard_limited_strategy,
     soft_limited_strategy,
-    strategy_by_name,
 )
 from repro.core.strategies.simple import HIGH_PRIORITY, LOW_PRIORITY
 from repro.errors import ConfigError
@@ -168,11 +168,11 @@ class TestCombined:
 
 class TestRegistry:
     def test_all_names_resolve(self):
-        assert strategy_by_name("breadth-first").name == "breadth-first"
-        assert strategy_by_name("hard-focused").mode == "hard"
-        assert strategy_by_name("soft-focused").mode == "soft"
-        assert strategy_by_name("limited-distance", n=4).n == 4
+        assert get_strategy("breadth-first").name == "breadth-first"
+        assert get_strategy("hard-focused").mode == "hard"
+        assert get_strategy("soft-focused").mode == "soft"
+        assert get_strategy("limited-distance", n=4).n == 4
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigError):
-            strategy_by_name("depth-first")
+            get_strategy("depth-first")

@@ -10,7 +10,7 @@ from repro.core.strategies import (
     BacklinkCountStrategy,
     DistilledSoftStrategy,
     SimpleStrategy,
-    strategy_by_name,
+    get_strategy,
 )
 from repro.webspace.crawllog import CrawlLog
 from repro.webspace.virtualweb import VirtualWebSpace
@@ -81,7 +81,7 @@ class TestDistilledSoft:
         assert last_thai < first_noise
 
     def test_registry(self):
-        assert isinstance(strategy_by_name("distilled-soft"), DistilledSoftStrategy)
+        assert isinstance(get_strategy("distilled-soft"), DistilledSoftStrategy)
 
 
 class TestBacklinkCount:
@@ -116,7 +116,7 @@ class TestBacklinkCount:
         assert len(urls) == len(set(urls))
 
     def test_registry(self):
-        assert isinstance(strategy_by_name("backlink-count"), BacklinkCountStrategy)
+        assert isinstance(get_strategy("backlink-count"), BacklinkCountStrategy)
 
 
 class TestTickHook:

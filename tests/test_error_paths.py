@@ -1,12 +1,10 @@
 """Error-path coverage: malformed inputs and contract violations.
 
-Three families the happy-path suites never touch: crawl-log files that
-are damaged in every way a filesystem can damage them, unknown-page
-lookups through the virtual web space, and frontier misuse.
+Three families the happy-path suites never touch: a crawl log fed a
+duplicate record, unknown-page lookups through the virtual web space,
+and frontier misuse.  Damaged page-store files are
+``tests/test_store_format.py``'s.
 """
-
-import gzip
-import json
 
 import pytest
 
@@ -23,64 +21,7 @@ from repro.webspace.virtualweb import STATUS_UNKNOWN_URL, VirtualWebSpace
 from conftest import SEED, A, thai_page
 
 
-def _write_log_lines(path, lines):
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-VALID_HEADER = json.dumps(
-    {"format": "repro-lswc-crawllog", "version": 1, "pages": 1}
-)
-
-
 class TestCrawlLogParsing:
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        path.write_text("")
-        with pytest.raises(CrawlLogError, match="empty crawl-log"):
-            CrawlLog.load(path)
-
-    def test_malformed_header(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        _write_log_lines(path, ["{not json"])
-        with pytest.raises(CrawlLogError, match="malformed header"):
-            CrawlLog.load(path)
-
-    def test_foreign_format(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        _write_log_lines(path, [json.dumps({"format": "csv", "version": 1})])
-        with pytest.raises(CrawlLogError, match="not a crawl-log file"):
-            CrawlLog.load(path)
-
-    def test_unsupported_version(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        _write_log_lines(
-            path, [json.dumps({"format": "repro-lswc-crawllog", "version": 99})]
-        )
-        with pytest.raises(CrawlLogError, match="unsupported version"):
-            CrawlLog.load(path)
-
-    def test_malformed_record_line_names_line_number(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        _write_log_lines(path, [VALID_HEADER, "{truncated"])
-        with pytest.raises(CrawlLogError, match=r":2: malformed record"):
-            CrawlLog.load(path)
-
-    def test_record_missing_required_key(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        _write_log_lines(path, [VALID_HEADER, json.dumps({"charset": "TIS-620"})])
-        with pytest.raises(CrawlLogError, match="malformed record"):
-            CrawlLog.load(path)
-
-    def test_gzip_roundtrip_and_gzip_damage(self, tmp_path):
-        log = CrawlLog([thai_page(SEED)])
-        path = tmp_path / "log.jsonl.gz"
-        log.save(path)
-        assert len(CrawlLog.load(path)) == 1
-        # A truncated gzip stream surfaces as an error, not silence.
-        path.write_bytes(path.read_bytes()[:20])
-        with pytest.raises((CrawlLogError, OSError, EOFError, gzip.BadGzipFile)):
-            CrawlLog.load(path)
-
     def test_duplicate_record_rejected(self):
         log = CrawlLog([thai_page(SEED)])
         with pytest.raises(CrawlLogError, match="duplicate"):

@@ -2,20 +2,25 @@
 writes, and what an out-of-range page id or a cut file does.
 
 The digests below are of format-v2 builds: every integer section in
-the narrowest width that holds it, every section checksummed.  The v1
-bytes of the golden default-capture build are kept as a real file,
-``tests/golden/fixtures/stores/thai-golden.v1.lswc`` (its MANIFEST holds
-the old pin), which ``tests/test_store_format.py`` opens.
+the narrowest width that holds it, every section checksummed.  They pin
+the generator; the goldens crawl the checked-in stores under
+``tests/golden/fixtures/stores/`` and so pin only the engine.  Each of
+those files is checked against its MANIFEST entry here.  The v1 bytes of
+the golden default-capture build are kept there as a real file,
+``thai-golden.v1.lswc`` (its MANIFEST entry holds the old pin), which
+``tests/test_store_format.py`` opens.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import STORE_FIXTURE_DIR
 
 from repro.errors import CrawlLogError, UnknownPageError
 from repro.experiments.datasets import build_dataset_store
@@ -45,6 +50,12 @@ PINNED = {
         "1a6081d4f2d9d7113856ae6613ad1b2700321f5226f98084429037c784c01864",
         109_596,
     ),
+    "cued-thai-golden-default-capture": (
+        lambda: cued_thai_profile(GOLDEN_SCALE),
+        None,
+        "ea2e08e03da9dde9eafb074207c90f60045cdb7180e2bd590251f34ba74d9c5a",
+        118_151,
+    ),
 }
 
 
@@ -54,6 +65,21 @@ def test_a_build_writes_the_pinned_bytes(name, tmp_path):
     path = build_dataset_store(make_profile(), tmp_path / "s.lswc", capture_kind=capture_kind)
     data = path.read_bytes()
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (sha256, size)
+
+
+STORE_MANIFEST = json.loads((STORE_FIXTURE_DIR / "MANIFEST.json").read_text())["fixtures"]
+
+
+def test_the_manifest_lists_exactly_the_store_fixtures():
+    on_disk = sorted(path.name for path in STORE_FIXTURE_DIR.glob("*.lswc"))
+    assert on_disk == sorted(entry["file"] for entry in STORE_MANIFEST)
+
+
+@pytest.mark.parametrize("entry", STORE_MANIFEST, ids=lambda entry: entry["file"])
+def test_each_store_fixture_is_the_file_its_manifest_names(entry):
+    data = (STORE_FIXTURE_DIR / entry["file"]).read_bytes()
+    assert data[:8] == entry["magic"].encode("ascii")
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (entry["sha256"], entry["bytes"])
 
 
 @pytest.fixture(scope="module")

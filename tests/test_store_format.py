@@ -87,7 +87,8 @@ class TestWidths:
 
 class TestV1Fixture:
     def test_the_fixture_is_the_file_its_manifest_names(self):
-        (entry,) = json.loads((V1_STORE_FIXTURE.parent / "MANIFEST.json").read_text())["fixtures"]
+        manifest = json.loads((V1_STORE_FIXTURE.parent / "MANIFEST.json").read_text())
+        (entry,) = [entry for entry in manifest["fixtures"] if entry["format_version"] == 1]
         data = V1_STORE_FIXTURE.read_bytes()
         assert entry["file"] == V1_STORE_FIXTURE.name and data[:8] == b"LSWCPGS1"
         assert (hashlib.sha256(data).hexdigest(), len(data)) == (entry["sha256"], entry["bytes"])

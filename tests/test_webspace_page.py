@@ -3,7 +3,6 @@
 import pytest
 
 from repro.charset.languages import Language
-from repro.errors import CrawlLogError
 from repro.webspace.page import HTML_CONTENT_TYPE, STATUS_OK, PageRecord
 
 
@@ -58,50 +57,3 @@ class TestPageRecord:
         record = PageRecord(url="http://x.example/")
         with pytest.raises(AttributeError):
             record.status = 500  # type: ignore[misc]
-
-
-class TestJsonRoundTrip:
-    def test_minimal_record(self):
-        record = PageRecord(url="http://x.example/")
-        assert PageRecord.from_json_dict(record.to_json_dict()) == record
-
-    def test_full_record(self):
-        record = PageRecord(
-            url="http://x.example/page",
-            status=302,
-            content_type="image/gif",
-            charset="EUC-JP",
-            true_language=Language.JAPANESE,
-            outlinks=("http://a.example/", "http://b.example/"),
-            size=12345,
-        )
-        assert PageRecord.from_json_dict(record.to_json_dict()) == record
-
-    def test_compact_keys_omit_defaults(self):
-        data = PageRecord(url="http://x.example/").to_json_dict()
-        assert set(data) == {"u", "s"}
-
-    def test_thai_language_serialised(self):
-        record = PageRecord(url="http://x.example/", true_language=Language.THAI)
-        data = record.to_json_dict()
-        assert data["l"] == "thai"
-        assert PageRecord.from_json_dict(data).true_language is Language.THAI
-
-    def test_cue_row_round_trips(self):
-        record = PageRecord(
-            url="http://x.example/",
-            outlinks=("http://a.example/", "http://b.example/"),
-            link_cues=(0x0A, 0),
-        )
-        assert PageRecord.from_json_dict(record.to_json_dict()) == record
-
-    def test_ragged_cue_row_is_a_named_error(self):
-        data = {"u": "http://x.example/", "o": ["http://a.example/", "http://b.example/"], "lc": [9]}
-        with pytest.raises(CrawlLogError, match="x.example.*length 1 != outlink count 2"):
-            PageRecord.from_json_dict(data)
-
-    @pytest.mark.parametrize("cue", [0x0E, 0x0F, 0x1F, 0x20, 255, 256, -1])
-    def test_undecodable_cue_byte_is_a_named_error(self, cue):
-        data = {"u": "http://x.example/", "o": ["http://a.example/"], "lc": [cue]}
-        with pytest.raises(CrawlLogError, match=f"x.example.*invalid link cue byte {cue}"):
-            PageRecord.from_json_dict(data)
