@@ -13,6 +13,7 @@ and measures the classic trade-off:
 
 from repro.api import run_crawl
 from repro.core.parallel import ParallelConfig, PartitionMode
+from repro.core.session import CrawlRequest
 from repro.core.strategies import BreadthFirstStrategy
 from repro.experiments.report import render_table
 
@@ -27,8 +28,7 @@ def test_ext_parallel_crawling(benchmark, thai_bench, results_dir):
         for mode in (PartitionMode.FIREWALL, PartitionMode.EXCHANGE):
             for partitions in PARTITION_SWEEP:
                 result = run_crawl(
-                    dataset=thai_bench,
-                    strategy=BreadthFirstStrategy,
+                    CrawlRequest(dataset=thai_bench, strategy=BreadthFirstStrategy),
                     config=ParallelConfig(partitions=partitions, mode=mode),
                 )
                 rows.append(

@@ -23,8 +23,8 @@ Quickstart::
     print(result.coverage, result.summary.max_queue_size)
 
 ``run_crawl`` is the session API: a :class:`CrawlRequest` names the
-workload, a :class:`SessionConfig` shapes the run, and the same pair
-drives the sequential and the partitioned engines alike
+workload, a :class:`SessionConfig` shapes the run — a partitioned
+crawl included — and the pair is one :class:`CrawlSession`
 (:mod:`repro.api`), with optional telemetry from :mod:`repro.obs`.
 Long-lived, budget-stepped crawls use :class:`CrawlSession` directly or
 the session server in :mod:`repro.serve`.
@@ -58,7 +58,6 @@ from repro.core import (
     EngineStage,
     LimitedDistanceStrategy,
     ParallelConfig,
-    ParallelCrawlSimulator,
     ParallelResult,
     PartitionMode,
     SessionConfig,
@@ -136,7 +135,6 @@ __all__ = [
     # core
     "CrawlResult",
     "CrawlReport",
-    "ParallelCrawlSimulator",
     "ParallelConfig",
     "ParallelResult",
     "PartitionMode",

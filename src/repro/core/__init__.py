@@ -30,7 +30,6 @@ from repro.core.frontier import (
 from repro.core.metrics import CrawlSummary, MetricSeries
 from repro.core.parallel import (
     ParallelConfig,
-    ParallelCrawlSimulator,
     ParallelResult,
     PartitionMode,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "DistilledSoftStrategy",
     "BacklinkCountStrategy",
     "Distiller",
-    "ParallelCrawlSimulator",
     "ParallelConfig",
     "ParallelResult",
     "PartitionMode",

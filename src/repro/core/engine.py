@@ -71,10 +71,9 @@ the same as no hook stack.  That is what lets a single loop serve the
 golden-trace fast path and the fully instrumented profile without
 byte-level divergence — the property ``tests/golden`` pins.
 
-The engine is single-step capable (``run(budget=1)``) and takes an
-optional ``router`` replacing the inline schedule stage, which is how
-:class:`repro.core.parallel.ParallelCrawlSimulator` drives one engine
-per partition round-robin.
+The engine takes an optional ``router`` replacing the inline schedule
+stage: a partitioned crawl (:mod:`repro.core.parallel`) routes each
+link to its partition through it.
 """
 
 from __future__ import annotations
@@ -316,9 +315,8 @@ class CrawlEngine:
 
     The engine owns control flow only.  Components (frontier, visitor,
     classifier, strategy, recorder) are constructed and wired by a
-    configurator — :class:`repro.core.session.CrawlSession` for
-    sequential runs, :class:`repro.core.parallel.ParallelCrawlSimulator`
-    per partition — which also decides which hooks attach.
+    configurator — :class:`repro.core.session.CrawlSession`, for
+    partitioned runs too — which also decides which hooks attach.
 
     ``concurrency`` selects the issue policy (see the module docstring):
     None completes every fetch the moment it is issued, an integer K
@@ -351,7 +349,6 @@ class CrawlEngine:
         hooks: Sequence[EngineHook] = (),
         loop_state: Optional[EngineLoopState] = None,
         router: Optional[CandidateRouter] = None,
-        call_tick: bool = True,
         concurrency: Optional[int] = None,
     ) -> None:
         if concurrency is not None:
@@ -377,7 +374,6 @@ class CrawlEngine:
         self.defenses = defenses
         self.state = loop_state if loop_state is not None else EngineLoopState()
         self.router = router
-        self.call_tick = call_tick
         self.concurrency = concurrency
         #: In-flight fetches, a heap of :data:`_Event` tuples (always
         #: empty under ``concurrency=None``).
@@ -517,8 +513,7 @@ class CrawlEngine:
         """Crawl until nothing is pending, the page cap, or ``budget`` steps.
 
         Returns the number of crawl steps (completions) executed by
-        *this* call (``budget=1`` is the single-step mode the parallel
-        driver uses).
+        *this* call.
 
         A failed fetch round (all attempts exhausted on a retryable
         fault) is *not* a crawl step: the page was never obtained, so it
@@ -563,7 +558,7 @@ class CrawlEngine:
         # Compile away an un-overridden tick (an instance-level one runs).
         # Imported here: at module level it would reorder the package's imports.
         from repro.core.strategies import base as strategy_base
-        tick = strategy.tick if self.call_tick else None
+        tick = strategy.tick
         if getattr(tick, "__func__", None) is strategy_base.CrawlStrategy.tick:
             tick = None
         record = recorder.record if recorder is not None else None

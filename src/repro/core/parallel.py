@@ -8,7 +8,7 @@ partitioning — national webs are host-clustered — so this module adds
 the standard model on top of the simulator:
 
 - The URL space is partitioned **by host** (pages of one site belong to
-  one crawler; see :func:`repro.webspace.query.host_partition`'s hash).
+  one crawler, :func:`repro.webspace.query.host_bucket`'s owner).
 - :attr:`PartitionMode.FIREWALL`: each crawler fetches only its own
   URLs and *drops* links into foreign partitions — zero coordination,
   but pages whose only inlinks cross partitions become unreachable.
@@ -19,47 +19,60 @@ the standard model on top of the simulator:
   actually admitted to its frontier is tallied separately
   (``messages_accepted``).
 
-Crawlers advance round-robin one fetch at a time, so the global crawl
-order interleaves fairly and results are deterministic.  Crawls over a
-:class:`~repro.faults.FaultyWebSpace` are supported via the ``faults=``
-/ ``resilience=`` keywords — each engine gets the retry/breaker
-machinery, and the driver reconciles its page tallies against the
-engine's completed-step count, so a step that ends in retry exhaustion
-or a breaker gate skip is never counted as a fetched page.
+A partitioned crawl is an ordinary
+:class:`~repro.core.session.CrawlSession` whose config carries a
+:class:`ParallelConfig`: partitioning is a queue discipline, and the one
+engine loop drives it.  The session builds three pieces:
 
-Run-level knobs live in :class:`ParallelConfig`.  Of a
-:class:`~repro.core.session.SessionConfig` a partitioned run honours
-``parallel``, ``instrumentation``, ``faults`` and ``resilience``;
-:func:`repro.api.run_crawl` rejects every other field off its default by
-name.  That rejection is final, not a gap: ``concurrency=`` (K fetch
-slots on one engine's virtual clock) has no meaning across engines the
-driver advances one fetch at a time, and each partition runs on the
-queue its own strategy's ``make_frontier`` builds — the simulator
-takes no ``frontier=``.
+- a :class:`PartitionedFrontier` holding each partition's own frontier,
+  which serves the partitions round-robin, one completed crawl step
+  each, so the global crawl order interleaves fairly and deterministically;
+- a :class:`PartitionedStrategy`, one strategy instance per partition
+  (the re-rankers' cross-page tables are per crawler), which seeds each
+  partition with the seeds it owns and hands each page's expansion to
+  the strategy of the partition that popped it;
+- its :meth:`~PartitionedStrategy.router`, the engine's schedule stage
+  for a partitioned crawl: own links enter the local frontier, foreign
+  links are forwarded or dropped and counted.
+
+Per-host circuit breakers (:class:`PartitionBreakers`) count their
+cooldowns in the popping partition's own pops, as each crawler's own
+pop sequence would.  The partition count and mode are the only
+run-level knobs here; the page cap is ``SessionConfig.max_pages``, and
+:class:`~repro.core.session.CrawlSession` names every other config
+field a partitioned run refuses.
 """
 
 from __future__ import annotations
 
-import time
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import AbstractSet, Callable, Sequence
+from typing import TYPE_CHECKING
 
-from repro.core.classifier import Classifier
-from repro.core.engine import CrawlEngine, CrawlEvent
+from repro.core.engine import CandidateRouter
+from repro.core.frontier import Candidate, Frontier
 from repro.core.strategies.base import CrawlStrategy
-from repro.core.visitor import Visitor
-from repro.errors import ConfigError
+from repro.errors import CheckpointError, ConfigError, FrontierError
+from repro.faults.resilience import BreakerPolicy, HostBreakers
 from repro.schema import ConfigValue
-from repro.faults.model import FaultModel, FaultyWebSpace
-from repro.faults.resilience import HostBreakers, ResilienceConfig
-from repro.obs import Instrumentation
-from repro.obs.instrument import active as _active_instrumentation
 from repro.webspace.query import host_bucket
-from repro.webspace.virtualweb import VirtualWebSpace
+
+if TYPE_CHECKING:
+    from repro.core.classifier import Judgment
+    from repro.core.metrics import CrawlSummary
+    from repro.obs import Instrumentation
+    from repro.urlkit.extract import LinkContext
+    from repro.webspace.virtualweb import FetchResponse
 
 #: Builds one strategy instance per crawler (strategies hold state).
 StrategyFactory = Callable[[], CrawlStrategy]
+
+#: Why no partitioned session checkpoints, evicts or resumes.
+NOT_CHECKPOINTABLE = (
+    "a partitioned session cannot be checkpointed, evicted or resumed: "
+    "checkpoint format v5 has no partition section"
+)
 
 
 class PartitionMode(str, Enum):
@@ -80,19 +93,14 @@ class ParallelConfig(ConfigValue):
     Attributes:
         partitions: number of cooperating crawlers (host-hash owners).
         mode: coordination discipline, a :class:`PartitionMode` member.
-        max_pages: stop after this many fetches across all crawlers
-            (None = run every frontier dry).
     """
 
     partitions: int = 4
     mode: PartitionMode = PartitionMode.EXCHANGE
-    max_pages: int | None = None
 
     def __post_init__(self) -> None:
         if self.partitions < 1:
             raise ConfigError("partitions must be >= 1")
-        if self.max_pages is not None and self.max_pages < 0:
-            raise ConfigError("max_pages must be >= 0")
         if not isinstance(self.mode, PartitionMode):
             raise ConfigError(f"mode must be a PartitionMode, got {self.mode!r}")
 
@@ -144,206 +152,189 @@ class ParallelResult:
         }
 
 
-class ParallelCrawlSimulator:
-    """Round-robin simulation of ``partitions`` cooperating crawlers.
+class PartitionedFrontier(Frontier):
+    """The partitions' own frontiers as one queue.
 
-    Each partition is one :class:`~repro.core.engine.CrawlEngine` over
-    its own frontier, strategy instance and scheduling dedup; this class
-    is the driver that advances the engines one fetch at a time
-    (``engine.run(budget=1)``) and owns the cross-partition concerns —
-    host-hash ownership, link forwarding (EXCHANGE) or dropping
-    (FIREWALL), the global page cap and the message tallies.  Routing
-    replaces the engine's inline schedule stage via its ``router`` hook
-    point.
+    A push goes to the candidate's host-hash owner.  A pop serves the
+    partition whose turn it is, or, once that one is empty, the next
+    one in order that is not; the turn passes on only when a crawl step
+    completes (:meth:`end_turn`), so a failed fetch round or a gate skip
+    leaves the partition at the head of the rotation.
     """
 
-    def __init__(
+    def __init__(self, parts: Sequence[Frontier]) -> None:
+        super().__init__()
+        self.parts = tuple(parts)
+        #: The partition the last pop served: the crawler whose step is
+        #: in progress.
+        self.turn = 0
+        #: Completed crawl steps per partition.
+        self.steps = [0] * len(self.parts)
+
+    def push(self, candidate: Candidate) -> None:
+        self.parts[host_bucket(candidate.url, len(self.parts))].push(candidate)
+        self.pushes += 1
+        size = len(self)
+        if size > self._peak_size:
+            self._peak_size = size
+
+    def pop(self) -> Candidate:
+        parts = self.parts
+        turn = self.turn
+        for _ in parts:
+            part = parts[turn]
+            if part:
+                self.turn = turn
+                self.pops += 1
+                return part.pop()
+            turn = (turn + 1) % len(parts)
+        raise FrontierError("pop from empty partitioned frontier")
+
+    def end_turn(self) -> None:
+        """The popping partition completed a crawl step: the next one's turn."""
+        self.steps[self.turn] += 1
+        self.turn = (self.turn + 1) % len(self.parts)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.parts))
+
+    def snapshot(self, index: dict[str, int]) -> dict:
+        raise CheckpointError(NOT_CHECKPOINTABLE)
+
+    def restore(self, state: dict, table: Sequence[str]) -> None:
+        raise CheckpointError(NOT_CHECKPOINTABLE)
+
+
+class PartitionedStrategy(CrawlStrategy):
+    """One strategy instance per partition, behind one strategy.
+
+    The session's engine sees a single strategy; this adapter seeds each
+    partition with the seeds it owns and sends each page's ``expand`` to
+    the strategy of the partition that popped the page.  Its ``tick``
+    ends that partition's turn; a partition strategy's own ``tick`` is
+    not called.  It also owns the cross-partition tallies that
+    :meth:`router` counts and :meth:`result` reports.
+    """
+
+    resumable = False
+
+    def __init__(self, factory: StrategyFactory, config: ParallelConfig) -> None:
+        self.config = config
+        self.strategies = [factory() for _ in range(config.partitions)]
+        self.name = self.strategies[0].name
+        self.wants_link_contexts = self.strategies[0].wants_link_contexts
+        self.frontier = PartitionedFrontier(())
+        self.messages = 0
+        self.accepted = 0
+        self.dropped = 0
+
+    def bind_instrumentation(self, instrumentation: Instrumentation | None) -> None:
+        super().bind_instrumentation(instrumentation)
+        for strategy in self.strategies:
+            strategy.bind_instrumentation(instrumentation)
+
+    def make_frontier(self) -> PartitionedFrontier:
+        self.frontier = PartitionedFrontier([s.make_frontier() for s in self.strategies])
+        return self.frontier
+
+    def seed_candidates(self, seed_urls: Sequence[str]) -> list[Candidate]:
+        partitions = len(self.strategies)
+        return [
+            candidate
+            for index, strategy in enumerate(self.strategies)
+            for candidate in strategy.seed_candidates(seed_urls)
+            if host_bucket(candidate.url, partitions) == index
+        ]
+
+    def expand(
         self,
-        web: VirtualWebSpace,
-        strategy_factory: StrategyFactory,
-        classifier: Classifier,
-        seed_urls: Sequence[str],
-        config: ParallelConfig | None = None,
-        *,
-        relevant_urls: AbstractSet[str] | None = None,
-        instrumentation: Instrumentation | None = None,
-        faults: FaultModel | None = None,
-        resilience: ResilienceConfig | None = None,
-    ) -> None:
-        config = config or ParallelConfig()
-        if not seed_urls:
-            raise ConfigError("at least one seed URL is required")
-        self._web = web
-        self._classifier = classifier
-        self._config = config
-        if relevant_urls is None:
-            relevant_urls = web.crawl_log.relevant_url_view(classifier.target_language)
-        self._relevant = relevant_urls
-        self._instrumentation = instrumentation
-        self._faults = faults
-        # Mirror CrawlSession: an explicit resilience config arms the
-        # machinery on its own; a fault model without one gets defaults
-        # (a faulty web with no retry policy would crash the engine's
-        # requeue path).
-        resilient = faults is not None or resilience is not None
-        self._resilience = (resilience or ResilienceConfig()) if resilient else None
-        self._strategies = [strategy_factory() for _ in range(config.partitions)]
-        self._seed_urls = list(seed_urls)
+        parent: Candidate,
+        response: FetchResponse,
+        judgment: Judgment,
+        outlinks: Iterable[str],
+        link_contexts: Sequence[LinkContext] | None = None,
+    ) -> Sequence[Candidate]:
+        strategy = self.strategies[self.frontier.turn]
+        return strategy.expand(parent, response, judgment, outlinks, link_contexts)
 
-    @property
-    def config(self) -> ParallelConfig:
-        return self._config
+    def tick(self, step: int, frontier: Frontier) -> None:
+        self.frontier.end_turn()
 
-    def _build_engines(self, last_event: list[CrawlEvent | None]) -> list[CrawlEngine]:
-        """One engine per partition, wired for driver-controlled stepping.
+    def router(self, scheduled: set[str]) -> CandidateRouter:
+        """The schedule stage of the engine that dedups against ``scheduled``.
 
-        The engines share the classifier (and its cache) but own their
-        strategy, frontier, visitor and scheduling dedup.  Each engine's
-        schedule stage is replaced by a router that resolves the child's
-        host-hash owner: own links enter the local frontier, foreign
-        links are forwarded (EXCHANGE, deduped by the owner) or dropped
-        (FIREWALL).  Forwarding *is* the message — the owner's dedup
-        verdict only decides the ``accepted`` tally.  ``last_event`` is
-        a one-slot mailbox the driver clears before and reads after each
-        single-step ``run(budget=1)`` — round-robin advances one engine
-        at a time, so one slot suffices.
-
-        With a fault model attached, all engines fetch through one
-        shared :class:`~repro.faults.FaultyWebSpace` (host partitioning
-        makes per-host fault state crawler-disjoint anyway, and sharing
-        keeps the injection sequence identical to a serial crawl of the
-        same pop order); retry policy is shared, circuit-breaker boards
-        are per-engine because cooldowns are keyed on the local
-        engine's pop clock.
+        A link into the popping partition is scheduled as usual.  A
+        foreign one is dropped and counted (FIREWALL), or forwarded to
+        its owner (EXCHANGE): the forward is the message, and the
+        owner's dedup verdict only decides the ``accepted`` tally.  Each
+        URL has one owner, so the one ``scheduled`` set dedups every
+        partition on its own URLs alone.
         """
-        partitions = self._config.partitions
-        exchange = self._config.mode is PartitionMode.EXCHANGE
-        engines: list[CrawlEngine] = []
-        counters = self._counters
+        frontier = self.frontier
+        partitions = len(self.strategies)
+        exchange = self.config.mode is PartitionMode.EXCHANGE
 
-        def capture(event: CrawlEvent) -> None:
-            last_event[0] = event
+        def route(child: Candidate) -> None:
+            url = child.url
+            foreign = host_bucket(url, partitions) != frontier.turn
+            if foreign:
+                if not exchange:
+                    self.dropped += 1
+                    return
+                self.messages += 1
+            if url in scheduled:
+                return
+            scheduled.add(url)
+            frontier.push(child)
+            if foreign:
+                self.accepted += 1
 
-        def make_router(index: int):
-            def route(child) -> None:
-                owner = engines[host_bucket(child.url, partitions)]
-                if owner is engines[index]:
-                    owner.offer(child)
-                elif exchange:
-                    counters["messages"] += 1
-                    if owner.offer(child):
-                        counters["accepted"] += 1
-                else:
-                    counters["dropped"] += 1
+        return route
 
-            return route
-
-        web: VirtualWebSpace | FaultyWebSpace = self._web
-        if self._faults is not None:
-            web = FaultyWebSpace(self._web, self._faults)
-        resilience = self._resilience
-        retry = resilience.retry if resilience is not None else None
-        for index, strategy in enumerate(self._strategies):
-            breakers = HostBreakers(resilience.breaker) if resilience is not None else None
-            engines.append(
-                CrawlEngine(
-                    frontier=strategy.make_frontier(),
-                    visitor=Visitor(web),
-                    classifier=self._classifier,
-                    strategy=strategy,
-                    on_fetch=capture,
-                    faults=self._faults,
-                    retry=retry,
-                    breakers=breakers,
-                    router=make_router(index),
-                    call_tick=False,
-                )
-            )
-        return engines
-
-    def run(self) -> ParallelResult:
-        """Crawl until every partition's frontier drains (or the cap)."""
-        config = self._config
-        instr = _active_instrumentation(self._instrumentation)
-        if instr is not None:
-            self._classifier.bind_instrumentation(instr)
-        self._counters = {"messages": 0, "accepted": 0, "dropped": 0}
-        last_event: list[CrawlEvent | None] = [None]
-        engines = self._build_engines(last_event)
-        partitions = config.partitions
-        for index, engine in enumerate(engines):
-            if instr is not None:
-                engine.strategy.bind_instrumentation(instr)
-            for candidate in engine.strategy.seed_candidates(self._seed_urls):
-                if host_bucket(candidate.url, partitions) == index:
-                    engine.offer(candidate)
-
-        total_pages = 0
-        covered = 0
-        perf = time.perf_counter
-        active = True
-        try:
-            while active:
-                active = False
-                for index, engine in enumerate(engines):
-                    if not engine.frontier:
-                        continue
-                    if config.max_pages is not None and total_pages >= config.max_pages:
-                        active = False
-                        break
-                    active = True
-                    step_started = perf()
-                    # Clear the mailbox so a step that completes no
-                    # fetch (retry exhaustion / breaker gate skips
-                    # draining the frontier) cannot leave a stale event
-                    # behind to be double-counted; reconcile against the
-                    # engine's own completed-step count.
-                    last_event[0] = None
-                    advanced = engine.run(budget=1)
-                    event = last_event[0]
-                    if not advanced:
-                        assert event is None
-                        continue
-                    assert event is not None
-                    total_pages += advanced
-                    if event.candidate.url in self._relevant:
-                        covered += 1
-                    if instr is not None:
-                        instr.span(
-                            "parallel",
-                            "fetch",
-                            start_s=step_started,
-                            duration_s=perf() - step_started,
-                            step=total_pages,
-                            crawler=index,
-                            url=event.candidate.url,
-                            status=event.response.status,
-                            relevant=event.judgment.relevant,
-                            queue_size=len(engine.frontier),
-                        )
-                else:
-                    continue
-                break  # max_pages reached inside the for loop
-        finally:
-            if instr is not None:
-                instr.count("parallel.pages", total_pages)
-                instr.count("parallel.messages", self._counters["messages"])
-                instr.count("parallel.messages_accepted", self._counters["accepted"])
-                instr.count("parallel.dropped_links", self._counters["dropped"])
-                instr.gauge(
-                    "parallel.peak_frontier",
-                    max(engine.frontier.peak_size for engine in engines),
-                )
-                self._classifier.bind_instrumentation(None)
-
+    def result(self, summary: CrawlSummary) -> ParallelResult:
+        """The run's :class:`ParallelResult`, its coverage from ``summary``."""
         return ParallelResult(
-            mode=config.mode,
-            partitions=config.partitions,
-            pages_crawled=total_pages,
-            covered_relevant=covered,
-            total_relevant=len(self._relevant),
-            messages_exchanged=self._counters["messages"],
-            messages_accepted=self._counters["accepted"],
-            dropped_foreign_links=self._counters["dropped"],
-            per_crawler_pages=tuple(engine.steps for engine in engines),
+            mode=self.config.mode,
+            partitions=self.config.partitions,
+            pages_crawled=summary.pages_crawled,
+            covered_relevant=summary.covered_relevant,
+            total_relevant=summary.total_relevant,
+            messages_exchanged=self.messages,
+            messages_accepted=self.accepted,
+            dropped_foreign_links=self.dropped,
+            per_crawler_pages=tuple(self.frontier.steps),
         )
+
+    def count_into(self, instrumentation: Instrumentation) -> None:
+        """The partition tallies as ``parallel.*`` counters and gauges."""
+        instrumentation.count("parallel.pages", sum(self.frontier.steps))
+        instrumentation.count("parallel.messages", self.messages)
+        instrumentation.count("parallel.messages_accepted", self.accepted)
+        instrumentation.count("parallel.dropped_links", self.dropped)
+        instrumentation.gauge(
+            "parallel.peak_frontier", max(part.peak_size for part in self.frontier.parts)
+        )
+
+
+class PartitionBreakers(HostBreakers):
+    """One breaker board whose cooldowns count partition pops.
+
+    Each host belongs to one partition, so the board holds every
+    partition's hosts apart; a host's clock is the pop count of the
+    partition that owns it, read from the frontier when the engine
+    asks, whatever global pop count the engine passes.
+    """
+
+    def __init__(self, policy: BreakerPolicy, frontier: PartitionedFrontier) -> None:
+        super().__init__(policy)
+        self._frontier = frontier
+
+    def _partition_pops(self) -> int:
+        frontier = self._frontier
+        return frontier.parts[frontier.turn].pops
+
+    def allow(self, host: str, pop_seq: int) -> bool:
+        return super().allow(host, self._partition_pops())
+
+    def record_failure(self, host: str, pop_seq: int) -> bool:
+        return super().record_failure(host, self._partition_pops())

@@ -1,4 +1,4 @@
-"""Crawl sessions: the lifecycle object every sequential run flows through.
+"""Crawl sessions: the lifecycle object every run flows through.
 
 The paper runs crawls as one-shot batch simulations; a serving system
 runs them as *sessions* — long-lived, budget-stepped, evictable.  This
@@ -10,7 +10,9 @@ module is the session layer both shapes share:
   checkpointing, timing, faults, resilience, telemetry, resume state);
 - :class:`CrawlSession` is the lifecycle — ``open → step(budget) →
   status/report → close`` — layered directly on
-  :meth:`repro.core.engine.CrawlEngine.run`'s budgeted stepping.
+  :meth:`repro.core.engine.CrawlEngine.run`'s budgeted stepping.  A
+  partitioned crawl (``parallel=``) is a session too: its queue holds
+  the partitions (:mod:`repro.core.parallel`).
 
 The one-shot caller (:func:`repro.api.run_crawl`) is a thin wrapper:
 open, step to exhaustion, report, close.  The serving layer
@@ -65,7 +67,13 @@ from repro.core.engine import (
 )
 from repro.core.metrics import CrawlSummary, MetricsRecorder, MetricSeries
 from repro.core.frontier import Frontier, ReprioritizableFrontier
-from repro.core.parallel import ParallelConfig
+from repro.core.parallel import (
+    NOT_CHECKPOINTABLE,
+    ParallelConfig,
+    ParallelResult,
+    PartitionBreakers,
+    PartitionedStrategy,
+)
 from repro.core.politeness import HostQueueFrontier, HostQueues
 from repro.core.spilling import SpillConfig, SpillingFrontier
 from repro.core.strategies.base import CrawlStrategy
@@ -285,10 +293,10 @@ class SessionConfig(ConfigValue):
     ``config`` object, the CLI's ``--config`` file and, field by field,
     the CLI's run flags.  A live field has no JSON form.
 
-    ``parallel`` switches the run to the partitioned engine — a
-    :class:`~repro.core.parallel.ParallelConfig` session is driven by
-    :func:`repro.api.run_crawl`, never by :class:`CrawlSession` (the
-    sequential lifecycle object).
+    ``parallel`` partitions the crawl over host-hash crawlers
+    (:class:`~repro.core.parallel.ParallelConfig`); such a session
+    reports a :class:`~repro.core.parallel.ParallelResult` and refuses
+    the fields :data:`PARTITION_REFUSALS` names.
     """
 
     #: Stop after this many fetches (None = run the frontier dry, the
@@ -358,7 +366,7 @@ class SessionConfig(ConfigValue):
     record_fault_journal: bool = field(default=False, metadata={"flag": False})
     #: Keep every adversary decision in ``adversarial_web.journal``.
     record_adversary_journal: bool = field(default=False, metadata={"flag": False})
-    #: Partitioned-engine settings (a :func:`repro.api.run_crawl` run).
+    #: Partition the crawl over this many host-hash crawlers.
     parallel: ParallelConfig | None = field(default=None, metadata={"flag": False})
 
     def __post_init__(self) -> None:
@@ -374,6 +382,28 @@ class SessionConfig(ConfigValue):
 #: The :class:`SessionConfig` fields that name live, process-local
 #: objects: they have no JSON form and cannot ride a sweep spec.
 LIVE_FIELDS = tuple(spec.name for spec in fields(SessionConfig) if spec.metadata.get("live"))
+
+_ONE_CLOCK = "K fetch slots and the virtual clock belong to one crawler, not to P of them"
+_NO_JOURNAL = "a ParallelResult carries no journal"
+
+#: Why a partitioned session refuses each :class:`SessionConfig` field
+#: it does not honour, when that field is off its default.  The rest —
+#: ``parallel``, ``max_pages``, ``faults``, ``resilience``,
+#: ``instrumentation``, ``on_fetch`` and ``hooks`` — compose with it.
+PARTITION_REFUSALS = {
+    "sample_interval": "a ParallelResult carries no sampled series",
+    "extract_from_body": "no partitioned crawl is pinned on body-parsed links",
+    "checkpoint_every": NOT_CHECKPOINTABLE,
+    "checkpoint_path": NOT_CHECKPOINTABLE,
+    "resume_from": NOT_CHECKPOINTABLE,
+    "timing": _ONE_CLOCK,
+    "concurrency": _ONE_CLOCK,
+    "adversary": "a ParallelResult has no adversary section",
+    "defenses": "a ParallelResult has no adversary section",
+    "frontier": "the partitions are the queue: each runs on its own strategy's frontier",
+    "record_fault_journal": _NO_JOURNAL,
+    "record_adversary_journal": _NO_JOURNAL,
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -396,6 +426,8 @@ class SessionStatus:
 
 
 def _require_resumable(strategy: CrawlStrategy) -> None:
+    if isinstance(strategy, PartitionedStrategy):
+        raise CheckpointError(NOT_CHECKPOINTABLE)
     if not strategy.resumable:
         raise CheckpointError(
             f"{strategy.name} keeps cross-page tables that no checkpoint section "
@@ -436,10 +468,15 @@ class CrawlSession:
             raise ConfigError(f"CrawlSession needs a CrawlRequest, got {type(request).__name__}")
         config = config or SessionConfig()
         if config.parallel is not None:
-            raise ConfigError(
-                "CrawlSession drives the sequential engine; run a ParallelConfig "
-                "session through repro.api.run_crawl"
-            )
+            # Before the resume file is read: a partitioned resume_from
+            # is refused by name, not by whatever reading it raises.
+            for spec in fields(SessionConfig):
+                reason = PARTITION_REFUSALS.get(spec.name)
+                if reason is not None and getattr(config, spec.name) != spec.default:
+                    raise ConfigError(
+                        f"{spec.name}= does not combine with a partitioned "
+                        f"(parallel=) run: {reason}"
+                    )
         if config.checkpoint_every is not None:
             if config.checkpoint_every < 1:
                 raise ConfigError("checkpoint_every must be >= 1")
@@ -510,11 +547,17 @@ class CrawlSession:
             return self
         if self._state == "closed":
             raise SessionError("cannot reopen a closed crawl session")
-        request = self._request.resolve(self._config.extract_from_body)
-        strategy = request.build_strategy()
-        if not request.seeds:
-            raise SimulationError("at least one seed URL is required")
         config = self._config
+        request = self._request.resolve(config.extract_from_body)
+        strategy: CrawlStrategy
+        if config.parallel is not None:
+            strategy = PartitionedStrategy(request.strategy_factory(), config.parallel)
+        else:
+            strategy = request.build_strategy()
+        if not request.seeds:
+            # The partitioned API's error for it (tests/test_core_parallel.py).
+            error = SimulationError if config.parallel is None else ConfigError
+            raise error("at least one seed URL is required")
         if config.checkpoint_every is not None or config.resume_from is not None:
             _require_resumable(strategy)
         assert request.web is not None and request.classifier is not None
@@ -594,11 +637,16 @@ class CrawlSession:
         )
 
         resilience = self._resilience
+        scheduled: set[str] = set()
         breakers: HostBreakers | None = None
-        if resilience is not None and resilience.breaker is not None:
+        router = None
+        if isinstance(strategy, PartitionedStrategy):
+            router = strategy.router(scheduled)
+            if resilience is not None and resilience.breaker is not None:
+                breakers = PartitionBreakers(resilience.breaker, strategy.frontier)
+        elif resilience is not None and resilience.breaker is not None:
             breakers = HostBreakers(resilience.breaker)
 
-        scheduled: set[str] = set()
         rstate = EngineLoopState()
         resume = self._resume_state
         if resume is not None:
@@ -642,6 +690,7 @@ class CrawlSession:
             defenses=defenses,
             hooks=self._build_hooks(instr, resilience, rstate),
             loop_state=rstate,
+            router=router,
         )
         self._engine = engine
         if resume is not None:
@@ -723,11 +772,12 @@ class CrawlSession:
             checkpoints_written=loop.checkpoints_written,
         )
 
-    def report(self) -> CrawlResult:
+    def report(self) -> CrawlResult | ParallelResult:
         """The run's :class:`CrawlResult` as of the current step count.
 
         Callable mid-crawl (a progress report) or after :attr:`done`
-        (the final report); does not close the session.
+        (the final report); does not close the session.  A partitioned
+        session reports a :class:`~repro.core.parallel.ParallelResult`.
         """
         self.open()
         assert (
@@ -737,6 +787,9 @@ class CrawlSession:
             and self._visitor is not None
         )
         series, summary = self._recorder.finish(self._label)
+        strategy = self._engine.strategy
+        if isinstance(strategy, PartitionedStrategy):
+            return strategy.result(summary)
         resilience_dict: dict | None = None
         if self._resilience is not None:
             rstate = self._engine.state
@@ -802,10 +855,12 @@ class CrawlSession:
             if self.faulty_web is not None:
                 for kind, injected in self.faulty_web.injected.items():
                     instr.gauge(f"faults.injected.{kind}", injected)
+            if isinstance(engine.strategy, PartitionedStrategy):
+                engine.strategy.count_into(instr)
             self._classifier.bind_instrumentation(None)
         self._frontier.close()
 
-    def run(self, budget: int | None = None) -> CrawlResult:
+    def run(self, budget: int | None = None) -> CrawlResult | ParallelResult:
         """The one-shot path: open, step, report, close — in one call."""
         self.open()
         try:

@@ -144,7 +144,7 @@ class RunSpec:
     its default becomes ~200 samples over the dataset
     (:func:`~repro.experiments.runner.run_strategy`).
 
-    ``config.parallel`` switches the run to the partitioned engine;
+    ``config.parallel`` partitions the crawl;
     ``seed_owners`` then carries the driver's expected seed → partition
     assignment (:meth:`for_parallel` computes it with
     :func:`~repro.webspace.query.host_bucket`), which the worker

@@ -160,6 +160,10 @@ class SessionManager:
         if not isinstance(name, str) or not _SESSION_NAME.fullmatch(name):
             raise SessionError(f"session name must be [A-Za-z0-9._-] not led by '.', got {name!r}")
         config = config or SessionConfig()
+        if config.parallel is not None:
+            raise SessionError(
+                "a ParallelConfig session cannot be served: it has no CrawlResult and no checkpoint"
+            )
         owns_checkpoint = False
         if (
             config.checkpoint_every is not None

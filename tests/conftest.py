@@ -10,6 +10,7 @@ suite.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -28,6 +29,23 @@ from repro.webspace.crawllog import CrawlLog
 from repro.webspace.page import PageRecord
 from repro.webspace.store import narrowest_int
 from repro.webspace.virtualweb import VirtualWebSpace
+
+@pytest.fixture(scope="session", autouse=True)
+def dataset_cache_in_tmp(tmp_path_factory):
+    """Point the dataset disk cache (``REPRO_LSWC_CACHE``) into this test
+    run's temp dir, unless the caller set it: a sweep or CLI test that
+    builds through ``load_or_build_dataset(cache_dir="default")`` — in
+    process or in a subprocess, which inherits the environment — then
+    writes nothing outside the checkout and the temp dir."""
+    if os.environ.get("REPRO_LSWC_CACHE"):
+        yield
+        return
+    os.environ["REPRO_LSWC_CACHE"] = str(tmp_path_factory.mktemp("lswc-cache"))
+    try:
+        yield
+    finally:
+        del os.environ["REPRO_LSWC_CACHE"]
+
 
 #: Scale used for the session's generated datasets — big enough for the
 #: statistical shape assertions, small enough to keep the suite fast.

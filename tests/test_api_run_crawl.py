@@ -1,7 +1,7 @@
 """Tests of the unified session API (repro.api.run_crawl).
 
 run_crawl is the one public entry point: these tests pin down its
-engine dispatch (SessionConfig vs ParallelConfig), its dataset
+result dispatch (SessionConfig vs ParallelConfig), its dataset
 defaults, its argument validation, and the per-fetch callback path —
 event ordering, sim_time propagation under a TimingModel, and the
 trace-file round-trip through an Instrumentation hub.
@@ -133,20 +133,21 @@ class TestValidation:
             )
 
     def test_parallel_rejects_sequential_only_features(self, tiny_web):
-        with pytest.raises(ConfigError, match="sequential"):
+        # K fetch slots and the virtual clock belong to one crawler.
+        with pytest.raises(ConfigError, match="^timing= .*one crawler"):
             run_crawl(
                 request(tiny_web),
-                config=SessionConfig(
-                    parallel=ParallelConfig(partitions=2), on_fetch=lambda event: None
-                ),
+                config=SessionConfig(parallel=ParallelConfig(partitions=2), timing=TimingModel()),
             )
 
     @pytest.mark.parametrize("name", [spec.name for spec in fields(SessionConfig)])
     def test_parallel_honours_or_rejects_every_config_field(self, tiny_web, name):
-        # A partitioned run applies four fields and must refuse the rest
+        # A partitioned run applies seven fields and must refuse the rest
         # by name rather than drop them; a field added to SessionConfig
         # later has no entry below and fails here until someone decides.
-        honoured = {"parallel", "instrumentation", "faults", "resilience"}
+        honoured = {
+            "parallel", "instrumentation", "faults", "resilience", "max_pages", "on_fetch", "hooks",
+        }
         off_default = {
             "parallel": ParallelConfig(partitions=2),
             "instrumentation": Instrumentation(),
@@ -174,8 +175,8 @@ class TestValidation:
         if name in honoured:
             assert isinstance(run_crawl(request(tiny_web), config=config), ParallelResult)
         else:
-            wording = "sequential-engine feature.*does not combine with a partitioned"
-            with pytest.raises(ConfigError, match=f"^{name}= is a {wording}"):
+            wording = r"does not combine with a partitioned \(parallel=\) run: \w"
+            with pytest.raises(ConfigError, match=f"^{name}= {wording}"):
                 run_crawl(request(tiny_web), config=config)
 
     def test_bad_factory_return_value(self, tiny_web):

@@ -1,13 +1,14 @@
 """Tests of the CrawlSession lifecycle and the typed request/config API.
 
-CrawlSession is the object every sequential run flows through — run_crawl
-and the serve layer are wrappers over it — so these tests pin its
+CrawlSession is the object every run flows through — run_crawl and
+the serve layer are wrappers over it — so these tests pin its
 lifecycle contract (open → step → report → close), its snapshot/resume
 byte-identity, and that the request/config pair is the only way in.
 """
 
 import json
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -139,12 +140,14 @@ class TestLifecycle:
         finally:
             stepped.close()
 
-    def test_parallel_config_is_rejected(self, tiny_web):
-        with pytest.raises(ConfigError, match="sequential"):
-            CrawlSession(
-                _request(tiny_web),
-                SessionConfig(parallel=ParallelConfig(partitions=2)),
-            )
+    def test_parallel_config_runs_a_partitioned_session(self, tiny_web):
+        request = replace(_request(tiny_web), strategy=BreadthFirstStrategy)
+        config = SessionConfig(parallel=ParallelConfig(partitions=2))
+        result = CrawlSession(request, config).run()
+        assert isinstance(result, ParallelResult)
+        assert result == run_crawl(request, config=config)
+        with pytest.raises(ConfigError, match="factory"):
+            CrawlSession(_request(tiny_web), config).open()
 
     def test_request_type_is_checked(self, tiny_web):
         with pytest.raises(ConfigError, match="CrawlRequest"):

@@ -164,6 +164,19 @@ def test_the_pinned_suites_run_under_two_fixed_hash_seeds():
     assert [path for path in paths if not (root / path).exists()] == []
 
 
+def test_the_partition_pin_runs_in_the_serial_vs_parallel_step():
+    """The pinned partitioned results gate the job whose other suites
+    check partitioned runs: the executor's and the partition accounting."""
+    root = WORKFLOW.parents[2]
+    paths = _pytest_paths("sweep-executor")
+    assert {
+        "tests/test_exec_sweep.py",
+        "tests/test_parallel_accounting.py",
+        "tests/golden/test_golden_partitions.py",
+    } <= set(paths)
+    assert [path for path in paths if not (root / path).exists()] == []
+
+
 def test_the_dataset_cache_runs_with_the_page_store_suites():
     """The dataset cache is a page store, so its suite gates the job that
     runs the store's own."""

@@ -2,17 +2,31 @@
 
 import pytest
 
+from repro.api import run_crawl
 from repro.charset.languages import Language
 from repro.core.classifier import Classifier
+from repro.core.engine import EngineHook
 from repro.core.parallel import (
     ParallelConfig,
-    ParallelCrawlSimulator,
+    ParallelResult,
     PartitionMode,
 )
+from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
 from repro.core.strategies import BreadthFirstStrategy, SimpleStrategy
-from repro.errors import ConfigError
+from repro.errors import CheckpointError, ConfigError
+from repro.faults import FaultModel, FaultProfile
 
 from conftest import SEED
+
+
+def partitioned_request(web, seeds, relevant, strategy_factory=BreadthFirstStrategy):
+    return CrawlRequest(
+        strategy=strategy_factory,
+        web=web,
+        classifier=Classifier(Language.THAI),
+        seeds=list(seeds),
+        relevant_urls=relevant,
+    )
 
 
 def run_parallel(
@@ -23,15 +37,16 @@ def run_parallel(
     mode=PartitionMode.EXCHANGE,
     max_pages=None,
     strategy_factory=BreadthFirstStrategy,
+    **config,
 ):
-    return ParallelCrawlSimulator(
-        web=dataset_or_web,
-        strategy_factory=strategy_factory,
-        classifier=Classifier(Language.THAI),
-        seed_urls=list(seeds),
-        config=ParallelConfig(partitions=partitions, mode=mode, max_pages=max_pages),
-        relevant_urls=relevant,
-    ).run()
+    return run_crawl(
+        partitioned_request(dataset_or_web, seeds, relevant, strategy_factory),
+        config=SessionConfig(
+            parallel=ParallelConfig(partitions=partitions, mode=mode),
+            max_pages=max_pages,
+            **config,
+        ),
+    )
 
 
 class TestValidation:
@@ -50,8 +65,6 @@ class TestValidation:
 
 class TestSinglePartitionEquivalence:
     def test_matches_sequential_crawl(self, tiny_web):
-        from repro.core.session import CrawlRequest, CrawlSession
-
         parallel = run_parallel(tiny_web, [SEED], frozenset(), partitions=1)
         sequential = CrawlSession(
             CrawlRequest(
@@ -183,16 +196,20 @@ class TestParallelConfig:
             ParallelConfig(partitions=0)
 
     def test_validates_max_pages(self):
-        with pytest.raises(ConfigError):
-            ParallelConfig(max_pages=-1)
+        # The page cap of a partitioned run is SessionConfig's own.
+        with pytest.raises(ConfigError, match="max_pages"):
+            SessionConfig(parallel=ParallelConfig(), max_pages=-1)
+        with pytest.raises(TypeError, match="max_pages"):
+            ParallelConfig(max_pages=10)
+
+    def test_old_max_pages_key_is_a_named_error(self):
+        with pytest.raises(ConfigError, match="max_pages"):
+            SessionConfig.from_json({"parallel": {"partitions": 2, "max_pages": 10}})
 
     def test_config_and_loose_kwargs_conflict(self, tiny_web):
         with pytest.raises(TypeError, match="unexpected"):
-            ParallelCrawlSimulator(
-                web=tiny_web,
-                strategy_factory=BreadthFirstStrategy,
-                classifier=Classifier(Language.THAI),
-                seed_urls=[SEED],
+            run_crawl(
+                partitioned_request(tiny_web, [SEED], frozenset()),
                 config=ParallelConfig(),
                 partitions=2,
             )
@@ -206,3 +223,79 @@ class TestParallelConfig:
         assert data["partitions"] == 4
         assert data["pages_crawled"] == result.pages_crawled
         json.dumps(data)  # flat JSON-serialisable row
+
+
+class TestPartitionedSession:
+    """A partitioned crawl is a CrawlSession: it steps, calls back and
+    hooks like any other, and refuses what it cannot checkpoint."""
+
+    @pytest.mark.parametrize("strategy", ["breadth-first", "soft-focused"])
+    def test_one_partition_fetches_the_sequential_sequence(self, thai_dataset, strategy):
+        fetched = {}
+        for name, parallel in (("sequential", None), ("partitioned", ParallelConfig(1))):
+            urls = fetched[name] = []
+            run_crawl(
+                CrawlRequest(dataset=thai_dataset, strategy=strategy),
+                config=SessionConfig(
+                    parallel=parallel, on_fetch=lambda event, urls=urls: urls.append(event.url)
+                ),
+            )
+        assert len(fetched["sequential"]) > 1000
+        assert fetched["partitioned"] == fetched["sequential"]
+
+    @pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faulty"])
+    def test_stepping_by_seven_gives_the_one_shot_result(self, thai_dataset, faulty):
+        config = SessionConfig(
+            parallel=ParallelConfig(4, PartitionMode.EXCHANGE),
+            faults=FaultModel(FaultProfile(transient_error_rate=0.3), seed=3) if faulty else None,
+        )
+        request = CrawlRequest(dataset=thai_dataset, strategy="soft-focused")
+        one_shot = run_crawl(request, config=config)
+        session = CrawlSession(request, config)
+        while not session.done:
+            assert session.step(7) <= 7
+        stepped = session.report()
+        session.close()
+        assert isinstance(stepped, ParallelResult)
+        assert stepped == one_shot
+
+    def test_on_fetch_sees_every_page(self, thai_dataset):
+        events = []
+        result = run_parallel(
+            thai_dataset.web(),
+            thai_dataset.seed_urls,
+            thai_dataset.relevant_urls(),
+            max_pages=300,
+            on_fetch=events.append,
+        )
+        assert [event.step for event in events] == list(range(1, 301))
+        assert result.pages_crawled == 300
+        assert len({event.url for event in events}) == 300
+
+    def test_hooks_see_every_step(self, thai_dataset):
+        class CountSteps(EngineHook):
+            def __init__(self) -> None:
+                self.steps = 0
+
+            def on_step(self, step) -> None:
+                self.steps += 1
+
+        hook = CountSteps()
+        result = run_parallel(
+            thai_dataset.web(),
+            thai_dataset.seed_urls,
+            thai_dataset.relevant_urls(),
+            hooks=(hook,),
+        )
+        assert hook.steps == result.pages_crawled > 0
+
+    def test_snapshot_is_refused(self, tiny_web):
+        session = CrawlSession(
+            partitioned_request(tiny_web, [SEED], frozenset()),
+            SessionConfig(parallel=ParallelConfig(2)),
+        )
+        session.step(2)
+        assert not session.resumable
+        with pytest.raises(CheckpointError, match="no partition section"):
+            session.snapshot()
+        session.close()

@@ -140,7 +140,7 @@ class TestSpecs:
         spec = RunSpec.for_parallel(
             dataset=thai_dataset,
             strategy="hard-focused",
-            config=SessionConfig(parallel=ParallelConfig(partitions=2, max_pages=200)),
+            config=SessionConfig(parallel=ParallelConfig(partitions=2), max_pages=200),
         )
         serial = SweepExecutor(0).run([spec])
         parallel = SweepExecutor(2).run([spec])

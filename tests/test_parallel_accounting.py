@@ -1,12 +1,13 @@
-"""Regression tests for the parallel driver's accounting.
+"""Regression tests for a partitioned crawl's accounting.
 
 Two historical bugs are pinned here:
 
-- the driver's one-slot ``last_event`` mailbox could go stale when an
-  engine's single-step run completed no fetch (retry exhaustion
-  draining its frontier), double-counting the previous fetch event —
-  the driver now clears the slot before each step and reconciles its
-  tallies against the engine's completed-step count;
+- the round-robin driver's one-slot ``last_event`` mailbox could go
+  stale when a partition's single-step run completed no fetch (retry
+  exhaustion draining its frontier), double-counting the previous
+  fetch event.  The driver and its mailbox are gone: a partitioned
+  crawl is one engine, whose completed steps are the page tally, and a
+  partition's turn ends only with a completed step;
 - EXCHANGE mode counted a cross-partition forward only when the owner's
   dedup admitted it, undercounting ``messages_exchanged``.  Every
   forward is a message; admissions are the separate
@@ -17,7 +18,9 @@ import pytest
 
 from repro.charset.languages import Language
 from repro.core.classifier import Classifier
-from repro.core.parallel import ParallelConfig, ParallelCrawlSimulator, PartitionMode
+from repro.api import run_crawl
+from repro.core.parallel import ParallelConfig, PartitionMode
+from repro.core.session import CrawlRequest, SessionConfig
 from repro.core.strategies import BreadthFirstStrategy
 from repro.faults import FaultModel, FaultProfile
 from repro.webspace.crawllog import CrawlLog
@@ -40,15 +43,19 @@ def _host_in_bucket(bucket: int, partitions: int, prefix: str) -> str:
     raise AssertionError(f"no {prefix}* host hashes to bucket {bucket}")
 
 
-def run_parallel(web, seeds, mode=PartitionMode.EXCHANGE, partitions=2, **kwargs):
-    return ParallelCrawlSimulator(
-        web=web,
-        strategy_factory=BreadthFirstStrategy,
-        classifier=Classifier(Language.THAI),
-        seed_urls=list(seeds),
-        config=ParallelConfig(partitions=partitions, mode=mode),
-        **kwargs,
-    ).run()
+def run_parallel(
+    web, seeds, mode=PartitionMode.EXCHANGE, partitions=2, relevant_urls=None, **config
+):
+    return run_crawl(
+        CrawlRequest(
+            strategy=BreadthFirstStrategy,
+            web=web,
+            classifier=Classifier(Language.THAI),
+            seeds=list(seeds),
+            relevant_urls=relevant_urls,
+        ),
+        config=SessionConfig(parallel=ParallelConfig(partitions=partitions, mode=mode), **config),
+    )
 
 
 class TestMessageAccounting:
@@ -105,7 +112,7 @@ class TestMessageAccounting:
 
 
 class TestMailboxReconciliation:
-    """Page tallies must match the engines' completed-step counts even
+    """Page tallies must match the partitions' completed-step counts even
     when fetch rounds fail outright (faulty web, retry exhaustion)."""
 
     def _faulty_run(self, thai_dataset, seed=7, partitions=4):
@@ -134,15 +141,12 @@ class TestMailboxReconciliation:
             relevant_urls=thai_dataset.relevant_urls(),
         )
         faulty = self._faulty_run(thai_dataset)
-        # A stale-mailbox double count inflates the faulty tally past
-        # the clean crawl of the same web; dropped candidates can only
+        # A double-counted step would inflate the faulty tally past the
+        # clean crawl of the same web; dropped candidates can only
         # shrink it.
         assert faulty.pages_crawled <= clean.pages_crawled
 
     def test_run_crawl_routes_faults_to_parallel_engine(self, thai_dataset):
-        from repro.api import run_crawl
-        from repro.core.session import CrawlRequest, SessionConfig
-
         result = run_crawl(
             CrawlRequest(
                 strategy=BreadthFirstStrategy,
@@ -152,7 +156,8 @@ class TestMailboxReconciliation:
                 relevant_urls=thai_dataset.relevant_urls(),
             ),
             config=SessionConfig(
-                parallel=ParallelConfig(partitions=2, max_pages=300),
+                parallel=ParallelConfig(partitions=2),
+                max_pages=300,
                 faults=FaultModel(profile=FAULTY_PROFILE, seed=7),
             ),
         )

@@ -1,6 +1,6 @@
 """Determinism of the partitioned crawl simulation.
 
-The parallel simulator's round-robin interleave, host-hash partitioning
+A partitioned crawl's round-robin interleave, host-hash partitioning
 and per-crawler frontiers must make the whole run a pure function of
 (web, seeds, partition count, mode): the paper-style comparisons between
 firewall and exchange coordination are meaningless if reruns drift.
@@ -11,14 +11,14 @@ interned URLs, classifier cache) the engine now uses.
 
 import pytest
 
-from repro.charset.languages import Language
+from repro.api import run_crawl
 from repro.core.classifier import Classifier, ClassifierCache
 from repro.core.parallel import (
     ParallelConfig,
-    ParallelCrawlSimulator,
     ParallelResult,
     PartitionMode,
 )
+from repro.core.session import CrawlRequest, SessionConfig
 from repro.core.strategies import BreadthFirstStrategy, SimpleStrategy
 
 ALL_MODES = list(PartitionMode)
@@ -32,14 +32,18 @@ def run_once(
     max_pages=400,
     cache=None,
 ):
-    return ParallelCrawlSimulator(
-        web=dataset.web(),
-        strategy_factory=strategy_factory,
-        classifier=Classifier(dataset.target_language, cache=cache),
-        seed_urls=list(dataset.seed_urls),
-        config=ParallelConfig(partitions=partitions, mode=mode, max_pages=max_pages),
-        relevant_urls=dataset.relevant_urls(),
-    ).run()
+    return run_crawl(
+        CrawlRequest(
+            strategy=strategy_factory,
+            web=dataset.web(),
+            classifier=Classifier(dataset.target_language, cache=cache),
+            seeds=list(dataset.seed_urls),
+            relevant_urls=dataset.relevant_urls(),
+        ),
+        config=SessionConfig(
+            parallel=ParallelConfig(partitions=partitions, mode=mode), max_pages=max_pages
+        ),
+    )
 
 
 class TestRunTwiceIdentical:

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.charset.languages import Language
 from repro.core.classifier import Classifier
-from repro.core.parallel import ParallelConfig, ParallelCrawlSimulator, PartitionMode
-from repro.core.session import CrawlRequest, CrawlSession
+from repro.api import run_crawl
+from repro.core.parallel import ParallelConfig, PartitionMode
+from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
 from repro.core.strategies import BreadthFirstStrategy
 from repro.webspace.crawllog import CrawlLog
 from repro.webspace.page import PageRecord
@@ -46,14 +47,18 @@ def random_webs(draw):
 
 
 def run(log: CrawlLog, partitions: int, mode: PartitionMode):
-    return ParallelCrawlSimulator(
-        web=VirtualWebSpace(log),
-        strategy_factory=BreadthFirstStrategy,
-        classifier=Classifier(Language.THAI),
-        seed_urls=[next(iter(log.urls()))],
-        config=ParallelConfig(partitions=partitions, mode=PartitionMode(mode)),
-        relevant_urls=relevant_url_set(log, Language.THAI),
-    ).run()
+    return run_crawl(
+        CrawlRequest(
+            strategy=BreadthFirstStrategy,
+            web=VirtualWebSpace(log),
+            classifier=Classifier(Language.THAI),
+            seeds=[next(iter(log.urls()))],
+            relevant_urls=relevant_url_set(log, Language.THAI),
+        ),
+        config=SessionConfig(
+            parallel=ParallelConfig(partitions=partitions, mode=PartitionMode(mode))
+        ),
+    )
 
 
 class TestParallelInvariants:
