@@ -62,7 +62,9 @@ import struct
 import zlib
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Iterable, Iterator, Set as AbstractSet
+from collections.abc import Iterable, Iterator, Sequence, Set as AbstractSet
+from itertools import compress, repeat
+from operator import is_
 from pathlib import Path
 from typing import Any, NoReturn
 
@@ -70,7 +72,7 @@ import numpy as np
 
 from repro.charset.languages import Language, language_of_charset
 from repro.errors import CrawlLogError, UnknownPageError
-from repro.urlkit.normalize import intern_url
+from repro.urlkit import normalize
 from repro.webspace.page import HTML_CONTENT_TYPE, STATUS_OK, PageRecord, check_link_cues
 
 _MAGIC = b"LSWCPGS2"
@@ -337,7 +339,8 @@ class PageStore:
     over either backend.  The crawl enters through :meth:`fetch_record`,
     which hands out ids and verifies the hint it is given; every record is
     built by :meth:`_materialise`; every URL string is decoded, and interned,
-    by :meth:`url_of`, entered only for what the URL cache does not hold.
+    by :meth:`_decode_urls`, handed only what the URL cache does not hold:
+    a page's misses in one call, :meth:`url_of`'s one id in another.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -394,7 +397,7 @@ class PageStore:
         index = {name: load(name) for name in _INDEX_SECTIONS}
         (self._status, self._ctype, self._charset, self._lang, self._size, self._link_offsets,
          self._url_offsets, self._url_hash, self._url_hash_order) = index.values()
-        self._url_views = self._views()
+        self._views()
         self._link_arena_start = spans["link_arena"][0]
         self._url_arena_start = spans["url_arena"][0]
         # Optional cue section: absent in stores written before the cue
@@ -466,7 +469,7 @@ class PageStore:
         """Drop the index columns and close the file (store unusable after)."""
         for name in _INDEX_SECTIONS:
             setattr(self, f"_{name}", np.empty(0, dtype=np.int8))
-        self._url_views = self._views()
+        self._views()
         self._url_cache.clear()
         self._url_cache_order.clear()
         self._relevant.clear()
@@ -508,22 +511,16 @@ class PageStore:
     # -- id <-> url ----------------------------------------------------------
 
     def url_of(self, uid: int) -> str:
-        """The URL of url-id ``uid`` (bounded cache: hubs decode once), interned
-        here, where the string comes into being — so nobody downstream need intern it."""
+        """The URL of url-id ``uid`` (bounded cache: hubs decode once).
+
+        A miss goes to :meth:`_decode_urls`, which interns the string where
+        it comes into being — so nobody downstream need intern it — and
+        caches it, first decoded first out.
+        """
         self._url_lookups += 1
-        cached = self._url_cache.get(uid)
-        if cached is not None:
-            return cached
-        self._check_open()
-        if not 0 <= uid < self.url_count:
-            raise UnknownPageError(f"url id {uid} out of range")
-        url = intern_url(self._decode_url(uid))
-        self._url_misses += 1
-        if len(self._url_cache) >= _URL_CACHE_MAX:
-            del self._url_cache[self._url_cache_order.popleft()]
-            self._url_evictions += 1
-        self._url_cache[uid] = url
-        self._url_cache_order.append(uid)
+        url = self._url_cache.get(uid)
+        if url is None:
+            url = self._decode_urls((uid,), [None])[0]
         return url
 
     def url_cache_stats(self) -> dict[str, int]:
@@ -537,21 +534,74 @@ class PageStore:
         if self._closed:
             raise CrawlLogError(f"{self.path}: page store is closed")
 
-    def _decode_url(self, uid: int) -> str:
-        """Read url ``uid`` (in range, store open) from the arena, uncached."""
-        low = self._url_offsets.item(uid)
-        size = self._url_offsets.item(uid + 1) - low
-        raw = os.pread(self._fd, size, self._url_arena_start + low)
-        if len(raw) != size:
-            short = f"url_arena read {len(raw)} of {size} bytes"
-            raise CrawlLogError(f"{self.path}: url id {uid}: {short}")
-        return raw.decode("utf-8")
+    def _decode_urls(self, uids: Sequence[int], urls: list[Any]) -> list[Any]:
+        """Fill in each ``None`` of ``urls`` — the URL-cache probe of
+        ``uids``, item for item — with its id's URL, and return ``urls``.
 
-    def _views(self) -> tuple[memoryview, memoryview, memoryview]:
-        """``url_hash``, ``url_hash_order`` and ``url_offsets`` as memoryviews,
-        whose items are plain ints: :meth:`id_of` reads them."""
-        hashes, order, offsets = self._url_hash, self._url_hash_order, self._url_offsets
-        return memoryview(hashes), memoryview(order), memoryview(offsets)
+        The one decode path, one frame however many ids: :meth:`_materialise`
+        hands it a page's misses, :meth:`url_of` its one id.  Each missing
+        id is taken in order, as :meth:`url_of` took them one by one: an id
+        met earlier in the batch is in the cache by now (a hit); any other
+        is range-checked, read from the arena (one ``pread``, its offsets
+        through the ``url_offsets`` memoryview), decoded, made the intern
+        table's canonical object (by :func:`~repro.urlkit.normalize.intern_urls`'
+        rule: a ``setdefault`` while the table has room, else
+        :func:`~repro.urlkit.normalize.intern_url`, which clears a full
+        table) and cached first in, first out — one miss each.
+        """
+        if self._closed:
+            raise CrawlLogError(f"{self.path}: page store is closed")
+        cache, order = self._url_cache, self._url_cache_order
+        offsets = self._url_views[2]
+        fd, start, url_count = self._fd, self._url_arena_start, self.url_count
+        # intern_url's table, probed in place: no call per miss.
+        table = normalize._intern_table
+        canonical = table.setdefault
+        misses = evictions = 0
+        try:
+            for index in compress(range(len(urls)), map(is_, urls, repeat(None))):
+                uid = uids[index]
+                url = cache.get(uid)
+                if url is None:
+                    if not 0 <= uid < url_count:
+                        raise UnknownPageError(f"url id {uid} out of range")
+                    low = offsets[uid]
+                    size = offsets[uid + 1] - low
+                    raw = os.pread(fd, size, start + low)
+                    if len(raw) != size:
+                        short = f"url_arena read {len(raw)} of {size} bytes"
+                        raise CrawlLogError(f"{self.path}: url id {uid}: {short}")
+                    url = raw.decode("utf-8")
+                    if len(table) < normalize._INTERN_MAX:
+                        url = canonical(url, url)
+                    else:
+                        url = normalize.intern_url(url)
+                    misses += 1
+                    if len(cache) >= _URL_CACHE_MAX:
+                        del cache[order.popleft()]
+                        evictions += 1
+                    cache[uid] = url
+                    order.append(uid)
+                urls[index] = url
+        finally:
+            self._url_misses += misses
+            self._url_evictions += evictions
+        return urls
+
+    def _views(self) -> None:
+        """The index columns the per-request paths read, as memoryviews,
+        whose items are plain ints (no numpy scalar is made): ``url_hash``,
+        ``url_hash_order`` and ``url_offsets`` for :meth:`id_of` and
+        :meth:`_decode_urls`; the six page columns for :meth:`_materialise`.
+        Built at open, and again at close, to let go of the columns."""
+        self._url_views = (
+            memoryview(self._url_hash), memoryview(self._url_hash_order),
+            memoryview(self._url_offsets),
+        )
+        self._page_views = (
+            memoryview(self._status), memoryview(self._ctype), memoryview(self._charset),
+            memoryview(self._link_offsets), memoryview(self._size), memoryview(self._lang),
+        )
 
     def id_of(self, url: str) -> int | None:
         """The url-id of ``url`` (page or dangling target), or None.
@@ -623,19 +673,25 @@ class PageStore:
         """``(record, page_id, outlink url-ids)`` — the ids the record's
         outlinks were decoded from, aligned 1:1 with ``record.outlinks``.
 
-        Every record comes out of here: the page pays its checks and reads
-        once, a link pays a cache probe, and only a link the cache does not
-        hold goes to :meth:`url_of` (which rejects an id no row should hold).
+        Every record comes out of here, in a fixed number of frames
+        whatever the page's out-degree: the page pays its checks and reads
+        once (its columns through memoryviews, so no numpy scalar is made),
+        its URL and every link pay a cache probe, and if the cache misses
+        any, the whole row goes to :meth:`_decode_urls` in one call, which
+        decodes the misses in row order as :meth:`url_of` would, one by one
+        (the same lookups, misses, evictions and first-in-first-out order;
+        an id met twice is decoded once), and rejects an id no row should
+        hold.
         """
         if self._closed:
             raise CrawlLogError(f"{self.path}: page store is closed")
         if not 0 <= page_id < self.page_count:
             raise UnknownPageError(f"page id {page_id} out of range")
-        status = self._status.item(page_id)
-        content_type = self._content_types[self._ctype.item(page_id)]
-        charset_id = self._charset.item(page_id)
-        low = self._link_offsets.item(page_id)
-        count = self._link_offsets.item(page_id + 1) - low
+        statuses, ctypes, charsets, link_offsets, sizes, langs = self._page_views
+        status = statuses[page_id]
+        content_type = self._content_types[ctypes[page_id]]
+        low = link_offsets[page_id]
+        count = link_offsets[page_id + 1] - low
         link_ids: tuple[int, ...] = ()
         if count:
             width = self._link_dtype.itemsize
@@ -644,31 +700,27 @@ class PageStore:
                 short = f"link_arena read {len(row)} of {width * count} bytes"
                 raise CrawlLogError(f"{self.path}: page {page_id}: {short}")
             link_ids = struct.unpack(f"<{count}{self._link_code}", row)
-        cached = self._url_cache.get
-        url = cached(page_id)
-        outlinks = [cached(uid) for uid in link_ids]
-        missing = outlinks.count(None) + (url is None)
-        self._url_lookups += count + 1 - missing  # url_of counts the rest
-        if missing:
-            url_of = self.url_of
+        ids = (page_id, *link_ids)
+        urls: list[Any] = list(map(self._url_cache.get, ids))  # every item a str once filled in
+        self._url_lookups += count + 1
+        if None in urls:
             try:
-                if url is None:
-                    url = url_of(page_id)
-                outlinks = [url_of(uid) if u is None else u for uid, u in zip(link_ids, outlinks)]
+                self._decode_urls(ids, urls)
             except UnknownPageError as exc:
                 message = f"{self.path}: page {page_id}: link row holds {exc.args[0]}"
                 raise CrawlLogError(message) from exc
+        url = urls[0]
         # Mirror the generator: only OK HTML pages carry a cue row (other
         # pages have no outlinks and record link_cues=None).
         cues: tuple[int, ...] | None = None
         if self._link_cues_start >= 0 and status == STATUS_OK and content_type == HTML_CONTENT_TYPE:
             cues = tuple(os.pread(self._fd, count, self._link_cues_start + low)) if count else ()
             check_link_cues(url, cues, count)
+        charset_id = charsets[page_id]
         charset = None if charset_id < 0 else self._charsets[charset_id]
-        language = self._languages[self._lang.item(page_id)]
         record = PageRecord.from_interned(
-            url, status, content_type, charset, language,
-            tuple(outlinks), self._size.item(page_id), cues,
+            url, status, content_type, charset, self._languages[langs[page_id]],
+            tuple(urls[1:]), sizes[page_id], cues,
         )
         return record, page_id, link_ids
 
@@ -722,8 +774,7 @@ class PageStore:
 
     def urls(self) -> Iterator[str]:
         for page_id in range(self.page_count):
-            self._check_open()
-            yield self._decode_url(page_id)
+            yield self.url_of(page_id)
 
     # -- out-of-core hygiene --------------------------------------------------
 

@@ -17,13 +17,20 @@ fault scenario, page cap) on the golden web:
   clocks apart: each partition's breakers count that partition's own
   pops, and a global pop count would move most of them.
 
-The fixture's header names the commit that wrote it.  It is a pin, not
-a golden to regenerate: a change to any cell is a change to what a
+The counts cannot see order: two crawls that fetch the same pages in
+another order report the same result.  So ``fixtures/partitions/
+fetch_digests.json`` holds, per cell, the sha256 of the URLs the crawl
+fetched, in fetch order, as ``on_fetch`` saw them; each cell's one run
+is checked against both files.
+
+Each fixture's header names the commit that wrote it.  They are pins,
+not goldens to regenerate: a change to any cell is a change to what a
 partitioned crawl fetches.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
 from dataclasses import asdict
@@ -45,6 +52,7 @@ from repro.faults import (
 from repro.urlkit.normalize import url_host
 
 FIXTURE = Path(__file__).parent / "fixtures" / "partitions" / "results.json"
+DIGEST_FIXTURE = FIXTURE.with_name("fetch_digests.json")
 
 #: ``tests/test_parallel_accounting.py``'s fault profile.
 FAULTY_PROFILE = FaultProfile(transient_error_rate=0.4, timeout_rate=0.2, truncation_rate=0.2)
@@ -96,19 +104,24 @@ def result_fields(result) -> dict:
 
 
 def run_cell(dataset, cell: dict):
+    """The cell's :class:`ParallelResult` and the sha256 of its fetch
+    sequence: every fetched URL, in fetch order, one per line."""
+    fetched = hashlib.sha256()
     config = SessionConfig(
         parallel=ParallelConfig(
             partitions=cell["partitions"], mode=PartitionMode(cell["mode"])
         ),
         max_pages=cell["max_pages"],
+        on_fetch=lambda event: fetched.update(f"{event.url}\n".encode("utf-8")),
         **scenario(cell["scenario"], dataset),
     )
     request = CrawlRequest(dataset=dataset, strategy=cell["ordering"], params=cell["params"])
-    return run_crawl(request, config=config)
+    return run_crawl(request, config=config), fetched.hexdigest()
 
 
 PIN = json.loads(FIXTURE.read_text(encoding="utf-8"))
 CELLS = PIN["cells"]
+DIGESTS = json.loads(DIGEST_FIXTURE.read_text(encoding="utf-8"))["digests"]
 
 
 @pytest.fixture(scope="module")
@@ -120,8 +133,11 @@ def test_fixture_covers_both_matrices():
     scenarios = Counter(cell["scenario"] for cell in CELLS)
     assert scenarios == {"clean": 112, "faulty": 112, "breakers": 18}
     assert len({cell_id(cell) for cell in CELLS}) == len(CELLS)
+    assert sorted(DIGESTS) == sorted(cell_id(cell) for cell in CELLS)
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=cell_id)
 def test_partitioned_result_matches_pin(dataset, cell):
-    assert result_fields(run_cell(dataset, cell)) == cell["result"]
+    result, fetched = run_cell(dataset, cell)
+    assert result_fields(result) == cell["result"]
+    assert fetched == DIGESTS[cell_id(cell)]

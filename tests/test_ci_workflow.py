@@ -186,6 +186,20 @@ def test_the_dataset_cache_runs_with_the_page_store_suites():
     assert [path for path in paths if not (root / path).exists()] == []
 
 
+def test_the_store_fetch_path_suites_run_with_the_page_store_suites():
+    """The suites that drive ``PageStore.fetch_record`` and ``_materialise``
+    (id lookup, url-id hints, the store page's frame count) gate the job
+    that runs the store's own."""
+    root = WORKFLOW.parents[2]
+    paths = _pytest_paths("scale-frontier")
+    assert {
+        "tests/test_store_id_of.py",
+        "tests/test_id_hints.py",
+        "tests/test_frame_budget.py",
+    } <= set(paths)
+    assert [path for path in paths if not (root / path).exists()] == []
+
+
 def test_the_per_page_layers_are_type_checked():
     """The one-frame fetch, extract and judgment paths are mypy-checked."""
     paths = []

@@ -8,12 +8,18 @@ sees every Python ``call`` event of ``session.step``, over two webs that
 differ only in out-degree (2 and 16).  Every page of both is fetched
 with status 200 and has links nobody queued yet, so every step does the
 same work: pop, fetch, judge, extract, expand, schedule one run, record.
+
+The same two webs written as a :class:`~repro.webspace.store.PageStore`
+hold the out-of-core fetch path to the same rule: every link of a page
+is new to the store's URL cache and to the intern table, so every link
+is decoded, and a page still costs the same frames at both degrees.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,9 +27,11 @@ import repro
 from repro.charset.languages import Language
 from repro.core.classifier import Classifier, ClassifierCache
 from repro.core.session import CrawlRequest, CrawlSession, SessionConfig
+from repro.urlkit.normalize import clear_url_caches
 from repro.webspace.crawllog import CrawlLog
 from repro.webspace.page import PageRecord
 from repro.webspace.stats import relevant_url_set
+from repro.webspace.store import PageStore, StoreBuilder
 from repro.webspace.virtualweb import VirtualWebSpace
 
 #: Python frames one crawl step may open: ``pop``; ``Visitor.fetch`` and
@@ -32,6 +40,15 @@ from repro.webspace.virtualweb import VirtualWebSpace
 #: and the queue's ``__len__`` twice (the loop's ``while frontier`` and
 #: the recorded queue size).
 FRAME_BUDGET = 12
+
+#: Python frames one crawl step over a page store may open: the
+#: :data:`FRAME_BUDGET` frames; ``PageStore.fetch_record`` in place of the
+#: crawl log's C-level lookup, ``_materialise``, ``_decode_urls`` (every
+#: link the URL cache misses, in one call) and
+#: ``PageRecord.from_interned``; the second ``LinkRun`` the engine makes
+#: to carry the links' url-ids; and the relevant set's ``contains_id``,
+#: which ``record`` asks by page id.
+STORE_FRAME_BUDGET = 18
 
 #: Steps run before counting (the classifier cache's first misses), and counted.
 WARM_UP, COUNTED = 20, 200
@@ -69,15 +86,25 @@ def tree_web(degree: int, pages: int) -> CrawlLog:
     )
 
 
-def calls_per_page(strategy: str, degree: int) -> float:
+def calls_per_page(strategy: str, degree: int, store_dir: Path | None = None) -> float:
+    """Package frames per counted page; over a page store written to
+    ``store_dir`` when one is given, else over the crawl log itself."""
     log = tree_web(degree, pages=(WARM_UP + COUNTED + 1) * degree + 1)
+    source, relevant = log, relevant_url_set(log, Language.THAI)
+    if store_dir is not None:
+        builder = StoreBuilder()
+        builder.add_all(log)
+        builder.finish(store_dir / f"tree-{degree}.lswc")
+        source = PageStore.open(store_dir / f"tree-{degree}.lswc")
+        relevant = source.relevant_url_view(Language.THAI)
+        clear_url_caches()  # every URL the store decodes is new to the intern table
     session = CrawlSession(
         CrawlRequest(
             strategy=strategy,
-            web=VirtualWebSpace(log),
+            web=VirtualWebSpace(source),
             classifier=Classifier(Language.THAI, cache=ClassifierCache()),
             seeds=(next(log.urls()),),
-            relevant_urls=relevant_url_set(log, Language.THAI),
+            relevant_urls=relevant,
         ),
         SessionConfig(),
     ).open()
@@ -98,6 +125,12 @@ def calls_per_page(strategy: str, degree: int) -> float:
     assert stepped == COUNTED
     assert session.frontier.pushes == 1 + (WARM_UP + COUNTED) * degree
     session.close()
+    if store_dir is not None:
+        # ... and every link of every page was a URL-cache miss (the
+        # page's own URL was decoded as its parent's link).
+        stats = source.url_cache_stats()
+        assert stats["misses"] == 1 + (WARM_UP + COUNTED) * degree
+        source.close()
     return (calls - STEP_CALLS) / COUNTED
 
 
@@ -106,3 +139,11 @@ def test_calls_per_page_do_not_grow_with_out_degree(strategy):
     narrow, wide = calls_per_page(strategy, 2), calls_per_page(strategy, 16)
     assert narrow == wide
     assert narrow <= FRAME_BUDGET
+
+
+@pytest.mark.parametrize("strategy", ["soft-focused", "breadth-first"])
+def test_store_calls_per_page_do_not_grow_with_out_degree_or_misses(strategy, tmp_path):
+    narrow = calls_per_page(strategy, 2, store_dir=tmp_path)
+    wide = calls_per_page(strategy, 16, store_dir=tmp_path)
+    assert narrow == wide
+    assert narrow <= STORE_FRAME_BUDGET

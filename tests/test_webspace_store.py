@@ -4,18 +4,24 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import V1_STORE_FIXTURE, poke_store, reseal_store, store_sections
+from conftest import (
+    GOLDEN_STORE_FIXTURE, V1_STORE_FIXTURE, poke_store, reseal_store, store_sections,
+)
 from hypothesis import given, settings, strategies as st
 
 from repro.charset.languages import Language
 from repro.errors import CrawlLogError, UnknownPageError
-from repro.urlkit.normalize import intern_url
+from repro.experiments.datasets import open_dataset_store
+from repro.experiments.runner import run_strategy
+from repro.urlkit import normalize as normalize_module
+from repro.urlkit.normalize import clear_url_caches, intern_url
 from repro.webspace.crawllog import CrawlLog
 from repro.webspace.linkdb import LinkDB
 from repro.webspace import store as store_module
@@ -42,6 +48,35 @@ RECORDS = [
     # Last page with outlinks: its arena slice ends at the arena boundary.
     _record("http://d.example/", ["http://y.example/"]),
 ]
+
+
+def url_reads(store, monkeypatch) -> list[int]:
+    """Every url id ``store`` decodes from now on, in order.  A decode is
+    one ``pread`` that ``_decode_urls`` makes, at the start of the id's row
+    of the URL arena (``id_of`` reads rows too, to compare bytes)."""
+    row_at = {
+        store._url_arena_start + low: uid
+        for uid, low in enumerate(store._url_offsets[:-1].tolist())
+    }
+    decoding = PageStore._decode_urls.__code__
+    reads: list[int] = []
+    real = os.pread
+
+    def pread(fd, size, offset):
+        if fd == store._fd and sys._getframe(1).f_code is decoding:
+            reads.append(row_at[offset])
+        return real(fd, size, offset)
+
+    monkeypatch.setattr(store_module.os, "pread", pread)
+    return reads
+
+
+def arena_url(store, uid: int) -> str:
+    """Url ``uid`` read straight from the file: no cache, no store code."""
+    low, high = store._url_offsets[uid : uid + 2].tolist()
+    with open(store.path, "rb") as handle:
+        handle.seek(store._url_arena_start + low)
+        return handle.read(high - low).decode("utf-8")
 
 
 @pytest.fixture()
@@ -240,12 +275,9 @@ class TestUrlCache:
 
     @pytest.fixture()
     def decoded(self, store, monkeypatch):
-        """Bound the cache at 3 and list every uid that misses it."""
+        """Bound the cache at 3 and list every uid that misses it (its arena read)."""
         monkeypatch.setattr(store_module, "_URL_CACHE_MAX", 3)
-        misses: list[int] = []
-        real = store._decode_url
-        monkeypatch.setattr(store, "_decode_url", lambda uid: misses.append(uid) or real(uid))
-        return misses
+        return url_reads(store, monkeypatch)
 
     def test_size_never_exceeds_bound(self, store, decoded):
         for uid in (0, 1, 2, 3, 4, 5, 0, 1, 2, 5, 5, 3):
@@ -281,6 +313,21 @@ class TestUrlCache:
         store.url_of(4)  # hit
         assert decoded == [0, 1, 2, 3, 4, 5, 0]
 
+    def test_a_whole_crawl_under_a_small_cache_counts_the_same(self, monkeypatch):
+        # A soft-focused crawl to the end of the golden web through a
+        # 256-entry cache: rows probe, miss and evict all the way, so this
+        # pins the cache's exact order of lookups, decodes and evictions
+        # over a real crawl, whatever batches the decodes.
+        monkeypatch.setattr(store_module, "_URL_CACHE_MAX", 256)
+        dataset = open_dataset_store(GOLDEN_STORE_FIXTURE)
+        try:
+            assert run_strategy(dataset, "soft-focused").pages_crawled == 1678
+            assert dataset.crawl_log.url_cache_stats() == {
+                "lookups": 10069, "hits": 4149, "misses": 5920, "evictions": 5664, "size": 256,
+            }
+        finally:
+            dataset.crawl_log.close()
+
     @given(st.lists(st.integers(min_value=0, max_value=5), max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_any_access_sequence_returns_the_uncached_strings(self, accesses):
@@ -293,7 +340,7 @@ class TestUrlCache:
             ):
                 fifo: list[int] = []  # reference model of the cache's keys
                 for uid in accesses:
-                    assert store.url_of(uid) == store._decode_url(uid)
+                    assert store.url_of(uid) == arena_url(store, uid)
                     if uid not in fifo:
                         fifo = (fifo + [uid])[-2:]
                     assert sorted(store._url_cache) == sorted(fifo)
@@ -342,9 +389,7 @@ class TestFusedFetchPath:
         # hit found earlier in the same row.
         monkeypatch.setattr(store_module, "_URL_CACHE_MAX", 4)
         with PageStore.open(path) as store:
-            decodes: list[int] = []
-            real = store._decode_url
-            monkeypatch.setattr(store, "_decode_url", lambda uid: decodes.append(uid) or real(uid))
+            decodes = url_reads(store, monkeypatch)
             assert (store.page_count, store.url_count) == (6, 8)
             handed_out = 0
             for page_id, expected in enumerate(self.PAGES):
@@ -368,13 +413,32 @@ class TestFusedFetchPath:
                     assert record == expected and hash(record) == hash(expected)
                     assert len(link_ids) == len(record.outlinks)
                     assert all(type(uid) is int for uid in link_ids)
-                    assert tuple(real(uid) for uid in link_ids) == record.outlinks
+                    assert tuple(arena_url(store, uid) for uid in link_ids) == record.outlinks
                     for url in (record.url, *record.outlinks):
                         assert url is intern_url(url), (kind, url)
             stats = store.url_cache_stats()
             assert stats["hits"] + stats["misses"] == stats["lookups"] == handed_out
             assert stats["misses"] == len(decodes)
             assert stats["evictions"] == stats["misses"] - 4 and stats["size"] == 4
+
+    def test_decodes_keep_the_intern_tables_generation_rule(self, path, monkeypatch):
+        # A table of 3 fills within the first row: the store's decodes
+        # clear it where intern_url would (on a new URL, when full).
+        monkeypatch.setattr(normalize_module, "_INTERN_MAX", 3)
+        clear_url_caches()
+        with PageStore.open(path) as store:
+            decodes = url_reads(store, monkeypatch)
+            for page_id in range(len(self.PAGES)):
+                store.record_at(page_id)
+                assert len(normalize_module._intern_table) <= 3
+            table: dict[str, str] = {}  # intern_url's rule, replayed
+            for uid in decodes:
+                url = arena_url(store, uid)
+                if url not in table and len(table) >= 3:
+                    table.clear()
+                table.setdefault(url, url)
+            assert len(decodes) == store.url_cache_stats()["misses"] > 3
+            assert normalize_module._intern_table == table
 
     def test_counters_add_one_lookup_per_url_handed_out(self, path):
         with PageStore.open(path) as store:
