@@ -10,6 +10,10 @@ the substrate for studying it on synthetic data:
 independent churn knobs.  Evolution is deterministic in the seed and
 preserves the invariants the simulator relies on (unique URLs, outlinks
 only on OK HTML pages, no self-links).
+
+It is the seam for the parked ROADMAP item *Incremental recrawl /
+changing web*; today only ``benchmarks/bench_ext_incremental.py`` and
+its unit tests drive it.
 """
 
 from __future__ import annotations

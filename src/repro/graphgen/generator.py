@@ -65,9 +65,10 @@ class UniverseColumns:
 
     Page URLs are never materialised here: they are a pure function of
     ``(host, offset)`` (see :meth:`url_for`), link targets are page ids
-    in the CSR arena, and seeds are page ids.  At 10⁶–10⁷ pages this is
-    tens of megabytes of arrays where the eager record path costs
-    gigabytes of Python objects.
+    in the CSR arena, and seeds are page ids.  At 10⁶ pages (Thai ×7.14)
+    the columns are 86 MB of arrays, where the eager record path costs
+    gigabytes of Python objects; building them peaks higher, in the link
+    phase (:mod:`repro.graphgen.stream` gives the measured peak).
     """
 
     profile: DatasetProfile
@@ -228,6 +229,7 @@ def generate_columns(profile: DatasetProfile) -> UniverseColumns:
         profile, hosts, lang_code, html_mask, attractiveness, rng, isolated_mask=isolated_mask
     )
     link_offsets, link_targets = links_csr(n_pages, sources, targets)
+    del sources, targets
 
     # Textual-cue bytes, one per kept link (aligned with link_targets, so
     # they map 1:1 onto each record's outlinks).  Drawn *after* the CSR
@@ -248,8 +250,9 @@ def generate_columns(profile: DatasetProfile) -> UniverseColumns:
         link_cues[anchor_hit] |= ANCHOR_CUE_BIT
         link_cues[around_hit] |= AROUND_CUE_BIT
 
+    host_first = np.array([host.first_page for host in hosts], dtype=np.int64)
     seed_pages = _select_seed_pages(
-        profile, hosts, lang_code, html_mask & ~isolated_mask, attractiveness
+        profile, host_first, lang_code, html_mask & ~isolated_mask, attractiveness
     )
 
     return UniverseColumns(
@@ -266,7 +269,7 @@ def generate_columns(profile: DatasetProfile) -> UniverseColumns:
         link_offsets=link_offsets,
         link_targets=link_targets,
         seed_pages=seed_pages,
-        _host_first=np.array([host.first_page for host in hosts], dtype=np.int64),
+        _host_first=host_first,
         link_cues=link_cues,
     )
 
@@ -294,7 +297,7 @@ def generate_universe(profile: DatasetProfile) -> GeneratedUniverse:
 
 def _select_seed_pages(
     profile: DatasetProfile,
-    hosts: list[Host],
+    host_first: np.ndarray,
     lang_code: np.ndarray,
     html_mask: np.ndarray,
     attractiveness: np.ndarray,
@@ -316,15 +319,12 @@ def _select_seed_pages(
         raise_from = f"profile {profile.name!r} produced no target-language HTML pages"
         raise RuntimeError(raise_from)
     order = candidates[np.argsort(attractiveness[candidates])[::-1]]
-
-    host_of_page = np.empty(len(lang_code), dtype=np.int64)
-    for host in hosts:
-        host_of_page[host.page_slice] = host.index
+    host_of_order = np.searchsorted(host_first, order, side="right") - 1
 
     seeds: list[int] = []
     used_hosts: set[int] = set()
-    for page in order:
-        host_index = int(host_of_page[page])
+    for page, host_index in zip(order, host_of_order):
+        host_index = int(host_index)
         if host_index in used_hosts:
             continue
         used_hosts.add(host_index)

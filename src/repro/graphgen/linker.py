@@ -13,7 +13,10 @@ in-degree distribution of real web graphs (hubs, portals) and gives the
 capture crawl natural entry points.
 
 Everything is vectorised with numpy: per-host batches for intra-host
-links, per-language-pair batches for the rest.
+links, per-language-pair batches for the rest.  Slot columns hold int32
+page ids, and what would span every slot at once (the mixture draws,
+pool samples, the CSR dedupe) runs in pieces of about ``_CHUNK`` slots,
+so the link phase holds each link slot about once.
 """
 
 from __future__ import annotations
@@ -24,27 +27,44 @@ from repro.graphgen.config import DatasetProfile
 from repro.graphgen.hosts import Host
 
 
+#: Slots per vectorised piece.  Every temporary of the link phase that
+#: would otherwise span all link slots is cut to pieces of this size.
+_CHUNK = 1 << 16
+
+
 class _WeightedPool:
-    """Attractiveness-weighted sampling over a fixed set of page ids."""
+    """Weighted sampling over a fixed set of page ids (int32)."""
 
     __slots__ = ("page_ids", "_cumulative")
 
-    def __init__(self, page_ids: np.ndarray, attractiveness: np.ndarray) -> None:
+    def __init__(self, page_ids: np.ndarray, weights: np.ndarray) -> None:
         self.page_ids = page_ids
-        weights = attractiveness[page_ids]
         self._cumulative = np.cumsum(weights)
 
     def __len__(self) -> int:
         return len(self.page_ids)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        if len(self.page_ids) == 0 or count == 0:
-            return np.empty(0, dtype=np.int64)
+        """``count`` page ids, drawn with ``rng.random`` in pieces: the
+        same stream as one ``rng.random(count)``, at a piece's memory."""
+        drawn = np.empty(count, dtype=np.int32)
+        if len(self.page_ids) == 0:
+            return drawn[:0]
         total = self._cumulative[-1]
-        draws = rng.random(count) * total
-        indices = np.searchsorted(self._cumulative, draws, side="right")
-        indices = np.minimum(indices, len(self.page_ids) - 1)
-        return self.page_ids[indices]
+        last = len(self.page_ids) - 1
+        for start in range(0, count, _CHUNK):
+            draws = rng.random(min(_CHUNK, count - start))
+            draws *= total
+            indices = np.searchsorted(self._cumulative, draws, side="right")
+            np.minimum(indices, last, out=indices)
+            drawn[start : start + len(indices)] = self.page_ids[indices]
+        return drawn
+
+
+def _group_pool(members: np.ndarray, attractiveness: np.ndarray) -> _WeightedPool:
+    """The attractiveness-weighted pool over the pages ``members`` marks."""
+    page_ids = np.flatnonzero(members).astype(np.int32)
+    return _WeightedPool(page_ids, attractiveness[page_ids])
 
 
 def sample_out_degrees(
@@ -84,7 +104,8 @@ def build_edges(
 
     Args:
         profile: the generator recipe.
-        hosts: host table (pages contiguous per host).
+        hosts: host table in page order, pages contiguous per host (as
+            :func:`~repro.graphgen.hosts.build_hosts` lays them out).
         lang_code: per-page language group index (after deviation).
         source_mask: True for pages that emit links (OK HTML).
         attractiveness: per-page positive link-attractiveness weights.
@@ -104,60 +125,62 @@ def build_edges(
     n_groups = len(profile.groups)
 
     degrees = sample_out_degrees(profile, source_mask, rng, lang_code=lang_code)
-    sources = np.repeat(np.arange(n_pages, dtype=np.int64), degrees)
+    # Page ids are int32 until the return: each slot column costs 4 bytes.
+    sources = np.repeat(np.arange(n_pages, dtype=np.int32), degrees)
     total_slots = len(sources)
-    targets = np.empty(total_slots, dtype=np.int64)
+    targets = np.empty(total_slots, dtype=np.int32)
     if total_slots == 0:
-        return sources, targets
+        return sources.astype(np.int64), targets.astype(np.int64)
 
     # Mixture category per slot: 0 = intra-host, 1 = same language,
-    # 2 = other language.
-    draws = rng.random(total_slots)
-    category = np.full(total_slots, 2, dtype=np.int8)
-    category[draws < profile.intra_host_fraction + (1 - profile.intra_host_fraction) * profile.language_locality] = 1
-    category[draws < profile.intra_host_fraction] = 0
+    # 2 = other language.  The uniforms come in pieces: the same stream
+    # as one rng.random(total_slots).
+    intra_below = profile.intra_host_fraction
+    same_below = intra_below + (1 - intra_below) * profile.language_locality
+    category = np.empty(total_slots, dtype=np.int8)
+    for start in range(0, total_slots, _CHUNK):
+        draws = rng.random(min(_CHUNK, total_slots - start))
+        piece = category[start : start + len(draws)]
+        piece[:] = 2
+        piece[draws < same_below] = 1
+        piece[draws < intra_below] = 0
 
-    # --- intra-host slots: batched per host (pages are contiguous). -------
-    host_of_page = np.empty(n_pages, dtype=np.int64)
-    for host in hosts:
-        host_of_page[host.page_slice] = host.index
+    # --- intra-host slots: batched per host. ------------------------------
+    # Hosts are in page order and ``sources`` ascends, so each host's
+    # intra slots are one run of ``intra_sources``, hosts in index order.
     intra = category == 0
-    if intra.any():
-        intra_positions = np.nonzero(intra)[0]
-        slot_host = host_of_page[sources[intra_positions]]
-        order = np.argsort(slot_host, kind="stable")
-        sorted_positions = intra_positions[order]
-        sorted_hosts = slot_host[order]
-        boundaries = np.nonzero(np.diff(sorted_hosts))[0] + 1
-        for chunk_positions, host_index in zip(
-            np.split(sorted_positions, boundaries),
-            sorted_hosts[np.concatenate(([0], boundaries))] if len(sorted_hosts) else [],
-        ):
-            host = hosts[int(host_index)]
-            local = np.arange(host.first_page, host.first_page + host.n_pages, dtype=np.int64)
-            pool = _WeightedPool(local, attractiveness)
-            targets[chunk_positions] = pool.sample(len(chunk_positions), rng)
+    intra_sources = sources[intra]
+    if len(intra_sources):
+        intra_targets = np.empty(len(intra_sources), dtype=np.int32)
+        host_bounds = [host.first_page for host in hosts] + [n_pages]
+        runs = np.searchsorted(intra_sources, host_bounds).tolist()
+        for host, low, high in zip(hosts, runs, runs[1:]):
+            if low == high:
+                continue
+            local = np.arange(host.first_page, host.first_page + host.n_pages, dtype=np.int32)
+            pool = _WeightedPool(local, attractiveness[host.page_slice])
+            intra_targets[low:high] = pool.sample(high - low, rng)
+        targets[intra] = intra_targets
+        del intra_targets
+    del intra, intra_sources
 
     # --- language-directed slots: batched per (category, source group). ---
     # Two pool families: cross-language links may target any page of the
     # chosen language, while same-language links avoid isolated sites.
     if isolated_mask is None:
         isolated_mask = np.zeros(n_pages, dtype=bool)
-    cross_pools = [
-        _WeightedPool(np.nonzero(lang_code == group)[0].astype(np.int64), attractiveness)
-        for group in range(n_groups)
-    ]
+    cross_pools = [_group_pool(lang_code == group, attractiveness) for group in range(n_groups)]
     same_pools = [
-        _WeightedPool(
-            np.nonzero((lang_code == group) & ~isolated_mask)[0].astype(np.int64),
-            attractiveness,
-        )
+        _group_pool((lang_code == group) & ~isolated_mask, attractiveness)
         for group in range(n_groups)
     ]
     group_weights = np.array([group.weight for group in profile.groups], dtype=np.float64)
+    source_lang = lang_code.astype(np.int8)[sources]
+    del sources
 
     for source_group in range(n_groups):
-        same = (category == 1) & (lang_code[sources] == source_group)
+        of_group = source_lang == source_group
+        same = (category == 1) & of_group
         if same.any():
             pool = same_pools[source_group]
             if not len(pool):  # every site of this language is isolated
@@ -166,8 +189,9 @@ def build_edges(
                 targets[same] = pool.sample(int(same.sum()), rng)
             else:  # no page of this language: fall back to anywhere
                 targets[same] = rng.integers(0, n_pages, size=int(same.sum()))
+        del same
 
-        other = (category == 2) & (lang_code[sources] == source_group)
+        other = (category == 2) & of_group
         if other.any():
             weights = group_weights.copy()
             weights[source_group] = 0.0
@@ -176,18 +200,24 @@ def build_edges(
             weights /= weights.sum()
             slot_count = int(other.sum())
             chosen_groups = rng.choice(n_groups, size=slot_count, p=weights)
-            slot_positions = np.nonzero(other)[0]
+            other_targets = np.empty(slot_count, dtype=np.int32)
             for target_group in range(n_groups):
-                chunk = slot_positions[chosen_groups == target_group]
-                if len(chunk) == 0:
+                chosen = chosen_groups == target_group
+                chosen_count = int(chosen.sum())
+                if chosen_count == 0:
                     continue
                 pool = cross_pools[target_group]
                 if len(pool):
-                    targets[chunk] = pool.sample(len(chunk), rng)
+                    other_targets[chosen] = pool.sample(chosen_count, rng)
                 else:
-                    targets[chunk] = rng.integers(0, n_pages, size=len(chunk))
+                    other_targets[chosen] = rng.integers(0, n_pages, size=chosen_count)
+            targets[other] = other_targets
 
-    return sources, targets
+    del category, source_lang, of_group, other, cross_pools, same_pools
+    # Widened one column at a time; ``sources`` is rebuilt from the
+    # degrees rather than kept beside the per-group masks.
+    targets = targets.astype(np.int64)
+    return np.repeat(np.arange(n_pages, dtype=np.int64), degrees), targets
 
 
 def links_csr(
@@ -198,31 +228,45 @@ def links_csr(
     Self-links are dropped; duplicate targets are removed preserving
     first-occurrence order (a page links to each URL at most once, which
     keeps the crawl log and re-extraction from synthesized bodies in
-    exact agreement).  One vectorised pass instead of a per-page loop:
-    because ``sources`` arrives grouped ascending, deduping on the
-    global ``source * n_pages + target`` key and re-sorting the kept
-    positions preserves both the source grouping and the within-source
-    first-occurrence order, so the CSR rows are byte-identical to the
-    old per-chunk dedupe.
+    exact agreement).  ``sources`` ascends, so a page's slots are one
+    row.  The dedupe runs on chunks of about ``_CHUNK`` slots cut at row
+    boundaries (a row longer than that is a chunk of its own): within a
+    chunk, ``np.unique`` on the ``source * n_pages + target`` key finds
+    each pair's first occurrence, and a duplicate never spans two chunks.
+    What is kept is marked in one boolean column, so beside the inputs
+    only that column, the output and one chunk's temporaries are alive.
 
     Row ``p`` of the result is ``targets[offsets[p]:offsets[p + 1]]``;
     it is also the page-store link arena's row layout
     (:mod:`repro.webspace.store`).
     """
     offsets = np.zeros(n_pages + 1, dtype=np.int64)
-    if len(sources) == 0:
-        return offsets, np.empty(0, dtype=np.int64)
-    keep = sources != targets
-    kept_sources = sources[keep]
-    kept_targets = targets[keep]
-    key = kept_sources * np.int64(n_pages) + kept_targets
-    _, first_index = np.unique(key, return_index=True)
-    first_index = np.sort(first_index)
-    kept_sources = kept_sources[first_index]
-    kept_targets = kept_targets[first_index]
-    counts = np.bincount(kept_sources, minlength=n_pages)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets, kept_targets.astype(np.int64, copy=False)
+    keep = np.zeros(len(sources), dtype=bool)
+    start = 0
+    while start < len(sources):
+        stop = start + _CHUNK
+        if stop >= len(sources):
+            stop = len(sources)
+        else:  # back to the start of the row holding slot ``stop``, or past a long row
+            stop = int(np.searchsorted(sources, sources[stop], side="left"))
+            if stop == start:
+                stop = int(np.searchsorted(sources, sources[start], side="right"))
+        chunk_sources = sources[start:stop]
+        chunk_targets = targets[start:stop]
+        linked = np.flatnonzero(chunk_sources != chunk_targets)
+        key = chunk_sources[linked].astype(np.int64, copy=False)
+        key *= n_pages
+        key += chunk_targets[linked]
+        _, first_index = np.unique(key, return_index=True)
+        kept = linked[first_index]
+        keep[start + kept] = True
+        low, high = int(chunk_sources[0]), int(chunk_sources[-1])
+        offsets[low + 1 : high + 2] = np.bincount(
+            chunk_sources[kept] - low, minlength=high - low + 1
+        )
+        start = stop
+    np.cumsum(offsets, out=offsets)
+    return offsets, targets[keep].astype(np.int64, copy=False)
 
 
 def outlinks_per_page(

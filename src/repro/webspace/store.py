@@ -5,10 +5,13 @@ A :class:`PageStore` holds the same information as an in-memory
 charset, true language, outlinks, size per page — but as fixed-width
 numpy columns and flat arenas in one on-disk file.  Opening a store
 loads only the fixed-width index columns (~30 bytes/page); the
-variable-length arenas are read per request with ``os.pread``, so a
-million-page web costs tens of megabytes resident, not gigabytes of
-Python objects.  Records are materialised lazily and transiently, by
-one routine: ``store.get(url)`` builds on demand a
+variable-length arenas are read per request with ``os.pread``.  Opening
+the uncaptured Thai ×7.14 store (10⁶ pages) loads 29 MB of index
+columns, 68 MB ``ru_maxrss`` in a fresh interpreter, not gigabytes of
+Python objects; building that file peaks higher, in the generator's
+link phase (:mod:`repro.graphgen.stream`).  Records are materialised
+lazily and transiently, by one routine: ``store.get(url)`` builds on
+demand a
 :class:`~repro.webspace.page.PageRecord` equal, field for field, to the
 one the in-memory backend would hold.
 
@@ -252,16 +255,16 @@ def write_store(
     path = Path(path)
     n_pages = len(status)
     n_urls = len(url_offsets) - 1
-    arena = np.frombuffer(bytes(url_arena), dtype=np.uint8) if not isinstance(
+    arena = np.frombuffer(url_arena, dtype=np.uint8) if not isinstance(
         url_arena, np.ndarray
     ) else url_arena.astype(np.uint8, copy=False)
-    arena_bytes = arena.tobytes()
+    arena_view = memoryview(arena)  # slices hash in place: no second copy of the arena
 
     hashes = np.empty(n_urls, dtype="<u8")  # hash_url of each URL: its digest read as "<u8"
     for start in range(0, n_urls, _HASH_BLOCK):
         bounds = url_offsets[start : start + _HASH_BLOCK + 1].tolist()
         digests = b"".join([
-            hashlib.blake2b(arena_bytes[low:high], digest_size=8).digest()
+            hashlib.blake2b(arena_view[low:high], digest_size=8).digest()
             for low, high in zip(bounds, bounds[1:])
         ])
         hashes[start : start + len(bounds) - 1] = np.frombuffer(digests, dtype="<u8")

@@ -200,6 +200,15 @@ def test_the_store_fetch_path_suites_run_with_the_page_store_suites():
     assert [path for path in paths if not (root / path).exists()] == []
 
 
+def test_the_build_memory_suites_run_with_the_page_store_suites():
+    """The link phase's byte-identical chunked dedupe and its traced
+    memory budget gate the job that builds and pins the store files."""
+    root = WORKFLOW.parents[2]
+    paths = _pytest_paths("scale-frontier")
+    assert {"tests/test_graphgen_linker.py", "tests/test_build_memory.py"} <= set(paths)
+    assert [path for path in paths if not (root / path).exists()] == []
+
+
 def test_the_per_page_layers_are_type_checked():
     """The one-frame fetch, extract and judgment paths are mypy-checked."""
     paths = []

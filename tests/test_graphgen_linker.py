@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.graphgen import linker
 from repro.graphgen.hosts import build_hosts
 from repro.graphgen.linker import build_edges, outlinks_per_page, sample_out_degrees
 from repro.graphgen.profiles import thai_profile
@@ -135,3 +136,112 @@ class TestOutlinksPerPage:
     def test_empty(self):
         grouped = outlinks_per_page(3, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
         assert all(len(chunk) == 0 for chunk in grouped)
+
+
+def _links_csr_one_shot(n_pages, sources, targets):
+    """The oracle: one ``np.unique`` over every slot's global key."""
+    offsets = np.zeros(n_pages + 1, dtype=np.int64)
+    if len(sources) == 0:
+        return offsets, np.empty(0, dtype=np.int64)
+    keep = sources != targets
+    kept_sources = sources[keep]
+    kept_targets = targets[keep]
+    key = kept_sources * np.int64(n_pages) + kept_targets
+    _, first_index = np.unique(key, return_index=True)
+    first_index = np.sort(first_index)
+    kept_sources = kept_sources[first_index]
+    kept_targets = kept_targets[first_index]
+    counts = np.bincount(kept_sources, minlength=n_pages)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets, kept_targets.astype(np.int64, copy=False)
+
+
+def _edge_list(seed, n_pages, max_degree, target_span, long_rows=()):
+    """Ascending sources with random degrees (zeros included); targets
+    lie near their source, so self-links and repeats are common."""
+    rng = np.random.default_rng(seed)
+    degrees = rng.integers(0, max_degree + 1, size=n_pages)
+    degrees[rng.random(n_pages) < 0.2] = 0
+    for page, degree in long_rows:
+        degrees[page] = degree
+    sources = np.repeat(np.arange(n_pages, dtype=np.int64), degrees)
+    offsets = rng.integers(-target_span, target_span + 1, size=len(sources))
+    targets = np.clip(sources + offsets, 0, n_pages - 1)
+    return sources, targets
+
+
+EDGE_LISTS = {
+    # ≈ 5 chunks at the default size: rows straddle every chunk edge.
+    "straddling": _edge_list(1, 12_000, 48, 30),
+    # One row three chunks long, with only 40 distinct targets.
+    "row-longer-than-chunk": _edge_list(2, 3_000, 20, 20, long_rows=((1_500, 200_000),)),
+    # The first and the last row are the long ones.
+    "long-edge-rows": _edge_list(3, 2_000, 10, 5, long_rows=((0, 70_000), (1_999, 70_000))),
+    "self-links-and-repeats": _edge_list(4, 5_000, 64, 2),
+    "no-links": (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)),
+    "one-page-one-self-link": (np.array([0]), np.array([0])),
+}
+
+
+class TestLinksCsr:
+    """The row-chunked dedupe equals the one-shot ``np.unique`` form."""
+
+    @pytest.mark.parametrize("name", EDGE_LISTS)
+    @pytest.mark.parametrize("chunk", [None, 1, 7, 1_000])
+    def test_equals_one_shot_oracle(self, name, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(linker, "_CHUNK", chunk)
+        sources, targets = EDGE_LISTS[name]
+        n_pages = int(sources.max()) + 3 if len(sources) else 4
+        offsets, csr_targets = linker.links_csr(n_pages, sources, targets)
+        want_offsets, want_targets = _links_csr_one_shot(n_pages, sources, targets)
+        assert offsets.dtype == csr_targets.dtype == np.int64
+        np.testing.assert_array_equal(offsets, want_offsets)
+        np.testing.assert_array_equal(csr_targets, want_targets)
+
+    def test_generated_edges_equal_one_shot(self, setup, monkeypatch):
+        profile, hosts, lang_code, mask, attractiveness = setup
+        sources, targets = build_edges(
+            profile, hosts, lang_code, mask, attractiveness, np.random.default_rng(5)
+        )
+        assert sources.dtype == targets.dtype == np.int64
+        monkeypatch.setattr(linker, "_CHUNK", 4_096)
+        assert len(sources) > 4 * linker._CHUNK
+        got = linker.links_csr(profile.n_pages, sources, targets)
+        want = _links_csr_one_shot(profile.n_pages, sources, targets)
+        for got_column, want_column in zip(got, want):
+            np.testing.assert_array_equal(got_column, want_column)
+
+
+class TestPiecewiseDraws:
+    """``build_edges`` draws its uniforms in pieces; the stream is the one call's."""
+
+    @pytest.mark.parametrize("pieces", [(1,), (3, 5), (65_536, 1, 70_000), (0, 10, 0, 7)])
+    def test_pieces_of_random_equal_one_call(self, pieces):
+        whole = np.random.default_rng(11).random(sum(pieces))
+        rng = np.random.default_rng(11)
+        joined = np.concatenate([rng.random(size) for size in pieces])
+        np.testing.assert_array_equal(joined, whole)
+        # The streams stay aligned past the pieces, too.
+        follower = np.random.default_rng(11)
+        follower.random(sum(pieces))
+        assert rng.random() == follower.random()
+
+    def test_pool_sample_equals_one_shot_sampling(self, setup, monkeypatch):
+        _, _, _, _, attractiveness = setup
+        page_ids = np.arange(100, 900, dtype=np.int32)
+        weights = attractiveness[100:900]
+        cumulative = np.cumsum(weights)
+        rng = np.random.default_rng(12)
+        draws = rng.random(10_000) * cumulative[-1]
+        indices = np.minimum(np.searchsorted(cumulative, draws, side="right"), len(page_ids) - 1)
+        monkeypatch.setattr(linker, "_CHUNK", 999)
+        sampled = linker._WeightedPool(page_ids, weights).sample(10_000, np.random.default_rng(12))
+        np.testing.assert_array_equal(sampled, page_ids[indices])
+
+    def test_build_edges_is_piece_size_invariant(self, setup, monkeypatch):
+        whole = build_edges(*setup, np.random.default_rng(6))
+        monkeypatch.setattr(linker, "_CHUNK", 333)
+        pieces = build_edges(*setup, np.random.default_rng(6))
+        for whole_column, pieces_column in zip(whole, pieces):
+            np.testing.assert_array_equal(whole_column, pieces_column)
